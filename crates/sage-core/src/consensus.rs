@@ -238,8 +238,11 @@ fn best_extension(
     // Examine candidates by descending vote count; accept the first
     // whose overlap *verifies* (≥ 80 % base identity at the best exact
     // offset near the voted diagonal).
+    // The full key makes the order — and with it the consensus and
+    // every stored byte — independent of `HashMap` iteration order:
+    // equal vote counts are common, and the first verified wins.
     let mut candidates: Vec<((u32, bool, i64), usize)> = votes.into_iter().collect();
-    candidates.sort_by_key(|&(_, votes)| std::cmp::Reverse(votes));
+    candidates.sort_unstable_by_key(|&(key, votes)| (std::cmp::Reverse(votes), key));
     for ((read, rev, qoffset), v) in candidates {
         if v < cfg.min_shared_minimizers {
             break; // sorted: the rest have fewer votes

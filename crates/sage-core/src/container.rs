@@ -13,7 +13,14 @@ use sage_genomics::packed::Packed2;
 /// Magic bytes at the start of every archive.
 pub const MAGIC: [u8; 4] = *b"SAGE";
 /// Current format version.
-pub const VERSION: u16 = 1;
+///
+/// Version 2 replaced the quality stream's layout: version 1 coded
+/// every quality byte through a 256-leaf bit-tree; version 2 stores the
+/// chunk's alphabet in front of the body and codes each symbol's rank
+/// in it (see [`crate::quality`]). Everything else is laid out as in
+/// version 1, but nothing decodes a version-1 archive: the parser
+/// rejects it with [`SageError::BadVersion`].
+pub const VERSION: u16 = 2;
 
 /// Per-read-set parameters, including every tuned association table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,7 +118,9 @@ pub struct Streams {
     pub raw: Stream,
     /// Original read order (optional).
     pub order: Stream,
-    /// Range-coded quality scores (byte stream, not bits).
+    /// Quality scores: the chunk's alphabet table, then the
+    /// range-coded ranks (byte stream, not bits; layout in
+    /// [`crate::quality`]).
     pub qual: Vec<u8>,
 }
 
@@ -535,6 +544,21 @@ mod tests {
             Err(SageError::BadVersion { found, expected }) => {
                 assert_eq!(found, 99);
                 assert_eq!(expected, VERSION);
+            }
+            other => panic!("expected BadVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_1_archives_are_rejected() {
+        // The quality stream changed shape at version 2 and no decoder
+        // for the old one is kept.
+        let mut bytes = sample_archive().to_bytes();
+        assert_eq!(bytes[4..6], VERSION.to_le_bytes());
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        match SageArchive::from_bytes(&bytes) {
+            Err(SageError::BadVersion { found, expected }) => {
+                assert_eq!((found, expected), (1, 2));
             }
             other => panic!("expected BadVersion, got {other:?}"),
         }

@@ -12,7 +12,7 @@ use crate::bitio::BitReader;
 use crate::container::{ArchiveHeader, SageArchive};
 use crate::error::{Result, SageError};
 use crate::mapper::segment_decodable;
-use crate::quality::{decompress_qualities, QualityDecoder};
+use crate::quality::QualityDecoder;
 use sage_genomics::packed::{Packed2, Packed3};
 use sage_genomics::{Alignment, Base, DnaSeq, Edit, Read, ReadSet, Segment};
 
@@ -106,78 +106,24 @@ impl SageDecompressor {
     /// Same as [`decompress`](Self::decompress).
     pub fn decompress_with_stats(&self, archive: &SageArchive) -> Result<(ReadSet, DecodeStats)> {
         let h = &archive.header;
-        let cons: Vec<Base> = archive.consensus.unpack().into_bases();
-        if cons.len() as u64 != h.consensus_len {
-            return Err(SageError::Corrupt("consensus length mismatch".into()));
-        }
-        let s = &archive.streams;
-        let mut su = ScanState {
-            mpga: s.mpga.reader(),
-            mpa: s.mpa.reader(),
-            mmpga: s.mmpga.reader(),
-            mmpa: s.mmpa.reader(),
-            mbta: s.mbta.reader(),
-            corner: s.corner.reader(),
-            lenga: s.lenga.reader(),
-            lena: s.lena.reader(),
-            raw: s.raw.reader(),
-            order: s.order.reader(),
-            prev_pos: 0,
-            records: 0,
-        };
-        let n = usize::try_from(h.n_reads)
+        let mut stream = self.stream(archive)?;
+        // Every read costs at least its mapped/unmapped bit, which
+        // bounds what a hostile `n_reads` can make this reserve.
+        let n = usize::try_from(h.n_reads.min(archive.streams.mpga.bit_len))
             .map_err(|_| SageError::Corrupt("read count overflow".into()))?;
-        let mut seqs: Vec<DnaSeq> = Vec::with_capacity(n);
-        let mut lens: Vec<usize> = Vec::with_capacity(n);
-        let mut orig_order: Vec<u64> = Vec::with_capacity(if h.store_order { n } else { 0 });
-        for _ in 0..n {
-            if h.store_order {
-                orig_order.push(su.order.read_bits(h.order_bits())?);
-            }
-            let len = match h.fixed_len {
-                Some(l) => l as usize,
-                None => {
-                    let table = h
-                        .len_table
-                        .as_ref()
-                        .ok_or_else(|| SageError::Corrupt("missing length table".into()))?;
-                    let v = table.decode_value(&mut su.lenga, &mut su.lena)?;
-                    usize::try_from(v)
-                        .map_err(|_| SageError::Corrupt("read length overflow".into()))?
-                }
-            };
-            if len > h.max_read_len as usize {
-                return Err(SageError::Corrupt("read longer than max_read_len".into()));
-            }
-            let seq = decode_read(h, &mut su, &cons, len)?;
-            lens.push(seq.len());
-            seqs.push(seq);
+        let mut reads: Vec<Read> = Vec::with_capacity(n);
+        let mut bases = 0u64;
+        for read in &mut stream {
+            let read = read?;
+            bases += read.seq.len() as u64;
+            reads.push(read);
         }
-
-        // Quality stream (host-side, §5.1.5).
-        let quals: Option<Vec<Vec<u8>>> = if h.has_quality {
-            Some(
-                decompress_qualities(&s.qual, &lens)
-                    .map_err(|_| SageError::Corrupt("quality stream truncated".into()))?,
-            )
-        } else {
-            None
-        };
-
-        // Assemble, restoring the original order when stored.
-        let mut reads: Vec<Read> = seqs
-            .into_iter()
-            .enumerate()
-            .map(|(i, seq)| Read {
-                id: None,
-                qual: quals.as_ref().map(|q| q[i].clone()),
-                seq,
-            })
-            .collect();
+        // Restore the original order when stored.
         if h.store_order {
+            let n = reads.len();
             let mut slots: Vec<Option<Read>> = (0..n).map(|_| None).collect();
-            for (read, &orig) in reads.into_iter().zip(&orig_order) {
-                let idx = usize::try_from(orig)
+            for read in reads {
+                let idx = usize::try_from(stream.su.order.read_bits(h.order_bits())?)
                     .ok()
                     .filter(|&i| i < n)
                     .ok_or_else(|| SageError::Corrupt("order index out of range".into()))?;
@@ -193,8 +139,8 @@ impl SageDecompressor {
         }
         let stats = DecodeStats {
             reads: h.n_reads,
-            bases: lens.iter().map(|&l| l as u64).sum(),
-            mismatch_records: su.records,
+            bases,
+            mismatch_records: stream.su.records,
         };
         Ok((ReadSet::from_reads(reads), stats))
     }
@@ -208,9 +154,9 @@ impl SageDecompressor {
     ///
     /// # Errors
     ///
-    /// Fails immediately on a consensus-length mismatch; per-read
-    /// corruption surfaces as an `Err` item, after which the stream
-    /// ends.
+    /// Fails immediately on a consensus-length mismatch or a malformed
+    /// quality alphabet table; per-read corruption surfaces as an
+    /// `Err` item, after which the stream ends.
     pub fn stream<'a>(&self, archive: &'a SageArchive) -> Result<ReadStream<'a>> {
         let h = &archive.header;
         let cons: Vec<Base> = archive.consensus.unpack().into_bases();
@@ -235,7 +181,11 @@ impl SageDecompressor {
                 prev_pos: 0,
                 records: 0,
             },
-            qual: h.has_quality.then(|| QualityDecoder::new(&s.qual)),
+            qual: if h.has_quality {
+                Some(QualityDecoder::new(&s.qual)?)
+            } else {
+                None
+            },
             remaining: h.n_reads,
         })
     }
@@ -348,7 +298,16 @@ impl ReadStream<'_> {
             return Err(SageError::Corrupt("read longer than max_read_len".into()));
         }
         let seq = decode_read(h, &mut self.su, &self.cons, len)?;
-        let qual = self.qual.as_mut().map(|d| d.next_read(seq.len()));
+        // Quality stream (host-side, §5.1.5), decoded straight into the
+        // read's own buffer.
+        let qual = match &mut self.qual {
+            Some(dec) => {
+                let mut q = vec![0u8; seq.len()];
+                dec.next_into(&mut q)?;
+                Some(q)
+            }
+            None => None,
+        };
         Ok(Read {
             id: None,
             seq,

@@ -78,6 +78,12 @@ impl From<crate::bitio::BitStreamExhausted> for SageError {
     }
 }
 
+impl From<crate::quality::QualityDecodeError> for SageError {
+    fn from(_: crate::quality::QualityDecodeError) -> SageError {
+        SageError::Corrupt("quality stream truncated or corrupt".into())
+    }
+}
+
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, SageError>;
 

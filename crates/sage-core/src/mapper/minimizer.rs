@@ -86,6 +86,8 @@ pub struct MinimizerIndex {
     w: usize,
     /// Positions per minimizer hash; lists longer than `max_occ` are
     /// frozen (overly repetitive seeds are useless for anchoring).
+    /// Only ever probed by key, never iterated, so the map's hash order
+    /// cannot reach the encoder's output.
     map: HashMap<u64, Vec<u32>>,
     max_occ: usize,
     /// Sequence length already indexed.

@@ -4,8 +4,15 @@
 //! (§5.1.5) on the host CPU. The paper reuses Spring's quality codec;
 //! we substitute an equivalent-strength context-modelled arithmetic
 //! coder built from scratch: a carry-less binary range coder (the
-//! LZMA construction) with adaptive 11-bit probabilities and bit-tree
-//! symbol coding.
+//! LZMA construction) with adaptive 11-bit probabilities. The symbol
+//! model on top of it (which decisions are coded, under which
+//! [`BitModel`]) lives in [`crate::quality`].
+//!
+//! Encoder and decoder move in lock step: the encoder emits exactly
+//! five bytes plus one per normalisation, and the decoder consumes
+//! exactly five plus one per normalisation. A decoder that is asked
+//! for a byte its input does not hold is therefore reading a truncated
+//! or corrupt stream — [`RangeDecoder::overrun`] reports it.
 
 /// Number of probability quantization steps (11-bit probabilities).
 const PROB_BITS: u32 = 11;
@@ -156,7 +163,7 @@ impl RangeEncoder {
 }
 
 /// Range decoder reading from a byte slice.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RangeDecoder<'a> {
     code: u32,
     range: u32,
@@ -179,11 +186,23 @@ impl<'a> RangeDecoder<'a> {
         d
     }
 
+    /// Past the end the input reads as zeros (decoding never panics);
+    /// `pos` keeps counting, which is what [`overrun`](Self::overrun)
+    /// looks at.
     #[inline]
     fn next_byte(&mut self) -> u8 {
         let b = self.input.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
+    }
+
+    /// `true` once the decoder has asked for a byte past the end of
+    /// its input: the stream is truncated or corrupt, and every symbol
+    /// decoded since is garbage. A stream produced by [`RangeEncoder`]
+    /// and decoded under the models it was encoded with never overruns.
+    #[inline]
+    pub fn overrun(&self) -> bool {
+        self.pos > self.input.len()
     }
 
     /// Decodes one bit under an adaptive model.
@@ -202,7 +221,10 @@ impl<'a> RangeDecoder<'a> {
             range = bound;
         }
         model.update(bit);
-        while range < TOP {
+        // One step always suffices: probabilities stay inside
+        // [31, 2017], so either side of the split keeps more than
+        // 2^17 of a range that was at least 2^24.
+        if range < TOP {
             code = (code << 8) | u32::from(self.next_byte());
             range <<= 8;
         }
@@ -231,51 +253,6 @@ impl<'a> RangeDecoder<'a> {
         self.range = range;
         self.code = code;
         v
-    }
-}
-
-/// A bit-tree coder for 8-bit symbols: 255 adaptive models arranged as
-/// a binary tree, giving an order-0 adaptive byte model per context.
-#[derive(Debug, Clone)]
-pub struct ByteTree {
-    models: Box<[BitModel; 256]>,
-}
-
-impl Default for ByteTree {
-    fn default() -> ByteTree {
-        ByteTree::new()
-    }
-}
-
-impl ByteTree {
-    /// Creates a tree with all probabilities at ½.
-    pub fn new() -> ByteTree {
-        ByteTree {
-            models: Box::new([BitModel::new(); 256]),
-        }
-    }
-
-    /// Encodes one byte.
-    pub fn encode(&mut self, enc: &mut RangeEncoder, byte: u8) {
-        let mut node = 1usize;
-        for i in (0..8).rev() {
-            let bit = (byte >> i) & 1 == 1;
-            // `node` stays below 256 whenever it indexes (max 255 on
-            // the last level); the mask lets the compiler elide the
-            // bounds check without changing which model is touched.
-            enc.encode_bit(&mut self.models[node & 0xFF], bit);
-            node = (node << 1) | usize::from(bit);
-        }
-    }
-
-    /// Decodes one byte.
-    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u8 {
-        let mut node = 1usize;
-        for _ in 0..8 {
-            let bit = dec.decode_bit(&mut self.models[node & 0xFF]);
-            node = (node << 1) | usize::from(bit);
-        }
-        (node & 0xFF) as u8
     }
 }
 
@@ -330,39 +307,35 @@ mod tests {
     }
 
     #[test]
-    fn byte_tree_round_trip() {
-        let data: Vec<u8> = (0..=255u8).chain((0..=255).rev()).collect();
-        let mut enc = RangeEncoder::new();
-        let mut tree = ByteTree::new();
-        for &b in &data {
-            tree.encode(&mut enc, b);
-        }
-        let packed = enc.finish();
-        let mut dec = RangeDecoder::new(&packed);
-        let mut tree = ByteTree::new();
-        for &b in &data {
-            assert_eq!(tree.decode(&mut dec), b);
-        }
-    }
-
-    #[test]
-    fn repetitive_bytes_compress() {
-        let data = vec![b'I'; 50_000];
-        let mut enc = RangeEncoder::new();
-        let mut tree = ByteTree::new();
-        for &b in &data {
-            tree.encode(&mut enc, b);
-        }
-        let packed = enc.finish();
-        // The adaptive model floors probabilities at ~31/2048, so the
-        // per-byte cost bottoms out near 0.18 bits; 50 kB ≈ 1.2 kB.
-        assert!(packed.len() < 2_000, "got {} bytes", packed.len());
-    }
-
-    #[test]
     fn empty_stream_is_decodable() {
         let enc = RangeEncoder::new();
         let data = enc.finish();
-        let _dec = RangeDecoder::new(&data);
+        assert_eq!(data.len(), 5);
+        assert!(!RangeDecoder::new(&data).overrun());
+    }
+
+    #[test]
+    fn decoder_consumes_exactly_what_the_encoder_wrote() {
+        let bits: Vec<bool> = (0..5_000).map(|i| i % 3 == 0 || i % 11 == 0).collect();
+        let mut enc = RangeEncoder::new();
+        let mut m = BitModel::new();
+        for &b in &bits {
+            enc.encode_bit(&mut m, b);
+        }
+        let data = enc.finish();
+        // How many bytes decoding all of `bits` asked for, and whether
+        // that counted as running past the end.
+        let decode_all = |input: &[u8]| {
+            let mut dec = RangeDecoder::new(input);
+            let mut m = BitModel::new();
+            for _ in &bits {
+                dec.decode_bit(&mut m);
+            }
+            (dec.pos, dec.overrun())
+        };
+        assert_eq!(decode_all(&data), (data.len(), false));
+        for cut in [0, 4, 5, data.len() / 2, data.len() - 1] {
+            assert!(decode_all(&data[..cut]).1, "prefix of {cut} bytes");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Adversarial edge cases for the codec: inputs no simulator would
 //! produce but a production tool must survive.
 
-use sage_core::{OutputFormat, SageArchive, SageCompressor, SageDecompressor};
+use sage_core::{OutputFormat, SageArchive, SageCompressor, SageDecompressor, SageError};
+use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_genomics::{DnaSeq, Read, ReadSet};
 
 fn round_trip(rs: &ReadSet) -> ReadSet {
@@ -201,4 +202,50 @@ fn empty_quality_strings() {
         },
     ]);
     assert_exact(&rs);
+}
+
+#[test]
+fn encoder_is_deterministic_call_to_call() {
+    // Overlap votes tie all the time in the de-novo consensus; the
+    // winner must not depend on a hash map's iteration order.
+    let ds = simulate_dataset(&DatasetProfile::tiny_short(), 31);
+    let encode = || {
+        SageCompressor::new()
+            .compress(&ds.reads)
+            .unwrap()
+            .to_bytes()
+    };
+    let first = encode();
+    assert!(first == encode() && first == encode());
+}
+
+#[test]
+fn truncated_quality_stream_is_corrupt_not_garbage() {
+    let rs: ReadSet = (0..40usize)
+        .map(|i| {
+            let mut r = read("ACGGTTAACCGGATCGGATTACAGGCATGAGCCACCGCGTAAGGC");
+            let q = r.qual.as_mut().unwrap();
+            q[i % 45] = b'#';
+            q[(i * 7) % 45] = b'F';
+            r
+        })
+        .collect();
+    let archive = SageCompressor::new().compress(&rs).expect("compress");
+    let dec = SageDecompressor::default();
+    assert!(dec.decompress(&archive).is_ok());
+    for cut in 0..archive.streams.qual.len() {
+        let mut short = archive.clone();
+        short.streams.qual.truncate(cut);
+        assert!(
+            matches!(dec.decompress(&short), Err(SageError::Corrupt(_))),
+            "decompress with {cut} quality bytes"
+        );
+        // The streaming decoder fails at open (bad table) or on the
+        // read whose qualities run out, and ends there.
+        if let Ok(stream) = dec.stream(&short) {
+            let items: Vec<_> = stream.collect();
+            assert!(items.last().is_some_and(|r| r.is_err()), "stream, {cut}");
+            assert_eq!(items.iter().filter(|r| r.is_err()).count(), 1);
+        }
+    }
 }

@@ -73,6 +73,40 @@ fn read_set_strategy(max_reads: usize) -> impl Strategy<Value = ReadSet> {
     })
 }
 
+/// Strategy: quality strings over an alphabet of exactly `k` byte
+/// values — the sizes where the stream changes shape (no body below
+/// two symbols, a deeper tree past each power of two plus one, the
+/// full byte range) and anything in between — scattered over all 256
+/// byte values, not only Phred+33. The first string holds the whole
+/// alphabet, so `k` is exact; empty strings occur throughout.
+fn quality_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let k = prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        Just(2usize),
+        Just(3usize),
+        Just(255usize),
+        Just(256usize),
+        4usize..255,
+    ];
+    (k, any::<u8>(), 0usize..128).prop_flat_map(|(k, offset, stride)| {
+        // An odd stride walks all 256 byte values before repeating.
+        let symbol = move |i: usize| offset.wrapping_add((i * (2 * stride + 1)) as u8);
+        let reads = prop::collection::vec(prop::collection::vec(0..k.max(1), 0..200), 0..20);
+        reads.prop_map(move |reads| {
+            let mut quals: Vec<Vec<u8>> = vec![(0..k).map(symbol).collect()];
+            if k > 0 {
+                quals.extend(
+                    reads
+                        .into_iter()
+                        .map(|r| r.into_iter().map(symbol).collect()),
+                );
+            }
+            quals
+        })
+    })
+}
+
 fn sorted_content(rs: &ReadSet) -> Vec<(String, Option<Vec<u8>>)> {
     let mut v: Vec<_> = rs
         .iter()
@@ -110,16 +144,35 @@ proptest! {
     }
 
     #[test]
-    fn quality_codec_round_trips(
-        quals in prop::collection::vec(
-            prop::collection::vec(33u8..110, 0..200),
-            0..20,
-        )
-    ) {
+    fn quality_codec_round_trips_over_any_alphabet(quals in quality_strategy()) {
         let packed = compress_qualities(quals.iter().map(|q| q.as_slice()));
+        let mut distinct: Vec<u8> = quals.concat();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(usize::from(u16::from_le_bytes([packed[0], packed[1]])), distinct.len());
         let lens: Vec<usize> = quals.iter().map(|q| q.len()).collect();
         let back = decompress_qualities(&packed, &lens).expect("decode");
-        prop_assert_eq!(quals, back);
+        prop_assert_eq!(&quals, &back);
+        // A cut stream is an error, never quietly different bytes.
+        if lens.iter().any(|&l| l > 0) {
+            for cut in [0, 1, packed.len() / 2, packed.len() - 1] {
+                prop_assert!(decompress_qualities(&packed[..cut], &lens).is_err(), "cut at {}", cut);
+            }
+        }
+    }
+
+    #[test]
+    fn stream_equals_bulk_decompress(rs in read_set_strategy(16)) {
+        let archive = SageCompressor::new().compress(&rs).expect("compress");
+        let dec = SageDecompressor::default();
+        let bulk = dec.decompress(&archive).expect("decompress");
+        let streamed: Vec<Read> = dec
+            .stream(&archive)
+            .expect("open stream")
+            .collect::<Result<_, _>>()
+            .expect("stream");
+        prop_assert!(streamed.iter().all(|r| r.qual.is_some()));
+        prop_assert_eq!(bulk.reads(), streamed.as_slice());
     }
 
     #[test]
