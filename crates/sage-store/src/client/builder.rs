@@ -82,7 +82,6 @@ pub struct DatasetBuilder {
     tenants: Vec<TenantSpec>,
     backend: StoreBackend,
     decode_workers: usize,
-    pipeline_depth: usize,
 }
 
 impl Default for DatasetBuilder {
@@ -106,7 +105,6 @@ impl Default for DatasetBuilder {
             tenants: Vec::new(),
             backend: StoreBackend::default(),
             decode_workers: 0,
-            pipeline_depth: 0,
         }
     }
 }
@@ -218,17 +216,6 @@ impl DatasetBuilder {
     /// (0 ⇒ available parallelism).
     pub fn decode_workers(mut self, n: usize) -> DatasetBuilder {
         self.decode_workers = n;
-        self
-    }
-
-    /// Enables the bounded fetch→decode pipeline on multi-chunk miss
-    /// sets: one stage reads extents in manifest order while decode
-    /// workers consume them in arrival order, at most `depth` fetched-
-    /// but-undecoded chunks in flight. `0` (the default) keeps the
-    /// unpipelined fan-out. Results are stitched in manifest order
-    /// and the virtual timeline is unaffected (property-tested).
-    pub fn decode_pipeline(mut self, depth: usize) -> DatasetBuilder {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -350,8 +337,7 @@ impl DatasetBuilder {
             .with_extent_coalescing(self.coalesce_extents)
             .with_tracing(self.tracing)
             .with_backend(self.backend.clone())
-            .with_decode_workers(self.decode_workers)
-            .with_decode_pipeline(self.pipeline_depth);
+            .with_decode_workers(self.decode_workers);
         engine_cfg.codec = self.codec.clone();
         engine_cfg.append_workers = self.append_workers;
         if let Some(ssd) = &self.ssd {
@@ -579,7 +565,6 @@ mod tests {
             .chunk_reads(16)
             .ssd(SsdConfig::pcie())
             .backend(StoreBackend::File(dir.clone()))
-            .decode_pipeline(2)
             .decode_workers(2)
             .encode(&rs)
             .expect("file-backed build");

@@ -554,7 +554,6 @@ impl Dataset {
             bytes_decoded: decode.bytes_decoded,
             decode_seconds: decode.decode_seconds,
             dedup_decodes: decode.dedup_decodes,
-            pipeline_occupancy: decode.pipeline_occupancy,
             trace_spans,
             trace_dropped,
         }

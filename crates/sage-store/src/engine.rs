@@ -17,6 +17,16 @@
 //! trace; the serving layer ([`crate::client`]) keeps it and folds it
 //! into per-request [`OpReport`](crate::client::OpReport)s.
 //!
+//! Cache misses are filled through one path too
+//! (`StoreEngine::fetch_chunks`): probe the cache, read + decode the
+//! missing chunks — in parallel over
+//! [`EngineConfig::decode_workers`] pool threads when there are
+//! several — then *commit* them (cache insert, eviction accounting)
+//! on the operation's own thread in manifest order. Pool threads never
+//! change what the cache holds, so cache contents, hit/miss outcomes,
+//! device charges and the whole virtual timeline are independent of
+//! which decode finishes first.
+//!
 //! The engine is served to concurrent clients by the typed session
 //! API in [`crate::client`]; [`EngineBackend`] is the [`IoBackend`]
 //! adapter that lets a [`sage_io::Reactor`] execute [`StoreOp`]s and
@@ -103,18 +113,12 @@ pub struct EngineConfig {
     /// (simulated, the default) or per-device container files
     /// ([`StoreBackend::File`]).
     pub backend: StoreBackend,
-    /// Worker threads decoding a multi-chunk miss set (0 ⇒ available
-    /// parallelism).
+    /// Worker threads that read and decode a multi-chunk miss set
+    /// (0 ⇒ available parallelism). Purely a wall-clock knob: the
+    /// decoded chunks are committed to the cache by the operation's
+    /// own thread in manifest order, so answers, cache contents and
+    /// the virtual timeline are bit-identical for every value.
     pub decode_workers: usize,
-    /// Bounded fetch→decode pipeline depth for multi-chunk miss sets.
-    /// 0 — the default — keeps the classic fan-out (each worker reads
-    /// *and* decodes its chunk); ≥ 1 overlaps extent fetch with
-    /// decompression: one stage reads compressed extents in manifest
-    /// order while `decode_workers` consume completions in arrival
-    /// order, results stitched back in manifest order. Purely a
-    /// wall-clock knob — answers and the virtual timeline are
-    /// bit-identical either way.
-    pub pipeline_depth: usize,
 }
 
 impl Default for EngineConfig {
@@ -132,7 +136,6 @@ impl Default for EngineConfig {
             tracing: false,
             backend: StoreBackend::Simulated,
             decode_workers: 0,
-            pipeline_depth: 0,
         }
     }
 }
@@ -204,14 +207,6 @@ impl EngineConfig {
     /// available parallelism).
     pub fn with_decode_workers(mut self, n: usize) -> EngineConfig {
         self.decode_workers = n;
-        self
-    }
-
-    /// Sets the bounded fetch→decode pipeline depth for multi-chunk
-    /// miss sets (0 — the default — disables pipelining and keeps the
-    /// classic fan-out).
-    pub fn with_decode_pipeline(mut self, depth: usize) -> EngineConfig {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -454,37 +449,49 @@ pub struct DecodeStats {
     /// Decodes avoided because a racing fetch of the same chunk had
     /// already produced it (single-flight dedup).
     pub dedup_decodes: u64,
-    /// Decode-stage occupancy of the fetch→decode pipeline: busy
-    /// worker seconds over available worker seconds across pipelined
-    /// fetches (0 when the pipeline never ran).
-    pub pipeline_occupancy: f64,
 }
 
-/// A single-flight slot: the first fetch of a chunk decodes, racing
-/// fetches of the same chunk wait here and are served from the
-/// winner's cache insert.
+/// A single-flight slot: the first fetch of a chunk decodes it and
+/// publishes the decoded reads here; racing fetches of the same chunk
+/// wait for that publication and are served from it. A waiter blocks
+/// only until the *decode* finishes, never until the winner's
+/// operation commits: two multi-chunk operations with overlapping miss
+/// sets each hold flights the other waits on, and neither commits
+/// before all of its own decodes are in.
 #[derive(Debug, Default)]
 struct Flight {
-    done: Mutex<bool>,
+    /// `None` while the winner decodes, then its outcome (`Some(None)`
+    /// when the winner failed).
+    outcome: Mutex<Option<Option<Arc<ReadSet>>>>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn wait(&self) {
-        let mut done = self.done.lock().expect("flight poisoned");
-        while !*done {
-            done = self.cv.wait(done).expect("flight poisoned");
+    fn wait(&self) -> Option<Arc<ReadSet>> {
+        let mut outcome = self.outcome.lock().expect("flight poisoned");
+        loop {
+            if let Some(decoded) = &*outcome {
+                return decoded.clone();
+            }
+            outcome = self.cv.wait(outcome).expect("flight poisoned");
         }
     }
 
-    fn finish(&self) {
-        *self.done.lock().expect("flight poisoned") = true;
+    /// Publishes the winner's outcome; the first call wins.
+    fn finish(&self, decoded: Option<Arc<ReadSet>>) {
+        self.outcome
+            .lock()
+            .expect("flight poisoned")
+            .get_or_insert(decoded);
         self.cv.notify_all();
     }
 }
 
-/// Deregisters a finished flight and wakes its waiters on *every*
-/// exit path (including decode errors), so a failed winner can never
+/// A registered flight, held by its winner from registration until its
+/// operation has committed the chunk (so a fetch arriving between the
+/// decode and the commit is served by the flight instead of decoding
+/// again). Dropping it deregisters the flight and wakes its waiters on
+/// *every* exit path — a winner that fails before publishing can never
 /// strand losers.
 struct FlightGuard<'a> {
     engine: &'a StoreEngine,
@@ -499,8 +506,19 @@ impl Drop for FlightGuard<'_> {
             .lock()
             .expect("inflight poisoned")
             .remove(&self.chunk_id);
-        self.flight.finish();
+        self.flight.finish(None);
     }
+}
+
+/// What reading and decoding one missed chunk produced — everything
+/// [`StoreEngine::commit_miss`] needs, and nothing that touched the
+/// cache.
+enum Miss<'a> {
+    /// This fetch decoded the chunk; its flight stays registered until
+    /// the commit.
+    Decoded(Arc<ReadSet>, FlightGuard<'a>),
+    /// A racing fetch of the same chunk produced it.
+    Shared(Arc<ReadSet>),
 }
 
 /// The mutable store state (blob + manifest) behind the engine's lock.
@@ -531,15 +549,12 @@ pub struct StoreEngine {
     /// container files and appends write through.
     file_store: Option<Arc<FileBackend>>,
     decode_workers: usize,
-    pipeline_depth: usize,
     /// Chunks with a decode currently in flight (single-flight dedup).
     inflight: Mutex<HashMap<u32, Arc<Flight>>>,
     chunks_decoded: AtomicU64,
     bytes_decoded: AtomicU64,
     decode_ns: AtomicU64,
     dedup_decodes: AtomicU64,
-    pipeline_busy_ns: AtomicU64,
-    pipeline_wall_ns: AtomicU64,
 }
 
 /// Assembles the per-device container images for a real-bytes
@@ -599,14 +614,11 @@ impl StoreEngine {
             bytes_copied: AtomicU64::new(0),
             file_store,
             decode_workers: cfg.decode_workers,
-            pipeline_depth: cfg.pipeline_depth,
             inflight: Mutex::new(HashMap::new()),
             chunks_decoded: AtomicU64::new(0),
             bytes_decoded: AtomicU64::new(0),
             decode_ns: AtomicU64::new(0),
             dedup_decodes: AtomicU64::new(0),
-            pipeline_busy_ns: AtomicU64::new(0),
-            pipeline_wall_ns: AtomicU64::new(0),
             state: RwLock::new(StoreState { store }),
         })
     }
@@ -685,20 +697,13 @@ impl StoreEngine {
     }
 
     /// Decode-path wall-clock accounting (chunks/bytes decoded, decode
-    /// seconds, single-flight dedups, pipeline occupancy).
+    /// seconds, single-flight dedups).
     pub fn decode_stats(&self) -> DecodeStats {
-        let busy = self.pipeline_busy_ns.load(Ordering::Relaxed);
-        let wall = self.pipeline_wall_ns.load(Ordering::Relaxed);
         DecodeStats {
             chunks_decoded: self.chunks_decoded.load(Ordering::Relaxed),
             bytes_decoded: self.bytes_decoded.load(Ordering::Relaxed),
             decode_seconds: self.decode_ns.load(Ordering::Relaxed) as f64 * 1e-9,
             dedup_decodes: self.dedup_decodes.load(Ordering::Relaxed),
-            pipeline_occupancy: if wall == 0 {
-                0.0
-            } else {
-                busy as f64 / wall as f64
-            },
         }
     }
 
@@ -706,11 +711,6 @@ impl StoreEngine {
     /// configured ([`StoreBackend::File`]).
     pub fn file_backend(&self) -> Option<&Arc<FileBackend>> {
         self.file_store.as_ref()
-    }
-
-    /// Configured fetch→decode pipeline depth (0 = classic fan-out).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
     }
 
     /// Accumulated device accounting, aggregated across the fleet
@@ -855,154 +855,148 @@ impl StoreEngine {
         Ok(Arc::new(reads))
     }
 
-    /// Fetches one decoded chunk through the striped cache.
-    ///
-    /// The decode runs *outside* both the cache-shard lock and the
-    /// state lock: concurrent misses on different chunks overlap, and
-    /// a pending `append` only waits for the brief extent-bytes read,
-    /// not for mapper-scale decode work. Racing misses on the *same*
-    /// chunk are single-flight deduplicated (see
-    /// [`StoreEngine::fetch_miss`]).
+    /// Reads and decodes one chunk the cache probe missed, single-flight
+    /// deduplicated: exactly one fetch decodes a given chunk at a time.
+    /// The winner reads the extent and decodes outside every lock
+    /// (concurrent misses on different chunks overlap, and a pending
+    /// `append` only waits for the brief extent-bytes read); racing
+    /// fetches of the same chunk wait on the winner's flight and take
+    /// the decoded reads from it. If the winner fails, a waiter retries
+    /// and may become the next winner. Safe to call from a pool worker:
+    /// it never touches the cache's contents or the eviction counters —
+    /// that is [`StoreEngine::commit_miss`]'s job, on the operation's
+    /// own thread — and it allocates nothing but the decoded reads that
+    /// outlives the call: `fresh`, the flight it registers if it wins,
+    /// is the caller's.
+    fn decode_miss(&self, meta: &ChunkMeta, fresh: &Arc<Flight>) -> Result<Miss<'_>> {
+        let chunk_id = meta.id;
+        loop {
+            let racing = {
+                let mut inflight = self.inflight.lock().expect("inflight poisoned");
+                match inflight.entry(chunk_id) {
+                    Entry::Occupied(o) => Some(Arc::clone(o.get())),
+                    Entry::Vacant(v) => {
+                        v.insert(Arc::clone(fresh));
+                        None
+                    }
+                }
+            };
+            if let Some(racing) = racing {
+                match racing.wait() {
+                    Some(reads) => return Ok(Miss::Shared(reads)),
+                    None => continue,
+                }
+            }
+            let guard = FlightGuard {
+                engine: self,
+                chunk_id,
+                flight: Arc::clone(fresh),
+            };
+            // The chunk may have been committed between the caller's
+            // probe and our registration: no need to decode it again.
+            if let Some(reads) = self.cache.get(chunk_id) {
+                return Ok(Miss::Shared(reads));
+            }
+            let chunk_bytes = self.read_extent_bytes(meta)?;
+            let reads = self.decode_chunk_bytes(meta, &chunk_bytes)?;
+            guard.flight.finish(Some(Arc::clone(&reads)));
+            return Ok(Miss::Decoded(reads, guard));
+        }
+    }
+
+    /// Records one probed-and-found chunk.
+    fn commit_hit(&self, reads: Arc<ReadSet>) -> Result<Fetched> {
+        self.stats.hit();
+        Ok(Fetched { reads, hit: true })
+    }
+
+    /// Commits one probed-and-missed chunk: the miss, the cache insert
+    /// and its evictions. Runs on the operation's own thread, once per
+    /// miss in manifest order, so cache contents — hence later
+    /// hit/miss outcomes, device charges and the virtual timeline —
+    /// never depend on which decode finished first.
     ///
     /// Charging happens at the operation level (over the op's whole
     /// missed set, so adjacent extents can coalesce), and only for
     /// fetches that *succeed*: a chunk that fails validation charges
     /// nothing, so device counters, the traced charges, and the
     /// reactor's virtual timeline all agree on exactly the successful
-    /// fetch set.
-    fn fetch_chunk(&self, meta: ChunkMeta) -> Result<Fetched> {
-        if let Some(hit) = self.cache.get(meta.id) {
-            self.stats.hit();
-            return Ok(Fetched {
-                reads: hit,
-                hit: true,
-            });
-        }
+    /// fetch set. A chunk a racing fetch decoded is still the miss its
+    /// probe was, and is charged like one: single-flight saves host
+    /// work, and whether two operations happened to overlap in wall
+    /// time must not move a virtual charge.
+    fn commit_miss(&self, miss: Result<Miss<'_>>) -> Result<Fetched> {
         self.stats.miss();
-        self.fetch_miss(meta, None)
-    }
-
-    /// [`StoreEngine::fetch_chunk`] for a chunk whose compressed
-    /// bytes the pipeline's fetch stage already read.
-    fn fetch_chunk_prefetched(&self, meta: ChunkMeta, bytes: Vec<u8>) -> Result<Fetched> {
-        if let Some(hit) = self.cache.get(meta.id) {
-            self.stats.hit();
-            return Ok(Fetched {
-                reads: hit,
-                hit: true,
-            });
-        }
-        self.stats.miss();
-        self.fetch_miss(meta, Some(bytes))
-    }
-
-    /// The miss path, single-flight deduplicated: exactly one fetch
-    /// decodes a given chunk at a time. The winner reads the extent
-    /// (unless the pipeline already did) and decodes outside every
-    /// lock; racing fetches of the same chunk wait on the winner's
-    /// flight and are served from its cache insert — a cheap hit plus
-    /// a [`DecodeStats::dedup_decodes`] tick instead of a duplicate
-    /// decode (and, exactly like a raced fill always was, no device
-    /// charge). If the winner fails — or its insert is evicted before
-    /// a loser wakes — the loser retries and may become the next
-    /// winner.
-    fn fetch_miss(&self, meta: ChunkMeta, mut prefetched: Option<Vec<u8>>) -> Result<Fetched> {
-        enum Role {
-            Winner(Arc<Flight>),
-            Waiter(Arc<Flight>),
-        }
-        let chunk_id = meta.id;
-        loop {
-            let role = {
-                let mut inflight = self.inflight.lock().expect("inflight poisoned");
-                match inflight.entry(chunk_id) {
-                    Entry::Occupied(o) => Role::Waiter(Arc::clone(o.get())),
-                    Entry::Vacant(v) => {
-                        let flight = Arc::new(Flight::default());
-                        v.insert(Arc::clone(&flight));
-                        Role::Winner(flight)
-                    }
-                }
-            };
-            let flight = match role {
-                Role::Waiter(flight) => {
-                    flight.wait();
-                    if let Some(reads) = self.cache.get(chunk_id) {
-                        self.dedup_decodes.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Fetched { reads, hit: true });
-                    }
-                    continue;
-                }
-                Role::Winner(flight) => flight,
-            };
-            let _guard = FlightGuard {
-                engine: self,
-                chunk_id,
-                flight,
-            };
-            // The chunk may have been filled between the caller's
-            // probe and our registration: serve the cheap hit it
-            // already is.
-            if let Some(reads) = self.cache.get(chunk_id) {
-                self.dedup_decodes.fetch_add(1, Ordering::Relaxed);
-                return Ok(Fetched { reads, hit: true });
+        let reads = match miss? {
+            Miss::Decoded(reads, guard) => {
+                let evicted = self.cache.insert(guard.chunk_id, Arc::clone(&reads));
+                self.stats.evicted(evicted);
+                reads
             }
-            let chunk_bytes = match prefetched.take() {
-                Some(bytes) => bytes,
-                None => self.read_extent_bytes(&meta)?,
-            };
-            let reads = self.decode_chunk_bytes(&meta, &chunk_bytes)?;
-            let evicted = self.cache.insert(chunk_id, Arc::clone(&reads));
-            self.stats.evicted(evicted);
-            return Ok(Fetched { reads, hit: false });
-        }
+            Miss::Shared(reads) => {
+                self.dedup_decodes.fetch_add(1, Ordering::Relaxed);
+                reads
+            }
+        };
+        Ok(Fetched { reads, hit: false })
     }
 
-    /// Fetches several chunks, fanning cold misses out over the codec
-    /// worker pool so a wide cold `get`/`scan` does not decode
-    /// one-chunk-at-a-time on the request thread. Cache hits are
-    /// served first through the striped batch probe — one shard-lock
-    /// acquisition per touched shard, not one per chunk — so a warm
-    /// request never pays thread-spawn overhead.
+    /// Fetches an operation's chunks through the cache — the one
+    /// miss-fill path: probe, read + decode the misses in parallel,
+    /// commit them in manifest order.
+    ///
+    /// Cache hits are served first through the striped batch probe —
+    /// one shard-lock acquisition per touched shard, not one per chunk.
+    /// Two or more misses fan out over the codec worker pool
+    /// ([`EngineConfig::decode_workers`] threads, each reading *and*
+    /// decoding its chunk) so a wide cold `get`/`scan` does not decode
+    /// one-chunk-at-a-time on the request thread; a lone miss is
+    /// decoded in place, so a warm or single-chunk request never pays
+    /// thread-spawn overhead.
     fn fetch_chunks(&self, metas: &[ChunkMeta]) -> Vec<Result<Fetched>> {
         // Single-chunk operations — the dominant warm-get shape —
-        // skip the batch-probe machinery (and its allocations):
-        // fetch_chunk probes the cache itself.
+        // skip the batch-probe machinery (and its allocations).
         if let [meta] = metas {
-            return vec![self.fetch_chunk(*meta)];
+            return vec![match self.cache.get(meta.id) {
+                Some(reads) => self.commit_hit(reads),
+                None => self.commit_miss(self.decode_miss(meta, &Arc::default())),
+            }];
         }
         let ids: Vec<u32> = metas.iter().map(|m| m.id).collect();
         let probed = self.cache.get_batch(&ids);
-        let mut out: Vec<Option<Result<Fetched>>> = Vec::with_capacity(metas.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, hit) in probed.into_iter().enumerate() {
-            match hit {
-                Some(reads) => {
-                    self.stats.hit();
-                    out.push(Some(Ok(Fetched { reads, hit: true })));
-                }
-                None => {
-                    out.push(None);
-                    missing.push(i);
-                }
+        let missing: Vec<&ChunkMeta> = metas
+            .iter()
+            .zip(&probed)
+            .filter_map(|(meta, hit)| hit.is_none().then_some(meta))
+            .collect();
+        let mut decoded = match missing[..] {
+            [] => Vec::new(),
+            [meta] => vec![self.decode_miss(meta, &Arc::default())],
+            _ => {
+                let n = missing.len();
+                // All `n` flights stay registered until the commit
+                // below. Their table slots and the flights themselves
+                // are allocated here, not by whichever pool job gets
+                // there first: a pool thread's heap then holds decoded
+                // reads only and is whole again once they are dropped.
+                // Anything else a job left behind — a resized table, a
+                // flight this thread frees later — would pin that heap,
+                // and peak RSS would move with the jobs' timing.
+                self.inflight.lock().expect("inflight poisoned").reserve(n);
+                let flights: Vec<Arc<Flight>> = (0..n).map(|_| Arc::default()).collect();
+                crate::codec::run_pool(n, self.decode_pool_workers(n), |j| {
+                    self.decode_miss(missing[j], &flights[j])
+                })
             }
         }
-        // fetch_chunk re-checks the cache, so a miss filled by a
-        // racing thread in the meantime still becomes a cheap hit.
-        match missing.len() {
-            0 => {}
-            1 => out[missing[0]] = Some(self.fetch_chunk(metas[missing[0]])),
-            n if self.pipeline_depth == 0 => {
-                let fetched = crate::codec::run_pool(n, self.decode_pool_workers(n), |j| {
-                    self.fetch_chunk(metas[missing[j]])
-                });
-                for (&i, r) in missing.iter().zip(fetched) {
-                    out[i] = Some(r);
-                }
-            }
-            _ => self.fetch_missing_pipelined(metas, &missing, &mut out),
-        }
-        out.into_iter().map(|o| o.expect("slot filled")).collect()
+        .into_iter();
+        probed
+            .into_iter()
+            .map(|hit| match hit {
+                Some(reads) => self.commit_hit(reads),
+                None => self.commit_miss(decoded.next().expect("one decode per miss")),
+            })
+            .collect()
     }
 
     /// Decode workers for an `n`-chunk miss set: the configured knob,
@@ -1014,69 +1008,6 @@ impl StoreEngine {
             crate::codec::default_workers()
         };
         configured.clamp(1, n.max(1))
-    }
-
-    /// The pipelined miss path: one fetch stage reads compressed
-    /// extents in manifest order into a bounded channel (capacity =
-    /// [`EngineConfig::pipeline_depth`], the pipeline's only buffer)
-    /// while decode workers consume completions in arrival order and
-    /// decompress concurrently — device fetch overlaps decode instead
-    /// of each worker serializing its own read+decode. Results land
-    /// back in `out` at their manifest positions, so callers see
-    /// exactly what the classic fan-out produces; only wall-clock
-    /// time moves.
-    fn fetch_missing_pipelined(
-        &self,
-        metas: &[ChunkMeta],
-        missing: &[usize],
-        out: &mut [Option<Result<Fetched>>],
-    ) {
-        let workers = self.decode_pool_workers(missing.len());
-        let started = Instant::now();
-        let busy_ns = AtomicU64::new(0);
-        let results: Vec<Mutex<Option<Result<Fetched>>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        let (tx, rx) =
-            std::sync::mpsc::sync_channel::<(usize, Result<Vec<u8>>)>(self.pipeline_depth);
-        let rx = Mutex::new(rx);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for (j, &i) in missing.iter().enumerate() {
-                    let bytes = self.read_extent_bytes(&metas[i]);
-                    if tx.send((j, bytes)).is_err() {
-                        break;
-                    }
-                }
-            });
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let msg = rx.lock().expect("pipeline rx poisoned").recv();
-                    let Ok((j, bytes)) = msg else { break };
-                    let work = Instant::now();
-                    let fetched = match bytes {
-                        Ok(bytes) => self.fetch_chunk_prefetched(metas[missing[j]], bytes),
-                        Err(e) => {
-                            // Mirror the serial path's accounting: a
-                            // fetch that fails before decoding still
-                            // probed and missed.
-                            self.stats.miss();
-                            Err(e)
-                        }
-                    };
-                    busy_ns.fetch_add(work.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    *results[j].lock().expect("pipeline slot poisoned") = Some(fetched);
-                });
-            }
-        });
-        self.pipeline_busy_ns
-            .fetch_add(busy_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.pipeline_wall_ns.fetch_add(
-            started.elapsed().as_nanos() as u64 * workers as u64,
-            Ordering::Relaxed,
-        );
-        for (j, &i) in missing.iter().enumerate() {
-            out[i] = results[j].lock().expect("pipeline slot poisoned").take();
-        }
     }
 
     /// Resolves the charges and cache outcome of one read operation:
@@ -1864,8 +1795,12 @@ mod tests {
                 real.get(range).unwrap()
             );
         }
+        // Every missed chunk is one positioned read and one decode.
         let backend = real.file_backend().expect("file backend configured");
-        assert!(backend.reads() > 0, "misses must hit the container file");
+        let missed = real.cache_stats().misses;
+        assert!(missed > 0);
+        assert_eq!(backend.reads(), missed);
+        assert_eq!(real.decode_stats().chunks_decoded, missed);
         assert!(backend.bytes_read() > 0);
         // And an append writes through: new reads come back from disk.
         let extra = ReadSet::from_reads(reads.reads()[..5].to_vec());
@@ -1879,34 +1814,96 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_decode_answers_identically() {
+    fn waiters_are_served_by_the_flight_not_the_cache() {
+        // Cache off: nothing a winner inserts survives for a waiter to
+        // find, so the flight itself must carry the decoded chunk.
+        let (engine, reads) = engine(16, 0);
+        let chunk = Arc::new(ReadSet::from_reads(reads.reads()[..16].to_vec()));
+        let flight = Arc::new(Flight::default());
+        engine
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(0, Arc::clone(&flight));
+        let winner = FlightGuard {
+            engine: &engine,
+            chunk_id: 0,
+            flight,
+        };
+        let (value, trace) = std::thread::scope(|s| {
+            let getter = s.spawn(|| engine.run_op(StoreOp::Get(0..16)).unwrap());
+            winner.flight.finish(Some(Arc::clone(&chunk)));
+            getter.join().unwrap()
+        });
+        drop(winner);
+        let OpValue::Reads(view) = value else {
+            panic!("get answers reads");
+        };
+        assert_eq!(view.to_owned().reads(), chunk.reads());
+        // Still the miss its probe was — sharing the decode saves host
+        // work, it does not turn a device fetch into a cache hit.
+        assert_eq!((trace.cache_misses, trace.cache_hits), (1, 0));
+        let stats = engine.decode_stats();
+        assert_eq!(stats.chunks_decoded, 0, "the waiter must not decode");
+        assert_eq!(stats.dedup_decodes, 1);
+        assert!(engine.inflight.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn decode_workers_never_move_cache_state_or_charges() {
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), 5).reads;
         let store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
-        let serial = StoreEngine::open(store.clone(), EngineConfig::default().with_cache_chunks(4));
-        let pipelined = StoreEngine::open(
-            store,
-            EngineConfig::default()
-                .with_cache_chunks(4)
-                .with_decode_pipeline(2)
-                .with_decode_workers(3),
-        );
-        assert_eq!(pipelined.pipeline_depth(), 2);
-        let n = serial.total_reads();
-        assert_eq!(
-            serial.scan(|_| true).unwrap(),
-            pipelined.scan(|_| true).unwrap()
-        );
-        assert_eq!(serial.get(0..n).unwrap(), pipelined.get(0..n).unwrap());
-        let stats = pipelined.decode_stats();
-        assert!(stats.chunks_decoded > 0);
-        assert!(
-            stats.pipeline_occupancy > 0.0 && stats.pipeline_occupancy <= 1.0,
-            "occupancy {} out of range",
-            stats.pipeline_occupancy
-        );
-        // Same cache outcome as the serial engine.
-        assert_eq!(serial.cache_stats().misses, pipelined.cache_stats().misses);
-        assert_eq!(serial.cache_stats().hits, pipelined.cache_stats().hits);
+        let n_chunks = store.n_chunks() as u64;
+        assert!(n_chunks > 4, "the miss set must overflow the cache");
+        // What one engine observably did: per-op charge bits, cache
+        // counters after the ops, and which chunks ended up resident.
+        let observe = |decode_workers: usize| {
+            let engine = StoreEngine::open(
+                store.clone(),
+                EngineConfig::default()
+                    .with_cache_chunks(4)
+                    .with_cache_policy(CachePolicy::SegmentedLru)
+                    .with_ssd(SsdConfig::pcie())
+                    .with_decode_workers(decode_workers),
+            );
+            let n = engine.total_reads();
+            let mut charges: Vec<Vec<(usize, u64)>> = Vec::new();
+            for op in [
+                StoreOp::Scan(Box::new(|_| true)),
+                StoreOp::Get(3..n - 3),
+                StoreOp::Scan(Box::new(|_| true)),
+            ] {
+                let (_, trace) = engine.run_op(op).unwrap();
+                if charges.is_empty() {
+                    assert_eq!(engine.decode_stats().chunks_decoded, n_chunks);
+                }
+                charges.push(
+                    trace
+                        .charges
+                        .iter()
+                        .map(|c| (c.device, c.seconds.to_bits()))
+                        .collect(),
+                );
+            }
+            let stats = engine.cache_stats();
+            let resident: Vec<bool> = (0..n_chunks)
+                .map(|c| {
+                    let before = engine.cache_stats().hits;
+                    engine.get(c * 8..c * 8 + 1).unwrap();
+                    engine.cache_stats().hits > before
+                })
+                .collect();
+            (charges, stats, resident)
+        };
+        let reference = observe(1);
+        assert!(reference.1.evictions > 0);
+        for decode_workers in [2, 8] {
+            assert_eq!(
+                observe(decode_workers),
+                reference,
+                "{decode_workers} workers"
+            );
+        }
     }
 
     #[test]

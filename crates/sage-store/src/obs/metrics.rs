@@ -75,10 +75,6 @@ pub struct MetricsSnapshot {
     /// Racing misses resolved by another session's in-flight decode
     /// (the single-flight dedup counter).
     pub dedup_decodes: u64,
-    /// Decode-pipeline worker occupancy in `[0, 1]` — busy worker
-    /// seconds over worker-seconds available; 0 when the pipeline
-    /// never ran.
-    pub pipeline_occupancy: f64,
     /// Spans held in the dataset's trace buffer (0 when tracing is
     /// off).
     pub trace_spans: usize,
@@ -189,10 +185,6 @@ impl MetricsSnapshot {
                 MetricValue::Counter(self.dedup_decodes),
             ),
             (
-                "decode.pipeline_occupancy".into(),
-                MetricValue::Gauge(self.pipeline_occupancy),
-            ),
-            (
                 "trace.spans".into(),
                 MetricValue::Counter(self.trace_spans as u64),
             ),
@@ -233,8 +225,7 @@ impl MetricsSnapshot {
              \"lock_busy_seconds\":{:.9}}},\"reactor\":{{\"horizon\":{:.9},\
              \"device_busy\":[{}],\"utilization\":[{}]}},\"device\":{{\"reads\":{},\
              \"writes\":{},\"read_seconds\":{:.9},\"write_seconds\":{:.9}}},\
-             \"decode\":{{\"chunks\":{},\"bytes\":{},\"seconds\":{:.9},\"dedup\":{},\
-             \"pipeline_occupancy\":{:.6}}},\
+             \"decode\":{{\"chunks\":{},\"bytes\":{},\"seconds\":{:.9},\"dedup\":{}}},\
              \"trace\":{{\"spans\":{},\"dropped\":{}}}}}",
             self.submitted,
             self.completed,
@@ -263,7 +254,6 @@ impl MetricsSnapshot {
             self.bytes_decoded,
             self.decode_seconds,
             self.dedup_decodes,
-            self.pipeline_occupancy,
             self.trace_spans,
             self.trace_dropped,
         )
@@ -539,7 +529,6 @@ mod tests {
             bytes_decoded: 2048,
             decode_seconds: 0.001,
             dedup_decodes: 1,
-            pipeline_occupancy: 0.5,
             trace_spans: 9,
             trace_dropped: 2,
         };
@@ -557,9 +546,6 @@ mod tests {
         assert!(metrics
             .iter()
             .any(|(n, v)| n == "decode.chunks" && *v == MetricValue::Counter(3)));
-        assert!(metrics
-            .iter()
-            .any(|(n, v)| n == "decode.pipeline_occupancy" && *v == MetricValue::Gauge(0.5)));
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [

@@ -1,8 +1,10 @@
 //! Property tests for the wall-clock path: the real-bytes
-//! [`StoreBackend::File`] and the fetch→decode pipeline knobs are
-//! *wall-side only* — for any knob combination the virtual timeline
-//! ([`QosReport`] and [`MultiQosReport`] replay) is bit-identical to
-//! the all-knobs-off reference — plus a `FileBackend` round-trip:
+//! [`StoreBackend::File`] and the `decode_workers` count are
+//! *wall-side only* — for any combination of the two the virtual
+//! timeline ([`QosReport`] and [`MultiQosReport`] replay) is
+//! bit-identical to the all-knobs-off reference, with a cache smaller
+//! than a scan's miss set so that a commit order depending on which
+//! decode finished first would show — plus a `FileBackend` round-trip:
 //! containers written, reopened, and served must answer byte-for-byte
 //! what the simulated backend answers.
 
@@ -19,9 +21,12 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Default)]
 struct Knobs {
     backend_dir: Option<PathBuf>,
-    pipeline_depth: usize,
     decode_workers: usize,
 }
+
+/// Decode pool sizes drawn by both properties: available parallelism,
+/// serial, and more threads than this host has cores.
+const DECODE_WORKERS: [usize; 4] = [0, 1, 2, 8];
 
 /// An identically-prepared serving stack with the wall-clock knobs
 /// applied. One server worker keeps every drive bit-deterministic —
@@ -34,7 +39,6 @@ fn knob_dataset(seed: u64, devices: usize, knobs: &Knobs) -> Dataset {
         .cache_chunks(4)
         .cache_policy(CachePolicy::SegmentedLru)
         .server_workers(1)
-        .decode_pipeline(knobs.pipeline_depth)
         .decode_workers(knobs.decode_workers);
     if let Some(dir) = &knobs.backend_dir {
         builder = builder.backend(StoreBackend::File(dir.clone()));
@@ -85,8 +89,8 @@ impl Drop for TmpDir {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any backend × pipeline-depth × decode-workers combination
-    /// replays bit-identically AND equals the all-off reference's
+    /// Any backend × decode-workers combination replays
+    /// bit-identically AND equals the all-off reference's
     /// `QosReport` bit for bit: the knobs move wall-clock work, never
     /// the virtual timeline.
     #[test]
@@ -94,19 +98,17 @@ proptest! {
         seed in 0u64..500,
         pattern_ix in 0u8..4,
         devices in 1usize..3,
-        pipeline_depth in 0usize..5,
-        decode_workers in 0usize..3,
+        decode_workers_ix in 0usize..4,
         file_backend_ix in 0u8..2,
     ) {
         let tmp = TmpDir::new(&format!("open_{seed}_{pattern_ix}_{devices}"));
         let knobs = Knobs {
             backend_dir: (file_backend_ix == 1).then(|| tmp.0.clone()),
-            pipeline_depth,
-            decode_workers,
+            decode_workers: DECODE_WORKERS[decode_workers_ix],
         };
         let mut spec = OpenLoopSpec::new(Arrivals::Poisson { rate: 50.0 });
         spec.pattern = pattern_for(pattern_ix);
-        // Scans exercise the multi-chunk (pipelined) miss path;
+        // Scans exercise the multi-chunk (pooled) miss path;
         // appends exercise the container write-through.
         spec.mix = OpMix { get: 0.8, scan: 0.15, append: 0.05 };
         spec.requests = 64;
@@ -136,15 +138,14 @@ proptest! {
     fn wall_knobs_leave_multi_tenant_replay_bit_identical(
         seed in 0u64..500,
         devices in 1usize..3,
-        pipeline_depth in 0usize..5,
+        decode_workers_ix in 0usize..4,
         policy_ix in 0usize..4,
         file_backend_ix in 0u8..2,
     ) {
         let tmp = TmpDir::new(&format!("mt_{seed}_{devices}_{policy_ix}"));
         let knobs = Knobs {
             backend_dir: (file_backend_ix == 1).then(|| tmp.0.clone()),
-            pipeline_depth,
-            decode_workers: 0,
+            decode_workers: DECODE_WORKERS[decode_workers_ix],
         };
         let policy = SchedPolicyKind::ALL[policy_ix % SchedPolicyKind::ALL.len()];
         let mut fg = TenantLoad::new(Arrivals::Poisson { rate: 400.0 });
@@ -184,7 +185,6 @@ fn file_backend_round_trips_across_reopen() {
         let mut b = DatasetBuilder::new()
             .cache_chunks(4)
             .server_workers(1)
-            .decode_pipeline(2)
             .ssd(SsdConfig::pcie());
         if let Some(backend) = backend {
             b = b.backend(backend);
