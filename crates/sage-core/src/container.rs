@@ -313,16 +313,20 @@ impl SageArchive {
         if cons_len as u64 != consensus_len {
             return Err(SageError::Corrupt("consensus length mismatch".into()));
         }
-        let cons_bytes = c.take(cons_len.div_ceil(4))?.to_vec();
-        let consensus = packed2_from_parts(cons_bytes, cons_len)?;
+        // The stored bytes are the packed consensus: kept as they are.
+        let consensus = Packed2::from_raw(c.take(cons_len.div_ceil(4))?.to_vec(), cons_len)
+            .ok_or_else(|| SageError::Corrupt("consensus byte count mismatch".into()))?;
         let read_stream = |c: &mut Cursor| -> Result<Stream> {
             let bit_len = c.u64()?;
+            // `take` bounds the byte count by the input before it is
+            // multiplied: a hostile count would overflow `n * 8`.
             let n = c.u64()? as usize;
+            let bytes = c.take(n)?;
             if bit_len > n as u64 * 8 {
                 return Err(SageError::Corrupt("stream bit length too large".into()));
             }
             Ok(Stream {
-                bytes: c.take(n)?.to_vec(),
+                bytes: bytes.to_vec(),
                 bit_len,
             })
         };
@@ -375,22 +379,6 @@ impl Extent {
     pub fn end(&self) -> usize {
         self.offset + self.len
     }
-}
-
-/// Rebuilds a [`Packed2`] from serialized parts by round-tripping
-/// through its public API.
-fn packed2_from_parts(bytes: Vec<u8>, len: usize) -> Result<Packed2> {
-    if bytes.len() != len.div_ceil(4) {
-        return Err(SageError::Corrupt("consensus byte count mismatch".into()));
-    }
-    // Packed2 has no raw constructor by design; unpack via a temporary
-    // view. Decode 2-bit codes directly.
-    let mut bases = Vec::with_capacity(len);
-    for i in 0..len {
-        let code = (bytes[i / 4] >> ((i % 4) * 2)) & 0b11;
-        bases.push(sage_genomics::Base::from_code2(code));
-    }
-    Ok(Packed2::pack(&bases))
 }
 
 struct Cursor<'a> {

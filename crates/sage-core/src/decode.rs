@@ -5,16 +5,24 @@
 //! sequentially to decode matching positions, mismatch counts and
 //! mismatch positions; the RCU scans the consensus and the MBTA,
 //! resolving mismatch types by comparing the stored base with the
-//! consensus base at the cursor (§5.1.2), and reconstructs full reads.
+//! consensus base at the cursor (§5.1.2), and builds the full reads.
 //! Everything is a streaming, single-pass scan — no random accesses.
+//!
+//! The software does the same outside the entropy coder: the parser
+//! keeps the packed consensus bytes it was handed, [`SageDecompressor::stream`]
+//! unpacks them once per chunk through a byte table, and `decode_read`
+//! builds each read in place from the consensus — no alignment, segment
+//! or mismatch list is materialised on this side. The structural checks
+//! the encoder runs on such an alignment (`is_well_formed`, the mapper's
+//! decodability check) are made inline instead; `decode_read` lists
+//! which check stands in for which.
 
 use crate::bitio::BitReader;
 use crate::container::{ArchiveHeader, SageArchive};
 use crate::error::{Result, SageError};
-use crate::mapper::segment_decodable;
 use crate::quality::QualityDecoder;
 use sage_genomics::packed::{Packed2, Packed3};
-use sage_genomics::{Alignment, Base, DnaSeq, Edit, Read, ReadSet, Segment};
+use sage_genomics::{Base, DnaSeq, Read, ReadSet};
 
 /// Output format requested through `SAGe_Read` (§5.4): the analysis
 /// system chooses the encoding its accelerator consumes directly.
@@ -297,6 +305,14 @@ impl ReadStream<'_> {
         if len > h.max_read_len as usize {
             return Err(SageError::Corrupt("read longer than max_read_len".into()));
         }
+        // A base is copied from the consensus (by four segments at most)
+        // or costs two bits of one of these streams: a length the
+        // archive cannot hold is refused before anything is sized by it.
+        let su = &self.su;
+        let stored = (su.mbta.remaining() + su.corner.remaining() + su.raw.remaining()) / 2;
+        if len as u64 > 4 * self.cons.len() as u64 + stored {
+            return Err(corrupt("read longer than its archive"));
+        }
         let seq = decode_read(h, &mut self.su, &self.cons, len)?;
         // Quality stream (host-side, §5.1.5), decoded straight into the
         // read's own buffer.
@@ -355,16 +371,56 @@ fn read_bases(r: &mut BitReader<'_>, n: usize, out: &mut Vec<Base>) -> Result<()
     Ok(())
 }
 
-/// Decoded corner-case payload.
-#[derive(Default)]
-struct CornerInfo {
-    n_positions: Vec<u32>,
-    clip_start_len: usize,
-    clip_end_len: usize,
-    clip_bases: Vec<Base>,
+/// `Corrupt` with a fixed message.
+fn corrupt(what: &str) -> SageError {
+    SageError::Corrupt(what.into())
 }
 
-/// Decodes one read: the SU scan plus the RCU reconstruction.
+/// What a corner-case record (§5.1.4) holds that has to wait for the
+/// end of the read. The start clip does not: it goes straight into the
+/// read.
+#[derive(Default)]
+struct Corner {
+    seen: bool,
+    n_positions: Vec<u32>,
+    clip_end: Vec<Base>,
+}
+
+/// Appends the `n` consensus bases at cursor `c` to `out` — the RCU's
+/// copy — and returns the cursor past them. `c <= cons.len()` is the
+/// caller's invariant; comparing `n` against the remainder keeps a
+/// hostile `n` from wrapping past the check in a release build.
+fn copy_run(cons: &[Base], c: usize, n: usize, out: &mut Vec<Base>) -> Result<usize> {
+    if n > cons.len() - c {
+        return Err(corrupt("consensus cursor out of range"));
+    }
+    out.extend_from_slice(&cons[c..c + n]);
+    Ok(c + n)
+}
+
+/// Decodes one read: the SU scan and the RCU's construction in one
+/// pass. The bit fields are read in the order the encoder wrote them
+/// and the read is built in place, in the one `Vec` it is returned in:
+/// consensus runs by slice copy, substitutions and insertions as their
+/// records resolve, each reverse segment complemented where it lies,
+/// clips and `N` positions from the corner record.
+///
+/// No alignment is materialised, so what the encoder-side validators —
+/// `is_well_formed` on an alignment and the mapper's per-segment
+/// decodability check — would reject is rejected here, each condition
+/// before the copy it guards:
+///
+/// - for `is_well_formed`: segment extents ordered and inside the read
+///   (`seg_extent`; contiguity holds by construction, a segment starts
+///   where the last one ended), clips no longer than the read
+///   ([`decode_corner`]), mismatch offsets monotone (`off < r`);
+/// - for the decodability check: offset inside the segment
+///   (`off > seg_len`), a substitution or insertion block inside the
+///   segment, a deletion inside the consensus, every copy — the
+///   trailing one too — inside the consensus ([`copy_run`]), matching
+///   positions inside it ([`cons_cursor`]). Its rule that a
+///   substitution differs from the consensus base needs no check: a
+///   stored base equal to the consensus *is* the indel marker (§5.1.2).
 fn decode_read(
     h: &ArchiveHeader,
     su: &mut ScanState<'_>,
@@ -376,70 +432,80 @@ fn decode_read(
         return decode_raw_read(h, su, len);
     }
     let delta = h.mp_table.decode_value(&mut su.mpga, &mut su.mpa)?;
+    // No overflow: `prev_pos` was checked against the consensus length
+    // and a delta is at most 32 bits wide.
     let pos = su.prev_pos + delta;
+    let cons_pos0 = cons_cursor(pos, cons)?;
     su.prev_pos = pos;
     let rev0 = su.mpga.read_bit()?;
     let n_segs = su.mpga.read_bits(2)? as usize + 1;
-    let mut seg_meta: Vec<(u32, u64, bool)> = Vec::with_capacity(n_segs);
-    seg_meta.push((0, pos, rev0)); // read_start fixed up after corner decode
-    let mut boundaries = Vec::with_capacity(n_segs - 1);
-    for _ in 1..n_segs {
-        let rs = su.mpa.read_bits(h.len_bits())? as u32;
-        let cp = su.mpa.read_bits(h.pos_bits())?;
-        boundaries.push((rs, cp));
+    // (read offset the segment starts at, consensus cursor, reverse).
+    let mut seg_meta = [(0usize, cons_pos0, rev0); 4];
+    for m in &mut seg_meta[1..n_segs] {
+        m.0 = su.mpa.read_bits(h.len_bits())? as usize;
+        m.1 = cons_cursor(su.mpa.read_bits(h.pos_bits())?, cons)?;
     }
-    for &(rs, cp) in &boundaries {
-        let rv = su.mpga.read_bit()?;
-        seg_meta.push((rs, cp, rv));
+    for m in &mut seg_meta[1..n_segs] {
+        m.2 = su.mpga.read_bit()?;
     }
+    // The segment `si` covers the read from `start` up to where the next
+    // one starts (the end clip, for the last): its length, or
+    // `Corrupt` when the extents are out of order or past the read.
+    let seg_extent = |si: usize, start: usize, clip_end: usize| -> Result<usize> {
+        let limit = len - clip_end; // decode_corner: clips fit the read
+        let end = if si + 1 < n_segs {
+            seg_meta[si + 1].0
+        } else {
+            limit
+        };
+        if end > limit || start > end {
+            return Err(corrupt("segment extents out of order"));
+        }
+        Ok(end - start)
+    };
 
-    let mut corner = CornerInfo::default();
-    let mut segments: Vec<Segment> = Vec::with_capacity(n_segs);
-    for (si, &(_, seg_cons_pos, seg_rev)) in seg_meta.iter().enumerate() {
+    let mut out: Vec<Base> = Vec::with_capacity(len);
+    let mut corner = Corner::default();
+    for (si, &(_, mut c, rev)) in seg_meta[..n_segs].iter().enumerate() {
         let count = decode_count(h, su)?;
-        let mut edits: Vec<Edit> = Vec::with_capacity(count as usize);
+        let mut seg_start = out.len();
+        let mut seg_len = seg_extent(si, seg_start, corner.clip_end.len())?;
         let mut prev_off = 0u32;
-        let mut r = 0usize;
-        let mut c = usize::try_from(seg_cons_pos)
-            .map_err(|_| SageError::Corrupt("consensus position overflow".into()))?;
-        let mut first = true;
+        // Until the first segment's first mismatch, a record at offset
+        // 0 says whether it is the corner record.
+        let mut first = si == 0;
         for _ in 0..count {
             su.records += 1;
             let delta = h.mmp_table.decode_value(&mut su.mmpga, &mut su.mmpa)?;
-            let off = prev_off as u64 + delta;
-            let off =
-                u32::try_from(off).map_err(|_| SageError::Corrupt("offset overflow".into()))?;
+            let off = u32::try_from(u64::from(prev_off) + delta)
+                .map_err(|_| corrupt("offset overflow"))?;
             prev_off = off;
-            if si == 0 && first && off == 0 {
-                let corner_bit = su.mbta.read_bit()?;
-                if corner_bit {
-                    decode_corner(h, su, &mut corner, len)?;
-                    continue; // synthetic record: not an edit
+            if first {
+                if off == 0 && su.mbta.read_bit()? {
+                    // Synthetic record, not a mismatch: the clips it
+                    // carries move this segment's extent.
+                    decode_corner(h, su, &mut corner, len, &mut out)?;
+                    seg_start = out.len();
+                    seg_len = seg_extent(si, seg_start, corner.clip_end.len())?;
+                    continue;
                 }
                 first = false;
-            } else {
-                first = false;
             }
-            // Advance consensus cursor over copied bases.
-            let off_usize = off as usize;
-            if off_usize < r {
-                return Err(SageError::Corrupt("mismatch offsets out of order".into()));
+            let off = off as usize;
+            let r = out.len() - seg_start;
+            if off < r || off > seg_len {
+                return Err(corrupt("mismatch offset out of range"));
             }
-            c += off_usize - r;
-            r = off_usize;
-            if c > cons.len() {
-                return Err(SageError::Corrupt("consensus cursor out of range".into()));
-            }
+            c = copy_run(cons, c, off - r, &mut out)?;
             // RCU type resolution (§5.1.2): compare the stored base
             // with the consensus base at the cursor.
             let is_indel = if c < cons.len() {
                 let base = Base::from_code2(su.mbta.read_bits(2)? as u8);
                 if base != cons[c] {
-                    edits.push(Edit::Sub {
-                        read_off: off,
-                        base,
-                    });
-                    r += 1;
+                    if off == seg_len {
+                        return Err(corrupt("substitution past segment end"));
+                    }
+                    out.push(base);
                     c += 1;
                     false
                 } else {
@@ -452,104 +518,88 @@ fn decode_read(
                 let is_del = su.mbta.read_bit()?;
                 let single = su.mmpga.read_bit()?;
                 let block_len = if single {
-                    1u32
+                    1
                 } else {
-                    su.mmpa.read_bits(8)? as u32
+                    su.mmpa.read_bits(8)? as usize
                 };
                 if block_len == 0 {
-                    return Err(SageError::Corrupt("zero-length indel block".into()));
+                    return Err(corrupt("zero-length indel block"));
                 }
                 if is_del {
-                    edits.push(Edit::Del {
-                        read_off: off,
-                        len: block_len,
-                    });
-                    c += block_len as usize;
+                    if block_len > cons.len() - c {
+                        return Err(corrupt("deletion past consensus end"));
+                    }
+                    c += block_len;
                 } else {
-                    let mut bases = Vec::new();
-                    read_bases(&mut su.mbta, block_len as usize, &mut bases)?;
-                    r += bases.len();
-                    edits.push(Edit::Ins {
-                        read_off: off,
-                        bases,
-                    });
+                    if block_len > seg_len - off {
+                        return Err(corrupt("insertion past segment end"));
+                    }
+                    read_bases(&mut su.mbta, block_len, &mut out)?;
                 }
             }
         }
-        segments.push(Segment {
-            read_start: 0,
-            read_end: 0,
-            cons_pos: seg_cons_pos,
-            rev: seg_rev,
-            edits,
-        });
-    }
-
-    // Fix up segment extents now that clips are known.
-    let clip_start_len = corner.clip_start_len;
-    let clip_end_len = corner.clip_end_len;
-    if clip_start_len + clip_end_len > len {
-        return Err(SageError::Corrupt("clips longer than read".into()));
-    }
-    for si in 0..n_segs {
-        let start = if si == 0 {
-            clip_start_len as u32
-        } else {
-            seg_meta[si].0
-        };
-        let end = if si + 1 < n_segs {
-            seg_meta[si + 1].0
-        } else {
-            (len - clip_end_len) as u32
-        };
-        if end < start {
-            return Err(SageError::Corrupt("segment extents inverted".into()));
+        let r = out.len() - seg_start;
+        copy_run(cons, c, seg_len - r, &mut out)?;
+        if rev {
+            let seg = &mut out[seg_start..];
+            seg.reverse();
+            for b in seg {
+                *b = b.complement();
+            }
         }
-        segments[si].read_start = start;
-        segments[si].read_end = end;
     }
-    let (clip_start, clip_end) = {
-        let cs = corner.clip_bases[..clip_start_len].to_vec();
-        let ce = corner.clip_bases[clip_start_len..].to_vec();
-        (cs, ce)
-    };
-    let aln = Alignment {
-        clip_start,
-        clip_end,
-        segments,
-    };
-    if !aln.is_well_formed(len) || aln.segments.iter().any(|s| !segment_decodable(s, cons)) {
-        return Err(SageError::Corrupt("undecodable alignment".into()));
+    out.extend_from_slice(&corner.clip_end);
+    if out.len() != len {
+        return Err(corrupt("read length mismatch"));
     }
-    let mut bases = aln.reconstruct(cons).into_bases();
     for &p in &corner.n_positions {
-        let p = p as usize;
-        if p >= bases.len() {
-            return Err(SageError::Corrupt("N position out of range".into()));
-        }
-        bases[p] = Base::N;
+        out[p as usize] = Base::N; // `p < len`: read_n_positions
     }
-    Ok(DnaSeq::from_bases(bases))
+    Ok(DnaSeq::from_bases(out))
+}
+
+/// A matching position as a consensus cursor; one past the last base is
+/// allowed (a segment of nothing but insertions can sit there).
+fn cons_cursor(pos: u64, cons: &[Base]) -> Result<usize> {
+    usize::try_from(pos)
+        .ok()
+        .filter(|&c| c <= cons.len())
+        .ok_or_else(|| corrupt("consensus position out of range"))
 }
 
 fn decode_raw_read(h: &ArchiveHeader, su: &mut ScanState<'_>, len: usize) -> Result<DnaSeq> {
     let has_n = su.raw.read_bit()?;
-    let mut npos = Vec::new();
-    if has_n {
-        let count = su.raw.read_bits(16)? as usize;
-        for _ in 0..count {
-            npos.push(su.raw.read_bits(h.len_bits())? as usize);
-        }
-    }
+    let npos = if has_n {
+        read_n_positions(&mut su.raw, h.len_bits(), len)?
+    } else {
+        Vec::new()
+    };
     let mut bases = Vec::new();
     read_bases(&mut su.raw, len, &mut bases)?;
     for p in npos {
-        if p >= bases.len() {
-            return Err(SageError::Corrupt("raw N position out of range".into()));
-        }
-        bases[p] = Base::N;
+        bases[p as usize] = Base::N;
     }
     Ok(DnaSeq::from_bases(bases))
+}
+
+/// Reads a 16-bit count and that many `N` positions of a `len`-base
+/// read. A read has no more `N`s than bases and none outside it, so the
+/// count is checked before anything is allocated for it: with
+/// `max_read_len == 0` a position costs no stream bits at all.
+fn read_n_positions(r: &mut BitReader<'_>, len_bits: u32, len: usize) -> Result<Vec<u32>> {
+    let count = r.read_bits(16)? as usize;
+    if count > len {
+        return Err(corrupt("more N positions than bases"));
+    }
+    let mut positions = Vec::with_capacity(count);
+    for _ in 0..count {
+        let p = r.read_bits(len_bits)?;
+        if p >= len as u64 {
+            return Err(corrupt("N position out of range"));
+        }
+        positions.push(p as u32);
+    }
+    Ok(positions)
 }
 
 fn decode_count(h: &ArchiveHeader, su: &mut ScanState<'_>) -> Result<u32> {
@@ -559,30 +609,33 @@ fn decode_count(h: &ArchiveHeader, su: &mut ScanState<'_>) -> Result<u32> {
     }
 }
 
+/// Decodes the corner record of a read of `len` bases: `N` positions
+/// and the end clip into `corner`, the start clip into `out`, which is
+/// still empty — the record precedes every mismatch of the first
+/// segment. A read has one corner record at most.
 fn decode_corner(
     h: &ArchiveHeader,
     su: &mut ScanState<'_>,
-    corner: &mut CornerInfo,
-    read_len: usize,
+    corner: &mut Corner,
+    len: usize,
+    out: &mut Vec<Base>,
 ) -> Result<()> {
+    if std::mem::replace(&mut corner.seen, true) {
+        return Err(corrupt("second corner record in one read"));
+    }
     let has_n = su.corner.read_bit()?;
     let has_clip = su.corner.read_bit()?;
     if has_n {
-        let count = su.corner.read_bits(16)? as usize;
-        for _ in 0..count {
-            corner
-                .n_positions
-                .push(su.corner.read_bits(h.len_bits())? as u32);
-        }
+        corner.n_positions = read_n_positions(&mut su.corner, h.len_bits(), len)?;
     }
     if has_clip {
-        corner.clip_start_len = su.corner.read_bits(16)? as usize;
-        corner.clip_end_len = su.corner.read_bits(16)? as usize;
-        let total = corner.clip_start_len + corner.clip_end_len;
-        if total > read_len {
-            return Err(SageError::Corrupt("clip lengths exceed read".into()));
+        let clip_start_len = su.corner.read_bits(16)? as usize;
+        let clip_end_len = su.corner.read_bits(16)? as usize;
+        if clip_start_len + clip_end_len > len {
+            return Err(corrupt("clip lengths exceed read"));
         }
-        read_bases(&mut su.corner, total, &mut corner.clip_bases)?;
+        read_bases(&mut su.corner, clip_start_len, out)?;
+        read_bases(&mut su.corner, clip_end_len, &mut corner.clip_end)?;
     }
     Ok(())
 }
@@ -664,22 +717,6 @@ mod tests {
                 }
             }
             _ => panic!("wrong variants"),
-        }
-    }
-
-    #[test]
-    fn corrupt_streams_error_not_panic() {
-        let ds = simulate_dataset(&DatasetProfile::tiny_short(), 15);
-        let archive = SageCompressor::new().compress(&ds.reads).unwrap();
-        let mut bytes = archive.to_bytes();
-        // Flip bits in the second half (stream data) and require a
-        // clean error or a successful (garbage) decode — never a panic.
-        let start = bytes.len() / 2;
-        for i in (start..bytes.len()).step_by(97) {
-            bytes[i] ^= 0x5a;
-        }
-        if let Ok(a) = SageArchive::from_bytes(&bytes) {
-            let _ = SageDecompressor::default().decompress(&a);
         }
     }
 

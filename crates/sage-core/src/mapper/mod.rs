@@ -474,6 +474,10 @@ fn attach_gap(seg: &mut Segment, gap: &[Base], before: bool, max_block: u32) {
 /// monotone edits, consensus bounds respected, and every substitution
 /// base differing from the consensus base it replaces (the
 /// substitution-type-elision invariant of §5.1.2).
+///
+/// This is the encoder's check of a mapping it is about to store. The
+/// decoder builds no `Segment`; it makes the same bounds checks inline
+/// while it rebuilds the read (`decode::decode_read`).
 pub fn segment_decodable(seg: &Segment, consensus: &[Base]) -> bool {
     let seg_len = seg.len() as usize;
     let mut r = 0usize;

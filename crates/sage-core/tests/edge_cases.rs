@@ -1,9 +1,16 @@
 //! Adversarial edge cases for the codec: inputs no simulator would
 //! produce but a production tool must survive.
 
-use sage_core::{OutputFormat, SageArchive, SageCompressor, SageDecompressor, SageError};
+use sage_core::bitio::BitWriter;
+use sage_core::container::{Stream, Streams};
+use sage_core::mapper::minimizer::splitmix64;
+use sage_core::prefix::{AssociationTable, WidthTable};
+use sage_core::{
+    ArchiveHeader, OutputFormat, SageArchive, SageCompressor, SageDecompressor, SageError,
+};
+use sage_genomics::packed::Packed2;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
-use sage_genomics::{DnaSeq, Read, ReadSet};
+use sage_genomics::{Base, DnaSeq, Read, ReadSet};
 
 fn round_trip(rs: &ReadSet) -> ReadSet {
     let archive = SageCompressor::new()
@@ -138,39 +145,317 @@ fn mixed_quality_presence_drops_quality() {
     assert!(out.iter().all(|r| r.qual.is_none()));
 }
 
+/// The byte range of every region of a serialized archive, in file
+/// order: header and tables, consensus, the ten bit streams (each with
+/// its two length fields), quality.
+fn regions(a: &SageArchive, total: usize) -> Vec<(&'static str, std::ops::Range<usize>)> {
+    let s = &a.streams;
+    let sized = [
+        ("consensus", 8 + a.consensus.byte_len()),
+        ("mpga", 16 + s.mpga.byte_len()),
+        ("mpa", 16 + s.mpa.byte_len()),
+        ("mmpga", 16 + s.mmpga.byte_len()),
+        ("mmpa", 16 + s.mmpa.byte_len()),
+        ("mbta", 16 + s.mbta.byte_len()),
+        ("corner", 16 + s.corner.byte_len()),
+        ("lenga", 16 + s.lenga.byte_len()),
+        ("lena", 16 + s.lena.byte_len()),
+        ("raw", 16 + s.raw.byte_len()),
+        ("order", 16 + s.order.byte_len()),
+        ("quality", 8 + s.qual.len()),
+    ];
+    let header = total - sized.iter().map(|&(_, n)| n).sum::<usize>();
+    let mut out = vec![("header", 0..header)];
+    let mut at = header;
+    for (name, n) in sized {
+        out.push((name, at..at + n));
+        at += n;
+    }
+    assert_eq!(at, total);
+    out
+}
+
+/// Parses and decodes `bytes`. An `Ok` must be a whole read set: the
+/// header's read count, no read longer than the header allows, a
+/// quality string exactly as long as its read (or none at all).
+fn decode_or_error(bytes: &[u8]) -> Result<(), SageError> {
+    let archive = SageArchive::from_bytes(bytes)?;
+    let reads = SageDecompressor::default().decompress(&archive)?;
+    let h = &archive.header;
+    assert_eq!(reads.len() as u64, h.n_reads);
+    for r in reads.iter() {
+        assert!(r.seq.len() <= h.max_read_len as usize);
+        match &r.qual {
+            Some(q) => assert!(h.has_quality && q.len() == r.seq.len()),
+            None => assert!(!h.has_quality),
+        }
+    }
+    Ok(())
+}
+
 #[test]
-fn per_stream_corruption_never_panics() {
-    // Corrupt each archive region in several places; the decoder must
-    // return an error or garbage, never panic or hang.
-    let rs: ReadSet = (0..50)
-        .map(|i| {
-            let mut s = "ACGGTTAACCGGATCGGATTACAGGCATGAGCCACCGCGTAAGGC".to_string();
-            if i % 7 == 0 {
-                s.push('N');
+fn corruption_sweep_errors_never_panics() {
+    // Short and long reads — reverse strands, `N`s, unmapped reads, and
+    // on the long side chimeric multi-segment reads, clips and the
+    // length stream — with and without stored order and quality. Each
+    // archive takes seeded single- and multi-byte mutations in every
+    // region; one short and one long archive are also cut at every
+    // length. The decoder must return an error or a whole read set,
+    // never panic, in the dev profile (overflow panics) and in release
+    // (overflow wraps) alike.
+    let mut seed = 0x5a6e_2026u64;
+    let mut next = move |below: usize| {
+        seed = splitmix64(seed);
+        (seed % below as u64) as usize
+    };
+    let mut mutations = 0usize;
+    let mut survived = 0usize;
+    for (pi, profile) in [DatasetProfile::tiny_short(), DatasetProfile::tiny_long()]
+        .iter()
+        .enumerate()
+    {
+        let ds = simulate_dataset(profile, 40 + pi as u64);
+        for (store_order, quality) in [(false, true), (true, true), (false, false), (true, false)] {
+            let (archive, stats) = SageCompressor::new()
+                .with_store_order(store_order)
+                .with_quality(quality)
+                .compress_detailed(&ds.reads)
+                .expect("compress");
+            assert!(stats.n_corner > 0 && stats.n_unmapped < ds.reads.len() as u64);
+            if pi == 1 {
+                assert!(stats.n_chimeric > 0 && archive.header.fixed_len.is_none());
             }
-            read(&s)
-        })
-        .collect();
-    let archive = SageCompressor::new().compress(&rs).expect("compress");
-    let bytes = archive.to_bytes();
-    for step in [3usize, 17, 61] {
-        for start in [
-            0usize,
-            bytes.len() / 4,
-            bytes.len() / 2,
-            bytes.len() * 3 / 4,
-        ] {
-            let mut corrupted = bytes.clone();
-            let mut i = start;
-            while i < corrupted.len() {
-                corrupted[i] ^= 0xA5;
-                i += step * 97;
+            let bytes = archive.to_bytes();
+            decode_or_error(&bytes).expect("the untouched archive decodes");
+            for (name, range) in regions(&archive, bytes.len()) {
+                for k in 0..22 {
+                    let mut bad = bytes.clone();
+                    let at = range.start + next(range.len());
+                    if k % 2 == 0 {
+                        bad[at] ^= 1 << next(8);
+                    } else {
+                        let n = (2 + next(7)).min(bytes.len() - at);
+                        for b in &mut bad[at..at + n] {
+                            *b = next(256) as u8;
+                        }
+                    }
+                    mutations += 1;
+                    let outcome = std::panic::catch_unwind(|| decode_or_error(&bad))
+                        .unwrap_or_else(|_| panic!("{name}: mutation {k} at byte {at} panicked"));
+                    if outcome.is_ok() {
+                        survived += 1;
+                    }
+                }
             }
-            if let Ok(archive) = SageArchive::from_bytes(&corrupted) {
-                let _ = SageDecompressor::default().decompress(&archive);
+            if !store_order && quality {
+                for cut in 0..bytes.len() {
+                    assert!(decode_or_error(&bytes[..cut]).is_err(), "prefix {cut}");
+                }
             }
         }
     }
+    assert!(mutations >= 2_000, "{mutations} mutations");
+    // Not every flipped bit is detectable (a substituted base, a quality
+    // rank), but a sweep in which most decodes survive is not reaching
+    // the decoder's checks.
+    assert!(
+        survived < mutations / 2,
+        "{survived} of {mutations} decoded"
+    );
+}
+
+/// A hand-built archive of one forward read of `len` bases at
+/// consensus position 0 (`max_read_len == len`) whose segment opens
+/// with one corner record per entry of `n_counts`, each announcing that
+/// many `N` positions (all 0) and, with `clips`, those clip lengths.
+fn corner_record_archive(len: u32, n_counts: &[u16], clips: Option<(u16, u16)>) -> SageArchive {
+    let consensus: DnaSeq = "ACGTACGT".parse().unwrap();
+    let header = ArchiveHeader {
+        n_reads: 1,
+        n_mapped: 1,
+        fixed_len: Some(len),
+        max_read_len: len,
+        consensus_len: consensus.len() as u64,
+        has_quality: false,
+        store_order: false,
+        // One zero-width class each: every delta is 0 and costs only
+        // its one guide bit.
+        mp_table: WidthTable::new(vec![0]).unwrap(),
+        mmp_table: WidthTable::new(vec![0]).unwrap(),
+        len_table: None,
+        count_table: AssociationTable::new(vec![0]).unwrap(),
+    };
+    let (mut mpga, mut mmpga, mut mmpa) = (BitWriter::new(), BitWriter::new(), BitWriter::new());
+    let (mut mbta, mut corner) = (BitWriter::new(), BitWriter::new());
+    mpga.write_bit(true); // mapped
+    header.mp_table.encode_index(&mut mpga, 0); // position delta 0
+    mpga.write_bit(false); // forward
+    mpga.write_bits(0, 2); // one segment
+    header.count_table.encode_escape(&mut mmpga);
+    mmpa.write_bits(n_counts.len() as u64, 16);
+    for &n in n_counts {
+        header.mmp_table.encode_index(&mut mmpga, 0); // offset 0 …
+        mbta.write_bit(true); // … and the corner marker
+        corner.write_bit(true); // has N
+        corner.write_bit(clips.is_some());
+        corner.write_bits(u64::from(n), 16);
+        // Position 0, `n` times over (no bits at all when `len == 0`).
+        for _ in 0..u32::from(n) * header.len_bits().min(1) {
+            corner.write_bits(0, header.len_bits());
+        }
+        if let Some((start, end)) = clips {
+            corner.write_bits(u64::from(start), 16);
+            corner.write_bits(u64::from(end), 16);
+            corner.write_bits(0, 2 * (u32::from(start) + u32::from(end)).min(32));
+        }
+    }
+    SageArchive {
+        header,
+        consensus: Packed2::pack(&consensus),
+        streams: Streams {
+            mpga: Stream::from_writer(mpga),
+            mmpga: Stream::from_writer(mmpga),
+            mmpa: Stream::from_writer(mmpa),
+            mbta: Stream::from_writer(mbta),
+            corner: Stream::from_writer(corner),
+            ..Streams::default()
+        },
+    }
+}
+
+#[test]
+fn hostile_corner_records_are_corrupt_not_amplified() {
+    let decode = |len, n_counts: &[u16], clips| {
+        SageDecompressor::default()
+            .decompress(&corner_record_archive(len, n_counts, clips))
+            .map(|reads| reads.reads()[0].seq.to_string())
+    };
+    let corrupt = |r: Result<String, SageError>, what: &str| match r {
+        Err(SageError::Corrupt(m)) if m.contains(what) => {}
+        other => panic!("expected Corrupt({what}), got {other:?}"),
+    };
+    // The hand-built archive is a valid one: these decode.
+    assert_eq!(decode(8, &[1], None).unwrap(), "NCGTACGT");
+    assert_eq!(decode(8, &[1], Some((2, 1))).unwrap(), "NAACGTAA");
+    assert_eq!(decode(0, &[0], None).unwrap(), "");
+    // A read has one corner record, no more `N`s than bases, clips no
+    // longer than itself.
+    corrupt(decode(8, &[1, 1], None), "second corner record");
+    corrupt(decode(0, &[0, 0], None), "second corner record");
+    corrupt(decode(8, &[9], None), "more N positions than bases");
+    corrupt(decode(0, &[1], None), "more N positions than bases");
+    corrupt(decode(8, &[1], Some((5, 4))), "clip lengths exceed read");
+    // The amplifier: with `max_read_len == 0` a position costs no bits,
+    // so 65 535 records of 65 535 positions each fit in 160 KB of
+    // streams and used to grow one vector towards 4 × 10⁹ entries
+    // before any check ran. It is refused at the first count.
+    let bomb = corner_record_archive(0, &[u16::MAX; u16::MAX as usize], None);
+    assert!(bomb.to_bytes().len() < 170_000);
+    corrupt(
+        SageDecompressor::default()
+            .decompress_bytes(&bomb.to_bytes())
+            .map(|_| String::new()),
+        "more N positions than bases",
+    );
+}
+
+/// Reads that take every path of the DNA decoder, over a 400-base
+/// reference: forward and reverse strands, substitutions, an insertion
+/// and a deletion block, `N`s (corner record), a read too short to
+/// anchor (raw stream), a chimeric two-segment read, and one with
+/// unalignable ends (clips).
+fn golden_reads() -> (DnaSeq, ReadSet) {
+    let mut x = 2026u64;
+    let mut bases = |n: usize| -> Vec<Base> {
+        (0..n)
+            .map(|_| {
+                x = splitmix64(x);
+                Base::ACGT[(x % 4) as usize]
+            })
+            .collect()
+    };
+    let g = bases(400);
+    let mut reads: Vec<Vec<Base>> = vec![g[..150].to_vec(), g[200..350].to_vec()];
+    let mut r = DnaSeq::from_bases(g[30..180].to_vec())
+        .reverse_complement()
+        .into_bases();
+    r[40] = r[40].complement();
+    reads.push(r);
+    let mut r = g[60..210].to_vec();
+    r[3] = Base::N;
+    r[77] = Base::N;
+    reads.push(r);
+    reads.push([&g[120..200], &bases(8)[..], &g[200..270]].concat());
+    reads.push([&g[10..90], &g[95..170]].concat());
+    let mut r = bases(12);
+    r[11] = Base::N;
+    reads.push(r);
+    reads.push([&g[0..120], &g[260..380]].concat());
+    reads.push([&bases(60)[..], &g[100..250], &bases(50)[..]].concat());
+    let reads = ReadSet::from_reads(
+        reads
+            .into_iter()
+            .enumerate()
+            .map(|(i, seq)| Read {
+                id: None,
+                qual: Some(vec![b'#' + (i % 4) as u8; seq.len()]),
+                seq: DnaSeq::from_bases(seq),
+            })
+            .collect(),
+    );
+    (DnaSeq::from_bases(g), reads)
+}
+
+/// `golden_reads()` as the commit before the one-pass decoder wrote
+/// them (`with_reference(g).with_store_order(true)`, container v2).
+const GOLDEN_ARCHIVE_HEX: &str = concat!(
+    "5341474502000e00090000000000000008000000000000000000000004010000",
+    "9001000000000000030500070302070303080409050000000001000000030000",
+    "0002000000070000009001000000000000dbed060e96301d81c5ce3a64be766b",
+    "c1b924a7902cacd8609c26ed07030d02d57216d3f91560cf264e36a80e60fa25",
+    "72e0a6086f1f831c0da1a5923bb416463ef7a33a1f7b951bae9d39722c919b93",
+    "580ea7887247a5a8e21edc671c7db9e5225601adbf3000000000000000060000",
+    "0000000000c32494700807340000000000000007000000000000006cf029ea51",
+    "140a360000000000000007000000000000003c42abd49165164b000000000000",
+    "000a000000000000008c1eb306da0c738004073a000000000000000800000000",
+    "0000001718982565261a033601000000000000270000000000000009000c6822",
+    "0f000fc0a24c264a2307394cea4ed1b904953dad85dd5b5d165745b62bf3013c",
+    "8a280c0000000000000002000000000000006004450000000000000009000000",
+    "0000000096f09b9696043d2d1932000000000000000700000000000000030016",
+    "54304f0024000000000000000500000000000000702583140659000000000000",
+    "0004002326242500000000022dcf23f3bb441f6895a58360a67856cc44370542",
+    "f38a2f1d8a179f86d9795779b67f7a7e2693da9270a6f787b220a883486881c1",
+    "2e209fdd3dbc3d6fb917d6c2109adf5863d020b7968d755f0563",
+);
+
+#[test]
+fn archive_written_by_the_previous_decoder_generation_decodes_unchanged() {
+    let golden: Vec<u8> = (0..GOLDEN_ARCHIVE_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_ARCHIVE_HEX[i..i + 2], 16).unwrap())
+        .collect();
+    let (reference, reads) = golden_reads();
+    // Old bytes, this decoder: the same reads, in the stored order.
+    let out = SageDecompressor::default()
+        .decompress_bytes(&golden)
+        .expect("decompress");
+    assert_eq!(out.len(), reads.len());
+    for (a, b) in reads.iter().zip(out.iter()) {
+        assert_eq!(a.seq, b.seq);
+        assert_eq!(a.qual, b.qual);
+    }
+    // And the other way round: what this build writes is, byte for
+    // byte, what that commit's decoder was written against.
+    let (archive, stats) = SageCompressor::new()
+        .with_reference(reference)
+        .with_store_order(true)
+        .compress_detailed(&reads)
+        .expect("compress");
+    assert_eq!(
+        (stats.n_unmapped, stats.n_chimeric, stats.n_corner),
+        (1, 1, 2)
+    );
+    assert!(archive.to_bytes() == golden, "stored bytes changed");
 }
 
 #[test]

@@ -178,6 +178,14 @@ proptest! {
     #[test]
     fn prepared_packed3_matches_ascii(rs in read_set_strategy(10)) {
         let archive = SageCompressor::new().compress(&rs).expect("compress");
+        // The parser adopts the packed consensus bytes (`Packed2::from_raw`)
+        // where the encoder packed bases, and the decoder unpacks them
+        // by table: same value, same bases as `get`.
+        let parsed = sage_core::SageArchive::from_bytes(&archive.to_bytes()).expect("parse");
+        prop_assert_eq!(&parsed.consensus, &archive.consensus);
+        for (i, &b) in parsed.consensus.unpack().iter().enumerate() {
+            prop_assert_eq!(b, archive.consensus.get(i));
+        }
         let dec = SageDecompressor::new(OutputFormat::Packed3);
         let reads = dec.decompress(&archive).expect("decompress");
         match dec.prepare(&archive).expect("prepare") {

@@ -138,16 +138,26 @@ impl Segment {
     /// Panics if the alignment walks out of the consensus or the edits
     /// are inconsistent with the segment length.
     pub fn reconstruct(&self, consensus: &[Base]) -> Vec<Base> {
-        let seg_len = self.len() as usize;
-        let mut out = Vec::with_capacity(seg_len);
+        let mut out = Vec::with_capacity(self.len() as usize);
+        self.reconstruct_into(consensus, &mut out);
+        out
+    }
+
+    /// [`reconstruct`](Self::reconstruct), appending to `out`.
+    fn reconstruct_into(&self, consensus: &[Base], out: &mut Vec<Base>) {
+        let start = out.len();
+        let end = start + self.len() as usize;
         let mut c = self.cons_pos as usize;
+        // Consensus runs go over in one slice copy each.
+        let copy_to = |out: &mut Vec<Base>, c: &mut usize, target: usize| {
+            let n = target - out.len();
+            out.extend_from_slice(&consensus[*c..*c + n]);
+            *c += n;
+        };
         for e in &self.edits {
-            let target = e.read_off() as usize;
+            let target = start + e.read_off() as usize;
             assert!(target >= out.len(), "edits out of order");
-            while out.len() < target {
-                out.push(consensus[c]);
-                c += 1;
-            }
+            copy_to(out, &mut c, target);
             match e {
                 Edit::Sub { base, .. } => {
                     debug_assert_ne!(
@@ -161,18 +171,15 @@ impl Segment {
                 Edit::Del { len, .. } => c += *len as usize,
             }
         }
-        while out.len() < seg_len {
-            out.push(consensus[c]);
-            c += 1;
-        }
-        assert_eq!(out.len(), seg_len, "edits overrun segment length");
+        assert!(out.len() <= end, "edits overrun segment length");
+        copy_to(out, &mut c, end);
         if self.rev {
-            out.reverse();
-            for b in &mut out {
+            let seg = &mut out[start..];
+            seg.reverse();
+            for b in seg {
                 *b = b.complement();
             }
         }
-        out
     }
 }
 
@@ -240,10 +247,11 @@ impl Alignment {
     ///
     /// Panics if the alignment is inconsistent with the consensus.
     pub fn reconstruct(&self, consensus: &[Base]) -> DnaSeq {
-        let mut out = Vec::new();
+        let seg_bases: usize = self.segments.iter().map(|s| s.len() as usize).sum();
+        let mut out = Vec::with_capacity(self.clip_start.len() + seg_bases + self.clip_end.len());
         out.extend_from_slice(&self.clip_start);
         for seg in &self.segments {
-            out.extend(seg.reconstruct(consensus));
+            seg.reconstruct_into(consensus, &mut out);
         }
         out.extend_from_slice(&self.clip_end);
         DnaSeq::from_bases(out)

@@ -29,6 +29,23 @@ pub struct Packed2 {
     len: usize,
 }
 
+/// Every byte of packed storage as the four bases it holds, base `k` in
+/// bits `2k..2k + 2` — [`Packed2::unpack`] copies four bases per lookup
+/// instead of shifting them out one [`Packed2::get`] at a time.
+const UNPACK4: [[Base; 4]; 256] = {
+    let mut table = [[Base::A; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 0;
+        while k < 4 {
+            table[byte][k] = Base::ACGT[(byte >> (2 * k)) & 0b11];
+            k += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
 impl Packed2 {
     /// Packs a sequence at 2 bits/base.
     pub fn pack(seq: &[Base]) -> Packed2 {
@@ -40,6 +57,23 @@ impl Packed2 {
             data,
             len: seq.len(),
         }
+    }
+
+    /// Adopts already-packed storage — `len` bases in the layout
+    /// [`as_bytes`](Self::as_bytes) exposes — without unpacking it.
+    /// Returns `None` unless `data` holds exactly `len.div_ceil(4)`
+    /// bytes. Pad bits past the last base are cleared, so the result
+    /// equals `Packed2::pack` of the same bases whatever they held.
+    pub fn from_raw(mut data: Vec<u8>, len: usize) -> Option<Packed2> {
+        if data.len() != len.div_ceil(4) {
+            return None;
+        }
+        let tail = len % 4; // bases in a partly used last byte
+        if tail > 0 {
+            let last = data.last_mut().expect("len > 0 means at least one byte");
+            *last &= (1u8 << (tail * 2)) - 1;
+        }
+        Some(Packed2 { data, len })
     }
 
     /// Number of bases.
@@ -74,7 +108,12 @@ impl Packed2 {
 
     /// Unpacks to an owned sequence.
     pub fn unpack(&self) -> DnaSeq {
-        (0..self.len).map(|i| self.get(i)).collect()
+        let mut bases = Vec::with_capacity(self.data.len() * 4);
+        for &byte in &self.data {
+            bases.extend_from_slice(&UNPACK4[usize::from(byte)]);
+        }
+        bases.truncate(self.len);
+        DnaSeq::from_bases(bases)
     }
 }
 
@@ -162,6 +201,17 @@ mod tests {
     fn packed2_round_trip() {
         let s: DnaSeq = "ACGTACGTAAACCCGGGTTT".parse().unwrap();
         assert_eq!(Packed2::pack(&s).unpack(), s);
+        // Every prefix, so every `len % 4`: the table unpack agrees
+        // with `get`, and the raw constructor with `pack`.
+        for len in 0..=s.len() {
+            let p = Packed2::pack(&s.as_slice()[..len]);
+            let unpacked = p.unpack();
+            assert_eq!(unpacked.len(), len);
+            for (i, &b) in unpacked.iter().enumerate() {
+                assert_eq!(b, p.get(i), "base {i} of {len}");
+            }
+            assert_eq!(Packed2::from_raw(p.as_bytes().to_vec(), len), Some(p));
+        }
     }
 
     #[test]
@@ -177,6 +227,15 @@ mod tests {
         let p = Packed2::pack(&s);
         assert_eq!(p.byte_len(), 1);
         assert_eq!(p.unpack(), s);
+        // The raw constructor takes exactly `len.div_ceil(4)` bytes and
+        // clears the pad bits: equal bases compare equal whatever the
+        // unused bits of the last byte held.
+        let dirty = p.as_bytes()[0] | 0b1100_0000;
+        assert_eq!(Packed2::from_raw(vec![dirty], 3), Some(p));
+        assert_eq!(Packed2::from_raw(vec![], 3), None);
+        assert_eq!(Packed2::from_raw(vec![dirty, 0], 3), None);
+        assert_eq!(Packed2::from_raw(vec![0], 0), None);
+        assert_eq!(Packed2::from_raw(vec![], 0), Some(Packed2::default()));
     }
 
     #[test]

@@ -39,7 +39,21 @@ proptest! {
     #[test]
     fn packed2_lossless_without_n(codes in prop::collection::vec(0u8..4, 0..300)) {
         let seq: DnaSeq = codes.iter().map(|&c| Base::from_code2(c)).collect();
-        prop_assert_eq!(Packed2::pack(&seq).unpack(), seq);
+        let packed = Packed2::pack(&seq);
+        prop_assert_eq!(packed.unpack(), seq);
+        for (i, &b) in packed.unpack().iter().enumerate() {
+            prop_assert_eq!(b, packed.get(i));
+        }
+        // Adopting the packed bytes is the same as packing the bases,
+        // pad bits or not; one byte more or fewer is refused.
+        let mut raw = packed.as_bytes().to_vec();
+        let tail = codes.len() % 4;
+        if tail > 0 {
+            *raw.last_mut().unwrap() |= 0xff << (tail * 2);
+        }
+        prop_assert_eq!(Packed2::from_raw(raw.clone(), codes.len()), Some(packed));
+        raw.push(0);
+        prop_assert_eq!(Packed2::from_raw(raw, codes.len()), None);
     }
 
     #[test]
