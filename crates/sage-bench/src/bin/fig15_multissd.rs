@@ -54,8 +54,6 @@ fn measure(sharded: &ShardedStore, span: u64, n: usize) -> LoadReport {
             &ClosedLoopSpec {
                 clients: CLIENTS,
                 requests: REQUESTS,
-                // One worker keeps the virtual timeline deterministic.
-                workers: 1,
             },
             |c, i| StoreOp::Get(range_for(c, i, total, span)),
         )

@@ -68,7 +68,7 @@ impl Cell {
 /// Runs one closed-loop cell: `queue_depth` clients over an engine
 /// striped across `devices` PCIe models, on the client layer's shared
 /// driver.
-fn run_cell(sharded: &ShardedStore, devices: usize, queue_depth: usize, workers: usize) -> Cell {
+fn run_cell(sharded: &ShardedStore, devices: usize, queue_depth: usize) -> Cell {
     let fleet = SystemConfig::pcie().with_ssds(devices).device_configs();
     let dataset = DatasetBuilder::new()
         .cache_chunks(0) // every request pays its device
@@ -82,7 +82,6 @@ fn run_cell(sharded: &ShardedStore, devices: usize, queue_depth: usize, workers:
             &ClosedLoopSpec {
                 clients: queue_depth,
                 requests: REQUESTS_PER_CELL,
-                workers,
             },
             |c, i| StoreOp::Get(range_for(c, i, total, span)),
         )
@@ -154,7 +153,7 @@ fn main() {
     let device_cells: Vec<Cell> = [1usize, 2, 4, 8]
         .iter()
         .map(|&n| {
-            let c = run_cell(&sharded, n, 16, 4);
+            let c = run_cell(&sharded, n, 16);
             print_cell(&c, &widths);
             c
         })
@@ -164,13 +163,13 @@ fn main() {
 
     banner("queue-depth sweep (4 devices)");
     println!("{header}");
-    // A single worker keeps the virtual timeline fully deterministic
+    // The closed-loop driver's timeline is fully deterministic
     // (dispatch order = submission order), which the monotonicity
     // assertion below relies on.
     let qd_cells: Vec<Cell> = [1usize, 2, 4, 8, 16, 32]
         .iter()
         .map(|&qd| {
-            let c = run_cell(&sharded, 4, qd, 1);
+            let c = run_cell(&sharded, 4, qd);
             print_cell(&c, &widths);
             c
         })

@@ -97,7 +97,7 @@ impl DeviceMap {
     /// Builds a fleet and places `chunk_lens` (the byte length of each
     /// chunk, in chunk-id order) across it. The initial dataset write
     /// seeds each device's layout and FTL but is *not* counted in the
-    /// serving snapshot — matching the single-device timing mode.
+    /// serving snapshot.
     ///
     /// # Panics
     ///
@@ -235,9 +235,10 @@ impl DeviceMap {
     }
 
     /// Places one appended chunk and charges its owning device for the
-    /// pages the device's layout grows by (page-accurate, like the
-    /// single-device timing mode: a sub-page chunk landing inside the
-    /// current partially-filled page charges nothing).
+    /// pages the device's layout grows by (page-accurate, like the read
+    /// path: a sub-page chunk landing inside the current
+    /// partially-filled page charges nothing — the page was already
+    /// written).
     pub fn append_chunk(&self, len: usize) -> DeviceCharge {
         let slot = self.assign(len);
         let mut guard = self.devices[slot.device].lock().expect("device poisoned");
@@ -382,6 +383,37 @@ mod tests {
         assert_eq!(snaps[0].writes, 1);
         assert_eq!(snaps[1].writes, 0);
         assert_eq!(snaps[0].placed_bytes, page * 3);
+    }
+
+    #[test]
+    fn sub_page_appends_charge_only_grown_pages() {
+        let cfg = fleet(1);
+        let page = cfg[0].page_bytes;
+        let map = DeviceMap::place(&cfg, Placement::RoundRobin, &[page / 2]);
+        // Grows the device's bytes within the already-programmed first
+        // page: a write op is recorded but no new page is charged.
+        let inside = map.append_chunk(page / 2 - 10);
+        assert_eq!(inside.seconds, 0.0);
+        // Crossing into a fresh page charges exactly that page.
+        let crossing = map.append_chunk(20);
+        assert!(crossing.seconds > 0.0);
+        let snap = &map.snapshots()[0];
+        assert_eq!((snap.writes, snap.chunks), (2, 3));
+        assert_eq!(snap.placed_bytes, page + 10);
+        assert_eq!(snap.write_seconds, crossing.seconds);
+    }
+
+    #[test]
+    fn zero_length_extent_is_free_but_counted() {
+        let cfg = fleet(1);
+        let map = DeviceMap::place(&cfg, Placement::RoundRobin, &[cfg[0].page_bytes * 4]);
+        let nothing = map.charge_extent_read(0, Extent { offset: 64, len: 0 });
+        assert_eq!(nothing.seconds, 0.0);
+        // The command was issued (and counted) even though it touched
+        // no pages and cost no device time.
+        let snap = &map.snapshots()[0];
+        assert_eq!(snap.reads, 1);
+        assert_eq!(snap.read_seconds, 0.0);
     }
 
     #[test]

@@ -80,14 +80,11 @@ impl StoreServing {
     pub fn measured_prep_rate(&self, clients: usize, requests: u64) -> StoreResult<f64> {
         let total = self.dataset.total_reads();
         let span = self.reads_per_chunk as u64;
-        let report = self.dataset.drive_closed_loop(
-            &ClosedLoopSpec {
-                clients,
-                requests,
-                workers: 2,
-            },
-            |c, i| StoreOp::Get(range_for(c, i, total, span)),
-        )?;
+        let report = self
+            .dataset
+            .drive_closed_loop(&ClosedLoopSpec { clients, requests }, |c, i| {
+                StoreOp::Get(range_for(c, i, total, span))
+            })?;
         Ok(report.bases_per_sec())
     }
 }

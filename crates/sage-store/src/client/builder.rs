@@ -178,7 +178,7 @@ impl DatasetBuilder {
         self
     }
 
-    /// Single-device SSD timing. Conflicts with
+    /// SSD timing on one device — a fleet of one. Conflicts with
     /// [`ssd_fleet`](DatasetBuilder::ssd_fleet).
     pub fn ssd(mut self, cfg: SsdConfig) -> DatasetBuilder {
         self.ssd = Some(cfg);

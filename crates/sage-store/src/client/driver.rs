@@ -7,18 +7,17 @@
 //! the **virtual** device timeline — requests per virtual second
 //! against the makespan, latency percentiles, per-device utilization
 //! — so a sweep measures queueing and striping, not the host's load.
-//! With `workers == 1` the timeline is fully deterministic (dispatch
-//! order = submission order), which is what lets benches assert
-//! monotonicity without flaking.
+//! The drive's reactor runs one worker, so the timeline is fully
+//! deterministic (dispatch order = submission order) on any host,
+//! which is what lets benches assert monotonicity without flaking.
 //!
 //! The `io_sweep` and `fig15_multissd` benches and the pipeline's
 //! store-served preparation scenario all drive this one loop.
 
-use super::stats::{LatencyByKind, LatencyStats};
+use super::stats::{DriveAccounting, LatencyByKind, LatencyStats};
 use super::workload::{OpKind, OpKindStats};
 use super::Dataset;
-use crate::engine::{EngineBackend, OpValue, StoreOp};
-use crate::obs::{LogHistogram, OpSpan};
+use crate::engine::{EngineBackend, StoreOp};
 use crate::Result;
 use sage_io::{IoConfig, Reactor, SchedPolicyKind};
 use std::sync::Arc;
@@ -31,10 +30,6 @@ pub struct ClosedLoopSpec {
     pub clients: usize,
     /// Total operations to drive through the loop.
     pub requests: u64,
-    /// Reactor worker threads. 1 keeps the virtual timeline fully
-    /// deterministic; more overlaps real decode work without changing
-    /// what the virtual clock charges.
-    pub workers: usize,
 }
 
 impl Default for ClosedLoopSpec {
@@ -42,7 +37,6 @@ impl Default for ClosedLoopSpec {
         ClosedLoopSpec {
             clients: 16,
             requests: 256,
-            workers: 1,
         }
     }
 }
@@ -95,12 +89,6 @@ impl LoadReport {
     }
 }
 
-/// The harnesses' shared deterministic random-range stream: SplitMix64
-/// over `(client, seq)` producing a start in `[0, total)` and a span
-/// in `[1, span_max]` (clamped to the dataset end). Every closed-loop
-/// consumer — `io_sweep`, `fig15_multissd`, the pipeline's
-/// store-served scenario — draws from this one stream, so their
-/// measurements stay comparable by construction.
 fn kind_of(op: &StoreOp) -> OpKind {
     match op {
         StoreOp::Get(_) => OpKind::Get,
@@ -109,6 +97,12 @@ fn kind_of(op: &StoreOp) -> OpKind {
     }
 }
 
+/// The harnesses' shared deterministic random-range stream: SplitMix64
+/// over `(client, seq)` producing a start in `[0, total)` and a span
+/// in `[1, span_max]` (clamped to the dataset end). Every closed-loop
+/// consumer — `io_sweep`, `fig15_multissd`, the pipeline's
+/// store-served scenario — draws from this one stream, so their
+/// measurements stay comparable by construction.
 pub fn range_for(client: u64, seq: u64, total: u64, span_max: u64) -> std::ops::Range<u64> {
     let mut z = (client << 32 | seq).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -124,10 +118,11 @@ impl Dataset {
     /// their next operation — produced by `workload(client, seq)` —
     /// at the virtual instant their previous one completed.
     ///
-    /// The drive runs on its own reactor (and thus its own virtual
-    /// clock starting at 0), so measurements are independent of any
-    /// session traffic on the dataset; the engine, cache, and device
-    /// state are shared.
+    /// The drive runs on its own single-worker reactor (and thus its
+    /// own virtual clock starting at 0), so measurements are
+    /// independent of any session traffic on the dataset and of the
+    /// host's thread timing; the engine, cache, and device state are
+    /// shared.
     ///
     /// # Errors
     ///
@@ -146,7 +141,7 @@ impl Dataset {
         let reactor = Reactor::start(
             Arc::new(EngineBackend::new(engine)),
             IoConfig {
-                workers: spec.workers.max(1),
+                workers: 1,
                 queue_depth: spec.clients.max(1),
                 devices,
                 record_intervals: trace_buf.is_some(),
@@ -171,64 +166,21 @@ impl Dataset {
             .collect();
         let mut issued = seeds.len() as u64;
         reactor.submit_batch(seeds).expect("live reactor");
-        let mut latencies = Vec::with_capacity(spec.requests as usize);
-        let mut makespan = 0.0f64;
-        let mut reads_served = 0u64;
-        let mut bases_served = 0u64;
-        let mut gets = OpKindStats::default();
-        let mut scans = OpKindStats::default();
-        let mut appends = OpKindStats::default();
-        // One latency histogram per kind, recorded in completion
-        // order; the run total is their merge fold.
-        let mut hists = [
-            LogHistogram::new(),
-            LogHistogram::new(),
-            LogHistogram::new(),
-        ];
-        let mut token = 0u64;
-        while (latencies.len() as u64) < spec.requests {
+        let mut acc = DriveAccounting::new();
+        while acc.completed() < spec.requests {
             let Some(cqe) = cq.wait_any() else {
                 break;
             };
-            let latency = cqe.latency();
-            let c = cqe.user_data;
-            let kind = in_flight_kind[c as usize];
-            let (submitted_vt, started_vt, completed_vt) =
-                (cqe.submitted_vt, cqe.started_vt, cqe.completed_vt);
-            let (device, device_seconds, intervals) =
-                (cqe.device, cqe.device_seconds, cqe.intervals);
-            let (value, trace) = cqe.output?;
-            if let Some(buf) = &trace_buf {
-                buf.record(OpSpan {
-                    token,
-                    tenant: 0,
-                    kind: kind.label(),
-                    submitted_vt,
-                    started_vt,
-                    completed_vt,
-                    device,
-                    device_seconds,
-                    intervals,
-                    chunks_touched: trace.chunks_touched,
-                    cache_hits: trace.cache_hits,
-                    cache_misses: trace.cache_misses,
-                    device_ops: trace.device_ops,
-                    events: trace.events.clone(),
-                });
-            }
-            token += 1;
-            match kind {
-                OpKind::Get => gets.record(&trace),
-                OpKind::Scan => scans.record(&trace),
-                OpKind::Append => appends.record(&trace),
-            }
-            hists[kind as usize].record(latency);
-            if let OpValue::Reads(rs) = &value {
-                reads_served += rs.len() as u64;
-                bases_served += rs.total_bases() as u64;
-            }
-            latencies.push(latency);
-            makespan = makespan.max(completed_vt);
+            let (c, completed_vt) = (cqe.user_data, cqe.completed_vt);
+            // Spans are numbered in completion order.
+            let token = acc.completed();
+            acc.record(
+                cqe,
+                in_flight_kind[c as usize],
+                0,
+                token,
+                trace_buf.as_deref(),
+            )?;
             if issued < spec.requests {
                 let i = next_seq[c as usize];
                 next_seq[c as usize] += 1;
@@ -242,33 +194,19 @@ impl Dataset {
         }
         let snap = reactor.snapshot();
         reactor.shutdown();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let completed = latencies.len() as u64;
-        let latency_by_kind = LatencyByKind {
-            gets: LatencyStats::from_histogram(&hists[0]),
-            scans: LatencyStats::from_histogram(&hists[1]),
-            appends: LatencyStats::from_histogram(&hists[2]),
-        };
-        // Run total = merge fold of the per-kind histograms: bucket
-        // counts and extrema equal one histogram fed every latency.
-        let mut total_hist = hists[0].clone();
-        total_hist.merge(&hists[1]);
-        total_hist.merge(&hists[2]);
+        let fold = acc.fold();
+        let [gets, scans, appends] = fold.kinds;
         Ok(LoadReport {
-            completed,
-            makespan,
-            req_per_s: if makespan > 0.0 {
-                completed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency: LatencyStats::from_histogram(&total_hist),
-            latency_by_kind,
-            utilization: snap.utilization_over(makespan),
+            completed: fold.completed,
+            makespan: fold.makespan,
+            req_per_s: fold.rate,
+            latency: fold.latency,
+            latency_by_kind: fold.latency_by_kind,
+            utilization: snap.utilization_over(fold.makespan),
             device_busy: snap.device_busy,
-            latencies,
-            reads_served,
-            bases_served,
+            latencies: fold.latencies,
+            reads_served: fold.reads_served.iter().sum(),
+            bases_served: fold.bases_served.iter().sum(),
             gets,
             scans,
             appends,
@@ -302,7 +240,6 @@ mod tests {
                 &ClosedLoopSpec {
                     clients: 4,
                     requests: 64,
-                    workers: 1,
                 },
                 |c, i| StoreOp::Get(range_for(c, i, total, 16)),
             )
@@ -342,7 +279,6 @@ mod tests {
                     &ClosedLoopSpec {
                         clients,
                         requests: 48,
-                        workers: 1,
                     },
                     |c, i| StoreOp::Get(range_for(c, i, total, 8)),
                 )
@@ -368,7 +304,6 @@ mod tests {
                     &ClosedLoopSpec {
                         clients: 8,
                         requests: 96,
-                        workers: 2,
                     },
                     |c, i| StoreOp::Get(range_for(c, i, total, 16)),
                 )
@@ -392,7 +327,6 @@ mod tests {
                 &ClosedLoopSpec {
                     clients: 2,
                     requests: 8,
-                    workers: 1,
                 },
                 |_, _| StoreOp::Get(0..total * 100),
             )

@@ -42,19 +42,23 @@
 //! # }
 //! ```
 //!
-//! For load studies there are two shared drivers over one serving
-//! machinery. The **closed-loop driver**
+//! For load studies there is one driver per loop shape, each on its
+//! own single-worker reactor, so every report is a pure function of
+//! (dataset, spec) on any host. The **closed-loop driver**
 //! ([`Dataset::drive_closed_loop`]): `clients` logical clients each
 //! keep one operation in flight, submitting their next at the virtual
 //! instant the previous completed — the `io_sweep` and
 //! `fig15_multissd` benches and the pipeline's store-served scenario
 //! all run on it. And the **open-loop driver**
-//! ([`Dataset::drive_open_loop`], in [`workload`]): seedable arrival
-//! processes inject requests at generated virtual instants regardless
-//! of completions, shedding at a bounded virtual queue, which is what
-//! measures latency–throughput curves to saturation (`qos_sweep`,
-//! `cache_ablation`). Both aggregate latency through one
-//! [`LatencyStats`] percentile machinery.
+//! ([`Dataset::drive_tenants`]): each tenant's seedable arrival
+//! process injects requests at generated virtual instants regardless
+//! of completions, the streams merge on the virtual timeline, and
+//! arrivals that find the bounded virtual queue full are shed — which
+//! is what measures latency–throughput curves to saturation.
+//! [`Dataset::drive_open_loop`] (in [`workload`]; `qos_sweep`,
+//! `cache_ablation`) is that driver with one default tenant under
+//! FIFO. Both loops fold completions into their reports through one
+//! accounting block and one [`LatencyStats`] percentile machinery.
 
 mod builder;
 mod driver;
@@ -69,10 +73,10 @@ pub use session::{Dataset, ServerStats, Session};
 pub use stats::{percentile, LatencyByKind, LatencyStats};
 pub use tenant::{MultiQosReport, MultiTenantSpec, TenantId, TenantLoad, TenantSpec};
 
-use crate::engine::OpValue;
+use crate::engine::{EngineBackend, OpValue};
 use crate::view::ReadView;
 use crate::{Result, StoreError};
-use sage_io::{ChargeInterval, DeviceCharge};
+use sage_io::{ChargeInterval, Cqe, DeviceCharge, IoBackend};
 use std::sync::mpsc::Receiver;
 
 /// What a session does when the submission ring is full.
@@ -116,6 +120,23 @@ pub struct OpReport {
 }
 
 impl OpReport {
+    /// Resolves a reactor completion: the operation's value with the
+    /// engine-side trace and the reactor-side instants merged into
+    /// its report, or the operation's error.
+    pub(crate) fn resolve(cqe: EngineCqe) -> Payload {
+        let (value, trace) = cqe.output?;
+        let report = OpReport {
+            trace,
+            submitted_vt: cqe.submitted_vt,
+            started_vt: cqe.started_vt,
+            completed_vt: cqe.completed_vt,
+            device_seconds: cqe.device_seconds,
+            device: cqe.device,
+            intervals: cqe.intervals,
+        };
+        Ok((value, report))
+    }
+
     /// Submit-to-completion virtual latency.
     pub fn latency(&self) -> f64 {
         self.completed_vt - self.submitted_vt
@@ -205,6 +226,9 @@ pub struct Completion<T> {
 
 /// What the dispatcher delivers for one operation.
 pub(crate) type Payload = Result<(OpValue, OpReport)>;
+
+/// A reactor completion of one engine operation.
+pub(crate) type EngineCqe = Cqe<<EngineBackend as IoBackend>::Output>;
 
 /// A pending typed operation; [`Ticket::wait`] blocks for its
 /// [`Completion`].

@@ -3,17 +3,14 @@
 
 use super::tenant::{TenantId, TenantSpec};
 use super::{extract_appended, extract_reads, OpReport, Payload, SubmitMode, Ticket};
-use crate::engine::{EngineBackend, StoreEngine, StoreOp};
+use crate::engine::{EngineBackend, StoreEngine, StoreOp, TimingSnapshot};
 use crate::lru::{CacheSnapshot, StripeSnapshot};
 use crate::obs::analysis::BlameReport;
 use crate::obs::{MetricsSnapshot, TraceBuffer};
-use crate::timing::TimingSnapshot;
 use crate::view::ReadView;
 use crate::{Result, StoreError};
 use sage_genomics::{Read, ReadSet};
-use sage_io::{
-    Cqe, DeviceSnapshot, IoConfig, Reactor, ReactorSnapshot, SchedPolicyKind, SubmitError,
-};
+use sage_io::{DeviceSnapshot, IoConfig, Reactor, ReactorSnapshot, SchedPolicyKind, SubmitError};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,31 +86,9 @@ impl ServeCore {
             let trace_buf = trace.clone();
             std::thread::spawn(move || {
                 while let Some(cqe) = cq.wait_any() {
-                    let Cqe {
-                        user_data,
-                        device,
-                        submitted_vt,
-                        started_vt,
-                        completed_vt,
-                        device_seconds,
-                        intervals,
-                        output,
-                    } = cqe;
+                    let user_data = cqe.user_data;
                     let entry = pending.lock().expect("pending poisoned").remove(&user_data);
-                    let payload: Payload = output.map(|(value, trace)| {
-                        (
-                            value,
-                            OpReport {
-                                trace,
-                                submitted_vt,
-                                started_vt,
-                                completed_vt,
-                                device_seconds,
-                                device,
-                                intervals,
-                            },
-                        )
-                    });
+                    let payload = OpReport::resolve(cqe);
                     // Recording happens after the completion already
                     // carries its final instants — observation only,
                     // never on the virtual timeline.

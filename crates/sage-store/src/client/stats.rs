@@ -1,5 +1,5 @@
-//! Shared latency aggregation: one histogram/percentile machinery for
-//! every load driver.
+//! Shared drive accounting: one recorder, one fold and one
+//! histogram/percentile machinery for every load driver.
 //!
 //! Both drive reports — the closed loop's
 //! [`LoadReport`](super::LoadReport) and the open loop's
@@ -9,9 +9,14 @@
 //! [`LogHistogram`](crate::obs::LogHistogram): count, mean, and max
 //! are exact, percentiles are answered from the histogram's buckets
 //! (≈0.78% relative quantization, monotone), and every bench bin
-//! prints and asserts on this one implementation.
+//! prints and asserts on this one implementation. `DriveAccounting`
+//! is the recorder both drivers feed their completions to.
 
-use crate::obs::LogHistogram;
+use super::workload::{OpKind, OpKindStats};
+use super::{EngineCqe, OpReport};
+use crate::engine::OpValue;
+use crate::obs::{LogHistogram, TraceBuffer};
+use crate::Result;
 
 /// `p` in `[0, 1]` over an ascending-sorted slice (nearest-rank,
 /// exact). Kept for call sites that need exact order statistics of a
@@ -118,6 +123,122 @@ impl LatencyByKind {
             self.scans.json(),
             self.appends.json()
         )
+    }
+}
+
+/// What one drive (or one tenant of it) completed, recorded one
+/// completion at a time and folded into report fields at the end —
+/// the single accounting block behind [`LoadReport`](super::LoadReport)
+/// and [`QosReport`](super::workload::QosReport). Per-kind arrays are
+/// indexed by `OpKind as usize`.
+pub(super) struct DriveAccounting {
+    latencies: Vec<f64>,
+    /// One latency histogram per kind, recorded in the order the
+    /// driver hands completions over; the run total is their merge.
+    hists: [LogHistogram; 3],
+    kinds: [OpKindStats; 3],
+    reads_served: [u64; 3],
+    bases_served: [u64; 3],
+    makespan: f64,
+}
+
+/// [`DriveAccounting`] folded: the fields the drive reports share.
+pub(super) struct DriveFold {
+    pub completed: u64,
+    /// The latest completion instant.
+    pub makespan: f64,
+    /// Completions per virtual second of makespan.
+    pub rate: f64,
+    pub latency: LatencyStats,
+    pub latency_by_kind: LatencyByKind,
+    /// Every latency, seconds, ascending.
+    pub latencies: Vec<f64>,
+    pub kinds: [OpKindStats; 3],
+    /// Reads and bases returned per kind, so each report sums the
+    /// kinds it counts.
+    pub reads_served: [u64; 3],
+    pub bases_served: [u64; 3],
+}
+
+impl DriveAccounting {
+    pub fn new() -> DriveAccounting {
+        DriveAccounting {
+            latencies: Vec::new(),
+            hists: std::array::from_fn(|_| LogHistogram::new()),
+            kinds: [OpKindStats::default(); 3],
+            reads_served: [0; 3],
+            bases_served: [0; 3],
+            makespan: 0.0,
+        }
+    }
+
+    /// Completions recorded so far.
+    pub fn completed(&self) -> u64 {
+        self.latencies.len() as u64
+    }
+
+    /// Records one completion of a `kind` operation. On a tracing
+    /// dataset (`trace_buf`) the operation also lands in the span
+    /// buffer as `token` of `tenant` — observation only: the report is
+    /// bit-identical either way.
+    ///
+    /// # Errors
+    ///
+    /// The operation's own error; nothing is recorded for it.
+    pub fn record(
+        &mut self,
+        cqe: EngineCqe,
+        kind: OpKind,
+        tenant: usize,
+        token: u64,
+        trace_buf: Option<&TraceBuffer>,
+    ) -> Result<()> {
+        let (value, report) = OpReport::resolve(cqe)?;
+        if let Some(buf) = trace_buf {
+            buf.record(report.to_span_for(token, kind.label(), tenant));
+        }
+        let (k, latency) = (kind as usize, report.latency());
+        self.kinds[k].record(&report.trace);
+        self.hists[k].record(latency);
+        if let OpValue::Reads(rs) = &value {
+            self.reads_served[k] += rs.len() as u64;
+            self.bases_served[k] += rs.total_bases() as u64;
+        }
+        self.latencies.push(latency);
+        self.makespan = self.makespan.max(report.completed_vt);
+        Ok(())
+    }
+
+    /// Folds the recording into report fields.
+    pub fn fold(mut self) -> DriveFold {
+        self.latencies
+            .sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
+        let completed = self.completed();
+        let [gets, scans, appends] = &self.hists;
+        // Run total = merge fold of the per-kind histograms: bucket
+        // counts and extrema equal one histogram fed every latency.
+        let mut total = gets.clone();
+        total.merge(scans);
+        total.merge(appends);
+        DriveFold {
+            completed,
+            makespan: self.makespan,
+            rate: if self.makespan > 0.0 {
+                completed as f64 / self.makespan
+            } else {
+                0.0
+            },
+            latency: LatencyStats::from_histogram(&total),
+            latency_by_kind: LatencyByKind {
+                gets: LatencyStats::from_histogram(gets),
+                scans: LatencyStats::from_histogram(scans),
+                appends: LatencyStats::from_histogram(appends),
+            },
+            latencies: self.latencies,
+            kinds: self.kinds,
+            reads_served: self.reads_served,
+            bases_served: self.bases_served,
+        }
     }
 }
 

@@ -11,23 +11,22 @@
 //! their [`TenantId`], and tenant 0 is the default every untagged
 //! submission is attributed to.
 //!
-//! [`Dataset::drive_tenants`] is the measurement harness: each tenant
+//! [`Dataset::drive_tenants`] is the one open-loop driver: each tenant
 //! offers an independent seeded open-loop stream ([`TenantLoad`]), the
 //! streams are merged on the virtual timeline by arrival instant, and
 //! the device scheduler orders the pending work by the configured
-//! [`SchedPolicyKind`]. With one worker the whole drive is
-//! bit-deterministic, and with a single default tenant under the
-//! `Fifo` policy it reproduces [`Dataset::drive_open_loop`]'s
-//! [`QosReport`] exactly (property-tested in `tests/prop_qos.rs`).
+//! [`SchedPolicyKind`]. The drive runs one reactor worker, so it is
+//! bit-deterministic on any host; [`Dataset::drive_open_loop`] is this
+//! driver with a single default tenant under the `Fifo` policy (its
+//! reports are pinned cell by cell in `tests/prop_qos.rs`).
 
-use super::stats::{LatencyByKind, LatencyStats};
+use super::stats::{DriveAccounting, DriveFold};
 use super::workload::{
-    Arrivals, OpKind, OpKindStats, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng,
-    ARRIVAL_STREAM, OP_STREAM, SHED_STREAM,
+    Arrivals, OpKind, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng, ARRIVAL_STREAM,
+    OP_STREAM, SHED_STREAM,
 };
-use super::Dataset;
-use crate::engine::{EngineBackend, OpValue};
-use crate::obs::LogHistogram;
+use super::{Dataset, EngineCqe};
+use crate::engine::EngineBackend;
 use crate::{ConfigError, Result};
 use sage_genomics::ReadSet;
 use sage_io::{IoConfig, Reactor, SchedPolicyKind, SchedTag};
@@ -236,20 +235,17 @@ pub struct MultiTenantSpec {
     /// Global virtual queue bound (per-tenant `admission` caps
     /// tighten it per tenant).
     pub queue_depth: usize,
-    /// Reactor worker threads; 1 keeps the drive bit-deterministic.
-    pub workers: usize,
     /// The tenants, in [`TenantId`] order.
     pub tenants: Vec<(TenantSpec, TenantLoad)>,
 }
 
 impl MultiTenantSpec {
-    /// A spec under `policy` with a 64-deep queue, one worker, and no
-    /// tenants yet (add them with [`MultiTenantSpec::tenant`]).
+    /// A spec under `policy` with a 64-deep queue and no tenants yet
+    /// (add them with [`MultiTenantSpec::tenant`]).
     pub fn new(policy: SchedPolicyKind) -> MultiTenantSpec {
         MultiTenantSpec {
             policy,
             queue_depth: 64,
-            workers: 1,
             tenants: Vec::new(),
         }
     }
@@ -269,9 +265,6 @@ impl MultiTenantSpec {
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroServerWorkers);
         }
         if self.tenants.is_empty() {
             return Err(ConfigError::BadTenant);
@@ -343,23 +336,35 @@ impl Dataset {
     /// timeline by arrival instant (ties go to the lower
     /// [`TenantId`]).
     ///
-    /// Unlike [`Dataset::drive_open_loop`] — which serializes
-    /// execution in lockstep — admitted operations here *queue* at
-    /// the device scheduler, and the policy decides service order: a
-    /// high-priority arrival can start before an earlier-submitted
-    /// low-priority one. Admission control runs per arrival: an
-    /// arrival that finds the virtual queue holding at least
-    /// `min(queue_depth, its tenant's admission cap)` incomplete
-    /// operations is shed with tenant attribution.
+    /// Admitted operations *queue* at the device scheduler, and the
+    /// policy decides service order: a high-priority arrival can
+    /// start before an earlier-submitted low-priority one. Admission
+    /// control runs per arrival: an arrival that finds the virtual
+    /// queue holding at least `min(queue_depth, its tenant's
+    /// admission cap)` incomplete operations is shed with tenant
+    /// attribution.
     ///
-    /// With `workers == 1` the drive is bit-deterministic, and with a
-    /// single default tenant under [`SchedPolicyKind::Fifo`] it
-    /// reproduces [`Dataset::drive_open_loop`]'s report exactly.
+    /// The drive runs on its own single-worker reactor (its own
+    /// virtual clock starting at 0), so the report is a pure function
+    /// of the dataset's state and the spec on any host.
+    /// [`Dataset::drive_open_loop`] is this drive with a single
+    /// default tenant under [`SchedPolicyKind::Fifo`].
+    ///
+    /// On a tracing dataset each completed op also lands in the
+    /// dataset's span buffer with its per-charge service windows, in
+    /// admission order once the drive has run (call
+    /// `TraceBuffer::clear` between drives to keep runs separable).
+    /// A span's `token` is its **arrival ordinal** in the merged
+    /// stream — shed arrivals leave gaps — and recording is
+    /// observation-only: the timeline and report are bit-identical
+    /// either way.
     ///
     /// # Errors
     ///
     /// [`crate::StoreError::Config`] for an invalid spec; otherwise
-    /// the first operation error in admission order.
+    /// the first operation error in admission order, returned after
+    /// the whole drive has run (operations admitted after the failed
+    /// one still execute).
     pub fn drive_tenants(&self, spec: &MultiTenantSpec) -> Result<MultiQosReport> {
         spec.validate().map_err(crate::StoreError::Config)?;
         let engine = Arc::clone(self.engine());
@@ -367,8 +372,9 @@ impl Dataset {
         let devices = engine.n_devices().max(1);
         let n_tenants = spec.tenants.len();
 
-        // Append templates are sampled before the drive's clock
-        // starts, exactly as the single-tenant driver does.
+        // When appends are in a tenant's mix, its template is sampled
+        // before the drive's clock starts (warming the chunks it
+        // touches).
         let mut streams: Vec<TenantStream> = Vec::with_capacity(n_tenants);
         for (_, load) in &spec.tenants {
             let template = if load.mix.append > 0.0 && total > 0 {
@@ -405,7 +411,11 @@ impl Dataset {
         let reactor = Reactor::start(
             Arc::new(EngineBackend::new(engine)),
             IoConfig {
-                workers: spec.workers,
+                // One worker: dispatch order is submission order, so
+                // the timeline never depends on thread timing. Real
+                // parallelism is the engine's decode pool, which is
+                // timeline-neutral.
+                workers: 1,
                 queue_depth: spec.queue_depth,
                 devices,
                 record_intervals: trace_buf.is_some(),
@@ -420,12 +430,13 @@ impl Dataset {
         // complete after the arrival frontier, so they always count
         // toward occupancy.
         let mut inflight: Vec<f64> = Vec::with_capacity(spec.queue_depth);
+        let mut arrived = 0u64;
         let mut admitted = 0u64;
         let mut polled = 0u64;
-        // Tenant and kind per admission token, for end-of-run
-        // accounting.
-        let mut token_meta: Vec<(usize, OpKind)> = Vec::new();
-        let mut done: Vec<sage_io::Cqe<<EngineBackend as sage_io::IoBackend>::Output>> = Vec::new();
+        // Tenant, kind and arrival ordinal per admission token, for
+        // end-of-run accounting.
+        let mut token_meta: Vec<(usize, OpKind, u64)> = Vec::new();
+        let mut done: Vec<EngineCqe> = Vec::new();
 
         // Merge arrivals across tenants: serve the earliest pending
         // instant each round; ties go to the lower tenant id.
@@ -439,6 +450,8 @@ impl Dataset {
             })
         {
             let at = streams[t].next_at;
+            let ordinal = arrived;
+            arrived += 1;
             streams[t].last_at = at;
             streams[t].remaining -= 1;
             if streams[t].remaining > 0 {
@@ -476,7 +489,7 @@ impl Dataset {
             }
             let tag = tenant_spec.tag(TenantId(t), at);
             let (op, kind) = streams[t].ops.next_op();
-            token_meta.push((t, kind));
+            token_meta.push((t, kind, ordinal));
             reactor
                 .submit_tagged(op, admitted, at, tag)
                 .expect("live reactor");
@@ -494,51 +507,15 @@ impl Dataset {
         let snap = reactor.snapshot();
         reactor.shutdown();
 
-        // Account in admission order — the order the single-tenant
-        // driver observes completions in — so per-tenant histogram
-        // folds are bit-identical to a lone tenant's lockstep drive.
+        // Account in admission order, whatever order the policy
+        // served in: each tenant's histogram folds (and their means'
+        // addition order) depend on the streams alone.
         done.sort_by_key(|c| c.user_data);
-        let mut acc: Vec<TenantAccounting> =
-            (0..n_tenants).map(|_| TenantAccounting::new()).collect();
+        let mut acc: Vec<DriveAccounting> =
+            (0..n_tenants).map(|_| DriveAccounting::new()).collect();
         for cqe in done {
-            let (t, kind) = token_meta[cqe.user_data as usize];
-            let latency = cqe.latency();
-            let (submitted_vt, started_vt, completed_vt) =
-                (cqe.submitted_vt, cqe.started_vt, cqe.completed_vt);
-            let (device, device_seconds, intervals) =
-                (cqe.device, cqe.device_seconds, cqe.intervals);
-            let (value, trace) = cqe.output?;
-            if let Some(buf) = &trace_buf {
-                buf.record(crate::obs::OpSpan {
-                    token: cqe.user_data,
-                    tenant: t,
-                    kind: kind.label(),
-                    submitted_vt,
-                    started_vt,
-                    completed_vt,
-                    device,
-                    device_seconds,
-                    intervals,
-                    chunks_touched: trace.chunks_touched,
-                    cache_hits: trace.cache_hits,
-                    cache_misses: trace.cache_misses,
-                    device_ops: trace.device_ops,
-                    events: trace.events.clone(),
-                });
-            }
-            let a = &mut acc[t];
-            match kind {
-                OpKind::Get => a.gets.record(&trace),
-                OpKind::Scan => a.scans.record(&trace),
-                OpKind::Append => a.appends.record(&trace),
-            }
-            a.hists[kind as usize].record(latency);
-            if let (OpKind::Get, OpValue::Reads(rs)) = (kind, &value) {
-                a.reads_served += rs.len() as u64;
-                a.bases_served += rs.total_bases() as u64;
-            }
-            a.latencies.push(latency);
-            a.makespan = a.makespan.max(completed_vt);
+            let (t, kind, ordinal) = token_meta[cqe.user_data as usize];
+            acc[t].record(cqe, kind, t, ordinal, trace_buf.as_deref())?;
         }
 
         // Scheduler rows exist only for tenants that dispatched; pad
@@ -550,14 +527,14 @@ impl Dataset {
 
         let mut tenants_out = Vec::with_capacity(n_tenants);
         let mut run_makespan = 0.0f64;
-        for (t, a) in acc.into_iter().enumerate() {
-            run_makespan = run_makespan.max(a.makespan);
-            let s = &streams[t];
-            let load = &spec.tenants[t].1;
-            tenants_out.push(a.into_report(
-                load,
+        for (t, (a, s)) in acc.into_iter().zip(streams).enumerate() {
+            let fold = a.fold();
+            run_makespan = run_makespan.max(fold.makespan);
+            tenants_out.push(qos_report(
+                fold,
+                &spec.tenants[t].1,
                 s.last_at,
-                s.shed_events.clone(),
+                s.shed_events,
                 tenant_busy[t].clone(),
             ));
         }
@@ -572,88 +549,43 @@ impl Dataset {
     }
 }
 
-/// Per-tenant accumulators of one drive, folded into a [`QosReport`]
-/// at the end.
-struct TenantAccounting {
-    latencies: Vec<f64>,
-    hists: [LogHistogram; 3],
-    gets: OpKindStats,
-    scans: OpKindStats,
-    appends: OpKindStats,
-    reads_served: u64,
-    bases_served: u64,
-    makespan: f64,
-}
-
-impl TenantAccounting {
-    fn new() -> TenantAccounting {
-        TenantAccounting {
-            latencies: Vec::new(),
-            hists: [
-                LogHistogram::new(),
-                LogHistogram::new(),
-                LogHistogram::new(),
-            ],
-            gets: OpKindStats::default(),
-            scans: OpKindStats::default(),
-            appends: OpKindStats::default(),
-            reads_served: 0,
-            bases_served: 0,
-            makespan: 0.0,
-        }
-    }
-
-    fn into_report(
-        mut self,
-        load: &TenantLoad,
-        last_at: f64,
-        shed_events: Vec<ShedEvent>,
-        device_busy: Vec<f64>,
-    ) -> QosReport {
-        self.latencies
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let completed = self.latencies.len() as u64;
-        let shed = shed_events.len() as u64;
-        let latency_by_kind = LatencyByKind {
-            gets: LatencyStats::from_histogram(&self.hists[0]),
-            scans: LatencyStats::from_histogram(&self.hists[1]),
-            appends: LatencyStats::from_histogram(&self.hists[2]),
-        };
-        let mut total_hist = self.hists[0].clone();
-        total_hist.merge(&self.hists[1]);
-        total_hist.merge(&self.hists[2]);
-        let utilization = if self.makespan > 0.0 {
-            device_busy.iter().map(|b| b / self.makespan).collect()
+/// One tenant's [`QosReport`]: its folded completions, its offered
+/// stream (`load`, last arrival at `last_at`), its sheds, and its
+/// attributed busy seconds per device.
+fn qos_report(
+    fold: DriveFold,
+    load: &TenantLoad,
+    last_at: f64,
+    shed_events: Vec<ShedEvent>,
+    device_busy: Vec<f64>,
+) -> QosReport {
+    let [gets, scans, appends] = fold.kinds;
+    QosReport {
+        offered: load.requests,
+        completed: fold.completed,
+        shed: shed_events.len() as u64,
+        shed_events,
+        offered_rate: if last_at > 0.0 {
+            load.requests as f64 / last_at
+        } else {
+            load.arrivals.mean_rate()
+        },
+        achieved_rate: fold.rate,
+        makespan: fold.makespan,
+        latency: fold.latency,
+        latency_by_kind: fold.latency_by_kind,
+        latencies: fold.latencies,
+        utilization: if fold.makespan > 0.0 {
+            device_busy.iter().map(|b| b / fold.makespan).collect()
         } else {
             vec![0.0; device_busy.len()]
-        };
-        QosReport {
-            offered: load.requests,
-            completed,
-            shed,
-            shed_events,
-            offered_rate: if last_at > 0.0 {
-                load.requests as f64 / last_at
-            } else {
-                load.arrivals.mean_rate()
-            },
-            achieved_rate: if self.makespan > 0.0 {
-                completed as f64 / self.makespan
-            } else {
-                0.0
-            },
-            makespan: self.makespan,
-            latency: LatencyStats::from_histogram(&total_hist),
-            latency_by_kind,
-            latencies: self.latencies,
-            device_busy,
-            utilization,
-            gets: self.gets,
-            scans: self.scans,
-            appends: self.appends,
-            reads_served: self.reads_served,
-            bases_served: self.bases_served,
-        }
+        },
+        device_busy,
+        gets,
+        scans,
+        appends,
+        reads_served: fold.reads_served[OpKind::Get as usize],
+        bases_served: fold.bases_served[OpKind::Get as usize],
     }
 }
 

@@ -24,10 +24,12 @@
 //!   and [`HotspotPattern`] (hot/cold two-tier mix). The [`Pattern`]
 //!   enum is the config form. An [`OpMix`] turns ranges into a typed
 //!   [`StoreOp`] stream (get/scan/append fractions) via [`OpStream`].
-//! - **The open-loop driver** — [`Dataset::drive_open_loop`] walks the
-//!   arrival timeline, sheds arrivals that find the virtual queue at
-//!   capacity (open-loop overload drops load instead of slowing the
-//!   arrival process — the deterministic analogue of
+//! - **The open-loop driver** — [`Dataset::drive_open_loop`] is the
+//!   multi-tenant driver ([`Dataset::drive_tenants`]) run with one
+//!   default tenant under FIFO: it walks the arrival timeline, sheds
+//!   arrivals that find the virtual queue at capacity (open-loop
+//!   overload drops load instead of slowing the arrival process — the
+//!   deterministic analogue of
 //!   [`SubmitMode::Fail`](super::SubmitMode::Fail) load shedding), and
 //!   aggregates per-operation [`OpReport`](super::OpReport)s into a
 //!   [`QosReport`]: achieved vs offered throughput, shed counts, a
@@ -41,14 +43,13 @@
 //! reproduced exactly — the property the QoS benches assert on.
 
 use super::stats::{LatencyByKind, LatencyStats};
+use super::tenant::{MultiTenantSpec, TenantId, TenantLoad, TenantSpec};
 use super::Dataset;
-use crate::engine::{EngineBackend, OpTrace, OpValue, StoreOp};
-use crate::obs::{LogHistogram, OpSpan};
+use crate::engine::{OpTrace, StoreOp};
 use crate::{ConfigError, Result};
 use sage_genomics::ReadSet;
-use sage_io::{IoConfig, Reactor, SchedPolicyKind};
+use sage_io::SchedPolicyKind;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Decorrelates the arrival-instant stream from the op stream: both
 /// derive from the one spec seed without sharing draws.
@@ -696,17 +697,13 @@ pub struct OpenLoopSpec {
     /// the open-loop analogue of
     /// [`SubmitMode::Fail`](super::SubmitMode::Fail).
     pub queue_depth: usize,
-    /// Reactor worker threads. Execution is serialized by the driver
-    /// for bit-determinism, so this only overlaps real decode work.
-    pub workers: usize,
     /// Seed deriving the arrival and op streams.
     pub seed: u64,
 }
 
 impl OpenLoopSpec {
     /// A spec with the default shape: `arrivals` over uniform 16-read
-    /// gets, 256 requests, a 64-deep virtual queue, one worker, seed
-    /// `0x5a6e`.
+    /// gets, 256 requests, a 64-deep virtual queue, seed `0x5a6e`.
     pub fn new(arrivals: Arrivals) -> OpenLoopSpec {
         OpenLoopSpec {
             arrivals,
@@ -714,7 +711,6 @@ impl OpenLoopSpec {
             mix: OpMix::gets(),
             requests: 256,
             queue_depth: 64,
-            workers: 1,
             seed: 0x5a6e,
         }
     }
@@ -730,9 +726,6 @@ impl OpenLoopSpec {
         self.mix.validate()?;
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
-        }
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroServerWorkers);
         }
         Ok(())
     }
@@ -911,10 +904,13 @@ impl Dataset {
     /// deterministic open-loop analogue of
     /// [`SubmitMode::Fail`](super::SubmitMode::Fail) load shedding.
     ///
-    /// The drive runs on its own reactor (its own virtual clock
-    /// starting at 0) and serializes execution, so a fixed
-    /// `(spec.seed, spec)` on an identically-prepared dataset (same
-    /// encode, cold cache) reproduces the [`QosReport`] bit-for-bit.
+    /// This is [`Dataset::drive_tenants`] with one default tenant
+    /// under [`SchedPolicyKind::Fifo`]: the drive runs on its own
+    /// single-worker reactor (its own virtual clock starting at 0), so
+    /// a fixed `(spec.seed, spec)` on an identically-prepared dataset
+    /// (same encode, cold cache) reproduces the [`QosReport`]
+    /// bit-for-bit on any host. On a tracing dataset the spans'
+    /// `token`s are arrival ordinals: shed arrivals leave gaps.
     ///
     /// ```
     /// use sage_store::client::DatasetBuilder;
@@ -943,165 +939,24 @@ impl Dataset {
     /// # Errors
     ///
     /// [`crate::StoreError::Config`] for an invalid spec; otherwise
-    /// the first operation error, if any operation fails.
+    /// the first operation error in arrival order, returned once the
+    /// whole drive has run.
     pub fn drive_open_loop(&self, spec: &OpenLoopSpec) -> Result<QosReport> {
+        // The spec's own check first, so a bad knob is reported in
+        // `OpenLoopSpec::validate`'s order, not the tenant spec's.
         spec.validate()?;
-        let engine = Arc::clone(self.engine());
-        let total = engine.total_reads();
-        // When appends are in the mix, the template is sampled before
-        // the drive's clock starts (warming the chunks it touches).
-        let append_template = if spec.mix.append > 0.0 && total > 0 {
-            engine.get(0..total.min(4))?
-        } else {
-            ReadSet::new()
+        let load = TenantLoad {
+            arrivals: spec.arrivals,
+            pattern: spec.pattern,
+            mix: spec.mix,
+            requests: spec.requests,
+            seed: spec.seed,
         };
-        let devices = engine.n_devices().max(1);
-        // On a tracing dataset each completed op also lands in the
-        // dataset's span buffer with its per-charge service windows
-        // (call `TraceBuffer::clear` between drives to keep runs
-        // separable). Interval recording is observation-only: the
-        // drive's timeline and report are bit-identical either way.
-        let trace_buf = self.trace();
-        let reactor = Reactor::start(
-            Arc::new(EngineBackend::new(engine)),
-            IoConfig {
-                workers: spec.workers,
-                queue_depth: spec.queue_depth,
-                devices,
-                record_intervals: trace_buf.is_some(),
-                policy: SchedPolicyKind::Fifo,
-            },
-        );
-        let cq = reactor.completions();
-
-        let mut arrivals = spec.arrivals.process();
-        let mut arrival_rng = WorkloadRng::new(spec.seed ^ ARRIVAL_STREAM);
-        let mut ops = OpStream::new(
-            &spec.pattern,
-            spec.mix,
-            spec.seed ^ OP_STREAM,
-            total,
-            append_template,
-        );
-
-        let mut clock = 0.0f64;
-        // Completion instants of admitted ops; entries ≤ the current
-        // arrival instant have drained from the virtual queue.
-        let mut inflight: Vec<f64> = Vec::with_capacity(spec.queue_depth);
-        let mut shed = 0u64;
-        let mut shed_rng = WorkloadRng::new(spec.seed ^ SHED_STREAM);
-        let mut shed_events: Vec<ShedEvent> = Vec::new();
-        let mut makespan = 0.0f64;
-        let mut latencies = Vec::with_capacity(spec.requests as usize);
-        let mut gets = OpKindStats::default();
-        let mut scans = OpKindStats::default();
-        let mut appends = OpKindStats::default();
-        // One latency histogram per kind, recorded in completion
-        // order; the run total is their merge fold.
-        let mut hists = [
-            LogHistogram::new(),
-            LogHistogram::new(),
-            LogHistogram::new(),
-        ];
-        let mut reads_served = 0u64;
-        let mut bases_served = 0u64;
-        for i in 0..spec.requests {
-            clock += arrivals.next_interarrival(&mut arrival_rng).max(0.0);
-            inflight.retain(|done| *done > clock);
-            if inflight.len() >= spec.queue_depth {
-                shed += 1;
-                shed_events.push(ShedEvent {
-                    kind: spec.mix.pick(&mut shed_rng),
-                    arrival_vt: clock,
-                    tenant: 0,
-                });
-                continue;
-            }
-            let (op, kind) = ops.next_op();
-            reactor.submit(op, i, clock).expect("live reactor");
-            // Lockstep harvest: dispatch order equals arrival order,
-            // which keeps the virtual timeline bit-deterministic for
-            // any worker count.
-            let cqe = cq.wait_any().expect("submitted op completes");
-            let latency = cqe.latency();
-            let (submitted_vt, started_vt, completed_vt) =
-                (cqe.submitted_vt, cqe.started_vt, cqe.completed_vt);
-            let (device, device_seconds, intervals) =
-                (cqe.device, cqe.device_seconds, cqe.intervals);
-            let (value, trace) = cqe.output?;
-            if let Some(buf) = &trace_buf {
-                buf.record(OpSpan {
-                    token: i,
-                    tenant: 0,
-                    kind: kind.label(),
-                    submitted_vt,
-                    started_vt,
-                    completed_vt,
-                    device,
-                    device_seconds,
-                    intervals,
-                    chunks_touched: trace.chunks_touched,
-                    cache_hits: trace.cache_hits,
-                    cache_misses: trace.cache_misses,
-                    device_ops: trace.device_ops,
-                    events: trace.events.clone(),
-                });
-            }
-            match kind {
-                OpKind::Get => gets.record(&trace),
-                OpKind::Scan => scans.record(&trace),
-                OpKind::Append => appends.record(&trace),
-            }
-            hists[kind as usize].record(latency);
-            if let (OpKind::Get, OpValue::Reads(rs)) = (kind, &value) {
-                reads_served += rs.len() as u64;
-                bases_served += rs.total_bases() as u64;
-            }
-            latencies.push(latency);
-            makespan = makespan.max(completed_vt);
-            inflight.push(completed_vt);
-        }
-        let snap = reactor.snapshot();
-        reactor.shutdown();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        let completed = latencies.len() as u64;
-        let latency_by_kind = LatencyByKind {
-            gets: LatencyStats::from_histogram(&hists[0]),
-            scans: LatencyStats::from_histogram(&hists[1]),
-            appends: LatencyStats::from_histogram(&hists[2]),
-        };
-        // Run total = merge fold of the per-kind histograms: bucket
-        // counts and extrema equal one histogram fed every latency.
-        let mut total_hist = hists[0].clone();
-        total_hist.merge(&hists[1]);
-        total_hist.merge(&hists[2]);
-        Ok(QosReport {
-            offered: spec.requests,
-            completed,
-            shed,
-            shed_events,
-            offered_rate: if clock > 0.0 {
-                spec.requests as f64 / clock
-            } else {
-                spec.arrivals.mean_rate()
-            },
-            achieved_rate: if makespan > 0.0 {
-                completed as f64 / makespan
-            } else {
-                0.0
-            },
-            makespan,
-            latency: LatencyStats::from_histogram(&total_hist),
-            latency_by_kind,
-            utilization: snap.utilization_over(makespan),
-            device_busy: snap.device_busy,
-            latencies,
-            gets,
-            scans,
-            appends,
-            reads_served,
-            bases_served,
-        })
+        let mut multi =
+            MultiTenantSpec::new(SchedPolicyKind::Fifo).tenant(TenantSpec::default(), load);
+        multi.queue_depth = spec.queue_depth;
+        let mut report = self.drive_tenants(&multi)?;
+        Ok(report.tenants.swap_remove(TenantId::DEFAULT.index()))
     }
 }
 
@@ -1274,9 +1129,6 @@ mod tests {
         let mut bad = good;
         bad.queue_depth = 0;
         assert_eq!(bad.validate(), Err(ConfigError::ZeroQueueDepth));
-        let mut bad = good;
-        bad.workers = 0;
-        assert_eq!(bad.validate(), Err(ConfigError::ZeroServerWorkers));
         // An invalid spec surfaces as a typed StoreError.
         let dataset = fleet_dataset(1);
         let mut spec = OpenLoopSpec::new(Arrivals::Poisson { rate: -1.0 });

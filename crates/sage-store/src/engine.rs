@@ -3,8 +3,8 @@
 //! [`StoreEngine`] is the shared-state core: an immutable-ish sharded
 //! container behind a `RwLock` (appends take the write lock), a
 //! pluggable cache of decoded chunks ([`CachePolicy`]), and optional
-//! device timing — either one [`SsdTiming`] device or a multi-SSD
-//! [`DeviceMap`] striping chunk extents across a fleet. Every method
+//! device timing — a [`DeviceMap`] striping chunk extents across a
+//! fleet of SSD models (a single SSD is a fleet of one). Every method
 //! takes `&self`, so one engine in an `Arc` serves any number of
 //! client threads.
 //!
@@ -36,12 +36,13 @@ use crate::codec::{order_preserving_compressor, ShardedStore};
 use crate::lru::{CachePolicy, CacheSnapshot, CacheStats, StripeSnapshot, StripedCache};
 use crate::manifest::ChunkMeta;
 use crate::obs::EngineEvent;
-use crate::timing::{SsdTiming, TimingSnapshot};
 use crate::view::{ReadView, RecordSlice};
 use crate::{parse_chunk, ConfigError, Result, StoreError};
 use sage_core::{CompressOptions, Extent, OutputFormat, SageDecompressor};
 use sage_genomics::{Read, ReadSet};
-use sage_io::{DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, IoBackend, Placement};
+use sage_io::{
+    ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, IoBackend, Placement,
+};
 use sage_ssd::SsdConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -88,7 +89,7 @@ pub struct EngineConfig {
     /// bit-identical to previous releases.
     pub coalesce_extents: bool,
     /// When set (and `ssds` is empty), chunk fetches and appends
-    /// charge this single device model.
+    /// charge this one device model — a fleet of one.
     pub ssd: Option<SsdConfig>,
     /// When non-empty, chunk extents are striped across this fleet.
     /// Setting both `ssd` and `ssds` is a [`ConfigError::DeviceConflict`]
@@ -171,7 +172,7 @@ impl EngineConfig {
         self
     }
 
-    /// Enables the single-device SSD timing mode.
+    /// Enables SSD timing on one device (a fleet of one).
     pub fn with_ssd(mut self, cfg: SsdConfig) -> EngineConfig {
         self.ssd = Some(cfg);
         self
@@ -239,123 +240,85 @@ impl EngineConfig {
     }
 }
 
-/// The device side of an engine: nothing, one timed device, or a
-/// striped fleet. (The single device sits behind an `Arc` so the
-/// timing state is built once per open and shared, not boxed fresh
-/// with an `SsdConfig` clone per construction site.)
-#[derive(Debug)]
-enum Devices {
-    Untimed,
-    Single(Arc<SsdTiming>),
-    Fleet(DeviceMap),
+/// Accumulated device-time accounting for one store, aggregated
+/// across its fleet.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TimingSnapshot {
+    /// Device seconds spent serving chunk reads (cache misses).
+    pub read_seconds: f64,
+    /// Device seconds spent writing appended chunks.
+    pub write_seconds: f64,
+    /// Chunk-read commands issued.
+    pub reads: u64,
+    /// Chunk-write commands issued.
+    pub writes: u64,
 }
 
-impl Devices {
-    fn open(cfg: &EngineConfig, store: &ShardedStore) -> Devices {
-        if !cfg.ssds.is_empty() {
-            let lens: Vec<usize> = store.manifest.chunks.iter().map(|c| c.extent.len).collect();
-            return Devices::Fleet(DeviceMap::place(&cfg.ssds, cfg.placement, &lens));
-        }
-        match &cfg.ssd {
-            Some(ssd) => Devices::Single(Arc::new(SsdTiming::new(ssd.clone(), store.blob.len()))),
-            None => Devices::Untimed,
-        }
+impl TimingSnapshot {
+    /// Total device seconds.
+    pub fn total_seconds(&self) -> f64 {
+        self.read_seconds + self.write_seconds
     }
+}
 
-    /// Charges the device commands for one operation's cache-missed
-    /// chunk fetches (`metas`, ascending chunk order). Per-chunk by
-    /// default — one `SAGe_Read` per missed chunk, byte-identical to
-    /// the historical timeline. With `coalesce`, **adjacent
-    /// same-device extents merge into single commands**: a sequential
-    /// scan that misses a run of chunks pays the fixed per-command
-    /// cost once per run and streams one long transfer instead of N
-    /// short ones. Returns one [`DeviceCharge`] per command actually
-    /// issued.
-    fn charge_reads(&self, metas: &[&ChunkMeta], coalesce: bool) -> Vec<DeviceCharge> {
-        match self {
-            Devices::Untimed => Vec::new(),
-            Devices::Single(t) => {
-                if !coalesce {
-                    return metas
-                        .iter()
-                        .map(|m| DeviceCharge {
-                            device: 0,
-                            seconds: t.charge_chunk_read(m.extent),
-                        })
-                        .collect();
+/// The device side of an engine: `None` when untimed, else the fleet
+/// the chunk extents are striped over. A single SSD is a fleet of one:
+/// chunks sit back to back in the blob from offset 0, so a one-device
+/// map's local extents *are* the blob extents.
+fn open_devices(cfg: &EngineConfig, store: &ShardedStore) -> Option<DeviceMap> {
+    let fleet = match &cfg.ssd {
+        Some(ssd) => std::slice::from_ref(ssd),
+        None => &cfg.ssds[..],
+    };
+    if fleet.is_empty() {
+        return None;
+    }
+    let lens: Vec<usize> = store.manifest.chunks.iter().map(|c| c.extent.len).collect();
+    Some(DeviceMap::place(fleet, cfg.placement, &lens))
+}
+
+/// The slot `map` placed chunk `id` in.
+fn slot_of(map: &DeviceMap, id: u32) -> ChunkSlot {
+    map.slot(id)
+        .unwrap_or_else(|| panic!("chunk {id} not placed on any device"))
+}
+
+/// Charges the device commands for one operation's cache-missed chunk
+/// fetches (`metas`, ascending chunk order). Per-chunk by default —
+/// one `SAGe_Read` per missed chunk, byte-identical to the historical
+/// timeline. With `coalesce`, **adjacent same-device extents merge
+/// into single commands**: a sequential scan that misses a run of
+/// chunks pays the fixed per-command cost once per run and streams one
+/// long transfer instead of N short ones. Returns one [`DeviceCharge`]
+/// per command actually issued.
+fn charge_reads(map: &DeviceMap, metas: &[&ChunkMeta], coalesce: bool) -> Vec<DeviceCharge> {
+    if !coalesce {
+        return metas.iter().map(|m| map.charge_chunk_read(m.id)).collect();
+    }
+    // One open run per device: round-robin placement lays a scan's
+    // same-device chunks contiguously in each device's local space, so
+    // runs survive interleaving across devices and only break at a
+    // cache hit (or a placement seam).
+    let mut open: Vec<Option<Extent>> = vec![None; map.n_devices()];
+    let mut out = Vec::new();
+    for m in metas {
+        let slot = slot_of(map, m.id);
+        match &mut open[slot.device] {
+            Some(r) if r.end() == slot.local.offset => r.len += slot.local.len,
+            o => {
+                if let Some(r) = o.take() {
+                    out.push(map.charge_extent_read(slot.device, r));
                 }
-                let mut out = Vec::new();
-                let mut run: Option<Extent> = None;
-                let flush = |run: &mut Option<Extent>, out: &mut Vec<DeviceCharge>| {
-                    if let Some(r) = run.take() {
-                        out.push(DeviceCharge {
-                            device: 0,
-                            seconds: t.charge_chunk_read(r),
-                        });
-                    }
-                };
-                for m in metas {
-                    match &mut run {
-                        // Chunks are laid back-to-back in the blob, so
-                        // a miss-run of consecutive chunks is one
-                        // contiguous extent; a cached chunk in between
-                        // breaks the run.
-                        Some(r) if r.end() == m.extent.offset => r.len += m.extent.len,
-                        _ => {
-                            flush(&mut run, &mut out);
-                            run = Some(m.extent);
-                        }
-                    }
-                }
-                flush(&mut run, &mut out);
-                out
-            }
-            Devices::Fleet(map) => {
-                if !coalesce {
-                    return metas.iter().map(|m| map.charge_chunk_read(m.id)).collect();
-                }
-                // One open run per device: round-robin placement lays
-                // a scan's same-device chunks contiguously in each
-                // device's local space, so runs survive interleaving
-                // across devices and only break at a cache hit (or a
-                // placement seam).
-                let mut open: Vec<Option<Extent>> = vec![None; map.n_devices()];
-                let mut out = Vec::new();
-                for m in metas {
-                    let slot = map
-                        .slot(m.id)
-                        .unwrap_or_else(|| panic!("chunk {} not placed on any device", m.id));
-                    match &mut open[slot.device] {
-                        Some(r) if r.end() == slot.local.offset => r.len += slot.local.len,
-                        o => {
-                            if let Some(r) = o.take() {
-                                out.push(map.charge_extent_read(slot.device, r));
-                            }
-                            *o = Some(slot.local);
-                        }
-                    }
-                }
-                for (device, run) in open.into_iter().enumerate() {
-                    if let Some(r) = run {
-                        out.push(map.charge_extent_read(device, r));
-                    }
-                }
-                out
+                *o = Some(slot.local);
             }
         }
     }
-
-    /// Charges one appended chunk (placing it, for a fleet).
-    fn charge_append(&self, new_blob_bytes: usize, chunk_bytes: usize) -> Option<DeviceCharge> {
-        match self {
-            Devices::Untimed => None,
-            Devices::Single(t) => Some(DeviceCharge {
-                device: 0,
-                seconds: t.charge_append(new_blob_bytes),
-            }),
-            Devices::Fleet(m) => Some(m.append_chunk(chunk_bytes)),
+    for (device, run) in open.into_iter().enumerate() {
+        if let Some(r) = run {
+            out.push(map.charge_extent_read(device, r));
         }
     }
+    out
 }
 
 /// One store operation — the typed request vocabulary shared by
@@ -533,7 +496,7 @@ pub struct StoreEngine {
     state: RwLock<StoreState>,
     cache: StripedCache,
     stats: CacheStats,
-    devices: Devices,
+    devices: Option<DeviceMap>,
     codec: CompressOptions,
     append_workers: usize,
     coalesce_extents: bool,
@@ -560,26 +523,20 @@ pub struct StoreEngine {
 /// Assembles the per-device container images for a real-bytes
 /// backend: one image per timed device holding its chunks at their
 /// device-local extents, or one whole-blob image when the engine is
-/// untimed or single-device (device-local offsets equal global blob
-/// offsets there).
-fn device_images(store: &ShardedStore, devices: &Devices) -> Vec<Vec<u8>> {
-    match devices {
-        Devices::Untimed | Devices::Single(_) => vec![store.blob.clone()],
-        Devices::Fleet(map) => {
-            let mut images: Vec<Vec<u8>> = vec![Vec::new(); map.n_devices()];
-            for meta in store.manifest.chunks.iter() {
-                let slot = map
-                    .slot(meta.id)
-                    .unwrap_or_else(|| panic!("chunk {} not placed on any device", meta.id));
-                // Chunks are placed in id order, so each device's
-                // local extents accumulate contiguously.
-                debug_assert_eq!(images[slot.device].len(), slot.local.offset);
-                images[slot.device]
-                    .extend_from_slice(&store.blob[meta.extent.offset..meta.extent.end()]);
-            }
-            images
-        }
+/// untimed.
+fn device_images(store: &ShardedStore, devices: Option<&DeviceMap>) -> Vec<Vec<u8>> {
+    let Some(map) = devices else {
+        return vec![store.blob.clone()];
+    };
+    let mut images: Vec<Vec<u8>> = vec![Vec::new(); map.n_devices()];
+    for meta in store.manifest.chunks.iter() {
+        let slot = slot_of(map, meta.id);
+        // Chunks are placed in id order, so each device's local
+        // extents accumulate contiguously.
+        debug_assert_eq!(images[slot.device].len(), slot.local.offset);
+        images[slot.device].extend_from_slice(&store.blob[meta.extent.offset..meta.extent.end()]);
     }
+    images
 }
 
 impl StoreEngine {
@@ -592,11 +549,11 @@ impl StoreEngine {
     /// both a single SSD and a fleet configured).
     pub fn try_open(store: ShardedStore, cfg: EngineConfig) -> Result<StoreEngine> {
         cfg.validate()?;
-        let devices = Devices::open(&cfg, &store);
+        let devices = open_devices(&cfg, &store);
         let file_store = match &cfg.backend {
             StoreBackend::Simulated => None,
             StoreBackend::File(dir) => {
-                let images = device_images(&store, &devices);
+                let images = device_images(&store, devices.as_ref());
                 let backend = FileBackend::open_or_create(dir, &images)
                     .map_err(|e| StoreError::Backend(format!("opening {}: {e}", dir.display())))?;
                 Some(Arc::new(backend))
@@ -650,13 +607,9 @@ impl StoreEngine {
     }
 
     /// Number of timed devices behind the engine (0 when timing is
-    /// off, 1 in single-device mode, fleet size otherwise).
+    /// off, the fleet size otherwise).
     pub fn n_devices(&self) -> usize {
-        match &self.devices {
-            Devices::Untimed => 0,
-            Devices::Single(_) => 1,
-            Devices::Fleet(m) => m.n_devices(),
-        }
+        self.devices.as_ref().map_or(0, DeviceMap::n_devices)
     }
 
     /// Cache counters (hits/misses/evictions aggregated across cache
@@ -716,47 +669,34 @@ impl StoreEngine {
     /// Accumulated device accounting, aggregated across the fleet
     /// (all zeros when timing is off).
     pub fn timing_snapshot(&self) -> TimingSnapshot {
-        match &self.devices {
-            Devices::Untimed => TimingSnapshot::default(),
-            Devices::Single(t) => t.snapshot(),
-            Devices::Fleet(m) => {
-                let mut agg = TimingSnapshot::default();
-                for s in m.snapshots() {
-                    agg.reads += s.reads;
-                    agg.writes += s.writes;
-                    agg.read_seconds += s.read_seconds;
-                    agg.write_seconds += s.write_seconds;
-                }
-                agg
-            }
+        let mut agg = TimingSnapshot::default();
+        for s in self.device_snapshots() {
+            agg.reads += s.reads;
+            agg.writes += s.writes;
+            agg.read_seconds += s.read_seconds;
+            agg.write_seconds += s.write_seconds;
         }
+        agg
     }
 
-    /// Per-device accounting (empty when timing is off; one entry in
-    /// single-device mode).
+    /// Per-device accounting (empty when timing is off).
     pub fn device_snapshots(&self) -> Vec<DeviceSnapshot> {
+        self.devices
+            .as_ref()
+            .map_or_else(Vec::new, DeviceMap::snapshots)
+    }
+
+    /// Where the real-bytes backend keeps chunk `id`: its device's
+    /// container and the offset in it. An untimed engine has one
+    /// container holding the whole blob, where `blob_offset` is the
+    /// chunk's place.
+    fn container_home(&self, id: u32, blob_offset: usize) -> (usize, u64) {
         match &self.devices {
-            Devices::Untimed => Vec::new(),
-            Devices::Single(t) => {
-                let s = t.snapshot();
-                // One guard for both fields: a concurrent append must
-                // not tear chunk count from blob length.
-                let (chunks, placed_bytes) = {
-                    let state = self.state.read().expect("state poisoned");
-                    (state.store.n_chunks(), state.store.blob.len())
-                };
-                vec![DeviceSnapshot {
-                    device: 0,
-                    name: t.device_name().to_string(),
-                    chunks,
-                    placed_bytes,
-                    reads: s.reads,
-                    writes: s.writes,
-                    read_seconds: s.read_seconds,
-                    write_seconds: s.write_seconds,
-                }]
+            Some(map) => {
+                let slot = slot_of(map, id);
+                (slot.device, slot.local.offset as u64)
             }
-            Devices::Fleet(m) => m.snapshots(),
+            None => (0, blob_offset as u64),
         }
     }
 
@@ -791,17 +731,7 @@ impl StoreEngine {
             Some(bytes) => bytes,
             None => {
                 let backend = self.file_store.as_ref().expect("file backend configured");
-                let (device, offset) = match &self.devices {
-                    Devices::Fleet(map) => {
-                        let slot = map
-                            .slot(chunk_id)
-                            .unwrap_or_else(|| panic!("chunk {chunk_id} not placed on any device"));
-                        (slot.device, slot.local.offset as u64)
-                    }
-                    // Untimed/single-device containers hold the whole
-                    // blob: local offsets equal global offsets.
-                    _ => (0, meta.extent.offset as u64),
-                };
+                let (device, offset) = self.container_home(chunk_id, meta.extent.offset);
                 backend
                     .read_extent(device, offset, meta.extent.len as u64)
                     .map_err(|e| {
@@ -1036,7 +966,9 @@ impl StoreEngine {
                 missed.push(meta);
             }
         }
-        trace.charges = self.devices.charge_reads(&missed, self.coalesce_extents);
+        if let Some(map) = &self.devices {
+            trace.charges = charge_reads(map, &missed, self.coalesce_extents);
+        }
         trace.device_ops = trace.charges.len() as u64;
         if self.tracing {
             trace
@@ -1284,26 +1216,18 @@ impl StoreEngine {
             let blob_offset = state.store.blob.len();
             state.store.splice_chunk(chunk.len() as u64, &bytes);
             trace.chunks_touched += 1;
-            trace.charges.extend(
-                self.devices
-                    .charge_append(state.store.blob.len(), bytes.len()),
-            );
+            // Charging the append places the chunk on its device.
+            trace
+                .charges
+                .extend(self.devices.as_ref().map(|m| m.append_chunk(bytes.len())));
             // Real-bytes backend: the appended chunk writes through to
-            // its owning device's container (the fleet's charge above
-            // placed it, so its device-local slot exists by now).
-            // Appends serialize on the state write lock, so container
-            // writes stay ordered with the splices they mirror.
+            // its owning device's container (placed just above, so its
+            // device-local slot exists by now). Appends serialize on
+            // the state write lock, so container writes stay ordered
+            // with the splices they mirror.
             if let Some(backend) = &self.file_store {
-                let (device, offset) = match &self.devices {
-                    Devices::Fleet(map) => {
-                        let id = (state.store.n_chunks() - 1) as u32;
-                        let slot = map
-                            .slot(id)
-                            .unwrap_or_else(|| panic!("appended chunk {id} not placed"));
-                        (slot.device, slot.local.offset as u64)
-                    }
-                    _ => (0, blob_offset as u64),
-                };
+                let id = (state.store.n_chunks() - 1) as u32;
+                let (device, offset) = self.container_home(id, blob_offset);
                 backend.write_at(device, offset, &bytes).map_err(|e| {
                     StoreError::Backend(format!("append write on device {device}: {e}"))
                 })?;
@@ -1535,6 +1459,45 @@ mod tests {
         let warm = engine.timing_snapshot();
         assert_eq!(warm.reads, 1);
         assert!((warm.read_seconds - cold.read_seconds).abs() < 1e-18);
+    }
+
+    #[test]
+    fn single_ssd_is_a_fleet_of_one() {
+        let reads = simulate_dataset(&DatasetProfile::tiny_short(), 6).reads;
+        let store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
+        let extra = ReadSet::from_reads(reads.reads()[..20].to_vec());
+        for coalesce in [false, true] {
+            let observe = |cfg: EngineConfig| {
+                let engine = StoreEngine::open(
+                    store.clone(),
+                    cfg.with_cache_chunks(2).with_extent_coalescing(coalesce),
+                );
+                let n = engine.total_reads();
+                let charges: Vec<Vec<(usize, u64)>> = [
+                    StoreOp::Get(5..n - 5),
+                    StoreOp::Scan(Box::new(|_| true)),
+                    StoreOp::Append(extra.clone()),
+                    StoreOp::Get(n..n + 20),
+                ]
+                .into_iter()
+                .map(|op| {
+                    let (_, trace) = engine.run_op(op).unwrap();
+                    assert_eq!(trace.device_ops as usize, trace.charges.len());
+                    trace
+                        .charges
+                        .iter()
+                        .map(|c| (c.device, c.seconds.to_bits()))
+                        .collect()
+                })
+                .collect();
+                (charges, engine.device_snapshots(), engine.n_devices())
+            };
+            let single = observe(EngineConfig::default().with_ssd(SsdConfig::pcie()));
+            let fleet = observe(EngineConfig::default().with_ssd_fleet(vec![SsdConfig::pcie()]));
+            assert!(single.0.iter().all(|op| !op.is_empty()));
+            assert_eq!(single, fleet, "coalescing {coalesce}");
+            assert_eq!(single.2, 1);
+        }
     }
 
     #[test]

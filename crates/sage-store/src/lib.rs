@@ -26,7 +26,13 @@
 //!   resolve to **zero-copy** [`ReadView`]s ([`view`]) over the
 //!   cached chunks, and adjacent same-device extents of one
 //!   operation's misses can **coalesce** into single device commands
-//!   ([`EngineConfig::with_extent_coalescing`]);
+//!   ([`EngineConfig::with_extent_coalescing`]). Device timing is
+//!   one shape: chunk extents striped over a fleet of SSD models via
+//!   [`sage_io::DeviceMap`] ([`EngineConfig::with_ssd_fleet`]; a
+//!   single SSD, [`EngineConfig::with_ssd`], is a fleet of one), each
+//!   cache miss charging its device a [`sage_ssd::SsdModel`] extent
+//!   read with per-device accounting, so the store doubles as an
+//!   end-to-end storage scenario;
 //! - [`client`] — **the serving front end**: a [`DatasetBuilder`]
 //!   folds codec, engine, and server knobs into one validated
 //!   configuration and produces a [`Dataset`]; [`Session`]s on it
@@ -50,13 +56,7 @@
 //!   ([`obs::analysis::LatencyBlame`]), windowed bottleneck timelines
 //!   ([`obs::analysis::BlameReport`]), tail forensics, and
 //!   deterministic SLO burn-rate monitors
-//!   ([`obs::analysis::SloSpec`]);
-//! - [`timing`] — SSD-backed timing: a single device maps the blob
-//!   onto [`sage_ssd::SageLayout`] pages and charges
-//!   [`sage_ssd::SsdModel`] latencies per chunk fetch, or a fleet
-//!   ([`EngineConfig::with_ssd_fleet`]) stripes chunk extents across N
-//!   devices via [`sage_io::DeviceMap`] with per-device accounting, so
-//!   the store doubles as an end-to-end storage scenario.
+//!   ([`obs::analysis::SloSpec`]).
 //!
 //! ## Quickstart
 //!
@@ -81,7 +81,6 @@ pub mod engine;
 pub mod lru;
 pub mod manifest;
 pub mod obs;
-pub mod timing;
 pub mod view;
 
 pub use client::workload::{OpenLoopSpec, QosReport, ShedEvent};
@@ -93,6 +92,7 @@ pub use client::{
 pub use codec::{decode_all, encode_sharded, ShardedStore, StoreOptions};
 pub use engine::{
     DecodeStats, EngineBackend, EngineConfig, OpTrace, OpValue, StoreBackend, StoreEngine, StoreOp,
+    TimingSnapshot,
 };
 pub use lru::{
     CachePolicy, CacheSnapshot, CacheStats, ChunkCache, ClockCache, LruCache, SegmentedLruCache,
@@ -103,7 +103,6 @@ pub use obs::{
     EngineEvent, LogHistogram, MetricValue, MetricsRecorder, MetricsSnapshot, OpSpan, Replay,
     TraceBuffer, WindowSeries,
 };
-pub use timing::{SsdTiming, TimingSnapshot};
 pub use view::{ReadView, RecordSlice};
 
 // The store's multi-device and queueing vocabulary comes from the I/O

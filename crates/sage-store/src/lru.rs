@@ -1,5 +1,5 @@
-//! Chunk caches (LRU and segmented-LRU) with exported hit/miss
-//! statistics.
+//! Chunk caches (LRU, segmented LRU, CLOCK and 2Q) with exported
+//! hit/miss statistics.
 //!
 //! Decoding a chunk costs a mapper-scale amount of CPU (and, in the
 //! SSD timing mode, a device read); the engine keeps the most recently
@@ -7,8 +7,8 @@
 //! chunks: chunk population is fixed at encode time, so chunk count is
 //! a faithful proxy for memory.
 //!
-//! Three eviction policies implement the [`ChunkCache`] trait (the
-//! ROADMAP's eviction-policy ablation grows here):
+//! Four eviction policies implement the [`ChunkCache`] trait (the
+//! `cache_ablation` bench compares them):
 //!
 //! - [`LruCache`] — plain least-recently-used.
 //! - [`SegmentedLruCache`] — SLRU: new chunks enter a *probationary*

@@ -289,10 +289,10 @@ impl TraceBuffer {
         st.dropped = 0;
     }
 
-    /// A copy of the held spans, in recording order. For drives
-    /// that serialize execution (the open-loop driver, and the
-    /// closed-loop driver at `workers == 1`) recording order equals
-    /// dispatch order, which is what [`replay`] requires.
+    /// A copy of the held spans, in recording order. For the
+    /// open-loop and closed-loop drives (FIFO on one reactor worker)
+    /// recording order equals dispatch order, which is what [`replay`]
+    /// requires.
     pub fn spans(&self) -> Vec<OpSpan> {
         self.lock().spans.iter().cloned().collect()
     }

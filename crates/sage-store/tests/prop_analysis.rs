@@ -219,7 +219,6 @@ proptest! {
         let spec = ClosedLoopSpec {
             clients,
             requests: 48,
-            workers: 1,
         };
         let ds = fresh_dataset(seed, devices, 0, true);
         let total = ds.total_reads();

@@ -127,7 +127,6 @@ proptest! {
         let spec = ClosedLoopSpec {
             clients,
             requests: 48,
-            workers: 1,
         };
         let plain_ds = fresh_dataset(seed, devices, 0, false);
         let total = plain_ds.total_reads();

@@ -93,7 +93,6 @@ fn deeper_closed_loops_trade_latency_for_throughput() {
                 &ClosedLoopSpec {
                     clients: depth,
                     requests: 48,
-                    workers: 1,
                 },
                 |c, i| {
                     let start = ((c + depth as u64 * i) * 17) % n;
