@@ -534,3 +534,72 @@ fn truncated_quality_stream_is_corrupt_not_garbage() {
         }
     }
 }
+
+/// FNV-1a (64-bit) continued over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn stored_bytes_are_pinned() {
+    // Every byte the encoder stores, folded per data set. The constants
+    // were recorded from the encoder as it stood before the ingest-path
+    // rewrite (one sampling pass per read, flat overlap index, DP early
+    // returns); an encoder change that moves one of them changed what
+    // the format holds and needs a `container::VERSION` bump, not a
+    // re-pin.
+    let whole = |profile: &DatasetProfile, store_order: bool| {
+        let ds = simulate_dataset(profile, 2026);
+        let archive = SageCompressor::new()
+            .with_store_order(store_order)
+            .compress(&ds.reads)
+            .unwrap();
+        fnv1a(FNV_OFFSET, &archive.to_bytes())
+    };
+    // The benchmark's two chunk shapes: 256 short reads, 8 long reads.
+    let chunked = |profile: &DatasetProfile, n_reads: usize, per_chunk: usize| {
+        let mut reads = simulate_dataset(profile, 2026).reads;
+        reads.reads_mut().truncate(n_reads);
+        assert_eq!(reads.len(), n_reads);
+        SageCompressor::new()
+            .with_store_order(true)
+            .compress_chunked(&reads, per_chunk)
+            .unwrap()
+            .iter()
+            .fold(FNV_OFFSET, |h, a| fnv1a(h, &a.to_bytes()))
+    };
+    let got = [
+        ("tiny_short", whole(&DatasetProfile::tiny_short(), false)),
+        (
+            "tiny_short+order",
+            whole(&DatasetProfile::tiny_short(), true),
+        ),
+        ("tiny_long", whole(&DatasetProfile::tiny_long(), false)),
+        ("tiny_long+order", whole(&DatasetProfile::tiny_long(), true)),
+        (
+            "rs2x0.25, 8 chunks of 256",
+            chunked(&DatasetProfile::rs2().scaled(0.25), 2_048, 256),
+        ),
+        (
+            "rs4, 16 chunks of 8",
+            chunked(&DatasetProfile::rs4(), 16 * 8, 8),
+        ),
+    ];
+    let pinned = [
+        ("tiny_short", 0x3e37_2ba2_93f9_c276u64),
+        ("tiny_short+order", 0xbc6b_df06_c7f8_bc97),
+        ("tiny_long", 0xcf6c_c14b_1b7d_297a),
+        ("tiny_long+order", 0x0ec9_cec4_ed6e_3c65),
+        ("rs2x0.25, 8 chunks of 256", 0x16f8_8704_2c30_4ee5),
+        ("rs4, 16 chunks of 8", 0x7420_2a9f_9a2c_4541),
+    ];
+    assert_eq!(
+        got.map(|(name, h)| (name, format!("{h:016x}"))),
+        pinned.map(|(name, h)| (name, format!("{h:016x}")))
+    );
+}
