@@ -15,11 +15,30 @@
 //! approximate — it inherits sequencing errors from the reads that
 //! built it — which is fine: reads are stored as *mismatches against
 //! it*, so any imperfection only costs a few extra mismatch records.
+//!
+//! What is kept, and for how long. The builder works from the
+//! mapper's `SampledReads`: every read masked, in both orientations,
+//! each orientation's minimizers sampled once. From those lists it builds
+//! the read-overlap index (flat: one sorted vector plus a bucket
+//! directory, see `OverlapIndex`), tests containment against the
+//! consensus index with both of a read's lists, and starts each contig's
+//! tail from its seed read's own list — the tail of a one-read contig
+//! *is* that read. Only a contig that grew is sampled again. The
+//! compressor passes the same `SampledReads` on to the mapper, so no
+//! read is sampled twice in one orientation during one encode.
+//!
+//! Ties. Every choice the builder makes is a function of the reads and
+//! their order, never of a hash map's layout or a sort's stability by
+//! luck: an index run lists a hash's hits in the order the reads
+//! produced them (read by read, forward before reverse, by position)
+//! and serves the first `MAX_OCC`; extension candidates are tried by
+//! descending vote count and then by the full `(read, rev, offset / 8)`
+//! key; the first candidate that verifies wins.
 
-use crate::mapper::minimizer::{minimizers, Minimizer, MinimizerIndex};
-use crate::mapper::{mask_n, revcomp};
+use crate::mapper::minimizer::{minimizers_into, Minimizer, MinimizerIndex};
+use crate::mapper::{mask_n, SampledReads};
 use sage_genomics::{Base, DnaSeq, ReadSet};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// How the consensus is obtained.
 #[derive(Debug, Clone, Default)]
@@ -72,101 +91,50 @@ pub struct Consensus {
 /// Builds the consensus according to `mode`.
 pub fn build_consensus(reads: &ReadSet, mode: &ConsensusMode, cfg: &ConsensusConfig) -> Consensus {
     match mode {
-        ConsensusMode::Reference(reference) => {
-            let masked = DnaSeq::from_bases(mask_n(reference.as_slice()));
-            let index = MinimizerIndex::build(masked.as_slice(), cfg.k, cfg.w);
-            Consensus { seq: masked, index }
-        }
+        ConsensusMode::Reference(reference) => reference_consensus(reference, cfg),
         ConsensusMode::DeNovo => build_denovo(reads, cfg),
     }
 }
 
-/// One entry of the read-overlap index: which read, which orientation,
-/// and the minimizer's position in the oriented read.
-#[derive(Debug, Clone, Copy)]
-struct ReadHit {
-    read: u32,
-    rev: bool,
-    pos: u32,
+/// The given reference, `N`-masked and indexed.
+pub(crate) fn reference_consensus(reference: &DnaSeq, cfg: &ConsensusConfig) -> Consensus {
+    let masked = DnaSeq::from_bases(mask_n(reference.as_slice()));
+    let index = MinimizerIndex::build(masked.as_slice(), cfg.k, cfg.w);
+    Consensus { seq: masked, index }
 }
 
 /// Greedy pseudo-genome assembly from the reads.
 pub fn build_denovo(reads: &ReadSet, cfg: &ConsensusConfig) -> Consensus {
-    let n = reads.len();
-    // Oriented (masked) reads are materialized lazily; minimizers of
-    // both orientations go into the overlap index up-front.
-    let masked: Vec<Vec<Base>> = reads.iter().map(|r| mask_n(r.seq.as_slice())).collect();
-    let mut read_index: HashMap<u64, Vec<ReadHit>> = HashMap::new();
-    const MAX_OCC: usize = 64;
-    let mut fwd_mins: Vec<Vec<Minimizer>> = Vec::with_capacity(n);
-    for (i, m) in masked.iter().enumerate() {
-        let fwd = minimizers(m, cfg.k, cfg.w);
-        let rc = revcomp(m);
-        for (mins, rev) in [(&fwd, false), (&minimizers(&rc, cfg.k, cfg.w), true)] {
-            for mz in mins.iter() {
-                let list = read_index.entry(mz.hash).or_default();
-                if list.len() < MAX_OCC {
-                    list.push(ReadHit {
-                        read: i as u32,
-                        rev,
-                        pos: mz.pos,
-                    });
-                }
-            }
-        }
-        fwd_mins.push(fwd);
-    }
+    denovo_consensus(&SampledReads::from_reads(reads.reads(), cfg.k, cfg.w), cfg)
+}
 
+/// [`build_denovo`] over reads that are already masked and sampled
+/// (with `cfg.k` / `cfg.w`): the compressor samples once and hands the
+/// same lists to the mapper afterwards.
+pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> Consensus {
+    let mut asm = Assembler::new(reads, cfg);
     let mut consensus: Vec<Base> = Vec::new();
     let mut index = MinimizerIndex::new(cfg.k, cfg.w);
-    let mut used = vec![false; n];
-    for seed in 0..n {
-        if used[seed] || masked[seed].len() < cfg.k {
+    for seed in 0..reads.len() {
+        let read = reads.get(seed);
+        if asm.used[seed] || read.fwd.len() < cfg.k {
             continue;
         }
+        asm.used[seed] = true;
         // Contained in the consensus built so far? Skip (dedup).
-        if is_contained(&fwd_mins[seed], &masked[seed], &index, cfg) {
-            used[seed] = true;
+        if is_contained(read.fwd_mins, read.rc_mins, &index, cfg) {
             continue;
         }
         // Seed a contig and extend it greedily in both directions.
-        let mut contig: Vec<Base> = masked[seed].clone();
-        used[seed] = true;
-        while let Some((read, rev, overlap)) =
-            best_extension(&contig, &read_index, &masked, &used, cfg)
-        {
-            used[read as usize] = true;
-            let oriented = if rev {
-                revcomp(&masked[read as usize])
-            } else {
-                masked[read as usize].clone()
-            };
-            if overlap >= oriented.len() {
-                continue; // contained read: consumed, no growth
-            }
-            contig.extend_from_slice(&oriented[overlap..]);
-        }
+        let mut contig: Vec<Base> = read.fwd.to_vec();
+        let grew = asm.extend_right(&mut contig, Some(read.fwd_mins));
         // Leftward: extend the reverse complement rightwards, then flip
-        // back (reuses the same tail machinery).
-        let mut flipped = revcomp(&contig);
-        while let Some((read, rev, overlap)) =
-            best_extension(&flipped, &read_index, &masked, &used, cfg)
-        {
-            used[read as usize] = true;
-            // The hit's orientation is already relative to the
-            // sequence being extended (the flipped contig).
-            let oriented = if rev {
-                revcomp(&masked[read as usize])
-            } else {
-                masked[read as usize].clone()
-            };
-            if overlap >= oriented.len() {
-                continue;
-            }
-            flipped.extend_from_slice(&oriented[overlap..]);
-        }
-        let contig = revcomp(&flipped);
-        consensus.extend_from_slice(&contig);
+        // back (reuses the same tail machinery). A contig that is still
+        // the seed read flips into the read's other orientation, whose
+        // minimizers are at hand too.
+        let mut flipped: Vec<Base> = contig.iter().rev().map(|b| b.complement()).collect();
+        asm.extend_right(&mut flipped, (!grew).then_some(read.rc_mins));
+        consensus.extend(flipped.iter().rev().map(|b| b.complement()));
         index.extend(&consensus);
     }
     Consensus {
@@ -175,111 +143,265 @@ pub fn build_denovo(reads: &ReadSet, cfg: &ConsensusConfig) -> Consensus {
     }
 }
 
-/// Checks whether enough of a read's minimizers hit the consensus
-/// index (containment/duplication test).
+/// Checks whether enough of a read's minimizers — in the better of its
+/// two orientations — hit the consensus index (containment/duplication
+/// test).
 fn is_contained(
-    mins: &[Minimizer],
-    read: &[Base],
+    fwd_mins: &[Minimizer],
+    rc_mins: &[Minimizer],
     index: &MinimizerIndex,
     cfg: &ConsensusConfig,
 ) -> bool {
-    if index.is_empty() || mins.is_empty() {
+    if index.is_empty() || fwd_mins.is_empty() {
         return false;
     }
-    let fwd_hits = mins
-        .iter()
-        .filter(|m| !index.lookup(m.hash).is_empty())
-        .count();
-    let rc = revcomp(read);
-    let rev_hits = minimizers(&rc, index.k(), index.w())
-        .iter()
-        .filter(|m| !index.lookup(m.hash).is_empty())
-        .count();
-    let best = fwd_hits.max(rev_hits) as f64;
-    best >= cfg.min_hit_fraction * mins.len().max(1) as f64
+    let hits = |mins: &[Minimizer]| {
+        mins.iter()
+            .filter(|m| !index.lookup(m.hash).is_empty())
+            .count()
+    };
+    let best = hits(fwd_mins).max(hits(rc_mins)) as f64;
+    best >= cfg.min_hit_fraction * fwd_mins.len() as f64
 }
 
-/// Finds the unused read whose (oriented) prefix best overlaps the
-/// contig tail, returning `(read, rev, overlap_len)`.
-fn best_extension(
-    contig: &[Base],
-    read_index: &HashMap<u64, Vec<ReadHit>>,
-    masked: &[Vec<Base>],
-    used: &[bool],
-    cfg: &ConsensusConfig,
-) -> Option<(u32, bool, usize)> {
-    // Scan the tail for minimizers and vote per (read, rev, offset):
-    // offset = where the oriented read would start in contig coords.
-    let tail_window = 2 * masked
-        .iter()
-        .map(|m| m.len())
-        .max()
-        .unwrap_or(0)
-        .min(30_000);
-    let tail_start = contig
-        .len()
-        .saturating_sub(tail_window.max(4 * cfg.min_overlap));
-    let tail = &contig[tail_start..];
-    let mut votes: HashMap<(u32, bool, i64), usize> = HashMap::new();
-    for mz in minimizers(tail, 15.min(tail.len().max(4)), 8) {
-        let abs_pos = tail_start as i64 + i64::from(mz.pos);
-        if let Some(hits) = read_index.get(&mz.hash) {
-            for h in hits {
-                if used[h.read as usize] {
+/// One entry of the read-overlap index: which read, which orientation,
+/// and the minimizer's position in the oriented read.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReadHit {
+    read: u32,
+    rev: bool,
+    pos: u32,
+}
+
+/// Minimizer hash → the reads (either orientation) that carry it, flat:
+/// one vector of `(hash, hit)` sorted by hash, and a directory from a
+/// hash's top bits to where its bucket starts. Hashes are uniform, so a
+/// bucket holds about one entry and a probe is one directory read plus
+/// a scan of a few entries; building is a counting sort, linear in the
+/// number of minimizers.
+struct OverlapIndex {
+    hits: Vec<(u64, ReadHit)>,
+    /// `hits[bucket_starts[b]..bucket_starts[b + 1]]` are the entries
+    /// whose hash starts with the bits `b`.
+    bucket_starts: Vec<u32>,
+    /// `hash >> shift` is the hash's bucket.
+    shift: u32,
+}
+
+impl OverlapIndex {
+    /// Hits served per hash (overly repetitive seeds say nothing about
+    /// overlap).
+    const MAX_OCC: usize = 64;
+
+    fn build(reads: &SampledReads) -> OverlapIndex {
+        // In generation order: read by read, forward list then reverse
+        // list, each by position.
+        let generated = || {
+            (0..reads.len()).flat_map(move |i| {
+                let read = reads.get(i);
+                [(read.fwd_mins, false), (read.rc_mins, true)]
+                    .into_iter()
+                    .flat_map(move |(mins, rev)| {
+                        mins.iter().map(move |mz| {
+                            let hit = ReadHit {
+                                read: i as u32,
+                                rev,
+                                pos: mz.pos,
+                            };
+                            (mz.hash, hit)
+                        })
+                    })
+            })
+        };
+        let n = reads.n_minimizers();
+        assert!(u32::try_from(n).is_ok(), "more than 2^32 minimizers");
+        let bits = n.next_power_of_two().trailing_zeros().max(1);
+        let shift = 64 - bits;
+        // Count per bucket, turn counts into starts, then place every
+        // entry at its bucket's next free slot — which keeps generation
+        // order inside a bucket.
+        let mut bucket_starts = vec![0u32; (1usize << bits) + 1];
+        for (hash, _) in generated() {
+            bucket_starts[(hash >> shift) as usize + 1] += 1;
+        }
+        for b in 1..bucket_starts.len() {
+            bucket_starts[b] += bucket_starts[b - 1];
+        }
+        let mut next = bucket_starts.clone();
+        let mut hits = vec![(0u64, ReadHit::default()); n];
+        for (hash, hit) in generated() {
+            let slot = &mut next[(hash >> shift) as usize];
+            hits[*slot as usize] = (hash, hit);
+            *slot += 1;
+        }
+        // A bucket's few entries, by hash; the sort is stable, so each
+        // hash's run still lists its hits oldest first.
+        for b in bucket_starts.windows(2) {
+            hits[b[0] as usize..b[1] as usize].sort_by_key(|&(hash, _)| hash);
+        }
+        OverlapIndex {
+            hits,
+            bucket_starts,
+            shift,
+        }
+    }
+
+    /// The first [`Self::MAX_OCC`] hits of `hash`, in generation order.
+    fn lookup(&self, hash: u64) -> &[(u64, ReadHit)] {
+        let b = (hash >> self.shift) as usize;
+        let bucket = &self.hits[self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize];
+        let start = bucket.partition_point(|&(h, _)| h < hash);
+        let len = bucket[start..]
+            .iter()
+            .take(Self::MAX_OCC)
+            .take_while(|&&(h, _)| h == hash)
+            .count();
+        &bucket[start..start + len]
+    }
+}
+
+/// A vote's key: `(read, rev, offset / 8)`, where the offset is where
+/// the oriented read would start in contig coordinates.
+type Diagonal = (u32, bool, i64);
+
+/// Contig extension over one read set: the overlap index, which reads
+/// are placed, and buffers that live as long as the assembly so that
+/// the ~2 extension attempts per read allocate nothing.
+struct Assembler<'a> {
+    reads: &'a SampledReads,
+    cfg: &'a ConsensusConfig,
+    overlaps: OverlapIndex,
+    /// How much of a contig's end is searched for overlaps.
+    tail_len: usize,
+    /// Reads already placed (as a seed, an extension, or contained).
+    used: Vec<bool>,
+    /// Minimizers of the current contig's tail, positions relative to
+    /// the tail's start.
+    tail_mins: Vec<Minimizer>,
+    votes: Vec<Diagonal>,
+    candidates: Vec<(Reverse<usize>, Diagonal)>,
+}
+
+impl<'a> Assembler<'a> {
+    fn new(reads: &'a SampledReads, cfg: &'a ConsensusConfig) -> Assembler<'a> {
+        let tail_window = 2 * reads.max_len().min(30_000);
+        Assembler {
+            reads,
+            cfg,
+            overlaps: OverlapIndex::build(reads),
+            tail_len: tail_window.max(4 * cfg.min_overlap),
+            used: vec![false; reads.len()],
+            tail_mins: Vec::new(),
+            votes: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Extends `contig` to the right with unused reads whose (oriented)
+    /// prefixes overlap its tail, until none does; returns whether it
+    /// grew. `contig_mins` are the minimizers of the whole `contig` as
+    /// passed in, when the caller has them: a tail that is the whole
+    /// contig is not sampled again.
+    fn extend_right(&mut self, contig: &mut Vec<Base>, contig_mins: Option<&[Minimizer]>) -> bool {
+        let mut tail_start = contig.len().saturating_sub(self.tail_len);
+        match contig_mins {
+            Some(mins) if tail_start == 0 => {
+                self.tail_mins.clear();
+                self.tail_mins.extend_from_slice(mins);
+            }
+            _ => self.sample_tail(contig, tail_start),
+        }
+        let mut grew = false;
+        while let Some((read, rev, overlap)) = self.best_extension(contig, tail_start) {
+            self.used[read as usize] = true;
+            let oriented = self.reads.get(read as usize).oriented(rev);
+            if overlap >= oriented.len() {
+                continue; // contained read: consumed, no growth, same tail
+            }
+            contig.extend_from_slice(&oriented[overlap..]);
+            grew = true;
+            tail_start = contig.len().saturating_sub(self.tail_len);
+            self.sample_tail(contig, tail_start);
+        }
+        grew
+    }
+
+    fn sample_tail(&mut self, contig: &[Base], tail_start: usize) {
+        self.tail_mins.clear();
+        minimizers_into(
+            &contig[tail_start..],
+            self.cfg.k,
+            self.cfg.w,
+            &mut self.tail_mins,
+        );
+    }
+
+    /// Finds the unused read whose (oriented) prefix best overlaps the
+    /// contig tail (sampled in `tail_mins`), returning
+    /// `(read, rev, overlap_len)`.
+    fn best_extension(&mut self, contig: &[Base], tail_start: usize) -> Option<(u32, bool, usize)> {
+        let cfg = self.cfg;
+        // Vote per (read, rev, offset): offset = where the oriented
+        // read would start in contig coords.
+        self.votes.clear();
+        for mz in &self.tail_mins {
+            let abs_pos = tail_start as i64 + i64::from(mz.pos);
+            for (_, h) in self.overlaps.lookup(mz.hash) {
+                if self.used[h.read as usize] {
                     continue;
                 }
                 let offset = abs_pos - i64::from(h.pos);
                 // Quantize the offset so indel drift still buckets
                 // votes together.
-                *votes.entry((h.read, h.rev, offset / 8)).or_default() += 1;
+                self.votes.push((h.read, h.rev, offset / 8));
             }
         }
+        // Count by sorting: equal keys become runs.
+        self.votes.sort_unstable();
+        self.candidates.clear();
+        for run in self.votes.chunk_by(|a, b| a == b) {
+            if run.len() >= cfg.min_shared_minimizers {
+                self.candidates.push((Reverse(run.len()), run[0]));
+            }
+        }
+        // Examine candidates by descending vote count; accept the first
+        // whose overlap *verifies* (≥ 80 % base identity at the best exact
+        // offset near the voted diagonal).
+        // The full key makes the order — and with it the consensus and
+        // every stored byte — a function of the reads alone: equal vote
+        // counts are common, and the first verified wins.
+        self.candidates.sort_unstable();
+        for &(_, (read, rev, qoffset)) in &self.candidates {
+            let oriented = self.reads.get(read as usize).oriented(rev);
+            let read_len = oriented.len();
+            // Search the exact junction around the quantized diagonal.
+            let center = qoffset * 8;
+            let mut best_off: Option<(usize, usize, usize)> = None; // (off, matches, cmp_len)
+            for off in (center - 9)..=(center + 9) {
+                if off < 0 || off as usize + cfg.min_overlap > contig.len() {
+                    continue;
+                }
+                let off = off as usize;
+                let overlap = contig.len() - off;
+                let cmp_len = overlap.min(read_len);
+                let matches = contig[off..off + cmp_len]
+                    .iter()
+                    .zip(&oriented[..cmp_len])
+                    .filter(|(a, b)| a == b)
+                    .count();
+                if best_off.is_none_or(|(_, m, _)| matches > m) {
+                    best_off = Some((off, matches, cmp_len));
+                }
+            }
+            if let Some((off, matches, cmp_len)) = best_off {
+                if cmp_len >= cfg.min_overlap && matches * 5 >= cmp_len * 4 {
+                    let overlap = (contig.len() - off).min(read_len);
+                    return Some((read, rev, overlap));
+                }
+            }
+        }
+        None
     }
-    // Examine candidates by descending vote count; accept the first
-    // whose overlap *verifies* (≥ 80 % base identity at the best exact
-    // offset near the voted diagonal).
-    // The full key makes the order — and with it the consensus and
-    // every stored byte — independent of `HashMap` iteration order:
-    // equal vote counts are common, and the first verified wins.
-    let mut candidates: Vec<((u32, bool, i64), usize)> = votes.into_iter().collect();
-    candidates.sort_unstable_by_key(|&(key, votes)| (std::cmp::Reverse(votes), key));
-    for ((read, rev, qoffset), v) in candidates {
-        if v < cfg.min_shared_minimizers {
-            break; // sorted: the rest have fewer votes
-        }
-        let read_len = masked[read as usize].len();
-        let oriented = if rev {
-            revcomp(&masked[read as usize])
-        } else {
-            masked[read as usize].clone()
-        };
-        // Search the exact junction around the quantized diagonal.
-        let center = qoffset * 8;
-        let mut best_off: Option<(usize, usize, usize)> = None; // (off, matches, cmp_len)
-        for off in (center - 9)..=(center + 9) {
-            if off < 0 || off as usize + cfg.min_overlap > contig.len() {
-                continue;
-            }
-            let off = off as usize;
-            let overlap = contig.len() - off;
-            let cmp_len = overlap.min(read_len);
-            let matches = contig[off..off + cmp_len]
-                .iter()
-                .zip(&oriented[..cmp_len])
-                .filter(|(a, b)| a == b)
-                .count();
-            if best_off.is_none_or(|(_, m, _)| matches > m) {
-                best_off = Some((off, matches, cmp_len));
-            }
-        }
-        if let Some((off, matches, cmp_len)) = best_off {
-            if cmp_len >= cfg.min_overlap && matches * 5 >= cmp_len * 4 {
-                let overlap = (contig.len() - off).min(read_len);
-                return Some((read, rev, overlap));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -316,6 +438,52 @@ mod tests {
         );
         assert!(cons.seq.len() >= genome / 2);
         assert!(cons.seq.len() * 2 < ds.reads.total_bases());
+    }
+
+    #[test]
+    fn denovo_extends_contigs_at_non_default_k() {
+        // The contig tail used to be sampled with a hard-coded k = 15,
+        // w = 8 while the overlap index was built with the configured
+        // values: at any other k no tail hash ever met the index, no
+        // contig grew, and the consensus came out as the de-duplicated
+        // reads laid end to end (11 607 bases at k = 13 and 12 239 at
+        // k = 17 for this 8 000-base genome; 8 017 at k = 15).
+        use crate::{CompressOptions, MapperConfig, SageCompressor, SageDecompressor};
+        let ds = simulate_dataset(&DatasetProfile::tiny_short(), 11);
+        let genome = ds.profile.genome_len;
+        for k in [13, 17] {
+            let cfg = ConsensusConfig {
+                k,
+                ..ConsensusConfig::default()
+            };
+            let cons = build_denovo(&ds.reads, &cfg);
+            assert!(
+                cons.seq.len() * 4 <= genome * 5,
+                "k = {k}: consensus {} vs genome {genome}",
+                cons.seq.len()
+            );
+            let opts = CompressOptions {
+                mapper: MapperConfig {
+                    k,
+                    ..MapperConfig::default()
+                },
+                store_order: true,
+                ..CompressOptions::default()
+            };
+            let archive = SageCompressor::with_options(opts)
+                .compress(&ds.reads)
+                .unwrap();
+            assert_eq!(archive.header.consensus_len as usize, cons.seq.len());
+            let back = SageDecompressor::default().decompress(&archive).unwrap();
+            assert!(
+                back.len() == ds.reads.len()
+                    && back
+                        .iter()
+                        .zip(ds.reads.iter())
+                        .all(|(a, b)| a.seq == b.seq && a.qual == b.qual),
+                "k = {k}: round trip"
+            );
+        }
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! arrays plus the separate quality stream.
 
 use crate::bitio::BitWriter;
-use crate::consensus::{build_consensus, Consensus, ConsensusConfig, ConsensusMode};
+use crate::consensus::{
+    denovo_consensus, reference_consensus, Consensus, ConsensusConfig, ConsensusMode,
+};
 use crate::container::{ArchiveHeader, SageArchive, Stream, Streams};
 use crate::error::{Result, SageError};
-use crate::mapper::{mask_n, Mapper, MapperConfig};
+use crate::mapper::{Mapper, MapperConfig, SampledReads};
 use crate::quality::compress_qualities;
 use crate::tuning::{tune_bit_widths, tune_value_classes, DEFAULT_EPSILON};
 use sage_genomics::packed::Packed2;
-use sage_genomics::{bits_needed, Alignment, Base, Edit, ReadSet};
+use sage_genomics::{bits_needed, Alignment, Base, Edit, Read, ReadSet};
 use std::time::Instant;
 
 /// Per-component bit accounting of the mismatch information — the data
@@ -229,7 +231,17 @@ impl SageCompressor {
     /// Fails when a format limit is exceeded (consensus or reads longer
     /// than 2³² bases).
     pub fn compress(&self, reads: &ReadSet) -> Result<SageArchive> {
-        self.compress_detailed(reads).map(|(a, _)| a)
+        self.compress_reads(reads.reads())
+    }
+
+    /// [`compress`](Self::compress) for reads the caller holds as a
+    /// slice (one chunk of a larger set, say) — nothing is cloned.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`compress`](Self::compress).
+    pub fn compress_reads(&self, reads: &[Read]) -> Result<SageArchive> {
+        self.encode(reads).map(|(a, _)| a)
     }
 
     /// Compresses a read set, also returning detailed statistics.
@@ -238,33 +250,50 @@ impl SageCompressor {
     ///
     /// Same as [`compress`](Self::compress).
     pub fn compress_detailed(&self, reads: &ReadSet) -> Result<(SageArchive, CompressionStats)> {
+        self.encode(reads.reads())
+    }
+
+    fn encode(&self, reads: &[Read]) -> Result<(SageArchive, CompressionStats)> {
         let t_find = Instant::now();
+        if reads.iter().any(|r| r.len() as u64 >= (1 << 32)) {
+            return Err(SageError::Limit("read exceeds 2^32 bases".into()));
+        }
+        let (sampled, consensus, alignments) = self.find_mismatches(reads);
+        if consensus.seq.len() as u64 >= (1 << 32) {
+            return Err(SageError::Limit("consensus exceeds 2^32 bases".into()));
+        }
+        let find_mismatch_secs = t_find.elapsed().as_secs_f64();
+
+        let t_enc = Instant::now();
+        let (archive, mut stats) = self.encode_streams(reads, &sampled, &consensus, &alignments)?;
+        stats.find_mismatch_secs = find_mismatch_secs;
+        stats.encode_secs = t_enc.elapsed().as_secs_f64();
+        Ok((archive, stats))
+    }
+
+    /// Builds the consensus and maps every read to it. Each read is
+    /// masked and sampled once, up front; the consensus builder and the
+    /// mapper both work from those lists.
+    fn find_mismatches(&self, reads: &[Read]) -> (SampledReads, Consensus, Vec<Alignment>) {
         let ccfg = ConsensusConfig {
             k: self.opts.mapper.k,
             w: self.opts.mapper.w,
             ..ConsensusConfig::default()
         };
-        let consensus = build_consensus(reads, &self.opts.consensus, &ccfg);
-        if consensus.seq.len() as u64 >= (1 << 32) {
-            return Err(SageError::Limit("consensus exceeds 2^32 bases".into()));
-        }
-        if reads.max_read_len() as u64 >= (1 << 32) {
-            return Err(SageError::Limit("read exceeds 2^32 bases".into()));
-        }
+        let sampled = SampledReads::from_reads(reads, ccfg.k, ccfg.w);
+        let consensus = match &self.opts.consensus {
+            ConsensusMode::Reference(reference) => reference_consensus(reference, &ccfg),
+            ConsensusMode::DeNovo => denovo_consensus(&sampled, &ccfg),
+        };
         let mapper = Mapper::new(
             consensus.seq.as_slice(),
             &consensus.index,
             self.opts.mapper.clone(),
         );
-        let masked: Vec<Vec<Base>> = reads.iter().map(|r| mask_n(r.seq.as_slice())).collect();
-        let alignments: Vec<Alignment> = masked.iter().map(|m| mapper.map(m)).collect();
-        let find_mismatch_secs = t_find.elapsed().as_secs_f64();
-
-        let t_enc = Instant::now();
-        let (archive, mut stats) = self.encode_streams(reads, &consensus, &alignments)?;
-        stats.find_mismatch_secs = find_mismatch_secs;
-        stats.encode_secs = t_enc.elapsed().as_secs_f64();
-        Ok((archive, stats))
+        let alignments = (0..sampled.len())
+            .map(|i| mapper.map_sampled(sampled.get(i)))
+            .collect();
+        (sampled, consensus, alignments)
     }
 
     /// Compresses a read set into fixed-population chunks: every
@@ -297,7 +326,7 @@ impl SageCompressor {
         reads
             .reads()
             .chunks(reads_per_chunk)
-            .map(|chunk| self.compress(&ReadSet::from_reads(chunk.to_vec())))
+            .map(|chunk| self.compress_reads(chunk))
             .collect()
     }
 
@@ -305,27 +334,14 @@ impl SageCompressor {
     /// used by the dataset-property harnesses (Fig. 7 / Fig. 10) and
     /// the ablation accounting.
     pub fn analyze(&self, reads: &ReadSet) -> Result<(Consensus, Vec<Alignment>)> {
-        let ccfg = ConsensusConfig {
-            k: self.opts.mapper.k,
-            w: self.opts.mapper.w,
-            ..ConsensusConfig::default()
-        };
-        let consensus = build_consensus(reads, &self.opts.consensus, &ccfg);
-        let mapper = Mapper::new(
-            consensus.seq.as_slice(),
-            &consensus.index,
-            self.opts.mapper.clone(),
-        );
-        let alignments: Vec<Alignment> = reads
-            .iter()
-            .map(|r| mapper.map(&mask_n(r.seq.as_slice())))
-            .collect();
+        let (_, consensus, alignments) = self.find_mismatches(reads.reads());
         Ok((consensus, alignments))
     }
 
     fn encode_streams(
         &self,
-        reads: &ReadSet,
+        reads: &[Read],
+        sampled: &SampledReads,
         consensus: &Consensus,
         alignments: &[Alignment],
     ) -> Result<(SageArchive, CompressionStats)> {
@@ -336,10 +352,12 @@ impl SageCompressor {
         order.sort_by_key(|&i| (alignments[i].sort_key(), i));
         let n_mapped = alignments.iter().filter(|a| !a.is_unmapped()).count() as u64;
 
+        let first_len = reads.first().map_or(0, |r| r.len());
         let fixed_len = reads
-            .is_fixed_length()
-            .then(|| reads.reads().first().map_or(0, |r| r.len() as u32));
-        let max_read_len = reads.max_read_len() as u32;
+            .iter()
+            .all(|r| r.len() == first_len)
+            .then_some(first_len as u32);
+        let max_read_len = sampled.max_len() as u32;
 
         // Corner info per read: N positions (mapped reads only — raw
         // reads carry theirs inline) and clips (already in alignments).
@@ -370,7 +388,7 @@ impl SageCompressor {
         for &i in &order {
             let a = &alignments[i];
             if fixed_len.is_none() {
-                mump(&mut len_hist, bits_needed(reads.reads()[i].len() as u64));
+                mump(&mut len_hist, bits_needed(reads[i].len() as u64));
             }
             if a.is_unmapped() {
                 continue;
@@ -444,7 +462,7 @@ impl SageCompressor {
         let mut prev_pos = 0u64;
         for &i in &order {
             let a = &alignments[i];
-            let read_len = reads.reads()[i].len();
+            let read_len = reads[i].len();
             if header.store_order {
                 let s0 = w.total_bits();
                 w.order.write_bits(i as u64, order_bits);
@@ -467,7 +485,7 @@ impl SageCompressor {
                         w.raw.write_bits(u64::from(p), len_bits);
                     }
                 }
-                for b in mask_n(reads.reads()[i].seq.as_slice()) {
+                for b in sampled.get(i).fwd {
                     w.raw.write_bits(u64::from(b.code2()), 2);
                 }
                 bd.unmapped += w.total_bits() - s0;
@@ -590,7 +608,7 @@ impl SageCompressor {
             compress_qualities(
                 order
                     .iter()
-                    .map(|&i| reads.reads()[i].qual.as_deref().unwrap_or(&[])),
+                    .map(|&i| reads[i].qual.as_deref().unwrap_or(&[])),
             )
         } else {
             Vec::new()
@@ -615,9 +633,12 @@ impl SageCompressor {
             streams,
         };
         let stats = CompressionStats {
-            uncompressed_dna_bytes: reads.total_bases() as u64,
+            uncompressed_dna_bytes: reads.iter().map(|r| r.len() as u64).sum(),
             compressed_dna_bytes: archive.dna_bytes() as u64,
-            uncompressed_quality_bytes: reads.total_quality_bytes() as u64,
+            uncompressed_quality_bytes: reads
+                .iter()
+                .map(|r| r.qual.as_ref().map_or(0, |q| q.len() as u64))
+                .sum(),
             compressed_quality_bytes: archive.quality_bytes() as u64,
             breakdown: bd,
             find_mismatch_secs: 0.0,

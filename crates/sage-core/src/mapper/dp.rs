@@ -9,6 +9,15 @@
 //!   read prefix leftwards from the first anchor);
 //! - [`align_free_end`] — the consensus end is free (extending a read
 //!   suffix rightwards from the last anchor).
+//!
+//! Most stretches a mapper hands over *equal* the consensus they are
+//! pinned to (a short read with one error has one stretch that does
+//! not), so each kernel first compares the read with the pinned
+//! consensus stretch and, when they are equal, returns all-[`Op::Match`]
+//! at cost 0 without building a matrix. That is what the matrix gives
+//! on such input — cost 0 is the unique optimum and the traceback tries
+//! the diagonal first — so the early return changes no alignment.
+//! Nothing is carried from one call to the next.
 
 use sage_genomics::Base;
 
@@ -39,6 +48,19 @@ pub struct AlignmentOps {
     pub cons_end: usize,
 }
 
+impl AlignmentOps {
+    /// `n` matches against the consensus from `cons_start`: the
+    /// alignment of a read stretch equal to the consensus under it.
+    fn all_match(n: usize, cons_start: usize) -> AlignmentOps {
+        AlignmentOps {
+            ops: vec![Op::Match; n],
+            cost: 0,
+            cons_start,
+            cons_end: cons_start + n,
+        }
+    }
+}
+
 const INF: u32 = u32::MAX / 2;
 
 /// Globally aligns `read` against `cons` (both fully consumed) with a
@@ -51,12 +73,24 @@ pub fn align_global(
     band: usize,
     max_cells: usize,
 ) -> Option<AlignmentOps> {
-    let n = read.len();
-    let m = cons.len();
-    let band = band.max(n.abs_diff(m) + 2);
-    if n.saturating_mul(2 * band + 1) > max_cells {
+    let band = band.max(read.len().abs_diff(cons.len()) + 2);
+    if read.len().saturating_mul(2 * band + 1) > max_cells {
         return None;
     }
+    // Only past the budget check: a stretch over budget is `None` (the
+    // mapper then stores it as a deletion run plus an insertion run)
+    // whether or not it happens to equal the consensus.
+    if read == cons {
+        return Some(AlignmentOps::all_match(read.len(), 0));
+    }
+    global_matrix(read, cons, band)
+}
+
+/// [`align_global`]'s banded matrix and traceback; `band` is already
+/// widened to the length difference and within the cell budget.
+fn global_matrix(read: &[Base], cons: &[Base], band: usize) -> Option<AlignmentOps> {
+    let n = read.len();
+    let m = cons.len();
     // Row i covers consensus columns [lo(i), hi(i)].
     let center = |i: usize| (i * m).checked_div(n).unwrap_or(0);
     let lo = |i: usize| center(i).saturating_sub(band);
@@ -135,6 +169,14 @@ pub fn align_global(
 /// read prefix leftwards from its first anchor. Unbanded — callers pass
 /// small windows.
 pub fn align_free_start(read: &[Base], cons: &[Base]) -> AlignmentOps {
+    if cons.ends_with(read) {
+        return AlignmentOps::all_match(read.len(), cons.len() - read.len());
+    }
+    free_start_matrix(read, cons)
+}
+
+/// [`align_free_start`]'s matrix and traceback.
+fn free_start_matrix(read: &[Base], cons: &[Base]) -> AlignmentOps {
     let n = read.len();
     let m = cons.len();
     let w = m + 1;
@@ -189,6 +231,14 @@ pub fn align_free_start(read: &[Base], cons: &[Base]) -> AlignmentOps {
 /// rightwards from its last anchor. Unbanded — callers pass small
 /// windows.
 pub fn align_free_end(read: &[Base], cons: &[Base]) -> AlignmentOps {
+    if cons.starts_with(read) {
+        return AlignmentOps::all_match(read.len(), 0);
+    }
+    free_end_matrix(read, cons)
+}
+
+/// [`align_free_end`]'s matrix and traceback.
+fn free_end_matrix(read: &[Base], cons: &[Base]) -> AlignmentOps {
     let n = read.len();
     let m = cons.len();
     let w = m + 1;
@@ -327,6 +377,52 @@ mod tests {
     fn cell_budget_respected() {
         let read = s("ACGTACGTACGTACGTACGT");
         assert!(align_global(&read, &read, 64, 10).is_none());
+    }
+
+    #[test]
+    fn early_returns_equal_the_matrix_paths() {
+        // Inputs that take each kernel's early return — equal, the read
+        // a suffix / a prefix of the window, an empty read — get from
+        // it exactly what the matrix and its traceback produce.
+        let window = s("TTGACCATGCAGGTTACGATCGGATTACA");
+        let window = window.as_slice();
+        for len in 0..=window.len() {
+            let suffix = &window[window.len() - len..];
+            let prefix = &window[..len];
+            assert_eq!(
+                align_global(prefix, prefix, 4, 1 << 20),
+                global_matrix(prefix, prefix, 4),
+                "global, {len} bases"
+            );
+            assert_eq!(
+                align_free_start(suffix, window),
+                free_start_matrix(suffix, window),
+                "free start, {len} bases"
+            );
+            assert_eq!(
+                align_free_end(prefix, window),
+                free_end_matrix(prefix, window),
+                "free end, {len} bases"
+            );
+        }
+        // A repeat: the read matches the window at several offsets, and
+        // the pinned end decides which one the matrix takes.
+        let repeat = s("ACACACACACACACAC");
+        let repeat = repeat.as_slice();
+        for len in 0..=repeat.len() {
+            let (suffix, prefix) = (&repeat[repeat.len() - len..], &repeat[..len]);
+            assert_eq!(
+                align_free_start(suffix, repeat),
+                free_start_matrix(suffix, repeat)
+            );
+            assert_eq!(
+                align_free_end(prefix, repeat),
+                free_end_matrix(prefix, repeat)
+            );
+        }
+        let full = align_free_end(window, window);
+        assert_eq!((full.cost, full.cons_start, full.cons_end), (0, 0, 29));
+        assert!(full.ops.iter().all(|&o| o == Op::Match));
     }
 
     #[test]

@@ -5,9 +5,21 @@
 //! standard minimizer scheme: the smallest (by an invertible hash)
 //! k-mer in every w-long window is sampled, giving a sparse set of
 //! anchors that still guarantees windows of agreement are found.
+//!
+//! The tie rule: when several k-mers of a window share the smallest
+//! hash, the **rightmost** is the window's minimizer. Every consumer
+//! (the read-overlap index, the consensus index, the mapper's anchors)
+//! sees positions chosen by that rule, so it is part of what the
+//! encoder stores; [`minimizers_into`] documents how the one-pass
+//! sampler keeps it. The sampler holds nothing between calls — callers
+//! that sample many sequences pass their own output buffer — and the
+//! index maps keyed by these hashes do not run them through SipHash a
+//! second time (`PremixedMap`): [`splitmix64`] has already mixed every
+//! bit.
 
 use sage_genomics::Base;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, Hasher};
 
 /// Default k-mer length.
 pub const DEFAULT_K: usize = 15;
@@ -24,6 +36,65 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// `BuildHasher` for maps keyed by a minimizer hash. The key is a
+/// [`splitmix64`] output, every bit of it already mixed, so hashing it
+/// again with SipHash buys nothing for honest input. [`splitmix64`] is
+/// invertible, though, and reads come from outside: to keep crafted
+/// k-mers from piling into one bucket, the key is multiplied by an odd
+/// number drawn per map (multiply-shift hashing) — a multiplication, not
+/// a second hash.
+#[derive(Debug, Clone)]
+pub(crate) struct PremixedState {
+    multiplier: u64,
+}
+
+impl Default for PremixedState {
+    fn default() -> PremixedState {
+        PremixedState {
+            multiplier: RandomState::new().hash_one(0u8) | 1,
+        }
+    }
+}
+
+impl BuildHasher for PremixedState {
+    type Hasher = PremixedHasher;
+
+    fn build_hasher(&self) -> PremixedHasher {
+        PremixedHasher {
+            multiplier: self.multiplier,
+            hash: 0,
+        }
+    }
+}
+
+/// See [`PremixedState`].
+#[derive(Debug)]
+pub(crate) struct PremixedHasher {
+    multiplier: u64,
+    hash: u64,
+}
+
+impl Hasher for PremixedHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are minimizer hashes (u64)");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // The product's high half is the well-distributed one; the map
+        // takes its bucket from the low bits.
+        let product = key.wrapping_mul(self.multiplier);
+        self.hash = product ^ (product >> 32);
+    }
+}
+
+/// A map keyed by minimizer hash. Only ever probed by key: its layout,
+/// which differs from map to map, cannot reach the encoder's output.
+pub(crate) type PremixedMap<V> = HashMap<u64, V, PremixedState>;
+
 /// A sampled minimizer: hash plus position of the k-mer's first base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Minimizer {
@@ -38,44 +109,78 @@ pub struct Minimizer {
 ///
 /// Returns an empty vector when `seq.len() < k`.
 pub fn minimizers(seq: &[Base], k: usize, w: usize) -> Vec<Minimizer> {
+    let mut out = Vec::new();
+    minimizers_into(seq, k, w, &mut out);
+    out
+}
+
+/// Appends the minimizers of `seq` to `out` — [`minimizers`] for callers
+/// that sample many sequences and keep one buffer.
+///
+/// One pass: the k-mer and its hash roll forward a base at a time, and
+/// the last `w` hashes sit in a ring. The window minimum is carried
+/// from one window to the next and the ring is rescanned only when the
+/// minimum has left the window. Among equal hashes the **rightmost**
+/// wins, in the carried comparison (`<=`) and in the rescan alike.
+/// A window is emitted once it is `w` k-mers wide — or, for a sequence
+/// of fewer than `w` k-mers, once, at its end — and a minimizer that
+/// stays the minimum of consecutive windows is emitted once.
+pub fn minimizers_into(seq: &[Base], k: usize, w: usize, out: &mut Vec<Minimizer>) {
     assert!((4..=31).contains(&k), "k must be in 4..=31");
     assert!(w >= 1, "window must be at least 1");
     if seq.len() < k {
-        return Vec::new();
+        return;
     }
     let mask = (1u64 << (2 * k)) - 1;
     let n_kmers = seq.len() - k + 1;
-    let mut hashes = Vec::with_capacity(n_kmers);
+    out.reserve(n_kmers / w * 2 + 2);
+    let first = out.len();
+    // Windows are at most 64 k-mers wide almost everywhere (the default
+    // is 8): keep the ring off the heap then.
+    let mut stack_ring = [0u64; 64];
+    let mut heap_ring = Vec::new();
+    let ring: &mut [u64] = if w <= stack_ring.len() {
+        &mut stack_ring[..w]
+    } else {
+        heap_ring.resize(w, 0);
+        &mut heap_ring
+    };
     let mut kmer = 0u64;
-    for (i, &b) in seq.iter().enumerate() {
-        kmer = ((kmer << 2) | u64::from(b.code2())) & mask;
-        if i + 1 >= k {
-            hashes.push(splitmix64(kmer));
-        }
+    for &b in &seq[..k - 1] {
+        kmer = (kmer << 2) | u64::from(b.code2());
     }
-    // Monotone deque over windows of size w.
-    let mut out: Vec<Minimizer> = Vec::with_capacity(n_kmers / w * 2 + 2);
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    for i in 0..hashes.len() {
-        while deque.back().is_some_and(|&j| hashes[j] >= hashes[i]) {
-            deque.pop_back();
-        }
-        deque.push_back(i);
-        let win_start = (i + 1).saturating_sub(w);
-        while deque.front().is_some_and(|&j| j < win_start) {
-            deque.pop_front();
-        }
-        if i + 1 >= w || i + 1 == hashes.len() {
-            let &j = deque.front().expect("window never empty");
-            if out.last().is_none_or(|m| m.pos != j as u32) {
-                out.push(Minimizer {
-                    hash: hashes[j],
-                    pos: j as u32,
-                });
+    // The window minimum: k-mer index and hash.
+    let (mut min_i, mut min_hash) = (0usize, u64::MAX);
+    // `slot == i % w`, without the division.
+    let mut slot = 0usize;
+    for (i, &b) in seq[k - 1..].iter().enumerate() {
+        kmer = ((kmer << 2) | u64::from(b.code2())) & mask;
+        let hash = splitmix64(kmer);
+        ring[slot] = hash;
+        slot = if slot + 1 == w { 0 } else { slot + 1 };
+        if hash <= min_hash {
+            (min_i, min_hash) = (i, hash);
+        } else if min_i + w <= i {
+            // The minimum fell out of [i + 1 - w, i]: rescan it, oldest
+            // first, so that of equal hashes the newest is kept.
+            min_hash = u64::MAX;
+            let mut s = slot;
+            for j in i + 1 - w..=i {
+                if ring[s] <= min_hash {
+                    (min_i, min_hash) = (j, ring[s]);
+                }
+                s = if s + 1 == w { 0 } else { s + 1 };
             }
         }
+        if (i + 1 >= w || i + 1 == n_kmers)
+            && out[first..].last().is_none_or(|m| m.pos != min_i as u32)
+        {
+            out.push(Minimizer {
+                hash: min_hash,
+                pos: min_i as u32,
+            });
+        }
     }
-    out
 }
 
 /// A hash → positions index over the consensus, supporting incremental
@@ -88,10 +193,28 @@ pub struct MinimizerIndex {
     /// frozen (overly repetitive seeds are useless for anchoring).
     /// Only ever probed by key, never iterated, so the map's hash order
     /// cannot reach the encoder's output.
-    map: HashMap<u64, Vec<u32>>,
+    map: PremixedMap<Positions>,
     max_occ: usize,
     /// Sequence length already indexed.
     indexed_len: usize,
+}
+
+/// The ascending positions of one hash. Nearly every hash of a
+/// consensus occurs once, and that one position lives in the map entry
+/// itself; only a repeated hash gets a heap list.
+#[derive(Debug, Clone)]
+enum Positions {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Positions {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Positions::One(p) => std::slice::from_ref(p),
+            Positions::Many(list) => list,
+        }
+    }
 }
 
 impl MinimizerIndex {
@@ -100,7 +223,7 @@ impl MinimizerIndex {
         MinimizerIndex {
             k,
             w,
-            map: HashMap::new(),
+            map: PremixedMap::default(),
             max_occ: 128,
             indexed_len: 0,
         }
@@ -147,9 +270,22 @@ impl MinimizerIndex {
             if pos < new_from {
                 continue;
             }
-            let list = self.map.entry(m.hash).or_default();
-            if list.len() < self.max_occ && list.last().is_none_or(|&p| (p as usize) < pos) {
-                list.push(pos as u32);
+            let pos = pos as u32;
+            match self.map.entry(m.hash) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Positions::One(pos));
+                }
+                Entry::Occupied(mut slot) => match slot.get_mut() {
+                    Positions::One(first) if *first < pos => {
+                        *slot.get_mut() = Positions::Many(vec![*first, pos]);
+                    }
+                    Positions::Many(list)
+                        if list.len() < self.max_occ && list.last().is_some_and(|&p| p < pos) =>
+                    {
+                        list.push(pos);
+                    }
+                    _ => {}
+                },
             }
         }
         self.indexed_len = seq.len();
@@ -157,7 +293,7 @@ impl MinimizerIndex {
 
     /// Looks up the consensus positions of a minimizer hash.
     pub fn lookup(&self, hash: u64) -> &[u32] {
-        self.map.get(&hash).map_or(&[], |v| v.as_slice())
+        self.map.get(&hash).map_or(&[], Positions::as_slice)
     }
 
     /// Number of distinct minimizer hashes.
@@ -188,6 +324,87 @@ mod tests {
                 Base::ACGT[(x % 4) as usize]
             })
             .collect()
+    }
+
+    /// The sampler this module had before the rolling one: every hash
+    /// in a vector, a monotone deque over it. Kept as the oracle.
+    fn minimizers_by_deque(seq: &[Base], k: usize, w: usize) -> Vec<Minimizer> {
+        if seq.len() < k {
+            return Vec::new();
+        }
+        let mask = (1u64 << (2 * k)) - 1;
+        let mut hashes = Vec::new();
+        let mut kmer = 0u64;
+        for (i, &b) in seq.iter().enumerate() {
+            kmer = ((kmer << 2) | u64::from(b.code2())) & mask;
+            if i + 1 >= k {
+                hashes.push(splitmix64(kmer));
+            }
+        }
+        let mut out: Vec<Minimizer> = Vec::new();
+        let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+        for i in 0..hashes.len() {
+            while deque.back().is_some_and(|&j| hashes[j] >= hashes[i]) {
+                deque.pop_back();
+            }
+            deque.push_back(i);
+            let win_start = (i + 1).saturating_sub(w);
+            while deque.front().is_some_and(|&j| j < win_start) {
+                deque.pop_front();
+            }
+            if i + 1 >= w || i + 1 == hashes.len() {
+                let &j = deque.front().expect("window never empty");
+                if out.last().is_none_or(|m| m.pos != j as u32) {
+                    out.push(Minimizer {
+                        hash: hashes[j],
+                        pos: j as u32,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rolling_sampler_equals_the_deque_sampler() {
+        // Every (k, w), lengths around each boundary (`len < k`,
+        // `len < k + w`) and up to 400, on random sequences and on
+        // low-complexity ones, where k-mers repeat inside a window and
+        // the rightmost-smallest rule decides.
+        let mut x = 0x5a6e_u64;
+        let mut next = |bound: usize| {
+            x = splitmix64(x);
+            (x % bound as u64) as usize
+        };
+        let mut buf = vec![Minimizer { hash: 7, pos: 7 }];
+        for k in 4..=31usize {
+            for w in 1..=40usize {
+                let mut lens = vec![0, k - 1, k, k + 1, k + w - 2, k + w - 1, k + w, 399];
+                lens.extend((0..4).map(|_| next(400)));
+                for len in lens {
+                    let unit = 1 + next(4);
+                    let seqs: [Vec<Base>; 4] = [
+                        (0..len).map(|_| Base::ACGT[next(4)]).collect(),
+                        vec![Base::ACGT[next(4)]; len],
+                        // Short tandem repeat of period 1..=4.
+                        (0..len).map(|i| Base::ACGT[i % unit]).collect(),
+                        // Two letters: repeated k-mers at small k.
+                        (0..len).map(|_| Base::ACGT[next(2)]).collect(),
+                    ];
+                    for seq in &seqs {
+                        let want = minimizers_by_deque(seq, k, w);
+                        assert_eq!(minimizers(seq, k, w), want, "k {k} w {w} len {len}");
+                        // Appending leaves what the buffer held alone,
+                        // and de-duplicates against this call's own
+                        // output only.
+                        buf.truncate(1);
+                        minimizers_into(seq, k, w, &mut buf);
+                        assert_eq!(buf[0], Minimizer { hash: 7, pos: 7 });
+                        assert_eq!(buf[1..], want[..], "k {k} w {w} len {len}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

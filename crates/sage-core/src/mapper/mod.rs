@@ -18,13 +18,20 @@
 //! Every produced alignment is *verified* by reconstruction before
 //! being returned, so a mapper imperfection can never break
 //! losslessness — the read simply falls back to unmapped/raw storage.
+//!
+//! Step 1 does not sample a read the compressor has already sampled:
+//! the whole read's two minimizer lists (forward and reverse
+//! complement) and its reverse complement arrive with it from the
+//! consensus stage (`SampledReads`). [`Mapper::map`] prepares the same
+//! thing for a lone read and takes the same path; only the pieces of a
+//! split read (step 4) are sampled here.
 
 pub mod dp;
 pub mod minimizer;
 
 use dp::{align_free_end, align_free_start, align_global, Op};
-use minimizer::{minimizers, MinimizerIndex};
-use sage_genomics::{Alignment, Base, Edit, Segment};
+use minimizer::{minimizers_into, Minimizer, MinimizerIndex};
+use sage_genomics::{Alignment, Base, Edit, Read, Segment};
 
 /// Tuning knobs for the mapper.
 #[derive(Debug, Clone)]
@@ -74,9 +81,147 @@ pub fn revcomp(seq: &[Base]) -> Vec<Base> {
 /// Replaces `N` with `A` (2-bit masking; SAGe restores `N` positions
 /// from corner-case records).
 pub fn mask_n(seq: &[Base]) -> Vec<Base> {
-    seq.iter()
-        .map(|&b| if b.is_n() { Base::A } else { b })
-        .collect()
+    seq.iter().map(|&b| masked(b)).collect()
+}
+
+fn masked(b: Base) -> Base {
+    if b.is_n() {
+        Base::A
+    } else {
+        b
+    }
+}
+
+/// A read set prepared for the encoder's two mismatch-finding stages:
+/// every read `N`-masked, in both orientations, with each orientation's
+/// minimizers — each computed once. The consensus builder indexes and
+/// probes the lists, the mapper then chains the same lists against the
+/// finished consensus, and the stream writer stores an unmapped read's
+/// masked bases from here.
+///
+/// Flat: all forward bases in one vector, all reverse complements in
+/// another, all minimizers in a third, so preparing a chunk costs a
+/// handful of allocations, not four per read.
+#[derive(Debug)]
+pub(crate) struct SampledReads {
+    k: usize,
+    w: usize,
+    fwd: Vec<Base>,
+    rc: Vec<Base>,
+    /// Per read, its forward list then its reverse-complement list.
+    mins: Vec<Minimizer>,
+    /// Where each read's data starts, plus a closing entry.
+    starts: Vec<ReadStart>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ReadStart {
+    bases: usize,
+    fwd_mins: usize,
+    rc_mins: usize,
+}
+
+/// One read of a [`SampledReads`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampledRead<'a> {
+    /// The masked read.
+    pub fwd: &'a [Base],
+    /// Its reverse complement.
+    pub rc: &'a [Base],
+    /// Minimizers of `fwd`.
+    pub fwd_mins: &'a [Minimizer],
+    /// Minimizers of `rc`.
+    pub rc_mins: &'a [Minimizer],
+}
+
+impl<'a> SampledRead<'a> {
+    /// The read as a mapping or overlap with orientation `rev` sees it.
+    pub fn oriented(self, rev: bool) -> &'a [Base] {
+        if rev {
+            self.rc
+        } else {
+            self.fwd
+        }
+    }
+}
+
+impl SampledReads {
+    /// An empty set whose reads will be sampled with `k` / `w`.
+    pub fn new(k: usize, w: usize) -> SampledReads {
+        let first = ReadStart {
+            bases: 0,
+            fwd_mins: 0,
+            rc_mins: 0,
+        };
+        SampledReads {
+            k,
+            w,
+            fwd: Vec::new(),
+            rc: Vec::new(),
+            mins: Vec::new(),
+            starts: vec![first],
+        }
+    }
+
+    /// Masks, reverse-complements and samples every read of `reads`.
+    pub fn from_reads(reads: &[Read], k: usize, w: usize) -> SampledReads {
+        let mut set = SampledReads::new(k, w);
+        let n_bases = reads.iter().map(|r| r.len()).sum();
+        set.fwd.reserve(n_bases);
+        set.rc.reserve(n_bases);
+        set.starts.reserve(reads.len());
+        for r in reads {
+            set.push(r.seq.as_slice());
+        }
+        set
+    }
+
+    /// Adds one read (`N` is masked here).
+    pub fn push(&mut self, seq: &[Base]) {
+        let start = self.fwd.len();
+        self.fwd.extend(seq.iter().map(|&b| masked(b)));
+        self.rc
+            .extend(self.fwd[start..].iter().rev().map(|b| b.complement()));
+        let last = self.starts.last_mut().expect("closing entry");
+        minimizers_into(&self.fwd[start..], self.k, self.w, &mut self.mins);
+        last.rc_mins = self.mins.len();
+        minimizers_into(&self.rc[start..], self.k, self.w, &mut self.mins);
+        self.starts.push(ReadStart {
+            bases: self.fwd.len(),
+            fwd_mins: self.mins.len(),
+            rc_mins: self.mins.len(),
+        });
+    }
+
+    /// Number of reads.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Read `i`.
+    pub fn get(&self, i: usize) -> SampledRead<'_> {
+        let (at, next) = (self.starts[i], self.starts[i + 1]);
+        SampledRead {
+            fwd: &self.fwd[at.bases..next.bases],
+            rc: &self.rc[at.bases..next.bases],
+            fwd_mins: &self.mins[at.fwd_mins..at.rc_mins],
+            rc_mins: &self.mins[at.rc_mins..next.fwd_mins],
+        }
+    }
+
+    /// Longest read, or 0 when empty.
+    pub fn max_len(&self) -> usize {
+        self.starts
+            .windows(2)
+            .map(|s| s[1].bases - s[0].bases)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Minimizers held, both orientations of every read.
+    pub fn n_minimizers(&self) -> usize {
+        self.mins.len()
+    }
 }
 
 /// A read mapper over a fixed consensus + index.
@@ -107,6 +252,16 @@ impl<'a> Mapper<'a> {
     /// alignment, or [`Alignment::unmapped`] when no trustworthy
     /// mapping exists.
     pub fn map(&self, read: &[Base]) -> Alignment {
+        let mut one = SampledReads::new(self.cfg.k, self.cfg.w);
+        one.push(read);
+        self.map_sampled(one.get(0))
+    }
+
+    /// [`map`](Self::map) for a read whose reverse complement and
+    /// minimizers (sampled with this mapper's `k` / `w`) the caller
+    /// already holds.
+    pub(crate) fn map_sampled(&self, sampled: SampledRead<'_>) -> Alignment {
+        let read = sampled.fwd;
         if read.len() < self.cfg.k + 1 {
             return Alignment::unmapped();
         }
@@ -119,7 +274,7 @@ impl<'a> Mapper<'a> {
             if e - s < self.cfg.min_split_len.max(self.cfg.k + 1) {
                 continue;
             }
-            if let Some((qa, qb, mut seg)) = self.map_portion(&read[s..e]) {
+            if let Some((qa, qb, mut seg)) = self.map_portion(sampled, s, e) {
                 seg.read_start = (s + qa) as u32;
                 seg.read_end = (s + qb) as u32;
                 segs.push(seg);
@@ -197,17 +352,37 @@ impl<'a> Mapper<'a> {
         aln
     }
 
-    /// Maps one contiguous read portion; returns the covered range
-    /// `[qa, qb)` in portion coordinates plus a segment whose
+    /// Maps the contiguous read portion `[s, e)`; returns the covered
+    /// range `[qa, qb)` in portion coordinates plus a segment whose
     /// `read_start`/`read_end` the caller fills in.
-    fn map_portion(&self, portion: &[Base]) -> Option<(usize, usize, Segment)> {
-        let fwd_chain = self.chain(portion);
-        let rc = revcomp(portion);
-        let rev_chain = self.chain(&rc);
-        let (oriented, rev, chain): (&[Base], bool, _) = if fwd_chain.len() >= rev_chain.len() {
+    fn map_portion(
+        &self,
+        read: SampledRead<'_>,
+        s: usize,
+        e: usize,
+    ) -> Option<(usize, usize, Segment)> {
+        let len = read.fwd.len();
+        let portion = &read.fwd[s..e];
+        let rc = &read.rc[len - e..len - s];
+        let (fwd_chain, rev_chain) = if (s, e) == (0, len) {
+            (
+                self.chain(portion, read.fwd_mins),
+                self.chain(rc, read.rc_mins),
+            )
+        } else {
+            // A piece of a split read: its first and last windows are
+            // not windows of the whole read, so it is sampled afresh.
+            let mut mins = Vec::new();
+            minimizers_into(portion, self.cfg.k, self.cfg.w, &mut mins);
+            let fwd_chain = self.chain(portion, &mins);
+            mins.clear();
+            minimizers_into(rc, self.cfg.k, self.cfg.w, &mut mins);
+            (fwd_chain, self.chain(rc, &mins))
+        };
+        let (oriented, rev, chain) = if fwd_chain.len() >= rev_chain.len() {
             (portion, false, fwd_chain)
         } else {
-            (&rc, true, rev_chain)
+            (rc, true, rev_chain)
         };
         if chain.len() < self.cfg.min_chain_anchors {
             return None;
@@ -231,11 +406,11 @@ impl<'a> Mapper<'a> {
         ))
     }
 
-    /// Finds the best co-diagonal monotone anchor chain for `oriented`.
-    fn chain(&self, oriented: &[Base]) -> Vec<(u32, u32)> {
-        let mins = minimizers(oriented, self.cfg.k, self.cfg.w);
+    /// Finds the best co-diagonal monotone anchor chain for `oriented`,
+    /// whose minimizers are `mins`.
+    fn chain(&self, oriented: &[Base], mins: &[Minimizer]) -> Vec<(u32, u32)> {
         let mut anchors: Vec<(i64, u32, u32)> = Vec::new();
-        for m in &mins {
+        for m in mins {
             for &c in self.index.lookup(m.hash) {
                 anchors.push((i64::from(c) - i64::from(m.pos), m.pos, c));
             }
@@ -539,6 +714,40 @@ mod tests {
         let cons = random_seq(len, seed);
         let index = MinimizerIndex::build(&cons, 15, 8);
         (cons, index)
+    }
+
+    #[test]
+    fn sampled_reads_hold_what_each_stage_would_compute() {
+        // Mixed lengths (one shorter than k, one empty) and an `N`: the
+        // flat layout must hand every read back whole.
+        let mut with_n = random_seq(90, 21);
+        with_n[40] = Base::N;
+        let seqs = [
+            random_seq(150, 20),
+            with_n,
+            random_seq(9, 22),
+            Vec::new(),
+            random_seq(400, 23),
+        ];
+        let reads: Vec<Read> = seqs
+            .iter()
+            .map(|s| Read::from_seq(DnaSeq::from_bases(s.clone())))
+            .collect();
+        let sampled = SampledReads::from_reads(&reads, 15, 8);
+        assert_eq!(sampled.len(), seqs.len());
+        assert_eq!(sampled.max_len(), 400);
+        let mut n_mins = 0;
+        for (i, seq) in seqs.iter().enumerate() {
+            let (read, fwd) = (sampled.get(i), mask_n(seq));
+            let rc = revcomp(&fwd);
+            assert_eq!(read.fwd, &fwd[..]);
+            assert_eq!(read.rc, &rc[..]);
+            assert_eq!(read.fwd_mins, &minimizer::minimizers(&fwd, 15, 8)[..]);
+            assert_eq!(read.rc_mins, &minimizer::minimizers(&rc, 15, 8)[..]);
+            assert_eq!(read.oriented(true), read.rc);
+            n_mins += read.fwd_mins.len() + read.rc_mins.len();
+        }
+        assert_eq!(sampled.n_minimizers(), n_mins);
     }
 
     #[test]

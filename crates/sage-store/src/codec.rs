@@ -144,9 +144,7 @@ pub(crate) fn encode_chunks(
     workers: usize,
 ) -> Result<Vec<Vec<u8>>> {
     run_pool(chunks.len(), workers, |i| {
-        Ok(compressor
-            .compress(&ReadSet::from_reads(chunks[i].to_vec()))?
-            .to_bytes())
+        Ok(compressor.compress_reads(chunks[i])?.to_bytes())
     })
     .into_iter()
     .collect()
