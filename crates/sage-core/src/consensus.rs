@@ -36,7 +36,7 @@
 //! key; the first candidate that verifies wins.
 
 use crate::mapper::minimizer::{minimizers_into, Minimizer, MinimizerIndex};
-use crate::mapper::{mask_n, SampledReads};
+use crate::mapper::{mask_n, revcomp, SampledRead, SampledReads};
 use sage_genomics::{Base, DnaSeq, ReadSet};
 use std::cmp::Reverse;
 
@@ -122,7 +122,7 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
         }
         asm.used[seed] = true;
         // Contained in the consensus built so far? Skip (dedup).
-        if is_contained(read.fwd_mins, read.rc_mins, &index, cfg) {
+        if is_contained(read, &index, cfg) {
             continue;
         }
         // Seed a contig and extend it greedily in both directions.
@@ -132,9 +132,9 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
         // back (reuses the same tail machinery). A contig that is still
         // the seed read flips into the read's other orientation, whose
         // minimizers are at hand too.
-        let mut flipped: Vec<Base> = contig.iter().rev().map(|b| b.complement()).collect();
+        let mut flipped = revcomp(&contig);
         asm.extend_right(&mut flipped, (!grew).then_some(read.rc_mins));
-        consensus.extend(flipped.iter().rev().map(|b| b.complement()));
+        consensus.extend(revcomp(&flipped));
         index.extend(&consensus);
     }
     Consensus {
@@ -146,13 +146,8 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
 /// Checks whether enough of a read's minimizers — in the better of its
 /// two orientations — hit the consensus index (containment/duplication
 /// test).
-fn is_contained(
-    fwd_mins: &[Minimizer],
-    rc_mins: &[Minimizer],
-    index: &MinimizerIndex,
-    cfg: &ConsensusConfig,
-) -> bool {
-    if index.is_empty() || fwd_mins.is_empty() {
+fn is_contained(read: SampledRead<'_>, index: &MinimizerIndex, cfg: &ConsensusConfig) -> bool {
+    if index.is_empty() || read.fwd_mins.is_empty() {
         return false;
     }
     let hits = |mins: &[Minimizer]| {
@@ -160,8 +155,8 @@ fn is_contained(
             .filter(|m| !index.lookup(m.hash).is_empty())
             .count()
     };
-    let best = hits(fwd_mins).max(hits(rc_mins)) as f64;
-    best >= cfg.min_hit_fraction * fwd_mins.len() as f64
+    let best = hits(read.fwd_mins).max(hits(read.rc_mins)) as f64;
+    best >= cfg.min_hit_fraction * read.fwd_mins.len() as f64
 }
 
 /// One entry of the read-overlap index: which read, which orientation,
@@ -194,34 +189,31 @@ impl OverlapIndex {
     const MAX_OCC: usize = 64;
 
     fn build(reads: &SampledReads) -> OverlapIndex {
-        // In generation order: read by read, forward list then reverse
-        // list, each by position.
-        let generated = || {
-            (0..reads.len()).flat_map(move |i| {
-                let read = reads.get(i);
-                [(read.fwd_mins, false), (read.rc_mins, true)]
-                    .into_iter()
-                    .flat_map(move |(mins, rev)| {
-                        mins.iter().map(move |mz| {
-                            let hit = ReadHit {
-                                read: i as u32,
-                                rev,
-                                pos: mz.pos,
-                            };
-                            (mz.hash, hit)
-                        })
-                    })
-            })
-        };
         let n = reads.n_minimizers();
         assert!(u32::try_from(n).is_ok(), "more than 2^32 minimizers");
+        // In generation order: read by read, forward list then reverse
+        // list, each by position.
+        let mut generated: Vec<(u64, ReadHit)> = Vec::with_capacity(n);
+        for i in 0..reads.len() {
+            let read = reads.get(i);
+            for (mins, rev) in [(read.fwd_mins, false), (read.rc_mins, true)] {
+                generated.extend(mins.iter().map(|mz| {
+                    let hit = ReadHit {
+                        read: i as u32,
+                        rev,
+                        pos: mz.pos,
+                    };
+                    (mz.hash, hit)
+                }));
+            }
+        }
         let bits = n.next_power_of_two().trailing_zeros().max(1);
         let shift = 64 - bits;
         // Count per bucket, turn counts into starts, then place every
         // entry at its bucket's next free slot — which keeps generation
         // order inside a bucket.
         let mut bucket_starts = vec![0u32; (1usize << bits) + 1];
-        for (hash, _) in generated() {
+        for &(hash, _) in &generated {
             bucket_starts[(hash >> shift) as usize + 1] += 1;
         }
         for b in 1..bucket_starts.len() {
@@ -229,9 +221,9 @@ impl OverlapIndex {
         }
         let mut next = bucket_starts.clone();
         let mut hits = vec![(0u64, ReadHit::default()); n];
-        for (hash, hit) in generated() {
-            let slot = &mut next[(hash >> shift) as usize];
-            hits[*slot as usize] = (hash, hit);
+        for entry in generated {
+            let slot = &mut next[(entry.0 >> shift) as usize];
+            hits[*slot as usize] = entry;
             *slot += 1;
         }
         // A bucket's few entries, by hash; the sort is stable, so each

@@ -114,7 +114,7 @@ pub(crate) struct SampledReads {
     starts: Vec<ReadStart>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ReadStart {
     bases: usize,
     fwd_mins: usize,
@@ -148,18 +148,13 @@ impl<'a> SampledRead<'a> {
 impl SampledReads {
     /// An empty set whose reads will be sampled with `k` / `w`.
     pub fn new(k: usize, w: usize) -> SampledReads {
-        let first = ReadStart {
-            bases: 0,
-            fwd_mins: 0,
-            rc_mins: 0,
-        };
         SampledReads {
             k,
             w,
             fwd: Vec::new(),
             rc: Vec::new(),
             mins: Vec::new(),
-            starts: vec![first],
+            starts: vec![ReadStart::default()],
         }
     }
 
