@@ -545,33 +545,60 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The fold of `a`'s serialized bytes without the two regions a
+/// quality-format change moves: the header's version field and the
+/// trailing quality region (its length field and body).
+fn dna_side_fold(h: u64, a: &SageArchive) -> u64 {
+    let bytes = a.to_bytes();
+    let dna_end = bytes.len() - 8 - a.streams.qual.len();
+    fnv1a(fnv1a(h, &bytes[..4]), &bytes[6..dna_end])
+}
+
 #[test]
 fn stored_bytes_are_pinned() {
-    // Every byte the encoder stores, folded per data set. The constants
-    // were recorded from the encoder as it stood before the ingest-path
-    // rewrite (one sampling pass per read, flat overlap index, DP early
-    // returns); an encoder change that moves one of them changed what
-    // the format holds and needs a `container::VERSION` bump, not a
-    // re-pin.
+    // Every byte the encoder stores, folded per data set: the whole
+    // archive, its DNA side alone (`dna_side_fold`), and the DNA side
+    // of the same set encoded `with_quality(false)`. The whole-archive
+    // constants were recorded from the encoder as it stood before the
+    // ingest-path rewrite (one sampling pass per read, flat overlap
+    // index, DP early returns), the DNA-side ones from the last
+    // container-v2 encoder; an encoder change that moves one of them
+    // changed what the format holds and needs a `container::VERSION`
+    // bump, not a re-pin — and a bump for the quality stream's sake
+    // leaves the two DNA-side columns where they are.
+    let folds = |archives: &[SageArchive], plain: &[SageArchive]| {
+        [
+            archives
+                .iter()
+                .fold(FNV_OFFSET, |h, a| fnv1a(h, &a.to_bytes())),
+            archives.iter().fold(FNV_OFFSET, dna_side_fold),
+            plain.iter().fold(FNV_OFFSET, dna_side_fold),
+        ]
+    };
     let whole = |profile: &DatasetProfile, store_order: bool| {
         let ds = simulate_dataset(profile, 2026);
-        let archive = SageCompressor::new()
-            .with_store_order(store_order)
-            .compress(&ds.reads)
-            .unwrap();
-        fnv1a(FNV_OFFSET, &archive.to_bytes())
+        let encode = |quality: bool| {
+            SageCompressor::new()
+                .with_store_order(store_order)
+                .with_quality(quality)
+                .compress(&ds.reads)
+                .unwrap()
+        };
+        folds(&[encode(true)], &[encode(false)])
     };
     // The benchmark's two chunk shapes: 256 short reads, 8 long reads.
     let chunked = |profile: &DatasetProfile, n_reads: usize, per_chunk: usize| {
         let mut reads = simulate_dataset(profile, 2026).reads;
         reads.reads_mut().truncate(n_reads);
         assert_eq!(reads.len(), n_reads);
-        SageCompressor::new()
-            .with_store_order(true)
-            .compress_chunked(&reads, per_chunk)
-            .unwrap()
-            .iter()
-            .fold(FNV_OFFSET, |h, a| fnv1a(h, &a.to_bytes()))
+        let encode = |quality: bool| {
+            SageCompressor::new()
+                .with_store_order(true)
+                .with_quality(quality)
+                .compress_chunked(&reads, per_chunk)
+                .unwrap()
+        };
+        folds(&encode(true), &encode(false))
     };
     let got = [
         ("tiny_short", whole(&DatasetProfile::tiny_short(), false)),
@@ -590,16 +617,57 @@ fn stored_bytes_are_pinned() {
             chunked(&DatasetProfile::rs4(), 16 * 8, 8),
         ),
     ];
-    let pinned = [
-        ("tiny_short", 0x3e37_2ba2_93f9_c276u64),
-        ("tiny_short+order", 0xbc6b_df06_c7f8_bc97),
-        ("tiny_long", 0xcf6c_c14b_1b7d_297a),
-        ("tiny_long+order", 0x0ec9_cec4_ed6e_3c65),
-        ("rs2x0.25, 8 chunks of 256", 0x16f8_8704_2c30_4ee5),
-        ("rs4, 16 chunks of 8", 0x7420_2a9f_9a2c_4541),
+    // (whole archive, DNA side, DNA side `with_quality(false)`).
+    let pinned: [(&str, [u64; 3]); 6] = [
+        (
+            "tiny_short",
+            [
+                0x3e37_2ba2_93f9_c276,
+                0x00c4_fee7_c91f_411b,
+                0xff51_65b1_3bc4_ff9d,
+            ],
+        ),
+        (
+            "tiny_short+order",
+            [
+                0xbc6b_df06_c7f8_bc97,
+                0xb375_6eb2_cd45_961e,
+                0xa6de_1911_d02c_87ac,
+            ],
+        ),
+        (
+            "tiny_long",
+            [
+                0xcf6c_c14b_1b7d_297a,
+                0xc698_5fa7_6114_c13d,
+                0x60bd_57b3_cbf6_bef7,
+            ],
+        ),
+        (
+            "tiny_long+order",
+            [
+                0x0ec9_cec4_ed6e_3c65,
+                0x40f2_5f66_3bfa_ac94,
+                0xe5ef_af8b_2ab9_c376,
+            ],
+        ),
+        (
+            "rs2x0.25, 8 chunks of 256",
+            [
+                0x16f8_8704_2c30_4ee5,
+                0x3974_9b51_93ed_5770,
+                0x7f9d_fa6b_e2ec_5308,
+            ],
+        ),
+        (
+            "rs4, 16 chunks of 8",
+            [
+                0x7420_2a9f_9a2c_4541,
+                0xc989_9635_f15e_bf53,
+                0xa86d_6a8c_aee2_6f33,
+            ],
+        ),
     ];
-    assert_eq!(
-        got.map(|(name, h)| (name, format!("{h:016x}"))),
-        pinned.map(|(name, h)| (name, format!("{h:016x}")))
-    );
+    let hex = |(name, f): (&'static str, [u64; 3])| (name, f.map(|h| format!("{h:016x}")));
+    assert_eq!(got.map(hex), pinned.map(hex));
 }
