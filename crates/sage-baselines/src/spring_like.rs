@@ -94,7 +94,7 @@ pub struct SpringArchive {
     sections: Vec<Vec<u8>>,
     /// Inflated section sizes (decompression working set).
     raw_sizes: Vec<u64>,
-    /// Range-coded quality stream.
+    /// Quality stream (`sage_core::quality`).
     qual: Vec<u8>,
 }
 

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the streaming primitives: bit I/O,
 //! guide-array prefix decoding (the software Scan Unit inner loop),
-//! and the quality range coder.
+//! and the quality codec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sage_core::bitio::{BitReader, BitWriter};

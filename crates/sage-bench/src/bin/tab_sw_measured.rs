@@ -1,9 +1,9 @@
 //! Measured software throughput of *our implementations* (single
 //! thread, this machine) — the empirical companion to Table 3's
 //! modeled column and the basis for the SAGeSW configuration. With
-//! quality included, both genomic decoders are bound by the (shared)
-//! quality range coder; the DNA-only column isolates SAGe's streaming
-//! base reconstruction, which is what the hardware implements.
+//! quality included, both genomic decoders spend most of their time in
+//! the (shared) quality codec; the DNA-only column isolates SAGe's
+//! streaming base reconstruction, which is what the hardware implements.
 
 use sage_baselines::{GzipLike, SpringLike};
 use sage_bench::{banner, dataset, row};

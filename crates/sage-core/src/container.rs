@@ -14,13 +14,15 @@ use sage_genomics::packed::Packed2;
 pub const MAGIC: [u8; 4] = *b"SAGE";
 /// Current format version.
 ///
-/// Version 2 replaced the quality stream's layout: version 1 coded
-/// every quality byte through a 256-leaf bit-tree; version 2 stores the
-/// chunk's alphabet in front of the body and codes each symbol's rank
-/// in it (see [`crate::quality`]). Everything else is laid out as in
-/// version 1, but nothing decodes a version-1 archive: the parser
-/// rejects it with [`SageError::BadVersion`].
-pub const VERSION: u16 = 2;
+/// Versions differ in the quality stream's layout only: version 1
+/// coded every quality byte through an adaptive 256-leaf bit-tree;
+/// version 2 stored the chunk's alphabet in front of the body and
+/// coded each symbol's rank in it, still adaptively; version 3 keeps
+/// the alphabet and codes the ranks with per-chunk static frequency
+/// tables over interleaved rANS (see [`crate::quality`]). Everything
+/// else is laid out as in version 1, but nothing decodes an older
+/// archive: the parser rejects it with [`SageError::BadVersion`].
+pub const VERSION: u16 = 3;
 
 /// Per-read-set parameters, including every tuned association table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,8 +120,8 @@ pub struct Streams {
     pub raw: Stream,
     /// Original read order (optional).
     pub order: Stream,
-    /// Quality scores: the chunk's alphabet table, then the
-    /// range-coded ranks (byte stream, not bits; layout in
+    /// Quality scores: the chunk's alphabet and frequency tables, then
+    /// the rANS-coded ranks (byte stream, not bits; layout in
     /// [`crate::quality`]).
     pub qual: Vec<u8>,
 }
@@ -539,14 +541,14 @@ mod tests {
 
     #[test]
     fn version_1_archives_are_rejected() {
-        // The quality stream changed shape at version 2 and no decoder
-        // for the old one is kept.
+        // The quality stream changed shape at versions 2 and 3 and no
+        // decoder for an old one is kept.
         let mut bytes = sample_archive().to_bytes();
         assert_eq!(bytes[4..6], VERSION.to_le_bytes());
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
         match SageArchive::from_bytes(&bytes) {
             Err(SageError::BadVersion { found, expected }) => {
-                assert_eq!((found, expected), (1, 2));
+                assert_eq!((found, expected), (1, VERSION));
             }
             other => panic!("expected BadVersion, got {other:?}"),
         }

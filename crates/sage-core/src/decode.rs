@@ -162,9 +162,10 @@ impl SageDecompressor {
     ///
     /// # Errors
     ///
-    /// Fails immediately on a consensus-length mismatch or a malformed
-    /// quality alphabet table; per-read corruption surfaces as an
-    /// `Err` item, after which the stream ends.
+    /// Fails immediately on a consensus-length mismatch or malformed
+    /// quality tables; per-read corruption surfaces as an `Err` item,
+    /// after which the stream ends — on the last read also when the
+    /// quality stream is not used up ([`QualityDecoder::is_spent`]).
     pub fn stream<'a>(&self, archive: &'a SageArchive) -> Result<ReadStream<'a>> {
         let h = &archive.header;
         let cons: Vec<Base> = archive.consensus.unpack().into_bases();
@@ -340,7 +341,13 @@ impl Iterator for ReadStream<'_> {
             return None;
         }
         self.remaining -= 1;
+        let spent = QualityDecoder::is_spent;
         match self.next_read() {
+            // The chunk's last read must leave its quality stream used
+            // up: a corrupt body that still decodes does not.
+            Ok(_) if self.remaining == 0 && !self.qual.as_ref().is_none_or(spent) => {
+                Some(Err(corrupt("quality stream not used up by its reads")))
+            }
             Ok(r) => Some(Ok(r)),
             Err(e) => {
                 self.remaining = 0; // fuse after corruption

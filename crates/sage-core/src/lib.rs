@@ -14,8 +14,8 @@
 //! - [`consensus`] — de-novo pseudo-genome or reference consensus.
 //! - [`encode`] / [`decode`] — the compressor and the software
 //!   Scan-Unit/Read-Construction-Unit decompressor.
-//! - [`quality`] + [`rangecoder`] — the separate lossless quality
-//!   stream (§5.1.5).
+//! - [`quality`] — the separate lossless quality stream (§5.1.5):
+//!   per-chunk static frequency tables over interleaved rANS.
 //! - [`container`] — the `.sage` archive layout.
 //! - [`ablation`] — the per-optimization size accounting behind the
 //!   paper's Fig. 17.
@@ -45,7 +45,6 @@ pub mod error;
 pub mod mapper;
 pub mod prefix;
 pub mod quality;
-pub mod rangecoder;
 pub mod tuning;
 
 pub use consensus::{ConsensusConfig, ConsensusMode};

@@ -202,7 +202,13 @@ fn corruption_sweep_errors_never_panics() {
     // region; one short and one long archive are also cut at every
     // length. The decoder must return an error or a whole read set,
     // never panic, in the dev profile (overflow panics) and in release
-    // (overflow wraps) alike.
+    // (overflow wraps) alike — and a mutation confined to the quality
+    // body (what follows the alphabet) must be an error: whatever such
+    // a body decodes to, it does not leave the rANS lanes at rest with
+    // every word consumed. (The container-v2 decoder, whose only body
+    // checks were a rank outside the alphabet and running past the
+    // end, took 88 of 10 000 such mutations of these four archives as
+    // `Ok`, 85 of them with wrong qualities.)
     let mut seed = 0x5a6e_2026u64;
     let mut next = move |below: usize| {
         seed = splitmix64(seed);
@@ -210,6 +216,7 @@ fn corruption_sweep_errors_never_panics() {
     };
     let mut mutations = 0usize;
     let mut survived = 0usize;
+    let mut body_mutations = 0usize;
     for (pi, profile) in [DatasetProfile::tiny_short(), DatasetProfile::tiny_long()]
         .iter()
         .enumerate()
@@ -227,6 +234,11 @@ fn corruption_sweep_errors_never_panics() {
             }
             let bytes = archive.to_bytes();
             decode_or_error(&bytes).expect("the untouched archive decodes");
+            // Past the region's length field, the symbol count and the
+            // alphabet (no quality stream: past the end).
+            let qual = &archive.streams.qual;
+            let alphabet = qual.first_chunk().map_or(0, |k| 2 + u16::from_le_bytes(*k));
+            let quality_body = bytes.len() - qual.len() + usize::from(alphabet);
             for (name, range) in regions(&archive, bytes.len()) {
                 for k in 0..22 {
                     let mut bad = bytes.clone();
@@ -244,7 +256,12 @@ fn corruption_sweep_errors_never_panics() {
                         .unwrap_or_else(|_| panic!("{name}: mutation {k} at byte {at} panicked"));
                     if outcome.is_ok() {
                         survived += 1;
+                        assert!(
+                            at < quality_body || bad == bytes,
+                            "quality body: mutation {k} at byte {at} decoded"
+                        );
                     }
+                    body_mutations += usize::from(at >= quality_body);
                 }
             }
             if !store_order && quality {
@@ -255,8 +272,9 @@ fn corruption_sweep_errors_never_panics() {
         }
     }
     assert!(mutations >= 2_000, "{mutations} mutations");
+    assert!(body_mutations >= 60, "{body_mutations} in a quality body");
     // Not every flipped bit is detectable (a substituted base, a quality
-    // rank), but a sweep in which most decodes survive is not reaching
+    // alphabet byte), but a sweep in which most decodes survive is not reaching
     // the decoder's checks.
     assert!(
         survived < mutations / 2,
@@ -408,7 +426,7 @@ fn golden_reads() -> (DnaSeq, ReadSet) {
 
 /// `golden_reads()` as the commit before the one-pass decoder wrote
 /// them (`with_reference(g).with_store_order(true)`, container v2).
-const GOLDEN_ARCHIVE_HEX: &str = concat!(
+const GOLDEN_ARCHIVE_V2_HEX: &str = concat!(
     "5341474502000e00090000000000000008000000000000000000000004010000",
     "9001000000000000030500070302070303080409050000000001000000030000",
     "0002000000070000009001000000000000dbed060e96301d81c5ce3a64be766b",
@@ -428,14 +446,56 @@ const GOLDEN_ARCHIVE_HEX: &str = concat!(
     "2e209fdd3dbc3d6fb917d6c2109adf5863d020b7968d755f0563",
 );
 
+/// The same archive as this format generation writes it (container
+/// v3): the DNA side byte for byte the one above, the quality stream
+/// in its static-table layout.
+const GOLDEN_ARCHIVE_HEX: &str = concat!(
+    "5341474503000e00090000000000000008000000000000000000000004010000",
+    "9001000000000000030500070302070303080409050000000001000000030000",
+    "0002000000070000009001000000000000dbed060e96301d81c5ce3a64be766b",
+    "c1b924a7902cacd8609c26ed07030d02d57216d3f91560cf264e36a80e60fa25",
+    "72e0a6086f1f831c0da1a5923bb416463ef7a33a1f7b951bae9d39722c919b93",
+    "580ea7887247a5a8e21edc671c7db9e5225601adbf3000000000000000060000",
+    "0000000000c32494700807340000000000000007000000000000006cf029ea51",
+    "140a360000000000000007000000000000003c42abd49165164b000000000000",
+    "000a000000000000008c1eb306da0c738004073a000000000000000800000000",
+    "0000001718982565261a033601000000000000270000000000000009000c6822",
+    "0f000fc0a24c264a2307394cea4ed1b904953dad85dd5b5d165745b62bf3013c",
+    "8a280c0000000000000002000000000000006004450000000000000009000000",
+    "0000000096f09b9696043d2d1932000000000000000700000000000000030016",
+    "54304f00240000000000000005000000000000007025831406f7000000000000",
+    "000400232624253d000000a383d716003e55e38cc3e8d09d05008c0e5e5b00f8",
+    "548d330ea323d71600303a786d01e05335ce388cbe9c5b00c0e8e0b505804fd5",
+    "38e3303a726d01000e3533007474651224548e0074746512debd32b8855c855c",
+    "b70c06bdf5b8f5b894a19c19558855881ba593692dc02dc04bfb6fa202ce02ce",
+    "899ae59d35fb35fba78ee35eff9dff9dd0ce2f66a1c2a1c2ac5f97cb5e2b5e2b",
+    "817360bf733b733bf71f58f773f373f344b7f6dbcbcfcbcf91bf83ebed37ed37",
+    "994798e3e839e8396c0c99141f341f347a014d604ac04ac0694ac67e57dec67e",
+    "e16e945a9f669f66801e825eb6e2b6e2b67adc36ab62ab62",
+);
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 #[test]
 fn archive_written_by_the_previous_decoder_generation_decodes_unchanged() {
-    let golden: Vec<u8> = (0..GOLDEN_ARCHIVE_HEX.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&GOLDEN_ARCHIVE_HEX[i..i + 2], 16).unwrap())
-        .collect();
+    // A version-2 archive is refused whole: no decoder for its quality
+    // stream is kept.
+    assert!(matches!(
+        SageDecompressor::default().decompress_bytes(&unhex(GOLDEN_ARCHIVE_V2_HEX)),
+        Err(SageError::BadVersion {
+            found: 2,
+            expected: 3
+        })
+    ));
+    let golden = unhex(GOLDEN_ARCHIVE_HEX);
     let (reference, reads) = golden_reads();
-    // Old bytes, this decoder: the same reads, in the stored order.
+    // Committed bytes, this decoder: the same reads, in the stored
+    // order.
     let out = SageDecompressor::default()
         .decompress_bytes(&golden)
         .expect("decompress");
@@ -445,7 +505,7 @@ fn archive_written_by_the_previous_decoder_generation_decodes_unchanged() {
         assert_eq!(a.qual, b.qual);
     }
     // And the other way round: what this build writes is, byte for
-    // byte, what that commit's decoder was written against.
+    // byte, what the committed bytes' decoder was written against.
     let (archive, stats) = SageCompressor::new()
         .with_reference(reference)
         .with_store_order(true)
@@ -455,7 +515,14 @@ fn archive_written_by_the_previous_decoder_generation_decodes_unchanged() {
         (stats.n_unmapped, stats.n_chimeric, stats.n_corner),
         (1, 1, 2)
     );
-    assert!(archive.to_bytes() == golden, "stored bytes changed");
+    let written = archive.to_bytes();
+    assert!(written == golden, "stored bytes changed");
+    // Between the two generations only the version field and the
+    // quality region differ.
+    let v2 = unhex(GOLDEN_ARCHIVE_V2_HEX);
+    let dna_end = written.len() - 8 - archive.streams.qual.len();
+    assert_eq!(written[..4], v2[..4]);
+    assert_eq!(written[6..dna_end], v2[6..dna_end]);
 }
 
 #[test]
@@ -558,14 +625,16 @@ fn dna_side_fold(h: u64, a: &SageArchive) -> u64 {
 fn stored_bytes_are_pinned() {
     // Every byte the encoder stores, folded per data set: the whole
     // archive, its DNA side alone (`dna_side_fold`), and the DNA side
-    // of the same set encoded `with_quality(false)`. The whole-archive
-    // constants were recorded from the encoder as it stood before the
-    // ingest-path rewrite (one sampling pass per read, flat overlap
-    // index, DP early returns), the DNA-side ones from the last
-    // container-v2 encoder; an encoder change that moves one of them
-    // changed what the format holds and needs a `container::VERSION`
-    // bump, not a re-pin — and a bump for the quality stream's sake
-    // leaves the two DNA-side columns where they are.
+    // of the same set encoded `with_quality(false)`. The DNA-side
+    // constants were recorded from the last container-v2 encoder, as
+    // it stood after the ingest-path rewrite (one sampling pass per
+    // read, flat overlap index, DP early returns); the whole-archive
+    // ones from the first container-v3 encoder (static quality tables
+    // over interleaved rANS), which left the DNA side where it was. An
+    // encoder change that moves one of them changed what the format
+    // holds and needs a `container::VERSION` bump, not a re-pin — and
+    // a bump for the quality stream's sake leaves the two DNA-side
+    // columns alone.
     let folds = |archives: &[SageArchive], plain: &[SageArchive]| {
         [
             archives
@@ -622,7 +691,7 @@ fn stored_bytes_are_pinned() {
         (
             "tiny_short",
             [
-                0x3e37_2ba2_93f9_c276,
+                0x6ad8_1dcf_4f22_8e5d,
                 0x00c4_fee7_c91f_411b,
                 0xff51_65b1_3bc4_ff9d,
             ],
@@ -630,7 +699,7 @@ fn stored_bytes_are_pinned() {
         (
             "tiny_short+order",
             [
-                0xbc6b_df06_c7f8_bc97,
+                0x97e9_b53f_2855_214c,
                 0xb375_6eb2_cd45_961e,
                 0xa6de_1911_d02c_87ac,
             ],
@@ -638,7 +707,7 @@ fn stored_bytes_are_pinned() {
         (
             "tiny_long",
             [
-                0xcf6c_c14b_1b7d_297a,
+                0x886a_a377_67ba_45cb,
                 0xc698_5fa7_6114_c13d,
                 0x60bd_57b3_cbf6_bef7,
             ],
@@ -646,7 +715,7 @@ fn stored_bytes_are_pinned() {
         (
             "tiny_long+order",
             [
-                0x0ec9_cec4_ed6e_3c65,
+                0xffff_0934_8e3f_fbb2,
                 0x40f2_5f66_3bfa_ac94,
                 0xe5ef_af8b_2ab9_c376,
             ],
@@ -654,7 +723,7 @@ fn stored_bytes_are_pinned() {
         (
             "rs2x0.25, 8 chunks of 256",
             [
-                0x16f8_8704_2c30_4ee5,
+                0xd1ea_42d3_ecd8_48b9,
                 0x3974_9b51_93ed_5770,
                 0x7f9d_fa6b_e2ec_5308,
             ],
@@ -662,7 +731,7 @@ fn stored_bytes_are_pinned() {
         (
             "rs4, 16 chunks of 8",
             [
-                0x7420_2a9f_9a2c_4541,
+                0x3c6b_0990_be15_c0b4,
                 0xc989_9635_f15e_bf53,
                 0xa86d_6a8c_aee2_6f33,
             ],
