@@ -367,25 +367,26 @@ impl<'a> QualityDecoder<'a> {
         let len = usize::try_from(u32::from_le_bytes(*len)).map_err(|_| QualityDecodeError)?;
         let (tables, body) = body.split_at_checked(len).ok_or(QualityDecodeError)?;
         let mut bits = BitReader::new(tables, 8 * len as u64);
-        // A table is sized when its context turns out used, so the
+        // Table 0 stands for every unused context: `k` empty spans.
+        // A table is added when its context turns out used, so the
         // length the stream claims buys no memory: 129 tables at most.
         let mut table_of = [0u8; CONTEXTS];
-        dec.lut = vec![0; SCALE];
-        dec.spans = vec![Span::default(); k];
+        dec.spans = Vec::with_capacity((CONTEXTS + 1) * k);
+        dec.spans.resize(k, Span::default());
         let mut present = [false; 256];
         for table in &mut table_of {
             if !bits.read_bit()? {
                 continue;
             }
-            *table = (dec.lut.len() / SCALE) as u8;
+            let base = dec.spans.len();
+            *table = (base / k) as u8;
+            dec.spans.resize(base + k, Span::default());
             for p in &mut present[..k] {
                 *p = bits.read_bit()?;
             }
             let last = (present[..k].iter())
                 .rposition(|&p| p)
                 .ok_or(QualityDecodeError)?;
-            let base = dec.spans.len();
-            dec.spans.resize(base + k, Span::default());
             let mut start = 0;
             for rank in (0..k).filter(|&rank| present[rank]) {
                 let freq = if rank == last {
@@ -397,7 +398,6 @@ impl<'a> QualityDecoder<'a> {
                 if rank != last && start + freq >= SCALE {
                     return Err(QualityDecodeError);
                 }
-                dec.lut.resize(dec.lut.len() + freq, rank as u8);
                 dec.spans[base + rank] = Span {
                     start: start as u16,
                     freq: freq as u16,
@@ -423,6 +423,12 @@ impl<'a> QualityDecoder<'a> {
         dec.words = words.chunks_exact(2);
         if !dec.words.remainder().is_empty() {
             return Err(QualityDecodeError);
+        }
+        dec.lut = vec![0; dec.spans.len() / k * SCALE];
+        for (lut, spans) in (dec.lut.chunks_exact_mut(SCALE)).zip(dec.spans.chunks_exact(k)) {
+            for (rank, span) in spans.iter().enumerate() {
+                lut[usize::from(span.start)..][..usize::from(span.freq)].fill(rank as u8);
+            }
         }
         for (eighth, tables) in table_of.chunks_exact(BUCKETS).enumerate() {
             dec.start_table[eighth] = tables[bucket(START)];
