@@ -141,9 +141,6 @@ fn normalise(counts: &[u64]) -> Vec<u16> {
             shares.push((scaled % total, i));
         }
     }
-    if shares.is_empty() {
-        return freqs;
-    }
     shares.sort_unstable_by_key(|&(rem, i)| (Reverse(rem), i));
     for &(_, i) in shares.iter().cycle().take(SCALE.saturating_sub(sum)) {
         freqs[i] += 1;
@@ -195,22 +192,21 @@ where
             }
         }
     }
-    let total = |b: u8| counts.iter().map(|row| row[usize::from(b)]).sum::<u64>();
-    let mut alphabet: Vec<(Reverse<u64>, u8)> = (0..=u8::MAX)
-        .map(|b| (Reverse(total(b)), b))
-        .filter(|&(Reverse(n), _)| n > 0)
+    let totals: [u64; 256] = std::array::from_fn(|b| counts.iter().map(|row| row[b]).sum());
+    let mut alphabet: Vec<u8> = (0..=u8::MAX)
+        .filter(|&b| totals[usize::from(b)] > 0)
         .collect();
-    alphabet.sort_unstable();
+    alphabet.sort_by_key(|&b| (Reverse(totals[usize::from(b)]), b));
     let k = alphabet.len();
     let mut out = Vec::with_capacity(COUNT_BYTES + k);
     out.extend_from_slice(&(k as u16).to_le_bytes());
-    out.extend(alphabet.iter().map(|&(_, b)| b));
+    out.extend_from_slice(&alphabet);
     if k < 2 {
         return out;
     }
 
     let mut rank_of = [0usize; 256];
-    for (rank, &(_, b)) in alphabet.iter().enumerate() {
+    for (rank, &b) in alphabet.iter().enumerate() {
         rank_of[usize::from(b)] = rank;
     }
     let mut tables = BitWriter::new();
@@ -218,7 +214,7 @@ where
     let mut spans = vec![Span::default(); CONTEXTS * k];
     let mut by_rank = vec![0u64; k];
     for (row, spans) in counts.iter().zip(spans.chunks_exact_mut(k)) {
-        for (n, &(_, b)) in by_rank.iter_mut().zip(&alphabet) {
+        for (n, &b) in by_rank.iter_mut().zip(&alphabet) {
             *n = row[usize::from(b)];
         }
         let freqs = normalise(&by_rank);
@@ -898,7 +894,8 @@ mod tests {
         assert!(decompress_qualities(&packed[..packed.len() - 2], &lens).is_err());
         assert!(decompress_qualities(&[&packed[..], &[0, 0]].concat(), &lens).is_err());
         // A flipped bit in the last word reaches only the reads still
-        // to come when that word is consumed; all the same the lanes do not come to rest.
+        // to come when that word is consumed; all the same the lanes
+        // do not come to rest.
         let mut flipped = packed.clone();
         *flipped.last_mut().unwrap() ^= 0x10;
         let mut dec = QualityDecoder::new(&flipped).unwrap();

@@ -175,6 +175,12 @@ fn regions(a: &SageArchive, total: usize) -> Vec<(&'static str, std::ops::Range<
     out
 }
 
+/// Where the last region of `a`'s `total` serialized bytes starts: the
+/// quality stream's length field, then the stream.
+fn quality_region(a: &SageArchive, total: usize) -> usize {
+    total - 8 - a.streams.qual.len()
+}
+
 /// Parses and decodes `bytes`. An `Ok` must be a whole read set: the
 /// header's read count, no read longer than the header allows, a
 /// quality string exactly as long as its read (or none at all).
@@ -236,9 +242,9 @@ fn corruption_sweep_errors_never_panics() {
             decode_or_error(&bytes).expect("the untouched archive decodes");
             // Past the region's length field, the symbol count and the
             // alphabet (no quality stream: past the end).
-            let qual = &archive.streams.qual;
-            let alphabet = qual.first_chunk().map_or(0, |k| 2 + u16::from_le_bytes(*k));
-            let quality_body = bytes.len() - qual.len() + usize::from(alphabet);
+            let alphabet = (archive.streams.qual.first_chunk())
+                .map_or(0, |k| 2 + usize::from(u16::from_le_bytes(*k)));
+            let quality_body = quality_region(&archive, bytes.len()) + 8 + alphabet;
             for (name, range) in regions(&archive, bytes.len()) {
                 for k in 0..22 {
                     let mut bad = bytes.clone();
@@ -520,7 +526,7 @@ fn archive_written_by_the_previous_decoder_generation_decodes_unchanged() {
     // Between the two generations only the version field and the
     // quality region differ.
     let v2 = unhex(GOLDEN_ARCHIVE_V2_HEX);
-    let dna_end = written.len() - 8 - archive.streams.qual.len();
+    let dna_end = quality_region(&archive, written.len());
     assert_eq!(written[..4], v2[..4]);
     assert_eq!(written[6..dna_end], v2[6..dna_end]);
 }
@@ -617,7 +623,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// trailing quality region (its length field and body).
 fn dna_side_fold(h: u64, a: &SageArchive) -> u64 {
     let bytes = a.to_bytes();
-    let dna_end = bytes.len() - 8 - a.streams.qual.len();
+    let dna_end = quality_region(a, bytes.len());
     fnv1a(fnv1a(h, &bytes[..4]), &bytes[6..dna_end])
 }
 
