@@ -5,7 +5,6 @@ use super::tenant::TenantSpec;
 use super::Dataset;
 use crate::codec::{encode_sharded, ShardedStore, StoreOptions};
 use crate::engine::{EngineConfig, StoreBackend, StoreEngine};
-use crate::lru::CachePolicy;
 use crate::{ConfigError, Result};
 use sage_core::CompressOptions;
 use sage_genomics::ReadSet;
@@ -28,7 +27,6 @@ use std::sync::Arc;
 ///
 /// ```
 /// use sage_store::client::DatasetBuilder;
-/// use sage_store::CachePolicy;
 /// use sage_ssd::SsdConfig;
 /// use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 ///
@@ -37,7 +35,6 @@ use std::sync::Arc;
 /// let dataset = DatasetBuilder::new()
 ///     .chunk_reads(32)                          // codec knob
 ///     .cache_chunks(8)                          // engine knob
-///     .cache_policy(CachePolicy::Clock)         // engine knob
 ///     .ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()])
 ///     .server_workers(2)                        // serving knob
 ///     .queue_depth(8)                           // serving knob
@@ -69,7 +66,6 @@ pub struct DatasetBuilder {
     append_workers: usize,
     codec: CompressOptions,
     cache_chunks: usize,
-    cache_policy: CachePolicy,
     cache_shards: usize,
     coalesce_extents: bool,
     ssd: Option<SsdConfig>,
@@ -92,7 +88,6 @@ impl Default for DatasetBuilder {
             append_workers: 0,
             codec: CompressOptions::default(),
             cache_chunks: 16,
-            cache_policy: CachePolicy::default(),
             cache_shards: 1,
             coalesce_extents: false,
             ssd: None,
@@ -145,20 +140,14 @@ impl DatasetBuilder {
         self
     }
 
-    /// Decoded chunks the cache may pin (0 disables caching).
+    /// Decoded chunks the LRU cache may pin (0 disables caching).
     pub fn cache_chunks(mut self, n: usize) -> DatasetBuilder {
         self.cache_chunks = n;
         self
     }
 
-    /// Cache eviction policy (LRU, segmented LRU, CLOCK, or 2Q).
-    pub fn cache_policy(mut self, policy: CachePolicy) -> DatasetBuilder {
-        self.cache_policy = policy;
-        self
-    }
-
     /// Stripes the decoded-chunk cache over `n` shards (shard =
-    /// `chunk_id % n`, each shard its own lock + policy instance) so
+    /// `chunk_id % n`, each shard its own lock + LRU) so
     /// concurrent sessions stop serializing on one cache mutex. `1`
     /// (the default) is the classic single-lock cache; `0` is a typed
     /// [`ConfigError::ZeroCacheShards`]. The effective count is
@@ -332,7 +321,6 @@ impl DatasetBuilder {
         };
         let mut engine_cfg = EngineConfig::default()
             .with_cache_chunks(self.cache_chunks)
-            .with_cache_policy(self.cache_policy)
             .with_cache_shards(self.cache_shards)
             .with_extent_coalescing(self.coalesce_extents)
             .with_tracing(self.tracing)
@@ -470,7 +458,6 @@ mod tests {
         let dataset = DatasetBuilder::new()
             .chunk_reads(16)
             .cache_chunks(4)
-            .cache_policy(CachePolicy::Clock)
             .ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::sata()])
             .placement(Placement::CapacityWeighted)
             .server_workers(2)

@@ -55,10 +55,10 @@
 //! of completions, the streams merge on the virtual timeline, and
 //! arrivals that find the bounded virtual queue full are shed — which
 //! is what measures latency–throughput curves to saturation.
-//! [`Dataset::drive_open_loop`] (in [`workload`]; `qos_sweep`,
-//! `cache_ablation`) is that driver with one default tenant under
-//! FIFO. Both loops fold completions into their reports through one
-//! accounting block and one [`LatencyStats`] percentile machinery.
+//! [`Dataset::drive_open_loop`] (in [`workload`]; `qos_sweep`) is
+//! that driver with one default tenant under FIFO. Both loops fold
+//! completions into their reports through one accounting block and
+//! one [`LatencyStats`] percentile machinery.
 
 mod builder;
 mod driver;

@@ -88,8 +88,9 @@ impl LatencyStats {
     }
 
     /// Renders the stats as a JSON object fragment — the bench bins'
-    /// shared serialization, so `BENCH_io.json`, `BENCH_qos.json`, and
-    /// `BENCH_cache.json` all spell latency identically.
+    /// shared serialization, so `BENCH_io.json`, `BENCH_qos.json`,
+    /// `BENCH_tenant.json`, `BENCH_trace.json` and `BENCH_blame.json`
+    /// all spell latency identically.
     pub fn json(&self) -> String {
         format!(
             "{{\"p50_ms\":{:.4},\"p95_ms\":{:.4},\"p99_ms\":{:.4},\"p999_ms\":{:.4},\"mean_ms\":{:.4},\"max_ms\":{:.4}}}",

@@ -376,7 +376,7 @@ impl AccessPattern for ZipfPattern {
 }
 
 /// A wrapping sequential cursor: each range starts where the previous
-/// one ended — the streaming-scan half of scan-resistance studies.
+/// one ended — a streaming scan expressed as gets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequentialPattern {
     total: u64,

@@ -17,10 +17,10 @@
 //!   chunk → byte [`Extent`], so any read range can be answered by
 //!   decoding only the chunks it touches;
 //! - [`engine`] — [`StoreEngine`] answers concurrent operations
-//!   behind an N-shard **striped cache** of decoded chunks
-//!   ([`StripedCache`]; policies in [`lru`]: LRU, segmented LRU,
-//!   CLOCK, or 2Q; hit/miss statistics and per-shard lock accounting
-//!   exported). All three operation kinds run through one typed path
+//!   behind an N-shard **striped LRU cache** of decoded chunks
+//!   ([`StripedCache`] in [`lru`]; hit/miss statistics and per-shard
+//!   lock accounting exported). All three operation kinds run through
+//!   one typed path
 //!   ([`engine::StoreOp`] → [`StoreEngine::run_op`] →
 //!   [`engine::OpValue`] + [`engine::OpTrace`]); gets and scans
 //!   resolve to **zero-copy** [`ReadView`]s ([`view`]) over the
@@ -94,10 +94,7 @@ pub use engine::{
     DecodeStats, EngineBackend, EngineConfig, OpTrace, OpValue, StoreBackend, StoreEngine, StoreOp,
     TimingSnapshot,
 };
-pub use lru::{
-    CachePolicy, CacheSnapshot, CacheStats, ChunkCache, ClockCache, LruCache, SegmentedLruCache,
-    StripeSnapshot, StripedCache, TwoQCache,
-};
+pub use lru::{CachePolicy, CacheSnapshot, CacheStats, LruCache, StripeSnapshot, StripedCache};
 pub use manifest::{ChunkMeta, StoreManifest};
 pub use obs::{
     EngineEvent, LogHistogram, MetricValue, MetricsRecorder, MetricsSnapshot, OpSpan, Replay,

@@ -1,7 +1,7 @@
 //! Property tests: the serving layer must be an access-path detail,
 //! never a data-path difference — a [`Session`]'s `get`/`scan`/
 //! `append` must return bit-identical results to direct
-//! [`StoreEngine`] calls across chunk sizes, cache policies, cache
+//! [`StoreEngine`] calls across chunk sizes, cache sizes, cache
 //! shard counts, extent coalescing, and fleet shapes; the zero-copy
 //! [`ReadView`] path must equal the owned path record for record; and
 //! the ticket lifecycle (drop, queue-full, cancel) must never corrupt
@@ -13,8 +13,8 @@ use sage_genomics::{Read, ReadSet};
 use sage_ssd::SsdConfig;
 use sage_store::client::{DatasetBuilder, SubmitMode};
 use sage_store::{
-    encode_sharded, CachePolicy, EngineConfig, Placement, ReadView, StoreEngine, StoreError,
-    StoreOp, StoreOptions,
+    encode_sharded, EngineConfig, Placement, ReadView, StoreEngine, StoreError, StoreOp,
+    StoreOptions,
 };
 
 /// The device shapes under test: untimed, one SSD, a homogeneous
@@ -47,10 +47,6 @@ fn apply_devices_builder(shape: u8, b: DatasetBuilder) -> DatasetBuilder {
             ])
             .placement(Placement::CapacityWeighted),
     }
-}
-
-fn policy_for(ix: u8) -> CachePolicy {
-    CachePolicy::all()[ix as usize % CachePolicy::all().len()]
 }
 
 /// Bit-identical record comparison between any two read sequences.
@@ -86,7 +82,6 @@ proptest! {
     fn session_equals_direct_engine(
         seed in 0u64..1000,
         chunk_ix in 0usize..4,
-        policy_ix in 0u8..3,
         shape in 0u8..4,
         cache_chunks in 0usize..6,
         cache_shards in 1usize..4,
@@ -96,23 +91,16 @@ proptest! {
         // Chunk sizes: single-read, a prime that never divides
         // evenly, a power of two, and one chunk larger than the set.
         let chunk = [1usize, 7, 16, reads.len() + 5][chunk_ix];
-        let policy = policy_for(policy_ix);
         let sharded = encode_sharded(&reads, &StoreOptions::new(chunk)).unwrap();
 
         let engine = StoreEngine::open(
             sharded.clone(),
-            apply_devices(
-                shape,
-                EngineConfig::default()
-                    .with_cache_chunks(cache_chunks)
-                    .with_cache_policy(policy),
-            ),
+            apply_devices(shape, EngineConfig::default().with_cache_chunks(cache_chunks)),
         );
         let dataset = apply_devices_builder(
             shape,
             DatasetBuilder::new()
                 .cache_chunks(cache_chunks)
-                .cache_policy(policy)
                 .cache_shards(cache_shards)
                 .server_workers(2)
                 .queue_depth(4),
@@ -157,16 +145,15 @@ proptest! {
     }
 
     /// The zero-copy hot path is a representation change, never a
-    /// semantics change: for any cache policy × shard count ×
-    /// coalescing setting × fleet shape, `run_op`'s [`ReadView`]s are
-    /// bit-identical to the reference owned path (shards = 1,
-    /// coalescing off), the per-op cache outcome is preserved at equal
-    /// capacity, and coalescing only merges device commands — it never
-    /// changes which chunks an operation touches.
+    /// semantics change: for any shard count × coalescing setting ×
+    /// fleet shape, `run_op`'s [`ReadView`]s are bit-identical to the
+    /// reference owned path (shards = 1, coalescing off), the per-op
+    /// cache outcome is preserved at equal capacity, and coalescing
+    /// only merges device commands — it never changes which chunks an
+    /// operation touches.
     #[test]
     fn view_path_equals_owned_path(
         seed in 0u64..1000,
-        policy_ix in 0u8..4,
         shape in 0u8..4,
         cache_shards in 1usize..9,
         coalesce_ix in 0u8..2,
@@ -174,7 +161,6 @@ proptest! {
         let coalesce = coalesce_ix == 1;
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), seed).reads;
         let n = reads.len() as u64;
-        let policy = policy_for(policy_ix);
         let sharded = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
         let n_chunks = sharded.n_chunks() as u64;
 
@@ -182,12 +168,7 @@ proptest! {
         // device command per missed chunk, owned results.
         let reference = StoreEngine::open(
             sharded.clone(),
-            apply_devices(
-                shape,
-                EngineConfig::default()
-                    .with_cache_chunks(4)
-                    .with_cache_policy(policy),
-            ),
+            apply_devices(shape, EngineConfig::default().with_cache_chunks(4)),
         );
         let hot = StoreEngine::open(
             sharded,
@@ -195,7 +176,6 @@ proptest! {
                 shape,
                 EngineConfig::default()
                     .with_cache_chunks(4)
-                    .with_cache_policy(policy)
                     .with_cache_shards(cache_shards)
                     .with_extent_coalescing(coalesce),
             ),
@@ -243,8 +223,8 @@ proptest! {
                 );
             }
         }
-        // Same capacity, same policy ⇒ at shard count 1 the cache
-        // outcome sequence is exactly the reference's.
+        // Same capacity ⇒ at shard count 1 the cache outcome sequence
+        // is exactly the reference's.
         if cache_shards == 1 {
             let a = reference.cache_stats();
             let b = hot.cache_stats();
@@ -259,39 +239,31 @@ proptest! {
 }
 
 /// Dropped tickets (abandoned answers) must not corrupt or stall the
-/// answers of later operations — across every cache policy.
+/// answers of later operations.
 #[test]
 fn dropped_tickets_never_corrupt_later_answers() {
     let reads = simulate_dataset(&DatasetProfile::tiny_short(), 77).reads;
-    for policy in CachePolicy::all() {
-        let dataset = DatasetBuilder::new()
-            .chunk_reads(16)
-            .cache_chunks(2)
-            .cache_policy(policy)
-            .server_workers(2)
-            .queue_depth(4)
-            .encode(&reads)
-            .unwrap();
-        let session = dataset.session();
-        for i in 0..12u64 {
-            // Every third ticket is dropped unharvested.
-            let t = session.get(i..i + 8).unwrap();
-            if i % 3 == 0 {
-                drop(t);
-            } else {
-                let got = t.join().unwrap();
-                for (k, r) in got.iter().enumerate() {
-                    assert_eq!(
-                        r.seq,
-                        reads.reads()[i as usize + k].seq,
-                        "{}",
-                        policy.label()
-                    );
-                }
+    let dataset = DatasetBuilder::new()
+        .chunk_reads(16)
+        .cache_chunks(2)
+        .server_workers(2)
+        .queue_depth(4)
+        .encode(&reads)
+        .unwrap();
+    let session = dataset.session();
+    for i in 0..12u64 {
+        // Every third ticket is dropped unharvested.
+        let t = session.get(i..i + 8).unwrap();
+        if i % 3 == 0 {
+            drop(t);
+        } else {
+            let got = t.join().unwrap();
+            for (k, r) in got.iter().enumerate() {
+                assert_eq!(r.seq, reads.reads()[i as usize + k].seq);
             }
         }
-        dataset.shutdown();
     }
+    dataset.shutdown();
 }
 
 /// The queue-full path: `Fail` mode sheds typed errors, and shed

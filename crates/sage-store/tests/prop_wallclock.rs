@@ -14,7 +14,7 @@ use sage_io::SchedPolicyKind;
 use sage_ssd::SsdConfig;
 use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
 use sage_store::client::{Dataset, DatasetBuilder, MultiTenantSpec, TenantLoad, TenantSpec};
-use sage_store::{CachePolicy, StoreBackend};
+use sage_store::StoreBackend;
 use std::path::PathBuf;
 
 /// The wall-clock knobs under test: `None` backend = simulated.
@@ -37,7 +37,6 @@ fn knob_dataset(seed: u64, devices: usize, knobs: &Knobs) -> Dataset {
     let mut builder = DatasetBuilder::new()
         .chunk_reads(16)
         .cache_chunks(4)
-        .cache_policy(CachePolicy::SegmentedLru)
         .server_workers(1)
         .decode_workers(knobs.decode_workers);
     if let Some(dir) = &knobs.backend_dir {

@@ -11,7 +11,6 @@ use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_ssd::SsdConfig;
 use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
 use sage_store::client::{Dataset, DatasetBuilder};
-use sage_store::CachePolicy;
 
 /// An identically-prepared serving stack: same reads, same encode,
 /// cold cache, fresh reactor. Two of these are indistinguishable to
@@ -34,8 +33,7 @@ fn fresh_hotpath_dataset(
         .chunk_reads(16)
         .cache_chunks(cache_chunks)
         .cache_shards(cache_shards)
-        .extent_coalescing(coalesce)
-        .cache_policy(CachePolicy::SegmentedLru);
+        .extent_coalescing(coalesce);
     if devices == 1 {
         builder.ssd(SsdConfig::pcie())
     } else {

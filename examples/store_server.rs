@@ -16,12 +16,11 @@ use sage::client::{DatasetBuilder, SubmitMode};
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
 use sage::genomics::ReadSet;
 use sage::ssd::SsdConfig;
-use sage::store::CachePolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Synthesize a read set and build the served dataset in one
     //    fluent pass: 64-read chunks compressed in parallel, a small
-    //    segmented-LRU cache, chunk extents striped round-robin over
+    //    LRU cache, chunk extents striped round-robin over
     //    a two-device PCIe fleet, four reactor workers behind a
     //    16-deep submission ring. Conflicting knobs (say, `ssd` plus
     //    `ssd_fleet`) would fail here with a typed ConfigError.
@@ -29,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = DatasetBuilder::new()
         .chunk_reads(64)
         .cache_chunks(6)
-        .cache_policy(CachePolicy::SegmentedLru)
         .ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()])
         .server_workers(4)
         .queue_depth(16)

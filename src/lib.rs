@@ -25,9 +25,9 @@
 //!   fixed worker set, per-device completion queues with virtual-time
 //!   latency accounting, and multi-SSD extent sharding (`DeviceMap`).
 //! - [`store`] — the sharded chunk-container store: parallel chunk codec,
-//!   manifest-indexed random access, a concurrent query engine with
-//!   pluggable chunk caches (LRU, segmented LRU, CLOCK), and single- or
-//!   multi-SSD timing modes served through the reactor.
+//!   manifest-indexed random access, a concurrent query engine with a
+//!   striped LRU cache of decoded chunks, and single- or multi-SSD
+//!   timing modes served through the reactor.
 //! - [`client`] — **the typed serving API** (re-export of
 //!   [`store::client`]): `DatasetBuilder` → `Dataset` → `Session`,
 //!   typed tickets with per-operation `OpReport`s, and the shared
