@@ -8,6 +8,8 @@
 //!    of arrival processes × access patterns × fleet sizes is held to
 //!    the values the separate lockstep open-loop driver produced
 //!    before it was folded in, and span tokens stay arrival ordinals.
+//!    The sequential pattern and every scheduling policy's queued
+//!    timeline are pinned the same way, to recorded values.
 //! 2. **Conservation** — per-tenant busy seconds sum to the
 //!    scheduler's per-device busy seconds *bitwise*: tenant
 //!    attribution never invents or loses device time.
@@ -159,33 +161,95 @@ fn span_tokens_are_arrival_ordinals_with_gaps_at_the_sheds() {
     }
 }
 
+/// `(completed, shed, makespan bits, FNV of latency bits)` per cell of
+/// the sequential-pattern grid (arrival processes × 1 and 2 devices),
+/// in loop order — recorded before the generators were folded into
+/// their config enums.
+const RECORDED_SEQUENTIAL: [(u64, u64, u64, u64); 6] = [
+    (96, 0, 0x3fcebabbc4d95513, 0xb01186b934766381), // 1x fixed sequential
+    (96, 0, 0x3fd3fb26d8cd98b0, 0xef1dde979adafc4d), // 1x poisson sequential
+    (89, 7, 0x3fa6345405f0d502, 0x8a980e98e4adf905), // 1x bursty sequential
+    (96, 0, 0x3fcebabbc4d95513, 0xfc63e2c2e83c3eb8), // 2x fixed sequential
+    (96, 0, 0x3fd3fb26d8cd98b0, 0x5b081cf62dcbdf15), // 2x poisson sequential
+    (96, 0, 0x3fa6345405f0d502, 0x4c214d47ace782da), // 2x bursty sequential
+];
+
+#[test]
+fn sequential_pattern_reproduces_recorded_reports() {
+    let arrivals = [
+        Arrivals::Fixed { rate: 400.0 },
+        Arrivals::Poisson { rate: 300.0 },
+        Arrivals::Bursty {
+            on_rate: 3000.0,
+            mean_on: 0.01,
+            mean_off: 0.01,
+        },
+    ];
+    let mut recorded = RECORDED_SEQUENTIAL.iter();
+    for devices in [1usize, 2] {
+        for arr in arrivals {
+            let mut spec = OpenLoopSpec::new(arr);
+            spec.pattern = Pattern::Sequential { span: 16 };
+            spec.mix = OpMix {
+                get: 0.8,
+                scan: 0.1,
+                append: 0.1,
+            };
+            spec.requests = 96;
+            spec.queue_depth = 8;
+            spec.seed = 0x5eed;
+            let report = fleet_dataset(devices)
+                .drive_open_loop(&spec)
+                .expect("drive");
+            let cell = format!("{}x {} sequential", devices, arr.label());
+            let got = (
+                report.completed,
+                report.shed,
+                report.makespan.to_bits(),
+                fnv_of_bits(&report.latencies),
+            );
+            assert_eq!(
+                &got,
+                recorded.next().expect("6 cells"),
+                "cell {cell}: {got:#x?}"
+            );
+        }
+    }
+}
+
+/// Three tenants on a three-device fleet: a foreground get stream, a
+/// scan-heavy background and an append-only ingest, weighted 4:1:2.
+fn three_tenant_spec(policy: SchedPolicyKind, seed: u64) -> MultiTenantSpec {
+    let mut fg = TenantLoad::new(Arrivals::Poisson { rate: 500.0 });
+    fg.requests = 64;
+    fg.seed = seed;
+    let mut scan_bg = TenantLoad::new(Arrivals::Poisson { rate: 150.0 });
+    scan_bg.mix = OpMix {
+        get: 0.2,
+        scan: 0.8,
+        append: 0.0,
+    };
+    scan_bg.requests = 32;
+    scan_bg.seed = seed ^ 0xff;
+    let mut ingest = TenantLoad::new(Arrivals::Fixed { rate: 200.0 });
+    ingest.mix = OpMix {
+        get: 0.0,
+        scan: 0.0,
+        append: 1.0,
+    };
+    ingest.requests = 32;
+    ingest.seed = seed ^ 0xf0f0;
+    MultiTenantSpec::new(policy)
+        .tenant(TenantSpec::named("fg").with_weight(4.0), fg)
+        .tenant(TenantSpec::named("scan").with_weight(1.0), scan_bg)
+        .tenant(TenantSpec::named("ingest").with_weight(2.0), ingest)
+}
+
 #[test]
 fn weighted_fair_tenant_busy_seconds_conserve_exactly() {
     for seed in [0x1u64, 0xabcd, 0xdead_beef] {
         let dataset = fleet_dataset(3);
-        let mut fg = TenantLoad::new(Arrivals::Poisson { rate: 500.0 });
-        fg.requests = 64;
-        fg.seed = seed;
-        let mut scan_bg = TenantLoad::new(Arrivals::Poisson { rate: 150.0 });
-        scan_bg.mix = OpMix {
-            get: 0.2,
-            scan: 0.8,
-            append: 0.0,
-        };
-        scan_bg.requests = 32;
-        scan_bg.seed = seed ^ 0xff;
-        let mut ingest = TenantLoad::new(Arrivals::Fixed { rate: 200.0 });
-        ingest.mix = OpMix {
-            get: 0.0,
-            scan: 0.0,
-            append: 1.0,
-        };
-        ingest.requests = 32;
-        ingest.seed = seed ^ 0xf0f0;
-        let spec = MultiTenantSpec::new(SchedPolicyKind::WeightedFair)
-            .tenant(TenantSpec::named("fg").with_weight(4.0), fg)
-            .tenant(TenantSpec::named("scan").with_weight(1.0), scan_bg)
-            .tenant(TenantSpec::named("ingest").with_weight(2.0), ingest);
+        let spec = three_tenant_spec(SchedPolicyKind::WeightedFair, seed);
         let report = dataset.drive_tenants(&spec).expect("drive");
         assert_eq!(report.tenant_busy.len(), 3);
         for (d, total) in report.device_busy.iter().enumerate() {
@@ -208,6 +272,80 @@ fn weighted_fair_tenant_busy_seconds_conserve_exactly() {
         // Queue-delay accounting exists for every tenant and is finite.
         assert_eq!(report.tenant_queue_delay.len(), 3);
         assert!(report.tenant_queue_delay.iter().all(|d| d.is_finite()));
+    }
+}
+
+/// Per policy, in [`SchedPolicyKind::ALL`] order: each tenant's
+/// `(completed, shed, makespan bits, FNV of latency bits)`, then the
+/// FNV of the `tenant_busy` bits (row-major) and of the
+/// `tenant_queue_delay` bits — recorded on the three-tenant drive
+/// (seed `0xabcd`) before the policies were folded into their enum.
+type PolicyCell = ([(u64, u64, u64, u64); 3], u64, u64);
+const RECORDED_POLICIES: [PolicyCell; 4] = [
+    // fifo
+    (
+        [
+            (64, 0, 0x3fc0f1a099527d34, 0x62b10b537abbfdbd),
+            (32, 0, 0x3fc96af06ea1dfb0, 0x4274a1f4705ae67e),
+            (32, 0, 0x3fc47ae147ae147d, 0xb20c1811ca2cf83b),
+        ],
+        0xe566075906c5ac2e,
+        0x6fb7c9349cf5ec44,
+    ),
+    // strict_priority
+    (
+        [
+            (64, 0, 0x3fc0f1a099527d34, 0x62b10b537abbfdbd),
+            (32, 0, 0x3fc96af06ea1dfb0, 0x4274a1f4705ae67e),
+            (32, 0, 0x3fc47ae147ae147d, 0xb20c1811ca2cf83b),
+        ],
+        0xe566075906c5ac2e,
+        0x6db81e6b043ab8f8,
+    ),
+    // weighted_fair
+    (
+        [
+            (64, 0, 0x3fc0dbe7f55c9437, 0x69f718ec2f6fe945),
+            (32, 0, 0x3fc96af06ea1dfb0, 0xa6845a0acdb52353),
+            (32, 0, 0x3fc47ae147ae147d, 0x44909544803cd98b),
+        ],
+        0xe566075906c5ac2e,
+        0x0018f6a635934438,
+    ),
+    // deadline
+    (
+        [
+            (64, 0, 0x3fc0f1a099527d34, 0x62b10b537abbfdbd),
+            (32, 0, 0x3fc96af06ea1dfb0, 0x4274a1f4705ae67e),
+            (32, 0, 0x3fc47ae147ae147d, 0xb20c1811ca2cf83b),
+        ],
+        0xe566075906c5ac2e,
+        0x6db81e6b043ab8f8,
+    ),
+];
+
+#[test]
+fn every_policy_reproduces_recorded_tenant_reports() {
+    for (policy, recorded) in SchedPolicyKind::ALL.into_iter().zip(&RECORDED_POLICIES) {
+        let report = fleet_dataset(3)
+            .drive_tenants(&three_tenant_spec(policy, 0xabcd))
+            .expect("drive");
+        let mut tenants = [(0, 0, 0, 0); 3];
+        for (cell, qos) in tenants.iter_mut().zip(&report.tenants) {
+            *cell = (
+                qos.completed,
+                qos.shed,
+                qos.makespan.to_bits(),
+                fnv_of_bits(&qos.latencies),
+            );
+        }
+        let busy: Vec<f64> = report.tenant_busy.concat();
+        let got = (
+            tenants,
+            fnv_of_bits(&busy),
+            fnv_of_bits(&report.tenant_queue_delay),
+        );
+        assert_eq!(&got, recorded, "policy {}: {got:#x?}", policy.label());
     }
 }
 
