@@ -1,23 +1,18 @@
-//! Per-device completion queues.
+//! The completion queue.
 //!
-//! Every finished operation becomes a [`Cqe`] posted to the completion
-//! queue of the device that finished it. Consumers either poll one
-//! queue ([`CompletionQueues::poll`]), poll across all of them
-//! ([`CompletionQueues::poll_any`]), or block for the next completion
-//! anywhere ([`CompletionQueues::wait_any`]). The whole set shares one
-//! mutex — completion entries are tiny and the reactor's worker count
-//! bounds the posting rate, so a finer-grained design would buy
-//! nothing but subtlety.
+//! Every finished operation becomes a [`Cqe`] posted to one FIFO.
+//! Consumers either poll it ([`CompletionQueues::poll_any`]) or block
+//! for the next completion ([`CompletionQueues::wait_any`]). The queue
+//! sits behind one mutex — completion entries are tiny and the
+//! reactor's worker count bounds the posting rate, so a finer-grained
+//! design would buy nothing but subtlety.
 //!
-//! `poll_any`/`wait_any` drain completions in **post order**, not
-//! device-index order. With one reactor worker, post order equals
-//! dispatch order equals submission order, so a consumer that reacts
-//! to completions (e.g. a closed-loop driver resubmitting at the
-//! completion instant) sees the same order on every run — the virtual
-//! timeline stays reproducible no matter how the host schedules the
-//! consumer against the posting worker. A device-priority scan would
-//! instead let the *number* of entries pending at wake-up (a host-time
-//! race) reorder the harvest.
+//! Completions drain in **post order**. With one reactor worker, post
+//! order equals dispatch order equals submission order, so a consumer
+//! that reacts to completions (e.g. a closed-loop driver resubmitting
+//! at the completion instant) sees the same order on every run — the
+//! virtual timeline stays reproducible no matter how the host
+//! schedules the consumer against the posting worker.
 
 use crate::sched::{ChargeInterval, Dispatch};
 use std::collections::VecDeque;
@@ -28,7 +23,8 @@ use std::sync::{Condvar, Mutex};
 pub struct Cqe<T> {
     /// Caller-chosen token identifying the submission.
     pub user_data: u64,
-    /// Completion queue (device) the entry was posted to.
+    /// The device that finished the operation (the last charged
+    /// device to complete); 0 when nothing was charged.
     pub device: usize,
     /// Virtual instant the operation was submitted.
     pub submitted_vt: f64,
@@ -82,45 +78,15 @@ impl<T> Cqe<T> {
 
 #[derive(Debug)]
 struct CqState<T> {
-    queues: Vec<VecDeque<Cqe<T>>>,
-    /// Queue index of every still-queued post, oldest first — the
-    /// global post order `poll_any`/`wait_any` drain in. A targeted
-    /// [`poll`] removes its device's oldest marker so the invariant
-    /// (marker count per device == queue length) survives out-of-band
-    /// consumption.
-    ///
-    /// [`poll`]: CompletionQueues::poll
-    order: VecDeque<usize>,
+    /// Posted and not yet harvested, oldest first.
+    queue: VecDeque<Cqe<T>>,
     /// Reactor workers still alive; 0 means no further completions can
     /// ever arrive.
     live_posters: usize,
     completed: u64,
 }
 
-impl<T> CqState<T> {
-    /// Pops the oldest completion anywhere, in post order.
-    fn pop_posted(&mut self) -> Option<Cqe<T>> {
-        while let Some(q) = self.order.pop_front() {
-            if let Some(cqe) = self.queues[q].pop_front() {
-                return Some(cqe);
-            }
-        }
-        // Every post pushes one marker and every pop removes exactly
-        // one, so an empty order means empty queues; scan anyway so a
-        // completion can never strand.
-        self.queues.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    /// Drops the oldest order marker for queue `q` (called when a
-    /// targeted poll consumed that queue's front out of band).
-    fn drop_marker(&mut self, q: usize) {
-        if let Some(ix) = self.order.iter().position(|&d| d == q) {
-            self.order.remove(ix);
-        }
-    }
-}
-
-/// The completion side of a reactor: one queue per device.
+/// The completion side of a reactor: one queue in post order.
 #[derive(Debug)]
 pub struct CompletionQueues<T> {
     state: Mutex<CqState<T>>,
@@ -128,22 +94,16 @@ pub struct CompletionQueues<T> {
 }
 
 impl<T> CompletionQueues<T> {
-    /// A set of `n_devices` queues fed by `posters` workers.
-    pub(crate) fn new(n_devices: usize, posters: usize) -> CompletionQueues<T> {
+    /// An empty queue fed by `posters` workers.
+    pub(crate) fn new(posters: usize) -> CompletionQueues<T> {
         CompletionQueues {
             state: Mutex::new(CqState {
-                queues: (0..n_devices.max(1)).map(|_| VecDeque::new()).collect(),
-                order: VecDeque::new(),
+                queue: VecDeque::new(),
                 live_posters: posters,
                 completed: 0,
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// Number of completion queues (devices).
-    pub fn n_queues(&self) -> usize {
-        self.state.lock().expect("cq poisoned").queues.len()
     }
 
     /// Total completions posted so far.
@@ -153,9 +113,7 @@ impl<T> CompletionQueues<T> {
 
     pub(crate) fn post(&self, cqe: Cqe<T>) {
         let mut state = self.state.lock().expect("cq poisoned");
-        let q = cqe.device.min(state.queues.len() - 1);
-        state.queues[q].push_back(cqe);
-        state.order.push_back(q);
+        state.queue.push_back(cqe);
         state.completed += 1;
         drop(state);
         self.cv.notify_all();
@@ -172,30 +130,19 @@ impl<T> CompletionQueues<T> {
         }
     }
 
-    /// Pops the oldest completion on one device's queue, if any.
-    pub fn poll(&self, device: usize) -> Option<Cqe<T>> {
-        let mut state = self.state.lock().expect("cq poisoned");
-        let q = device.min(state.queues.len() - 1);
-        let cqe = state.queues[q].pop_front()?;
-        state.drop_marker(q);
-        Some(cqe)
-    }
-
-    /// Pops the oldest completion anywhere, in post order (see the
-    /// module docs: post order keeps completion-driven loops
-    /// reproducible).
+    /// Pops the oldest completion, in post order (see the module docs:
+    /// post order keeps completion-driven loops reproducible).
     pub fn poll_any(&self) -> Option<Cqe<T>> {
-        let mut state = self.state.lock().expect("cq poisoned");
-        state.pop_posted()
+        self.state.lock().expect("cq poisoned").queue.pop_front()
     }
 
-    /// Blocks until a completion is available anywhere and pops the
-    /// oldest-posted one; `None` when the reactor shut down and every
+    /// Blocks until a completion is available and pops the
+    /// oldest-posted one; `None` when the reactor shut down and the
     /// queue is drained.
     pub fn wait_any(&self) -> Option<Cqe<T>> {
         let mut state = self.state.lock().expect("cq poisoned");
         loop {
-            if let Some(cqe) = state.pop_posted() {
+            if let Some(cqe) = state.queue.pop_front() {
                 return Some(cqe);
             }
             if state.live_posters == 0 {
@@ -203,12 +150,6 @@ impl<T> CompletionQueues<T> {
             }
             state = self.cv.wait(state).expect("cq poisoned");
         }
-    }
-
-    /// Completions currently queued per device.
-    pub fn depths(&self) -> Vec<usize> {
-        let state = self.state.lock().expect("cq poisoned");
-        state.queues.iter().map(VecDeque::len).collect()
     }
 }
 
@@ -234,15 +175,16 @@ mod tests {
 
     #[test]
     fn routes_to_per_device_queues() {
-        let cq: CompletionQueues<u32> = CompletionQueues::new(2, 1);
+        // One queue: each entry keeps its finishing device and drains
+        // in post order, whatever that device.
+        let cq: CompletionQueues<u32> = CompletionQueues::new(1);
         cq.post(cqe(1, 0));
         cq.post(cqe(2, 1));
-        cq.post(cqe(3, 1));
-        assert_eq!(cq.depths(), vec![1, 2]);
-        assert_eq!(cq.poll(1).unwrap().user_data, 2);
-        assert_eq!(cq.poll(0).unwrap().user_data, 1);
-        assert_eq!(cq.poll_any().unwrap().user_data, 3);
-        assert!(cq.poll_any().is_none());
+        cq.post(cqe(3, 7));
+        let drained: Vec<(u64, usize)> = std::iter::from_fn(|| cq.poll_any())
+            .map(|c| (c.user_data, c.device))
+            .collect();
+        assert_eq!(drained, [(1, 0), (2, 1), (3, 7)]);
         assert_eq!(cq.completed(), 3);
     }
 
@@ -255,7 +197,7 @@ mod tests {
 
     #[test]
     fn wait_any_ends_after_last_poster() {
-        let cq: CompletionQueues<u32> = CompletionQueues::new(1, 1);
+        let cq: CompletionQueues<u32> = CompletionQueues::new(1);
         cq.post(cqe(5, 0));
         cq.poster_done();
         assert_eq!(cq.wait_any().unwrap().user_data, 5);
@@ -266,35 +208,12 @@ mod tests {
     fn any_pops_follow_post_order_across_devices() {
         // Device-index priority would return 2 (device 0) first; post
         // order must return 1 (device 1).
-        let cq: CompletionQueues<u32> = CompletionQueues::new(2, 1);
+        let cq: CompletionQueues<u32> = CompletionQueues::new(1);
         cq.post(cqe(1, 1));
         cq.post(cqe(2, 0));
         cq.post(cqe(3, 1));
         assert_eq!(cq.wait_any().unwrap().user_data, 1);
         assert_eq!(cq.poll_any().unwrap().user_data, 2);
         assert_eq!(cq.wait_any().unwrap().user_data, 3);
-    }
-
-    #[test]
-    fn targeted_polls_leave_post_order_intact() {
-        let cq: CompletionQueues<u32> = CompletionQueues::new(2, 1);
-        cq.post(cqe(1, 0));
-        cq.post(cqe(2, 1));
-        cq.post(cqe(3, 0));
-        // An out-of-band poll consumes device 0's oldest entry and its
-        // order marker with it; the remaining entries still drain in
-        // post order (2 before 3).
-        assert_eq!(cq.poll(0).unwrap().user_data, 1);
-        assert_eq!(cq.poll_any().unwrap().user_data, 2);
-        assert_eq!(cq.wait_any().unwrap().user_data, 3);
-        assert!(cq.poll_any().is_none());
-    }
-
-    #[test]
-    fn out_of_range_device_clamps_to_last_queue() {
-        let cq: CompletionQueues<u32> = CompletionQueues::new(2, 1);
-        cq.post(cqe(1, 7));
-        assert_eq!(cq.depths(), vec![0, 1]);
-        assert_eq!(cq.poll(7).unwrap().user_data, 1);
     }
 }

@@ -274,7 +274,7 @@ mod tests {
     }
 
     /// The io_uring-shaped path: submit [`FileReadOp`]s through a
-    /// [`Reactor`] and harvest real bytes off the completion queues.
+    /// [`Reactor`] and harvest real bytes off the completion queue.
     /// Empty charge lists mean the virtual clocks never move.
     #[test]
     fn reactor_serves_real_bytes_with_zero_virtual_charges() {

@@ -11,9 +11,9 @@
 //!   rejected-and-counted (load shedding).
 //! - [`reactor`] — the **completion-queue reactor**: a small fixed
 //!   worker set drains the ring, runs each operation against an
-//!   [`IoBackend`], and posts a [`Cqe`] to the completion queue of the
-//!   device that finished it. Arbitrarily many operations are in
-//!   flight at once; workers bound only CPU parallelism.
+//!   [`IoBackend`], and posts a [`Cqe`] to the completion queue.
+//!   Arbitrarily many operations are in flight at once; workers bound
+//!   only CPU parallelism.
 //! - [`sched`] — **virtual-time device scheduling**: per-device clocks
 //!   turn the device models' service seconds into queued start/finish
 //!   instants, so completions carry realistic latencies (queueing
@@ -22,8 +22,8 @@
 //!   priority, weighted fair (SCFQ), and earliest-deadline-first picks
 //!   over the scheduler's per-device pending queues, with per-tenant
 //!   busy/queue-delay attribution.
-//! - [`cqueue`] — per-device **completion queues** with poll/wait
-//!   harvesting.
+//! - [`cqueue`] — the **completion queue**: one FIFO in post order
+//!   with poll/wait harvesting.
 //! - [`mod@file`] — the **real-bytes backend**: per-device container
 //!   files served with positioned reads (`pread`) behind the same
 //!   submit/complete shape, charging *zero* virtual seconds so the
@@ -44,7 +44,7 @@
 //!         [ virtual scheduler: per-device clocks ]
 //!                  │ dispatch → start/completion instants
 //!                  ▼
-//!   [ CQ dev0 ] [ CQ dev1 ] … [ CQ devN ]  ◀─poll/wait── clients
+//!         [ completion queue (post order) ]  ◀─poll/wait── clients
 //! ```
 
 pub mod cqueue;
@@ -58,7 +58,7 @@ pub mod sched;
 pub use cqueue::{CompletionQueues, Cqe};
 pub use device::{ChunkSlot, DeviceMap, DeviceSnapshot, Placement};
 pub use file::{FileBackend, FileReadOp};
-pub use qos::{SchedPolicy, SchedPolicyKind, SchedTag};
+pub use qos::{SchedPolicyKind, SchedTag};
 pub use reactor::{IoBackend, IoConfig, Reactor, ReactorSnapshot, Sqe};
 pub use ring::{RingCounters, SubmissionRing, SubmitError};
 pub use sched::{ChargeInterval, DeviceCharge, Dispatch, ResolvedOp, VirtualScheduler};

@@ -7,8 +7,8 @@
 //! tenants with different priorities, weights, or deadlines needs the
 //! opposite: charges wait in per-device pending queues and the device,
 //! each time it frees up, picks which queued charge to serve next.
-//! That pick is this module's [`SchedPolicy`] trait; the queues
-//! themselves live in the scheduler
+//! That pick is the [`SchedPolicyKind`] the scheduler was built with;
+//! the queues themselves live in the scheduler
 //! ([`VirtualScheduler::enqueue`](crate::sched::VirtualScheduler::enqueue)
 //! / [`advance_to`](crate::sched::VirtualScheduler::advance_to) /
 //! [`flush`](crate::sched::VirtualScheduler::flush)).
@@ -22,12 +22,10 @@
 //!
 //! | Policy | Key | Behavior |
 //! |---|---|---|
-//! | [`Fifo`] | constant | submission order; bit-identical to eager dispatch |
-//! | [`StrictPriority`] | `255 − priority` | higher [`SchedTag::priority`] always first |
-//! | [`WeightedFair`] | SCFQ finish tag | device seconds shared ∝ [`SchedTag::weight`] |
-//! | [`Deadline`] | `deadline_vt` | earliest [`SchedTag::deadline_vt`] first (EDF) |
-
-use std::fmt;
+//! | [`Fifo`](SchedPolicyKind::Fifo) | constant | submission order; bit-identical to eager dispatch |
+//! | [`StrictPriority`](SchedPolicyKind::StrictPriority) | `255 − priority` | higher [`SchedTag::priority`] always first |
+//! | [`WeightedFair`](SchedPolicyKind::WeightedFair) | SCFQ finish tag | device seconds shared ∝ [`SchedTag::weight`] |
+//! | [`Deadline`](SchedPolicyKind::Deadline) | `deadline_vt` | earliest [`SchedTag::deadline_vt`] first (EDF) |
 
 /// Per-operation scheduling attributes, stamped by the submitting
 /// tenant's registration.
@@ -41,13 +39,15 @@ pub struct SchedTag {
     /// Tenant index — keys the per-tenant busy/queue-delay accounting.
     pub tenant: usize,
     /// Strict priority class (higher serves first under
-    /// [`StrictPriority`]).
+    /// [`SchedPolicyKind::StrictPriority`]).
     pub priority: u8,
     /// Fair share weight (device seconds are shared proportionally
-    /// under [`WeightedFair`]); clamped to a small positive minimum.
+    /// under [`SchedPolicyKind::WeightedFair`]); clamped to a small
+    /// positive minimum.
     pub weight: f64,
     /// Absolute completion deadline on the virtual timeline (EDF order
-    /// under [`Deadline`]); `INFINITY` means "no deadline".
+    /// under [`SchedPolicyKind::Deadline`]); `INFINITY` means "no
+    /// deadline".
     pub deadline_vt: f64,
 }
 
@@ -72,23 +72,13 @@ impl SchedTag {
     }
 }
 
-/// Weights below this are clamped up so a mis-configured zero weight
-/// cannot produce infinite finish tags.
-const MIN_WEIGHT: f64 = 1e-9;
-
-/// How a device picks the next pending charge to serve.
+/// How a device picks the next pending charge to serve on the queued
+/// dispatch path. Plain config data ([`IoConfig`](crate::reactor::IoConfig)
+/// stays `Copy`/`Eq`); the scheduler keys and serves by `match` on it.
 ///
-/// The contract: [`enqueue_key`](SchedPolicy::enqueue_key) assigns
-/// each charge a key when it joins a device's pending queue; the
+/// Each charge gets a key when it joins a device's pending queue; the
 /// device serves the smallest key among the charges that have arrived
 /// by the time it frees up, breaking ties by submission sequence.
-/// [`on_service`](SchedPolicy::on_service) is called as each charge
-/// begins service so stateful policies (SCFQ virtual clocks) can
-/// advance.
-///
-/// Keys must never be NaN — every built-in policy guarantees this and
-/// custom policies must too, or the pending-queue ordering becomes
-/// unspecified.
 ///
 /// ```
 /// use sage_io::qos::{SchedPolicyKind, SchedTag};
@@ -109,132 +99,29 @@ const MIN_WEIGHT: f64 = 1e-9;
 /// assert_eq!(done.iter().map(|r| r.user_data).collect::<Vec<_>>(), [0, 2, 1]);
 /// assert_eq!(done[1].dispatch.started_vt, 1.0);
 /// ```
-pub trait SchedPolicy: Send + fmt::Debug {
-    /// Display label ("fifo", "strict_priority", …).
-    fn label(&self) -> &'static str;
-
-    /// The key for one charge of `seconds` device time entering
-    /// `device`'s pending queue under `tag`.
-    fn enqueue_key(&mut self, device: usize, tag: &SchedTag, seconds: f64) -> f64;
-
-    /// A charge with `key` began service on `device`.
-    fn on_service(&mut self, device: usize, key: f64) {
-        let _ = (device, key);
-    }
-}
-
-/// First in, first out — the default, and bit-identical to the eager
-/// dispatch path (property-gated in `tests/prop_qos.rs`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Fifo;
-
-impl SchedPolicy for Fifo {
-    fn label(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn enqueue_key(&mut self, _device: usize, _tag: &SchedTag, _seconds: f64) -> f64 {
-        0.0
-    }
-}
-
-/// Higher [`SchedTag::priority`] always serves first; submission order
-/// within a class.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StrictPriority;
-
-impl SchedPolicy for StrictPriority {
-    fn label(&self) -> &'static str {
-        "strict_priority"
-    }
-
-    fn enqueue_key(&mut self, _device: usize, tag: &SchedTag, _seconds: f64) -> f64 {
-        f64::from(u8::MAX - tag.priority)
-    }
-}
-
-/// Self-clocked weighted fair queueing (SCFQ) over per-tenant device
-/// seconds.
-///
-/// Each device keeps a virtual clock `v` — the finish tag of the
-/// charge most recently started. A charge from tenant `t` with demand
-/// `s` gets start tag `max(v, F_last[t])` and finish tag `start +
-/// s / weight`; devices serve the smallest finish tag. Backlogged
-/// tenants therefore receive device seconds proportionally to their
-/// weights, and an idle tenant's share is redistributed (the clock
-/// catches up, so returning tenants are not owed the past).
-#[derive(Debug, Default)]
-pub struct WeightedFair {
-    /// Per-device virtual clock: finish tag of the last charge to
-    /// begin service.
-    v: Vec<f64>,
-    /// `[device][tenant]` finish tag of the tenant's last enqueued
-    /// charge — consecutive charges from one tenant form a chain.
-    f_last: Vec<Vec<f64>>,
-}
-
-impl WeightedFair {
-    fn slot(&mut self, device: usize, tenant: usize) -> (&mut f64, &mut f64) {
-        if self.v.len() <= device {
-            self.v.resize(device + 1, 0.0);
-            self.f_last.resize_with(device + 1, Vec::new);
-        }
-        let row = &mut self.f_last[device];
-        if row.len() <= tenant {
-            row.resize(tenant + 1, 0.0);
-        }
-        (&mut self.v[device], &mut row[tenant])
-    }
-}
-
-impl SchedPolicy for WeightedFair {
-    fn label(&self) -> &'static str {
-        "weighted_fair"
-    }
-
-    fn enqueue_key(&mut self, device: usize, tag: &SchedTag, seconds: f64) -> f64 {
-        let weight = tag.weight.max(MIN_WEIGHT);
-        let (v, f_last) = self.slot(device, tag.tenant);
-        let start = v.max(*f_last);
-        let finish = start + seconds / weight;
-        *f_last = finish;
-        finish
-    }
-
-    fn on_service(&mut self, device: usize, key: f64) {
-        let (v, _) = self.slot(device, 0);
-        *v = v.max(key);
-    }
-}
-
-/// Earliest deadline first on [`SchedTag::deadline_vt`] (derived from
-/// the tenant's SLO by the client layer: `submit + slo`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Deadline;
-
-impl SchedPolicy for Deadline {
-    fn label(&self) -> &'static str {
-        "deadline"
-    }
-
-    fn enqueue_key(&mut self, _device: usize, tag: &SchedTag, _seconds: f64) -> f64 {
-        tag.deadline_vt
-    }
-}
-
-/// Config-friendly policy selector ([`IoConfig`](crate::reactor::IoConfig)
-/// stays `Copy`/`Eq`); [`policy`](SchedPolicyKind::policy) instantiates
-/// the boxed implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicyKind {
-    /// [`Fifo`].
+    /// First in, first out — the default, and bit-identical to the
+    /// eager dispatch path (property-gated in `tests/prop_qos.rs`).
     #[default]
     Fifo,
-    /// [`StrictPriority`].
+    /// Higher [`SchedTag::priority`] always serves first; submission
+    /// order within a class.
     StrictPriority,
-    /// [`WeightedFair`].
+    /// Self-clocked weighted fair queueing (SCFQ) over per-tenant
+    /// device seconds.
+    ///
+    /// Each device keeps a virtual clock `v` — the finish tag of the
+    /// charge most recently started. A charge from tenant `t` with
+    /// demand `s` gets start tag `max(v, F_last[t])` and finish tag
+    /// `start + s / weight`; devices serve the smallest finish tag.
+    /// Backlogged tenants therefore receive device seconds
+    /// proportionally to their weights, and an idle tenant's share is
+    /// redistributed (the clock catches up, so returning tenants are
+    /// not owed the past).
     WeightedFair,
-    /// [`Deadline`].
+    /// Earliest deadline first on [`SchedTag::deadline_vt`] (derived
+    /// from the tenant's SLO by the client layer: `submit + slo`).
     Deadline,
 }
 
@@ -247,7 +134,7 @@ impl SchedPolicyKind {
         SchedPolicyKind::Deadline,
     ];
 
-    /// Display label (matches [`SchedPolicy::label`]).
+    /// Display label ("fifo", "strict_priority", …).
     pub fn label(&self) -> &'static str {
         match self {
             SchedPolicyKind::Fifo => "fifo",
@@ -256,21 +143,16 @@ impl SchedPolicyKind {
             SchedPolicyKind::Deadline => "deadline",
         }
     }
-
-    /// Instantiates the policy.
-    pub fn policy(&self) -> Box<dyn SchedPolicy> {
-        match self {
-            SchedPolicyKind::Fifo => Box::new(Fifo),
-            SchedPolicyKind::StrictPriority => Box::new(StrictPriority),
-            SchedPolicyKind::WeightedFair => Box::new(WeightedFair::default()),
-            SchedPolicyKind::Deadline => Box::new(Deadline),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::VirtualScheduler;
+
+    fn sched(kind: SchedPolicyKind) -> VirtualScheduler {
+        VirtualScheduler::with_policy(1, kind)
+    }
 
     #[test]
     fn default_tag_is_the_neutral_tenant() {
@@ -284,15 +166,29 @@ mod tests {
 
     #[test]
     fn kinds_instantiate_matching_policies() {
-        for kind in SchedPolicyKind::ALL {
-            assert_eq!(kind.policy().label(), kind.label());
-        }
+        // Each kind keys one charge by its own rule.
+        let tag = SchedTag {
+            tenant: 0,
+            priority: 7,
+            weight: 2.0,
+            deadline_vt: 3.0,
+        };
+        let keys: Vec<f64> = SchedPolicyKind::ALL
+            .into_iter()
+            .map(|kind| sched(kind).enqueue_key(0, &tag, 1.0))
+            .collect();
+        assert_eq!(keys, [0.0, 248.0, 0.5, 3.0]);
+        let labels: Vec<&str> = SchedPolicyKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(
+            labels,
+            ["fifo", "strict_priority", "weighted_fair", "deadline"]
+        );
         assert_eq!(SchedPolicyKind::default(), SchedPolicyKind::Fifo);
     }
 
     #[test]
     fn strict_priority_orders_by_class() {
-        let mut p = StrictPriority;
+        let mut p = sched(SchedPolicyKind::StrictPriority);
         let hi = SchedTag {
             priority: 9,
             ..SchedTag::default()
@@ -306,7 +202,7 @@ mod tests {
 
     #[test]
     fn weighted_fair_finish_tags_scale_inversely_with_weight() {
-        let mut p = WeightedFair::default();
+        let mut p = sched(SchedPolicyKind::WeightedFair);
         let heavy = SchedTag {
             tenant: 0,
             weight: 4.0,
@@ -326,12 +222,13 @@ mod tests {
         // A service advances the device clock: later enqueues start
         // from it, not from zero.
         p.on_service(0, 1.0);
+        assert_eq!(p.enqueue_key(0, &SchedTag::for_tenant(2), 1.0), 2.0);
         assert_eq!(p.enqueue_key(0, &light, 1.0), 2.0);
     }
 
     #[test]
     fn zero_weight_is_clamped_finite() {
-        let mut p = WeightedFair::default();
+        let mut p = sched(SchedPolicyKind::WeightedFair);
         let broken = SchedTag {
             weight: 0.0,
             ..SchedTag::default()
@@ -341,14 +238,12 @@ mod tests {
 
     #[test]
     fn deadline_key_is_the_deadline() {
-        let mut p = Deadline;
+        let mut p = sched(SchedPolicyKind::Deadline);
         let t = SchedTag {
             deadline_vt: 7.5,
             ..SchedTag::default()
         };
         assert_eq!(p.enqueue_key(0, &t, 1.0), 7.5);
-        assert!(Deadline
-            .enqueue_key(0, &SchedTag::default(), 1.0)
-            .is_infinite());
+        assert!(p.enqueue_key(0, &SchedTag::default(), 1.0).is_infinite());
     }
 }

@@ -1,8 +1,8 @@
 //! The completion-queue reactor.
 //!
 //! io_uring in miniature: callers [`Reactor::submit`] operations into
-//! a bounded submission ring and harvest [`Cqe`]s from per-device
-//! completion queues; a small fixed worker set in between executes the
+//! a bounded submission ring and harvest [`Cqe`]s from a completion
+//! queue; a small fixed worker set in between executes the
 //! operations against an [`IoBackend`]. Any number of operations can
 //! be in flight at once — the worker count bounds *execution*
 //! parallelism (real CPU), while the ring capacity bounds *queued*
@@ -63,7 +63,7 @@ pub struct IoConfig {
     pub workers: usize,
     /// Submission-ring capacity (queue depth).
     pub queue_depth: usize,
-    /// Device count: one completion queue and one virtual clock each.
+    /// Device count: one virtual clock each.
     pub devices: usize,
     /// Record per-charge service windows into [`Cqe::intervals`]
     /// (span tracing). Off by default: the untraced hot path neither
@@ -98,7 +98,7 @@ impl Default for IoConfig {
 pub struct ReactorSnapshot {
     /// Operations accepted into the ring.
     pub submitted: u64,
-    /// `try_submit` attempts shed because the ring was full.
+    /// `try_submit_tagged` attempts shed because the ring was full.
     pub rejected: u64,
     /// Operations completed (posted to a completion queue).
     pub completed: u64,
@@ -185,7 +185,6 @@ pub struct Reactor<B: IoBackend> {
     cq: Arc<CompletionQueues<B::Output>>,
     cell: Arc<StateCell<B::Output>>,
     record_intervals: bool,
-    policy: SchedPolicyKind,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -198,7 +197,7 @@ impl<B: IoBackend> Reactor<B> {
     pub fn start(backend: Arc<B>, cfg: IoConfig) -> Reactor<B> {
         assert!(cfg.workers > 0, "need at least one worker");
         let ring: Arc<SubmissionRing<Sqe<B::Op>>> = Arc::new(SubmissionRing::new(cfg.queue_depth));
-        let cq = Arc::new(CompletionQueues::new(cfg.devices, cfg.workers));
+        let cq = Arc::new(CompletionQueues::new(cfg.workers));
         let cell = Arc::new(StateCell {
             state: Mutex::new(SchedState {
                 sched: VirtualScheduler::with_policy(cfg.devices, cfg.policy),
@@ -236,25 +235,17 @@ impl<B: IoBackend> Reactor<B> {
                             // immediately — the pre-QoS hot path, with
                             // busy/queue-delay billed to the tag's
                             // tenant.
-                            let (dispatch, intervals) = {
-                                let mut state = cell.state.lock().expect("scheduler poisoned");
-                                if record_intervals {
-                                    state.sched.dispatch_tagged_traced(
-                                        sqe.submit_vt,
-                                        &charges,
-                                        sqe.tag.tenant,
-                                    )
-                                } else {
-                                    (
-                                        state.sched.dispatch_tagged(
-                                            sqe.submit_vt,
-                                            &charges,
-                                            sqe.tag.tenant,
-                                        ),
-                                        Vec::new(),
-                                    )
-                                }
-                            };
+                            let (dispatch, intervals) = cell
+                                .state
+                                .lock()
+                                .expect("scheduler poisoned")
+                                .sched
+                                .dispatch(
+                                    sqe.submit_vt,
+                                    &charges,
+                                    sqe.tag.tenant,
+                                    record_intervals,
+                                );
                             cq.post(Cqe::from_dispatch(
                                 sqe.user_data,
                                 sqe.submit_vt,
@@ -312,7 +303,6 @@ impl<B: IoBackend> Reactor<B> {
             cq,
             cell,
             record_intervals,
-            policy,
             workers,
         }
     }
@@ -373,8 +363,8 @@ impl<B: IoBackend> Reactor<B> {
     /// queues). The synchronization point open-loop drivers need
     /// between submitting an arrival and reading the timeline.
     ///
-    /// Counts only accepted submissions (rejected `try_submit`s are
-    /// not waited for). A worker lost to a backend panic never
+    /// Counts only accepted submissions (rejected `try_submit_tagged`s
+    /// are not waited for). A worker lost to a backend panic never
     /// finishes its operation, so quiescing after one would block
     /// until another submission is processed.
     pub fn quiesce(&self) {
@@ -387,11 +377,6 @@ impl<B: IoBackend> Reactor<B> {
                 .wait(state)
                 .expect("scheduler poisoned");
         }
-    }
-
-    /// The configured scheduling policy.
-    pub fn policy(&self) -> SchedPolicyKind {
-        self.policy
     }
 
     /// Submits an operation, blocking while the ring is full
@@ -431,17 +416,7 @@ impl<B: IoBackend> Reactor<B> {
         })
     }
 
-    /// Submits without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Full`] when the ring is at capacity (the
-    /// rejection is counted), [`SubmitError::Closed`] after shutdown.
-    pub fn try_submit(&self, op: B::Op, user_data: u64, submit_vt: f64) -> Result<(), SubmitError> {
-        self.try_submit_tagged(op, user_data, submit_vt, SchedTag::default())
-    }
-
-    /// [`Reactor::try_submit`] with explicit scheduling attributes.
+    /// Submits without blocking, with explicit scheduling attributes.
     ///
     /// # Errors
     ///
@@ -599,8 +574,7 @@ mod tests {
                 workers: 2,
                 queue_depth: 8,
                 devices: 2,
-                record_intervals: false,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         for i in 0..6u64 {
@@ -640,7 +614,7 @@ mod tests {
                 queue_depth: 8,
                 devices: 2,
                 record_intervals: true,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         for i in 0..4u64 {
@@ -669,8 +643,7 @@ mod tests {
                 workers: 1,
                 queue_depth: 16,
                 devices: 1,
-                record_intervals: false,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         for i in 0..10u64 {
@@ -694,8 +667,7 @@ mod tests {
                 workers: 1,
                 queue_depth: 64,
                 devices: 1,
-                record_intervals: false,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         for i in 0..50u64 {
@@ -729,8 +701,7 @@ mod tests {
                 workers: 1,
                 queue_depth: 2,
                 devices: 1,
-                record_intervals: false,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         // First submit may begin executing immediately; fill the ring
@@ -738,7 +709,7 @@ mod tests {
         r.submit((), 0, 0.0).unwrap();
         let mut rejected = 0;
         for i in 1..=8u64 {
-            if r.try_submit((), i, 0.0) == Err(SubmitError::Full) {
+            if r.try_submit_tagged((), i, 0.0, SchedTag::default()) == Err(SubmitError::Full) {
                 rejected += 1;
             }
         }
@@ -766,8 +737,7 @@ mod tests {
                 workers: 2,
                 queue_depth: 8,
                 devices: 1,
-                record_intervals: false,
-                policy: SchedPolicyKind::Fifo,
+                ..IoConfig::default()
             },
         );
         let cq = r.completions();
@@ -797,8 +767,8 @@ mod tests {
                 workers: 1,
                 queue_depth: 16,
                 devices: 1,
-                record_intervals: false,
                 policy: SchedPolicyKind::StrictPriority,
+                ..IoConfig::default()
             },
         );
         let lo = SchedTag::default();
@@ -837,8 +807,8 @@ mod tests {
                 workers: 1,
                 queue_depth: 16,
                 devices: 2,
-                record_intervals: false,
                 policy: SchedPolicyKind::WeightedFair,
+                ..IoConfig::default()
             },
         );
         for i in 0..8u64 {
@@ -881,8 +851,7 @@ mod tests {
                     workers: 2,
                     queue_depth: depth as usize,
                     devices: 1,
-                    record_intervals: false,
-                    policy: SchedPolicyKind::Fifo,
+                    ..IoConfig::default()
                 },
             );
             let cq = r.completions();

@@ -17,23 +17,26 @@
 //!
 //! Two dispatch disciplines share the clocks:
 //!
-//! - **Eager** ([`dispatch`](VirtualScheduler::dispatch) /
-//!   [`dispatch_tagged`](VirtualScheduler::dispatch_tagged)): charges
-//!   are placed the instant they are submitted — FIFO service when
+//! - **Eager** ([`dispatch`](VirtualScheduler::dispatch)): charges are
+//!   placed the instant they are submitted — FIFO service when
 //!   submissions arrive in virtual-time order. This is the original
 //!   path and stays bit-identical.
 //! - **Queued** ([`enqueue`](VirtualScheduler::enqueue) /
 //!   [`advance_to`](VirtualScheduler::advance_to) /
 //!   [`flush`](VirtualScheduler::flush)): charges wait in per-device
-//!   pending queues and a [`SchedPolicy`] picks which to serve each
-//!   time a device frees up, so a queued high-priority charge can
-//!   start before an earlier-submitted low-priority one. Resolution is
-//!   lazy — a pick is only final once the arrival frontier has passed
-//!   the device's decision instant — which keeps reordering policies
-//!   exactly as deterministic as FIFO.
+//!   pending queues and the scheduler's [`SchedPolicyKind`] picks which
+//!   to serve each time a device frees up, so a queued high-priority
+//!   charge can start before an earlier-submitted low-priority one.
+//!   Resolution is lazy — a pick is only final once the arrival
+//!   frontier has passed the device's decision instant — which keeps
+//!   reordering policies exactly as deterministic as FIFO.
 
-use crate::qos::{SchedPolicy, SchedPolicyKind, SchedTag};
+use crate::qos::{SchedPolicyKind, SchedTag};
 use std::collections::HashMap;
+
+/// Weights below this are clamped up so a mis-configured zero weight
+/// cannot produce infinite weighted-fair finish tags.
+const MIN_WEIGHT: f64 = 1e-9;
 
 /// Device seconds one operation charged to one device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,13 +50,13 @@ pub struct DeviceCharge {
 /// One charge's service window on the virtual timeline — the
 /// per-device decomposition of a [`Dispatch`].
 ///
-/// Intervals are produced by [`VirtualScheduler::dispatch_traced`]
-/// through the *same* arithmetic as the untraced path, so a traced
-/// run's instants are bit-identical to an untraced one. `seconds` is
-/// the charge's service demand as dispatched (`end_vt` equals
-/// `start_vt + seconds` as computed by the scheduler; recomputing the
-/// difference in floating point may differ in the last ulp, which is
-/// why the demand is carried explicitly).
+/// Intervals are produced by [`VirtualScheduler::dispatch`], when asked
+/// to record them, through the *same* arithmetic as the untraced path,
+/// so a traced run's instants are bit-identical to an untraced one.
+/// `seconds` is the charge's service demand as dispatched (`end_vt`
+/// equals `start_vt + seconds` as computed by the scheduler;
+/// recomputing the difference in floating point may differ in the last
+/// ulp, which is why the demand is carried explicitly).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeInterval {
     /// Device that served the charge.
@@ -76,8 +79,8 @@ pub struct Dispatch {
     pub completed_vt: f64,
     /// Total device seconds across all charges.
     pub device_seconds: f64,
-    /// The device that finished the request (completion-queue routing
-    /// key); 0 when nothing was charged.
+    /// The device that finished the request, as [`Cqe::device`](crate::Cqe)
+    /// reports it; 0 when nothing was charged.
     pub device: usize,
 }
 
@@ -110,7 +113,8 @@ struct PendingCharge {
     charge_idx: usize,
     submit_vt: f64,
     seconds: f64,
-    /// The policy's key: smallest serves first.
+    /// The policy's key (see [`SchedPolicyKind`]): smallest serves
+    /// first.
     key: f64,
     /// Global enqueue sequence: the deterministic tie-break.
     seq: u64,
@@ -144,7 +148,14 @@ pub struct VirtualScheduler {
     /// per tenant.
     queue_delay: Vec<f64>,
     dispatched: u64,
-    policy: Box<dyn SchedPolicy>,
+    policy: SchedPolicyKind,
+    /// Weighted fair only — per-device SCFQ virtual clock: the finish
+    /// tag of the charge most recently started.
+    v: Vec<f64>,
+    /// Weighted fair only — `[device][tenant]` finish tag of the
+    /// tenant's last enqueued charge, so consecutive charges from one
+    /// tenant form a chain.
+    f_last: Vec<Vec<f64>>,
     /// Enqueue sequence for deterministic tie-breaks.
     seq: u64,
     next_op: u64,
@@ -174,7 +185,9 @@ impl VirtualScheduler {
             tenant_busy: Vec::new(),
             queue_delay: Vec::new(),
             dispatched: 0,
-            policy: policy.policy(),
+            policy,
+            v: vec![0.0; n],
+            f_last: vec![Vec::new(); n],
             seq: 0,
             next_op: 0,
             queues: (0..n).map(|_| Vec::new()).collect(),
@@ -186,11 +199,6 @@ impl VirtualScheduler {
     /// Device count.
     pub fn n_devices(&self) -> usize {
         self.free_at.len()
-    }
-
-    /// The scheduling policy's display label.
-    pub fn policy_label(&self) -> &'static str {
-        self.policy.label()
     }
 
     /// Grows the per-tenant rows to cover `tenant` and returns the
@@ -205,69 +213,34 @@ impl VirtualScheduler {
     }
 
     /// Places one request's charges on the timeline immediately
-    /// (eager FIFO dispatch), billing tenant 0.
+    /// (eager FIFO dispatch), billing `tenant`'s busy and queue-delay
+    /// rows.
     ///
     /// Each charge starts at `max(submit_vt, free_at[device])` — the
     /// device serves requests in dispatch order — and charges to
     /// distinct devices overlap. A request with no charges completes
     /// instantly at `submit_vt`.
-    pub fn dispatch(&mut self, submit_vt: f64, charges: &[DeviceCharge]) -> Dispatch {
-        self.dispatch_core(submit_vt, charges, 0, None)
-    }
-
-    /// Like [`dispatch`](VirtualScheduler::dispatch), additionally
-    /// returning the per-charge service windows.
     ///
-    /// Both entry points run the *same* loop (`dispatch_core`
-    /// internally), so the returned [`Dispatch`] — and every clock
-    /// mutation — is bit-identical whether or not intervals are
-    /// recorded: tracing never perturbs the timeline.
-    pub fn dispatch_traced(
+    /// With `record_intervals` the per-charge service windows come
+    /// back too; without it the returned `Vec` is empty and never
+    /// allocated. The same loop runs either way, so the [`Dispatch`] —
+    /// and every clock mutation — is bit-identical: tracing never
+    /// perturbs the timeline.
+    pub fn dispatch(
         &mut self,
         submit_vt: f64,
         charges: &[DeviceCharge],
+        tenant: usize,
+        record_intervals: bool,
     ) -> (Dispatch, Vec<ChargeInterval>) {
-        let mut intervals = Vec::with_capacity(charges.len());
-        let dispatch = self.dispatch_core(submit_vt, charges, 0, Some(&mut intervals));
-        (dispatch, intervals)
-    }
-
-    /// Eager dispatch billed to `tenant` instead of tenant 0 — the
-    /// timeline arithmetic is identical to
-    /// [`dispatch`](VirtualScheduler::dispatch); only the busy /
-    /// queue-delay attribution differs.
-    pub fn dispatch_tagged(
-        &mut self,
-        submit_vt: f64,
-        charges: &[DeviceCharge],
-        tenant: usize,
-    ) -> Dispatch {
-        self.dispatch_core(submit_vt, charges, tenant, None)
-    }
-
-    /// [`dispatch_tagged`](VirtualScheduler::dispatch_tagged) with
-    /// per-charge service windows.
-    pub fn dispatch_tagged_traced(
-        &mut self,
-        submit_vt: f64,
-        charges: &[DeviceCharge],
-        tenant: usize,
-    ) -> (Dispatch, Vec<ChargeInterval>) {
-        let mut intervals = Vec::with_capacity(charges.len());
-        let dispatch = self.dispatch_core(submit_vt, charges, tenant, Some(&mut intervals));
-        (dispatch, intervals)
-    }
-
-    fn dispatch_core(
-        &mut self,
-        submit_vt: f64,
-        charges: &[DeviceCharge],
-        tenant: usize,
-        mut intervals: Option<&mut Vec<ChargeInterval>>,
-    ) -> Dispatch {
         self.dispatched += 1;
         let n = self.free_at.len();
         self.tenant_row(tenant);
+        let mut intervals = if record_intervals {
+            Vec::with_capacity(charges.len())
+        } else {
+            Vec::new()
+        };
         let mut started = f64::INFINITY;
         let mut completed = submit_vt;
         let mut total = 0.0;
@@ -285,8 +258,8 @@ impl VirtualScheduler {
                 device = d;
             }
             total += c.seconds;
-            if let Some(out) = intervals.as_deref_mut() {
-                out.push(ChargeInterval {
+            if record_intervals {
+                intervals.push(ChargeInterval {
                     device: d,
                     start_vt: start,
                     end_vt: done,
@@ -294,7 +267,7 @@ impl VirtualScheduler {
                 });
             }
         }
-        Dispatch {
+        let dispatch = Dispatch {
             started_vt: if started.is_finite() {
                 started
             } else {
@@ -303,7 +276,8 @@ impl VirtualScheduler {
             completed_vt: completed,
             device_seconds: total,
             device,
-        }
+        };
+        (dispatch, intervals)
     }
 
     // -----------------------------------------------------------------
@@ -316,10 +290,10 @@ impl VirtualScheduler {
     /// [`advance_to`](Self::advance_to) / [`flush`](Self::flush) hand
     /// back.
     ///
-    /// The policy assigns each charge its key now (so SCFQ tags see
-    /// the state at arrival), but nothing is placed on the timeline
-    /// yet. An uncharged request resolves instantly at `submit_vt` and
-    /// is returned by the next `advance_to`/`flush` call.
+    /// Each charge gets its policy key now (so SCFQ tags see the state
+    /// at arrival), but nothing is placed on the timeline yet. An
+    /// uncharged request resolves instantly at `submit_vt` and is
+    /// returned by the next `advance_to`/`flush` call.
     pub fn enqueue(
         &mut self,
         user_data: u64,
@@ -360,7 +334,7 @@ impl VirtualScheduler {
         let n = self.free_at.len();
         for (charge_idx, c) in charges.iter().enumerate() {
             let d = c.device.min(n - 1);
-            let key = self.policy.enqueue_key(d, &tag, c.seconds);
+            let key = self.enqueue_key(d, &tag, c.seconds);
             let seq = self.seq;
             self.seq += 1;
             self.queues[d].push(PendingCharge {
@@ -374,6 +348,36 @@ impl VirtualScheduler {
             });
         }
         handle
+    }
+
+    /// The pending-queue key of one charge of `seconds` entering
+    /// `device`'s queue under `tag`: smallest serves first. Never NaN.
+    pub(crate) fn enqueue_key(&mut self, device: usize, tag: &SchedTag, seconds: f64) -> f64 {
+        match self.policy {
+            SchedPolicyKind::Fifo => 0.0,
+            SchedPolicyKind::StrictPriority => f64::from(u8::MAX - tag.priority),
+            SchedPolicyKind::WeightedFair => {
+                // SCFQ: start at max(device clock, the tenant's last
+                // finish), finish `seconds / weight` later.
+                let weight = tag.weight.max(MIN_WEIGHT);
+                let row = &mut self.f_last[device];
+                if row.len() <= tag.tenant {
+                    row.resize(tag.tenant + 1, 0.0);
+                }
+                let finish = self.v[device].max(row[tag.tenant]) + seconds / weight;
+                row[tag.tenant] = finish;
+                finish
+            }
+            SchedPolicyKind::Deadline => tag.deadline_vt,
+        }
+    }
+
+    /// A charge with `key` began service on `device`: weighted fair's
+    /// device clock catches up to it.
+    pub(crate) fn on_service(&mut self, device: usize, key: f64) {
+        if self.policy == SchedPolicyKind::WeightedFair {
+            self.v[device] = self.v[device].max(key);
+        }
     }
 
     /// Resolves queued service while every decision is final, i.e.
@@ -437,7 +441,7 @@ impl VirtualScheduler {
             self.free_at[d] = done;
             self.tenant_busy[p.tenant][d] += p.seconds;
             self.queue_delay[p.tenant] += start - p.submit_vt;
-            self.policy.on_service(d, p.key);
+            self.on_service(d, p.key);
             let op = self.ops.get_mut(&p.op).expect("charge has a pending op");
             op.intervals[p.charge_idx] = Some(ChargeInterval {
                 device: d,
@@ -514,8 +518,8 @@ impl VirtualScheduler {
 }
 
 /// Folds a fully-served pending op into its [`ResolvedOp`] with the
-/// exact `dispatch_core` arithmetic: fold per-charge windows in
-/// original charge order with `min` for the start and the
+/// exact [`VirtualScheduler::dispatch`] arithmetic: fold per-charge
+/// windows in original charge order with `min` for the start and the
 /// `done >= completed` rule for the completing device, starting from
 /// `completed = submit_vt`.
 fn resolve(handle: u64, op: PendingOp) -> ResolvedOp {
@@ -563,11 +567,16 @@ mod tests {
         DeviceCharge { device, seconds }
     }
 
+    /// Eager dispatch billed to tenant 0, without intervals.
+    fn place(s: &mut VirtualScheduler, submit_vt: f64, charges: &[DeviceCharge]) -> Dispatch {
+        s.dispatch(submit_vt, charges, 0, false).0
+    }
+
     #[test]
     fn same_device_serializes() {
         let mut s = VirtualScheduler::new(2);
-        let a = s.dispatch(0.0, &[charge(0, 1.0)]);
-        let b = s.dispatch(0.0, &[charge(0, 1.0)]);
+        let a = place(&mut s, 0.0, &[charge(0, 1.0)]);
+        let b = place(&mut s, 0.0, &[charge(0, 1.0)]);
         assert_eq!(a.completed_vt, 1.0);
         // b arrived at 0 but waits behind a on device 0.
         assert_eq!(b.started_vt, 1.0);
@@ -578,7 +587,7 @@ mod tests {
     #[test]
     fn distinct_devices_overlap() {
         let mut s = VirtualScheduler::new(2);
-        let d = s.dispatch(0.0, &[charge(0, 1.0), charge(1, 1.0)]);
+        let d = place(&mut s, 0.0, &[charge(0, 1.0), charge(1, 1.0)]);
         // Both devices served in parallel: the request finishes after
         // 1 virtual second, not 2, though 2 device-seconds were spent.
         assert_eq!(d.completed_vt, 1.0);
@@ -589,7 +598,7 @@ mod tests {
     #[test]
     fn uncharged_requests_complete_instantly() {
         let mut s = VirtualScheduler::new(3);
-        let d = s.dispatch(5.0, &[]);
+        let d = place(&mut s, 5.0, &[]);
         assert_eq!(d.started_vt, 5.0);
         assert_eq!(d.completed_vt, 5.0);
         assert_eq!(d.device_seconds, 0.0);
@@ -599,10 +608,10 @@ mod tests {
     #[test]
     fn late_arrivals_leave_idle_gaps() {
         let mut s = VirtualScheduler::new(1);
-        s.dispatch(0.0, &[charge(0, 1.0)]);
+        place(&mut s, 0.0, &[charge(0, 1.0)]);
         // Arrives after the device went idle: starts at its own submit
         // instant, not at the device's last completion.
-        let d = s.dispatch(10.0, &[charge(0, 1.0)]);
+        let d = place(&mut s, 10.0, &[charge(0, 1.0)]);
         assert_eq!(d.started_vt, 10.0);
         assert_eq!(d.completed_vt, 11.0);
         // Utilization reflects the gap: 2 busy seconds over 11.
@@ -615,8 +624,8 @@ mod tests {
         let charges = [charge(0, 0.5), charge(1, 0.25), charge(0, 0.125)];
         let mut plain = VirtualScheduler::new(2);
         let mut traced = VirtualScheduler::new(2);
-        let a = plain.dispatch(1.0, &charges);
-        let (b, intervals) = traced.dispatch_traced(1.0, &charges);
+        let a = place(&mut plain, 1.0, &charges);
+        let (b, intervals) = traced.dispatch(1.0, &charges, 0, true);
         assert_eq!(a, b);
         assert_eq!(plain.busy_seconds(), traced.busy_seconds());
         assert_eq!(plain.horizon(), traced.horizon());
@@ -637,12 +646,15 @@ mod tests {
         let done = intervals.iter().map(|i| i.end_vt).fold(0.0, f64::max);
         assert_eq!(started, b.started_vt);
         assert_eq!(done, b.completed_vt);
+        // Unrecorded dispatch hands back an unallocated Vec.
+        let (_, none) = plain.dispatch(2.0, &charges, 0, false);
+        assert_eq!(none.capacity(), 0);
     }
 
     #[test]
     fn out_of_range_device_clamps() {
         let mut s = VirtualScheduler::new(1);
-        let d = s.dispatch(0.0, &[charge(9, 1.0)]);
+        let d = place(&mut s, 0.0, &[charge(9, 1.0)]);
         assert_eq!(d.device, 0);
         assert_eq!(s.busy_seconds(), &[1.0]);
     }
@@ -650,8 +662,8 @@ mod tests {
     #[test]
     fn tagged_dispatch_attributes_busy_per_tenant() {
         let mut s = VirtualScheduler::new(2);
-        s.dispatch_tagged(0.0, &[charge(0, 1.0)], 0);
-        s.dispatch_tagged(0.0, &[charge(0, 0.5), charge(1, 0.25)], 2);
+        s.dispatch(0.0, &[charge(0, 1.0)], 0, false);
+        s.dispatch(0.0, &[charge(0, 0.5), charge(1, 0.25)], 2, false);
         let by_tenant = s.tenant_busy_seconds();
         assert_eq!(by_tenant.len(), 3);
         assert_eq!(by_tenant[0], vec![1.0, 0.0]);
@@ -679,7 +691,7 @@ mod tests {
         let mut eager = VirtualScheduler::new(2);
         let eager_out: Vec<(Dispatch, Vec<ChargeInterval>)> = stream
             .iter()
-            .map(|(vt, charges)| eager.dispatch_traced(*vt, charges))
+            .map(|(vt, charges)| eager.dispatch(*vt, charges, 0, true))
             .collect();
 
         let mut queued = VirtualScheduler::with_policy(2, SchedPolicyKind::Fifo);

@@ -367,14 +367,14 @@ impl DatasetBuilder {
 
     fn serve_engine(&self, sharded: ShardedStore, engine_cfg: EngineConfig) -> Result<Dataset> {
         let engine = Arc::new(StoreEngine::try_open(sharded, engine_cfg)?);
-        Dataset::serve_multi(
+        Ok(Dataset::start(
             engine,
             self.server_workers,
             self.queue_depth,
             self.tracing,
             self.tracing_capacity,
             self.tenants.clone(),
-        )
+        ))
     }
 }
 

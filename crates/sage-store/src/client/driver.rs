@@ -99,16 +99,20 @@ fn kind_of(op: &StoreOp) -> OpKind {
 
 /// The harnesses' shared deterministic random-range stream: SplitMix64
 /// over `(client, seq)` producing a start in `[0, total)` and a span
-/// in `[1, span_max]` (clamped to the dataset end). Every closed-loop
+/// in `[1, span_max]` (clamped to the dataset end; a `span_max` of 0
+/// counts as 1, and an empty dataset yields `0..0`). Every closed-loop
 /// consumer — `io_sweep`, `fig15_multissd`, the pipeline's
 /// store-served scenario — draws from this one stream, so their
 /// measurements stay comparable by construction.
 pub fn range_for(client: u64, seq: u64, total: u64, span_max: u64) -> std::ops::Range<u64> {
+    if total == 0 {
+        return 0..0;
+    }
     let mut z = (client << 32 | seq).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     let start = z % total;
-    let end = (start + 1 + z % span_max).min(total);
+    let end = (start + 1 + z % span_max.max(1)).min(total);
     start..end
 }
 
@@ -229,6 +233,19 @@ mod tests {
             .ssd_fleet((0..devices).map(|_| SsdConfig::pcie()).collect())
             .encode(&reads)
             .expect("build")
+    }
+
+    #[test]
+    fn range_for_tolerates_zero_sizes() {
+        // An empty dataset has no range to draw; a zero span draws
+        // one-read ranges, as `Pattern`'s spans do.
+        assert_eq!(range_for(0, 0, 0, 8), 0..0);
+        for seq in 0..64 {
+            let r = range_for(3, seq, 100, 0);
+            assert_eq!(r, range_for(3, seq, 100, 1));
+            assert_eq!(r.end - r.start, 1);
+            assert!(r.end <= 100);
+        }
     }
 
     #[test]

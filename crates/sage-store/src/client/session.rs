@@ -275,108 +275,32 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Serves an already-open engine with `workers` reactor threads
-    /// over a submission ring of `queue_depth` slots. (The builder is
-    /// the usual entry point; this is the escape hatch for engines
-    /// configured by hand.)
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Config`] when `workers` or `queue_depth` is 0.
-    pub fn serve(engine: Arc<StoreEngine>, workers: usize, queue_depth: usize) -> Result<Dataset> {
-        Dataset::serve_traced(engine, workers, queue_depth, false)
-    }
-
-    /// [`Dataset::serve`] with span tracing optionally on: every
-    /// completed operation is recorded as an
-    /// [`OpSpan`](crate::obs::OpSpan) into the dataset's
-    /// [`TraceBuffer`] (see [`Dataset::trace`]). Tracing never
-    /// perturbs the virtual timeline — a traced run's instants are
-    /// bit-identical to an untraced one.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Config`] when `workers` or `queue_depth` is 0.
-    pub fn serve_traced(
-        engine: Arc<StoreEngine>,
-        workers: usize,
-        queue_depth: usize,
-        tracing: bool,
-    ) -> Result<Dataset> {
-        Dataset::serve_with(engine, workers, queue_depth, tracing, None)
-    }
-
-    /// [`Dataset::serve_traced`] with an optional bound on the trace
-    /// buffer: `Some(n)` keeps only the most recent `n` spans (a
-    /// ring, evicting the oldest and counting each eviction — see
-    /// [`TraceBuffer::dropped`]), `None` keeps every span. The ring
-    /// bound is observation-side only and never perturbs the
-    /// timeline.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Config`] when `workers` or `queue_depth` is 0,
-    /// or when `trace_capacity` is `Some(0)`.
-    pub fn serve_with(
+    /// Serves an open engine with `workers` reactor threads over a
+    /// submission ring of `queue_depth` slots. With `tracing`, every
+    /// completed operation is recorded into the dataset's
+    /// [`TraceBuffer`], keeping the most recent `trace_capacity` spans
+    /// (every span on `None`). Each registered [`TenantSpec`] gets a
+    /// [`TenantId`] in list order; an empty list serves the single
+    /// default tenant. [`DatasetBuilder`](super::DatasetBuilder)
+    /// validates every knob before calling this.
+    pub(crate) fn start(
         engine: Arc<StoreEngine>,
         workers: usize,
         queue_depth: usize,
         tracing: bool,
         trace_capacity: Option<usize>,
-    ) -> Result<Dataset> {
-        Dataset::serve_multi(
-            engine,
-            workers,
-            queue_depth,
-            tracing,
-            trace_capacity,
-            Vec::new(),
-        )
-    }
-
-    /// [`Dataset::serve_with`] with explicit tenants: each registered
-    /// [`TenantSpec`] gets a [`TenantId`] in list order, sessions
-    /// opened via [`Dataset::session_for`] submit under that tenant's
-    /// scheduling tag, and recorded spans carry the tenant. An empty
-    /// list serves the single default tenant (identical to
-    /// [`Dataset::serve_with`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Config`] for degenerate sizing or an invalid
-    /// tenant spec.
-    pub fn serve_multi(
-        engine: Arc<StoreEngine>,
-        workers: usize,
-        queue_depth: usize,
-        tracing: bool,
-        trace_capacity: Option<usize>,
-        tenants: Vec<TenantSpec>,
-    ) -> Result<Dataset> {
-        if workers == 0 {
-            return Err(crate::ConfigError::ZeroServerWorkers.into());
+        mut tenants: Vec<TenantSpec>,
+    ) -> Dataset {
+        if tenants.is_empty() {
+            tenants.push(TenantSpec::default());
         }
-        if queue_depth == 0 {
-            return Err(crate::ConfigError::ZeroQueueDepth.into());
-        }
-        if trace_capacity == Some(0) {
-            return Err(crate::ConfigError::ZeroTraceCapacity.into());
-        }
-        let tenants = if tenants.is_empty() {
-            vec![TenantSpec::default()]
-        } else {
-            for spec in &tenants {
-                spec.validate()?;
-            }
-            tenants
-        };
         let trace = tracing.then(|| {
             Arc::new(match trace_capacity {
                 Some(cap) => TraceBuffer::with_capacity(cap),
                 None => TraceBuffer::new(),
             })
         });
-        Ok(Dataset {
+        Dataset {
             core: Arc::new(ServeCore::start(
                 engine,
                 workers,
@@ -384,7 +308,7 @@ impl Dataset {
                 trace,
                 tenants,
             )),
-        })
+        }
     }
 
     /// Opens a session as the default tenant (cheap; any number may
@@ -464,8 +388,7 @@ impl Dataset {
     }
 
     /// The dataset's span buffer — `None` unless it was built with
-    /// [`DatasetBuilder::tracing`](super::DatasetBuilder::tracing)
-    /// (or served via [`Dataset::serve_traced`]).
+    /// [`DatasetBuilder::tracing`](super::DatasetBuilder::tracing).
     pub fn trace(&self) -> Option<Arc<TraceBuffer>> {
         self.core.trace().cloned()
     }
@@ -901,20 +824,5 @@ mod tests {
         dataset.shutdown();
         assert!(matches!(t1.wait(), Err(StoreError::Cancelled)));
         assert!(matches!(t2.wait(), Err(StoreError::Cancelled)));
-    }
-
-    #[test]
-    fn serve_rejects_degenerate_sizing() {
-        let reads = simulate_dataset(&DatasetProfile::tiny_short(), 5).reads;
-        let store = crate::codec::encode_sharded(&reads, &crate::StoreOptions::new(16)).unwrap();
-        let engine = Arc::new(StoreEngine::open(store, Default::default()));
-        assert!(matches!(
-            Dataset::serve(Arc::clone(&engine), 0, 4),
-            Err(StoreError::Config(crate::ConfigError::ZeroServerWorkers))
-        ));
-        assert!(matches!(
-            Dataset::serve(engine, 2, 0),
-            Err(StoreError::Config(crate::ConfigError::ZeroQueueDepth))
-        ));
     }
 }

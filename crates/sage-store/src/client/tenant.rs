@@ -22,8 +22,8 @@
 
 use super::stats::{DriveAccounting, DriveFold};
 use super::workload::{
-    Arrivals, OpKind, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng, ARRIVAL_STREAM,
-    OP_STREAM, SHED_STREAM,
+    ArrivalGen, Arrivals, OpKind, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng,
+    ARRIVAL_STREAM, OP_STREAM, SHED_STREAM,
 };
 use super::{Dataset, EngineCqe};
 use crate::engine::EngineBackend;
@@ -316,7 +316,7 @@ impl MultiQosReport {
 
 /// One tenant's live generator state during a drive.
 struct TenantStream {
-    arrivals: Box<dyn super::workload::ArrivalProcess>,
+    arrivals: ArrivalGen,
     arrival_rng: WorkloadRng,
     ops: OpStream,
     shed_rng: WorkloadRng,
@@ -382,10 +382,10 @@ impl Dataset {
             } else {
                 ReadSet::new()
             };
-            let mut arrivals = load.arrivals.process();
+            let mut arrivals = ArrivalGen::new(load.arrivals);
             let mut arrival_rng = WorkloadRng::new(load.seed ^ ARRIVAL_STREAM);
             let first = if load.requests > 0 {
-                arrivals.next_interarrival(&mut arrival_rng).max(0.0)
+                arrivals.next_gap(&mut arrival_rng).max(0.0)
             } else {
                 0.0
             };
@@ -457,7 +457,7 @@ impl Dataset {
             if streams[t].remaining > 0 {
                 let gap = {
                     let s = &mut streams[t];
-                    s.arrivals.next_interarrival(&mut s.arrival_rng).max(0.0)
+                    s.arrivals.next_gap(&mut s.arrival_rng).max(0.0)
                 };
                 streams[t].next_at = at + gap;
             }

@@ -12,18 +12,15 @@
 //!
 //! Three composable pieces:
 //!
-//! - **Arrival processes** — [`ArrivalProcess`] generators emitting
-//!   interarrival gaps in virtual seconds: [`FixedArrivals`] (constant
-//!   rate), [`PoissonArrivals`] (exponential gaps), and
-//!   [`BurstyArrivals`] (MMPP-style on/off: Poisson bursts separated
-//!   by silences). The [`Arrivals`] enum is the plain-config form the
-//!   drive spec carries.
-//! - **Access patterns** — [`AccessPattern`] generators producing read
-//!   ranges: [`UniformPattern`], [`ZipfPattern`] (Zipf(θ) over
-//!   span-sized slots), [`SequentialPattern`] (wrapping scan cursor),
-//!   and [`HotspotPattern`] (hot/cold two-tier mix). The [`Pattern`]
-//!   enum is the config form. An [`OpMix`] turns ranges into a typed
-//!   [`StoreOp`] stream (get/scan/append fractions) via [`OpStream`].
+//! - **Arrival processes** — [`Arrivals`] yields interarrival gaps in
+//!   virtual seconds: `Fixed` (constant rate), `Poisson` (exponential
+//!   gaps), and `Bursty` (MMPP-style on/off: Poisson bursts separated
+//!   by silences).
+//! - **Access patterns** — [`Pattern`] yields read ranges: `Uniform`,
+//!   `Zipf` (Zipf(θ) over span-sized slots), `Sequential` (wrapping
+//!   scan cursor), and `Hotspot` (hot/cold two-tier mix). An [`OpMix`]
+//!   turns ranges into a typed [`StoreOp`] stream (get/scan/append
+//!   fractions) via [`OpStream`].
 //! - **The open-loop driver** — [`Dataset::drive_open_loop`] is the
 //!   multi-tenant driver ([`Dataset::drive_tenants`]) run with one
 //!   default tenant under FIFO: it walks the arrival timeline, sheds
@@ -111,114 +108,27 @@ impl WorkloadRng {
 // Arrival processes
 // ---------------------------------------------------------------------
 
-/// A generator of open-loop arrival instants: each call yields the
-/// virtual-seconds gap to the next arrival. Implementations carry
-/// their own phase state; randomness always comes from the caller's
-/// [`WorkloadRng`] so streams replay from the seed.
-pub trait ArrivalProcess: Send {
-    /// Virtual seconds until the next arrival (must be ≥ 0 and finite).
-    fn next_interarrival(&mut self, rng: &mut WorkloadRng) -> f64;
-}
-
-/// Constant-rate arrivals: every gap is exactly `1/rate`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedArrivals {
-    /// Arrivals per virtual second.
-    pub rate: f64,
-}
-
-impl ArrivalProcess for FixedArrivals {
-    fn next_interarrival(&mut self, _rng: &mut WorkloadRng) -> f64 {
-        1.0 / self.rate
-    }
-}
-
-/// Poisson arrivals: exponential gaps with mean `1/rate`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoissonArrivals {
-    /// Mean arrivals per virtual second.
-    pub rate: f64,
-}
-
-impl ArrivalProcess for PoissonArrivals {
-    fn next_interarrival(&mut self, rng: &mut WorkloadRng) -> f64 {
-        rng.exp(self.rate)
-    }
-}
-
-/// Bursty (on/off, MMPP-style) arrivals: exponentially-distributed ON
-/// phases (mean `mean_on` seconds) during which arrivals are Poisson
-/// at `on_rate`, separated by exponentially-distributed silent OFF
-/// phases (mean `mean_off` seconds). The long-run mean rate is
-/// `on_rate · mean_on / (mean_on + mean_off)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstyArrivals {
-    /// Arrivals per virtual second while a burst is on.
-    pub on_rate: f64,
-    /// Mean ON-phase duration, virtual seconds.
-    pub mean_on: f64,
-    /// Mean OFF-phase duration, virtual seconds.
-    pub mean_off: f64,
-    /// Virtual seconds left in the current phase.
-    phase_left: f64,
-    /// `true` while in an ON phase.
-    on: bool,
-}
-
-impl BurstyArrivals {
-    /// A bursty process starting at the beginning of an ON phase.
-    pub fn new(on_rate: f64, mean_on: f64, mean_off: f64) -> BurstyArrivals {
-        BurstyArrivals {
-            on_rate,
-            mean_on,
-            mean_off,
-            phase_left: 0.0,
-            on: false,
-        }
-    }
-}
-
-impl ArrivalProcess for BurstyArrivals {
-    fn next_interarrival(&mut self, rng: &mut WorkloadRng) -> f64 {
-        let mut gap = 0.0;
-        loop {
-            if self.on {
-                let dt = rng.exp(self.on_rate);
-                if dt <= self.phase_left {
-                    self.phase_left -= dt;
-                    return gap + dt;
-                }
-                // The burst ends before the next arrival: spend the
-                // rest of the ON phase, then go silent.
-                gap += self.phase_left;
-                self.on = false;
-                self.phase_left = rng.exp(1.0 / self.mean_off);
-            } else {
-                gap += self.phase_left;
-                self.on = true;
-                self.phase_left = rng.exp(1.0 / self.mean_on);
-            }
-        }
-    }
-}
-
-/// Arrival-process configuration — the plain-data form an
-/// [`OpenLoopSpec`] carries. [`Arrivals::process`] instantiates the
-/// matching stateful [`ArrivalProcess`] generator.
+/// Arrival-process configuration — what an [`OpenLoopSpec`] carries.
+/// Each variant yields interarrival gaps in virtual seconds; the draws
+/// come from the drive's [`WorkloadRng`], so streams replay from the
+/// seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrivals {
-    /// Constant-rate arrivals at `rate` per virtual second.
+    /// Constant-rate arrivals: every gap is exactly `1/rate`.
     Fixed {
         /// Arrivals per virtual second.
         rate: f64,
     },
-    /// Poisson arrivals at mean `rate` per virtual second.
+    /// Poisson arrivals: exponential gaps with mean `1/rate`.
     Poisson {
         /// Mean arrivals per virtual second.
         rate: f64,
     },
-    /// On/off bursts: Poisson at `on_rate` during ON phases of mean
-    /// `mean_on` seconds, silent for mean `mean_off` seconds between.
+    /// Bursty (on/off, MMPP-style) arrivals: exponentially-distributed
+    /// ON phases (mean `mean_on` seconds) during which arrivals are
+    /// Poisson at `on_rate`, separated by exponentially-distributed
+    /// silent OFF phases (mean `mean_off` seconds). The long-run mean
+    /// rate is `on_rate · mean_on / (mean_on + mean_off)`.
     Bursty {
         /// Arrivals per virtual second while a burst is on.
         on_rate: f64,
@@ -230,19 +140,6 @@ pub enum Arrivals {
 }
 
 impl Arrivals {
-    /// Instantiates the stateful generator for this configuration.
-    pub fn process(&self) -> Box<dyn ArrivalProcess> {
-        match *self {
-            Arrivals::Fixed { rate } => Box::new(FixedArrivals { rate }),
-            Arrivals::Poisson { rate } => Box::new(PoissonArrivals { rate }),
-            Arrivals::Bursty {
-                on_rate,
-                mean_on,
-                mean_off,
-            } => Box::new(BurstyArrivals::new(on_rate, mean_on, mean_off)),
-        }
-    }
-
     /// Long-run mean arrival rate (per virtual second).
     pub fn mean_rate(&self) -> f64 {
         match *self {
@@ -288,162 +185,64 @@ impl Arrivals {
     }
 }
 
+/// One stream's live arrival process: the configuration plus the
+/// bursty phase (unused by the memoryless variants).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArrivalGen {
+    arrivals: Arrivals,
+    /// Virtual seconds left in the current phase.
+    phase_left: f64,
+    /// `true` while in an ON phase.
+    on: bool,
+}
+
+impl ArrivalGen {
+    /// A generator starting at the beginning of an ON phase.
+    pub(crate) fn new(arrivals: Arrivals) -> ArrivalGen {
+        ArrivalGen {
+            arrivals,
+            phase_left: 0.0,
+            on: false,
+        }
+    }
+
+    /// Virtual seconds until the next arrival (≥ 0 and finite for a
+    /// valid configuration).
+    pub(crate) fn next_gap(&mut self, rng: &mut WorkloadRng) -> f64 {
+        let (on_rate, mean_on, mean_off) = match self.arrivals {
+            Arrivals::Fixed { rate } => return 1.0 / rate,
+            Arrivals::Poisson { rate } => return rng.exp(rate),
+            Arrivals::Bursty {
+                on_rate,
+                mean_on,
+                mean_off,
+            } => (on_rate, mean_on, mean_off),
+        };
+        let mut gap = 0.0;
+        loop {
+            if self.on {
+                let dt = rng.exp(on_rate);
+                if dt <= self.phase_left {
+                    self.phase_left -= dt;
+                    return gap + dt;
+                }
+            }
+            // The phase ends before the next arrival: spend the rest of
+            // it, then switch (a burst goes silent, a silence bursts).
+            gap += self.phase_left;
+            self.on = !self.on;
+            self.phase_left = rng.exp(1.0 / if self.on { mean_on } else { mean_off });
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Access patterns
 // ---------------------------------------------------------------------
 
-/// A generator of read ranges over a dataset of fixed size (captured
-/// at instantiation). Randomness comes from the caller's
-/// [`WorkloadRng`]; implementations may carry cursor or table state.
-pub trait AccessPattern: Send {
-    /// The next read range (always within the captured dataset bounds,
-    /// never empty for a non-empty dataset).
-    fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64>;
-}
-
-/// Clamps a drawn start to a valid `[start, start+span)` range.
-fn clamp_range(start: u64, span: u64, total: u64) -> Range<u64> {
-    if total == 0 {
-        return 0..0;
-    }
-    let start = start.min(total - 1);
-    start..(start + span.max(1)).min(total)
-}
-
-/// Uniformly random range starts across the whole dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformPattern {
-    total: u64,
-    span: u64,
-}
-
-impl UniformPattern {
-    /// Uniform `span`-read ranges over `total` reads.
-    pub fn new(total: u64, span: u64) -> UniformPattern {
-        UniformPattern { total, span }
-    }
-}
-
-impl AccessPattern for UniformPattern {
-    fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64> {
-        clamp_range(rng.below(self.total.max(1)), self.span, self.total)
-    }
-}
-
-/// Zipf(θ)-distributed range starts over span-sized slots: slot `i`
-/// (0-based) is drawn with probability ∝ `1/(i+1)^θ`, so a small set
-/// of hot slots absorbs most of the traffic — the classic skewed
-/// serving workload the cache ablation runs on.
-///
-/// The cumulative weight table is built once at instantiation
-/// (`total/span` slots) and sampled by inverse-CDF binary search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZipfPattern {
-    total: u64,
-    span: u64,
-    /// Cumulative normalized slot weights, ascending to 1.0.
-    cdf: Vec<f64>,
-}
-
-impl ZipfPattern {
-    /// Zipf(`theta`) over `span`-read slots of a `total`-read dataset.
-    pub fn new(total: u64, span: u64, theta: f64) -> ZipfPattern {
-        let slots = (total.max(1)).div_ceil(span.max(1)).max(1) as usize;
-        let mut cdf = Vec::with_capacity(slots);
-        let mut sum = 0.0;
-        for i in 0..slots {
-            sum += 1.0 / ((i + 1) as f64).powf(theta);
-            cdf.push(sum);
-        }
-        for w in &mut cdf {
-            *w /= sum;
-        }
-        ZipfPattern { total, span, cdf }
-    }
-
-    /// Slot count of the built table.
-    pub fn slots(&self) -> usize {
-        self.cdf.len()
-    }
-}
-
-impl AccessPattern for ZipfPattern {
-    fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64> {
-        let u = rng.next_f64();
-        let slot = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
-        clamp_range(slot as u64 * self.span, self.span, self.total)
-    }
-}
-
-/// A wrapping sequential cursor: each range starts where the previous
-/// one ended — a streaming scan expressed as gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SequentialPattern {
-    total: u64,
-    span: u64,
-    cursor: u64,
-}
-
-impl SequentialPattern {
-    /// Sequential `span`-read windows over `total` reads, from 0.
-    pub fn new(total: u64, span: u64) -> SequentialPattern {
-        SequentialPattern {
-            total,
-            span,
-            cursor: 0,
-        }
-    }
-}
-
-impl AccessPattern for SequentialPattern {
-    fn next_range(&mut self, _rng: &mut WorkloadRng) -> Range<u64> {
-        let r = clamp_range(self.cursor, self.span, self.total);
-        self.cursor = if r.end >= self.total { 0 } else { r.end };
-        r
-    }
-}
-
-/// A two-tier hot/cold mix: with probability `hot_weight` the start is
-/// drawn uniformly from the first `hot_fraction` of the keyspace,
-/// otherwise uniformly from the cold remainder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HotspotPattern {
-    total: u64,
-    span: u64,
-    hot_fraction: f64,
-    hot_weight: f64,
-}
-
-impl HotspotPattern {
-    /// `hot_weight` of the traffic lands on the first `hot_fraction`
-    /// of `total` reads.
-    pub fn new(total: u64, span: u64, hot_fraction: f64, hot_weight: f64) -> HotspotPattern {
-        HotspotPattern {
-            total,
-            span,
-            hot_fraction: hot_fraction.clamp(0.0, 1.0),
-            hot_weight: hot_weight.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl AccessPattern for HotspotPattern {
-    fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64> {
-        let hot_len = ((self.total as f64 * self.hot_fraction) as u64).clamp(1, self.total.max(1));
-        let start = if rng.next_f64() < self.hot_weight {
-            rng.below(hot_len)
-        } else if hot_len >= self.total {
-            rng.below(self.total.max(1))
-        } else {
-            hot_len + rng.below(self.total - hot_len)
-        };
-        clamp_range(start, self.span, self.total)
-    }
-}
-
-/// Access-pattern configuration — the plain-data form an
-/// [`OpenLoopSpec`] carries. [`Pattern::instantiate`] builds the
-/// matching stateful [`AccessPattern`] generator for a dataset size.
+/// Access-pattern configuration — what an [`OpenLoopSpec`] carries.
+/// Each variant yields read ranges over the dataset, never empty for
+/// a non-empty dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
     /// Uniformly random `span`-read ranges.
@@ -451,19 +250,25 @@ pub enum Pattern {
         /// Reads per range.
         span: u64,
     },
-    /// Zipf(`theta`)-skewed range starts over `span`-read slots.
+    /// Zipf(`theta`)-skewed range starts over `span`-read slots: slot
+    /// `i` (0-based) is drawn with probability ∝ `1/(i+1)^θ`, so a
+    /// small set of hot slots absorbs most of the traffic. The slot
+    /// CDF is built once per stream and sampled by inverse-CDF binary
+    /// search.
     Zipf {
         /// Skew exponent (θ ≈ 1 is the classic heavy skew).
         theta: f64,
         /// Reads per range.
         span: u64,
     },
-    /// A wrapping sequential scan in `span`-read windows.
+    /// A wrapping sequential scan in `span`-read windows: each range
+    /// starts where the previous one ended.
     Sequential {
         /// Reads per range.
         span: u64,
     },
-    /// `hot_weight` of traffic on the first `hot_fraction` of reads.
+    /// `hot_weight` of traffic on the first `hot_fraction` of reads,
+    /// the rest uniform over the cold remainder.
     Hotspot {
         /// Fraction of the keyspace that is hot, in `(0, 1]`.
         hot_fraction: f64,
@@ -475,20 +280,6 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// Instantiates the stateful generator over a `total`-read dataset.
-    pub fn instantiate(&self, total: u64) -> Box<dyn AccessPattern> {
-        match *self {
-            Pattern::Uniform { span } => Box::new(UniformPattern::new(total, span)),
-            Pattern::Zipf { theta, span } => Box::new(ZipfPattern::new(total, span, theta)),
-            Pattern::Sequential { span } => Box::new(SequentialPattern::new(total, span)),
-            Pattern::Hotspot {
-                hot_fraction,
-                hot_weight,
-                span,
-            } => Box::new(HotspotPattern::new(total, span, hot_fraction, hot_weight)),
-        }
-    }
-
     /// Display label for sweep tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -534,6 +325,87 @@ impl Pattern {
             return Err(ConfigError::ZeroSpan);
         }
         Ok(())
+    }
+}
+
+/// Clamps a drawn start to a valid `[start, start+span)` range.
+fn clamp_range(start: u64, span: u64, total: u64) -> Range<u64> {
+    if total == 0 {
+        return 0..0;
+    }
+    let start = start.min(total - 1);
+    start..(start + span.max(1)).min(total)
+}
+
+/// One stream's live access pattern over a `total`-read dataset: the
+/// configuration plus the Zipf slot CDF and the sequential cursor
+/// (each unused by the other variants).
+#[derive(Debug, Clone)]
+pub(crate) struct RangeGen {
+    pattern: Pattern,
+    total: u64,
+    /// Cumulative normalized Zipf slot weights, ascending to 1.0.
+    cdf: Vec<f64>,
+    /// Start of the next sequential window.
+    cursor: u64,
+}
+
+impl RangeGen {
+    pub(crate) fn new(pattern: &Pattern, total: u64) -> RangeGen {
+        let mut cdf = Vec::new();
+        if let Pattern::Zipf { theta, span } = *pattern {
+            let slots = (total.max(1)).div_ceil(span.max(1)).max(1) as usize;
+            cdf.reserve_exact(slots);
+            let mut sum = 0.0;
+            for i in 0..slots {
+                sum += 1.0 / ((i + 1) as f64).powf(theta);
+                cdf.push(sum);
+            }
+            for w in &mut cdf {
+                *w /= sum;
+            }
+        }
+        RangeGen {
+            pattern: *pattern,
+            total,
+            cdf,
+            cursor: 0,
+        }
+    }
+
+    /// The next read range (within `0..total`).
+    pub(crate) fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64> {
+        let total = self.total;
+        match self.pattern {
+            Pattern::Uniform { span } => clamp_range(rng.below(total.max(1)), span, total),
+            Pattern::Zipf { span, .. } => {
+                let u = rng.next_f64();
+                let slot = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
+                clamp_range(slot as u64 * span, span, total)
+            }
+            Pattern::Sequential { span } => {
+                let r = clamp_range(self.cursor, span, total);
+                self.cursor = if r.end >= total { 0 } else { r.end };
+                r
+            }
+            Pattern::Hotspot {
+                hot_fraction,
+                hot_weight,
+                span,
+            } => {
+                let hot_fraction = hot_fraction.clamp(0.0, 1.0);
+                let hot_weight = hot_weight.clamp(0.0, 1.0);
+                let hot_len = ((total as f64 * hot_fraction) as u64).clamp(1, total.max(1));
+                let start = if rng.next_f64() < hot_weight {
+                    rng.below(hot_len)
+                } else if hot_len >= total {
+                    rng.below(total.max(1))
+                } else {
+                    hot_len + rng.below(total - hot_len)
+                };
+                clamp_range(start, span, total)
+            }
+        }
     }
 }
 
@@ -624,14 +496,14 @@ impl OpMix {
     }
 }
 
-/// A deterministic stream of typed [`StoreOp`]s: an access pattern
+/// A deterministic stream of typed [`StoreOp`]s: a [`Pattern`]
 /// supplying ranges, an [`OpMix`] choosing kinds, one seeded
 /// [`WorkloadRng`] driving both. Scans walk every chunk with an
 /// all-rejecting predicate (serving cost without result assembly);
 /// appends clone the template reads.
 pub struct OpStream {
     rng: WorkloadRng,
-    pattern: Box<dyn AccessPattern>,
+    pattern: RangeGen,
     mix: OpMix,
     append_template: ReadSet,
 }
@@ -655,7 +527,7 @@ impl OpStream {
     ) -> OpStream {
         OpStream {
             rng: WorkloadRng::new(seed),
-            pattern: pattern.instantiate(total),
+            pattern: RangeGen::new(pattern, total),
             mix,
             append_template,
         }
@@ -998,15 +870,15 @@ mod tests {
     #[test]
     fn poisson_gaps_have_the_configured_mean() {
         let mut rng = WorkloadRng::new(3);
-        let mut p = PoissonArrivals { rate: 200.0 };
-        let gaps: Vec<f64> = (0..8192).map(|_| p.next_interarrival(&mut rng)).collect();
+        let mut p = ArrivalGen::new(Arrivals::Poisson { rate: 200.0 });
+        let gaps: Vec<f64> = (0..8192).map(|_| p.next_gap(&mut rng)).collect();
         assert!(gaps.iter().all(|g| *g >= 0.0 && g.is_finite()));
         let m = mean(&gaps);
         assert!((m - 1.0 / 200.0).abs() < 0.1 / 200.0, "mean gap {m}");
         // Fixed arrivals: every gap exactly 1/rate.
-        let mut f = FixedArrivals { rate: 50.0 };
-        assert_eq!(f.next_interarrival(&mut rng), 0.02);
-        assert_eq!(f.next_interarrival(&mut rng), 0.02);
+        let mut f = ArrivalGen::new(Arrivals::Fixed { rate: 50.0 });
+        assert_eq!(f.next_gap(&mut rng), 0.02);
+        assert_eq!(f.next_gap(&mut rng), 0.02);
     }
 
     #[test]
@@ -1018,9 +890,9 @@ mod tests {
         };
         assert!((cfg.mean_rate() - 250.0).abs() < 1e-9);
         let mut rng = WorkloadRng::new(9);
-        let mut p = cfg.process();
+        let mut p = ArrivalGen::new(cfg);
         let n = 20_000;
-        let span: f64 = (0..n).map(|_| p.next_interarrival(&mut rng)).sum();
+        let span: f64 = (0..n).map(|_| p.next_gap(&mut rng)).sum();
         let measured = n as f64 / span;
         assert!(
             (measured - 250.0).abs() < 25.0,
@@ -1032,8 +904,8 @@ mod tests {
     fn zipf_concentrates_on_hot_slots() {
         let total = 10_000u64;
         let span = 100u64;
-        let mut z = ZipfPattern::new(total, span, 1.1);
-        assert_eq!(z.slots(), 100);
+        let mut z = RangeGen::new(&Pattern::Zipf { theta: 1.1, span }, total);
+        assert_eq!(z.cdf.len(), 100);
         let mut rng = WorkloadRng::new(5);
         let mut hot = 0usize;
         let n = 4096;
@@ -1054,14 +926,21 @@ mod tests {
 
     #[test]
     fn sequential_wraps_and_hotspot_concentrates() {
-        let mut s = SequentialPattern::new(50, 20);
+        let mut s = RangeGen::new(&Pattern::Sequential { span: 20 }, 50);
         let mut rng = WorkloadRng::new(1);
         assert_eq!(s.next_range(&mut rng), 0..20);
         assert_eq!(s.next_range(&mut rng), 20..40);
         assert_eq!(s.next_range(&mut rng), 40..50);
         assert_eq!(s.next_range(&mut rng), 0..20);
 
-        let mut h = HotspotPattern::new(10_000, 8, 0.1, 0.9);
+        let mut h = RangeGen::new(
+            &Pattern::Hotspot {
+                hot_fraction: 0.1,
+                hot_weight: 0.9,
+                span: 8,
+            },
+            10_000,
+        );
         let mut hot = 0usize;
         let n = 4096;
         for _ in 0..n {

@@ -445,25 +445,6 @@ pub fn analyze(spans: &[OpSpan], devices: usize, spec: &AnalysisSpec) -> BlameRe
     }
 }
 
-/// [`analyze`] restricted to one tenant's spans — the per-tenant view
-/// of a multi-tenant trace (see
-/// [`OpSpan::tenant`](crate::obs::OpSpan::tenant)). The filtered
-/// stream keeps its original order, so a single-tenant trace filtered
-/// to tenant 0 reproduces the unfiltered report exactly.
-pub fn analyze_tenant(
-    spans: &[OpSpan],
-    devices: usize,
-    spec: &AnalysisSpec,
-    tenant: usize,
-) -> BlameReport {
-    let filtered: Vec<OpSpan> = spans
-        .iter()
-        .filter(|s| s.tenant == tenant)
-        .cloned()
-        .collect();
-    analyze(&filtered, devices, spec)
-}
-
 // ---------------------------------------------------------------------
 // Tail forensics
 // ---------------------------------------------------------------------
@@ -608,22 +589,6 @@ pub fn tail_forensics(spans: &[OpSpan], devices: usize, k: usize) -> Vec<TailRep
             }
         })
         .collect()
-}
-
-/// [`tail_forensics`] restricted to one tenant's spans — whose tail
-/// is it, and why, for each op kind that tenant ran.
-pub fn tail_forensics_tenant(
-    spans: &[OpSpan],
-    devices: usize,
-    k: usize,
-    tenant: usize,
-) -> Vec<TailReport> {
-    let filtered: Vec<OpSpan> = spans
-        .iter()
-        .filter(|s| s.tenant == tenant)
-        .cloned()
-        .collect();
-    tail_forensics(&filtered, devices, k)
 }
 
 impl TailReport {
@@ -867,23 +832,6 @@ impl SloSpec {
             alerts,
         }
     }
-
-    /// [`SloSpec::evaluate`] restricted to one tenant's spans — each
-    /// tenant's SLO is judged on its own operations only, which is
-    /// how a per-tenant [`TenantSpec::slo`](crate::client::TenantSpec)
-    /// is scored after a multi-tenant drive.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SloSpec::evaluate`].
-    pub fn evaluate_tenant(&self, spans: &[OpSpan], tenant: usize) -> SloReport {
-        let filtered: Vec<OpSpan> = spans
-            .iter()
-            .filter(|s| s.tenant == tenant)
-            .cloned()
-            .collect();
-        self.evaluate(&filtered)
-    }
 }
 
 /// Alert severity.
@@ -1041,7 +989,7 @@ mod tests {
         // Two parallel charges on distinct devices: the union is one
         // window, not the sum of both.
         let mut sched = VirtualScheduler::new(2);
-        let (d, intervals) = sched.dispatch_traced(
+        let (d, intervals) = sched.dispatch(
             0.0,
             &[
                 DeviceCharge {
@@ -1053,6 +1001,8 @@ mod tests {
                     seconds: 0.3,
                 },
             ],
+            0,
+            true,
         );
         let s = super::super::test_support::span(0, 0.0, intervals);
         assert_eq!(d.device_seconds, 0.7);
@@ -1069,29 +1019,35 @@ mod tests {
         // an op whose charges are split by another op's service shows
         // the gap as stall.
         let mut sched = VirtualScheduler::new(1);
-        let (_, iv_a1) = sched.dispatch_traced(
+        let (_, iv_a1) = sched.dispatch(
             0.0,
             &[DeviceCharge {
                 device: 0,
                 seconds: 0.1,
             }],
+            0,
+            true,
         );
         // Op B submits now but its charge queues behind A's second
         // charge issued below? Build instead: op with two charges
         // recorded around a foreign charge.
-        let (_, iv_other) = sched.dispatch_traced(
+        let (_, iv_other) = sched.dispatch(
             0.0,
             &[DeviceCharge {
                 device: 0,
                 seconds: 0.2,
             }],
+            0,
+            true,
         );
-        let (_, iv_a2) = sched.dispatch_traced(
+        let (_, iv_a2) = sched.dispatch(
             0.0,
             &[DeviceCharge {
                 device: 0,
                 seconds: 0.1,
             }],
+            0,
+            true,
         );
         let _ = iv_other;
         let mut intervals = iv_a1;
@@ -1122,7 +1078,7 @@ mod tests {
         // Busy integrals agree with a fresh scheduler run.
         let mut sched = VirtualScheduler::new(2);
         for s in &spans {
-            sched.dispatch(s.submitted_vt, &s.charges());
+            sched.dispatch(s.submitted_vt, &s.charges(), 0, false);
         }
         for (d, b) in sched.busy_seconds().iter().enumerate() {
             let got = report.device_busy()[d];
@@ -1141,12 +1097,14 @@ mod tests {
         let mut sched = VirtualScheduler::new(1);
         let mut spans = Vec::new();
         for (i, submit) in [0.0, 0.001, 10.0, 10.001].iter().enumerate() {
-            let (d, intervals) = sched.dispatch_traced(
+            let (d, intervals) = sched.dispatch(
                 *submit,
                 &[DeviceCharge {
                     device: 0,
                     seconds: 0.002,
                 }],
+                0,
+                true,
             );
             let mut s = super::super::test_support::span(i as u64, *submit, intervals);
             s.started_vt = d.started_vt;

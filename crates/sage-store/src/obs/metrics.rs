@@ -475,7 +475,7 @@ mod tests {
         let spans = scheduled_spans(48, 2);
         let mut sched = VirtualScheduler::new(2);
         for s in &spans {
-            sched.dispatch(s.submitted_vt, &s.charges());
+            sched.dispatch(s.submitted_vt, &s.charges(), 0, false);
         }
         let series = MetricsRecorder::sample_every(0.0137).sample(&spans, 2);
         let total = series.total_busy();

@@ -16,7 +16,7 @@
 //!   with the hard invariant that **tracing never perturbs the
 //!   timeline**: a traced run is bit-identical to an untraced one
 //!   (the traced and untraced scheduler paths share one arithmetic —
-//!   see [`sage_io::VirtualScheduler::dispatch_traced`] — and the
+//!   see [`sage_io::VirtualScheduler::dispatch`] — and the
 //!   property test `tracing_is_zero_perturbation` holds it).
 //! - **Unified metrics** — [`MetricsSnapshot`] gathers the serving
 //!   counters, cache outcomes, lock accounting, and device busy
@@ -440,7 +440,7 @@ pub fn replay(spans: &[OpSpan], devices: usize) -> Replay {
     let mut mismatches = 0usize;
     for s in spans {
         let charges = s.charges();
-        let d = sched.dispatch(s.submitted_vt, &charges);
+        let (d, _) = sched.dispatch(s.submitted_vt, &charges, 0, false);
         let exact = d.started_vt == s.started_vt
             && d.completed_vt == s.completed_vt
             && d.device_seconds == s.device_seconds
@@ -508,7 +508,7 @@ pub(crate) mod test_support {
                         seconds: 0.002,
                     },
                 ];
-                let (d, intervals) = sched.dispatch_traced(submit, &charges);
+                let (d, intervals) = sched.dispatch(submit, &charges, 0, true);
                 let mut s = span(i, submit, intervals);
                 s.started_vt = d.started_vt;
                 s.completed_vt = d.completed_vt;
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn span_helper_round_trips_charges() {
         let mut sched = VirtualScheduler::new(2);
-        let (_, intervals) = sched.dispatch_traced(
+        let (_, intervals) = sched.dispatch(
             0.5,
             &[
                 DeviceCharge {
@@ -630,6 +630,8 @@ mod tests {
                     seconds: 0.125,
                 },
             ],
+            0,
+            true,
         );
         let s = span(0, 0.5, intervals);
         let charges = s.charges();

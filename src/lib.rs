@@ -22,8 +22,8 @@
 //!   GC, and the `SAGe_Read`/`SAGe_Write` interface commands.
 //! - [`io`] — the completion-queue async I/O substrate: a bounded
 //!   submission ring, a reactor multiplexing in-flight operations over a
-//!   fixed worker set, per-device completion queues with virtual-time
-//!   latency accounting, and multi-SSD extent sharding (`DeviceMap`).
+//!   fixed worker set, a completion queue with virtual-time latency
+//!   accounting, and multi-SSD extent sharding (`DeviceMap`).
 //! - [`store`] — the sharded chunk-container store: parallel chunk codec,
 //!   manifest-indexed random access, a concurrent query engine with a
 //!   striped LRU cache of decoded chunks, and single- or multi-SSD

@@ -76,17 +76,45 @@ const RECORDED: [(u64, u64, u64, u64); 18] = [
     (96, 0, 0x3fa64c0ae8e66de7, 0xdbd1f6a1c0e48947), // 2x bursty hotspot
 ];
 
+/// The grid's arrival processes, in loop order.
+const ARRIVALS: [Arrivals; 3] = [
+    Arrivals::Fixed { rate: 400.0 },
+    Arrivals::Poisson { rate: 300.0 },
+    Arrivals::Bursty {
+        on_rate: 3000.0,
+        mean_on: 0.01,
+        mean_off: 0.01,
+    },
+];
+
+/// Drives one grid cell — 96 arrivals of an 80/10/10 get/scan/append
+/// mix behind an 8-deep queue (small: some cells shed) — and returns
+/// `(completed, shed, makespan bits, FNV of latency bits)`.
+fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64, u64, u64, u64) {
+    let mut spec = OpenLoopSpec::new(arrivals);
+    spec.pattern = pattern;
+    spec.mix = OpMix {
+        get: 0.8,
+        scan: 0.1,
+        append: 0.1,
+    };
+    spec.requests = 96;
+    spec.queue_depth = 8;
+    spec.seed = 0x5eed;
+    let report = fleet_dataset(devices)
+        .drive_open_loop(&spec)
+        .expect("drive");
+    assert_eq!(report.shed_events.len() as u64, report.shed);
+    (
+        report.completed,
+        report.shed,
+        report.makespan.to_bits(),
+        fnv_of_bits(&report.latencies),
+    )
+}
+
 #[test]
 fn fifo_single_default_tenant_reproduces_open_loop_reports() {
-    let arrivals = [
-        Arrivals::Fixed { rate: 400.0 },
-        Arrivals::Poisson { rate: 300.0 },
-        Arrivals::Bursty {
-            on_rate: 3000.0,
-            mean_on: 0.01,
-            mean_off: 0.01,
-        },
-    ];
     let patterns = [
         Pattern::Uniform { span: 16 },
         Pattern::Zipf {
@@ -101,30 +129,11 @@ fn fifo_single_default_tenant_reproduces_open_loop_reports() {
     ];
     let mut recorded = RECORDED.iter();
     for devices in [1usize, 2] {
-        for arr in arrivals {
+        for arr in ARRIVALS {
             for pat in patterns {
-                let mut spec = OpenLoopSpec::new(arr);
-                spec.pattern = pat;
-                spec.mix = OpMix {
-                    get: 0.8,
-                    scan: 0.1,
-                    append: 0.1,
-                };
-                spec.requests = 96;
-                spec.queue_depth = 8; // small: some cells shed
-                spec.seed = 0x5eed;
-                let report = fleet_dataset(devices)
-                    .drive_open_loop(&spec)
-                    .expect("drive");
                 let cell = format!("{}x {} {}", devices, arr.label(), pat.label());
-                let got = (
-                    report.completed,
-                    report.shed,
-                    report.makespan.to_bits(),
-                    fnv_of_bits(&report.latencies),
-                );
+                let got = open_loop_cell(devices, arr, pat);
                 assert_eq!(&got, recorded.next().expect("18 cells"), "cell {cell}");
-                assert_eq!(report.shed_events.len() as u64, report.shed, "cell {cell}");
             }
         }
     }
@@ -176,38 +185,11 @@ const RECORDED_SEQUENTIAL: [(u64, u64, u64, u64); 6] = [
 
 #[test]
 fn sequential_pattern_reproduces_recorded_reports() {
-    let arrivals = [
-        Arrivals::Fixed { rate: 400.0 },
-        Arrivals::Poisson { rate: 300.0 },
-        Arrivals::Bursty {
-            on_rate: 3000.0,
-            mean_on: 0.01,
-            mean_off: 0.01,
-        },
-    ];
     let mut recorded = RECORDED_SEQUENTIAL.iter();
     for devices in [1usize, 2] {
-        for arr in arrivals {
-            let mut spec = OpenLoopSpec::new(arr);
-            spec.pattern = Pattern::Sequential { span: 16 };
-            spec.mix = OpMix {
-                get: 0.8,
-                scan: 0.1,
-                append: 0.1,
-            };
-            spec.requests = 96;
-            spec.queue_depth = 8;
-            spec.seed = 0x5eed;
-            let report = fleet_dataset(devices)
-                .drive_open_loop(&spec)
-                .expect("drive");
+        for arr in ARRIVALS {
             let cell = format!("{}x {} sequential", devices, arr.label());
-            let got = (
-                report.completed,
-                report.shed,
-                report.makespan.to_bits(),
-                fnv_of_bits(&report.latencies),
-            );
+            let got = open_loop_cell(devices, arr, Pattern::Sequential { span: 16 });
             assert_eq!(
                 &got,
                 recorded.next().expect("6 cells"),
