@@ -1,6 +1,8 @@
 //! The completion queue.
 //!
-//! Every finished operation becomes a [`Cqe`] posted to one FIFO.
+//! Every finished operation becomes a [`Cqe`] posted to one FIFO
+//! (unless its backend delivered it itself, see
+//! [`IoBackend::complete`](crate::IoBackend::complete)).
 //! Consumers either poll it ([`CompletionQueues::poll_any`]) or block
 //! for the next completion ([`CompletionQueues::wait_any`]). The queue
 //! sits behind one mutex — completion entries are tiny and the
@@ -83,7 +85,6 @@ struct CqState<T> {
     /// Reactor workers still alive; 0 means no further completions can
     /// ever arrive.
     live_posters: usize,
-    completed: u64,
 }
 
 /// The completion side of a reactor: one queue in post order.
@@ -100,21 +101,14 @@ impl<T> CompletionQueues<T> {
             state: Mutex::new(CqState {
                 queue: VecDeque::new(),
                 live_posters: posters,
-                completed: 0,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Total completions posted so far.
-    pub fn completed(&self) -> u64 {
-        self.state.lock().expect("cq poisoned").completed
-    }
-
     pub(crate) fn post(&self, cqe: Cqe<T>) {
         let mut state = self.state.lock().expect("cq poisoned");
         state.queue.push_back(cqe);
-        state.completed += 1;
         drop(state);
         self.cv.notify_all();
     }
@@ -185,7 +179,6 @@ mod tests {
             .map(|c| (c.user_data, c.device))
             .collect();
         assert_eq!(drained, [(1, 0), (2, 1), (3, 7)]);
-        assert_eq!(cq.completed(), 3);
     }
 
     #[test]

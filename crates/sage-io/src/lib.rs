@@ -13,7 +13,8 @@
 //!   worker set drains the ring, runs each operation against an
 //!   [`IoBackend`], and posts a [`Cqe`] to the completion queue.
 //!   Arbitrarily many operations are in flight at once; workers bound
-//!   only CPU parallelism.
+//!   only CPU parallelism. A backend may answer an op that cannot
+//!   block on the submitting thread, and deliver completions itself.
 //! - [`sched`] — **virtual-time device scheduling**: per-device clocks
 //!   turn the device models' service seconds into queued start/finish
 //!   instants, so completions carry realistic latencies (queueing

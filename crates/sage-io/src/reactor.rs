@@ -9,6 +9,10 @@
 //! operations (the queue-depth knob), and neither bounds the number of
 //! outstanding completions a consumer may leave unharvested.
 //!
+//! Like io_uring, an op that cannot block may skip the ring
+//! ([`IoBackend::try_inline`]), and a backend may deliver completions
+//! itself ([`IoBackend::complete`]); both hooks default to the queue.
+//!
 //! Every execution reports the device charges it incurred; the
 //! reactor's [`VirtualScheduler`] turns those service times into
 //! queued start/completion instants, so completions carry realistic
@@ -17,10 +21,10 @@
 use crate::cqueue::{CompletionQueues, Cqe};
 use crate::qos::{SchedPolicyKind, SchedTag};
 use crate::ring::{RingCounters, SubmissionRing, SubmitError};
-use crate::sched::{DeviceCharge, VirtualScheduler};
+use crate::sched::{DeviceCharge, ResolvedOp, VirtualScheduler};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// What the reactor runs operations against.
@@ -37,6 +41,22 @@ pub trait IoBackend: Send + Sync + 'static {
 
     /// Executes one operation.
     fn execute(&self, op: Self::Op) -> (Self::Output, Vec<DeviceCharge>);
+
+    /// Executes `op` on the submitting thread if that cannot block,
+    /// else gives it back to be queued. Asked by every single-op
+    /// submit under [`SchedPolicyKind::Fifo`] only (queued policies
+    /// order by the ring). An inline op is stamped and counted like a
+    /// worker's, and a full ring never sheds it. Default: give back.
+    fn try_inline(&self, op: Self::Op) -> Result<(Self::Output, Vec<DeviceCharge>), Self::Op> {
+        Err(op)
+    }
+
+    /// Takes a stamped completion on the thread that finished it and
+    /// returns what to queue for [`Reactor::completions`] — `None` if
+    /// the backend delivered it itself. Default: queue it.
+    fn complete(&self, cqe: Cqe<Self::Output>) -> Option<Cqe<Self::Output>> {
+        Some(cqe)
+    }
 }
 
 /// One submission: the operation plus its identity and virtual
@@ -96,11 +116,12 @@ impl Default for IoConfig {
 /// Point-in-time reactor accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReactorSnapshot {
-    /// Operations accepted into the ring.
+    /// Operations accepted: queued into the ring or completed inline.
     pub submitted: u64,
     /// `try_submit_tagged` attempts shed because the ring was full.
     pub rejected: u64,
-    /// Operations completed (posted to a completion queue).
+    /// Operations completed (stamped and handed to
+    /// [`IoBackend::complete`]).
     pub completed: u64,
     /// Operations queued in the ring right now.
     pub queued: usize,
@@ -144,13 +165,15 @@ impl ReactorSnapshot {
 
 /// Scheduler-side shared state: the virtual clocks plus, for the
 /// queued dispatch path, the outputs of executed-but-unresolved
-/// operations (keyed by the scheduler's enqueue handle) and the count
-/// of submissions fully processed by a worker (the
-/// [`Reactor::quiesce`] target).
+/// operations (keyed by the scheduler's enqueue handle), the count
+/// of submissions fully processed (the [`Reactor::quiesce`] target),
+/// and the completion counts (`inline` ops never entered the ring).
 struct SchedState<T> {
     sched: VirtualScheduler,
     held: HashMap<u64, T>,
     processed: u64,
+    inline: u64,
+    completed: u64,
 }
 
 impl<T> fmt::Debug for SchedState<T> {
@@ -159,33 +182,157 @@ impl<T> fmt::Debug for SchedState<T> {
             .field("sched", &self.sched)
             .field("held", &self.held.len())
             .field("processed", &self.processed)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-/// The shared state cell: one mutex for the scheduler and held
-/// outputs, one condvar signalling `processed` advances.
-struct StateCell<T> {
-    state: Mutex<SchedState<T>>,
+/// Everything the workers and the submitting threads share.
+struct Core<B: IoBackend> {
+    backend: Arc<B>,
+    ring: SubmissionRing<Sqe<B::Op>>,
+    cq: Arc<CompletionQueues<B::Output>>,
+    state: Mutex<SchedState<B::Output>>,
+    /// Signals `processed` advances.
     processed_cv: Condvar,
+    record_intervals: bool,
+    policy: SchedPolicyKind,
 }
 
-impl<T> fmt::Debug for StateCell<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StateCell")
-            .field("state", &self.state)
-            .finish()
+impl<B: IoBackend> Core<B> {
+    fn lock(&self) -> MutexGuard<'_, SchedState<B::Output>> {
+        self.state.lock().expect("scheduler poisoned")
+    }
+
+    /// One worker's life: execute what the ring hands out until it is
+    /// closed and drained.
+    fn work(&self) {
+        // Signalled on *every* exit path: a backend panic that unwinds
+        // this thread must still count the poster down, or `wait_any`
+        // consumers would block forever on a live_posters count that
+        // can never reach zero.
+        struct PosterGuard<'a, T>(&'a CompletionQueues<T>);
+        impl<T> Drop for PosterGuard<'_, T> {
+            fn drop(&mut self) {
+                self.0.poster_done();
+            }
+        }
+        let _guard = PosterGuard(&self.cq);
+        while let Some(sqe) = self.ring.pop() {
+            let done = self.backend.execute(sqe.op);
+            if self.policy == SchedPolicyKind::Fifo {
+                self.finish(sqe.user_data, sqe.submit_vt, sqe.tag, done, false);
+            } else {
+                let (output, charges) = done;
+                // Queued dispatch: execution happens now (in
+                // submission order), but the timeline placement waits
+                // in the policy's pending queues; the completion posts
+                // when the operation resolves.
+                let mut state = self.lock();
+                let handle = state
+                    .sched
+                    .enqueue(sqe.user_data, sqe.submit_vt, &charges, sqe.tag);
+                state.held.insert(handle, output);
+                state.processed += 1;
+                drop(state);
+                self.processed_cv.notify_all();
+            }
+        }
+        if self.policy != SchedPolicyKind::Fifo {
+            // End of stream: resolve everything still pending before
+            // this poster counts down, so `wait_any` consumers drain
+            // every completion. With several workers each flushes what
+            // is pending at its own exit; the last one to leave sweeps
+            // the remainder.
+            self.post_resolved(VirtualScheduler::flush);
+        }
+    }
+
+    /// The eager post step of a worker's op and an inline one alike:
+    /// stamp it ([`VirtualScheduler::dispatch`], billed to its tenant)
+    /// and count it completed — and submitted, if `inline` — under the
+    /// scheduler lock; then post it and count it processed. Completed
+    /// moves first, so whoever `complete` answers already sees it.
+    fn finish(
+        &self,
+        user_data: u64,
+        submit_vt: f64,
+        tag: SchedTag,
+        (output, charges): (B::Output, Vec<DeviceCharge>),
+        inline: bool,
+    ) {
+        let (dispatch, intervals) = {
+            let mut state = self.lock();
+            state.inline += u64::from(inline);
+            state.completed += 1;
+            state
+                .sched
+                .dispatch(submit_vt, &charges, tag.tenant, self.record_intervals)
+        };
+        self.post(Cqe::from_dispatch(
+            user_data, submit_vt, dispatch, intervals, output,
+        ));
+        self.lock().processed += 1;
+        self.processed_cv.notify_all();
+    }
+
+    /// Hands one completion to the backend and queues what it returns.
+    fn post(&self, cqe: Cqe<B::Output>) {
+        if let Some(cqe) = self.backend.complete(cqe) {
+            self.cq.post(cqe);
+        }
+    }
+
+    /// Resolves queued operations with `resolve` (a frontier move or
+    /// the end-of-stream flush), counts them completed and posts them,
+    /// honoring the interval-recording knob. Returns how many posted.
+    fn post_resolved(
+        &self,
+        resolve: impl FnOnce(&mut VirtualScheduler) -> Vec<ResolvedOp>,
+    ) -> usize {
+        let resolved: Vec<(ResolvedOp, B::Output)> = {
+            let mut state = self.lock();
+            let resolved = resolve(&mut state.sched);
+            state.completed += resolved.len() as u64;
+            resolved
+                .into_iter()
+                .map(|r| {
+                    let output = state.held.remove(&r.handle).expect("held output");
+                    (r, output)
+                })
+                .collect()
+        };
+        let n = resolved.len();
+        for (r, output) in resolved {
+            let intervals = if self.record_intervals {
+                r.intervals
+            } else {
+                Vec::new()
+            };
+            self.post(Cqe::from_dispatch(
+                r.user_data,
+                r.submit_vt,
+                r.dispatch,
+                intervals,
+                output,
+            ));
+        }
+        n
     }
 }
 
 /// A running reactor over backend `B`.
-#[derive(Debug)]
 pub struct Reactor<B: IoBackend> {
-    ring: Arc<SubmissionRing<Sqe<B::Op>>>,
-    cq: Arc<CompletionQueues<B::Output>>,
-    cell: Arc<StateCell<B::Output>>,
-    record_intervals: bool,
+    core: Arc<Core<B>>,
     workers: Vec<JoinHandle<()>>,
+}
+
+impl<B: IoBackend> fmt::Debug for Reactor<B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reactor")
+            .field("workers", &self.workers.len())
+            .field("state", &self.core.state)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<B: IoBackend> Reactor<B> {
@@ -196,140 +343,28 @@ impl<B: IoBackend> Reactor<B> {
     /// Panics if `cfg.workers` or `cfg.queue_depth` is 0.
     pub fn start(backend: Arc<B>, cfg: IoConfig) -> Reactor<B> {
         assert!(cfg.workers > 0, "need at least one worker");
-        let ring: Arc<SubmissionRing<Sqe<B::Op>>> = Arc::new(SubmissionRing::new(cfg.queue_depth));
-        let cq = Arc::new(CompletionQueues::new(cfg.workers));
-        let cell = Arc::new(StateCell {
+        let core = Arc::new(Core {
+            backend,
+            ring: SubmissionRing::new(cfg.queue_depth),
+            cq: Arc::new(CompletionQueues::new(cfg.workers)),
             state: Mutex::new(SchedState {
                 sched: VirtualScheduler::with_policy(cfg.devices, cfg.policy),
                 held: HashMap::new(),
                 processed: 0,
+                inline: 0,
+                completed: 0,
             }),
             processed_cv: Condvar::new(),
+            record_intervals: cfg.record_intervals,
+            policy: cfg.policy,
         });
-        let record_intervals = cfg.record_intervals;
-        let policy = cfg.policy;
         let workers = (0..cfg.workers)
             .map(|_| {
-                let ring = Arc::clone(&ring);
-                let cq = Arc::clone(&cq);
-                let cell = Arc::clone(&cell);
-                let backend = Arc::clone(&backend);
-                std::thread::spawn(move || {
-                    // Signalled on *every* exit path: a backend panic
-                    // that unwinds this thread must still count the
-                    // poster down, or `wait_any` consumers (and the
-                    // store server's dispatcher join) would block
-                    // forever on a live_posters count that can never
-                    // reach zero.
-                    struct PosterGuard<'a, T>(&'a CompletionQueues<T>);
-                    impl<T> Drop for PosterGuard<'_, T> {
-                        fn drop(&mut self) {
-                            self.0.poster_done();
-                        }
-                    }
-                    let _guard = PosterGuard(&cq);
-                    while let Some(sqe) = ring.pop() {
-                        let (output, charges) = backend.execute(sqe.op);
-                        if policy == SchedPolicyKind::Fifo {
-                            // Eager dispatch: place immediately, post
-                            // immediately — the pre-QoS hot path, with
-                            // busy/queue-delay billed to the tag's
-                            // tenant.
-                            let (dispatch, intervals) = cell
-                                .state
-                                .lock()
-                                .expect("scheduler poisoned")
-                                .sched
-                                .dispatch(
-                                    sqe.submit_vt,
-                                    &charges,
-                                    sqe.tag.tenant,
-                                    record_intervals,
-                                );
-                            cq.post(Cqe::from_dispatch(
-                                sqe.user_data,
-                                sqe.submit_vt,
-                                dispatch,
-                                intervals,
-                                output,
-                            ));
-                            let mut state = cell.state.lock().expect("scheduler poisoned");
-                            state.processed += 1;
-                            drop(state);
-                            cell.processed_cv.notify_all();
-                        } else {
-                            // Queued dispatch: execution happens now
-                            // (in submission order), but the timeline
-                            // placement waits in the policy's pending
-                            // queues; the completion posts when the
-                            // operation resolves.
-                            let mut state = cell.state.lock().expect("scheduler poisoned");
-                            let handle = state.sched.enqueue(
-                                sqe.user_data,
-                                sqe.submit_vt,
-                                &charges,
-                                sqe.tag,
-                            );
-                            state.held.insert(handle, output);
-                            state.processed += 1;
-                            drop(state);
-                            cell.processed_cv.notify_all();
-                        }
-                    }
-                    if policy != SchedPolicyKind::Fifo {
-                        // End of stream: resolve everything still
-                        // pending before this poster counts down, so
-                        // `wait_any` consumers drain every completion.
-                        // With several workers each flushes what is
-                        // pending at its own exit; the last one to
-                        // leave sweeps the remainder.
-                        Reactor::<B>::post_resolved(&cq, record_intervals, {
-                            let mut state = cell.state.lock().expect("scheduler poisoned");
-                            let resolved = state.sched.flush();
-                            resolved
-                                .into_iter()
-                                .map(|r| {
-                                    let output = state.held.remove(&r.handle).expect("held output");
-                                    (r, output)
-                                })
-                                .collect()
-                        });
-                    }
-                })
+                let core = Arc::clone(&core);
+                std::thread::spawn(move || core.work())
             })
             .collect();
-        Reactor {
-            ring,
-            cq,
-            cell,
-            record_intervals,
-            workers,
-        }
-    }
-
-    /// Posts resolved queued operations as completions, honoring the
-    /// interval-recording knob.
-    fn post_resolved(
-        cq: &CompletionQueues<B::Output>,
-        record_intervals: bool,
-        resolved: Vec<(crate::sched::ResolvedOp, B::Output)>,
-    ) -> usize {
-        let n = resolved.len();
-        for (r, output) in resolved {
-            let intervals = if record_intervals {
-                r.intervals
-            } else {
-                Vec::new()
-            };
-            cq.post(Cqe::from_dispatch(
-                r.user_data,
-                r.submit_vt,
-                r.dispatch,
-                intervals,
-                output,
-            ));
-        }
-        n
+        Reactor { core, workers }
     }
 
     /// Moves the arrival frontier of the queued dispatch path to `vt`:
@@ -343,18 +378,7 @@ impl<B: IoBackend> Reactor<B> {
     /// [`Reactor::quiesce`]) — open-loop drivers submit in
     /// nondecreasing virtual time, quiesce, then advance.
     pub fn advance_to(&self, vt: f64) -> usize {
-        let resolved = {
-            let mut state = self.cell.state.lock().expect("scheduler poisoned");
-            let resolved = state.sched.advance_to(vt);
-            resolved
-                .into_iter()
-                .map(|r| {
-                    let output = state.held.remove(&r.handle).expect("held output");
-                    (r, output)
-                })
-                .collect()
-        };
-        Self::post_resolved(&self.cq, self.record_intervals, resolved)
+        self.core.post_resolved(|sched| sched.advance_to(vt))
     }
 
     /// Blocks until every submission accepted so far has been
@@ -368,11 +392,11 @@ impl<B: IoBackend> Reactor<B> {
     /// finishes its operation, so quiescing after one would block
     /// until another submission is processed.
     pub fn quiesce(&self) {
-        let target = self.ring.counters().submitted;
-        let mut state = self.cell.state.lock().expect("scheduler poisoned");
-        while state.processed < target {
+        let queued = self.core.ring.counters().submitted;
+        let mut state = self.core.lock();
+        while state.processed < queued + state.inline {
             state = self
-                .cell
+                .core
                 .processed_cv
                 .wait(state)
                 .expect("scheduler poisoned");
@@ -384,14 +408,15 @@ impl<B: IoBackend> Reactor<B> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] when the reactor already shut down.
-    pub fn submit(&self, op: B::Op, user_data: u64, submit_vt: f64) -> Result<(), SubmitError> {
-        self.ring.push(Sqe {
-            op,
-            user_data,
-            submit_vt,
-            tag: SchedTag::default(),
-        })
+    /// [`SubmitError::Closed`] when the reactor already shut down; the
+    /// refused op comes back with it.
+    pub fn submit(
+        &self,
+        op: B::Op,
+        user_data: u64,
+        submit_vt: f64,
+    ) -> Result<(), (SubmitError, B::Op)> {
+        self.enqueue(op, user_data, submit_vt, SchedTag::default(), true)
     }
 
     /// [`Reactor::submit`] with explicit scheduling attributes —
@@ -400,20 +425,15 @@ impl<B: IoBackend> Reactor<B> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] when the reactor already shut down.
+    /// Same as [`Reactor::submit`].
     pub fn submit_tagged(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
         tag: SchedTag,
-    ) -> Result<(), SubmitError> {
-        self.ring.push(Sqe {
-            op,
-            user_data,
-            submit_vt,
-            tag,
-        })
+    ) -> Result<(), (SubmitError, B::Op)> {
+        self.enqueue(op, user_data, submit_vt, tag, true)
     }
 
     /// Submits without blocking, with explicit scheduling attributes.
@@ -421,27 +441,59 @@ impl<B: IoBackend> Reactor<B> {
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the ring is at capacity (the
-    /// rejection is counted), [`SubmitError::Closed`] after shutdown.
+    /// rejection is counted), [`SubmitError::Closed`] after shutdown;
+    /// the refused op comes back either way.
     pub fn try_submit_tagged(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
         tag: SchedTag,
-    ) -> Result<(), SubmitError> {
-        self.ring.try_push(Sqe {
+    ) -> Result<(), (SubmitError, B::Op)> {
+        self.enqueue(op, user_data, submit_vt, tag, false)
+    }
+
+    /// The single-op submit path. Under FIFO an op the backend answers
+    /// inline ([`IoBackend::try_inline`]) completes right here; any
+    /// other op is queued, waiting on a full ring when `block`.
+    fn enqueue(
+        &self,
+        op: B::Op,
+        user_data: u64,
+        submit_vt: f64,
+        tag: SchedTag,
+        block: bool,
+    ) -> Result<(), (SubmitError, B::Op)> {
+        let (core, mut op) = (&*self.core, op);
+        if core.policy == SchedPolicyKind::Fifo && !core.ring.is_closed() {
+            match core.backend.try_inline(op) {
+                Ok(done) => {
+                    core.finish(user_data, submit_vt, tag, done, true);
+                    return Ok(());
+                }
+                Err(back) => op = back,
+            }
+        }
+        let push = if block {
+            SubmissionRing::push
+        } else {
+            SubmissionRing::try_push
+        };
+        let sqe = Sqe {
             op,
             user_data,
             submit_vt,
             tag,
-        })
+        };
+        push(&core.ring, sqe).map_err(|(e, sqe)| (e, sqe.op))
     }
 
     /// Submits a batch of `(op, user_data, submit_vt)` entries in
     /// order with one ring-lock acquisition per capacity window
     /// instead of one per operation — the cheap way to seed a closed
     /// loop or inject an arrival burst. Blocks (backpressure) while
-    /// the ring is full, exactly like [`Reactor::submit`].
+    /// the ring is full, exactly like [`Reactor::submit`]; a batch
+    /// never goes inline.
     ///
     /// # Errors
     ///
@@ -452,7 +504,8 @@ impl<B: IoBackend> Reactor<B> {
         &self,
         ops: impl IntoIterator<Item = (B::Op, u64, f64)>,
     ) -> Result<usize, (SubmitError, usize)> {
-        self.ring
+        self.core
+            .ring
             .push_batch(ops.into_iter().map(|(op, user_data, submit_vt)| Sqe {
                 op,
                 user_data,
@@ -461,15 +514,17 @@ impl<B: IoBackend> Reactor<B> {
             }))
     }
 
-    /// The completion side (shareable: a dispatcher thread can hold
-    /// its own handle and outlive the reactor's owner).
+    /// The completion queue: every completion [`IoBackend::complete`]
+    /// returns lands here — all of them under the default hook.
+    /// Shareable: a consumer can hold its own handle and outlive the
+    /// reactor's owner.
     pub fn completions(&self) -> Arc<CompletionQueues<B::Output>> {
-        Arc::clone(&self.cq)
+        Arc::clone(&self.core.cq)
     }
 
     /// The queue-depth the reactor was started with.
     pub fn queue_depth(&self) -> usize {
-        self.ring.capacity()
+        self.core.ring.capacity()
     }
 
     /// Reads the accumulated accounting.
@@ -478,12 +533,12 @@ impl<B: IoBackend> Reactor<B> {
             submitted,
             rejected,
             queued,
-        } = self.ring.counters();
-        let state = self.cell.state.lock().expect("scheduler poisoned");
+        } = self.core.ring.counters();
+        let state = self.core.lock();
         ReactorSnapshot {
-            submitted,
+            submitted: submitted + state.inline,
             rejected,
-            completed: self.cq.completed(),
+            completed: state.completed,
             queued,
             device_busy: state.sched.busy_seconds(),
             horizon: state.sched.horizon(),
@@ -501,14 +556,14 @@ impl<B: IoBackend> Reactor<B> {
     /// owner's job — this exists so a shared handle can unblock
     /// stuck submitters before the owner tears down.
     pub fn close(&self) {
-        self.ring.close();
+        self.core.ring.close();
     }
 
     /// Closes the ring immediately, returning the unserved entries
     /// (as [`Reactor::abort`] would) without joining the workers;
     /// blocked submitters wake with [`SubmitError::Closed`].
     pub fn close_now(&self) -> Vec<Sqe<B::Op>> {
-        self.ring.close_now()
+        self.core.ring.close_now()
     }
 
     /// Graceful shutdown: rejects new submissions, serves everything
@@ -522,7 +577,7 @@ impl<B: IoBackend> Reactor<B> {
     /// the caller (for explicit cancellation) instead of executed. The
     /// operation a worker is mid-way through still completes.
     pub fn abort(mut self) -> Vec<Sqe<B::Op>> {
-        let unserved = self.ring.close_now();
+        let unserved = self.core.ring.close_now();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -530,7 +585,7 @@ impl<B: IoBackend> Reactor<B> {
     }
 
     fn stop_graceful(&mut self) {
-        self.ring.close();
+        self.core.ring.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -709,7 +764,8 @@ mod tests {
         r.submit((), 0, 0.0).unwrap();
         let mut rejected = 0;
         for i in 1..=8u64 {
-            if r.try_submit_tagged((), i, 0.0, SchedTag::default()) == Err(SubmitError::Full) {
+            if r.try_submit_tagged((), i, 0.0, SchedTag::default()) == Err((SubmitError::Full, ()))
+            {
                 rejected += 1;
             }
         }

@@ -93,15 +93,16 @@ impl<T> SubmissionRing<T> {
     ///
     /// [`SubmitError::Full`] when the ring is at capacity (counted in
     /// [`RingCounters::rejected`]); [`SubmitError::Closed`] after
-    /// close.
-    pub fn try_push(&self, entry: T) -> Result<(), SubmitError> {
+    /// close. Either way the refused entry comes back, as
+    /// `SyncSender::try_send` hands back its value.
+    pub fn try_push(&self, entry: T) -> Result<(), (SubmitError, T)> {
         let mut inner = self.inner.lock().expect("ring poisoned");
         if inner.closed {
-            return Err(SubmitError::Closed);
+            return Err((SubmitError::Closed, entry));
         }
         if inner.queue.len() >= self.capacity {
             inner.rejected += 1;
-            return Err(SubmitError::Full);
+            return Err((SubmitError::Full, entry));
         }
         inner.queue.push_back(entry);
         inner.submitted += 1;
@@ -114,15 +115,15 @@ impl<T> SubmissionRing<T> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] when the ring closed before the entry
-    /// could be accepted.
-    pub fn push(&self, entry: T) -> Result<(), SubmitError> {
+    /// [`SubmitError::Closed`] (with the entry) when the ring closed
+    /// before the entry could be accepted.
+    pub fn push(&self, entry: T) -> Result<(), (SubmitError, T)> {
         let mut inner = self.inner.lock().expect("ring poisoned");
         while inner.queue.len() >= self.capacity && !inner.closed {
             inner = self.not_full.wait(inner).expect("ring poisoned");
         }
         if inner.closed {
-            return Err(SubmitError::Closed);
+            return Err((SubmitError::Closed, entry));
         }
         inner.queue.push_back(entry);
         inner.submitted += 1;
@@ -196,6 +197,11 @@ impl<T> SubmissionRing<T> {
         }
     }
 
+    /// `true` once closed.
+    pub fn is_closed(&self) -> bool {
+        self.inner.lock().expect("ring poisoned").closed
+    }
+
     /// Closes the ring gracefully: no new entries, queued entries are
     /// still served.
     pub fn close(&self) {
@@ -250,7 +256,7 @@ mod tests {
         let ring = SubmissionRing::new(2);
         ring.try_push(1).unwrap();
         ring.try_push(2).unwrap();
-        assert_eq!(ring.try_push(3), Err(SubmitError::Full));
+        assert_eq!(ring.try_push(3), Err((SubmitError::Full, 3)));
         assert_eq!(ring.counters().rejected, 1);
         // Draining one slot makes room again.
         assert_eq!(ring.pop(), Some(1));
@@ -262,7 +268,7 @@ mod tests {
         let ring = SubmissionRing::new(4);
         ring.try_push(7).unwrap();
         ring.close();
-        assert_eq!(ring.try_push(8), Err(SubmitError::Closed));
+        assert_eq!(ring.try_push(8), Err((SubmitError::Closed, 8)));
         assert_eq!(ring.pop(), Some(7));
         assert_eq!(ring.pop(), None);
     }
@@ -325,6 +331,6 @@ mod tests {
         let pusher = std::thread::spawn(move || r2.push(2));
         std::thread::sleep(std::time::Duration::from_millis(20));
         ring.close();
-        assert_eq!(pusher.join().unwrap(), Err(SubmitError::Closed));
+        assert_eq!(pusher.join().unwrap(), Err((SubmitError::Closed, 2)));
     }
 }

@@ -34,7 +34,7 @@
 //! let ds = simulate_dataset(&DatasetProfile::tiny_short(), 3);
 //! let dataset = DatasetBuilder::new().chunk_reads(32).encode(&ds.reads)?;
 //! let session = dataset.session();
-//! let ticket = session.get(10..20)?;          // Ticket<ReadSet>
+//! let ticket = session.get(10..20)?;          // Ticket<ReadView>
 //! let completion = ticket.wait()?;            // typed: no enum match
 //! assert_eq!(completion.value.len(), 10);
 //! assert_eq!(completion.report.chunks_touched(), 1);
@@ -86,8 +86,8 @@ pub enum SubmitMode {
     #[default]
     Block,
     /// Fail the submission with [`StoreError::QueueFull`] instead of
-    /// blocking (load shedding; rejections are counted in
-    /// [`ServerStats`]).
+    /// blocking (load shedding, counted in [`ServerStats`]). A get
+    /// answered inline from the cache never waits, so is never shed.
     Fail,
 }
 
@@ -110,7 +110,8 @@ pub struct OpReport {
     pub completed_vt: f64,
     /// Total device seconds the operation charged.
     pub device_seconds: f64,
-    /// Completion queue (device) the operation finished on.
+    /// The device that finished the operation (the last charged
+    /// device to complete; 0 when nothing was charged).
     pub device: usize,
     /// Per-charge service windows on the virtual timeline, in charge
     /// order. Empty unless the dataset was built with
@@ -224,7 +225,7 @@ pub struct Completion<T> {
     pub report: OpReport,
 }
 
-/// What the dispatcher delivers for one operation.
+/// What a ticket receives for one operation.
 pub(crate) type Payload = Result<(OpValue, OpReport)>;
 
 /// A reactor completion of one engine operation.

@@ -1,42 +1,128 @@
-//! The serving core: [`Dataset`] (engine + reactor + dispatcher) and
-//! [`Session`] (the typed submission front end).
+//! The serving core: [`Dataset`] (engine + reactor, whose workers or
+//! submitters resolve tickets) and [`Session`] (typed submissions).
 
 use super::tenant::{TenantId, TenantSpec};
 use super::{extract_appended, extract_reads, OpReport, Payload, SubmitMode, Ticket};
-use crate::engine::{EngineBackend, StoreEngine, StoreOp, TimingSnapshot};
+use crate::engine::{EngineBackend, OpValue, StoreEngine, StoreOp, TimingSnapshot};
 use crate::lru::{CacheSnapshot, StripeSnapshot};
 use crate::obs::analysis::BlameReport;
 use crate::obs::{MetricsSnapshot, TraceBuffer};
 use crate::view::ReadView;
 use crate::{Result, StoreError};
 use sage_genomics::{Read, ReadSet};
-use sage_io::{DeviceSnapshot, IoConfig, Reactor, ReactorSnapshot, SchedPolicyKind, SubmitError};
-use std::collections::HashMap;
+use sage_io::{
+    Cqe, DeviceCharge, DeviceSnapshot, IoBackend, IoConfig, Reactor, ReactorSnapshot,
+    SchedPolicyKind, SubmitError,
+};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock};
 
 /// Point-in-time serving counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Operations accepted into the submission ring.
+    /// Operations accepted (queued, or answered inline).
     pub submitted: u64,
     /// Operations completed (answered or failed).
     pub completed: u64,
-    /// [`SubmitMode::Fail`] submissions shed because the ring was
-    /// full.
+    /// [`SubmitMode::Fail`] submissions shed by a full ring.
     pub rejected: u64,
-    /// Operations cancelled by a shutdown while still queued.
+    /// Operations cancelled while queued, or unwound by a panic.
     pub cancelled: u64,
     /// Operations queued in the ring right now.
     pub queued: usize,
 }
 
-/// In-flight submissions by token: each op's ticket channel plus its
-/// kind label and tenant (for span recording).
-type PendingMap = Mutex<HashMap<u64, (SyncSender<Payload>, &'static str, usize)>>;
+/// Where one op's answer goes: its ticket's sender, plus the op's
+/// kind label and tenant for its span. Dropped unsent — the op was
+/// cancelled while queued, or its execution panicked — it resolves
+/// the ticket as [`StoreError::Cancelled`] and counts it.
+#[derive(Debug)]
+struct Reply {
+    tx: Option<SyncSender<Payload>>,
+    kind: &'static str,
+    tenant: usize,
+    cancelled: Arc<AtomicU64>,
+}
+
+impl Reply {
+    fn send(mut self, payload: Payload) {
+        if let Some(tx) = self.tx.take() {
+            // A client that dropped its ticket is not an error; its
+            // answer just goes nowhere.
+            let _ = tx.send(payload);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(tx) = self.tx.take() {
+            self.cancelled.fetch_add(1, Ordering::Relaxed);
+            let _ = tx.send(Err(StoreError::Cancelled));
+        }
+    }
+}
+
+/// The serving backend: engine ops carrying their [`Reply`]. A get of
+/// one cached chunk is answered inline; every other op completes its
+/// ticket on the worker that ran it. Nothing reaches the completion
+/// queue.
+#[derive(Debug)]
+struct SessionBackend {
+    engine: EngineBackend,
+    /// The dataset's span sink; `None` when tracing is off.
+    trace: Option<Arc<TraceBuffer>>,
+}
+
+impl IoBackend for SessionBackend {
+    type Op = (StoreOp, Reply);
+    type Output = (<EngineBackend as IoBackend>::Output, Reply);
+
+    fn execute(&self, (op, reply): Self::Op) -> (Self::Output, Vec<DeviceCharge>) {
+        let (output, charges) = self.engine.execute(op);
+        ((output, reply), charges)
+    }
+
+    fn try_inline(
+        &self,
+        (op, reply): Self::Op,
+    ) -> std::result::Result<(Self::Output, Vec<DeviceCharge>), Self::Op> {
+        if let StoreOp::Get(range) = &op {
+            if let Some(hit) = self.engine.engine().try_get_hit(range) {
+                let output = hit.map(|(view, trace)| (OpValue::Reads(view), trace));
+                // A hit touches no device: no charges, so its stamp is
+                // its submit instant on any thread, in any order.
+                return Ok(((output, reply), Vec::new()));
+            }
+        }
+        Err((op, reply))
+    }
+
+    fn complete(&self, cqe: Cqe<Self::Output>) -> Option<Cqe<Self::Output>> {
+        let (output, reply) = cqe.output;
+        let token = cqe.user_data;
+        let payload = OpReport::resolve(Cqe {
+            user_data: token,
+            device: cqe.device,
+            submitted_vt: cqe.submitted_vt,
+            started_vt: cqe.started_vt,
+            completed_vt: cqe.completed_vt,
+            device_seconds: cqe.device_seconds,
+            intervals: cqe.intervals,
+            output,
+        });
+        // Recording happens after the completion already carries its
+        // final instants — observation only, never on the virtual
+        // timeline.
+        if let (Some(buf), Ok((_, report))) = (&self.trace, &payload) {
+            buf.record(report.to_span_for(token, reply.kind, reply.tenant));
+        }
+        reply.send(payload);
+        None
+    }
+}
 
 /// The shared serving state behind [`Dataset`] and every [`Session`].
 #[derive(Debug)]
@@ -46,9 +132,7 @@ pub(crate) struct ServeCore {
     /// [`StoreError::QueueClosed`]. Read-locked per submit (the
     /// reactor itself is `&self`-concurrent), write-locked once to
     /// take it down.
-    reactor: RwLock<Option<Reactor<EngineBackend>>>,
-    pending: Arc<PendingMap>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    reactor: RwLock<Option<Reactor<SessionBackend>>>,
     next_token: AtomicU64,
     cancelled: Arc<AtomicU64>,
     /// The dataset's span sink; `None` when tracing is off.
@@ -68,7 +152,10 @@ impl ServeCore {
         tenants: Vec<TenantSpec>,
     ) -> ServeCore {
         let reactor = Reactor::start(
-            Arc::new(EngineBackend::new(Arc::clone(&engine))),
+            Arc::new(SessionBackend {
+                engine: EngineBackend::new(Arc::clone(&engine)),
+                trace: trace.clone(),
+            }),
             IoConfig {
                 workers,
                 queue_depth,
@@ -77,56 +164,18 @@ impl ServeCore {
                 policy: SchedPolicyKind::Fifo,
             },
         );
-        let pending: Arc<PendingMap> = Arc::new(Mutex::new(HashMap::new()));
-        let cancelled = Arc::new(AtomicU64::new(0));
-        let cq = reactor.completions();
-        let dispatcher = {
-            let pending = Arc::clone(&pending);
-            let cancelled = Arc::clone(&cancelled);
-            let trace_buf = trace.clone();
-            std::thread::spawn(move || {
-                while let Some(cqe) = cq.wait_any() {
-                    let user_data = cqe.user_data;
-                    let entry = pending.lock().expect("pending poisoned").remove(&user_data);
-                    let payload = OpReport::resolve(cqe);
-                    // Recording happens after the completion already
-                    // carries its final instants — observation only,
-                    // never on the virtual timeline.
-                    if let (Some(buf), Ok((_, report))) = (trace_buf.as_ref(), payload.as_ref()) {
-                        let kind = entry.as_ref().map_or("op", |(_, k, _)| *k);
-                        let tenant = entry.as_ref().map_or(0, |(_, _, t)| *t);
-                        buf.record(report.to_span_for(user_data, kind, tenant));
-                    }
-                    // A client that dropped its ticket is not an
-                    // error; its send just goes nowhere.
-                    if let Some((tx, _, _)) = entry {
-                        let _ = tx.send(payload);
-                    }
-                }
-                // End of stream: anything still pending was queued
-                // when serving stopped and will never execute.
-                // Resolve those tickets with a typed error instead of
-                // letting their owners hang.
-                for (_, (tx, _, _)) in pending.lock().expect("pending poisoned").drain() {
-                    cancelled.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(Err(StoreError::Cancelled));
-                }
-            })
-        };
         ServeCore {
             engine,
             reactor: RwLock::new(Some(reactor)),
-            pending,
-            dispatcher: Mutex::new(Some(dispatcher)),
             next_token: AtomicU64::new(0),
-            cancelled,
+            cancelled: Arc::new(AtomicU64::new(0)),
             trace,
             tenants,
         }
     }
 
-    /// Submits one op for `tenant`, registering a ticket channel for
-    /// its answer. The tenant's spec becomes the op's scheduling tag
+    /// Submits one op for `tenant`, opening a ticket channel for its
+    /// answer. The tenant's spec becomes the op's scheduling tag
     /// (inert under the serve path's FIFO policy beyond per-tenant
     /// busy attribution) and its span attribution.
     pub(crate) fn submit(
@@ -136,6 +185,10 @@ impl ServeCore {
         mode: SubmitMode,
         tenant: TenantId,
     ) -> Result<std::sync::mpsc::Receiver<Payload>> {
+        let guard = self.reactor.read().expect("reactor lock poisoned");
+        let Some(reactor) = guard.as_ref() else {
+            return Err(StoreError::QueueClosed);
+        };
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let kind = match &op {
             StoreOp::Get(_) => "get",
@@ -147,34 +200,26 @@ impl ServeCore {
             .get(tenant.index())
             .map_or_else(Default::default, |spec| spec.tag(tenant, submit_vt));
         let (tx, rx) = sync_channel(1);
-        self.pending
-            .lock()
-            .expect("pending poisoned")
-            .insert(token, (tx, kind, tenant.index()));
-        let unregister = || {
-            self.pending
-                .lock()
-                .expect("pending poisoned")
-                .remove(&token);
-        };
-        let guard = self.reactor.read().expect("reactor lock poisoned");
-        let Some(reactor) = guard.as_ref() else {
-            unregister();
-            return Err(StoreError::QueueClosed);
+        let reply = Reply {
+            tx: Some(tx),
+            kind,
+            tenant: tenant.index(),
+            cancelled: Arc::clone(&self.cancelled),
         };
         let pushed = match mode {
-            SubmitMode::Block => reactor.submit_tagged(op, token, submit_vt, tag),
-            SubmitMode::Fail => reactor.try_submit_tagged(op, token, submit_vt, tag),
+            SubmitMode::Block => reactor.submit_tagged((op, reply), token, submit_vt, tag),
+            SubmitMode::Fail => reactor.try_submit_tagged((op, reply), token, submit_vt, tag),
         };
         match pushed {
             Ok(()) => Ok(rx),
-            Err(SubmitError::Full) => {
-                unregister();
-                Err(StoreError::QueueFull)
-            }
-            Err(SubmitError::Closed) => {
-                unregister();
-                Err(StoreError::QueueClosed)
+            Err((refused, (_, mut reply))) => {
+                // Refused at the door, never accepted: not a
+                // cancellation.
+                reply.tx = None;
+                Err(match refused {
+                    SubmitError::Full => StoreError::QueueFull,
+                    SubmitError::Closed => StoreError::QueueClosed,
+                })
             }
         }
     }
@@ -233,14 +278,15 @@ impl ServeCore {
                 if graceful {
                     reactor.close();
                 } else {
-                    // Unserved submissions are dropped here; the
-                    // dispatcher resolves their tickets as cancelled.
+                    // Dropping the unserved ops drops their replies,
+                    // which resolve their tickets as cancelled.
                     drop(reactor.close_now());
                 }
             }
         }
         // Phase 2 — no submitter can block anymore; take the reactor
-        // out and join everything (close/close_now are idempotent).
+        // out and join its workers (close/close_now are idempotent).
+        // Whatever a dead worker left in the ring goes with it.
         let reactor = self.reactor.write().expect("reactor lock poisoned").take();
         if let Some(reactor) = reactor {
             if graceful {
@@ -248,9 +294,6 @@ impl ServeCore {
             } else {
                 drop(reactor.abort());
             }
-        }
-        if let Some(d) = self.dispatcher.lock().expect("dispatcher poisoned").take() {
-            let _ = d.join();
         }
     }
 }
@@ -707,7 +750,8 @@ mod tests {
         let mut tickets = Vec::new();
         let mut rejected = 0;
         for _ in 0..32 {
-            match shedding.get(0..1) {
+            // Two chunks: never answered inline, so always queued.
+            match shedding.get(0..20) {
                 Ok(t) => tickets.push(t),
                 Err(StoreError::QueueFull) => rejected += 1,
                 Err(other) => panic!("unexpected {other}"),
@@ -824,5 +868,211 @@ mod tests {
         dataset.shutdown();
         assert!(matches!(t1.wait(), Err(StoreError::Cancelled)));
         assert!(matches!(t2.wait(), Err(StoreError::Cancelled)));
+    }
+
+    #[test]
+    fn panicked_op_resolves_cancelled_while_serving_continues() {
+        let (dataset, _) = served(16, 8, 2, 4);
+        let session = dataset.session();
+        let bomb = session.scan(|_| panic!("predicate bomb")).unwrap();
+        // The dead worker's op resolves at once, not at shutdown: a
+        // client waiting on it while holding the dataset must not
+        // deadlock.
+        let answer = bomb
+            .rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the panicked op's ticket resolves");
+        assert!(matches!(answer, Err(StoreError::Cancelled)));
+        // The surviving worker still serves (two chunks: never inline).
+        assert_eq!(session.get(0..20).unwrap().join().unwrap().len(), 20);
+        assert_eq!(dataset.stats().cancelled, 1);
+    }
+
+    /// What [`ServeCore::stop`] does first on an abort.
+    fn abort_phase_one(core: &ServeCore) {
+        let guard = core.reactor.read().unwrap();
+        drop(guard.as_ref().expect("serving").close_now());
+    }
+
+    /// Parks the only worker inside a scan (after the scan has filled
+    /// the cache) until the returned sender fires.
+    fn stall_worker(session: &Session) -> (Ticket<ReadView>, SyncSender<()>) {
+        use std::sync::atomic::AtomicBool;
+        let (entered_tx, entered_rx) = sync_channel(1);
+        let (release_tx, release_rx) = sync_channel::<()>(1);
+        let first = AtomicBool::new(true);
+        let scan = session
+            .scan(move |_| {
+                if first.swap(false, Ordering::SeqCst) {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().ok();
+                }
+                true
+            })
+            .unwrap();
+        entered_rx.recv().unwrap();
+        (scan, release_tx)
+    }
+
+    #[test]
+    fn counters_and_cancellations_conserve() {
+        // Every joined get is counted completed before its answer
+        // arrives, on the inline path and the worker path alike.
+        let (dataset, reads) = served(16, 4, 2, 4);
+        let session = dataset.session();
+        let n = reads.len() as u64;
+        for i in 0..1000u64 {
+            let start = (i * 37) % (n - 8);
+            session.get(start..start + 8).unwrap().join().unwrap();
+            assert_eq!(dataset.stats().completed, i + 1);
+        }
+        let stats = dataset.stats();
+        assert_eq!((stats.submitted, stats.cancelled), (1000, 0));
+
+        // One stalled worker behind a full depth-1 ring.
+        let (dataset, reads) = served(16, 4, 1, 1);
+        let n = reads.len() as u64;
+        let session = dataset.session();
+        let shedding = dataset.session().with_mode(SubmitMode::Fail);
+        let (scan, release) = stall_worker(&session);
+        let queued = session.get(0..20).unwrap();
+        // The scan left the last chunks cached and the first evicted:
+        // a hit is still answered inline, a miss is shed.
+        let hit = shedding.get(n - 1..n).unwrap().wait().unwrap();
+        assert_eq!(hit.report.cache_hits(), 1);
+        assert!(matches!(shedding.get(0..1), Err(StoreError::QueueFull)));
+        assert_eq!(dataset.stats().rejected, 1);
+        assert_eq!(dataset.stats().cancelled, 0, "a shed op is not cancelled");
+        // Block-mode submitters parked on the full ring: the abort
+        // refuses them (`QueueClosed`), it does not cancel them.
+        let more: Vec<_> = (0..3)
+            .map(|_| {
+                let s = session.clone();
+                std::thread::spawn(move || s.get(0..20))
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Abort: cancel what is queued, then let the stalled scan end.
+        let core = Arc::clone(&session.core);
+        abort_phase_one(&core);
+        drop(release);
+        dataset.abort();
+        let mut resolved_cancelled = 0;
+        let tickets = more.into_iter().filter_map(|h| h.join().unwrap().ok());
+        for t in tickets.chain([queued]) {
+            match t.wait() {
+                Ok(_) => {}
+                Err(StoreError::Cancelled) => resolved_cancelled += 1,
+                Err(other) => panic!("unexpected {other}"),
+            }
+        }
+        assert!(scan.wait().is_ok(), "the in-flight op completes");
+        assert!(resolved_cancelled > 0, "abort cancelled nothing");
+        assert_eq!(core.stats().cancelled, resolved_cancelled);
+        // A submit after teardown is refused, not cancelled.
+        assert!(matches!(
+            session.get(n - 1..n),
+            Err(StoreError::QueueClosed)
+        ));
+        assert_eq!(core.stats().cancelled, resolved_cancelled);
+    }
+
+    #[test]
+    fn stress_every_ticket_resolves_once_across_abort() {
+        use std::sync::mpsc::RecvTimeoutError;
+        let patience = std::time::Duration::from_secs(30);
+        let (dataset, reads) = served(16, 4, 2, 8);
+        let n = reads.len() as u64;
+        let session = dataset.session();
+        let core = Arc::clone(&session.core);
+        let submitted = Arc::new(AtomicU64::new(0));
+        let clients: Vec<_> = (0..4u64)
+            .map(|seed| {
+                let session = session.clone();
+                let submitted = Arc::clone(&submitted);
+                std::thread::spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15 ^ (seed + 1);
+                    let mut next = move || {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        rng
+                    };
+                    let (mut accepted, mut dropped) = (0u64, 0u64);
+                    let (mut ok, mut cancelled) = (0u64, 0u64);
+                    let mut inflight = std::collections::VecDeque::new();
+                    let mut settle = |t: Ticket<ReadView>| {
+                        let answer = t.rx.recv_timeout(patience).expect("no ticket hangs");
+                        assert!(
+                            matches!(
+                                t.rx.recv_timeout(patience),
+                                Err(RecvTimeoutError::Disconnected)
+                            ),
+                            "a ticket resolves exactly once"
+                        );
+                        match answer {
+                            Ok(_) => ok += 1,
+                            Err(StoreError::Cancelled) => cancelled += 1,
+                            Err(other) => panic!("unexpected {other}"),
+                        }
+                    };
+                    for _ in 0..2000 {
+                        let roll = next() % 100;
+                        let start = next() % (n - 40);
+                        let ticket = match roll {
+                            0..=1 => session.scan(|_| true),
+                            2..=59 => session.get(start..start + 4),
+                            _ => session.get(start..start + 40),
+                        };
+                        submitted.fetch_add(1, Ordering::Relaxed);
+                        let Ok(ticket) = ticket else { continue };
+                        accepted += 1;
+                        if roll % 10 == 3 {
+                            // Dropped: its answer goes nowhere.
+                            dropped += 1;
+                            continue;
+                        }
+                        inflight.push_back(ticket);
+                        if inflight.len() > 6 {
+                            settle(inflight.pop_front().unwrap());
+                        }
+                    }
+                    inflight.into_iter().for_each(settle);
+                    assert_eq!(accepted, ok + cancelled + dropped);
+                    (accepted, cancelled, dropped)
+                })
+            })
+            .collect();
+        while submitted.load(Ordering::Relaxed) < 4000 && !clients.iter().all(|c| c.is_finished()) {
+            std::thread::yield_now();
+        }
+        // Abort's first phase cancels the queued ops; stats stay
+        // readable until the second joins the workers.
+        abort_phase_one(&core);
+        let (mut accepted, mut resolved_cancelled, mut dropped) = (0, 0, 0);
+        for c in clients {
+            let (a, x, d) = c.join().expect("client thread");
+            accepted += a;
+            resolved_cancelled += x;
+            dropped += d;
+        }
+        // A dropped ticket's op may still be running on a worker.
+        let deadline = std::time::Instant::now() + patience;
+        let stats = loop {
+            let stats = core.stats();
+            if stats.submitted == stats.completed + stats.cancelled {
+                break stats;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ops never settled: {stats:?}"
+            );
+            std::thread::yield_now();
+        };
+        assert_eq!(stats.submitted, accepted);
+        // Cancelled ops are the cancelled tickets plus dropped ones.
+        assert!(stats.cancelled >= resolved_cancelled);
+        assert!(stats.cancelled <= resolved_cancelled + dropped);
+        dataset.abort();
     }
 }

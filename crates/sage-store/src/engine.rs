@@ -1059,23 +1059,52 @@ impl StoreEngine {
     /// unlocked fetches resolving into a zero-copy [`ReadView`].
     fn op_get(&self, range: Range<u64>) -> Result<(ReadView, OpTrace)> {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
-        let (chunks, lo_ix, hi_ix) = {
-            let state = self.state.read().expect("state poisoned");
-            let total = state.store.total_reads();
-            if range.end > total {
-                return Err(StoreError::RangeOutOfBounds {
-                    start: range.start,
-                    end: range.end,
-                    total,
-                });
-            }
-            let (lo_ix, hi_ix) = state.store.manifest.range_bounds(range.start, range.end);
-            (Arc::clone(&state.store.manifest.chunks), lo_ix, hi_ix)
-        };
+        let (chunks, span) = self.chunk_span(&range)?;
         // The Arc snapshot stays valid unlocked: appends mutate the
         // table copy-on-write, never in place under readers.
-        let metas = &chunks[lo_ix..hi_ix];
+        let metas = &chunks[span];
         let fetched = self.fetch_chunks(metas);
+        self.get_answer(&range, metas, fetched)
+    }
+
+    /// Answers a `Get` from the cache alone, exactly as
+    /// [`StoreEngine::run_op`] would, when `range` is in the store and
+    /// inside one resident chunk; never decodes. `None` counts
+    /// nothing — no request, hit or miss (a missed LRU probe only
+    /// advances its clock, which never reorders eviction).
+    pub fn try_get_hit(&self, range: &Range<u64>) -> Option<Result<(ReadView, OpTrace)>> {
+        let (chunks, span) = self.chunk_span(range).ok()?;
+        let [meta] = &chunks[span] else {
+            return None;
+        };
+        let reads = self.cache.get(meta.id)?;
+        self.requests_served.fetch_add(1, Ordering::Relaxed);
+        let fetched = vec![self.commit_hit(reads)];
+        Some(self.get_answer(range, std::slice::from_ref(meta), fetched))
+    }
+
+    /// The chunk table and the span of chunks `range` touches.
+    fn chunk_span(&self, range: &Range<u64>) -> Result<(Arc<Vec<ChunkMeta>>, Range<usize>)> {
+        let state = self.state.read().expect("state poisoned");
+        let total = state.store.total_reads();
+        if range.end > total {
+            return Err(StoreError::RangeOutOfBounds {
+                start: range.start,
+                end: range.end,
+                total,
+            });
+        }
+        let (lo_ix, hi_ix) = state.store.manifest.range_bounds(range.start, range.end);
+        Ok((Arc::clone(&state.store.manifest.chunks), lo_ix..hi_ix))
+    }
+
+    /// A get's view (`range` sliced out of `metas`) and trace.
+    fn get_answer(
+        &self,
+        range: &Range<u64>,
+        metas: &[ChunkMeta],
+        fetched: Vec<Result<Fetched>>,
+    ) -> Result<(ReadView, OpTrace)> {
         let trace = self.trace_reads(metas, &fetched);
         let mut view = ReadView::new();
         for (meta, f) in metas.iter().zip(fetched) {

@@ -10,10 +10,11 @@
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_genomics::{Read, ReadSet};
+use sage_io::VirtualScheduler;
 use sage_ssd::SsdConfig;
-use sage_store::client::{DatasetBuilder, SubmitMode};
+use sage_store::client::{DatasetBuilder, OpReport, SubmitMode};
 use sage_store::{
-    encode_sharded, EngineConfig, Placement, ReadView, StoreEngine, StoreError, StoreOp,
+    encode_sharded, EngineConfig, OpValue, Placement, ReadView, StoreEngine, StoreError, StoreOp,
     StoreOptions,
 };
 
@@ -323,4 +324,137 @@ fn cancelled_tickets_resolve_typed() {
         }
     }
     assert!(cancelled > 0, "abort cancelled nothing");
+}
+
+/// An answer inline or from a worker is the answer the engine gives:
+/// one session, one op at a time, on a timed dataset whose cache is
+/// smaller than the store, against a fresh engine replayed through
+/// `run_op` plus one FIFO dispatch per op — values, charges, cache
+/// outcome and the bits of every virtual instant.
+#[test]
+fn inline_and_worker_answers_equal_the_engine_replay() {
+    let reads = simulate_dataset(&DatasetProfile::tiny_short(), 80).reads;
+    let n = reads.len() as u64;
+    let build = || {
+        DatasetBuilder::new()
+            .chunk_reads(16)
+            .cache_chunks(3)
+            .ssd(SsdConfig::pcie())
+            .server_workers(2)
+            .encode(&reads)
+            .unwrap()
+    };
+    let served = build();
+    let session = served.session();
+    let replay = build();
+    let engine = replay.engine();
+    let mut sched = VirtualScheduler::new(engine.n_devices().max(1));
+
+    enum Step {
+        Get(std::ops::Range<u64>),
+        Scan,
+        Append(ReadSet),
+    }
+    let extra = ReadSet::from_reads(reads.reads()[..20].to_vec());
+    let steps = [
+        Step::Get(0..4),   // miss
+        Step::Get(4..9),   // hit, inline
+        Step::Get(0..16),  // hit, inline
+        Step::Get(40..44), // miss
+        Step::Get(10..40), // two hits and a miss
+        Step::Get(41..42), // hit, inline
+        Step::Get(n - 3..n + 5),
+        Step::Scan,
+        Step::Get(n - 1..n), // hit after the scan, inline
+        Step::Get(2..3),     // evicted by the scan: miss
+        Step::Append(extra.clone()),
+        Step::Get(n..n + 20),
+        Step::Get(n + 4..n + 8),
+    ];
+    let mut inline_hits = 0;
+    for (i, step) in steps.iter().enumerate() {
+        let vt = i as f64 * 7.5e-5;
+        let (got, op): (Result<(OpValue, OpReport), StoreError>, StoreOp) = match step {
+            Step::Get(r) => (
+                session
+                    .get_at(r.clone(), vt)
+                    .unwrap()
+                    .wait()
+                    .map(|c| (OpValue::Reads(c.value), c.report)),
+                StoreOp::Get(r.clone()),
+            ),
+            Step::Scan => (
+                session
+                    .scan_at(|r| r.len().is_multiple_of(2), vt)
+                    .unwrap()
+                    .wait()
+                    .map(|c| (OpValue::Reads(c.value), c.report)),
+                StoreOp::Scan(Box::new(|r: &Read| r.len().is_multiple_of(2))),
+            ),
+            Step::Append(rs) => (
+                session
+                    .append_at(rs, vt)
+                    .unwrap()
+                    .wait()
+                    .map(|c| (OpValue::Appended(c.value), c.report)),
+                StoreOp::Append(rs.clone()),
+            ),
+        };
+        let want = engine.run_op(op);
+        let charges = want.as_ref().map_or(Vec::new(), |(_, t)| t.charges.clone());
+        let (d, _) = sched.dispatch(vt, &charges, 0, false);
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (Err(a), Err(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "step {i}");
+                continue;
+            }
+            (a, b) => panic!("step {i}: served {:?} vs engine {:?}", a.err(), b.err()),
+        };
+        let ((value, report), (want_value, trace)) = (got, want);
+        match (value, want_value) {
+            (OpValue::Reads(a), OpValue::Reads(b)) => {
+                assert_eq!(a.to_owned(), b.to_owned(), "step {i}: reads")
+            }
+            (OpValue::Appended(a), OpValue::Appended(b)) => assert_eq!(a, b, "step {i}"),
+            _ => panic!("step {i}: value kinds differ"),
+        }
+        assert_eq!(report.charges(), &trace.charges[..], "step {i}: charges");
+        assert_eq!(report.cache_hits(), trace.cache_hits, "step {i}: hits");
+        assert_eq!(
+            report.cache_misses(),
+            trace.cache_misses,
+            "step {i}: misses"
+        );
+        assert_eq!(report.submitted_vt.to_bits(), vt.to_bits(), "step {i}");
+        assert_eq!(
+            report.started_vt.to_bits(),
+            d.started_vt.to_bits(),
+            "step {i}"
+        );
+        assert_eq!(
+            report.completed_vt.to_bits(),
+            d.completed_vt.to_bits(),
+            "step {i}"
+        );
+        if report.cache_hits() == 1 && report.cache_misses() == 0 {
+            inline_hits += 1;
+        }
+    }
+    assert!(
+        inline_hits >= 4,
+        "the sequence must exercise the inline path"
+    );
+    let (a, b) = (served.cache_stats(), replay.cache_stats());
+    assert_eq!(
+        (a.hits, a.misses, a.evictions),
+        (b.hits, b.misses, b.evictions)
+    );
+    assert_eq!(served.engine().requests_served(), engine.requests_served());
+    let stats = served.stats();
+    assert_eq!(
+        (stats.submitted, stats.completed),
+        (steps.len() as u64, steps.len() as u64)
+    );
+    served.shutdown();
 }
