@@ -10,11 +10,11 @@
 //!
 //! The software does the same outside the entropy coder: the parser
 //! keeps the packed consensus bytes it was handed, [`SageDecompressor::stream`]
-//! unpacks them once per chunk through a byte table, and `decode_read`
-//! builds each read in place from the consensus — no alignment, segment
+//! unpacks them once per chunk through a byte table, and `decode_read_into`
+//! appends each read in place from the consensus — no alignment, segment
 //! or mismatch list is materialised on this side. The structural checks
 //! the encoder runs on such an alignment (`is_well_formed`, the mapper's
-//! decodability check) are made inline instead; `decode_read` lists
+//! decodability check) are made inline instead; `decode_read_into` lists
 //! which check stands in for which.
 
 use crate::bitio::BitReader;
@@ -22,7 +22,7 @@ use crate::container::{ArchiveHeader, SageArchive};
 use crate::error::{Result, SageError};
 use crate::quality::QualityDecoder;
 use sage_genomics::packed::{Packed2, Packed3};
-use sage_genomics::{Base, DnaSeq, Read, ReadSet};
+use sage_genomics::{Base, ChunkColumns, DnaSeq, Read, ReadSet};
 
 /// Output format requested through `SAGe_Read` (§5.4): the analysis
 /// system chooses the encoding its accelerator consumes directly.
@@ -64,7 +64,9 @@ impl PreparedBatch {
     }
 }
 
-/// The SAGe decompressor.
+/// The SAGe decompressor. [`decode_chunk`](Self::decode_chunk) is the
+/// one decode; [`decompress`](Self::decompress) and [`prepare`](Self::prepare)
+/// read its columns, and [`stream`](Self::stream) shares its per-read step.
 ///
 /// # Example
 ///
@@ -113,44 +115,58 @@ impl SageDecompressor {
     ///
     /// Same as [`decompress`](Self::decompress).
     pub fn decompress_with_stats(&self, archive: &SageArchive) -> Result<(ReadSet, DecodeStats)> {
+        let (cols, stats) = self.decode_columns(archive)?;
+        Ok((cols.iter().map(|r| r.to_read()).collect(), stats))
+    }
+
+    /// Decodes an archive into its [`ChunkColumns`], each column sized
+    /// exactly, once, and the stored order applied to the span table.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`decompress`](Self::decompress).
+    pub fn decode_chunk(&self, archive: &SageArchive) -> Result<ChunkColumns> {
+        self.decode_columns(archive).map(|(cols, _)| cols)
+    }
+
+    fn decode_columns(&self, archive: &SageArchive) -> Result<(ChunkColumns, DecodeStats)> {
         let h = &archive.header;
         let mut stream = self.stream(archive)?;
         // Every read costs at least its mapped/unmapped bit, which
-        // bounds what a hostile `n_reads` can make this reserve.
+        // bounds what a hostile `n_reads` can make this size.
         let n = usize::try_from(h.n_reads.min(archive.streams.mpga.bit_len))
-            .map_err(|_| SageError::Corrupt("read count overflow".into()))?;
-        let mut reads: Vec<Read> = Vec::with_capacity(n);
-        let mut bases = 0u64;
-        for read in &mut stream {
-            let read = read?;
-            bases += read.seq.len() as u64;
-            reads.push(read);
+            .map_err(|_| corrupt("read count overflow"))?;
+        let offset = |at: u64| u32::try_from(at).map_err(|_| corrupt("chunk past u32 offsets"));
+        let total = offset(stream.total_bases(n)?)? as usize;
+        let mut bases = Vec::with_capacity(total);
+        let mut qual = h.has_quality.then(|| Vec::with_capacity(total));
+        let mut spans = Vec::with_capacity(n);
+        while stream.remaining > 0 {
+            let lo = offset(bases.len() as u64)?;
+            stream.next_into(&mut bases, qual.as_mut())?;
+            spans.push((lo, offset(bases.len() as u64)?));
         }
-        // Restore the original order when stored.
         if h.store_order {
-            let n = reads.len();
-            let mut slots: Vec<Option<Read>> = (0..n).map(|_| None).collect();
-            for read in reads {
+            let mut slots: Vec<Option<(u32, u32)>> = vec![None; spans.len()];
+            for &span in &spans {
                 let idx = usize::try_from(stream.su.order.read_bits(h.order_bits())?)
                     .ok()
-                    .filter(|&i| i < n)
-                    .ok_or_else(|| SageError::Corrupt("order index out of range".into()))?;
-                if slots[idx].is_some() {
-                    return Err(SageError::Corrupt("duplicate order index".into()));
+                    .filter(|&i| i < slots.len())
+                    .ok_or_else(|| corrupt("order index out of range"))?;
+                if slots[idx].replace(span).is_some() {
+                    return Err(corrupt("duplicate order index"));
                 }
-                slots[idx] = Some(read);
             }
-            reads = slots
-                .into_iter()
-                .map(|r| r.ok_or_else(|| SageError::Corrupt("missing order index".into())))
-                .collect::<Result<_>>()?;
+            for (span, slot) in spans.iter_mut().zip(slots) {
+                *span = slot.ok_or_else(|| corrupt("missing order index"))?;
+            }
         }
         let stats = DecodeStats {
             reads: h.n_reads,
-            bases,
+            bases: bases.len() as u64,
             mismatch_records: stream.su.records,
         };
-        Ok((ReadSet::from_reads(reads), stats))
+        Ok((ChunkColumns { bases, qual, spans }, stats))
     }
 
     /// Opens a *streaming* decoder over the archive: reads are yielded
@@ -216,23 +232,16 @@ impl SageDecompressor {
     ///
     /// Same as [`decompress`](Self::decompress).
     pub fn prepare(&self, archive: &SageArchive) -> Result<PreparedBatch> {
-        let reads = self.decompress(archive)?;
+        let cols = self.decode_chunk(archive)?;
+        let reads = cols.iter().map(|r| r.seq);
         Ok(match self.format {
-            OutputFormat::Ascii => {
-                PreparedBatch::Ascii(reads.iter().map(|r| r.seq.to_ascii()).collect())
-            }
-            OutputFormat::Packed2 => PreparedBatch::Packed2(
+            OutputFormat::Ascii => PreparedBatch::Ascii(
                 reads
-                    .iter()
-                    .map(|r| Packed2::pack(r.seq.as_slice()))
+                    .map(|s| s.iter().map(|&b| u8::from(b)).collect())
                     .collect(),
             ),
-            OutputFormat::Packed3 => PreparedBatch::Packed3(
-                reads
-                    .iter()
-                    .map(|r| Packed3::pack(r.seq.as_slice()))
-                    .collect(),
-            ),
+            OutputFormat::Packed2 => PreparedBatch::Packed2(reads.map(Packed2::pack).collect()),
+            OutputFormat::Packed3 => PreparedBatch::Packed3(reads.map(Packed3::pack).collect()),
         })
     }
 }
@@ -251,6 +260,7 @@ pub struct DecodeStats {
 }
 
 /// All stream readers plus the SU's running state.
+#[derive(Clone)]
 struct ScanState<'a> {
     mpga: BitReader<'a>,
     mpa: BitReader<'a>,
@@ -290,46 +300,32 @@ impl ReadStream<'_> {
         self.remaining
     }
 
-    fn next_read(&mut self) -> Result<Read> {
-        let h = self.header;
-        let len = match h.fixed_len {
-            Some(l) => l as usize,
-            None => {
-                let table = h
-                    .len_table
-                    .as_ref()
-                    .ok_or_else(|| SageError::Corrupt("missing length table".into()))?;
-                let v = table.decode_value(&mut self.su.lenga, &mut self.su.lena)?;
-                usize::try_from(v).map_err(|_| SageError::Corrupt("read length overflow".into()))?
-            }
-        };
-        if len > h.max_read_len as usize {
-            return Err(SageError::Corrupt("read longer than max_read_len".into()));
-        }
-        // A base is copied from the consensus (by four segments at most)
-        // or costs two bits of one of these streams: a length the
-        // archive cannot hold is refused before anything is sized by it.
-        let su = &self.su;
-        let stored = (su.mbta.remaining() + su.corner.remaining() + su.raw.remaining()) / 2;
-        if len as u64 > 4 * self.cons.len() as u64 + stored {
-            return Err(corrupt("read longer than its archive"));
-        }
-        let seq = decode_read(h, &mut self.su, &self.cons, len)?;
+    /// The bases of the next `n` reads, from a clone of the scan state.
+    /// Each length passes [`read_len`]'s checks, so the sum is at most
+    /// `n × max_read_len`.
+    fn total_bases(&self, n: usize) -> Result<u64> {
+        let mut su = self.su.clone();
+        let len = |su: &mut ScanState<'_>| read_len(self.header, su, self.cons.len());
+        (0..n).try_fold(0u64, |sum, _| Ok(sum.saturating_add(len(&mut su)? as u64)))
+    }
+
+    /// Appends the next read's bases and qualities to the columns. The
+    /// last read must leave the quality stream used up.
+    fn next_into(&mut self, bases: &mut Vec<Base>, qual: Option<&mut Vec<u8>>) -> Result<()> {
+        self.remaining -= 1;
+        let len = read_len(self.header, &mut self.su, self.cons.len())?;
+        decode_read_into(self.header, &mut self.su, &self.cons, len, bases)?;
         // Quality stream (host-side, §5.1.5), decoded straight into the
-        // read's own buffer.
-        let qual = match &mut self.qual {
-            Some(dec) => {
-                let mut q = vec![0u8; seq.len()];
-                dec.next_into(&mut q)?;
-                Some(q)
-            }
-            None => None,
-        };
-        Ok(Read {
-            id: None,
-            seq,
-            qual,
-        })
+        // read's slot of the column.
+        if let (Some(dec), Some(q)) = (&mut self.qual, qual) {
+            let lo = q.len();
+            q.resize(lo + len, 0);
+            dec.next_into(&mut q[lo..])?;
+        }
+        if self.remaining == 0 && !self.qual.as_ref().is_none_or(QualityDecoder::is_spent) {
+            return Err(corrupt("quality stream not used up by its reads"));
+        }
+        Ok(())
     }
 }
 
@@ -340,21 +336,47 @@ impl Iterator for ReadStream<'_> {
         if self.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
-        let spent = QualityDecoder::is_spent;
-        match self.next_read() {
-            // The chunk's last read must leave its quality stream used
-            // up: a corrupt body that still decodes does not.
-            Ok(_) if self.remaining == 0 && !self.qual.as_ref().is_none_or(spent) => {
-                Some(Err(corrupt("quality stream not used up by its reads")))
-            }
-            Ok(r) => Some(Ok(r)),
+        let mut seq = Vec::new();
+        let mut qual = self.qual.is_some().then(Vec::new);
+        match self.next_into(&mut seq, qual.as_mut()) {
+            Ok(()) => Some(Ok(Read {
+                id: None,
+                seq: DnaSeq::from_bases(seq),
+                qual,
+            })),
             Err(e) => {
                 self.remaining = 0; // fuse after corruption
                 Some(Err(e))
             }
         }
     }
+}
+
+/// The checked length of the next read: `fixed_len` or the next value
+/// of the length streams.
+fn read_len(h: &ArchiveHeader, su: &mut ScanState<'_>, cons_len: usize) -> Result<usize> {
+    let len = match h.fixed_len {
+        Some(l) => l as usize,
+        None => {
+            let table = h
+                .len_table
+                .as_ref()
+                .ok_or_else(|| corrupt("missing length table"))?;
+            let v = table.decode_value(&mut su.lenga, &mut su.lena)?;
+            usize::try_from(v).map_err(|_| corrupt("read length overflow"))?
+        }
+    };
+    if len > h.max_read_len as usize {
+        return Err(corrupt("read longer than max_read_len"));
+    }
+    // A base is copied from the consensus (by four segments at most)
+    // or costs two bits of one of these streams: a length the archive
+    // cannot hold is refused before anything is sized by it.
+    let stored = (su.mbta.remaining() + su.corner.remaining() + su.raw.remaining()) / 2;
+    if len as u64 > 4 * cons_len as u64 + stored {
+        return Err(corrupt("read longer than its archive"));
+    }
+    Ok(len)
 }
 
 /// Appends `n` 2-bit-coded bases from `r` to `out`, pulling 32 bases
@@ -405,9 +427,10 @@ fn copy_run(cons: &[Base], c: usize, n: usize, out: &mut Vec<Base>) -> Result<us
     Ok(c + n)
 }
 
-/// Decodes one read: the SU scan and the RCU's construction in one
-/// pass. The bit fields are read in the order the encoder wrote them
-/// and the read is built in place, in the one `Vec` it is returned in:
+/// Decodes one read and appends it to `out`: the SU scan and the RCU's
+/// construction in one pass. The bit fields are read in the order the
+/// encoder wrote them and the read is built in place, at the end of
+/// `out` (every offset below is relative to `out.len()` at entry):
 /// consensus runs by slice copy, substitutions and insertions as their
 /// records resolve, each reverse segment complemented where it lies,
 /// clips and `N` positions from the corner record.
@@ -428,15 +451,16 @@ fn copy_run(cons: &[Base], c: usize, n: usize, out: &mut Vec<Base>) -> Result<us
 ///   positions inside it ([`cons_cursor`]). Its rule that a
 ///   substitution differs from the consensus base needs no check: a
 ///   stored base equal to the consensus *is* the indel marker (§5.1.2).
-fn decode_read(
+fn decode_read_into(
     h: &ArchiveHeader,
     su: &mut ScanState<'_>,
     cons: &[Base],
     len: usize,
-) -> Result<DnaSeq> {
+    out: &mut Vec<Base>,
+) -> Result<()> {
     let mapped = su.mpga.read_bit()?;
     if !mapped {
-        return decode_raw_read(h, su, len);
+        return decode_raw_read(h, su, len, out);
     }
     let delta = h.mp_table.decode_value(&mut su.mpga, &mut su.mpa)?;
     // No overflow: `prev_pos` was checked against the consensus length
@@ -471,12 +495,13 @@ fn decode_read(
         Ok(end - start)
     };
 
-    let mut out: Vec<Base> = Vec::with_capacity(len);
+    let at = out.len();
+    out.reserve(len);
     let mut corner = Corner::default();
     for (si, &(_, mut c, rev)) in seg_meta[..n_segs].iter().enumerate() {
         let count = decode_count(h, su)?;
         let mut seg_start = out.len();
-        let mut seg_len = seg_extent(si, seg_start, corner.clip_end.len())?;
+        let mut seg_len = seg_extent(si, seg_start - at, corner.clip_end.len())?;
         let mut prev_off = 0u32;
         // Until the first segment's first mismatch, a record at offset
         // 0 says whether it is the corner record.
@@ -491,9 +516,9 @@ fn decode_read(
                 if off == 0 && su.mbta.read_bit()? {
                     // Synthetic record, not a mismatch: the clips it
                     // carries move this segment's extent.
-                    decode_corner(h, su, &mut corner, len, &mut out)?;
+                    decode_corner(h, su, &mut corner, len, out)?;
                     seg_start = out.len();
-                    seg_len = seg_extent(si, seg_start, corner.clip_end.len())?;
+                    seg_len = seg_extent(si, seg_start - at, corner.clip_end.len())?;
                     continue;
                 }
                 first = false;
@@ -503,7 +528,7 @@ fn decode_read(
             if off < r || off > seg_len {
                 return Err(corrupt("mismatch offset out of range"));
             }
-            c = copy_run(cons, c, off - r, &mut out)?;
+            c = copy_run(cons, c, off - r, out)?;
             // RCU type resolution (§5.1.2): compare the stored base
             // with the consensus base at the cursor.
             let is_indel = if c < cons.len() {
@@ -541,12 +566,12 @@ fn decode_read(
                     if block_len > seg_len - off {
                         return Err(corrupt("insertion past segment end"));
                     }
-                    read_bases(&mut su.mbta, block_len, &mut out)?;
+                    read_bases(&mut su.mbta, block_len, out)?;
                 }
             }
         }
         let r = out.len() - seg_start;
-        copy_run(cons, c, seg_len - r, &mut out)?;
+        copy_run(cons, c, seg_len - r, out)?;
         if rev {
             let seg = &mut out[seg_start..];
             seg.reverse();
@@ -556,13 +581,13 @@ fn decode_read(
         }
     }
     out.extend_from_slice(&corner.clip_end);
-    if out.len() != len {
+    if out.len() - at != len {
         return Err(corrupt("read length mismatch"));
     }
     for &p in &corner.n_positions {
-        out[p as usize] = Base::N; // `p < len`: read_n_positions
+        out[at + p as usize] = Base::N; // `p < len`: read_n_positions
     }
-    Ok(DnaSeq::from_bases(out))
+    Ok(())
 }
 
 /// A matching position as a consensus cursor; one past the last base is
@@ -574,19 +599,24 @@ fn cons_cursor(pos: u64, cons: &[Base]) -> Result<usize> {
         .ok_or_else(|| corrupt("consensus position out of range"))
 }
 
-fn decode_raw_read(h: &ArchiveHeader, su: &mut ScanState<'_>, len: usize) -> Result<DnaSeq> {
+fn decode_raw_read(
+    h: &ArchiveHeader,
+    su: &mut ScanState<'_>,
+    len: usize,
+    out: &mut Vec<Base>,
+) -> Result<()> {
     let has_n = su.raw.read_bit()?;
     let npos = if has_n {
         read_n_positions(&mut su.raw, h.len_bits(), len)?
     } else {
         Vec::new()
     };
-    let mut bases = Vec::new();
-    read_bases(&mut su.raw, len, &mut bases)?;
+    let at = out.len();
+    read_bases(&mut su.raw, len, out)?;
     for p in npos {
-        bases[p as usize] = Base::N;
+        out[at + p as usize] = Base::N;
     }
-    Ok(DnaSeq::from_bases(bases))
+    Ok(())
 }
 
 /// Reads a 16-bit count and that many `N` positions of a `len`-base
@@ -617,9 +647,9 @@ fn decode_count(h: &ArchiveHeader, su: &mut ScanState<'_>) -> Result<u32> {
 }
 
 /// Decodes the corner record of a read of `len` bases: `N` positions
-/// and the end clip into `corner`, the start clip into `out`, which is
-/// still empty — the record precedes every mismatch of the first
-/// segment. A read has one corner record at most.
+/// and the end clip into `corner`, the start clip onto `out`, which holds
+/// nothing of this read yet — the record precedes every mismatch of the
+/// first segment. A read has one corner record at most.
 fn decode_corner(
     h: &ArchiveHeader,
     su: &mut ScanState<'_>,

@@ -10,7 +10,7 @@ use sage_core::{
 };
 use sage_genomics::packed::Packed2;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
-use sage_genomics::{Base, DnaSeq, Read, ReadSet};
+use sage_genomics::{Base, DnaSeq, Read, ReadRef, ReadSet};
 
 fn round_trip(rs: &ReadSet) -> ReadSet {
     let archive = SageCompressor::new()
@@ -181,13 +181,26 @@ fn quality_region(a: &SageArchive, total: usize) -> usize {
     total - 8 - a.streams.qual.len()
 }
 
-/// Parses and decodes `bytes`. An `Ok` must be a whole read set: the
-/// header's read count, no read longer than the header allows, a
-/// quality string exactly as long as its read (or none at all).
+/// Parses and decodes `bytes` into columns and into a read set. Both
+/// decoders must refuse it, or both return the same reads; without a
+/// stored order the per-read stream must agree too. An `Ok` must be a
+/// whole read set: the header's read count, no read longer than the
+/// header allows, a quality string exactly as long as its read (or none
+/// at all).
 fn decode_or_error(bytes: &[u8]) -> Result<(), SageError> {
     let archive = SageArchive::from_bytes(bytes)?;
-    let reads = SageDecompressor::default().decompress(&archive)?;
+    let dec = SageDecompressor::default();
+    let (cols, reads) = match (dec.decode_chunk(&archive), dec.decompress(&archive)) {
+        (Ok(cols), Ok(reads)) => (cols, reads),
+        (Err(e), Err(_)) => return Err(e),
+        (cols, reads) => panic!("decoders disagree: {:?} vs {:?}", cols.err(), reads.err()),
+    };
+    assert!(cols.iter().eq(reads.iter().map(ReadRef::from)));
     let h = &archive.header;
+    if !h.store_order {
+        let streamed: Vec<Read> = dec.stream(&archive)?.collect::<Result<_, _>>()?;
+        assert_eq!(streamed, reads.reads());
+    }
     assert_eq!(reads.len() as u64, h.n_reads);
     for r in reads.iter() {
         assert!(r.seq.len() <= h.max_read_len as usize);
@@ -197,6 +210,93 @@ fn decode_or_error(bytes: &[u8]) -> Result<(), SageError> {
         }
     }
     Ok(())
+}
+
+/// Reads with `N` runs (inside and at both ends), empty reads, and
+/// copies of one read with a substitution, an insertion and a deletion.
+fn hand_made_reads() -> ReadSet {
+    let base = "ACGTTGCAAGCTTACGGATCCGATTACAGGCATGCCATGACTGACT";
+    let mut seqs = vec![
+        base.to_string(),
+        base.replacen("GATC", "GTTC", 1),
+        base.replacen("GATC", "GATTTC", 1),
+        base.replacen("GATC", "GC", 1),
+        format!("NNN{}NNNNN{}NN", &base[..12], &base[20..]),
+        String::new(),
+        "N".repeat(30),
+        String::new(),
+    ];
+    seqs.extend((0..8).map(|i| base[i..i + 30].to_string()));
+    seqs.iter().map(|s| read(s)).collect()
+}
+
+#[test]
+fn the_column_decode_is_the_decode() {
+    // Short and long sets (reverse strands, `N`s, clips, chimeras,
+    // unmapped reads) plus the hand-made edge cases, with and without
+    // quality and stored order: the columns hold what `decompress`
+    // returns, read for read; with a stored order that is the input,
+    // and without one the stream's storage order.
+    let mut sets: Vec<ReadSet> = [
+        DatasetProfile::tiny_short(),
+        DatasetProfile::tiny_long(),
+        DatasetProfile::rs1().scaled(0.02),
+        DatasetProfile::rs2().scaled(0.02),
+        DatasetProfile::rs3().scaled(0.02),
+        DatasetProfile::rs4().scaled(0.02),
+    ]
+    .iter()
+    .map(|p| simulate_dataset(p, 61).reads)
+    .collect();
+    sets.push(hand_made_reads());
+    let dec = SageDecompressor::default();
+    for rs in &sets {
+        for (store_order, quality) in [(false, true), (true, true), (false, false), (true, false)] {
+            let archive = SageCompressor::new()
+                .with_store_order(store_order)
+                .with_quality(quality)
+                .compress(rs)
+                .expect("compress");
+            let cols = dec.decode_chunk(&archive).expect("decode_chunk");
+            let reads = dec.decompress(&archive).expect("decompress");
+            assert_eq!(cols.len(), rs.len());
+            assert!(cols.iter().eq(reads.iter().map(ReadRef::from)));
+            if store_order {
+                for (got, want) in cols.iter().zip(rs.iter()) {
+                    assert!(got.seq == want.seq);
+                    assert!(got.qual == if quality { want.qual.clone() } else { None });
+                }
+            } else {
+                let streamed: Vec<Read> =
+                    dec.stream(&archive).unwrap().map(Result::unwrap).collect();
+                assert!(cols.iter().eq(streamed.iter().map(ReadRef::from)));
+            }
+        }
+    }
+}
+
+#[test]
+fn columns_are_sized_exactly_once() {
+    // A fixed-length chunk sizes its columns by `fixed_len × n`, a
+    // variable-length one by a pre-pass over the length streams: either
+    // way no column grows, so none holds spare capacity.
+    for (profile, fixed) in [
+        (DatasetProfile::tiny_short(), true),
+        (DatasetProfile::tiny_long(), false),
+    ] {
+        let ds = simulate_dataset(&profile, 62);
+        let archive = SageCompressor::new().compress(&ds.reads).expect("compress");
+        assert_eq!(archive.header.fixed_len.is_some(), fixed);
+        let cols = SageDecompressor::default().decode_chunk(&archive).unwrap();
+        let qual = cols.qual.as_ref().expect("qualities");
+        assert_eq!(cols.bases.len(), ds.reads.total_bases());
+        assert_eq!(cols.bases.capacity(), cols.bases.len());
+        assert_eq!(
+            (qual.capacity(), qual.len()),
+            (cols.bases.len(), cols.bases.len())
+        );
+        assert_eq!(cols.spans.capacity(), cols.spans.len());
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   `SAGe_Read` command can request).
 //! - [`fastq`] — FASTQ parsing and serialization, the format data
 //!   preparation must ultimately emit.
-//! - [`read`] — sequencing reads and read sets.
+//! - [`read`] — sequencing reads and read sets, owned or in columns.
 //! - [`align`] — read-to-consensus alignments (segments + edits), the
 //!   common language between the simulator, the mapper, and the codec.
 //! - [`sim`] — a sequencing simulator that synthesizes reference genomes
@@ -44,5 +44,5 @@ pub mod stats;
 pub use align::{bits_needed, Alignment, Edit, Segment};
 pub use base::Base;
 pub use fastq::{FastqError, FastqRecord};
-pub use read::{Read, ReadSet};
+pub use read::{ChunkColumns, QualRef, Read, ReadRef, ReadSet};
 pub use seq::DnaSeq;

@@ -9,7 +9,7 @@ use crate::obs::analysis::BlameReport;
 use crate::obs::{MetricsSnapshot, TraceBuffer};
 use crate::view::ReadView;
 use crate::{Result, StoreError};
-use sage_genomics::{Read, ReadSet};
+use sage_genomics::{ReadRef, ReadSet};
 use sage_io::{
     Cqe, DeviceCharge, DeviceSnapshot, IoBackend, IoConfig, Reactor, ReactorSnapshot,
     SchedPolicyKind, SubmitError,
@@ -615,14 +615,15 @@ impl Session {
     }
 
     /// Submits a `Scan` returning every stored read matching
-    /// `predicate`.
+    /// `predicate`, which sees each read as a borrowed [`ReadRef`]
+    /// into its cached chunk.
     ///
     /// # Errors
     ///
     /// Same as [`Session::get`].
     pub fn scan<F>(&self, predicate: F) -> Result<Ticket<ReadView>>
     where
-        F: Fn(&Read) -> bool + Send + 'static,
+        F: Fn(ReadRef<'_>) -> bool + Send + 'static,
     {
         self.scan_at(predicate, 0.0)
     }
@@ -634,7 +635,7 @@ impl Session {
     /// Same as [`Session::get`].
     pub fn scan_at<F>(&self, predicate: F, submit_vt: f64) -> Result<Ticket<ReadView>>
     where
-        F: Fn(&Read) -> bool + Send + 'static,
+        F: Fn(ReadRef<'_>) -> bool + Send + 'static,
     {
         let rx = self.core.submit(
             StoreOp::Scan(Box::new(predicate)),

@@ -7,10 +7,13 @@
 //! finish early steal the remaining jobs, so skewed chunk costs (the
 //! mapper's work varies with read content) do not idle the pool.
 
-use crate::manifest::StoreManifest;
-use crate::{parse_chunk, Result, StoreError};
-use sage_core::{CompressOptions, Extent, OutputFormat, SageCompressor, SageDecompressor};
-use sage_genomics::{Read, ReadSet};
+use crate::manifest::{ChunkMeta, StoreManifest};
+use crate::{Result, StoreError};
+use sage_core::error::SageError;
+use sage_core::{
+    CompressOptions, Extent, OutputFormat, SageArchive, SageCompressor, SageDecompressor,
+};
+use sage_genomics::{ChunkColumns, Read, ReadSet};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -184,30 +187,47 @@ pub fn encode_sharded(reads: &ReadSet, opts: &StoreOptions) -> Result<ShardedSto
     Ok(store)
 }
 
+/// Parses and decodes the chunk `meta` at `extent` of `bytes` — the one
+/// chunk decode, behind [`decode_all`] and the engine's cache misses.
+/// The manifest may come from a separate object than the blob: a chunk
+/// holding another population than its manifest entry means one of
+/// them lies, and slicing by manifest coordinates would walk off it.
+pub(crate) fn decode_chunk(bytes: &[u8], extent: Extent, meta: &ChunkMeta) -> Result<ChunkColumns> {
+    let corrupt = |cause| StoreError::CorruptChunk {
+        chunk_id: meta.id,
+        cause,
+    };
+    let archive = SageArchive::from_extent(bytes, extent).map_err(corrupt)?;
+    let cols = SageDecompressor::new(OutputFormat::Ascii)
+        .decode_chunk(&archive)
+        .map_err(corrupt)?;
+    if cols.len() as u64 != meta.n_reads {
+        return Err(corrupt(SageError::Corrupt(format!(
+            "chunk decoded {} reads but manifest claims {}",
+            cols.len(),
+            meta.n_reads
+        ))));
+    }
+    Ok(cols)
+}
+
 /// Decodes every chunk of a sharded container back into one read set,
 /// in dataset order, using `workers` threads over the shared queue.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::CorruptChunk`] naming the first chunk that
-/// fails validation or decoding.
+/// fails validation or decoding, or holds another number of reads than
+/// its manifest entry.
 pub fn decode_all(store: &ShardedStore, workers: usize) -> Result<ReadSet> {
-    let decoder = SageDecompressor::new(OutputFormat::Ascii);
-    let decoded: Vec<Result<ReadSet>> = run_pool(store.n_chunks(), workers.max(1), |i| {
-        let meta = store.manifest.chunks[i];
-        let archive = parse_chunk(&store.blob, meta.extent, meta.id)?;
-        decoder
-            .decompress(&archive)
-            .map_err(|cause| StoreError::CorruptChunk {
-                chunk_id: meta.id,
-                cause,
-            })
+    let decoded = run_pool(store.n_chunks(), workers.max(1), |i| {
+        let meta = &store.manifest.chunks[i];
+        decode_chunk(&store.blob, meta.extent, meta)
+            .map(|cols| cols.iter().map(|r| r.to_read()).collect::<Vec<_>>())
     });
     let mut out = ReadSet::new();
-    for rs in decoded {
-        for r in rs?.reads() {
-            out.push(r.clone());
-        }
+    for reads in decoded {
+        out.extend(reads?);
     }
     Ok(out)
 }
@@ -260,6 +280,32 @@ mod tests {
             Err(StoreError::CorruptChunk { chunk_id, .. }) => assert_eq!(chunk_id, 2),
             other => panic!("expected CorruptChunk, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_chunk_holding_another_population_than_its_manifest_entry_is_corrupt() {
+        // Chunks of 8, 8 and 4 reads; swapping the extents of chunks 1
+        // and 2 leaves every archive whole but misfiled. `decode_all`
+        // and the engine must both refuse it the same way, not return
+        // twenty reads in the wrong order.
+        let reads = ReadSet::from_reads(tiny().reads()[..20].to_vec());
+        let mut store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
+        let mut chunks = store.manifest.chunks.to_vec();
+        let (one, two) = (chunks[1].extent, chunks[2].extent);
+        (chunks[1].extent, chunks[2].extent) = (two, one);
+        store.manifest.chunks = std::sync::Arc::new(chunks);
+        match decode_all(&store, 2) {
+            Err(StoreError::CorruptChunk { chunk_id, cause }) => {
+                assert_eq!(chunk_id, 1);
+                assert!(cause.to_string().contains("manifest claims 8"), "{cause}");
+            }
+            other => panic!("expected CorruptChunk, got {other:?}"),
+        }
+        let engine = crate::StoreEngine::open(store, crate::EngineConfig::default());
+        assert!(matches!(
+            engine.get(8..16),
+            Err(StoreError::CorruptChunk { chunk_id: 1, .. })
+        ));
     }
 
     #[test]

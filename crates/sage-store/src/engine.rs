@@ -37,9 +37,9 @@ use crate::lru::{CachePolicy, CacheSnapshot, CacheStats, StripeSnapshot, Striped
 use crate::manifest::ChunkMeta;
 use crate::obs::EngineEvent;
 use crate::view::{ReadView, RecordSlice};
-use crate::{parse_chunk, ConfigError, Result, StoreError};
-use sage_core::{CompressOptions, Extent, OutputFormat, SageDecompressor};
-use sage_genomics::{Read, ReadSet};
+use crate::{ConfigError, Result, StoreError};
+use sage_core::{CompressOptions, Extent};
+use sage_genomics::{ChunkColumns, ReadRef, ReadSet};
 use sage_io::{
     ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, IoBackend, Placement,
 };
@@ -318,8 +318,8 @@ fn charge_reads(map: &DeviceMap, metas: &[&ChunkMeta], coalesce: bool) -> Vec<De
 pub enum StoreOp {
     /// Fetch reads `range` (dataset-global ids, half-open).
     Get(Range<u64>),
-    /// Return all reads matching the predicate.
-    Scan(Box<dyn Fn(&Read) -> bool + Send>),
+    /// Return all reads matching the predicate (one [`ReadRef`] per read).
+    Scan(Box<dyn Fn(ReadRef<'_>) -> bool + Send>),
     /// Append reads as new chunk(s) at the end of the dataset.
     Append(ReadSet),
 }
@@ -384,7 +384,7 @@ impl OpTrace {
 /// One chunk fetched through the cache. Charging happens at the
 /// operation level (so runs of misses can coalesce), not here.
 struct Fetched {
-    reads: Arc<ReadSet>,
+    reads: Arc<ChunkColumns>,
     /// `true` when the chunk was served from the cache.
     hit: bool,
 }
@@ -416,12 +416,12 @@ pub struct DecodeStats {
 struct Flight {
     /// `None` while the winner decodes, then its outcome (`Some(None)`
     /// when the winner failed).
-    outcome: Mutex<Option<Option<Arc<ReadSet>>>>,
+    outcome: Mutex<Option<Option<Arc<ChunkColumns>>>>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn wait(&self) -> Option<Arc<ReadSet>> {
+    fn wait(&self) -> Option<Arc<ChunkColumns>> {
         let mut outcome = self.outcome.lock().expect("flight poisoned");
         loop {
             if let Some(decoded) = &*outcome {
@@ -432,7 +432,7 @@ impl Flight {
     }
 
     /// Publishes the winner's outcome; the first call wins.
-    fn finish(&self, decoded: Option<Arc<ReadSet>>) {
+    fn finish(&self, decoded: Option<Arc<ChunkColumns>>) {
         self.outcome
             .lock()
             .expect("flight poisoned")
@@ -470,9 +470,9 @@ impl Drop for FlightGuard<'_> {
 enum Miss<'a> {
     /// This fetch decoded the chunk; its flight stays registered until
     /// the commit.
-    Decoded(Arc<ReadSet>, FlightGuard<'a>),
+    Decoded(Arc<ChunkColumns>, FlightGuard<'a>),
     /// A racing fetch of the same chunk produced it.
-    Shared(Arc<ReadSet>),
+    Shared(Arc<ChunkColumns>),
 }
 
 /// The mutable store state (blob + manifest) behind the engine's lock.
@@ -485,7 +485,7 @@ struct StoreState {
 #[derive(Debug)]
 pub struct StoreEngine {
     state: RwLock<StoreState>,
-    cache: StripedCache,
+    cache: StripedCache<ChunkColumns>,
     stats: CacheStats,
     devices: Option<DeviceMap>,
     codec: CompressOptions,
@@ -737,43 +737,21 @@ impl StoreEngine {
         Ok(bytes)
     }
 
-    /// Parses and decompresses one chunk's compressed bytes, timing
-    /// the work into the wall-clock decode counters.
-    fn decode_chunk_bytes(&self, meta: &ChunkMeta, chunk_bytes: &[u8]) -> Result<Arc<ReadSet>> {
-        let chunk_id = meta.id;
+    /// Parses and decodes one chunk's compressed bytes, timing the work
+    /// into the wall-clock decode counters.
+    fn decode_chunk_bytes(&self, meta: &ChunkMeta, bytes: &[u8]) -> Result<Arc<ChunkColumns>> {
         let started = Instant::now();
-        let archive = parse_chunk(
-            chunk_bytes,
-            sage_core::Extent {
-                offset: 0,
-                len: chunk_bytes.len(),
-            },
-            chunk_id,
-        )?;
-        let reads = SageDecompressor::new(OutputFormat::Ascii)
-            .decompress(&archive)
-            .map_err(|cause| StoreError::CorruptChunk { chunk_id, cause })?;
-        // The manifest may come from a separate object than the blob;
-        // a population mismatch means one of them lies, and slicing by
-        // manifest coordinates would walk off the decoded reads.
-        if reads.len() as u64 != meta.n_reads {
-            return Err(StoreError::CorruptChunk {
-                chunk_id,
-                cause: sage_core::error::SageError::Corrupt(format!(
-                    "chunk decoded {} reads but manifest claims {}",
-                    reads.len(),
-                    meta.n_reads
-                )),
-            });
-        }
+        let extent = Extent {
+            offset: 0,
+            len: bytes.len(),
+        };
+        let cols = crate::codec::decode_chunk(bytes, extent, meta)?;
         self.decode_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-        self.bytes_decoded.fetch_add(
-            (reads.total_bases() + reads.total_quality_bytes()) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(Arc::new(reads))
+        self.bytes_decoded
+            .fetch_add(cols.payload_bytes() as u64, Ordering::Relaxed);
+        Ok(Arc::new(cols))
     }
 
     /// Reads and decodes one chunk the cache probe missed, single-flight
@@ -826,7 +804,7 @@ impl StoreEngine {
     }
 
     /// Records one probed-and-found chunk.
-    fn commit_hit(&self, reads: Arc<ReadSet>) -> Result<Fetched> {
+    fn commit_hit(&self, reads: Arc<ChunkColumns>) -> Result<Fetched> {
         self.stats.hit();
         Ok(Fetched { reads, hit: true })
     }
@@ -1025,7 +1003,7 @@ impl StoreEngine {
     /// # Errors
     ///
     /// [`StoreError::CorruptChunk`] when a chunk fails validation.
-    pub fn scan_view<F: Fn(&Read) -> bool>(&self, predicate: F) -> Result<ReadView> {
+    pub fn scan_view<F: Fn(ReadRef<'_>) -> bool>(&self, predicate: F) -> Result<ReadView> {
         self.op_scan(&predicate).map(|(view, _)| view)
     }
 
@@ -1035,7 +1013,7 @@ impl StoreEngine {
     /// # Errors
     ///
     /// Same as [`StoreEngine::scan_view`].
-    pub fn scan<F: Fn(&Read) -> bool>(&self, predicate: F) -> Result<ReadSet> {
+    pub fn scan<F: Fn(ReadRef<'_>) -> bool>(&self, predicate: F) -> Result<ReadSet> {
         self.scan_view(predicate).map(|view| view.to_owned())
     }
 
@@ -1136,7 +1114,7 @@ impl StoreEngine {
     /// at most ~8× its matched records of decoded data, not the whole
     /// dataset the scan walked (the compaction copy is counted in
     /// [`StoreEngine::payload_bytes_copied`]).
-    fn op_scan(&self, predicate: &dyn Fn(&Read) -> bool) -> Result<(ReadView, OpTrace)> {
+    fn op_scan(&self, predicate: &dyn Fn(ReadRef<'_>) -> bool) -> Result<(ReadView, OpTrace)> {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         let chunks = {
             let state = self.state.read().expect("state poisoned");
@@ -1147,47 +1125,35 @@ impl StoreEngine {
         let mut view = ReadView::new();
         for f in fetched {
             let f = f?;
-            let chunk_len = f.reads.len();
-            // Track the leading contiguous run; spill to an explicit
-            // index list only once contiguity breaks, so dense scans
-            // never allocate per-record indices.
-            let mut run_start = 0u32;
-            let mut run_len = 0u32;
-            let mut spilled: Vec<u32> = Vec::new();
-            for (i, r) in f.reads.iter().enumerate() {
+            // Track the leading contiguous run `[lo, hi)`; spill to an
+            // explicit index list only once contiguity breaks, so dense
+            // scans never allocate per-record indices.
+            let (mut lo, mut hi, mut spilled) = (0u32, 0u32, Vec::new());
+            for (i, r) in (0u32..).zip(f.reads.iter()) {
                 if !predicate(r) {
                     continue;
                 }
-                let i = i as u32;
-                if spilled.is_empty() {
-                    if run_len == 0 {
-                        run_start = i;
-                        run_len = 1;
-                    } else if i == run_start + run_len {
-                        run_len += 1;
-                    } else {
-                        spilled.reserve(run_len as usize + 8);
-                        spilled.extend(run_start..run_start + run_len);
-                        spilled.push(i);
-                    }
+                if hi == lo {
+                    (lo, hi) = (i, i + 1);
+                } else if spilled.is_empty() && i == hi {
+                    hi += 1;
                 } else {
+                    if spilled.is_empty() {
+                        spilled.extend(lo..hi);
+                    }
                     spilled.push(i);
                 }
             }
-            let slice = if spilled.is_empty() {
-                if run_len == 0 {
-                    continue;
-                }
-                RecordSlice::range(f.reads, run_start as usize, (run_start + run_len) as usize)
-            } else {
-                RecordSlice::indices(f.reads, spilled)
+            let chunk_len = f.reads.len();
+            let slice = match (hi > lo, spilled.is_empty()) {
+                (false, _) => continue,
+                (true, true) => RecordSlice::range(f.reads, lo as usize, hi as usize),
+                (true, false) => RecordSlice::indices(f.reads, spilled),
             };
             if slice.len() * Self::SCAN_COMPACT_FACTOR <= chunk_len {
-                let owned: ReadSet = slice.iter().cloned().collect();
-                self.bytes_copied.fetch_add(
-                    (owned.total_bases() + owned.total_quality_bytes()) as u64,
-                    Ordering::Relaxed,
-                );
+                let owned: ChunkColumns = slice.iter().collect();
+                self.bytes_copied
+                    .fetch_add(owned.payload_bytes() as u64, Ordering::Relaxed);
                 let n = owned.len();
                 view.push(RecordSlice::range(Arc::new(owned), 0, n));
             } else {
@@ -1373,7 +1339,7 @@ mod tests {
             .filter(|r| r.seq.as_slice().first() == Some(&sage_genomics::Base::A))
             .count();
         let got = engine
-            .scan(|r| r.seq.as_slice().first() == Some(&sage_genomics::Base::A))
+            .scan(|r| r.seq.first() == Some(&sage_genomics::Base::A))
             .unwrap();
         assert_eq!(got.len(), want);
     }
@@ -1767,7 +1733,8 @@ mod tests {
         // Cache off: nothing a winner inserts survives for a waiter to
         // find, so the flight itself must carry the decoded chunk.
         let (engine, reads) = engine(16, 0);
-        let chunk = Arc::new(ReadSet::from_reads(reads.reads()[..16].to_vec()));
+        let chunk: Arc<ChunkColumns> =
+            Arc::new(reads.reads()[..16].iter().map(ReadRef::from).collect());
         let flight = Arc::new(Flight::default());
         engine
             .inflight
@@ -1788,7 +1755,7 @@ mod tests {
         let OpValue::Reads(view) = value else {
             panic!("get answers reads");
         };
-        assert_eq!(view.to_owned().reads(), chunk.reads());
+        assert!(view.iter().eq(chunk.iter()));
         // Still the miss its probe was — sharing the decode saves host
         // work, it does not turn a device fetch into a cache hit.
         assert_eq!((trace.cache_misses, trace.cache_hits), (1, 0));

@@ -9,12 +9,12 @@
 //! promise:
 //!
 //! - [`codec`] — datasets are encoded into fixed-population **chunk
-//!   containers** (each an independently decodable [`SageArchive`]
+//!   containers** (each an independently decodable [`SageArchive`](sage_core::SageArchive)
 //!   holding N reads) laid out back-to-back in one blob, compressed
 //!   and decompressed by a `std::thread` worker pool pulling from a
 //!   shared job queue;
 //! - [`manifest`] — a serialized index mapping read-id ranges →
-//!   chunk → byte [`Extent`], so any read range can be answered by
+//!   chunk → byte [`Extent`](sage_core::Extent), so any read range can be answered by
 //!   decoding only the chunks it touches;
 //! - [`engine`] — [`StoreEngine`] answers concurrent operations
 //!   behind an N-shard **striped LRU cache** of decoded chunks
@@ -107,7 +107,6 @@ pub use view::{ReadView, RecordSlice};
 pub use sage_io::{ChargeInterval, DeviceCharge, DeviceSnapshot, Placement};
 
 use sage_core::error::SageError;
-use sage_core::{Extent, SageArchive};
 
 /// An invalid engine/server configuration, detected before anything
 /// is built. Produced by [`DatasetBuilder`] and
@@ -288,10 +287,3 @@ impl From<ConfigError> for StoreError {
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;
-
-/// Parses the chunk at `extent` of `blob`, tagging failures with the
-/// chunk id so corrupt chunks are identifiable at the store level.
-pub(crate) fn parse_chunk(blob: &[u8], extent: Extent, chunk_id: u32) -> Result<SageArchive> {
-    SageArchive::from_extent(blob, extent)
-        .map_err(|cause| StoreError::CorruptChunk { chunk_id, cause })
-}

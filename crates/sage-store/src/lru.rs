@@ -12,7 +12,6 @@
 //! a skewed get stream's hot set through one-shot scans, but no served
 //! workload mixes the two, so none is carried.
 
-use sage_genomics::ReadSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,7 +83,7 @@ impl CacheStats {
     }
 }
 
-/// A least-recently-used cache keyed by chunk id.
+/// A least-recently-used cache of `Arc<T>` chunks keyed by chunk id.
 ///
 /// Recency is tracked with a monotone tick per entry; eviction scans
 /// for the minimum. With the few dozen to few hundred resident chunks
@@ -92,15 +91,15 @@ impl CacheStats {
 /// maintaining an intrusive list — and it keeps the structure
 /// trivially correct under the engine's lock.
 #[derive(Debug)]
-pub struct LruCache {
+pub struct LruCache<T> {
     capacity: usize,
     tick: u64,
-    entries: HashMap<u32, (u64, Arc<ReadSet>)>,
+    entries: HashMap<u32, (u64, Arc<T>)>,
 }
 
-impl LruCache {
+impl<T> LruCache<T> {
     /// A cache holding at most `capacity` decoded chunks.
-    pub fn new(capacity: usize) -> LruCache {
+    pub fn new(capacity: usize) -> LruCache<T> {
         LruCache {
             capacity,
             tick: 0,
@@ -124,7 +123,7 @@ impl LruCache {
     }
 
     /// Looks up a chunk, refreshing its recency on hit.
-    pub fn get(&mut self, chunk_id: u32) -> Option<Arc<ReadSet>> {
+    pub fn get(&mut self, chunk_id: u32) -> Option<Arc<T>> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.get_mut(&chunk_id).map(|(t, rs)| {
@@ -136,7 +135,7 @@ impl LruCache {
     /// Inserts a decoded chunk, evicting the least recently used entry
     /// if the cache is full. Returns the number of evictions (0 or 1;
     /// 0-capacity caches store nothing and evict nothing).
-    pub fn insert(&mut self, chunk_id: u32, reads: Arc<ReadSet>) -> u64 {
+    pub fn insert(&mut self, chunk_id: u32, reads: Arc<T>) -> u64 {
         if self.capacity == 0 {
             return 0;
         }
@@ -161,15 +160,15 @@ impl LruCache {
 /// One shard of a [`StripedCache`]: an [`LruCache`] behind its own
 /// lock, plus lock-occupancy accounting.
 #[derive(Debug)]
-struct CacheShard {
-    cache: Mutex<LruCache>,
+struct CacheShard<T> {
+    cache: Mutex<LruCache<T>>,
     /// Nanoseconds the shard lock was *held* (critical-section time).
     busy_ns: AtomicU64,
     /// Times the shard lock was taken.
     acquisitions: AtomicU64,
 }
 
-impl CacheShard {
+impl<T> CacheShard<T> {
     /// Runs `f` under the shard lock, accounting the hold time.
     ///
     /// The accounting costs two monotonic-clock reads plus two
@@ -180,7 +179,7 @@ impl CacheShard {
     /// scheduler quanta into its shard's busy count, so busy-seconds
     /// comparisons are only meaningful on a quiet machine — the
     /// acquisition *counts* are exact and deterministic regardless.
-    fn with<T>(&self, f: impl FnOnce(&mut LruCache) -> T) -> T {
+    fn with<R>(&self, f: impl FnOnce(&mut LruCache<T>) -> R) -> R {
         let mut guard = self.cache.lock().expect("cache shard poisoned");
         let held = Instant::now();
         let out = f(&mut guard);
@@ -253,12 +252,12 @@ pub struct StripeSnapshot {
 /// `capacity % N` shards get one extra slot), so the configured total
 /// is always exactly honored.
 #[derive(Debug)]
-pub struct StripedCache {
-    shards: Vec<CacheShard>,
+pub struct StripedCache<T> {
+    shards: Vec<CacheShard<T>>,
     capacity: usize,
 }
 
-impl StripedCache {
+impl<T> StripedCache<T> {
     /// A striped cache of `capacity` total chunks over `n_shards`
     /// LRU shards (`policy` has the one value, [`CachePolicy::Lru`]).
     ///
@@ -272,7 +271,7 @@ impl StripedCache {
     /// # Panics
     ///
     /// Panics if `n_shards` is 0.
-    pub fn new(_policy: CachePolicy, capacity: usize, n_shards: usize) -> StripedCache {
+    pub fn new(_policy: CachePolicy, capacity: usize, n_shards: usize) -> StripedCache<T> {
         assert!(n_shards > 0, "a striped cache needs at least one shard");
         let n_shards = n_shards.min(capacity).max(1);
         let shards = (0..n_shards)
@@ -308,18 +307,18 @@ impl StripedCache {
         self.len() == 0
     }
 
-    fn shard(&self, chunk_id: u32) -> &CacheShard {
+    fn shard(&self, chunk_id: u32) -> &CacheShard<T> {
         &self.shards[chunk_id as usize % self.shards.len()]
     }
 
     /// Looks up a chunk in its shard, refreshing recency on hit.
-    pub fn get(&self, chunk_id: u32) -> Option<Arc<ReadSet>> {
+    pub fn get(&self, chunk_id: u32) -> Option<Arc<T>> {
         self.shard(chunk_id).with(|c| c.get(chunk_id))
     }
 
     /// Inserts a decoded chunk into its shard, returning how many
     /// entries that shard evicted to make room.
-    pub fn insert(&self, chunk_id: u32, reads: Arc<ReadSet>) -> u64 {
+    pub fn insert(&self, chunk_id: u32, reads: Arc<T>) -> u64 {
         self.shard(chunk_id).with(|c| c.insert(chunk_id, reads))
     }
 
@@ -328,14 +327,14 @@ impl StripedCache {
     /// a shard, ids are probed in their `ids` order, so a one-shard
     /// cache probes in exactly the order the old global-lock batch
     /// probe did.
-    pub fn get_batch(&self, ids: &[u32]) -> Vec<Option<Arc<ReadSet>>> {
+    pub fn get_batch(&self, ids: &[u32]) -> Vec<Option<Arc<T>>> {
         // Single-id probes — the dominant warm-get shape — skip the
         // grouping machinery entirely.
         if let [id] = ids {
             return vec![self.get(*id)];
         }
         let n = self.shards.len();
-        let mut out: Vec<Option<Arc<ReadSet>>> = vec![None; ids.len()];
+        let mut out: Vec<Option<Arc<T>>> = vec![None; ids.len()];
         // Group positions by shard in first-touch order. A batch
         // touches few distinct shards, so the linear group lookup is
         // cheaper than allocating a shard-count-sized bucket table on
@@ -383,6 +382,7 @@ impl StripedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_genomics::ReadSet;
 
     fn rs(n: usize) -> Arc<ReadSet> {
         let mut set = ReadSet::new();
@@ -589,6 +589,9 @@ mod tests {
             assert!(c.get(id).is_some(), "id {id} must be cacheable");
         }
         // Degenerate: zero capacity still yields one (empty) shard.
-        assert_eq!(StripedCache::new(CachePolicy::Lru, 0, 8).n_shards(), 1);
+        assert_eq!(
+            StripedCache::<ReadSet>::new(CachePolicy::Lru, 0, 8).n_shards(),
+            1
+        );
     }
 }

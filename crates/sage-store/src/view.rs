@@ -1,23 +1,14 @@
 //! Zero-copy read results: [`ReadView`] and [`RecordSlice`].
 //!
-//! The engine caches decoded chunks as `Arc<ReadSet>`s. Before this
-//! module existed, every `get`/`scan` answered by *cloning* each
-//! record out of the cached chunk into a fresh owned `ReadSet` — one
-//! payload copy per record per request, on the hottest path in the
-//! codebase. A [`ReadView`] instead pins the cached chunks (cheap
-//! `Arc` clones) and describes which records of each chunk belong to
-//! the answer, so resolving a request moves **no payload bytes** at
-//! all. Callers that really need an owned collection opt into the
-//! copy explicitly with [`ReadView::to_owned`].
-//!
-//! A view is a sequence of [`RecordSlice`]s, one per touched chunk:
-//! a contiguous index range for `get` (ranges map to runs of records
-//! inside each chunk) or a sparse index list for `scan` (whatever the
-//! predicate matched). Either way the record data stays inside the
-//! shared chunk; the view holds it alive for as long as the caller
-//! keeps the view.
+//! The engine caches decoded chunks as `Arc<ChunkColumns>`s. A
+//! [`ReadView`] pins the chunks it touches and selects records of each
+//! — a contiguous range for `get`, an index list for `scan` — so
+//! resolving a request copies no payload, and serving a cached read
+//! allocates nothing: every record is a borrowed [`ReadRef`] into the
+//! columns. [`ReadView::to_owned`] is the one explicit copy.
 
-use sage_genomics::{Read, ReadSet};
+use sage_genomics::{ChunkColumns, ReadRef, ReadSet};
+use std::iter::Flatten;
 use std::sync::Arc;
 
 /// Which records of one chunk a [`RecordSlice`] selects.
@@ -33,11 +24,12 @@ enum Selection {
 
 /// A borrowed run of records inside one cached chunk.
 ///
-/// The slice shares ownership of the decoded chunk (`Arc<ReadSet>`):
-/// cloning a slice clones a pointer, never record payloads.
+/// The slice shares ownership of the decoded chunk
+/// (`Arc<ChunkColumns>`): cloning a slice clones a pointer, never
+/// record payloads.
 #[derive(Debug, Clone)]
 pub struct RecordSlice {
-    chunk: Arc<ReadSet>,
+    chunk: Arc<ChunkColumns>,
     sel: Selection,
 }
 
@@ -47,7 +39,7 @@ impl RecordSlice {
     /// # Panics
     ///
     /// Panics when `lo > hi` or `hi` reaches past the chunk.
-    pub fn range(chunk: Arc<ReadSet>, lo: usize, hi: usize) -> RecordSlice {
+    pub fn range(chunk: Arc<ChunkColumns>, lo: usize, hi: usize) -> RecordSlice {
         assert!(lo <= hi && hi <= chunk.len(), "slice out of chunk bounds");
         RecordSlice {
             chunk,
@@ -63,7 +55,7 @@ impl RecordSlice {
     /// # Panics
     ///
     /// Panics when an index reaches past the chunk.
-    pub fn indices(chunk: Arc<ReadSet>, indices: Vec<u32>) -> RecordSlice {
+    pub fn indices(chunk: Arc<ChunkColumns>, indices: Vec<u32>) -> RecordSlice {
         assert!(
             indices.iter().all(|&i| (i as usize) < chunk.len()),
             "index out of chunk bounds"
@@ -88,34 +80,64 @@ impl RecordSlice {
     }
 
     /// The `i`-th selected record.
-    pub fn get(&self, i: usize) -> Option<&Read> {
-        match &self.sel {
-            Selection::Range { lo, hi } => {
-                let at = *lo as usize + i;
-                if at < *hi as usize {
-                    self.chunk.reads().get(at)
-                } else {
-                    None
-                }
-            }
-            Selection::Indices(ix) => ix.get(i).map(|&j| &self.chunk.reads()[j as usize]),
-        }
+    pub fn get(&self, i: usize) -> Option<ReadRef<'_>> {
+        let at = match &self.sel {
+            Selection::Range { lo, hi } => Some(*lo as usize + i).filter(|&at| at < *hi as usize),
+            Selection::Indices(ix) => ix.get(i).map(|&j| j as usize),
+        };
+        at.map(|at| self.chunk.at(self.chunk.spans[at]))
     }
 
-    /// Iterates the selected records in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Read> + '_ {
-        (0..self.len()).map(move |i| self.get(i).expect("index within selection"))
+    /// Iterates the selected records in order; a range walks the
+    /// chunk's span table directly.
+    pub fn iter(&self) -> SliceIter<'_> {
+        let (spans, ix) = match &self.sel {
+            Selection::Range { lo, hi } => (&self.chunk.spans[*lo as usize..*hi as usize], &[][..]),
+            Selection::Indices(ix) => (&[][..], &ix[..]),
+        };
+        SliceIter {
+            chunk: &self.chunk,
+            spans: spans.iter(),
+            ix: ix.iter(),
+        }
+    }
+}
+
+/// The records of a [`RecordSlice`], borrowed in order.
+#[derive(Debug, Clone)]
+pub struct SliceIter<'a> {
+    chunk: &'a ChunkColumns,
+    spans: std::slice::Iter<'a, (u32, u32)>,
+    ix: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for SliceIter<'a> {
+    type Item = ReadRef<'a>;
+
+    fn next(&mut self) -> Option<ReadRef<'a>> {
+        let span = match self.spans.next() {
+            Some(&span) => span,
+            None => self.chunk.spans[*self.ix.next()? as usize],
+        };
+        Some(self.chunk.at(span))
+    }
+}
+
+impl<'a> IntoIterator for &'a RecordSlice {
+    type Item = ReadRef<'a>;
+    type IntoIter = SliceIter<'a>;
+
+    fn into_iter(self) -> SliceIter<'a> {
+        self.iter()
     }
 }
 
 /// A zero-copy result of a `get` or `scan`: borrowed record slices
 /// over the engine's cached chunks, in dataset order.
 ///
-/// Resolving a request into a view copies **no record payloads** —
-/// the view pins the decoded chunks it touches via `Arc` and walks
-/// them in place. [`ReadView::to_owned`] is the explicit opt-in to
-/// the old copying behavior for callers that need an owned
-/// [`ReadSet`] (e.g. to re-append or mutate).
+/// The view pins the decoded chunks it touches via `Arc` and walks
+/// them in place; [`ReadView::to_owned`] copies them into an owned
+/// [`ReadSet`] for callers that need one (e.g. to re-append or mutate).
 ///
 /// ```
 /// use sage_store::client::DatasetBuilder;
@@ -126,7 +148,7 @@ impl RecordSlice {
 /// let dataset = DatasetBuilder::new().chunk_reads(16).encode(&ds.reads)?;
 /// let view = dataset.session().get(4..12)?.join()?;   // ReadView
 /// assert_eq!(view.len(), 8);
-/// // Records are read in place, straight out of the cached chunk:
+/// // Records are borrowed in place, straight out of the cached chunk:
 /// assert_eq!(view.get(0).unwrap().seq, ds.reads.reads()[4].seq);
 /// // Owning the records is an explicit copy:
 /// let owned = view.to_owned();
@@ -171,7 +193,7 @@ impl ReadView {
     }
 
     /// The `i`-th selected record, in dataset order across slices.
-    pub fn get(&self, mut i: usize) -> Option<&Read> {
+    pub fn get(&self, mut i: usize) -> Option<ReadRef<'_>> {
         for s in &self.slices {
             if i < s.len() {
                 return s.get(i);
@@ -182,13 +204,13 @@ impl ReadView {
     }
 
     /// Iterates every selected record in dataset order.
-    pub fn iter(&self) -> impl Iterator<Item = &Read> + '_ {
-        self.slices.iter().flat_map(RecordSlice::iter)
+    pub fn iter(&self) -> Flatten<std::slice::Iter<'_, RecordSlice>> {
+        self.slices.iter().flatten()
     }
 
     /// Total bases across the selected records.
     pub fn total_bases(&self) -> usize {
-        self.iter().map(Read::len).sum()
+        self.iter().map(|r| r.len()).sum()
     }
 
     /// Copies the selected records into an owned [`ReadSet`] — the
@@ -196,31 +218,33 @@ impl ReadView {
     /// only when a caller asks for ownership.
     #[allow(clippy::wrong_self_convention)]
     pub fn to_owned(&self) -> ReadSet {
-        self.iter().cloned().collect()
+        self.iter().map(|r| r.to_read()).collect()
     }
 }
 
 impl<'a> IntoIterator for &'a ReadView {
-    type Item = &'a Read;
-    type IntoIter = Box<dyn Iterator<Item = &'a Read> + 'a>;
+    type Item = ReadRef<'a>;
+    type IntoIter = Flatten<std::slice::Iter<'a, RecordSlice>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        self.iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_genomics::Read;
 
-    fn chunk(n: usize, tag: u8) -> Arc<ReadSet> {
-        let mut rs = ReadSet::new();
-        for i in 0..n {
-            let mut r = Read::from_seq("ACGT".parse().unwrap());
-            r.qual = Some(vec![b'!' + tag, b'!' + i as u8]);
-            rs.push(r);
-        }
-        Arc::new(rs)
+    fn chunk(n: usize, tag: u8) -> Arc<ChunkColumns> {
+        let reads: Vec<Read> = (0..n)
+            .map(|i| {
+                let mut r = Read::from_seq("ACGT".parse().unwrap());
+                r.qual = Some(vec![b'!' + tag, b'!' + i as u8, b'!', b'!']);
+                r
+            })
+            .collect();
+        Arc::new(reads.iter().map(ReadRef::from).collect())
     }
 
     #[test]
@@ -229,7 +253,7 @@ mod tests {
         let s = RecordSlice::range(Arc::clone(&c), 2, 6);
         assert_eq!(s.len(), 4);
         for (i, r) in s.iter().enumerate() {
-            assert_eq!(r.qual, c.reads()[2 + i].qual);
+            assert_eq!(r.qual, c.at(c.spans[2 + i]).qual);
         }
         assert!(s.get(4).is_none());
     }
@@ -239,10 +263,10 @@ mod tests {
         let c = chunk(8, 1);
         let s = RecordSlice::indices(Arc::clone(&c), vec![0, 3, 7]);
         assert_eq!(s.len(), 3);
-        let got: Vec<_> = s.iter().map(|r| r.qual.clone()).collect();
-        assert_eq!(got[0], c.reads()[0].qual);
-        assert_eq!(got[1], c.reads()[3].qual);
-        assert_eq!(got[2], c.reads()[7].qual);
+        let got: Vec<_> = s.iter().map(|r| r.qual).collect();
+        assert_eq!(got[0], c.at(c.spans[0]).qual);
+        assert_eq!(got[1], c.at(c.spans[3]).qual);
+        assert_eq!(got[2], c.at(c.spans[7]).qual);
     }
 
     #[test]
@@ -255,8 +279,8 @@ mod tests {
         v.push(RecordSlice::indices(Arc::clone(&b), vec![1, 2]));
         assert_eq!(v.len(), 4);
         assert_eq!(v.n_slices(), 2);
-        assert_eq!(v.get(0).unwrap().qual, a.reads()[2].qual);
-        assert_eq!(v.get(3).unwrap().qual, b.reads()[2].qual);
+        assert_eq!(v.get(0).unwrap().qual, a.at(a.spans[2]).qual);
+        assert_eq!(v.get(3).unwrap().qual, b.at(b.spans[2]).qual);
         assert!(v.get(4).is_none());
         let owned = v.to_owned();
         assert_eq!(owned.len(), 4);

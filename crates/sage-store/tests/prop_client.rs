@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
-use sage_genomics::{Read, ReadSet};
+use sage_genomics::{ReadRef, ReadSet};
 use sage_io::VirtualScheduler;
 use sage_ssd::SsdConfig;
 use sage_store::client::{DatasetBuilder, OpReport, SubmitMode};
@@ -52,8 +52,8 @@ fn apply_devices_builder(shape: u8, b: DatasetBuilder) -> DatasetBuilder {
 
 /// Bit-identical record comparison between any two read sequences.
 fn assert_same_reads<'a, 'b>(
-    a: impl ExactSizeIterator<Item = &'a Read>,
-    b: impl ExactSizeIterator<Item = &'b Read>,
+    a: impl ExactSizeIterator<Item = ReadRef<'a>>,
+    b: impl ExactSizeIterator<Item = ReadRef<'b>>,
     what: &str,
 ) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -66,7 +66,7 @@ fn assert_same_reads<'a, 'b>(
 fn view_equals_owned(view: &ReadView, owned: &ReadSet, what: &str) {
     assert_same_reads(
         view.iter().collect::<Vec<_>>().into_iter(),
-        owned.iter(),
+        owned.iter().map(ReadRef::from),
         what,
     );
     // And the explicit copy is the same ReadSet, field for field.
@@ -202,7 +202,7 @@ proptest! {
         // A full sequential scan: the coalescing showcase.
         let owned = reference.scan(|r| !r.len().is_multiple_of(3)).unwrap();
         let (value, trace) = hot
-            .run_op(StoreOp::Scan(Box::new(|r: &Read| !r.len().is_multiple_of(3))))
+            .run_op(StoreOp::Scan(Box::new(|r: ReadRef<'_>| !r.len().is_multiple_of(3))))
             .unwrap();
         let sage_store::OpValue::Reads(view) = value else {
             panic!("scan must answer reads");
@@ -389,7 +389,7 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
                     .unwrap()
                     .wait()
                     .map(|c| (OpValue::Reads(c.value), c.report)),
-                StoreOp::Scan(Box::new(|r: &Read| r.len().is_multiple_of(2))),
+                StoreOp::Scan(Box::new(|r: ReadRef<'_>| r.len().is_multiple_of(2))),
             ),
             Step::Append(rs) => (
                 session

@@ -96,7 +96,7 @@ fn main() {
     // the rejected reads for).
     let scan = dataset
         .session()
-        .scan(|r| r.seq.as_slice().first() == Some(&sage::genomics::Base::A))
+        .scan(|r| r.seq.first() == Some(&sage::genomics::Base::A))
         .expect("submit")
         .wait()
         .expect("scan");

@@ -61,7 +61,7 @@
 //! let ds = simulate_dataset(&DatasetProfile::tiny_short(), 42);
 //! let dataset = DatasetBuilder::new().chunk_reads(64).encode(&ds.reads)?;
 //! let session = dataset.session();
-//! let reads = session.get(10..20)?.join()?;   // Ticket<ReadSet>
+//! let reads = session.get(10..20)?.join()?;   // Ticket<ReadView>
 //! assert_eq!(reads.len(), 10);
 //! # Ok(())
 //! # }
