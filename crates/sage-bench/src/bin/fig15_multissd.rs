@@ -1,5 +1,5 @@
 //! Fig. 15: throughput scaling when data is partitioned across
-//! 1×/2×/4× PCIe SSDs — measured on the **reactor closed-loop
+//! 1×/2×/4× PCIe SSDs — measured on the store's **closed-loop
 //! driver**, not the analytical pipeline model.
 //!
 //! The original harness derived this figure from `run_experiment`'s
@@ -10,7 +10,7 @@
 //! device-count scaling curve comes from
 //! [`sage_store::client::Dataset::drive_closed_loop`] — a closed
 //! loop of clients whose
-//! per-request latencies and makespan live on the reactor's virtual
+//! per-request latencies and makespan live on the drive's virtual
 //! device timeline. The decoded-chunk cache is disabled so every
 //! request pays its device.
 //!

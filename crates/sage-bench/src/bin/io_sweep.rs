@@ -1,5 +1,5 @@
 //! io_sweep: the device-count × queue-depth sweep over the
-//! completion-queue reactor and the multi-SSD chunk store.
+//! closed-loop driver and the multi-SSD chunk store.
 //!
 //! Each cell opens the sharded store as a [`sage_store::client`]
 //! `Dataset` whose chunk extents are striped across N PCIe device
@@ -10,7 +10,7 @@
 //! each keep exactly one random `Get` in flight, submitting their
 //! next request at the virtual instant the previous one completed.
 //! The decoded-chunk cache is disabled so every request pays its
-//! device, and all reported numbers come from the reactor's
+//! device, and all reported numbers come from the drive's
 //! **virtual** device timeline — req/s against the virtual makespan,
 //! p50/p99 of per-request virtual latency, and per-device utilization
 //! — so the sweep measures queueing and striping, not the CI host's
@@ -33,7 +33,7 @@ use sage_pipeline::SystemConfig;
 use sage_store::client::{range_for, ClosedLoopSpec, DatasetBuilder, LoadReport};
 use sage_store::{encode_sharded, ShardedStore, StoreOp, StoreOptions};
 
-/// Requests driven through the reactor per sweep cell.
+/// Requests driven through the closed loop per sweep cell.
 const REQUESTS_PER_CELL: u64 = 480;
 
 /// Reads per chunk (small chunks ⇒ many extents to stripe).

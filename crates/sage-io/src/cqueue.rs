@@ -9,12 +9,10 @@
 //! reactor's worker count bounds the posting rate, so a finer-grained
 //! design would buy nothing but subtlety.
 //!
-//! Completions drain in **post order**. With one reactor worker, post
-//! order equals dispatch order equals submission order, so a consumer
-//! that reacts to completions (e.g. a closed-loop driver resubmitting
-//! at the completion instant) sees the same order on every run — the
-//! virtual timeline stays reproducible no matter how the host
-//! schedules the consumer against the posting worker.
+//! Completions drain in **post order**: the order the workers
+//! finished them, which with several workers depends on the host.
+//! The virtual instants a [`Cqe`] carries were stamped when it posted,
+//! so harvesting order never moves them.
 
 use crate::sched::{ChargeInterval, Dispatch};
 use std::collections::VecDeque;
@@ -58,7 +56,12 @@ impl<T> Cqe<T> {
         self.started_vt - self.submitted_vt
     }
 
-    pub(crate) fn from_dispatch(
+    /// The completion of `output`, submitted at `submitted_vt` and
+    /// placed on the timeline by `d` (a [`VirtualScheduler`] dispatch
+    /// or resolution).
+    ///
+    /// [`VirtualScheduler`]: crate::sched::VirtualScheduler
+    pub fn from_dispatch(
         user_data: u64,
         submitted_vt: f64,
         d: Dispatch,
@@ -124,8 +127,7 @@ impl<T> CompletionQueues<T> {
         }
     }
 
-    /// Pops the oldest completion, in post order (see the module docs:
-    /// post order keeps completion-driven loops reproducible).
+    /// Pops the oldest completion, in post order.
     pub fn poll_any(&self) -> Option<Cqe<T>> {
         self.state.lock().expect("cq poisoned").queue.pop_front()
     }

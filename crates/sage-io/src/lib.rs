@@ -15,6 +15,8 @@
 //!   Arbitrarily many operations are in flight at once; workers bound
 //!   only CPU parallelism. A backend may answer an op that cannot
 //!   block on the submitting thread, and deliver completions itself.
+//!   The reactor places charges in FIFO order; a caller that wants a
+//!   queued [`qos`] policy drives a [`VirtualScheduler`] itself.
 //! - [`sched`] — **virtual-time device scheduling**: per-device clocks
 //!   turn the device models' service seconds into queued start/finish
 //!   instants, so completions carry realistic latencies (queueing

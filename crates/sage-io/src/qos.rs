@@ -73,8 +73,8 @@ impl SchedTag {
 }
 
 /// How a device picks the next pending charge to serve on the queued
-/// dispatch path. Plain config data ([`IoConfig`](crate::reactor::IoConfig)
-/// stays `Copy`/`Eq`); the scheduler keys and serves by `match` on it.
+/// dispatch path. Plain `Copy`/`Eq` config data; the scheduler keys
+/// and serves by `match` on it.
 ///
 /// Each charge gets a key when it joins a device's pending queue; the
 /// device serves the smallest key among the charges that have arrived

@@ -19,12 +19,10 @@
 //! per-request latency even though the device models are analytical.
 
 use crate::cqueue::{CompletionQueues, Cqe};
-use crate::qos::{SchedPolicyKind, SchedTag};
 use crate::ring::{RingCounters, SubmissionRing, SubmitError};
-use crate::sched::{DeviceCharge, ResolvedOp, VirtualScheduler};
-use std::collections::HashMap;
+use crate::sched::{DeviceCharge, VirtualScheduler};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// What the reactor runs operations against.
@@ -43,9 +41,8 @@ pub trait IoBackend: Send + Sync + 'static {
     fn execute(&self, op: Self::Op) -> (Self::Output, Vec<DeviceCharge>);
 
     /// Executes `op` on the submitting thread if that cannot block,
-    /// else gives it back to be queued. Asked by every single-op
-    /// submit under [`SchedPolicyKind::Fifo`] only (queued policies
-    /// order by the ring). An inline op is stamped and counted like a
+    /// else gives it back to be queued. Asked by every submit while
+    /// the ring is open. An inline op is stamped and counted like a
     /// worker's, and a full ring never sheds it. Default: give back.
     fn try_inline(&self, op: Self::Op) -> Result<(Self::Output, Vec<DeviceCharge>), Self::Op> {
         Err(op)
@@ -67,13 +64,11 @@ pub struct Sqe<Op> {
     pub op: Op,
     /// Caller-chosen token, returned verbatim in the [`Cqe`].
     pub user_data: u64,
-    /// Virtual submit instant. Closed-loop drivers advance this per
-    /// client (next submit = previous completion); simple callers pass
-    /// 0.0 and read only relative device accounting.
+    /// Virtual submit instant; simple callers pass 0.0 and read only
+    /// relative device accounting.
     pub submit_vt: f64,
-    /// Scheduling attributes (tenant, priority, weight, deadline) —
-    /// the default tag bills tenant 0 and schedules neutrally.
-    pub tag: SchedTag,
+    /// The tenant the operation's device time is billed to.
+    pub tenant: usize,
 }
 
 /// Reactor sizing.
@@ -91,14 +86,6 @@ pub struct IoConfig {
     /// moves a single virtual instant — both paths run the same
     /// scheduler arithmetic.
     pub record_intervals: bool,
-    /// Device scheduling discipline. [`SchedPolicyKind::Fifo`] (the
-    /// default) dispatches eagerly — bit-identical to the pre-QoS
-    /// reactor. Any other policy routes charges through the
-    /// scheduler's per-device pending queues: workers enqueue instead
-    /// of placing, and completions post when the timeline resolves —
-    /// via [`Reactor::advance_to`] as the arrival frontier moves, or
-    /// at the end-of-stream flush after [`Reactor::close`].
-    pub policy: SchedPolicyKind,
 }
 
 impl Default for IoConfig {
@@ -108,13 +95,12 @@ impl Default for IoConfig {
             queue_depth: 32,
             devices: 1,
             record_intervals: false,
-            policy: SchedPolicyKind::Fifo,
         }
     }
 }
 
 /// Point-in-time reactor accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReactorSnapshot {
     /// Operations accepted: queued into the ring or completed inline.
     pub submitted: u64,
@@ -131,30 +117,9 @@ pub struct ReactorSnapshot {
     pub horizon: f64,
     /// Per-device utilization over the makespan.
     pub utilization: Vec<f64>,
-    /// Busy seconds per tenant per device (`[tenant][device]`; rows
-    /// exist for every tenant that dispatched). `device_busy` is the
-    /// fold of these rows in tenant order, so the per-tenant split
-    /// conserves the device totals *exactly*, not just within
-    /// floating-point tolerance.
-    pub tenant_busy: Vec<Vec<f64>>,
-    /// Seconds charges spent waiting between submit and service
-    /// start, per tenant.
-    pub tenant_queue_delay: Vec<f64>,
 }
 
 impl ReactorSnapshot {
-    /// Per-device utilization over a caller-chosen window — load
-    /// drivers report utilization over *their* makespan (the latest
-    /// completion they harvested), which can differ from the
-    /// scheduler's global horizon when other traffic shares the
-    /// reactor. All zeros for a non-positive window.
-    pub fn utilization_over(&self, window: f64) -> Vec<f64> {
-        if window <= 0.0 {
-            return vec![0.0; self.device_busy.len()];
-        }
-        self.device_busy.iter().map(|b| b / window).collect()
-    }
-
     /// Busy seconds summed across every device — the run's total
     /// service demand. The observability layer's windowed busy
     /// integrals and blame timelines are checked against this total.
@@ -163,27 +128,13 @@ impl ReactorSnapshot {
     }
 }
 
-/// Scheduler-side shared state: the virtual clocks plus, for the
-/// queued dispatch path, the outputs of executed-but-unresolved
-/// operations (keyed by the scheduler's enqueue handle), the count
-/// of submissions fully processed (the [`Reactor::quiesce`] target),
-/// and the completion counts (`inline` ops never entered the ring).
-struct SchedState<T> {
+/// Scheduler-side shared state: the virtual clocks and the
+/// completion counts (`inline` ops never entered the ring).
+#[derive(Debug)]
+struct SchedState {
     sched: VirtualScheduler,
-    held: HashMap<u64, T>,
-    processed: u64,
     inline: u64,
     completed: u64,
-}
-
-impl<T> fmt::Debug for SchedState<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedState")
-            .field("sched", &self.sched)
-            .field("held", &self.held.len())
-            .field("processed", &self.processed)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Everything the workers and the submitting threads share.
@@ -191,15 +142,12 @@ struct Core<B: IoBackend> {
     backend: Arc<B>,
     ring: SubmissionRing<Sqe<B::Op>>,
     cq: Arc<CompletionQueues<B::Output>>,
-    state: Mutex<SchedState<B::Output>>,
-    /// Signals `processed` advances.
-    processed_cv: Condvar,
+    state: Mutex<SchedState>,
     record_intervals: bool,
-    policy: SchedPolicyKind,
 }
 
 impl<B: IoBackend> Core<B> {
-    fn lock(&self) -> MutexGuard<'_, SchedState<B::Output>> {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
         self.state.lock().expect("scheduler poisoned")
     }
 
@@ -219,44 +167,21 @@ impl<B: IoBackend> Core<B> {
         let _guard = PosterGuard(&self.cq);
         while let Some(sqe) = self.ring.pop() {
             let done = self.backend.execute(sqe.op);
-            if self.policy == SchedPolicyKind::Fifo {
-                self.finish(sqe.user_data, sqe.submit_vt, sqe.tag, done, false);
-            } else {
-                let (output, charges) = done;
-                // Queued dispatch: execution happens now (in
-                // submission order), but the timeline placement waits
-                // in the policy's pending queues; the completion posts
-                // when the operation resolves.
-                let mut state = self.lock();
-                let handle = state
-                    .sched
-                    .enqueue(sqe.user_data, sqe.submit_vt, &charges, sqe.tag);
-                state.held.insert(handle, output);
-                state.processed += 1;
-                drop(state);
-                self.processed_cv.notify_all();
-            }
-        }
-        if self.policy != SchedPolicyKind::Fifo {
-            // End of stream: resolve everything still pending before
-            // this poster counts down, so `wait_any` consumers drain
-            // every completion. With several workers each flushes what
-            // is pending at its own exit; the last one to leave sweeps
-            // the remainder.
-            self.post_resolved(VirtualScheduler::flush);
+            self.finish(sqe.user_data, sqe.submit_vt, sqe.tenant, done, false);
         }
     }
 
-    /// The eager post step of a worker's op and an inline one alike:
-    /// stamp it ([`VirtualScheduler::dispatch`], billed to its tenant)
-    /// and count it completed — and submitted, if `inline` — under the
-    /// scheduler lock; then post it and count it processed. Completed
-    /// moves first, so whoever `complete` answers already sees it.
+    /// The post step of a worker's op and an inline one alike: stamp
+    /// it ([`VirtualScheduler::dispatch`], billed to its tenant) and
+    /// count it completed — and submitted, if `inline` — under the
+    /// scheduler lock; then hand it to [`IoBackend::complete`] and
+    /// queue what that returns. Completed moves first, so whoever
+    /// `complete` answers already sees it.
     fn finish(
         &self,
         user_data: u64,
         submit_vt: f64,
-        tag: SchedTag,
+        tenant: usize,
         (output, charges): (B::Output, Vec<DeviceCharge>),
         inline: bool,
     ) {
@@ -266,57 +191,12 @@ impl<B: IoBackend> Core<B> {
             state.completed += 1;
             state
                 .sched
-                .dispatch(submit_vt, &charges, tag.tenant, self.record_intervals)
+                .dispatch(submit_vt, &charges, tenant, self.record_intervals)
         };
-        self.post(Cqe::from_dispatch(
-            user_data, submit_vt, dispatch, intervals, output,
-        ));
-        self.lock().processed += 1;
-        self.processed_cv.notify_all();
-    }
-
-    /// Hands one completion to the backend and queues what it returns.
-    fn post(&self, cqe: Cqe<B::Output>) {
+        let cqe = Cqe::from_dispatch(user_data, submit_vt, dispatch, intervals, output);
         if let Some(cqe) = self.backend.complete(cqe) {
             self.cq.post(cqe);
         }
-    }
-
-    /// Resolves queued operations with `resolve` (a frontier move or
-    /// the end-of-stream flush), counts them completed and posts them,
-    /// honoring the interval-recording knob. Returns how many posted.
-    fn post_resolved(
-        &self,
-        resolve: impl FnOnce(&mut VirtualScheduler) -> Vec<ResolvedOp>,
-    ) -> usize {
-        let resolved: Vec<(ResolvedOp, B::Output)> = {
-            let mut state = self.lock();
-            let resolved = resolve(&mut state.sched);
-            state.completed += resolved.len() as u64;
-            resolved
-                .into_iter()
-                .map(|r| {
-                    let output = state.held.remove(&r.handle).expect("held output");
-                    (r, output)
-                })
-                .collect()
-        };
-        let n = resolved.len();
-        for (r, output) in resolved {
-            let intervals = if self.record_intervals {
-                r.intervals
-            } else {
-                Vec::new()
-            };
-            self.post(Cqe::from_dispatch(
-                r.user_data,
-                r.submit_vt,
-                r.dispatch,
-                intervals,
-                output,
-            ));
-        }
-        n
     }
 }
 
@@ -348,15 +228,11 @@ impl<B: IoBackend> Reactor<B> {
             ring: SubmissionRing::new(cfg.queue_depth),
             cq: Arc::new(CompletionQueues::new(cfg.workers)),
             state: Mutex::new(SchedState {
-                sched: VirtualScheduler::with_policy(cfg.devices, cfg.policy),
-                held: HashMap::new(),
-                processed: 0,
+                sched: VirtualScheduler::new(cfg.devices),
                 inline: 0,
                 completed: 0,
             }),
-            processed_cv: Condvar::new(),
             record_intervals: cfg.record_intervals,
-            policy: cfg.policy,
         });
         let workers = (0..cfg.workers)
             .map(|_| {
@@ -365,42 +241,6 @@ impl<B: IoBackend> Reactor<B> {
             })
             .collect();
         Reactor { core, workers }
-    }
-
-    /// Moves the arrival frontier of the queued dispatch path to `vt`:
-    /// resolves every pending pick whose decision instant lies
-    /// strictly before `vt` and posts the completions of operations
-    /// that fully resolved. Returns how many completions posted. A
-    /// no-op (0) under the eager [`SchedPolicyKind::Fifo`].
-    ///
-    /// The caller owns the frontier contract: every submission with
-    /// `submit_vt < vt` must already be processed (see
-    /// [`Reactor::quiesce`]) — open-loop drivers submit in
-    /// nondecreasing virtual time, quiesce, then advance.
-    pub fn advance_to(&self, vt: f64) -> usize {
-        self.core.post_resolved(|sched| sched.advance_to(vt))
-    }
-
-    /// Blocks until every submission accepted so far has been
-    /// processed by a worker (executed and, under the eager policy,
-    /// posted; under a queued policy, enqueued into the pending
-    /// queues). The synchronization point open-loop drivers need
-    /// between submitting an arrival and reading the timeline.
-    ///
-    /// Counts only accepted submissions (rejected `try_submit_tagged`s
-    /// are not waited for). A worker lost to a backend panic never
-    /// finishes its operation, so quiescing after one would block
-    /// until another submission is processed.
-    pub fn quiesce(&self) {
-        let queued = self.core.ring.counters().submitted;
-        let mut state = self.core.lock();
-        while state.processed < queued + state.inline {
-            state = self
-                .core
-                .processed_cv
-                .wait(state)
-                .expect("scheduler poisoned");
-        }
     }
 
     /// Submits an operation, blocking while the ring is full
@@ -416,59 +256,57 @@ impl<B: IoBackend> Reactor<B> {
         user_data: u64,
         submit_vt: f64,
     ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, SchedTag::default(), true)
+        self.enqueue(op, user_data, submit_vt, 0, true)
     }
 
-    /// [`Reactor::submit`] with explicit scheduling attributes —
-    /// tenant attribution under every policy, and the
-    /// priority/weight/deadline the queued policies order by.
+    /// [`Reactor::submit`] billing `tenant`'s device time.
     ///
     /// # Errors
     ///
     /// Same as [`Reactor::submit`].
-    pub fn submit_tagged(
+    pub fn submit_for(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
-        tag: SchedTag,
+        tenant: usize,
     ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, tag, true)
+        self.enqueue(op, user_data, submit_vt, tenant, true)
     }
 
-    /// Submits without blocking, with explicit scheduling attributes.
+    /// Submits without blocking, billing `tenant`'s device time.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the ring is at capacity (the
     /// rejection is counted), [`SubmitError::Closed`] after shutdown;
     /// the refused op comes back either way.
-    pub fn try_submit_tagged(
+    pub fn try_submit_for(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
-        tag: SchedTag,
+        tenant: usize,
     ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, tag, false)
+        self.enqueue(op, user_data, submit_vt, tenant, false)
     }
 
-    /// The single-op submit path. Under FIFO an op the backend answers
-    /// inline ([`IoBackend::try_inline`]) completes right here; any
-    /// other op is queued, waiting on a full ring when `block`.
+    /// The submit path. An op the backend answers inline
+    /// ([`IoBackend::try_inline`]) completes right here; any other op
+    /// is queued, waiting on a full ring when `block`.
     fn enqueue(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
-        tag: SchedTag,
+        tenant: usize,
         block: bool,
     ) -> Result<(), (SubmitError, B::Op)> {
         let (core, mut op) = (&*self.core, op);
-        if core.policy == SchedPolicyKind::Fifo && !core.ring.is_closed() {
+        if !core.ring.is_closed() {
             match core.backend.try_inline(op) {
                 Ok(done) => {
-                    core.finish(user_data, submit_vt, tag, done, true);
+                    core.finish(user_data, submit_vt, tenant, done, true);
                     return Ok(());
                 }
                 Err(back) => op = back,
@@ -483,35 +321,9 @@ impl<B: IoBackend> Reactor<B> {
             op,
             user_data,
             submit_vt,
-            tag,
+            tenant,
         };
         push(&core.ring, sqe).map_err(|(e, sqe)| (e, sqe.op))
-    }
-
-    /// Submits a batch of `(op, user_data, submit_vt)` entries in
-    /// order with one ring-lock acquisition per capacity window
-    /// instead of one per operation — the cheap way to seed a closed
-    /// loop or inject an arrival burst. Blocks (backpressure) while
-    /// the ring is full, exactly like [`Reactor::submit`]; a batch
-    /// never goes inline.
-    ///
-    /// # Errors
-    ///
-    /// `Err((SubmitError::Closed, accepted))` when the reactor shut
-    /// down mid-batch; `accepted` operations were already enqueued
-    /// and will still be served by a graceful close.
-    pub fn submit_batch(
-        &self,
-        ops: impl IntoIterator<Item = (B::Op, u64, f64)>,
-    ) -> Result<usize, (SubmitError, usize)> {
-        self.core
-            .ring
-            .push_batch(ops.into_iter().map(|(op, user_data, submit_vt)| Sqe {
-                op,
-                user_data,
-                submit_vt,
-                tag: SchedTag::default(),
-            }))
     }
 
     /// The completion queue: every completion [`IoBackend::complete`]
@@ -543,8 +355,6 @@ impl<B: IoBackend> Reactor<B> {
             device_busy: state.sched.busy_seconds(),
             horizon: state.sched.horizon(),
             utilization: state.sched.utilization(),
-            tenant_busy: state.sched.tenant_busy_seconds().to_vec(),
-            tenant_queue_delay: state.sched.tenant_queue_delay().to_vec(),
         }
     }
 
@@ -669,7 +479,6 @@ mod tests {
                 queue_depth: 8,
                 devices: 2,
                 record_intervals: true,
-                ..IoConfig::default()
             },
         );
         for i in 0..4u64 {
@@ -764,8 +573,7 @@ mod tests {
         r.submit((), 0, 0.0).unwrap();
         let mut rejected = 0;
         for i in 1..=8u64 {
-            if r.try_submit_tagged((), i, 0.0, SchedTag::default()) == Err((SubmitError::Full, ()))
-            {
+            if r.try_submit_for((), i, 0.0, 0) == Err((SubmitError::Full, ())) {
                 rejected += 1;
             }
         }
@@ -809,91 +617,6 @@ mod tests {
         // wait_any reached end-of-stream: the panicked worker's
         // guard ran. The panicked op produced no completion.
         assert_eq!(served, 1);
-    }
-
-    #[test]
-    fn queued_policy_reorders_and_accounts_per_tenant() {
-        // Two tenants through the reactor's queued path: with strict
-        // priority the high-priority op submitted later completes
-        // first, and the snapshot's per-tenant busy rows fold exactly
-        // back to the device totals.
-        let r = Reactor::start(
-            Arc::new(Doubler { devices: 1 }),
-            IoConfig {
-                workers: 1,
-                queue_depth: 16,
-                devices: 1,
-                policy: SchedPolicyKind::StrictPriority,
-                ..IoConfig::default()
-            },
-        );
-        let lo = SchedTag::default();
-        let hi = SchedTag {
-            tenant: 1,
-            priority: 7,
-            ..SchedTag::default()
-        };
-        // Arrivals 0.1 ms apart against a 1 ms service time: both
-        // later ops queue behind the first.
-        r.submit_tagged(0, 0, 0.0, lo).unwrap();
-        r.submit_tagged(1, 1, 1e-4, lo).unwrap();
-        r.submit_tagged(2, 2, 2e-4, hi).unwrap();
-        r.quiesce();
-        // Only the first decision instant (t=0) lies before the
-        // frontier; the queued picks stay open.
-        let posted = r.advance_to(2e-4);
-        assert_eq!(posted, 1);
-        let cq = r.completions();
-        let first = cq.poll_any().expect("posted");
-        assert_eq!(first.user_data, 0);
-        // End of stream flushes the rest: the high-priority op jumps
-        // the earlier low-priority one.
-        r.shutdown();
-        let order: Vec<u64> = std::iter::from_fn(|| cq.wait_any())
-            .map(|c| c.user_data)
-            .collect();
-        assert_eq!(order, [2, 1]);
-    }
-
-    #[test]
-    fn snapshot_folds_tenant_busy_exactly() {
-        let r = Reactor::start(
-            Arc::new(Doubler { devices: 2 }),
-            IoConfig {
-                workers: 1,
-                queue_depth: 16,
-                devices: 2,
-                policy: SchedPolicyKind::WeightedFair,
-                ..IoConfig::default()
-            },
-        );
-        for i in 0..8u64 {
-            r.submit_tagged(i, i, 0.0, SchedTag::for_tenant((i % 3) as usize))
-                .unwrap();
-        }
-        r.quiesce();
-        let posted = r.advance_to(f64::INFINITY);
-        assert_eq!(posted, 8);
-        let snap = r.snapshot();
-        assert_eq!(snap.tenant_busy.len(), 3);
-        assert_eq!(snap.tenant_queue_delay.len(), 3);
-        for d in 0..2 {
-            let fold: f64 = (0..3).fold(0.0, |acc, t| acc + snap.tenant_busy[t][d]);
-            assert_eq!(
-                fold.to_bits(),
-                snap.device_busy[d].to_bits(),
-                "per-tenant busy must conserve device busy exactly"
-            );
-        }
-        // Later tenants on a contended device accrued queue delay.
-        assert!(snap.tenant_queue_delay.iter().copied().sum::<f64>() > 0.0);
-        let cq = r.completions();
-        r.shutdown();
-        let mut n = 0;
-        while cq.wait_any().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 8);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! calibrated, not measured. This module is the *measured* route: a
 //! [`StoreServing`] encodes the actual reads into the sharded chunk
 //! store via the typed client API, serves them through a session, and
-//! derives the preparation rate by driving the store's closed-loop
-//! reactor on its virtual device timeline. The pipeline scenario and
+//! derives the preparation rate by driving the store's closed loop
+//! on its virtual device timeline. The pipeline scenario and
 //! the store benches thus share one serving machinery instead of each
 //! re-wiring the stack.
 
@@ -71,7 +71,7 @@ impl StoreServing {
 
     /// Measures the preparation rate (original bases per second) the
     /// store sustains, by driving `requests` random chunk-sized gets
-    /// through the closed-loop reactor with `clients` clients and
+    /// through the store's closed loop with `clients` clients and
     /// reading bases-served over the virtual makespan.
     ///
     /// # Errors

@@ -1,26 +1,122 @@
-//! The shared closed-loop load driver.
+//! The shared closed-loop load driver, and the one step every
+//! virtual-time drive takes.
 //!
-//! One machinery for every serving measurement: `clients` logical
-//! clients each keep exactly one operation in flight against a
-//! dedicated reactor, submitting their next operation at the virtual
-//! instant the previous one completed. All reported numbers come from
-//! the **virtual** device timeline — requests per virtual second
-//! against the makespan, latency percentiles, per-device utilization
-//! — so a sweep measures queueing and striping, not the host's load.
-//! The drive's reactor runs one worker, so the timeline is fully
-//! deterministic (dispatch order = submission order) on any host,
-//! which is what lets benches assert monotonicity without flaking.
+//! `clients` logical clients each keep exactly one operation in
+//! flight, submitting their next operation at the virtual instant the
+//! previous one completed. All reported numbers come from the
+//! **virtual** device timeline — requests per virtual second against
+//! the makespan, latency percentiles, per-device utilization — so a
+//! sweep measures queueing and striping, not the host's load.
+//!
+//! The drive starts no thread: [`VirtualDrive`] runs each op on the
+//! caller's thread and places it on the drive's own
+//! [`VirtualScheduler`], one op at a time in issue order. The timeline
+//! is therefore a pure function of (dataset, spec, workload) on any
+//! host, which is what lets benches assert monotonicity without
+//! flaking. Only the engine's decode pool runs in parallel, and it
+//! never changes what the cache holds.
 //!
 //! The `io_sweep` and `fig15_multissd` benches and the pipeline's
-//! store-served preparation scenario all drive this one loop.
+//! store-served preparation scenario all drive this one loop; the
+//! open-loop [`Dataset::drive_tenants`] takes the same step.
 
-use super::stats::{DriveAccounting, LatencyByKind, LatencyStats};
+use super::stats::{utilization_over, DriveAccounting, LatencyByKind, LatencyStats};
 use super::workload::{OpKind, OpKindStats};
-use super::Dataset;
-use crate::engine::{EngineBackend, StoreOp};
+use super::{Dataset, EngineCqe, OpOutput};
+use crate::engine::{StoreEngine, StoreOp};
 use crate::Result;
-use sage_io::{IoConfig, Reactor, SchedPolicyKind};
+use sage_io::{Cqe, SchedPolicyKind, SchedTag, VirtualScheduler};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// One virtual-time drive's engine and device timeline, run on the
+/// caller's thread.
+///
+/// [`VirtualDrive::submit`] runs an op with [`StoreEngine::run_op`]
+/// and places its charges: under [`SchedPolicyKind::Fifo`] with
+/// [`VirtualScheduler::dispatch`], which completes it at once; under a
+/// queued policy with [`VirtualScheduler::enqueue`], holding its
+/// output until [`VirtualDrive::advance_to`] resolves it. The two
+/// scheduler paths stay separate because they add a tenant's queue
+/// delay in different orders.
+pub(crate) struct VirtualDrive {
+    engine: Arc<StoreEngine>,
+    sched: VirtualScheduler,
+    fifo: bool,
+    record_intervals: bool,
+    /// Outputs of executed ops whose charges are still pending, by
+    /// enqueue handle.
+    held: HashMap<u64, OpOutput>,
+}
+
+impl VirtualDrive {
+    /// A drive over `engine` whose clock starts at 0, ordering pending
+    /// charges by `policy`; `record_intervals` keeps each op's
+    /// per-charge service windows (span tracing).
+    pub(crate) fn new(
+        engine: Arc<StoreEngine>,
+        policy: SchedPolicyKind,
+        record_intervals: bool,
+    ) -> VirtualDrive {
+        let devices = engine.n_devices().max(1);
+        VirtualDrive {
+            engine,
+            sched: VirtualScheduler::with_policy(devices, policy),
+            fifo: policy == SchedPolicyKind::Fifo,
+            record_intervals,
+            held: HashMap::new(),
+        }
+    }
+
+    /// Runs `op` now and places it as submitted at `submit_vt` under
+    /// `tag`. Returns its completion under FIFO; under a queued policy
+    /// the completion comes from a later [`VirtualDrive::advance_to`].
+    pub(crate) fn submit(
+        &mut self,
+        op: StoreOp,
+        user_data: u64,
+        submit_vt: f64,
+        tag: SchedTag,
+    ) -> Option<EngineCqe> {
+        let output = self.engine.run_op(op);
+        let charges = output.as_ref().map_or(&[][..], |(_, t)| &t.charges[..]);
+        if self.fifo {
+            let (dispatch, intervals) =
+                self.sched
+                    .dispatch(submit_vt, charges, tag.tenant, self.record_intervals);
+            return Some(Cqe::from_dispatch(
+                user_data, submit_vt, dispatch, intervals, output,
+            ));
+        }
+        let handle = self.sched.enqueue(user_data, submit_vt, charges, tag);
+        self.held.insert(handle, output);
+        None
+    }
+
+    /// Resolves the pending picks that are final before `frontier`
+    /// (every op arriving before it must already be submitted) and
+    /// returns the ops that fully completed. Always empty under FIFO.
+    pub(crate) fn advance_to(&mut self, frontier: f64) -> Vec<EngineCqe> {
+        self.sched
+            .advance_to(frontier)
+            .into_iter()
+            .map(|r| {
+                let output = self.held.remove(&r.handle).expect("held output");
+                let intervals = if self.record_intervals {
+                    r.intervals
+                } else {
+                    Vec::new()
+                };
+                Cqe::from_dispatch(r.user_data, r.submit_vt, r.dispatch, intervals, output)
+            })
+            .collect()
+    }
+
+    /// The drive's device timeline.
+    pub(crate) fn scheduler(&self) -> &VirtualScheduler {
+        &self.sched
+    }
+}
 
 /// Sizing of one closed-loop drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,14 +185,6 @@ impl LoadReport {
     }
 }
 
-fn kind_of(op: &StoreOp) -> OpKind {
-    match op {
-        StoreOp::Get(_) => OpKind::Get,
-        StoreOp::Scan(_) => OpKind::Scan,
-        StoreOp::Append(_) => OpKind::Append,
-    }
-}
-
 /// The harnesses' shared deterministic random-range stream: SplitMix64
 /// over `(client, seq)` producing a start in `[0, total)` and a span
 /// in `[1, span_max]` (clamped to the dataset end; a `span_max` of 0
@@ -117,16 +205,17 @@ pub fn range_for(client: u64, seq: u64, total: u64, span_max: u64) -> std::ops::
 }
 
 impl Dataset {
-    /// Drives `spec.requests` operations through a dedicated reactor
-    /// in a closed loop: `spec.clients` logical clients each submit
-    /// their next operation — produced by `workload(client, seq)` —
-    /// at the virtual instant their previous one completed.
+    /// Drives `spec.requests` operations in a closed loop:
+    /// `spec.clients` logical clients each submit their next operation
+    /// — produced by `workload(client, seq)` — at the virtual instant
+    /// their previous one completed.
     ///
-    /// The drive runs on its own single-worker reactor (and thus its
-    /// own virtual clock starting at 0), so measurements are
-    /// independent of any session traffic on the dataset and of the
-    /// host's thread timing; the engine, cache, and device state are
-    /// shared.
+    /// The drive runs every operation on the calling thread, in the
+    /// order the clients issue them, against its own virtual clock
+    /// starting at 0. Measurements are therefore independent of any
+    /// session traffic on the dataset and of the host's thread timing;
+    /// the engine, cache, and device state are shared. A panic in an
+    /// operation (a scan predicate, say) unwinds the caller.
     ///
     /// # Errors
     ///
@@ -136,68 +225,42 @@ impl Dataset {
         spec: &ClosedLoopSpec,
         mut workload: impl FnMut(u64, u64) -> StoreOp,
     ) -> Result<LoadReport> {
-        let engine = Arc::clone(self.engine());
-        let devices = engine.n_devices().max(1);
         // On a tracing dataset each completed op also lands in the
         // dataset's span buffer (observation-only: the timeline and
         // report are bit-identical either way).
         let trace_buf = self.trace();
-        let reactor = Reactor::start(
-            Arc::new(EngineBackend::new(engine)),
-            IoConfig {
-                workers: 1,
-                queue_depth: spec.clients.max(1),
-                devices,
-                record_intervals: trace_buf.is_some(),
-                policy: SchedPolicyKind::Fifo,
-            },
+        let mut drive = VirtualDrive::new(
+            Arc::clone(self.engine()),
+            SchedPolicyKind::Fifo,
+            trace_buf.is_some(),
         );
-        let cq = reactor.completions();
-
         let clients = spec.clients.max(1) as u64;
-        let mut next_seq = vec![1u64; clients as usize];
-        // Each client's in-flight op kind, indexed by `user_data`, so
-        // harvested completions attribute to the right OpKindStats.
-        let mut in_flight_kind = vec![OpKind::Get; clients as usize];
-        // Seed every client's first operation through one batched
-        // ring-lock acquisition instead of one lock round per client.
-        let seeds: Vec<_> = (0..clients.min(spec.requests))
-            .map(|c| {
-                let op = workload(c, 0);
-                in_flight_kind[c as usize] = kind_of(&op);
-                (op, c, 0.0)
-            })
+        // Issued ops as `(op, client, seq, submit instant)`: every
+        // client's first, then each client's next as its previous
+        // completes. FIFO completes an op as it runs, so issue order
+        // is completion order.
+        let mut queue: VecDeque<_> = (0..clients.min(spec.requests))
+            .map(|c| (workload(c, 0), c, 0, 0.0))
             .collect();
-        let mut issued = seeds.len() as u64;
-        reactor.submit_batch(seeds).expect("live reactor");
+        let mut issued = queue.len() as u64;
         let mut acc = DriveAccounting::new();
-        while acc.completed() < spec.requests {
-            let Some(cqe) = cq.wait_any() else {
-                break;
-            };
-            let (c, completed_vt) = (cqe.user_data, cqe.completed_vt);
+        while let Some((op, c, seq, submit_vt)) = queue.pop_front() {
+            let kind = OpKind::of(&op);
+            let cqe = drive
+                .submit(op, c, submit_vt, SchedTag::default())
+                .expect("FIFO completes at once");
+            let completed_vt = cqe.completed_vt;
             // Spans are numbered in completion order.
             let token = acc.completed();
-            acc.record(
-                cqe,
-                in_flight_kind[c as usize],
-                0,
-                token,
-                trace_buf.as_deref(),
-            )?;
+            acc.record(cqe, kind, 0, token, trace_buf.as_deref())?;
             if issued < spec.requests {
-                let i = next_seq[c as usize];
-                next_seq[c as usize] += 1;
-                let op = workload(c, i);
-                in_flight_kind[c as usize] = kind_of(&op);
                 // Closed loop: the client's next operation departs at
                 // the virtual instant its previous one completed.
-                reactor.submit(op, c, completed_vt).expect("live reactor");
+                queue.push_back((workload(c, seq + 1), c, seq + 1, completed_vt));
                 issued += 1;
             }
         }
-        let snap = reactor.snapshot();
-        reactor.shutdown();
+        let device_busy = drive.scheduler().busy_seconds();
         let fold = acc.fold();
         let [gets, scans, appends] = fold.kinds;
         Ok(LoadReport {
@@ -206,8 +269,8 @@ impl Dataset {
             req_per_s: fold.rate,
             latency: fold.latency,
             latency_by_kind: fold.latency_by_kind,
-            utilization: snap.utilization_over(fold.makespan),
-            device_busy: snap.device_busy,
+            utilization: utilization_over(&device_busy, fold.makespan),
+            device_busy,
             latencies: fold.latencies,
             reads_served: fold.reads_served.iter().sum(),
             bases_served: fold.bases_served.iter().sum(),
@@ -224,6 +287,9 @@ mod tests {
     use crate::client::DatasetBuilder;
     use sage_genomics::sim::{simulate_dataset, DatasetProfile};
     use sage_ssd::SsdConfig;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
 
     fn fleet_dataset(devices: usize) -> crate::client::Dataset {
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), 33).reads;
@@ -333,6 +399,68 @@ mod tests {
             four > one * 1.5,
             "striping 1→4 devices must scale req/s: {one} → {four}"
         );
+    }
+
+    #[test]
+    fn drives_run_on_the_callers_thread() {
+        // A cold cache and several decode workers: every scan fetches
+        // on the pool, and every predicate still runs right here.
+        let reads = simulate_dataset(&DatasetProfile::tiny_short(), 33).reads;
+        let dataset = DatasetBuilder::new()
+            .chunk_reads(16)
+            .cache_chunks(0)
+            .decode_workers(4)
+            .ssd(SsdConfig::pcie())
+            .encode(&reads)
+            .expect("build");
+        let seen = Arc::new(Mutex::new(HashSet::new()));
+        let report = dataset
+            .drive_closed_loop(
+                &ClosedLoopSpec {
+                    clients: 3,
+                    requests: 6,
+                },
+                |_, _| {
+                    let seen = Arc::clone(&seen);
+                    StoreOp::Scan(Box::new(move |_| {
+                        seen.lock().unwrap().insert(std::thread::current().id());
+                        true
+                    }))
+                },
+            )
+            .expect("drive");
+        assert_eq!(report.scans.ops, 6);
+        assert!(report.scans.chunk_misses > 0);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            HashSet::from([std::thread::current().id()])
+        );
+    }
+
+    #[test]
+    fn a_panicking_op_unwinds_the_drive() {
+        // The third op's predicate panics: the drive must unwind, not
+        // return a report short of its requests.
+        let dataset = fleet_dataset(1);
+        let total = dataset.total_reads();
+        let mut issued = 0;
+        let drive = catch_unwind(AssertUnwindSafe(|| {
+            dataset.drive_closed_loop(
+                &ClosedLoopSpec {
+                    clients: 2,
+                    requests: 8,
+                },
+                |c, i| {
+                    issued += 1;
+                    if issued == 3 {
+                        StoreOp::Scan(Box::new(|_| panic!("predicate bomb")))
+                    } else {
+                        StoreOp::Get(range_for(c, i, total, 8))
+                    }
+                },
+            )
+        }));
+        assert!(drive.is_err(), "the drive returned {drive:?}");
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //! # }
 //! ```
 //!
-//! For load studies there is one driver per loop shape, each on its
-//! own single-worker reactor, so every report is a pure function of
+//! For load studies there is one driver per loop shape. Neither uses
+//! the reactor: each runs its ops on the caller's thread against its
+//! own virtual clock, so every report is a pure function of
 //! (dataset, spec) on any host. The **closed-loop driver**
 //! ([`Dataset::drive_closed_loop`]): `clients` logical clients each
 //! keep one operation in flight, submitting their next at the virtual
@@ -73,10 +74,10 @@ pub use session::{Dataset, ServerStats, Session};
 pub use stats::{percentile, LatencyByKind, LatencyStats};
 pub use tenant::{MultiQosReport, MultiTenantSpec, TenantId, TenantLoad, TenantSpec};
 
-use crate::engine::{EngineBackend, OpValue};
+use crate::engine::{OpTrace, OpValue};
 use crate::view::ReadView;
 use crate::{Result, StoreError};
-use sage_io::{ChargeInterval, Cqe, DeviceCharge, IoBackend};
+use sage_io::{ChargeInterval, Cqe, DeviceCharge};
 use std::sync::mpsc::Receiver;
 
 /// What a session does when the submission ring is full.
@@ -92,16 +93,16 @@ pub enum SubmitMode {
 }
 
 /// Everything one served operation reports back: the engine-side
-/// [`OpTrace`](crate::engine::OpTrace) (charges, cache outcome)
-/// merged with the reactor-side virtual-time instants. Trace fields
-/// live in the embedded trace — one definition, surfaced here through
-/// accessors — so anything the engine learns to trace automatically
-/// reaches every report.
+/// [`OpTrace`] (charges, cache outcome) merged with the virtual-time
+/// instants its scheduler assigned. Trace fields live in the embedded
+/// trace — one definition, surfaced here through accessors — so
+/// anything the engine learns to trace automatically reaches every
+/// report.
 #[derive(Debug, Clone, Default)]
 pub struct OpReport {
     /// What the engine recorded serving the operation (device
     /// charges, chunks touched, cache outcome).
-    pub trace: crate::engine::OpTrace,
+    pub trace: OpTrace,
     /// Virtual instant the operation was submitted.
     pub submitted_vt: f64,
     /// Virtual instant device service began.
@@ -121,9 +122,9 @@ pub struct OpReport {
 }
 
 impl OpReport {
-    /// Resolves a reactor completion: the operation's value with the
-    /// engine-side trace and the reactor-side instants merged into
-    /// its report, or the operation's error.
+    /// Resolves a completion: the operation's value with the
+    /// engine-side trace and the scheduler's instants merged into its
+    /// report, or the operation's error.
     pub(crate) fn resolve(cqe: EngineCqe) -> Payload {
         let (value, trace) = cqe.output?;
         let report = OpReport {
@@ -228,8 +229,11 @@ pub struct Completion<T> {
 /// What a ticket receives for one operation.
 pub(crate) type Payload = Result<(OpValue, OpReport)>;
 
-/// A reactor completion of one engine operation.
-pub(crate) type EngineCqe = Cqe<<EngineBackend as IoBackend>::Output>;
+/// What [`StoreEngine::run_op`](crate::StoreEngine::run_op) returns.
+pub(crate) type OpOutput = Result<(OpValue, OpTrace)>;
+
+/// One engine operation placed on the virtual timeline.
+pub(crate) type EngineCqe = Cqe<OpOutput>;
 
 /// A pending typed operation; [`Ticket::wait`] blocks for its
 /// [`Completion`].

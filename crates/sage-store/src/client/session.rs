@@ -2,8 +2,9 @@
 //! submitters resolve tickets) and [`Session`] (typed submissions).
 
 use super::tenant::{TenantId, TenantSpec};
-use super::{extract_appended, extract_reads, OpReport, Payload, SubmitMode, Ticket};
-use crate::engine::{EngineBackend, OpValue, StoreEngine, StoreOp, TimingSnapshot};
+use super::workload::OpKind;
+use super::{extract_appended, extract_reads, OpOutput, OpReport, Payload, SubmitMode, Ticket};
+use crate::engine::{OpValue, StoreEngine, StoreOp, TimingSnapshot};
 use crate::lru::{CacheSnapshot, StripeSnapshot};
 use crate::obs::analysis::BlameReport;
 use crate::obs::{MetricsSnapshot, TraceBuffer};
@@ -11,8 +12,7 @@ use crate::view::ReadView;
 use crate::{Result, StoreError};
 use sage_genomics::{ReadRef, ReadSet};
 use sage_io::{
-    Cqe, DeviceCharge, DeviceSnapshot, IoBackend, IoConfig, Reactor, ReactorSnapshot,
-    SchedPolicyKind, SubmitError,
+    Cqe, DeviceCharge, DeviceSnapshot, IoBackend, IoConfig, Reactor, ReactorSnapshot, SubmitError,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,17 +71,20 @@ impl Drop for Reply {
 /// queue.
 #[derive(Debug)]
 struct SessionBackend {
-    engine: EngineBackend,
+    engine: Arc<StoreEngine>,
     /// The dataset's span sink; `None` when tracing is off.
     trace: Option<Arc<TraceBuffer>>,
 }
 
 impl IoBackend for SessionBackend {
     type Op = (StoreOp, Reply);
-    type Output = (<EngineBackend as IoBackend>::Output, Reply);
+    type Output = (OpOutput, Reply);
 
     fn execute(&self, (op, reply): Self::Op) -> (Self::Output, Vec<DeviceCharge>) {
-        let (output, charges) = self.engine.execute(op);
+        let output = self.engine.run_op(op);
+        let charges = output
+            .as_ref()
+            .map_or_else(|_| Vec::new(), |(_, trace)| trace.charges.clone());
         ((output, reply), charges)
     }
 
@@ -90,7 +93,7 @@ impl IoBackend for SessionBackend {
         (op, reply): Self::Op,
     ) -> std::result::Result<(Self::Output, Vec<DeviceCharge>), Self::Op> {
         if let StoreOp::Get(range) = &op {
-            if let Some(hit) = self.engine.engine().try_get_hit(range) {
+            if let Some(hit) = self.engine.try_get_hit(range) {
                 let output = hit.map(|(view, trace)| (OpValue::Reads(view), trace));
                 // A hit touches no device: no charges, so its stamp is
                 // its submit instant on any thread, in any order.
@@ -153,7 +156,7 @@ impl ServeCore {
     ) -> ServeCore {
         let reactor = Reactor::start(
             Arc::new(SessionBackend {
-                engine: EngineBackend::new(Arc::clone(&engine)),
+                engine: Arc::clone(&engine),
                 trace: trace.clone(),
             }),
             IoConfig {
@@ -161,7 +164,6 @@ impl ServeCore {
                 queue_depth,
                 devices: engine.n_devices().max(1),
                 record_intervals: trace.is_some(),
-                policy: SchedPolicyKind::Fifo,
             },
         );
         ServeCore {
@@ -175,9 +177,8 @@ impl ServeCore {
     }
 
     /// Submits one op for `tenant`, opening a ticket channel for its
-    /// answer. The tenant's spec becomes the op's scheduling tag
-    /// (inert under the serve path's FIFO policy beyond per-tenant
-    /// busy attribution) and its span attribution.
+    /// answer. The op's device time and its span are attributed to
+    /// `tenant`.
     pub(crate) fn submit(
         &self,
         op: StoreOp,
@@ -190,25 +191,18 @@ impl ServeCore {
             return Err(StoreError::QueueClosed);
         };
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let kind = match &op {
-            StoreOp::Get(_) => "get",
-            StoreOp::Scan(_) => "scan",
-            StoreOp::Append(_) => "append",
-        };
-        let tag = self
-            .tenants
-            .get(tenant.index())
-            .map_or_else(Default::default, |spec| spec.tag(tenant, submit_vt));
+        let kind = OpKind::of(&op).label();
+        let tenant = tenant.index();
         let (tx, rx) = sync_channel(1);
         let reply = Reply {
             tx: Some(tx),
             kind,
-            tenant: tenant.index(),
+            tenant,
             cancelled: Arc::clone(&self.cancelled),
         };
         let pushed = match mode {
-            SubmitMode::Block => reactor.submit_tagged((op, reply), token, submit_vt, tag),
-            SubmitMode::Fail => reactor.try_submit_tagged((op, reply), token, submit_vt, tag),
+            SubmitMode::Block => reactor.submit_for((op, reply), token, submit_vt, tenant),
+            SubmitMode::Fail => reactor.try_submit_for((op, reply), token, submit_vt, tenant),
         };
         match pushed {
             Ok(()) => Ok(rx),
@@ -248,18 +242,8 @@ impl ServeCore {
             .read()
             .expect("reactor lock poisoned")
             .as_ref()
-            .map(|r| r.snapshot())
-            .unwrap_or_else(|| ReactorSnapshot {
-                submitted: 0,
-                rejected: 0,
-                completed: 0,
-                queued: 0,
-                device_busy: Vec::new(),
-                tenant_busy: Vec::new(),
-                tenant_queue_delay: Vec::new(),
-                horizon: 0.0,
-                utilization: Vec::new(),
-            })
+            .map(Reactor::snapshot)
+            .unwrap_or_default()
     }
 
     /// Idempotent teardown. Graceful serves everything queued;
@@ -364,9 +348,8 @@ impl Dataset {
         }
     }
 
-    /// Opens a session submitting as `tenant`: its operations carry
-    /// the tenant's scheduling tag and its recorded spans are
-    /// attributed to it.
+    /// Opens a session submitting as `tenant`: its operations' device
+    /// time and recorded spans are attributed to it.
     ///
     /// # Errors
     ///

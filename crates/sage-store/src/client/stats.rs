@@ -243,6 +243,15 @@ impl DriveAccounting {
     }
 }
 
+/// Per-device utilization of `busy` seconds over a drive's own
+/// makespan `window`; all zeros for a non-positive window.
+pub(super) fn utilization_over(busy: &[f64], window: f64) -> Vec<f64> {
+    if window <= 0.0 {
+        return vec![0.0; busy.len()];
+    }
+    busy.iter().map(|b| b / window).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,21 +15,22 @@
 //! offers an independent seeded open-loop stream ([`TenantLoad`]), the
 //! streams are merged on the virtual timeline by arrival instant, and
 //! the device scheduler orders the pending work by the configured
-//! [`SchedPolicyKind`]. The drive runs one reactor worker, so it is
-//! bit-deterministic on any host; [`Dataset::drive_open_loop`] is this
-//! driver with a single default tenant under the `Fifo` policy (its
-//! reports are pinned cell by cell in `tests/prop_qos.rs`).
+//! [`SchedPolicyKind`]. The drive runs every op on the caller's thread
+//! in arrival order, so it is bit-deterministic on any host;
+//! [`Dataset::drive_open_loop`] is this driver with a single default
+//! tenant under the `Fifo` policy (its reports are pinned cell by cell
+//! in `tests/prop_qos.rs`).
 
-use super::stats::{DriveAccounting, DriveFold};
+use super::driver::VirtualDrive;
+use super::stats::{utilization_over, DriveAccounting, DriveFold};
 use super::workload::{
     ArrivalGen, Arrivals, OpKind, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng,
     ARRIVAL_STREAM, OP_STREAM, SHED_STREAM,
 };
 use super::{Dataset, EngineCqe};
-use crate::engine::EngineBackend;
 use crate::{ConfigError, Result};
 use sage_genomics::ReadSet;
-use sage_io::{IoConfig, Reactor, SchedPolicyKind, SchedTag};
+use sage_io::{SchedPolicyKind, SchedTag};
 use std::sync::Arc;
 
 /// A tenant's identity on a dataset: its registration index.
@@ -331,10 +332,9 @@ struct TenantStream {
 }
 
 impl Dataset {
-    /// Drives several tenants' open-loop streams against one reactor
-    /// under a chosen scheduling policy, merged on the virtual
-    /// timeline by arrival instant (ties go to the lower
-    /// [`TenantId`]).
+    /// Drives several tenants' open-loop streams under a chosen
+    /// scheduling policy, merged on the virtual timeline by arrival
+    /// instant (ties go to the lower [`TenantId`]).
     ///
     /// Admitted operations *queue* at the device scheduler, and the
     /// policy decides service order: a high-priority arrival can
@@ -344,10 +344,11 @@ impl Dataset {
     /// admission cap)` incomplete operations is shed with tenant
     /// attribution.
     ///
-    /// The drive runs on its own single-worker reactor (its own
-    /// virtual clock starting at 0), so the report is a pure function
-    /// of the dataset's state and the spec on any host.
-    /// [`Dataset::drive_open_loop`] is this drive with a single
+    /// Each admitted operation runs on the calling thread at its
+    /// arrival, against the drive's own virtual clock starting at 0,
+    /// so the report is a pure function of the dataset's state and the
+    /// spec on any host, and a panic in an operation unwinds the
+    /// caller. [`Dataset::drive_open_loop`] is this drive with a single
     /// default tenant under [`SchedPolicyKind::Fifo`].
     ///
     /// On a tracing dataset each completed op also lands in the
@@ -367,7 +368,7 @@ impl Dataset {
     /// one still execute).
     pub fn drive_tenants(&self, spec: &MultiTenantSpec) -> Result<MultiQosReport> {
         spec.validate().map_err(crate::StoreError::Config)?;
-        let engine = Arc::clone(self.engine());
+        let engine = self.engine();
         let total = engine.total_reads();
         let devices = engine.n_devices().max(1);
         let n_tenants = spec.tenants.len();
@@ -408,21 +409,7 @@ impl Dataset {
         }
 
         let trace_buf = self.trace();
-        let reactor = Reactor::start(
-            Arc::new(EngineBackend::new(engine)),
-            IoConfig {
-                // One worker: dispatch order is submission order, so
-                // the timeline never depends on thread timing. Real
-                // parallelism is the engine's decode pool, which is
-                // timeline-neutral.
-                workers: 1,
-                queue_depth: spec.queue_depth,
-                devices,
-                record_intervals: trace_buf.is_some(),
-                policy: spec.policy,
-            },
-        );
-        let cq = reactor.completions();
+        let mut drive = VirtualDrive::new(Arc::clone(engine), spec.policy, trace_buf.is_some());
 
         // Completion instants of *resolved* admitted ops; entries ≤
         // the current arrival instant have drained from the virtual
@@ -431,10 +418,8 @@ impl Dataset {
         // toward occupancy.
         let mut inflight: Vec<f64> = Vec::with_capacity(spec.queue_depth);
         let mut arrived = 0u64;
-        let mut admitted = 0u64;
-        let mut polled = 0u64;
-        // Tenant, kind and arrival ordinal per admission token, for
-        // end-of-run accounting.
+        // Tenant, kind and arrival ordinal per admission token (its
+        // index), for end-of-run accounting.
         let mut token_meta: Vec<(usize, OpKind, u64)> = Vec::new();
         let mut done: Vec<EngineCqe> = Vec::new();
 
@@ -462,17 +447,14 @@ impl Dataset {
                 streams[t].next_at = at + gap;
             }
 
-            // Resolve the timeline up to this arrival and harvest
-            // whatever completed, so occupancy is exact.
-            reactor.quiesce();
-            reactor.advance_to(at);
-            while let Some(cqe) = cq.poll_any() {
+            // Resolve the timeline up to this arrival, so occupancy is
+            // exact.
+            for cqe in drive.advance_to(at) {
                 inflight.push(cqe.completed_vt);
-                polled += 1;
                 done.push(cqe);
             }
             inflight.retain(|done_at| *done_at > at);
-            let unresolved = (admitted - polled) as usize;
+            let unresolved = token_meta.len() - done.len();
             let tenant_spec = &spec.tenants[t].0;
             let cap = spec
                 .queue_depth
@@ -489,23 +471,19 @@ impl Dataset {
             }
             let tag = tenant_spec.tag(TenantId(t), at);
             let (op, kind) = streams[t].ops.next_op();
+            let token = token_meta.len() as u64;
             token_meta.push((t, kind, ordinal));
-            reactor
-                .submit_tagged(op, admitted, at, tag)
-                .expect("live reactor");
-            admitted += 1;
+            if let Some(cqe) = drive.submit(op, token, at, tag) {
+                inflight.push(cqe.completed_vt);
+                done.push(cqe);
+            }
         }
 
         // Flush the tail: everything admitted resolves below an
-        // infinite frontier, so the drain below cannot block.
-        reactor.quiesce();
-        reactor.advance_to(f64::INFINITY);
-        while let Some(cqe) = cq.poll_any() {
-            done.push(cqe);
-        }
-        debug_assert_eq!(done.len() as u64, admitted, "flushed drive drains fully");
-        let snap = reactor.snapshot();
-        reactor.shutdown();
+        // infinite frontier.
+        done.extend(drive.advance_to(f64::INFINITY));
+        debug_assert_eq!(done.len(), token_meta.len(), "flushed drive drains fully");
+        let sched = drive.scheduler();
 
         // Account in admission order, whatever order the policy
         // served in: each tenant's histogram folds (and their means'
@@ -520,9 +498,9 @@ impl Dataset {
 
         // Scheduler rows exist only for tenants that dispatched; pad
         // so every registered tenant has a row.
-        let mut tenant_busy = snap.tenant_busy.clone();
+        let mut tenant_busy = sched.tenant_busy_seconds().to_vec();
         tenant_busy.resize(n_tenants, vec![0.0; devices]);
-        let mut tenant_queue_delay = snap.tenant_queue_delay.clone();
+        let mut tenant_queue_delay = sched.tenant_queue_delay().to_vec();
         tenant_queue_delay.resize(n_tenants, 0.0);
 
         let mut tenants_out = Vec::with_capacity(n_tenants);
@@ -543,7 +521,7 @@ impl Dataset {
             tenants: tenants_out,
             tenant_busy,
             tenant_queue_delay,
-            device_busy: snap.device_busy,
+            device_busy: sched.busy_seconds(),
             makespan: run_makespan,
         })
     }
@@ -575,11 +553,7 @@ fn qos_report(
         latency: fold.latency,
         latency_by_kind: fold.latency_by_kind,
         latencies: fold.latencies,
-        utilization: if fold.makespan > 0.0 {
-            device_busy.iter().map(|b| b / fold.makespan).collect()
-        } else {
-            vec![0.0; device_busy.len()]
-        },
+        utilization: utilization_over(&device_busy, fold.makespan),
         device_busy,
         gets,
         scans,

@@ -425,6 +425,15 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The kind of `op`.
+    pub(crate) fn of(op: &StoreOp) -> OpKind {
+        match op {
+            StoreOp::Get(_) => OpKind::Get,
+            StoreOp::Scan(_) => OpKind::Scan,
+            StoreOp::Append(_) => OpKind::Append,
+        }
+    }
+
     /// Display label (the span kind in trace exports).
     pub fn label(&self) -> &'static str {
         match self {
@@ -777,11 +786,11 @@ impl Dataset {
     /// [`SubmitMode::Fail`](super::SubmitMode::Fail) load shedding.
     ///
     /// This is [`Dataset::drive_tenants`] with one default tenant
-    /// under [`SchedPolicyKind::Fifo`]: the drive runs on its own
-    /// single-worker reactor (its own virtual clock starting at 0), so
-    /// a fixed `(spec.seed, spec)` on an identically-prepared dataset
-    /// (same encode, cold cache) reproduces the [`QosReport`]
-    /// bit-for-bit on any host. On a tracing dataset the spans'
+    /// under [`SchedPolicyKind::Fifo`]: every op runs on the calling
+    /// thread at its arrival, against the drive's own virtual clock
+    /// starting at 0, so a fixed `(spec.seed, spec)` on an
+    /// identically-prepared dataset (same encode, cold cache)
+    /// reproduces the [`QosReport`] bit-for-bit on any host. On a tracing dataset the spans'
     /// `token`s are arrival ordinals: shed arrivals leave gaps.
     ///
     /// ```

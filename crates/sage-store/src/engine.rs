@@ -28,9 +28,10 @@
 //! which decode finishes first.
 //!
 //! The engine is served to concurrent clients by the typed session
-//! API in [`crate::client`]; [`EngineBackend`] is the [`IoBackend`]
-//! adapter that lets a [`sage_io::Reactor`] execute [`StoreOp`]s and
-//! place their charges on the virtual device timeline.
+//! API in [`crate::client`], whose reactor places each op's charges
+//! on the virtual device timeline; the virtual-time drives call
+//! [`StoreEngine::run_op`] on their own thread and place them
+//! themselves.
 
 use crate::codec::{order_preserving_compressor, ShardedStore};
 use crate::lru::{CachePolicy, CacheSnapshot, CacheStats, StripeSnapshot, StripedCache};
@@ -40,9 +41,7 @@ use crate::view::{ReadView, RecordSlice};
 use crate::{ConfigError, Result, StoreError};
 use sage_core::{CompressOptions, Extent};
 use sage_genomics::{ChunkColumns, ReadRef, ReadSet};
-use sage_io::{
-    ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, IoBackend, Placement,
-};
+use sage_io::{ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, Placement};
 use sage_ssd::SsdConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -313,8 +312,8 @@ fn charge_reads(map: &DeviceMap, metas: &[&ChunkMeta], coalesce: bool) -> Vec<De
 }
 
 /// One store operation — the typed request vocabulary shared by
-/// [`StoreEngine::run_op`], the reactor backend, and the session API
-/// in [`crate::client`].
+/// [`StoreEngine::run_op`], the session API in [`crate::client`], and
+/// the virtual-time drives.
 pub enum StoreOp {
     /// Fetch reads `range` (dataset-global ids, half-open).
     Get(Range<u64>),
@@ -347,7 +346,7 @@ pub enum OpValue {
 
 /// What serving one operation cost: the engine-side half of an
 /// [`OpReport`](crate::client::OpReport) (the client layer adds the
-/// virtual-time instants the reactor assigns).
+/// virtual-time instants its device scheduler assigns).
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     /// Per-device charges the operation incurred — one entry per
@@ -951,8 +950,8 @@ impl StoreEngine {
     }
 
     /// Runs one typed operation — the single serving path behind
-    /// every public accessor, the reactor backend, and the session
-    /// API.
+    /// every public accessor, the session API, and the virtual-time
+    /// drives.
     ///
     /// # Errors
     ///
@@ -1229,43 +1228,6 @@ impl StoreEngine {
                 }));
         }
         Ok((first_id, trace))
-    }
-}
-
-/// The [`IoBackend`] that runs [`StoreOp`]s against a [`StoreEngine`],
-/// reporting each operation's device charges so the reactor can place
-/// it on the virtual device timeline. Public so harnesses can drive a
-/// [`sage_io::Reactor`] directly; the session API in [`crate::client`]
-/// is the ergonomic front end.
-#[derive(Debug)]
-pub struct EngineBackend {
-    engine: Arc<StoreEngine>,
-}
-
-impl EngineBackend {
-    /// A backend over `engine`.
-    pub fn new(engine: Arc<StoreEngine>) -> EngineBackend {
-        EngineBackend { engine }
-    }
-
-    /// The engine behind the backend.
-    pub fn engine(&self) -> &Arc<StoreEngine> {
-        &self.engine
-    }
-}
-
-impl IoBackend for EngineBackend {
-    type Op = StoreOp;
-    type Output = Result<(OpValue, OpTrace)>;
-
-    fn execute(&self, op: StoreOp) -> (Self::Output, Vec<DeviceCharge>) {
-        match self.engine.run_op(op) {
-            Ok((value, trace)) => {
-                let charges = trace.charges.clone();
-                (Ok((value, trace)), charges)
-            }
-            Err(e) => (Err(e), Vec::new()),
-        }
     }
 }
 

@@ -91,8 +91,7 @@ pub use client::{
 };
 pub use codec::{decode_all, encode_sharded, ShardedStore, StoreOptions};
 pub use engine::{
-    DecodeStats, EngineBackend, EngineConfig, OpTrace, OpValue, StoreBackend, StoreEngine, StoreOp,
-    TimingSnapshot,
+    DecodeStats, EngineConfig, OpTrace, OpValue, StoreBackend, StoreEngine, StoreOp, TimingSnapshot,
 };
 pub use lru::{CachePolicy, CacheSnapshot, CacheStats, LruCache, StripeSnapshot, StripedCache};
 pub use manifest::{ChunkMeta, StoreManifest};

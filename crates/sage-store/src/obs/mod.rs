@@ -290,9 +290,8 @@ impl TraceBuffer {
     }
 
     /// A copy of the held spans, in recording order. For the
-    /// open-loop and closed-loop drives (FIFO on one reactor worker)
-    /// recording order equals dispatch order, which is what [`replay`]
-    /// requires.
+    /// open-loop and closed-loop drives under FIFO recording order
+    /// equals dispatch order, which is what [`replay`] requires.
     pub fn spans(&self) -> Vec<OpSpan> {
         self.lock().spans.iter().cloned().collect()
     }

@@ -207,9 +207,9 @@ proptest! {
         prop_assert_eq!(&plain, &traced);
     }
 
-    /// The closed-loop twin of (a) + (b). The closed-loop driver runs
-    /// on its own dedicated reactor, so the busy integrals are pinned
-    /// to the `LoadReport`'s per-device busy seconds.
+    /// The closed-loop twin of (a) + (b). The closed-loop driver keeps
+    /// its own virtual clock, so the busy integrals are pinned to the
+    /// `LoadReport`'s per-device busy seconds.
     #[test]
     fn closed_loop_blame_conserves(
         seed in 0u64..300,
