@@ -8,7 +8,8 @@
 //!    of arrival processes × access patterns × fleet sizes is held to
 //!    the values the separate lockstep open-loop driver produced
 //!    before it was folded in, and span tokens stay arrival ordinals.
-//!    The sequential pattern and every scheduling policy's queued
+//!    The sequential pattern, every scheduling policy's queued
+//!    timeline, the reads the grid serves and the closed loop's
 //!    timeline are pinned the same way, to recorded values.
 //! 2. **Conservation** — per-tenant busy seconds sum to the
 //!    scheduler's per-device busy seconds *bitwise*: tenant
@@ -17,11 +18,14 @@
 //!    high-priority tenant's latency under `StrictPriority` never
 //!    regresses against FIFO, and undercuts the low-priority tenant.
 
+use sage::client::{range_for, ClosedLoopSpec};
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
+use sage::genomics::Base;
 use sage::io::SchedPolicyKind;
 use sage::ssd::SsdConfig;
 use sage::store::{
-    Dataset, DatasetBuilder, MultiTenantSpec, OpenLoopSpec, TenantId, TenantLoad, TenantSpec,
+    Dataset, DatasetBuilder, MultiTenantSpec, OpenLoopSpec, QosReport, StoreOp, TenantId,
+    TenantLoad, TenantSpec,
 };
 use sage::workload::{Arrivals, OpMix, Pattern};
 
@@ -88,9 +92,8 @@ const ARRIVALS: [Arrivals; 3] = [
 ];
 
 /// Drives one grid cell — 96 arrivals of an 80/10/10 get/scan/append
-/// mix behind an 8-deep queue (small: some cells shed) — and returns
-/// `(completed, shed, makespan bits, FNV of latency bits)`.
-fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64, u64, u64, u64) {
+/// mix behind an 8-deep queue (small: some cells shed).
+fn open_loop_report(devices: usize, arrivals: Arrivals, pattern: Pattern) -> QosReport {
     let mut spec = OpenLoopSpec::new(arrivals);
     spec.pattern = pattern;
     spec.mix = OpMix {
@@ -105,6 +108,13 @@ fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64,
         .drive_open_loop(&spec)
         .expect("drive");
     assert_eq!(report.shed_events.len() as u64, report.shed);
+    report
+}
+
+/// One grid cell's `(completed, shed, makespan bits, FNV of latency
+/// bits)`.
+fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64, u64, u64, u64) {
+    let report = open_loop_report(devices, arrivals, pattern);
     (
         report.completed,
         report.shed,
@@ -113,29 +123,138 @@ fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64,
     )
 }
 
+/// The grid's access patterns, in loop order.
+const PATTERNS: [Pattern; 3] = [
+    Pattern::Uniform { span: 16 },
+    Pattern::Zipf {
+        theta: 0.9,
+        span: 16,
+    },
+    Pattern::Hotspot {
+        hot_fraction: 0.1,
+        hot_weight: 0.9,
+        span: 16,
+    },
+];
+
 #[test]
 fn fifo_single_default_tenant_reproduces_open_loop_reports() {
-    let patterns = [
-        Pattern::Uniform { span: 16 },
-        Pattern::Zipf {
-            theta: 0.9,
-            span: 16,
-        },
-        Pattern::Hotspot {
-            hot_fraction: 0.1,
-            hot_weight: 0.9,
-            span: 16,
-        },
-    ];
     let mut recorded = RECORDED.iter();
     for devices in [1usize, 2] {
         for arr in ARRIVALS {
-            for pat in patterns {
+            for pat in PATTERNS {
                 let cell = format!("{}x {} {}", devices, arr.label(), pat.label());
                 let got = open_loop_cell(devices, arr, pat);
                 assert_eq!(&got, recorded.next().expect("18 cells"), "cell {cell}");
             }
         }
+    }
+}
+
+/// `(reads_served, bases_served)` per cell of the same grid, in loop
+/// order. The grid's scans reject every read and its appends return
+/// no reads, so these count get results only, whichever kinds a
+/// report sums.
+const RECORDED_SERVED: [(u64, u64); 18] = [
+    (1304, 130400), // 1x fixed uniform
+    (1344, 134400), // 1x fixed zipf
+    (1296, 129600), // 1x fixed hotspot
+    (1304, 130400), // 1x poisson uniform
+    (1344, 134400), // 1x poisson zipf
+    (1296, 129600), // 1x poisson hotspot
+    (1272, 127200), // 1x bursty uniform
+    (1328, 132800), // 1x bursty zipf
+    (1232, 123200), // 1x bursty hotspot
+    (1304, 130400), // 2x fixed uniform
+    (1344, 134400), // 2x fixed zipf
+    (1296, 129600), // 2x fixed hotspot
+    (1304, 130400), // 2x poisson uniform
+    (1344, 134400), // 2x poisson zipf
+    (1296, 129600), // 2x poisson hotspot
+    (1304, 130400), // 2x bursty uniform
+    (1344, 134400), // 2x bursty zipf
+    (1296, 129600), // 2x bursty hotspot
+];
+
+#[test]
+fn open_loop_grid_serves_the_recorded_reads() {
+    let mut recorded = RECORDED_SERVED.iter();
+    for devices in [1usize, 2] {
+        for arr in ARRIVALS {
+            for pat in PATTERNS {
+                let cell = format!("{}x {} {}", devices, arr.label(), pat.label());
+                let r = open_loop_report(devices, arr, pat);
+                let got = (r.reads_served, r.bases_served);
+                assert_eq!(
+                    &got,
+                    recorded.next().expect("18 cells"),
+                    "cell {cell}: {got:?}"
+                );
+            }
+        }
+    }
+}
+
+/// `(completed, makespan bits, FNV of latency bits, reads_served,
+/// bases_served, FNV of device_busy bits)` of one closed-loop drive.
+type ClosedCell = (u64, u64, u64, u64, u64, u64);
+
+/// One [`ClosedCell`] per closed-loop drive, in loop order: 64
+/// `range_for` gets over 1, 2 and 4 devices × 1 and 8 clients, then
+/// one 2-device, 4-client cell where every fourth op is a scan that
+/// accepts the reads starting with `A` — so `reads_served` counts scan
+/// results too.
+#[rustfmt::skip]
+const RECORDED_CLOSED: [ClosedCell; 7] = [
+    (64, 0x3f7c0e7e72f7994d, 0xa9cce952dc02e17f, 527, 52700, 0x86c848c3e7bac123), // 1x1
+    (64, 0x3f7ca8f4c8052e7d, 0xe898d8402feb1a68, 523, 52300, 0xa5524bc06ac85fa6), // 1x8
+    (64, 0x3f734ecaa1b2a615, 0x6ff4f4fe33fa6b53, 527, 52700, 0xf335cf819ec1afcd), // 2x1
+    (64, 0x3f704a7af86ebc25, 0xd92c7bcbe451247a, 523, 52300, 0x11228dbfab556d6d), // 2x8
+    (64, 0x3f734ecaa1b2a615, 0x6ff4f4fe33fa6b53, 527, 52700, 0x6f6c9a014abf2eda), // 4x1
+    (64, 0x3f62b4544ca510e3, 0xc2baf111420c8062, 523, 52300, 0x9c189ab4792ea561), // 4x8
+    (64, 0x3f951e2da0db6596, 0xf4640362204f7a2e, 2489, 248900, 0xe2343b7c79307f5f), // 2x4 scans
+];
+
+/// Drives one closed-loop cell (`scans`: every fourth op is an
+/// accepting scan) and returns its [`ClosedCell`].
+fn closed_loop_cell(devices: usize, clients: usize, scans: bool) -> ClosedCell {
+    let dataset = fleet_dataset(devices);
+    let total = dataset.total_reads();
+    let spec = ClosedLoopSpec {
+        clients,
+        requests: 64,
+    };
+    let report = dataset
+        .drive_closed_loop(&spec, |c, i| {
+            if scans && (c + i) % 4 == 3 {
+                StoreOp::Scan(Box::new(|r| r.seq.first() == Some(&Base::A)))
+            } else {
+                StoreOp::Get(range_for(c, i, total, 16))
+            }
+        })
+        .expect("drive");
+    (
+        report.completed,
+        report.makespan.to_bits(),
+        fnv_of_bits(&report.latencies),
+        report.reads_served,
+        report.bases_served,
+        fnv_of_bits(&report.device_busy),
+    )
+}
+
+#[test]
+fn closed_loop_reproduces_recorded_reports() {
+    let cells = [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|d| [(d, 1, false), (d, 8, false)])
+        .chain([(2, 4, true)]);
+    for ((devices, clients, scans), recorded) in cells.zip(&RECORDED_CLOSED) {
+        let got = closed_loop_cell(devices, clients, scans);
+        assert_eq!(
+            &got, recorded,
+            "{devices}x{clients} scans={scans}: {got:#x?}"
+        );
     }
 }
 
