@@ -30,7 +30,7 @@
 
 use sage_bench::scenario::QosScenario;
 use sage_bench::{banner, row};
-use sage_store::client::workload::QosReport;
+use sage_store::client::workload::{Arrivals, QosReport};
 use sage_store::obs::analysis::{tail_forensics, AnalysisSpec, BlameReport, SloSeverity, SloSpec};
 use sage_store::ShardedStore;
 
@@ -83,7 +83,7 @@ fn run_cell(sharded: &ShardedStore, devices: usize, fraction: f64, capacity: f64
     let rate = fraction * capacity;
     let dataset = sc.open_fleet(sharded, devices, true);
     let report = dataset
-        .drive_open_loop(&sc.spec_at(rate))
+        .drive_open_loop(&sc.load_at(Arrivals::Poisson { rate }), sc.queue_depth)
         .expect("traced drive");
     let spans = dataset.trace().expect("tracing buffer").spans();
     assert_eq!(spans.len() as u64, report.completed);

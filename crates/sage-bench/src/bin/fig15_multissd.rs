@@ -9,9 +9,9 @@
 //! (`SystemConfig::with_ssds(n).device_configs()`), and the
 //! device-count scaling curve comes from
 //! [`sage_store::client::Dataset::drive_closed_loop`] — a closed
-//! loop of clients whose
-//! per-request latencies and makespan live on the drive's virtual
-//! device timeline. The decoded-chunk cache is disabled so every
+//! loop of clients, run on the caller's thread, whose per-request
+//! latencies and makespan live on the drive's own virtual device
+//! timeline. The decoded-chunk cache is disabled so every
 //! request pays its device.
 //!
 //! Expected shape (paper): striping scales the serving rate with the
@@ -25,8 +25,8 @@
 use sage_bench::{banner, dataset, fmt_x, row};
 use sage_genomics::sim::DatasetProfile;
 use sage_pipeline::SystemConfig;
-use sage_store::client::{range_for, ClosedLoopSpec, DatasetBuilder, LoadReport};
-use sage_store::{encode_sharded, ShardedStore, StoreOp, StoreOptions};
+use sage_store::client::{range_for, ClosedLoopSpec, DatasetBuilder};
+use sage_store::{encode_sharded, QosReport, ShardedStore, StoreOp, StoreOptions};
 
 /// Requests per device-count cell.
 const REQUESTS: u64 = 480;
@@ -41,7 +41,7 @@ const CLIENTS: usize = 16;
 const MIN_CHUNKS: usize = 64;
 
 /// Drives one closed-loop cell over an `n`-SSD fleet.
-fn measure(sharded: &ShardedStore, span: u64, n: usize) -> LoadReport {
+fn measure(sharded: &ShardedStore, span: u64, n: usize) -> QosReport {
     let fleet = SystemConfig::pcie().with_ssds(n).device_configs();
     let served = DatasetBuilder::new()
         .cache_chunks(0) // every request pays its device
@@ -93,16 +93,16 @@ fn main() {
         for n in [1usize, 2, 4] {
             let report = measure(&sharded, chunk_reads as u64, n);
             if n == 1 {
-                base_req_per_s = report.req_per_s;
+                base_req_per_s = report.achieved_rate;
             }
-            let speedup = report.req_per_s / base_req_per_s;
+            let speedup = report.achieved_rate / base_req_per_s;
             println!(
                 "{}",
                 row(
                     &[
                         profile.name.clone(),
                         format!("{n}x"),
-                        format!("{:.0}", report.req_per_s),
+                        format!("{:.0}", report.achieved_rate),
                         format!("{:.3}", report.bases_per_sec() / 1e9),
                         format!("{:.3}", report.latency.p50_ms),
                         format!("{:.3}", report.latency.p99_ms),
@@ -118,7 +118,7 @@ fn main() {
     }
 
     println!(
-        "\nevery number above comes from the reactor's virtual device \
+        "\nevery number above comes from the drive's virtual device \
          timeline: the same closed-loop driver io_sweep and the \
          pipeline's store-served scenario run on."
     );

@@ -30,8 +30,8 @@
 use sage_bench::{banner, dataset, row};
 use sage_genomics::sim::DatasetProfile;
 use sage_pipeline::SystemConfig;
-use sage_store::client::{range_for, ClosedLoopSpec, DatasetBuilder, LoadReport};
-use sage_store::{encode_sharded, ShardedStore, StoreOp, StoreOptions};
+use sage_store::client::{range_for, ClosedLoopSpec, DatasetBuilder};
+use sage_store::{encode_sharded, QosReport, ShardedStore, StoreOp, StoreOptions};
 
 /// Requests driven through the closed loop per sweep cell.
 const REQUESTS_PER_CELL: u64 = 480;
@@ -43,7 +43,7 @@ const READS_PER_CHUNK: usize = 48;
 struct Cell {
     devices: usize,
     queue_depth: usize,
-    report: LoadReport,
+    report: QosReport,
 }
 
 impl Cell {
@@ -59,7 +59,7 @@ impl Cell {
             "{{\"devices\":{},\"queue_depth\":{},\"req_per_s\":{:.1},\"latency\":{},\"utilization\":[{util}]}}",
             self.devices,
             self.queue_depth,
-            self.report.req_per_s,
+            self.report.achieved_rate,
             self.report.latency.json(),
         )
     }
@@ -112,7 +112,7 @@ fn print_cell(c: &Cell, widths: &[usize]) {
             &[
                 format!("{}", c.devices),
                 format!("{}", c.queue_depth),
-                format!("{:.0}", c.report.req_per_s),
+                format!("{:.0}", c.report.achieved_rate),
                 format!("{:.3}", c.report.latency.p50_ms),
                 format!("{:.3}", c.report.latency.p99_ms),
                 util,
@@ -123,7 +123,7 @@ fn print_cell(c: &Cell, widths: &[usize]) {
 }
 
 fn main() {
-    banner("io_sweep: completion-queue reactor over the multi-SSD store");
+    banner("io_sweep: closed-loop drive over the multi-SSD store");
     let ds = dataset(&DatasetProfile::rs1().scaled(0.04));
     let sharded =
         encode_sharded(&ds.reads, &StoreOptions::new(READS_PER_CHUNK)).expect("encode store");
@@ -158,7 +158,7 @@ fn main() {
             c
         })
         .collect();
-    let scaling = device_cells[2].report.req_per_s / device_cells[0].report.req_per_s;
+    let scaling = device_cells[2].report.achieved_rate / device_cells[0].report.achieved_rate;
     println!("1→4 device throughput scaling: {scaling:.2}x");
 
     banner("queue-depth sweep (4 devices)");

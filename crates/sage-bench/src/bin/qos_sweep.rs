@@ -32,7 +32,7 @@
 
 use sage_bench::scenario::QosScenario;
 use sage_bench::{banner, row};
-use sage_store::client::workload::QosReport;
+use sage_store::client::workload::{Arrivals, QosReport};
 use sage_store::ShardedStore;
 
 /// The sweep's load shape: arrivals per cell and virtual queue bound.
@@ -75,7 +75,7 @@ fn run_cell(sharded: &ShardedStore, devices: usize, rate: f64) -> Cell {
     let sc = scenario();
     let dataset = sc.open_fleet(sharded, devices, false);
     let report = dataset
-        .drive_open_loop(&sc.spec_at(rate))
+        .drive_open_loop(&sc.load_at(Arrivals::Poisson { rate }), sc.queue_depth)
         .expect("open loop");
     Cell {
         offered_rate: rate,

@@ -38,7 +38,7 @@
 
 use sage_bench::scenario::QosScenario;
 use sage_bench::{banner, row};
-use sage_store::client::workload::QosReport;
+use sage_store::client::workload::{Arrivals, QosReport};
 use sage_store::obs::{self, MetricsRecorder};
 use sage_store::ShardedStore;
 
@@ -74,11 +74,11 @@ fn run_cell(sharded: &ShardedStore, devices: usize, rate: f64) -> Cell {
     // Identically-prepared datasets, the only difference the tracer.
     let plain = sc
         .open_fleet(sharded, devices, false)
-        .drive_open_loop(&sc.spec_at(rate))
+        .drive_open_loop(&sc.load_at(Arrivals::Poisson { rate }), sc.queue_depth)
         .expect("untraced drive");
     let traced_ds = sc.open_fleet(sharded, devices, true);
     let report = traced_ds
-        .drive_open_loop(&sc.spec_at(rate))
+        .drive_open_loop(&sc.load_at(Arrivals::Poisson { rate }), sc.queue_depth)
         .expect("traced drive");
 
     // Zero perturbation: the whole report, bit for bit.

@@ -10,7 +10,7 @@
 use sage_genomics::sim::DatasetProfile;
 use sage_io::SchedPolicyKind;
 use sage_pipeline::SystemConfig;
-use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage_store::client::workload::{Arrivals, OpMix, Pattern};
 use sage_store::client::{Dataset, DatasetBuilder};
 use sage_store::{
     encode_sharded, MultiTenantSpec, ShardedStore, StoreOptions, TenantLoad, TenantSpec,
@@ -71,18 +71,6 @@ impl QosScenario {
         };
         load.requests = self.requests;
         load
-    }
-
-    /// The scenario's open-loop spec at one offered Poisson rate.
-    pub fn spec_at(&self, rate: f64) -> OpenLoopSpec {
-        let load = self.load_at(Arrivals::Poisson { rate });
-        let mut spec = OpenLoopSpec::new(load.arrivals);
-        spec.pattern = load.pattern;
-        spec.mix = load.mix;
-        spec.requests = load.requests;
-        spec.seed = load.seed;
-        spec.queue_depth = self.queue_depth;
-        spec
     }
 
     /// The foreground tenant of the mixed matrix: a latency-sensitive
@@ -168,13 +156,13 @@ impl QosScenario {
     /// multiplied out to the fleet.
     pub fn calibrate_capacity(&self, sharded: &ShardedStore, devices: usize) -> f64 {
         let dataset = self.open_fleet(sharded, devices, false);
-        let mut spec = OpenLoopSpec::new(Arrivals::Fixed { rate: 1.0 });
-        spec.pattern = Pattern::Uniform {
+        let mut load = TenantLoad::new(Arrivals::Fixed { rate: 1.0 });
+        load.pattern = Pattern::Uniform {
             span: self.reads_per_chunk as u64,
         };
-        spec.requests = 64;
+        load.requests = 64;
         dataset
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 64)
             .expect("calibration drive")
             .capacity_estimate(devices)
     }
@@ -194,7 +182,12 @@ mod tests {
         assert!(capacity > 0.0, "calibration must find positive capacity");
         let report = sc
             .open_fleet(&sharded, 1, false)
-            .drive_open_loop(&sc.spec_at(capacity * 0.5))
+            .drive_open_loop(
+                &sc.load_at(Arrivals::Poisson {
+                    rate: capacity * 0.5,
+                }),
+                sc.queue_depth,
+            )
             .expect("drive");
         assert_eq!(report.completed + report.shed, 32);
     }
@@ -226,10 +219,10 @@ mod tests {
     #[test]
     fn spec_carries_the_scenario_load_shape() {
         let sc = QosScenario::new(600, 64);
-        let spec = sc.spec_at(123.0);
-        assert_eq!(spec.requests, 600);
-        assert_eq!(spec.queue_depth, 64);
-        assert!(matches!(spec.arrivals, Arrivals::Poisson { rate } if rate == 123.0));
-        assert!(matches!(spec.pattern, Pattern::Uniform { span: 48 }));
+        let load = sc.load_at(Arrivals::Poisson { rate: 123.0 });
+        assert_eq!(load.requests, 600);
+        assert_eq!(sc.queue_depth, 64);
+        assert!(matches!(load.arrivals, Arrivals::Poisson { rate } if rate == 123.0));
+        assert!(matches!(load.pattern, Pattern::Uniform { span: 48 }));
     }
 }

@@ -6,7 +6,9 @@
 //! previous one completed. All reported numbers come from the
 //! **virtual** device timeline — requests per virtual second against
 //! the makespan, latency percentiles, per-device utilization — so a
-//! sweep measures queueing and striping, not the host's load.
+//! sweep measures queueing and striping, not the host's load. The
+//! drive reports through the open loop's
+//! [`QosReport`](super::workload::QosReport).
 //!
 //! The drive starts no thread: [`VirtualDrive`] runs each op on the
 //! caller's thread and places it on the drive's own
@@ -20,8 +22,9 @@
 //! store-served preparation scenario all drive this one loop; the
 //! open-loop [`Dataset::drive_tenants`] takes the same step.
 
-use super::stats::{utilization_over, DriveAccounting, LatencyByKind, LatencyStats};
-use super::workload::{OpKind, OpKindStats};
+use super::stats::DriveAccounting;
+use super::tenant::qos_report;
+use super::workload::{OpKind, QosReport};
 use super::{Dataset, EngineCqe, OpOutput};
 use crate::engine::{StoreEngine, StoreOp};
 use crate::Result;
@@ -137,54 +140,6 @@ impl Default for ClosedLoopSpec {
     }
 }
 
-/// What a closed-loop drive measured (virtual-time metrics).
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Operations completed.
-    pub completed: u64,
-    /// Virtual makespan: the latest completion instant.
-    pub makespan: f64,
-    /// Operations per virtual second.
-    pub req_per_s: f64,
-    /// Aggregated latency distribution — the same percentile
-    /// machinery ([`LatencyStats`]) the open-loop
-    /// [`QosReport`](super::workload::QosReport) uses, produced by
-    /// folding the per-kind histograms with
-    /// [`LogHistogram::merge`](crate::obs::LogHistogram::merge).
-    pub latency: LatencyStats,
-    /// Latency distribution per op kind, from the same recording
-    /// pass.
-    pub latency_by_kind: LatencyByKind,
-    /// Every per-operation virtual latency, seconds, ascending.
-    pub latencies: Vec<f64>,
-    /// Busy (service) seconds accumulated per device.
-    pub device_busy: Vec<f64>,
-    /// Per-device utilization over the makespan.
-    pub utilization: Vec<f64>,
-    /// Reads returned across all get/scan results.
-    pub reads_served: u64,
-    /// Bases returned across all get/scan results.
-    pub bases_served: u64,
-    /// Ranged-read outcomes — the same per-kind accounting
-    /// ([`OpKindStats`]) the open-loop report carries.
-    pub gets: OpKindStats,
-    /// Full-walk scan outcomes.
-    pub scans: OpKindStats,
-    /// Append outcomes.
-    pub appends: OpKindStats,
-}
-
-impl LoadReport {
-    /// Bases served per virtual second (the store's sustained
-    /// preparation rate).
-    pub fn bases_per_sec(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.bases_served as f64 / self.makespan
-    }
-}
-
 /// The harnesses' shared deterministic random-range stream: SplitMix64
 /// over `(client, seq)` producing a start in `[0, total)` and a span
 /// in `[1, span_max]` (clamped to the dataset end; a `span_max` of 0
@@ -217,6 +172,11 @@ impl Dataset {
     /// the engine, cache, and device state are shared. A panic in an
     /// operation (a scan predicate, say) unwinds the caller.
     ///
+    /// The report counts the reads every op returned, scans' included.
+    /// A closed loop offers exactly what it completes: `offered` is
+    /// `completed`, nothing is shed, and `offered_rate` is
+    /// `achieved_rate`.
+    ///
     /// # Errors
     ///
     /// The first operation error, if any operation fails.
@@ -224,7 +184,7 @@ impl Dataset {
         &self,
         spec: &ClosedLoopSpec,
         mut workload: impl FnMut(u64, u64) -> StoreOp,
-    ) -> Result<LoadReport> {
+    ) -> Result<QosReport> {
         // On a tracing dataset each completed op also lands in the
         // dataset's span buffer (observation-only: the timeline and
         // report are bit-identical either way).
@@ -260,24 +220,10 @@ impl Dataset {
                 issued += 1;
             }
         }
-        let device_busy = drive.scheduler().busy_seconds();
         let fold = acc.fold();
-        let [gets, scans, appends] = fold.kinds;
-        Ok(LoadReport {
-            completed: fold.completed,
-            makespan: fold.makespan,
-            req_per_s: fold.rate,
-            latency: fold.latency,
-            latency_by_kind: fold.latency_by_kind,
-            utilization: utilization_over(&device_busy, fold.makespan),
-            device_busy,
-            latencies: fold.latencies,
-            reads_served: fold.reads_served.iter().sum(),
-            bases_served: fold.bases_served.iter().sum(),
-            gets,
-            scans,
-            appends,
-        })
+        let (completed, rate) = (fold.completed, fold.rate);
+        let device_busy = drive.scheduler().busy_seconds();
+        Ok(qos_report(fold, completed, rate, Vec::new(), device_busy))
     }
 }
 
@@ -330,7 +276,9 @@ mod tests {
         assert_eq!(report.completed, 64);
         assert_eq!(report.latencies.len(), 64);
         assert!(report.makespan > 0.0);
-        assert!(report.req_per_s > 0.0);
+        assert!(report.achieved_rate > 0.0);
+        assert_eq!(report.offered, 64);
+        assert_eq!(report.offered_rate, report.achieved_rate);
         assert!(report.latency.p99_ms >= report.latency.p50_ms);
         assert!(report.latency.mean_ms > 0.0);
         assert_eq!(report.latency.count, 64);
@@ -348,6 +296,26 @@ mod tests {
         assert_eq!(report.latency_by_kind.scans.count, 0);
         assert_eq!(report.latency_by_kind.gets, report.latency);
         assert!(report.gets.chunk_hits + report.gets.chunk_misses > 0);
+    }
+
+    #[test]
+    fn closed_loop_counts_scan_results_and_offers_what_it_completes() {
+        let dataset = fleet_dataset(2);
+        let total = dataset.total_reads();
+        let spec = ClosedLoopSpec {
+            clients: 3,
+            requests: 9,
+        };
+        let report = dataset
+            .drive_closed_loop(&spec, |_, _| StoreOp::Scan(Box::new(|_| true)))
+            .expect("drive");
+        assert_eq!(report.scans.ops, 9);
+        assert_eq!(report.reads_served, report.scans.ops * total);
+        assert!(report.bases_served > 0);
+        assert_eq!(report.offered, report.completed);
+        assert_eq!(report.shed, 0);
+        assert!(report.shed_events.is_empty());
+        assert_eq!(report.offered_rate, report.achieved_rate);
     }
 
     #[test]
@@ -391,7 +359,7 @@ mod tests {
                     |c, i| StoreOp::Get(range_for(c, i, total, 16)),
                 )
                 .expect("drive")
-                .req_per_s
+                .achieved_rate
         };
         let one = run(1);
         let four = run(4);

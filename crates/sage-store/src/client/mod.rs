@@ -45,21 +45,22 @@
 //! For load studies there is one driver per loop shape. Neither uses
 //! the reactor: each runs its ops on the caller's thread against its
 //! own virtual clock, so every report is a pure function of
-//! (dataset, spec) on any host. The **closed-loop driver**
+//! (dataset, load) on any host. The **closed-loop driver**
 //! ([`Dataset::drive_closed_loop`]): `clients` logical clients each
 //! keep one operation in flight, submitting their next at the virtual
 //! instant the previous completed — the `io_sweep` and
 //! `fig15_multissd` benches and the pipeline's store-served scenario
 //! all run on it. And the **open-loop driver**
-//! ([`Dataset::drive_tenants`]): each tenant's seedable arrival
-//! process injects requests at generated virtual instants regardless
-//! of completions, the streams merge on the virtual timeline, and
-//! arrivals that find the bounded virtual queue full are shed — which
-//! is what measures latency–throughput curves to saturation.
-//! [`Dataset::drive_open_loop`] (in [`workload`]; `qos_sweep`) is
-//! that driver with one default tenant under FIFO. Both loops fold
-//! completions into their reports through one accounting block and
-//! one [`LatencyStats`] percentile machinery.
+//! ([`Dataset::drive_tenants`]): each tenant's seedable
+//! [`TenantLoad`] injects requests at generated virtual instants
+//! regardless of completions, the streams merge on the virtual
+//! timeline, and arrivals that find the bounded virtual queue full are
+//! shed — which is what measures latency–throughput curves to
+//! saturation. [`Dataset::drive_open_loop`] (in [`workload`];
+//! `qos_sweep`) is that driver with one default tenant under FIFO.
+//! Both loops fold completions through one accounting block into one
+//! report, [`QosReport`](workload::QosReport), with one
+//! [`LatencyStats`] percentile machinery.
 
 mod builder;
 mod driver;
@@ -69,10 +70,11 @@ mod tenant;
 pub mod workload;
 
 pub use builder::DatasetBuilder;
-pub use driver::{range_for, ClosedLoopSpec, LoadReport};
+pub use driver::{range_for, ClosedLoopSpec};
 pub use session::{Dataset, ServerStats, Session};
-pub use stats::{percentile, LatencyByKind, LatencyStats};
-pub use tenant::{MultiQosReport, MultiTenantSpec, TenantId, TenantLoad, TenantSpec};
+pub use stats::{LatencyByKind, LatencyStats};
+pub use tenant::{MultiQosReport, MultiTenantSpec, TenantId, TenantSpec};
+pub use workload::TenantLoad;
 
 use crate::engine::{OpTrace, OpValue};
 use crate::view::ReadView;

@@ -1,16 +1,16 @@
 //! Shared drive accounting: one recorder, one fold and one
 //! histogram/percentile machinery for every load driver.
 //!
-//! Both drive reports — the closed loop's
-//! [`LoadReport`](super::LoadReport) and the open loop's
-//! [`QosReport`](super::workload::QosReport) — aggregate per-operation
-//! virtual latencies into the same [`LatencyStats`], a thin view over
-//! the observability layer's log-bucketed
-//! [`LogHistogram`](crate::obs::LogHistogram): count, mean, and max
-//! are exact, percentiles are answered from the histogram's buckets
-//! (≈0.78% relative quantization, monotone), and every bench bin
-//! prints and asserts on this one implementation. `DriveAccounting`
-//! is the recorder both drivers feed their completions to.
+//! Every drive — closed loop, open loop, each tenant of a multi-tenant
+//! drive — reports through one [`QosReport`](super::workload::QosReport),
+//! whose per-operation virtual latencies aggregate into a
+//! [`LatencyStats`], a thin view over the observability layer's
+//! log-bucketed [`LogHistogram`](crate::obs::LogHistogram): count,
+//! mean, and max are exact, percentiles are answered from the
+//! histogram's buckets (≈0.78% relative quantization, monotone), and
+//! every bench bin prints and asserts on this one implementation.
+//! `DriveAccounting` is the recorder both drivers feed their
+//! completions to.
 
 use super::workload::{OpKind, OpKindStats};
 use super::{EngineCqe, OpReport};
@@ -18,24 +18,11 @@ use crate::engine::OpValue;
 use crate::obs::{LogHistogram, TraceBuffer};
 use crate::Result;
 
-/// `p` in `[0, 1]` over an ascending-sorted slice (nearest-rank,
-/// exact). Kept for call sites that need exact order statistics of a
-/// materialized sample; [`LatencyStats`] itself aggregates through
-/// the histogram.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Aggregated latency distribution of one drive (all milliseconds).
 ///
-/// Built once from the per-operation virtual latencies by
-/// [`LatencyStats::from_sorted_secs`] (or from any
-/// [`LogHistogram`] via [`LatencyStats::from_histogram`]); every
-/// percentile any bench prints comes out of this one extraction.
+/// Built once from a drive's latency [`LogHistogram`] by
+/// [`LatencyStats::from_histogram`]; every percentile any bench prints
+/// comes out of this one extraction.
 /// `count`, `mean_ms`, and `max_ms` are exact; the percentile fields
 /// carry the histogram's ≈0.78% bucket quantization.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -57,21 +44,8 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Aggregates an ascending-sorted slice of per-operation latencies
-    /// in **seconds** into millisecond statistics, by recording the
-    /// slice into a [`LogHistogram`] in order (so the mean's addition
-    /// order — and hence its value — matches summing the slice
-    /// directly) and reading the stats back out.
-    pub fn from_sorted_secs(sorted: &[f64]) -> LatencyStats {
-        let mut hist = LogHistogram::new();
-        for &v in sorted {
-            hist.record(v);
-        }
-        LatencyStats::from_histogram(&hist)
-    }
-
     /// The millisecond view over a latency histogram in seconds —
-    /// the shared implementation both drive reports resolve through.
+    /// the shared implementation every drive report resolves through.
     pub fn from_histogram(hist: &LogHistogram) -> LatencyStats {
         if hist.count() == 0 {
             return LatencyStats::default();
@@ -102,7 +76,7 @@ impl LatencyStats {
 /// Per-op-kind latency distributions of one drive.
 ///
 /// Each kind aggregates through its own [`LogHistogram`] inside the
-/// driver; the run-level [`LatencyStats`] both reports carry is the
+/// driver; the run-level [`LatencyStats`] a report carries is the
 /// [`LogHistogram::merge`] fold of these three, so per-kind and total
 /// views come from one recording pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -129,8 +103,8 @@ impl LatencyByKind {
 
 /// What one drive (or one tenant of it) completed, recorded one
 /// completion at a time and folded into report fields at the end —
-/// the single accounting block behind [`LoadReport`](super::LoadReport)
-/// and [`QosReport`](super::workload::QosReport). Per-kind arrays are
+/// the single accounting block behind every
+/// [`QosReport`](super::workload::QosReport). Per-kind arrays are
 /// indexed by `OpKind as usize`.
 pub(super) struct DriveAccounting {
     latencies: Vec<f64>,
@@ -138,12 +112,13 @@ pub(super) struct DriveAccounting {
     /// driver hands completions over; the run total is their merge.
     hists: [LogHistogram; 3],
     kinds: [OpKindStats; 3],
-    reads_served: [u64; 3],
-    bases_served: [u64; 3],
+    reads_served: u64,
+    bases_served: u64,
     makespan: f64,
 }
 
-/// [`DriveAccounting`] folded: the fields the drive reports share.
+/// [`DriveAccounting`] folded: the fields a drive report takes from
+/// its completions.
 pub(super) struct DriveFold {
     pub completed: u64,
     /// The latest completion instant.
@@ -155,10 +130,9 @@ pub(super) struct DriveFold {
     /// Every latency, seconds, ascending.
     pub latencies: Vec<f64>,
     pub kinds: [OpKindStats; 3],
-    /// Reads and bases returned per kind, so each report sums the
-    /// kinds it counts.
-    pub reads_served: [u64; 3],
-    pub bases_served: [u64; 3],
+    /// Reads and bases returned by every op kind.
+    pub reads_served: u64,
+    pub bases_served: u64,
 }
 
 impl DriveAccounting {
@@ -167,8 +141,8 @@ impl DriveAccounting {
             latencies: Vec::new(),
             hists: std::array::from_fn(|_| LogHistogram::new()),
             kinds: [OpKindStats::default(); 3],
-            reads_served: [0; 3],
-            bases_served: [0; 3],
+            reads_served: 0,
+            bases_served: 0,
             makespan: 0.0,
         }
     }
@@ -202,8 +176,8 @@ impl DriveAccounting {
         self.kinds[k].record(&report.trace);
         self.hists[k].record(latency);
         if let OpValue::Reads(rs) = &value {
-            self.reads_served[k] += rs.len() as u64;
-            self.bases_served[k] += rs.total_bases() as u64;
+            self.reads_served += rs.len() as u64;
+            self.bases_served += rs.total_bases() as u64;
         }
         self.latencies.push(latency);
         self.makespan = self.makespan.max(report.completed_vt);
@@ -256,19 +230,18 @@ pub(super) fn utilization_over(busy: &[f64], window: f64) -> Vec<f64> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentiles_extract_from_sorted_slice() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&v, 0.5), 51.0); // nearest rank
-        assert_eq!(percentile(&[], 0.5), 0.0);
+    /// A histogram of `secs`, recorded in order.
+    fn hist_of(secs: impl IntoIterator<Item = f64>) -> LogHistogram {
+        let mut hist = LogHistogram::new();
+        for v in secs {
+            hist.record(v);
+        }
+        hist
     }
 
     #[test]
     fn stats_aggregate_in_milliseconds() {
-        let secs: Vec<f64> = (1..=1000).map(|i| i as f64 * 1e-3).collect();
-        let s = LatencyStats::from_sorted_secs(&secs);
+        let s = LatencyStats::from_histogram(&hist_of((1..=1000).map(|i| i as f64 * 1e-3)));
         assert_eq!(s.count, 1000);
         // Mean and max are exact; percentiles carry the histogram's
         // ≈0.78% bucket quantization.
@@ -281,21 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_sorted_paths_agree() {
-        let secs: Vec<f64> = (1..=257).map(|i| i as f64 * 7e-4).collect();
-        let mut hist = LogHistogram::new();
-        for &v in &secs {
-            hist.record(v);
-        }
-        assert_eq!(
-            LatencyStats::from_sorted_secs(&secs),
-            LatencyStats::from_histogram(&hist)
-        );
-    }
-
-    #[test]
     fn empty_input_is_all_zero() {
-        assert_eq!(LatencyStats::from_sorted_secs(&[]), LatencyStats::default());
+        assert_eq!(
+            LatencyStats::from_histogram(&LogHistogram::new()),
+            LatencyStats::default()
+        );
     }
 
     #[test]
@@ -336,7 +299,7 @@ mod tests {
 
     #[test]
     fn json_fragment_parses_shape() {
-        let s = LatencyStats::from_sorted_secs(&[1e-3, 2e-3]);
+        let s = LatencyStats::from_histogram(&hist_of([1e-3, 2e-3]));
         let j = s.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         for key in ["p50_ms", "p95_ms", "p99_ms", "p999_ms", "mean_ms", "max_ms"] {

@@ -24,8 +24,8 @@
 use super::driver::VirtualDrive;
 use super::stats::{utilization_over, DriveAccounting, DriveFold};
 use super::workload::{
-    ArrivalGen, Arrivals, OpKind, OpMix, OpStream, Pattern, QosReport, ShedEvent, WorkloadRng,
-    ARRIVAL_STREAM, OP_STREAM, SHED_STREAM,
+    ArrivalGen, OpKind, OpStream, QosReport, ShedEvent, TenantLoad, WorkloadRng, ARRIVAL_STREAM,
+    OP_STREAM, SHED_STREAM,
 };
 use super::{Dataset, EngineCqe};
 use crate::{ConfigError, Result};
@@ -178,50 +178,6 @@ impl TenantSpec {
             return Err(ConfigError::BadTenant);
         }
         Ok(())
-    }
-}
-
-/// One tenant's offered open-loop load in a multi-tenant drive: its
-/// own arrival process, access pattern, op mix, request count, and
-/// seed — the same vocabulary as
-/// [`OpenLoopSpec`](super::workload::OpenLoopSpec), minus the shared
-/// serving knobs the [`MultiTenantSpec`] carries once.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantLoad {
-    /// The arrival process injecting this tenant's requests.
-    pub arrivals: Arrivals,
-    /// The access pattern generating its read ranges.
-    pub pattern: Pattern,
-    /// Its operation-kind weights.
-    pub mix: OpMix,
-    /// Arrivals to generate for this tenant (sheds included).
-    pub requests: u64,
-    /// Seed deriving this tenant's arrival and op streams.
-    pub seed: u64,
-}
-
-impl TenantLoad {
-    /// A load with the open-loop defaults: uniform 16-read gets, 256
-    /// requests, seed `0x5a6e`.
-    pub fn new(arrivals: Arrivals) -> TenantLoad {
-        TenantLoad {
-            arrivals,
-            pattern: Pattern::Uniform { span: 16 },
-            mix: OpMix::gets(),
-            requests: 256,
-            seed: 0x5a6e,
-        }
-    }
-
-    /// Checks the load's generators.
-    ///
-    /// # Errors
-    ///
-    /// The first failing knob's [`ConfigError`].
-    pub fn validate(&self) -> std::result::Result<(), ConfigError> {
-        self.arrivals.validate()?;
-        self.pattern.validate()?;
-        self.mix.validate()
     }
 }
 
@@ -508,10 +464,16 @@ impl Dataset {
         for (t, (a, s)) in acc.into_iter().zip(streams).enumerate() {
             let fold = a.fold();
             run_makespan = run_makespan.max(fold.makespan);
+            let load = &spec.tenants[t].1;
+            let offered_rate = if s.last_at > 0.0 {
+                load.requests as f64 / s.last_at
+            } else {
+                load.arrivals.mean_rate()
+            };
             tenants_out.push(qos_report(
                 fold,
-                &spec.tenants[t].1,
-                s.last_at,
+                load.requests,
+                offered_rate,
                 s.shed_events,
                 tenant_busy[t].clone(),
             ));
@@ -527,27 +489,23 @@ impl Dataset {
     }
 }
 
-/// One tenant's [`QosReport`]: its folded completions, its offered
-/// stream (`load`, last arrival at `last_at`), its sheds, and its
-/// attributed busy seconds per device.
-fn qos_report(
+/// The one [`QosReport`] constructor every drive builds through: its
+/// folded completions, what it offered (`offered` arrivals at
+/// `offered_rate`), its sheds, and its busy seconds per device.
+pub(super) fn qos_report(
     fold: DriveFold,
-    load: &TenantLoad,
-    last_at: f64,
+    offered: u64,
+    offered_rate: f64,
     shed_events: Vec<ShedEvent>,
     device_busy: Vec<f64>,
 ) -> QosReport {
     let [gets, scans, appends] = fold.kinds;
     QosReport {
-        offered: load.requests,
+        offered,
         completed: fold.completed,
         shed: shed_events.len() as u64,
         shed_events,
-        offered_rate: if last_at > 0.0 {
-            load.requests as f64 / last_at
-        } else {
-            load.arrivals.mean_rate()
-        },
+        offered_rate,
         achieved_rate: fold.rate,
         makespan: fold.makespan,
         latency: fold.latency,
@@ -558,14 +516,15 @@ fn qos_report(
         gets,
         scans,
         appends,
-        reads_served: fold.reads_served[OpKind::Get as usize],
-        bases_served: fold.bases_served[OpKind::Get as usize],
+        reads_served: fold.reads_served,
+        bases_served: fold.bases_served,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::workload::Arrivals;
     use crate::client::DatasetBuilder;
     use sage_genomics::sim::{simulate_dataset, DatasetProfile};
     use sage_ssd::SsdConfig;

@@ -42,9 +42,10 @@
 //!   load studies;
 //! - [`client::workload`] — open-loop workload generation and QoS
 //!   measurement: seedable arrival processes (fixed/Poisson/bursty)
-//!   and access patterns (uniform/Zipf/sequential/hotspot) feeding
-//!   [`Dataset::drive_open_loop`], whose [`QosReport`] carries
-//!   latency–throughput curves to saturation;
+//!   and access patterns (uniform/Zipf/sequential/hotspot) make up a
+//!   [`TenantLoad`] fed to [`Dataset::drive_open_loop`], whose
+//!   [`QosReport`] carries latency–throughput curves to saturation
+//!   (the closed loop reports through the same struct);
 //! - [`obs`] — virtual-time observability: per-operation span tracing
 //!   into a [`TraceBuffer`] (Chrome/Perfetto-exportable, optionally a
 //!   bounded ring via [`DatasetBuilder::tracing_capacity`], with the
@@ -83,9 +84,9 @@ pub mod manifest;
 pub mod obs;
 pub mod view;
 
-pub use client::workload::{OpenLoopSpec, QosReport, ShedEvent};
+pub use client::workload::{QosReport, ShedEvent};
 pub use client::{
-    ClosedLoopSpec, Completion, Dataset, DatasetBuilder, LatencyStats, LoadReport, MultiQosReport,
+    ClosedLoopSpec, Completion, Dataset, DatasetBuilder, LatencyStats, MultiQosReport,
     MultiTenantSpec, OpReport, ServerStats, Session, SubmitMode, TenantId, TenantLoad, TenantSpec,
     Ticket,
 };

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_ssd::SsdConfig;
-use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage_store::client::workload::{Arrivals, OpMix, Pattern, TenantLoad};
 use sage_store::client::{range_for, ClosedLoopSpec, Dataset, DatasetBuilder};
 use sage_store::obs::analysis::{tail_forensics, AnalysisSpec, LatencyBlame, SloSpec};
 use sage_store::StoreOp;
@@ -65,18 +65,17 @@ fn pattern_for(ix: u8) -> Pattern {
     }
 }
 
-fn spec_for(seed: u64, arrivals_ix: u8, pattern_ix: u8, rate: f64) -> OpenLoopSpec {
-    let mut spec = OpenLoopSpec::new(arrivals_for(arrivals_ix, rate));
-    spec.pattern = pattern_for(pattern_ix);
-    spec.mix = OpMix {
+fn load_for(seed: u64, arrivals_ix: u8, pattern_ix: u8, rate: f64) -> TenantLoad {
+    let mut load = TenantLoad::new(arrivals_for(arrivals_ix, rate));
+    load.pattern = pattern_for(pattern_ix);
+    load.mix = OpMix {
         get: 0.9,
         scan: 0.05,
         append: 0.05,
     };
-    spec.requests = 72;
-    spec.queue_depth = 12;
-    spec.seed = seed ^ 0x0b5;
-    spec
+    load.requests = 72;
+    load.seed = seed ^ 0x0b5;
+    load
 }
 
 proptest! {
@@ -95,9 +94,9 @@ proptest! {
         overload_ix in 0u8..2,
     ) {
         let rate = if overload_ix == 1 { 200_000.0 } else { 400.0 };
-        let spec = spec_for(seed, arrivals_ix, pattern_ix, rate);
+        let load = load_for(seed, arrivals_ix, pattern_ix, rate);
         let dataset = fresh_dataset(seed, devices, cache_chunks, true);
-        let driven = dataset.drive_open_loop(&spec).expect("traced drive");
+        let driven = dataset.drive_open_loop(&load, 12).expect("traced drive");
         let spans = dataset.trace().expect("tracing buffer").spans();
 
         let makespan = spans
@@ -152,10 +151,10 @@ proptest! {
         arrivals_ix in 0u8..3,
         devices in 1usize..3,
     ) {
-        let spec = spec_for(seed, arrivals_ix, 0, 30_000.0);
+        let load = load_for(seed, arrivals_ix, 0, 30_000.0);
         let run = |_: ()| {
             let ds = fresh_dataset(seed, devices, 2, true);
-            ds.drive_open_loop(&spec).expect("drive");
+            ds.drive_open_loop(&load, 12).expect("drive");
             ds.trace().expect("buffer").spans()
         };
         let (a, b) = (run(()), run(()));
@@ -180,13 +179,13 @@ proptest! {
         overload_ix in 0u8..2,
     ) {
         let rate = if overload_ix == 1 { 200_000.0 } else { 400.0 };
-        let spec = spec_for(seed, arrivals_ix, pattern_ix, rate);
+        let load = load_for(seed, arrivals_ix, pattern_ix, rate);
 
         let plain = fresh_dataset(seed, devices, 2, false)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("untraced drive");
         let traced_ds = fresh_dataset(seed, devices, 2, true);
-        let traced = traced_ds.drive_open_loop(&spec).expect("traced drive");
+        let traced = traced_ds.drive_open_loop(&load, 12).expect("traced drive");
 
         let buf = traced_ds.trace().expect("buffer");
         let before = buf.spans();
@@ -209,7 +208,7 @@ proptest! {
 
     /// The closed-loop twin of (a) + (b). The closed-loop driver keeps
     /// its own virtual clock, so the busy integrals are pinned to the
-    /// `LoadReport`'s per-device busy seconds.
+    /// report's per-device busy seconds.
     #[test]
     fn closed_loop_blame_conserves(
         seed in 0u64..300,

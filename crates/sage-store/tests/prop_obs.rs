@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_ssd::SsdConfig;
-use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage_store::client::workload::{Arrivals, OpMix, Pattern, TenantLoad};
 use sage_store::client::{range_for, ClosedLoopSpec, Dataset, DatasetBuilder};
 use sage_store::{obs, StoreOp};
 
@@ -77,18 +77,17 @@ proptest! {
     ) {
         let overloaded = overload_ix == 1;
         let rate = if overloaded { 200_000.0 } else { 400.0 };
-        let mut spec = OpenLoopSpec::new(arrivals_for(arrivals_ix, rate));
-        spec.pattern = pattern_for(pattern_ix);
-        spec.mix = OpMix { get: 0.9, scan: 0.05, append: 0.05 };
-        spec.requests = 72;
-        spec.queue_depth = 12;
-        spec.seed = seed ^ 0x0b5;
+        let mut load = TenantLoad::new(arrivals_for(arrivals_ix, rate));
+        load.pattern = pattern_for(pattern_ix);
+        load.mix = OpMix { get: 0.9, scan: 0.05, append: 0.05 };
+        load.requests = 72;
+        load.seed = seed ^ 0x0b5;
 
         let plain = fresh_dataset(seed, devices, cache_chunks, false)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("untraced drive");
         let traced_ds = fresh_dataset(seed, devices, cache_chunks, true);
-        let traced = traced_ds.drive_open_loop(&spec).expect("traced drive");
+        let traced = traced_ds.drive_open_loop(&load, 12).expect("traced drive");
 
         // (a) The whole report — latencies, shed accounting, device
         // busy seconds — is bit-identical with tracing on.
@@ -138,10 +137,8 @@ proptest! {
             .drive_closed_loop(&spec, |c, i| StoreOp::Get(range_for(c, i, total, 8)))
             .expect("traced drive");
 
-        prop_assert_eq!(&plain.latencies, &traced.latencies);
-        prop_assert_eq!(&plain.device_busy, &traced.device_busy);
-        prop_assert_eq!(plain.makespan, traced.makespan);
-        prop_assert_eq!(plain.gets.ops, traced.gets.ops);
+        // The whole report, bit for bit.
+        prop_assert_eq!(&plain, &traced);
 
         let buf = traced_ds.trace().expect("tracing dataset has a buffer");
         prop_assert_eq!(buf.len() as u64, traced.completed);

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_io::SchedPolicyKind;
 use sage_ssd::SsdConfig;
-use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage_store::client::workload::{Arrivals, OpMix, Pattern};
 use sage_store::client::{Dataset, DatasetBuilder, MultiTenantSpec, TenantLoad, TenantSpec};
 use sage_store::StoreBackend;
 use std::path::PathBuf;
@@ -105,25 +105,24 @@ proptest! {
             backend_dir: (file_backend_ix == 1).then(|| tmp.0.clone()),
             decode_workers: DECODE_WORKERS[decode_workers_ix],
         };
-        let mut spec = OpenLoopSpec::new(Arrivals::Poisson { rate: 50.0 });
-        spec.pattern = pattern_for(pattern_ix);
+        let mut load = TenantLoad::new(Arrivals::Poisson { rate: 50.0 });
+        load.pattern = pattern_for(pattern_ix);
         // Scans exercise the multi-chunk (pooled) miss path;
         // appends exercise the container write-through.
-        spec.mix = OpMix { get: 0.8, scan: 0.15, append: 0.05 };
-        spec.requests = 64;
-        spec.queue_depth = 12;
-        spec.seed = seed ^ 0x440c;
+        load.mix = OpMix { get: 0.8, scan: 0.15, append: 0.05 };
+        load.requests = 64;
+        load.seed = seed ^ 0x440c;
 
         let a = knob_dataset(seed, devices, &knobs)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("first drive");
         let b = knob_dataset(seed, devices, &knobs)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("second drive");
         prop_assert_eq!(&a, &b);
 
         let reference = knob_dataset(seed, devices, &Knobs::default())
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("reference drive");
         prop_assert_eq!(&a, &reference);
         prop_assert!(a.completed > 0);

@@ -1,5 +1,5 @@
 //! Property tests for the open-loop workload driver: (a) a fixed
-//! `(seed, spec)` pair on an identically-prepared dataset must
+//! `(seed, load)` pair on an identically-prepared dataset must
 //! reproduce the entire `QosReport` bit-for-bit — arrival instants,
 //! op streams, latencies, shed counts, device accounting — and (b) at
 //! arrival rates far below service capacity the mean open-loop
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_ssd::SsdConfig;
-use sage_store::client::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage_store::client::workload::{Arrivals, OpMix, Pattern, TenantLoad};
 use sage_store::client::{Dataset, DatasetBuilder};
 
 /// An identically-prepared serving stack: same reads, same encode,
@@ -88,18 +88,17 @@ proptest! {
     ) {
         let overloaded = overload_ix == 1;
         let rate = if overloaded { 200_000.0 } else { 400.0 };
-        let mut spec = OpenLoopSpec::new(arrivals_for(arrivals_ix, rate));
-        spec.pattern = pattern_for(pattern_ix);
-        spec.mix = OpMix { get: 0.9, scan: 0.05, append: 0.05 };
-        spec.requests = 72;
-        spec.queue_depth = 12;
-        spec.seed = seed ^ 0xabcd;
+        let mut load = TenantLoad::new(arrivals_for(arrivals_ix, rate));
+        load.pattern = pattern_for(pattern_ix);
+        load.mix = OpMix { get: 0.9, scan: 0.05, append: 0.05 };
+        load.requests = 72;
+        load.seed = seed ^ 0xabcd;
 
         let a = fresh_dataset(seed, devices, cache_chunks)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("first drive");
         let b = fresh_dataset(seed, devices, cache_chunks)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("second drive");
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.offered, 72);
@@ -111,10 +110,10 @@ proptest! {
         // the equality above is not vacuous). Latency vectors match
         // only if the two op streams coincide, which they do not for
         // non-degenerate specs.
-        let mut other = spec;
-        other.seed = spec.seed ^ 0x5555;
+        let mut other = load;
+        other.seed = load.seed ^ 0x5555;
         let c = fresh_dataset(seed, devices, cache_chunks)
-            .drive_open_loop(&other)
+            .drive_open_loop(&other, 12)
             .expect("third drive");
         prop_assert_eq!(c.offered, a.offered);
         prop_assert!(
@@ -125,7 +124,7 @@ proptest! {
 
     /// The hot-path knobs keep the QoS machinery deterministic and
     /// payload-invariant: for any cache shard count × coalescing
-    /// setting, a fixed `(seed, spec)` still replays its `QosReport`
+    /// setting, a fixed `(seed, load)` still replays its `QosReport`
     /// bit-for-bit, and the *payload* served (reads, bases) is
     /// identical to the reference configuration — sharding only moves
     /// lock boundaries and coalescing only merges device commands.
@@ -142,24 +141,23 @@ proptest! {
         // executes the *same* 64-op stream and payload comparisons
         // are meaningful. (Shed decisions depend on completion
         // timing, which sharding/coalescing legitimately change.)
-        let mut spec = OpenLoopSpec::new(Arrivals::Poisson { rate: 50.0 });
-        spec.pattern = pattern_for(pattern_ix);
-        spec.mix = OpMix { get: 0.95, scan: 0.05, append: 0.0 };
-        spec.requests = 64;
-        spec.queue_depth = 12;
-        spec.seed = seed ^ 0x33aa;
+        let mut load = TenantLoad::new(Arrivals::Poisson { rate: 50.0 });
+        load.pattern = pattern_for(pattern_ix);
+        load.mix = OpMix { get: 0.95, scan: 0.05, append: 0.0 };
+        load.requests = 64;
+        load.seed = seed ^ 0x33aa;
 
         let a = fresh_hotpath_dataset(seed, devices, 4, cache_shards, coalesce)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("first drive");
         let b = fresh_hotpath_dataset(seed, devices, 4, cache_shards, coalesce)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("second drive");
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.shed, 0u64);
 
         let reference = fresh_dataset(seed, devices, 4)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 12)
             .expect("reference drive");
         prop_assert_eq!(a.completed, reference.completed);
         prop_assert_eq!(a.reads_served, reference.reads_served);
@@ -187,25 +185,25 @@ proptest! {
     ) {
         // Cache off: every op pays its device, so "unloaded latency"
         // is a property of the op stream, not of history.
-        let mut spec = OpenLoopSpec::new(Arrivals::Fixed { rate: 1.0 });
-        spec.pattern = pattern_for(pattern_ix);
-        spec.requests = 48;
-        spec.seed = seed ^ 0x77;
+        let mut load = TenantLoad::new(Arrivals::Fixed { rate: 1.0 });
+        load.pattern = pattern_for(pattern_ix);
+        load.requests = 48;
+        load.seed = seed ^ 0x77;
 
         // At 1 request per virtual second (service is sub-millisecond)
         // the system is idle between arrivals: this *is* the unloaded
         // single-request latency of the stream.
         let unloaded = fresh_dataset(seed, devices, 0)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 64)
             .expect("unloaded drive");
         prop_assert_eq!(unloaded.shed, 0u64);
 
         // ~2% of calibrated capacity: still far below saturation, but
         // arrivals are 50x denser than the unloaded run.
         let capacity = unloaded.capacity_estimate(devices);
-        spec.arrivals = Arrivals::Fixed { rate: capacity * 0.02 };
+        load.arrivals = Arrivals::Fixed { rate: capacity * 0.02 };
         let low = fresh_dataset(seed, devices, 0)
-            .drive_open_loop(&spec)
+            .drive_open_loop(&load, 64)
             .expect("low-rate drive");
         prop_assert_eq!(low.shed, 0u64);
         prop_assert_eq!(low.completed, unloaded.completed);

@@ -7,14 +7,14 @@
 //!
 //! Everything is seeded: run it twice and every number repeats
 //! bit-for-bit (`sage::workload` derives arrival instants and the op
-//! stream from `OpenLoopSpec::seed` alone).
+//! stream from `TenantLoad::seed` alone).
 //!
 //! Run with: `cargo run --release --example open_loop_qos`
 
 use sage::client::DatasetBuilder;
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
 use sage::ssd::SsdConfig;
-use sage::workload::{Arrivals, OpMix, OpenLoopSpec, Pattern};
+use sage::workload::{Arrivals, OpMix, Pattern, TenantLoad};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A two-SSD dataset with caching off, so every operation pays its
@@ -31,14 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Calibrate the fleet's capacity from a trickle-rate run: mean
     // device-seconds per op → ops/s the devices can absorb.
-    let mut spec = OpenLoopSpec::new(Arrivals::Fixed { rate: 1.0 });
-    spec.pattern = Pattern::Zipf {
+    let mut load = TenantLoad::new(Arrivals::Fixed { rate: 1.0 });
+    load.pattern = Pattern::Zipf {
         theta: 1.0,
         span: 32,
     };
-    spec.mix = OpMix::gets();
-    spec.requests = 64;
-    let capacity = build()?.drive_open_loop(&spec)?.capacity_estimate(2);
+    load.mix = OpMix::gets();
+    load.requests = 64;
+    let capacity = build()?.drive_open_loop(&load, 64)?.capacity_estimate(2);
     println!("calibrated capacity ≈ {capacity:.0} req/s");
 
     println!(
@@ -46,12 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "offered/s", "achieved/s", "shed", "p50 ms", "p99 ms", "p999 ms"
     );
     for fraction in [0.4, 0.9, 2.5] {
-        spec.arrivals = Arrivals::Poisson {
+        load.arrivals = Arrivals::Poisson {
             rate: fraction * capacity,
         };
-        spec.requests = 400;
-        spec.queue_depth = 32;
-        let report = build()?.drive_open_loop(&spec)?;
+        load.requests = 400;
+        let report = build()?.drive_open_loop(&load, 32)?;
         println!(
             "{:>10.0} {:>11.0} {:>6} {:>9.3} {:>9.3} {:>9.3}",
             report.offered_rate,

@@ -24,8 +24,7 @@ use sage::genomics::Base;
 use sage::io::SchedPolicyKind;
 use sage::ssd::SsdConfig;
 use sage::store::{
-    Dataset, DatasetBuilder, MultiTenantSpec, OpenLoopSpec, QosReport, StoreOp, TenantId,
-    TenantLoad, TenantSpec,
+    Dataset, DatasetBuilder, MultiTenantSpec, QosReport, StoreOp, TenantId, TenantLoad, TenantSpec,
 };
 use sage::workload::{Arrivals, OpMix, Pattern};
 
@@ -94,18 +93,17 @@ const ARRIVALS: [Arrivals; 3] = [
 /// Drives one grid cell — 96 arrivals of an 80/10/10 get/scan/append
 /// mix behind an 8-deep queue (small: some cells shed).
 fn open_loop_report(devices: usize, arrivals: Arrivals, pattern: Pattern) -> QosReport {
-    let mut spec = OpenLoopSpec::new(arrivals);
-    spec.pattern = pattern;
-    spec.mix = OpMix {
+    let mut load = TenantLoad::new(arrivals);
+    load.pattern = pattern;
+    load.mix = OpMix {
         get: 0.8,
         scan: 0.1,
         append: 0.1,
     };
-    spec.requests = 96;
-    spec.queue_depth = 8;
-    spec.seed = 0x5eed;
+    load.requests = 96;
+    load.seed = 0x5eed;
     let report = fleet_dataset(devices)
-        .drive_open_loop(&spec)
+        .drive_open_loop(&load, 8)
         .expect("drive");
     assert_eq!(report.shed_events.len() as u64, report.shed);
     report
@@ -263,10 +261,9 @@ fn span_tokens_are_arrival_ordinals_with_gaps_at_the_sheds() {
     // Fixed arrivals far past one device's capacity behind a 4-deep
     // queue: most arrivals are shed.
     let dataset = fleet_dataset(1);
-    let mut spec = OpenLoopSpec::new(Arrivals::Fixed { rate: 1e5 });
-    spec.requests = 48;
-    spec.queue_depth = 4;
-    let report = dataset.drive_open_loop(&spec).expect("drive");
+    let mut load = TenantLoad::new(Arrivals::Fixed { rate: 1e5 });
+    load.requests = 48;
+    let report = dataset.drive_open_loop(&load, 4).expect("drive");
     let spans = dataset.trace().expect("tracing dataset").spans();
     assert_eq!((report.completed, report.shed), (7, 41));
     let tokens: Vec<u64> = spans.iter().map(|s| s.token).collect();
@@ -281,7 +278,7 @@ fn span_tokens_are_arrival_ordinals_with_gaps_at_the_sheds() {
         .chain(report.shed_events.iter().map(|e| (e.arrival_vt, None)))
         .collect();
     arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite instants"));
-    assert_eq!(arrivals.len() as u64, spec.requests);
+    assert_eq!(arrivals.len() as u64, load.requests);
     for (ordinal, (_, token)) in arrivals.iter().enumerate() {
         if let Some(token) = token {
             assert_eq!(*token, ordinal as u64);
