@@ -3,11 +3,11 @@
 //! Every finished operation becomes a [`Cqe`] posted to one FIFO
 //! (unless its backend delivered it itself, see
 //! [`IoBackend::complete`](crate::IoBackend::complete)).
-//! Consumers either poll it ([`CompletionQueues::poll_any`]) or block
-//! for the next completion ([`CompletionQueues::wait_any`]). The queue
-//! sits behind one mutex — completion entries are tiny and the
-//! reactor's worker count bounds the posting rate, so a finer-grained
-//! design would buy nothing but subtlety.
+//! Consumers block for the next completion
+//! ([`CompletionQueues::wait_any`]). The queue sits behind one mutex —
+//! completion entries are tiny and the reactor's worker count bounds
+//! the posting rate, so a finer-grained design would buy nothing but
+//! subtlety.
 //!
 //! Completions drain in **post order**: the order the workers
 //! finished them, which with several workers depends on the host.
@@ -127,11 +127,6 @@ impl<T> CompletionQueues<T> {
         }
     }
 
-    /// Pops the oldest completion, in post order.
-    pub fn poll_any(&self) -> Option<Cqe<T>> {
-        self.state.lock().expect("cq poisoned").queue.pop_front()
-    }
-
     /// Blocks until a completion is available and pops the
     /// oldest-posted one; `None` when the reactor shut down and the
     /// queue is drained.
@@ -177,7 +172,8 @@ mod tests {
         cq.post(cqe(1, 0));
         cq.post(cqe(2, 1));
         cq.post(cqe(3, 7));
-        let drained: Vec<(u64, usize)> = std::iter::from_fn(|| cq.poll_any())
+        cq.poster_done();
+        let drained: Vec<(u64, usize)> = std::iter::from_fn(|| cq.wait_any())
             .map(|c| (c.user_data, c.device))
             .collect();
         assert_eq!(drained, [(1, 0), (2, 1), (3, 7)]);
@@ -208,7 +204,7 @@ mod tests {
         cq.post(cqe(2, 0));
         cq.post(cqe(3, 1));
         assert_eq!(cq.wait_any().unwrap().user_data, 1);
-        assert_eq!(cq.poll_any().unwrap().user_data, 2);
+        assert_eq!(cq.wait_any().unwrap().user_data, 2);
         assert_eq!(cq.wait_any().unwrap().user_data, 3);
     }
 }

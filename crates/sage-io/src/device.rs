@@ -8,30 +8,13 @@
 //! splitting one across devices would couple two device queues to a
 //! single fetch.
 //!
-//! Two placement policies:
-//!
-//! - [`Placement::RoundRobin`] — chunk *i* lands on device
-//!   `i mod N`; uniform when devices are identical.
-//! - [`Placement::CapacityWeighted`] — each chunk goes to the device
-//!   with the lowest fill *fraction*, so a fleet mixing large and
-//!   small devices fills proportionally and the large device absorbs
-//!   proportionally more of the read traffic.
+//! Chunks are placed round-robin: chunk *i* lands on device `i mod N`, so
+//! each device's chunks sit back to back in its local space.
 
 use crate::sched::DeviceCharge;
 use sage_core::Extent;
 use sage_ssd::{ReadFormat, SageLayout, SsdCommand, SsdConfig, SsdModel};
 use std::sync::Mutex;
-
-/// How chunks are assigned to devices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Placement {
-    /// Chunk `i` → device `i mod N`.
-    #[default]
-    RoundRobin,
-    /// Each chunk → the device with the lowest placed-bytes /
-    /// capacity fraction.
-    CapacityWeighted,
-}
 
 /// One chunk's home: which device and where on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,30 +70,25 @@ struct SlotTable {
 /// N device models with chunk-granularity extent striping.
 #[derive(Debug)]
 pub struct DeviceMap {
-    placement: Placement,
-    capacities: Vec<u64>,
     table: Mutex<SlotTable>,
     devices: Vec<Mutex<DeviceState>>,
 }
 
 impl DeviceMap {
     /// Builds a fleet and places `chunk_lens` (the byte length of each
-    /// chunk, in chunk-id order) across it. The initial dataset write
-    /// seeds each device's layout and FTL but is *not* counted in the
-    /// serving snapshot.
+    /// chunk, in chunk-id order) round-robin across it. The initial
+    /// dataset write seeds each device's layout and FTL but is *not*
+    /// counted in the serving snapshot.
     ///
     /// # Panics
     ///
     /// Panics if `configs` is empty.
-    pub fn place(configs: &[SsdConfig], placement: Placement, chunk_lens: &[usize]) -> DeviceMap {
+    pub fn place(configs: &[SsdConfig], chunk_lens: &[usize]) -> DeviceMap {
         assert!(
             !configs.is_empty(),
             "a device map needs at least one device"
         );
-        let capacities = configs.iter().map(SsdConfig::capacity_bytes).collect();
         let mut map = DeviceMap {
-            placement,
-            capacities,
             table: Mutex::new(SlotTable {
                 slots: Vec::with_capacity(chunk_lens.len()),
                 cursors: vec![0; configs.len()],
@@ -152,16 +130,7 @@ impl DeviceMap {
     /// bookkeeping only — device state is untouched).
     fn assign(&self, len: usize) -> ChunkSlot {
         let mut table = self.table.lock().expect("table poisoned");
-        let device = match self.placement {
-            Placement::RoundRobin => table.slots.len() % table.cursors.len(),
-            Placement::CapacityWeighted => {
-                let fill =
-                    |d: usize| (table.cursors[d] + len) as f64 / (self.capacities[d].max(1)) as f64;
-                (0..table.cursors.len())
-                    .min_by(|&a, &b| fill(a).partial_cmp(&fill(b)).expect("finite fill"))
-                    .expect("at least one device")
-            }
-        };
+        let device = table.slots.len() % table.cursors.len();
         let slot = ChunkSlot {
             device,
             local: Extent {
@@ -202,24 +171,9 @@ impl DeviceMap {
     /// Panics if `chunk_id` was never placed — the store's manifest
     /// and the device map must agree on the chunk table.
     pub fn charge_chunk_read(&self, chunk_id: u32) -> DeviceCharge {
-        let slot = self
+        let ChunkSlot { device, local } = self
             .slot(chunk_id)
             .unwrap_or_else(|| panic!("chunk {chunk_id} not placed on any device"));
-        self.charge_extent_read(slot.device, slot.local)
-    }
-
-    /// Charges one device-local extent read as a **single** device
-    /// command. This is the coalesced fetch path: an engine that
-    /// merges adjacent same-device chunk extents submits the merged
-    /// run here, paying the per-command fixed cost once and letting
-    /// the longer transfer engage more channels — instead of one
-    /// `SAGe_Read` per chunk. One command, one `reads` count, one
-    /// charge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` does not exist in the fleet.
-    pub fn charge_extent_read(&self, device: usize, local: Extent) -> DeviceCharge {
         let mut dev = self.devices[device].lock().expect("device poisoned");
         let r = dev.model.execute(SsdCommand::SageReadExtent {
             offset: local.offset,
@@ -265,17 +219,6 @@ impl DeviceMap {
         }
     }
 
-    /// Pages a placed chunk touches on its device's layout.
-    pub fn pages_for_chunk(&self, chunk_id: u32) -> usize {
-        let Some(slot) = self.slot(chunk_id) else {
-            return 0;
-        };
-        let dev = self.devices[slot.device].lock().expect("device poisoned");
-        dev.layout
-            .pages_for_extent(slot.local.offset, slot.local.len)
-            .len()
-    }
-
     /// Per-device accounting.
     pub fn snapshots(&self) -> Vec<DeviceSnapshot> {
         self.devices
@@ -302,6 +245,15 @@ impl DeviceMap {
 mod tests {
     use super::*;
 
+    /// Pages a placed chunk touches on its device's layout.
+    fn pages_for_chunk(map: &DeviceMap, chunk_id: u32) -> usize {
+        let slot = map.slot(chunk_id).expect("placed chunk");
+        let dev = map.devices[slot.device].lock().expect("device poisoned");
+        dev.layout
+            .pages_for_extent(slot.local.offset, slot.local.len)
+            .len()
+    }
+
     fn fleet(n: usize) -> Vec<SsdConfig> {
         (0..n)
             .map(|i| {
@@ -315,7 +267,7 @@ mod tests {
     #[test]
     fn round_robin_stripes_chunks() {
         let lens = vec![100, 200, 300, 400, 500];
-        let map = DeviceMap::place(&fleet(2), Placement::RoundRobin, &lens);
+        let map = DeviceMap::place(&fleet(2), &lens);
         assert_eq!(map.n_devices(), 2);
         assert_eq!(map.n_chunks(), 5);
         for (i, &len) in lens.iter().enumerate() {
@@ -332,31 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_weighted_fills_proportionally() {
-        let mut small = SsdConfig::pcie();
-        small.name = "small".into();
-        small.blocks_per_plane /= 4; // quarter capacity
-        let big = SsdConfig::pcie();
-        let lens = vec![1000; 100];
-        let map = DeviceMap::place(
-            &[small.clone(), big.clone()],
-            Placement::CapacityWeighted,
-            &lens,
-        );
-        let snaps = map.snapshots();
-        let small_bytes = snaps[0].placed_bytes as f64;
-        let big_bytes = snaps[1].placed_bytes as f64;
-        let want = small.capacity_bytes() as f64 / big.capacity_bytes() as f64;
-        let got = small_bytes / big_bytes;
-        assert!(
-            (got - want).abs() / want < 0.25,
-            "fill ratio {got} vs capacity ratio {want}"
-        );
-    }
-
-    #[test]
     fn reads_charge_the_owning_device_only() {
-        let map = DeviceMap::place(&fleet(3), Placement::RoundRobin, &[4096, 4096, 4096]);
+        let map = DeviceMap::place(&fleet(3), &[4096, 4096, 4096]);
         let c = map.charge_chunk_read(1);
         assert_eq!(c.device, 1);
         assert!(c.seconds > 0.0);
@@ -371,13 +300,13 @@ mod tests {
     fn appends_extend_one_device_layout() {
         let cfg = fleet(2);
         let page = cfg[0].page_bytes;
-        let map = DeviceMap::place(&cfg, Placement::RoundRobin, &[page, page]);
+        let map = DeviceMap::place(&cfg, &[page, page]);
         // Next chunk (id 2) round-robins onto device 0 and grows its
         // layout by exactly its pages.
         let c = map.append_chunk(page * 2);
         assert_eq!(c.device, 0);
         assert!(c.seconds > 0.0);
-        assert_eq!(map.pages_for_chunk(2), 2);
+        assert_eq!(pages_for_chunk(&map, 2), 2);
         let snaps = map.snapshots();
         assert_eq!(snaps[0].chunks, 2);
         assert_eq!(snaps[0].writes, 1);
@@ -389,7 +318,7 @@ mod tests {
     fn sub_page_appends_charge_only_grown_pages() {
         let cfg = fleet(1);
         let page = cfg[0].page_bytes;
-        let map = DeviceMap::place(&cfg, Placement::RoundRobin, &[page / 2]);
+        let map = DeviceMap::place(&cfg, &[page / 2]);
         // Grows the device's bytes within the already-programmed first
         // page: a write op is recorded but no new page is charged.
         let inside = map.append_chunk(page / 2 - 10);
@@ -406,8 +335,9 @@ mod tests {
     #[test]
     fn zero_length_extent_is_free_but_counted() {
         let cfg = fleet(1);
-        let map = DeviceMap::place(&cfg, Placement::RoundRobin, &[cfg[0].page_bytes * 4]);
-        let nothing = map.charge_extent_read(0, Extent { offset: 64, len: 0 });
+        // Chunk 1 is the zero-length extent at offset 64.
+        let map = DeviceMap::place(&cfg, &[64, 0]);
+        let nothing = map.charge_chunk_read(1);
         assert_eq!(nothing.seconds, 0.0);
         // The command was issued (and counted) even though it touched
         // no pages and cost no device time.
@@ -418,8 +348,7 @@ mod tests {
 
     #[test]
     fn missing_chunks_are_absent() {
-        let map = DeviceMap::place(&fleet(2), Placement::RoundRobin, &[64]);
+        let map = DeviceMap::place(&fleet(2), &[64]);
         assert!(map.slot(1).is_none());
-        assert_eq!(map.pages_for_chunk(9), 0);
     }
 }

@@ -33,7 +33,7 @@
 //!   simulated timeline is untouched when real I/O is on.
 //! - [`device`] — **multi-SSD extent sharding**: a [`DeviceMap`]
 //!   stripes chunk extents across N [`sage_ssd::SsdModel`]s
-//!   (round-robin or capacity-weighted), routes each fetch to its
+//!   (round-robin), routes each fetch to its
 //!   owning device, and aggregates per-device timing/utilization
 //!   snapshots.
 //!
@@ -59,7 +59,7 @@ pub mod ring;
 pub mod sched;
 
 pub use cqueue::{CompletionQueues, Cqe};
-pub use device::{ChunkSlot, DeviceMap, DeviceSnapshot, Placement};
+pub use device::{ChunkSlot, DeviceMap, DeviceSnapshot};
 pub use file::{FileBackend, FileReadOp};
 pub use qos::{SchedPolicyKind, SchedTag};
 pub use reactor::{IoBackend, IoConfig, Reactor, ReactorSnapshot, Sqe};

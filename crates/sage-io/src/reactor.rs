@@ -104,7 +104,7 @@ impl Default for IoConfig {
 pub struct ReactorSnapshot {
     /// Operations accepted: queued into the ring or completed inline.
     pub submitted: u64,
-    /// `try_submit_tagged` attempts shed because the ring was full.
+    /// [`Reactor::try_submit_for`] attempts shed because the ring was full.
     pub rejected: u64,
     /// Operations completed (stamped and handed to
     /// [`IoBackend::complete`]).

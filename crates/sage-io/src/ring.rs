@@ -132,53 +132,6 @@ impl<T> SubmissionRing<T> {
         Ok(())
     }
 
-    /// Enqueues a batch of entries in order, blocking while the ring
-    /// is full (backpressure), taking the ring lock **once per
-    /// capacity window** instead of once per entry. Entries already
-    /// accepted stay accepted if the ring closes mid-batch; the
-    /// return value says how many got in.
-    ///
-    /// # Errors
-    ///
-    /// `Err((SubmitError::Closed, accepted))` when the ring closed
-    /// before the whole batch was accepted, with `accepted` entries
-    /// already enqueued (they will still be served on a graceful
-    /// close).
-    pub fn push_batch(
-        &self,
-        entries: impl IntoIterator<Item = T>,
-    ) -> Result<usize, (SubmitError, usize)> {
-        // Materialize the batch *before* taking the ring lock: the
-        // caller's iterator can run arbitrary code (or block), and
-        // holding the mutex across `next()` would stall every
-        // consumer `pop` — a deadlock if the iterator itself waits on
-        // a queued completion.
-        let entries: Vec<T> = entries.into_iter().collect();
-        let mut accepted = 0usize;
-        let mut inner = self.inner.lock().expect("ring poisoned");
-        for entry in entries {
-            while inner.queue.len() >= self.capacity && !inner.closed {
-                // Wake consumers before parking: the batch may have
-                // filled the ring before any not_empty signal went
-                // out, and a sleeping consumer is the only thing that
-                // can make room.
-                self.not_empty.notify_all();
-                inner = self.not_full.wait(inner).expect("ring poisoned");
-            }
-            if inner.closed {
-                drop(inner);
-                self.not_empty.notify_all();
-                return Err((SubmitError::Closed, accepted));
-            }
-            inner.queue.push_back(entry);
-            inner.submitted += 1;
-            accepted += 1;
-        }
-        drop(inner);
-        self.not_empty.notify_all();
-        Ok(accepted)
-    }
-
     /// Dequeues the oldest entry, blocking while the ring is empty.
     /// Returns `None` only when the ring is closed *and* drained — a
     /// graceful close still serves everything already queued.
@@ -293,34 +246,6 @@ mod tests {
         assert_eq!(ring.pop(), Some(1));
         pusher.join().unwrap().unwrap();
         assert_eq!(ring.pop(), Some(2));
-    }
-
-    #[test]
-    fn batch_push_keeps_order_and_survives_overflow() {
-        // A batch larger than the ring must drain through a consumer
-        // without deadlocking, in submission order.
-        let ring = Arc::new(SubmissionRing::new(2));
-        let r2 = Arc::clone(&ring);
-        let producer = std::thread::spawn(move || r2.push_batch(0..10));
-        let mut seen = Vec::new();
-        for _ in 0..10 {
-            seen.push(ring.pop().unwrap());
-        }
-        assert_eq!(producer.join().unwrap(), Ok(10));
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(ring.counters().submitted, 10);
-    }
-
-    #[test]
-    fn batch_push_reports_the_accepted_prefix_on_close() {
-        let ring = SubmissionRing::new(8);
-        ring.push_batch([1, 2]).unwrap();
-        ring.close();
-        assert_eq!(ring.push_batch([3, 4]), Err((SubmitError::Closed, 0)));
-        // The pre-close prefix is still served.
-        assert_eq!(ring.pop(), Some(1));
-        assert_eq!(ring.pop(), Some(2));
-        assert_eq!(ring.pop(), None);
     }
 
     #[test]

@@ -6,24 +6,21 @@ use super::Dataset;
 use crate::codec::{encode_sharded, ShardedStore, StoreOptions};
 use crate::engine::{EngineConfig, StoreBackend, StoreEngine};
 use crate::{ConfigError, Result};
-use sage_core::CompressOptions;
 use sage_genomics::ReadSet;
-use sage_io::Placement;
 use sage_ssd::SsdConfig;
 use std::sync::Arc;
 
 /// The one fluent entry point onto the serving path.
 ///
 /// Folds what used to be three hand-wired configurations —
-/// [`StoreOptions`] (chunking + codec), [`EngineConfig`] (cache +
+/// [`StoreOptions`] (chunking), [`EngineConfig`] (cache +
 /// devices), and the server sizing passed to the old
 /// `StoreServer::start` — into a single builder that **validates knob
 /// conflicts** instead of letting the last write win: configuring
 /// both [`ssd`](DatasetBuilder::ssd) and
 /// [`ssd_fleet`](DatasetBuilder::ssd_fleet) is a typed
-/// [`ConfigError::DeviceConflict`], a placement without a fleet is
-/// [`ConfigError::PlacementWithoutFleet`], and degenerate sizings are
-/// caught before any thread starts.
+/// [`ConfigError::DeviceConflict`], and degenerate sizings are caught
+/// before any thread starts.
 ///
 /// ```
 /// use sage_store::client::DatasetBuilder;
@@ -62,19 +59,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {
     reads_per_chunk: usize,
-    encode_workers: usize,
-    append_workers: usize,
-    codec: CompressOptions,
     cache_chunks: usize,
     cache_shards: usize,
-    coalesce_extents: bool,
     ssd: Option<SsdConfig>,
     fleet: Option<Vec<SsdConfig>>,
-    placement: Option<Placement>,
     server_workers: usize,
     queue_depth: usize,
     tracing: bool,
-    tracing_capacity: Option<usize>,
     tenants: Vec<TenantSpec>,
     backend: StoreBackend,
     decode_workers: usize,
@@ -84,19 +75,13 @@ impl Default for DatasetBuilder {
     fn default() -> DatasetBuilder {
         DatasetBuilder {
             reads_per_chunk: 256,
-            encode_workers: 0,
-            append_workers: 0,
-            codec: CompressOptions::default(),
             cache_chunks: 16,
             cache_shards: 1,
-            coalesce_extents: false,
             ssd: None,
             fleet: None,
-            placement: None,
             server_workers: 4,
             queue_depth: 32,
             tracing: false,
-            tracing_capacity: None,
             tenants: Vec::new(),
             backend: StoreBackend::default(),
             decode_workers: 0,
@@ -119,27 +104,6 @@ impl DatasetBuilder {
         self
     }
 
-    /// Worker threads for the initial encode (0 ⇒ available
-    /// parallelism).
-    pub fn encode_workers(mut self, n: usize) -> DatasetBuilder {
-        self.encode_workers = n;
-        self
-    }
-
-    /// Worker threads compressing appended chunks (0 ⇒ available
-    /// parallelism).
-    pub fn append_workers(mut self, n: usize) -> DatasetBuilder {
-        self.append_workers = n;
-        self
-    }
-
-    /// Codec options applied to every chunk (`store_order` is forced
-    /// on by the chunk codec).
-    pub fn codec(mut self, codec: CompressOptions) -> DatasetBuilder {
-        self.codec = codec;
-        self
-    }
-
     /// Decoded chunks the LRU cache may pin (0 disables caching).
     pub fn cache_chunks(mut self, n: usize) -> DatasetBuilder {
         self.cache_chunks = n;
@@ -158,15 +122,6 @@ impl DatasetBuilder {
         self
     }
 
-    /// Merges adjacent same-device chunk extents fetched by one
-    /// operation into single device commands (fewer fixed per-command
-    /// costs, longer sequential transfers). Off by default so the
-    /// virtual timeline stays bit-identical to per-chunk charging.
-    pub fn extent_coalescing(mut self, on: bool) -> DatasetBuilder {
-        self.coalesce_extents = on;
-        self
-    }
-
     /// SSD timing on one device — a fleet of one. Conflicts with
     /// [`ssd_fleet`](DatasetBuilder::ssd_fleet).
     pub fn ssd(mut self, cfg: SsdConfig) -> DatasetBuilder {
@@ -178,13 +133,6 @@ impl DatasetBuilder {
     /// Conflicts with [`ssd`](DatasetBuilder::ssd).
     pub fn ssd_fleet(mut self, fleet: Vec<SsdConfig>) -> DatasetBuilder {
         self.fleet = Some(fleet);
-        self
-    }
-
-    /// Fleet placement policy (requires
-    /// [`ssd_fleet`](DatasetBuilder::ssd_fleet)).
-    pub fn placement(mut self, placement: Placement) -> DatasetBuilder {
-        self.placement = Some(placement);
         self
     }
 
@@ -233,21 +181,6 @@ impl DatasetBuilder {
         self
     }
 
-    /// Enables span tracing bounded to the most recent `n` spans: the
-    /// trace buffer becomes a ring that evicts its oldest span on
-    /// overflow (each eviction counted —
-    /// [`MetricsSnapshot::trace_dropped`](crate::obs::MetricsSnapshot::trace_dropped)),
-    /// so long open-loop runs can trace steady state without
-    /// unbounded memory growth. Implies
-    /// [`tracing(true)`](DatasetBuilder::tracing); `0` is a typed
-    /// [`ConfigError::ZeroTraceCapacity`]. The bound is
-    /// observation-side only — it never perturbs the timeline.
-    pub fn tracing_capacity(mut self, n: usize) -> DatasetBuilder {
-        self.tracing = true;
-        self.tracing_capacity = Some(n);
-        self
-    }
-
     /// Registers one tenant; its [`TenantId`](super::TenantId) is its
     /// registration order. With no tenants registered the dataset
     /// serves the single default tenant. Open tenant-bound sessions
@@ -277,9 +210,9 @@ impl DatasetBuilder {
         self
     }
 
-    /// Validates the folded configuration and splits it back into the
-    /// layer configs.
-    fn validate(&self) -> std::result::Result<(StoreOptions, EngineConfig), ConfigError> {
+    /// Validates the folded configuration and returns the engine's
+    /// share of it.
+    fn validate(&self) -> std::result::Result<EngineConfig, ConfigError> {
         if self.reads_per_chunk == 0 {
             return Err(ConfigError::ZeroChunkReads);
         }
@@ -297,14 +230,8 @@ impl DatasetBuilder {
                 return Err(ConfigError::EmptyFleet);
             }
         }
-        if self.placement.is_some() && self.fleet.is_none() {
-            return Err(ConfigError::PlacementWithoutFleet);
-        }
         if self.cache_shards == 0 {
             return Err(ConfigError::ZeroCacheShards);
-        }
-        if self.tracing_capacity == Some(0) {
-            return Err(ConfigError::ZeroTraceCapacity);
         }
         if let StoreBackend::File(dir) = &self.backend {
             if dir.as_os_str().is_empty() {
@@ -314,31 +241,20 @@ impl DatasetBuilder {
         for tenant in &self.tenants {
             tenant.validate()?;
         }
-        let store_opts = StoreOptions {
-            reads_per_chunk: self.reads_per_chunk,
-            workers: self.encode_workers,
-            codec: self.codec.clone(),
-        };
         let mut engine_cfg = EngineConfig::default()
             .with_cache_chunks(self.cache_chunks)
             .with_cache_shards(self.cache_shards)
-            .with_extent_coalescing(self.coalesce_extents)
             .with_tracing(self.tracing)
             .with_backend(self.backend.clone())
             .with_decode_workers(self.decode_workers);
-        engine_cfg.codec = self.codec.clone();
-        engine_cfg.append_workers = self.append_workers;
         if let Some(ssd) = &self.ssd {
             engine_cfg = engine_cfg.with_ssd(ssd.clone());
         }
         if let Some(fleet) = &self.fleet {
             engine_cfg = engine_cfg.with_ssd_fleet(fleet.clone());
         }
-        if let Some(placement) = self.placement {
-            engine_cfg = engine_cfg.with_placement(placement);
-        }
         debug_assert!(engine_cfg.validate().is_ok(), "builder pre-validates");
-        Ok((store_opts, engine_cfg))
+        Ok(engine_cfg)
     }
 
     /// Encodes `reads` into a sharded chunk store and serves it.
@@ -348,20 +264,19 @@ impl DatasetBuilder {
     /// [`crate::StoreError::Config`] for invalid knob combinations;
     /// codec errors from the encode.
     pub fn encode(&self, reads: &ReadSet) -> Result<Dataset> {
-        let (store_opts, engine_cfg) = self.validate()?;
-        let sharded = encode_sharded(reads, &store_opts)?;
+        let engine_cfg = self.validate()?;
+        let sharded = encode_sharded(reads, &StoreOptions::new(self.reads_per_chunk))?;
         self.serve_engine(sharded, engine_cfg)
     }
 
     /// Serves an already-encoded sharded store (the builder's chunk
-    /// and encode knobs are ignored; the store was encoded
-    /// elsewhere).
+    /// size is ignored; the store was encoded elsewhere).
     ///
     /// # Errors
     ///
     /// [`crate::StoreError::Config`] for invalid knob combinations.
     pub fn open(&self, sharded: ShardedStore) -> Result<Dataset> {
-        let (_, engine_cfg) = self.validate()?;
+        let engine_cfg = self.validate()?;
         self.serve_engine(sharded, engine_cfg)
     }
 
@@ -372,7 +287,6 @@ impl DatasetBuilder {
             self.server_workers,
             self.queue_depth,
             self.tracing,
-            self.tracing_capacity,
             self.tenants.clone(),
         ))
     }
@@ -443,13 +357,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::EmptyFleet,
         );
-        expect_config(
-            DatasetBuilder::new()
-                .placement(Placement::CapacityWeighted)
-                .encode(&rs)
-                .unwrap_err(),
-            ConfigError::PlacementWithoutFleet,
-        );
     }
 
     #[test]
@@ -459,7 +366,6 @@ mod tests {
             .chunk_reads(16)
             .cache_chunks(4)
             .ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::sata()])
-            .placement(Placement::CapacityWeighted)
             .server_workers(2)
             .queue_depth(4)
             .encode(&rs)
@@ -496,37 +402,6 @@ mod tests {
             "engine tracing must emit cache/device events"
         );
         assert_eq!(dataset.metrics().trace_spans, 1);
-    }
-
-    #[test]
-    fn tracing_capacity_bounds_the_buffer_and_counts_drops() {
-        let rs = reads();
-        let dataset = DatasetBuilder::new()
-            .chunk_reads(16)
-            .ssd(SsdConfig::pcie())
-            .tracing_capacity(3) // implies tracing(true)
-            .encode(&rs)
-            .expect("traced build");
-        let trace = dataset.trace().expect("tracing implied by capacity");
-        assert_eq!(trace.capacity(), Some(3));
-        for i in 0..8 {
-            dataset.session().get(i..i + 2).unwrap().join().unwrap();
-        }
-        // Ring holds the 3 newest spans; 5 were evicted and counted.
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.dropped(), 5);
-        let m = dataset.metrics();
-        assert_eq!(m.trace_spans, 3);
-        assert_eq!(m.trace_dropped, 5);
-        // Zero capacity is a typed config error.
-        expect_config(
-            DatasetBuilder::new()
-                .chunk_reads(16)
-                .tracing_capacity(0)
-                .encode(&reads())
-                .unwrap_err(),
-            ConfigError::ZeroTraceCapacity,
-        );
     }
 
     #[test]

@@ -173,14 +173,11 @@ impl OpReport {
     }
 
     /// Device commands the operation issued. On a **timed** engine
-    /// (single SSD or fleet) this equals the cache misses without
-    /// coalescing; with extent coalescing on, runs of adjacent
-    /// same-device chunks collapse into single commands and this
-    /// drops accordingly (`cache_misses / device_ops` is the merge
-    /// factor). On an untimed engine no device is modeled and this is
-    /// always 0, misses included.
+    /// (single SSD or fleet) a get or scan issues one per cache miss
+    /// and an append one per chunk written. On an untimed engine no
+    /// device is modeled and this is always 0, misses included.
     pub fn device_ops(&self) -> u64 {
-        self.trace.device_ops
+        self.trace.charges.len() as u64
     }
 
     /// Per-charge service windows (empty unless the dataset traces —
@@ -190,14 +187,8 @@ impl OpReport {
     }
 
     /// The operation as an [`OpSpan`](crate::obs::OpSpan) for trace
-    /// recording, tagged with its submission `token` and kind label,
-    /// attributed to the default tenant (0).
-    pub fn to_span(&self, token: u64, kind: &'static str) -> crate::obs::OpSpan {
-        self.to_span_for(token, kind, 0)
-    }
-
-    /// [`OpReport::to_span`] with explicit tenant attribution — the
-    /// form multi-tenant serving paths use.
+    /// recording, tagged with its submission `token`, kind label and
+    /// `tenant` (0 is the default tenant).
     pub fn to_span_for(&self, token: u64, kind: &'static str, tenant: usize) -> crate::obs::OpSpan {
         crate::obs::OpSpan {
             token,
@@ -212,7 +203,7 @@ impl OpReport {
             chunks_touched: self.trace.chunks_touched,
             cache_hits: self.trace.cache_hits,
             cache_misses: self.trace.cache_misses,
-            device_ops: self.trace.device_ops,
+            device_ops: self.device_ops(),
             events: self.trace.events.clone(),
         }
     }

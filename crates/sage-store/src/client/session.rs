@@ -305,8 +305,7 @@ impl Dataset {
     /// Serves an open engine with `workers` reactor threads over a
     /// submission ring of `queue_depth` slots. With `tracing`, every
     /// completed operation is recorded into the dataset's
-    /// [`TraceBuffer`], keeping the most recent `trace_capacity` spans
-    /// (every span on `None`). Each registered [`TenantSpec`] gets a
+    /// [`TraceBuffer`]. Each registered [`TenantSpec`] gets a
     /// [`TenantId`] in list order; an empty list serves the single
     /// default tenant. [`DatasetBuilder`](super::DatasetBuilder)
     /// validates every knob before calling this.
@@ -315,18 +314,12 @@ impl Dataset {
         workers: usize,
         queue_depth: usize,
         tracing: bool,
-        trace_capacity: Option<usize>,
         mut tenants: Vec<TenantSpec>,
     ) -> Dataset {
         if tenants.is_empty() {
             tenants.push(TenantSpec::default());
         }
-        let trace = tracing.then(|| {
-            Arc::new(match trace_capacity {
-                Some(cap) => TraceBuffer::with_capacity(cap),
-                None => TraceBuffer::new(),
-            })
-        });
+        let trace = tracing.then(|| Arc::new(TraceBuffer::new()));
         Dataset {
             core: Arc::new(ServeCore::start(
                 engine,
@@ -450,7 +443,7 @@ impl Dataset {
         let timing = self.timing_snapshot();
         let engine = self.engine();
         let decode = engine.decode_stats();
-        let (trace_spans, trace_dropped) = self.trace().map_or((0, 0), |t| (t.len(), t.dropped()));
+        let trace_spans = self.trace().map_or(0, |t| t.len());
         MetricsSnapshot {
             submitted: server.submitted,
             completed: server.completed,
@@ -479,7 +472,6 @@ impl Dataset {
             decode_seconds: decode.decode_seconds,
             dedup_decodes: decode.dedup_decodes,
             trace_spans,
-            trace_dropped,
         }
     }
 

@@ -24,10 +24,6 @@ pub struct StoreOptions {
     pub reads_per_chunk: usize,
     /// Worker threads for encode/decode (0 ⇒ available parallelism).
     pub workers: usize,
-    /// Codec options applied to every chunk. `store_order` is forced
-    /// on: chunks must restore their reads in dataset order for
-    /// read-id addressing to mean anything.
-    pub codec: CompressOptions,
 }
 
 impl StoreOptions {
@@ -36,7 +32,6 @@ impl StoreOptions {
         StoreOptions {
             reads_per_chunk,
             workers: 0,
-            codec: CompressOptions::default(),
         }
     }
 
@@ -53,20 +48,16 @@ impl StoreOptions {
         }
         default_workers()
     }
-
-    /// The per-chunk compressor (order-preserving).
-    pub(crate) fn compressor(&self) -> SageCompressor {
-        order_preserving_compressor(&self.codec)
-    }
 }
 
-/// A compressor for store chunks: whatever `codec` says, plus
-/// `store_order` forced on — chunks must restore their reads in
-/// dataset order for read-id addressing to mean anything.
-pub(crate) fn order_preserving_compressor(codec: &CompressOptions) -> SageCompressor {
-    let mut codec = codec.clone();
-    codec.store_order = true;
-    SageCompressor::with_options(codec)
+/// The compressor for store chunks: the default codec with
+/// `store_order` on — chunks must restore their reads in dataset
+/// order for read-id addressing to mean anything.
+pub(crate) fn order_preserving_compressor() -> SageCompressor {
+    SageCompressor::with_options(CompressOptions {
+        store_order: true,
+        ..CompressOptions::default()
+    })
 }
 
 /// A sharded dataset: one blob of concatenated chunk archives plus
@@ -172,7 +163,11 @@ pub fn encode_sharded(reads: &ReadSet, opts: &StoreOptions) -> Result<ShardedSto
         "chunks must hold at least one read"
     );
     let chunks: Vec<&[Read]> = reads.reads().chunks(opts.reads_per_chunk).collect();
-    let encoded = encode_chunks(&chunks, &opts.compressor(), opts.effective_workers())?;
+    let encoded = encode_chunks(
+        &chunks,
+        &order_preserving_compressor(),
+        opts.effective_workers(),
+    )?;
 
     let mut store = ShardedStore {
         manifest: StoreManifest {
@@ -313,7 +308,9 @@ mod tests {
         let reads = tiny();
         let opts = StoreOptions::new(9);
         let store = encode_sharded(&reads, &opts).unwrap();
-        let archives = opts.compressor().compress_chunked(&reads, 9).unwrap();
+        let archives = order_preserving_compressor()
+            .compress_chunked(&reads, 9)
+            .unwrap();
         assert_eq!(store.n_chunks(), archives.len());
         for (meta, archive) in store.manifest.chunks.iter().zip(&archives) {
             let blob_chunk = &store.blob[meta.extent.offset..meta.extent.end()];

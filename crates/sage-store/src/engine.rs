@@ -39,9 +39,9 @@ use crate::manifest::ChunkMeta;
 use crate::obs::EngineEvent;
 use crate::view::{ReadView, RecordSlice};
 use crate::{ConfigError, Result, StoreError};
-use sage_core::{CompressOptions, Extent};
+use sage_core::Extent;
 use sage_genomics::{ChunkColumns, ReadRef, ReadSet};
-use sage_io::{ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend, Placement};
+use sage_io::{ChunkSlot, DeviceCharge, DeviceMap, DeviceSnapshot, FileBackend};
 use sage_ssd::SsdConfig;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -79,12 +79,6 @@ pub struct EngineConfig {
     /// old single-lock cache; raise it so concurrent clients stop
     /// serializing on one mutex for every cache hit.
     pub cache_shards: usize,
-    /// When `true`, adjacent same-device chunk extents fetched by one
-    /// operation are merged into a single device command (fewer fixed
-    /// per-command costs, longer sequential transfers). Off by
-    /// default: per-chunk charging keeps the virtual timeline
-    /// bit-identical to previous releases.
-    pub coalesce_extents: bool,
     /// When set (and `ssds` is empty), chunk fetches and appends
     /// charge this one device model — a fleet of one.
     pub ssd: Option<SsdConfig>,
@@ -92,12 +86,6 @@ pub struct EngineConfig {
     /// Setting both `ssd` and `ssds` is a [`ConfigError::DeviceConflict`]
     /// — see [`EngineConfig::validate`].
     pub ssds: Vec<SsdConfig>,
-    /// How chunks are assigned to fleet devices.
-    pub placement: Placement,
-    /// Codec options for appended chunks. Chunk population always
-    /// comes from the manifest (appended chunks must look like the
-    /// existing ones), and `store_order` is forced on.
-    pub codec: CompressOptions,
     /// Worker threads compressing appended chunks (0 ⇒ available
     /// parallelism).
     pub append_workers: usize,
@@ -124,11 +112,8 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_chunks: 16,
             cache_shards: 1,
-            coalesce_extents: false,
             ssd: None,
             ssds: Vec::new(),
-            placement: Placement::default(),
-            codec: CompressOptions::default(),
             append_workers: 0,
             tracing: false,
             backend: StoreBackend::Simulated,
@@ -154,14 +139,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables (or disables) extent coalescing: adjacent same-device
-    /// chunk extents fetched by one operation merge into a single
-    /// device command.
-    pub fn with_extent_coalescing(mut self, on: bool) -> EngineConfig {
-        self.coalesce_extents = on;
-        self
-    }
-
     /// Enables SSD timing on one device (a fleet of one).
     pub fn with_ssd(mut self, cfg: SsdConfig) -> EngineConfig {
         self.ssd = Some(cfg);
@@ -171,12 +148,6 @@ impl EngineConfig {
     /// Enables multi-SSD timing: chunk extents striped across `fleet`.
     pub fn with_ssd_fleet(mut self, fleet: Vec<SsdConfig>) -> EngineConfig {
         self.ssds = fleet;
-        self
-    }
-
-    /// Sets the fleet placement policy.
-    pub fn with_placement(mut self, placement: Placement) -> EngineConfig {
-        self.placement = placement;
         self
     }
 
@@ -264,51 +235,13 @@ fn open_devices(cfg: &EngineConfig, store: &ShardedStore) -> Option<DeviceMap> {
         return None;
     }
     let lens: Vec<usize> = store.manifest.chunks.iter().map(|c| c.extent.len).collect();
-    Some(DeviceMap::place(fleet, cfg.placement, &lens))
+    Some(DeviceMap::place(fleet, &lens))
 }
 
 /// The slot `map` placed chunk `id` in.
 fn slot_of(map: &DeviceMap, id: u32) -> ChunkSlot {
     map.slot(id)
         .unwrap_or_else(|| panic!("chunk {id} not placed on any device"))
-}
-
-/// Charges the device commands for one operation's cache-missed chunk
-/// fetches (`metas`, ascending chunk order). Per-chunk by default —
-/// one `SAGe_Read` per missed chunk, byte-identical to the historical
-/// timeline. With `coalesce`, **adjacent same-device extents merge
-/// into single commands**: a sequential scan that misses a run of
-/// chunks pays the fixed per-command cost once per run and streams one
-/// long transfer instead of N short ones. Returns one [`DeviceCharge`]
-/// per command actually issued.
-fn charge_reads(map: &DeviceMap, metas: &[&ChunkMeta], coalesce: bool) -> Vec<DeviceCharge> {
-    if !coalesce {
-        return metas.iter().map(|m| map.charge_chunk_read(m.id)).collect();
-    }
-    // One open run per device: round-robin placement lays a scan's
-    // same-device chunks contiguously in each device's local space, so
-    // runs survive interleaving across devices and only break at a
-    // cache hit (or a placement seam).
-    let mut open: Vec<Option<Extent>> = vec![None; map.n_devices()];
-    let mut out = Vec::new();
-    for m in metas {
-        let slot = slot_of(map, m.id);
-        match &mut open[slot.device] {
-            Some(r) if r.end() == slot.local.offset => r.len += slot.local.len,
-            o => {
-                if let Some(r) = o.take() {
-                    out.push(map.charge_extent_read(slot.device, r));
-                }
-                *o = Some(slot.local);
-            }
-        }
-    }
-    for (device, run) in open.into_iter().enumerate() {
-        if let Some(r) = run {
-            out.push(map.charge_extent_read(device, r));
-        }
-    }
-    out
 }
 
 /// One store operation — the typed request vocabulary shared by
@@ -349,15 +282,10 @@ pub enum OpValue {
 /// virtual-time instants its device scheduler assigns).
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
-    /// Per-device charges the operation incurred — one entry per
-    /// device command actually issued (empty when every touched chunk
-    /// was cached or timing is off). With extent coalescing on, one
-    /// charge may cover a whole run of adjacent chunks.
+    /// Per-device charges the operation incurred, one per device
+    /// command: a read per missed chunk, a write per appended chunk
+    /// (empty when every touched chunk was cached or timing is off).
     pub charges: Vec<DeviceCharge>,
-    /// Device commands the operation issued (`== charges.len()`;
-    /// kept explicit so reports surface the coalescing win directly:
-    /// `chunks_touched / device_ops` is the merge factor).
-    pub device_ops: u64,
     /// Chunks the operation touched (decoded or served from cache;
     /// for appends: chunks written).
     pub chunks_touched: u64,
@@ -381,7 +309,7 @@ impl OpTrace {
 }
 
 /// One chunk fetched through the cache. Charging happens at the
-/// operation level (so runs of misses can coalesce), not here.
+/// operation level, after every fetch has committed, not here.
 struct Fetched {
     reads: Arc<ChunkColumns>,
     /// `true` when the chunk was served from the cache.
@@ -487,9 +415,7 @@ pub struct StoreEngine {
     cache: StripedCache<ChunkColumns>,
     stats: CacheStats,
     devices: Option<DeviceMap>,
-    codec: CompressOptions,
     append_workers: usize,
-    coalesce_extents: bool,
     tracing: bool,
     requests_served: AtomicU64,
     /// Payload bytes memcpy'd on the serving read path (the extent
@@ -553,9 +479,7 @@ impl StoreEngine {
             cache: StripedCache::new(CachePolicy::Lru, cfg.cache_chunks, cfg.cache_shards),
             stats: CacheStats::default(),
             devices,
-            codec: cfg.codec,
             append_workers: cfg.append_workers,
-            coalesce_extents: cfg.coalesce_extents,
             tracing: cfg.tracing,
             requests_served: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
@@ -616,12 +540,6 @@ impl StoreEngine {
     /// Cache shard count.
     pub fn cache_shards(&self) -> usize {
         self.cache.n_shards()
-    }
-
-    /// Whether adjacent same-device extents coalesce into single
-    /// device commands.
-    pub fn coalesces_extents(&self) -> bool {
-        self.coalesce_extents
     }
 
     /// Whether engine-side event tracing is on (see
@@ -814,9 +732,9 @@ impl StoreEngine {
     /// hit/miss outcomes, device charges and the virtual timeline —
     /// never depend on which decode finished first.
     ///
-    /// Charging happens at the operation level (over the op's whole
-    /// missed set, so adjacent extents can coalesce), and only for
-    /// fetches that *succeed*: a chunk that fails validation charges
+    /// Charging happens at the operation level, one command per
+    /// missed chunk in manifest order, and only for fetches that
+    /// *succeed*: a chunk that fails validation charges
     /// nothing, so device counters, the traced charges, and the
     /// reactor's virtual timeline all agree on exactly the successful
     /// fetch set. A chunk a racing fetch decoded is still the miss its
@@ -909,12 +827,10 @@ impl StoreEngine {
     }
 
     /// Resolves the charges and cache outcome of one read operation:
-    /// records hits/misses per touched chunk and issues the device
-    /// commands for the successfully fetched misses (coalesced when
-    /// enabled), in chunk order.
+    /// records hits/misses per touched chunk and issues one device
+    /// command per successfully fetched miss, in chunk order.
     fn trace_reads(&self, metas: &[ChunkMeta], fetched: &[Result<Fetched>]) -> OpTrace {
         let mut trace = OpTrace::default();
-        let mut missed: Vec<&ChunkMeta> = Vec::new();
         for (meta, f) in metas.iter().zip(fetched) {
             let Ok(f) = f else { continue };
             trace.chunks_touched += 1;
@@ -931,13 +847,11 @@ impl StoreEngine {
                 if self.tracing {
                     trace.events.push(EngineEvent::Decode { chunk: meta.id });
                 }
-                missed.push(meta);
+                if let Some(map) = &self.devices {
+                    trace.charges.push(map.charge_chunk_read(meta.id));
+                }
             }
         }
-        if let Some(map) = &self.devices {
-            trace.charges = charge_reads(map, &missed, self.coalesce_extents);
-        }
-        trace.device_ops = trace.charges.len() as u64;
         if self.tracing {
             trace
                 .events
@@ -1188,11 +1102,8 @@ impl StoreEngine {
         };
         // Encoding fails before splicing anything: an error must not
         // leave a partial append behind.
-        let encoded = crate::codec::encode_chunks(
-            &chunks,
-            &order_preserving_compressor(&self.codec),
-            workers,
-        )?;
+        let encoded =
+            crate::codec::encode_chunks(&chunks, &order_preserving_compressor(), workers)?;
 
         let mut state = self.state.write().expect("state poisoned");
         let first_id = state.store.total_reads();
@@ -1218,7 +1129,6 @@ impl StoreEngine {
                 })?;
             }
         }
-        trace.device_ops = trace.charges.len() as u64;
         if self.tracing {
             trace
                 .events
@@ -1380,38 +1290,32 @@ mod tests {
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), 6).reads;
         let store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
         let extra = ReadSet::from_reads(reads.reads()[..20].to_vec());
-        for coalesce in [false, true] {
-            let observe = |cfg: EngineConfig| {
-                let engine = StoreEngine::open(
-                    store.clone(),
-                    cfg.with_cache_chunks(2).with_extent_coalescing(coalesce),
-                );
-                let n = engine.total_reads();
-                let charges: Vec<Vec<(usize, u64)>> = [
-                    StoreOp::Get(5..n - 5),
-                    StoreOp::Scan(Box::new(|_| true)),
-                    StoreOp::Append(extra.clone()),
-                    StoreOp::Get(n..n + 20),
-                ]
-                .into_iter()
-                .map(|op| {
-                    let (_, trace) = engine.run_op(op).unwrap();
-                    assert_eq!(trace.device_ops as usize, trace.charges.len());
-                    trace
-                        .charges
-                        .iter()
-                        .map(|c| (c.device, c.seconds.to_bits()))
-                        .collect()
-                })
-                .collect();
-                (charges, engine.device_snapshots(), engine.n_devices())
-            };
-            let single = observe(EngineConfig::default().with_ssd(SsdConfig::pcie()));
-            let fleet = observe(EngineConfig::default().with_ssd_fleet(vec![SsdConfig::pcie()]));
-            assert!(single.0.iter().all(|op| !op.is_empty()));
-            assert_eq!(single, fleet, "coalescing {coalesce}");
-            assert_eq!(single.2, 1);
-        }
+        let observe = |cfg: EngineConfig| {
+            let engine = StoreEngine::open(store.clone(), cfg.with_cache_chunks(2));
+            let n = engine.total_reads();
+            let charges: Vec<Vec<(usize, u64)>> = [
+                StoreOp::Get(5..n - 5),
+                StoreOp::Scan(Box::new(|_| true)),
+                StoreOp::Append(extra.clone()),
+                StoreOp::Get(n..n + 20),
+            ]
+            .into_iter()
+            .map(|op| {
+                let (_, trace) = engine.run_op(op).unwrap();
+                trace
+                    .charges
+                    .iter()
+                    .map(|c| (c.device, c.seconds.to_bits()))
+                    .collect()
+            })
+            .collect();
+            (charges, engine.device_snapshots(), engine.n_devices())
+        };
+        let single = observe(EngineConfig::default().with_ssd(SsdConfig::pcie()));
+        let fleet = observe(EngineConfig::default().with_ssd_fleet(vec![SsdConfig::pcie()]));
+        assert!(single.0.iter().all(|op| !op.is_empty()));
+        assert_eq!(single, fleet);
+        assert_eq!(single.2, 1);
     }
 
     #[test]
@@ -1499,84 +1403,38 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_scan_issues_one_command_per_device_run() {
+    fn cold_scan_issues_one_command_per_missed_chunk() {
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), 6).reads;
         let store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
         let n_chunks = store.n_chunks() as u64;
         assert!(n_chunks >= 4);
-        let per_chunk = StoreEngine::open(
-            store.clone(),
-            EngineConfig::default()
-                .with_cache_chunks(0)
-                .with_ssd(SsdConfig::pcie()),
-        );
-        let coalesced = StoreEngine::open(
-            store,
-            EngineConfig::default()
-                .with_cache_chunks(0)
-                .with_ssd(SsdConfig::pcie())
-                .with_extent_coalescing(true),
-        );
-        assert!(coalesced.coalesces_extents());
-        let (_, split) = per_chunk.run_op(StoreOp::Scan(Box::new(|_| true))).unwrap();
-        let (value, merged) = coalesced.run_op(StoreOp::Scan(Box::new(|_| true))).unwrap();
-        // Same chunks touched, same payload; but the whole-blob scan
-        // is one contiguous extent ⇒ exactly one device command.
-        assert_eq!(split.chunks_touched, n_chunks);
-        assert_eq!(merged.chunks_touched, n_chunks);
-        assert_eq!(split.device_ops, n_chunks);
-        assert_eq!(merged.device_ops, 1);
-        assert_eq!(merged.charges.len(), 1);
-        let OpValue::Reads(view) = value else {
-            panic!("scan answers reads");
-        };
-        assert_eq!(view.len(), reads.len());
-        // The device counters agree with the command counts, and the
-        // merged run pays the fixed per-command cost once — it can
-        // never be slower than N short commands.
-        assert_eq!(per_chunk.timing_snapshot().reads, n_chunks);
-        assert_eq!(coalesced.timing_snapshot().reads, 1);
-        assert!(merged.device_seconds() <= split.device_seconds());
-        assert!(merged.device_seconds() > 0.0);
-    }
-
-    #[test]
-    fn coalesced_fleet_scan_merges_per_device_runs() {
-        let reads = simulate_dataset(&DatasetProfile::tiny_short(), 6).reads;
-        let store = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
-        let n_chunks = store.n_chunks() as u64;
-        let engine = StoreEngine::open(
-            store,
-            EngineConfig::default()
-                .with_cache_chunks(0)
-                .with_ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()])
-                .with_extent_coalescing(true),
-        );
-        let (_, trace) = engine.run_op(StoreOp::Scan(Box::new(|_| true))).unwrap();
-        // Round-robin striping keeps each device's chunks contiguous
-        // in its local space: a full scan is one run per device.
-        assert_eq!(trace.chunks_touched, n_chunks);
-        assert_eq!(trace.device_ops, 2);
-        let devices: Vec<usize> = trace.charges.iter().map(|c| c.device).collect();
-        assert!(devices.contains(&0) && devices.contains(&1));
-        let snaps = engine.device_snapshots();
-        assert_eq!(snaps[0].reads, 1);
-        assert_eq!(snaps[1].reads, 1);
-        // A cached chunk breaks the run: warm chunk 0, rescan.
-        let warm = StoreEngine::open(
-            encode_sharded(&reads, &StoreOptions::new(8)).unwrap(),
-            EngineConfig::default()
-                .with_cache_chunks(1)
-                .with_ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()])
-                .with_extent_coalescing(true),
-        );
-        warm.get(0..1).unwrap(); // pins chunk 0 (device 0)
-        let (_, trace) = warm.run_op(StoreOp::Scan(Box::new(|_| true))).unwrap();
-        assert_eq!(trace.cache_hits, 1);
-        // Device 0's run starts after the cached chunk but stays one
-        // run (its remaining chunks are still locally adjacent);
-        // device 1 is untouched by the hit.
-        assert_eq!(trace.device_ops, 2);
+        for fleet in [vec![SsdConfig::pcie()], vec![SsdConfig::pcie(); 3]] {
+            let devices = fleet.len();
+            let engine = StoreEngine::open(
+                store.clone(),
+                EngineConfig::default()
+                    .with_cache_chunks(0)
+                    .with_ssd_fleet(fleet),
+            );
+            let (value, trace) = engine.run_op(StoreOp::Scan(Box::new(|_| true))).unwrap();
+            let OpValue::Reads(view) = value else {
+                panic!("scan answers reads");
+            };
+            assert_eq!(view.len(), reads.len());
+            // Every chunk missed, and each miss is its own `SAGe_Read`
+            // on the chunk's round-robin device.
+            assert_eq!(trace.chunks_touched, n_chunks);
+            assert_eq!(trace.cache_misses, n_chunks);
+            assert_eq!(trace.charges.len() as u64, trace.cache_misses);
+            for (id, c) in trace.charges.iter().enumerate() {
+                assert_eq!(c.device, id % devices, "{devices} devices");
+                assert!(c.seconds > 0.0);
+            }
+            assert_eq!(engine.timing_snapshot().reads, n_chunks);
+            let snaps = engine.device_snapshots();
+            assert_eq!(snaps.iter().map(|s| s.reads).sum::<u64>(), n_chunks);
+            assert!(snaps.iter().all(|s| s.reads > 0));
+        }
     }
 
     #[test]

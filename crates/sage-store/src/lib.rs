@@ -24,13 +24,11 @@
 //!   ([`engine::StoreOp`] → [`StoreEngine::run_op`] →
 //!   [`engine::OpValue`] + [`engine::OpTrace`]); gets and scans
 //!   resolve to **zero-copy** [`ReadView`]s ([`view`]) over the
-//!   cached chunks, and adjacent same-device extents of one
-//!   operation's misses can **coalesce** into single device commands
-//!   ([`EngineConfig::with_extent_coalescing`]). Device timing is
-//!   one shape: chunk extents striped over a fleet of SSD models via
+//!   cached chunks. Device timing is one shape: chunk extents
+//!   striped round-robin over a fleet of SSD models via
 //!   [`sage_io::DeviceMap`] ([`EngineConfig::with_ssd_fleet`]; a
 //!   single SSD, [`EngineConfig::with_ssd`], is a fleet of one), each
-//!   cache miss charging its device a [`sage_ssd::SsdModel`] extent
+//!   cache miss charging its device one [`sage_ssd::SsdModel`] extent
 //!   read with per-device accounting, so the store doubles as an
 //!   end-to-end storage scenario;
 //! - [`client`] — **the serving front end**: a [`DatasetBuilder`]
@@ -47,8 +45,7 @@
 //!   [`QosReport`] carries latency–throughput curves to saturation
 //!   (the closed loop reports through the same struct);
 //! - [`obs`] — virtual-time observability: per-operation span tracing
-//!   into a [`TraceBuffer`] (Chrome/Perfetto-exportable, optionally a
-//!   bounded ring via [`DatasetBuilder::tracing_capacity`], with the
+//!   into a [`TraceBuffer`] (Chrome/Perfetto-exportable, with the
 //!   hard invariant that tracing never perturbs the timeline), the
 //!   unified [`MetricsSnapshot`] registry behind
 //!   [`Dataset::metrics`], windowed [`MetricsRecorder`] sampling for
@@ -104,7 +101,7 @@ pub use view::{ReadView, RecordSlice};
 
 // The store's multi-device and queueing vocabulary comes from the I/O
 // substrate; re-exported so store users need not name sage-io.
-pub use sage_io::{ChargeInterval, DeviceCharge, DeviceSnapshot, Placement};
+pub use sage_io::{ChargeInterval, DeviceCharge, DeviceSnapshot};
 
 use sage_core::error::SageError;
 
@@ -119,9 +116,6 @@ pub enum ConfigError {
     DeviceConflict,
     /// An SSD fleet was configured but holds no devices.
     EmptyFleet,
-    /// A placement policy was chosen without configuring a fleet to
-    /// place chunks on.
-    PlacementWithoutFleet,
     /// The serving layer was sized with zero worker threads.
     ZeroServerWorkers,
     /// The submission ring was sized with zero capacity.
@@ -137,8 +131,6 @@ pub enum ConfigError {
     ZeroSpan,
     /// An op mix with negative, non-finite, or all-zero weights.
     DegenerateOpMix,
-    /// The trace ring was bounded to zero spans.
-    ZeroTraceCapacity,
     /// A tenant spec with a non-positive or non-finite weight or SLO,
     /// a zero admission cap, or a multi-tenant drive with no tenants.
     BadTenant,
@@ -156,12 +148,6 @@ impl std::fmt::Display for ConfigError {
                 "conflicting device knobs: both a single SSD and an SSD fleet were configured"
             ),
             ConfigError::EmptyFleet => write!(f, "the configured SSD fleet holds no devices"),
-            ConfigError::PlacementWithoutFleet => {
-                write!(
-                    f,
-                    "a placement policy was chosen but no SSD fleet is configured"
-                )
-            }
             ConfigError::ZeroServerWorkers => write!(f, "the server needs at least one worker"),
             ConfigError::ZeroQueueDepth => write!(f, "the submission ring needs capacity ≥ 1"),
             ConfigError::ZeroChunkReads => write!(f, "chunks must hold at least one read"),
@@ -177,9 +163,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "op-mix weights must be non-negative, finite, and not all zero"
             ),
-            ConfigError::ZeroTraceCapacity => {
-                write!(f, "a bounded trace ring needs capacity ≥ 1")
-            }
             ConfigError::BadTenant => write!(
                 f,
                 "tenant specs need a positive finite weight, a positive finite SLO \

@@ -172,17 +172,6 @@ impl LogHistogram {
         }
         self.max
     }
-
-    /// The non-empty buckets as `(representative_value, count)` pairs
-    /// in ascending value order (underflow and overflow excluded).
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::representative(i), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]

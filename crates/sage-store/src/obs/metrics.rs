@@ -78,10 +78,6 @@ pub struct MetricsSnapshot {
     /// Spans held in the dataset's trace buffer (0 when tracing is
     /// off).
     pub trace_spans: usize,
-    /// Spans evicted by a bounded trace ring
-    /// ([`DatasetBuilder::tracing_capacity`](crate::client::DatasetBuilder::tracing_capacity));
-    /// 0 for unbounded tracing or tracing off.
-    pub trace_dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -188,10 +184,6 @@ impl MetricsSnapshot {
                 "trace.spans".into(),
                 MetricValue::Counter(self.trace_spans as u64),
             ),
-            (
-                "trace.dropped_spans".into(),
-                MetricValue::Counter(self.trace_dropped),
-            ),
         ];
         for (d, (busy, util)) in self
             .device_busy
@@ -226,7 +218,7 @@ impl MetricsSnapshot {
              \"device_busy\":[{}],\"utilization\":[{}]}},\"device\":{{\"reads\":{},\
              \"writes\":{},\"read_seconds\":{:.9},\"write_seconds\":{:.9}}},\
              \"decode\":{{\"chunks\":{},\"bytes\":{},\"seconds\":{:.9},\"dedup\":{}}},\
-             \"trace\":{{\"spans\":{},\"dropped\":{}}}}}",
+             \"trace\":{{\"spans\":{}}}}}",
             self.submitted,
             self.completed,
             self.rejected,
@@ -255,7 +247,6 @@ impl MetricsSnapshot {
             self.decode_seconds,
             self.dedup_decodes,
             self.trace_spans,
-            self.trace_dropped,
         )
     }
 }
@@ -530,7 +521,6 @@ mod tests {
             decode_seconds: 0.001,
             dedup_decodes: 1,
             trace_spans: 9,
-            trace_dropped: 2,
         };
         assert!((snap.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         let metrics = snap.metrics();
@@ -542,7 +532,7 @@ mod tests {
             .any(|(n, v)| n == "device.1.utilization" && *v == MetricValue::Gauge(0.25)));
         assert!(metrics
             .iter()
-            .any(|(n, v)| n == "trace.dropped_spans" && *v == MetricValue::Counter(2)));
+            .any(|(n, v)| n == "trace.spans" && *v == MetricValue::Counter(9)));
         assert!(metrics
             .iter()
             .any(|(n, v)| n == "decode.chunks" && *v == MetricValue::Counter(3)));
@@ -553,7 +543,7 @@ mod tests {
             "\"cache\"",
             "\"reactor\"",
             "\"device_busy\"",
-            "\"dropped\":2",
+            "\"spans\":9",
             "\"decode\"",
             "\"dedup\":1",
         ] {

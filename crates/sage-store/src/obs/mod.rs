@@ -11,9 +11,7 @@
 //!   (cache probes, decodes, device commands). Spans are recorded
 //!   into a lock-cheap [`TraceBuffer`] behind the
 //!   [`DatasetBuilder::tracing`](crate::client::DatasetBuilder::tracing)
-//!   knob (optionally bounded to a ring via
-//!   [`DatasetBuilder::tracing_capacity`](crate::client::DatasetBuilder::tracing_capacity)),
-//!   with the hard invariant that **tracing never perturbs the
+//!   knob, with the hard invariant that **tracing never perturbs the
 //!   timeline**: a traced run is bit-identical to an untraced one
 //!   (the traced and untraced scheduler paths share one arithmetic —
 //!   see [`sage_io::VirtualScheduler::dispatch`] — and the
@@ -45,7 +43,6 @@
 //!   reconstructs every operation's instants exactly.
 
 use sage_io::{ChargeInterval, DeviceCharge, VirtualScheduler};
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 pub mod analysis;
@@ -78,9 +75,8 @@ pub enum EngineEvent {
         /// Chunk id decoded.
         chunk: u32,
     },
-    /// One device command was issued (with extent coalescing, a
-    /// single command may cover a whole run of adjacent chunks —
-    /// compare the span's `cache_misses` to its `device_ops`).
+    /// One device command was issued: one per missed chunk, or per
+    /// appended chunk.
     DeviceCommand {
         /// Device the command went to.
         device: usize,
@@ -137,7 +133,7 @@ pub struct OpSpan {
     pub cache_hits: u64,
     /// Touched chunks fetched and decoded.
     pub cache_misses: u64,
-    /// Device commands issued.
+    /// Device commands issued (the length of the op's charge list).
     pub device_ops: u64,
     /// Engine-side child events (empty unless engine tracing is on).
     pub events: Vec<EngineEvent>,
@@ -168,20 +164,13 @@ impl OpSpan {
     }
 }
 
-/// The per-dataset span sink: a mutex over an append-only ring.
+/// The per-dataset span sink: a mutex over an append-only list that
+/// keeps every span.
 ///
 /// Recording is one short lock hold per completed op — observation
 /// only, never on the virtual timeline (the scheduler's clocks are
 /// advanced before anything is recorded, through arithmetic shared
 /// with the untraced path).
-///
-/// An unbounded buffer ([`TraceBuffer::new`]) keeps every span. A
-/// bounded one ([`TraceBuffer::with_capacity`], reached through
-/// [`DatasetBuilder::tracing_capacity`](crate::client::DatasetBuilder::tracing_capacity))
-/// keeps the most recent `capacity` spans, evicting the **oldest** on
-/// overflow and counting each eviction in [`TraceBuffer::dropped`] —
-/// long open-loop runs can trace the steady state without unbounded
-/// memory growth.
 ///
 /// ```
 /// use sage_store::obs::{OpSpan, TraceBuffer};
@@ -203,7 +192,7 @@ impl OpSpan {
 ///     device_ops: 1,
 ///     events: Vec::new(),
 /// });
-/// assert_eq!(buf.dropped(), 0);
+/// assert_eq!(buf.len(), 1);
 /// let json = buf.to_chrome_trace();
 /// assert!(json.starts_with("{\"traceEvents\":["));
 /// assert!(json.contains("\"ph\":\"X\"") && json.contains("\"dur\":"));
@@ -211,63 +200,27 @@ impl OpSpan {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
-    state: Mutex<TraceState>,
-    capacity: Option<usize>,
-}
-
-#[derive(Debug, Default)]
-struct TraceState {
-    spans: VecDeque<OpSpan>,
-    dropped: u64,
+    spans: Mutex<Vec<OpSpan>>,
 }
 
 impl TraceBuffer {
-    /// An empty, unbounded buffer.
+    /// An empty buffer.
     pub fn new() -> TraceBuffer {
         TraceBuffer::default()
     }
 
-    /// An empty buffer bounded to the most recent `capacity` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero (a zero-capacity ring would
-    /// silently drop everything; callers wanting no tracing should
-    /// not build a buffer at all).
-    pub fn with_capacity(capacity: usize) -> TraceBuffer {
-        assert!(capacity > 0, "trace capacity must be positive");
-        TraceBuffer {
-            state: Mutex::new(TraceState::default()),
-            capacity: Some(capacity),
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<OpSpan>> {
+        self.spans.lock().expect("trace buffer poisoned")
     }
 
-    /// The ring bound, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceState> {
-        self.state.lock().expect("trace buffer poisoned")
-    }
-
-    /// Appends one span, evicting the oldest recorded span first when
-    /// the buffer is at its ring bound.
+    /// Appends one span.
     pub fn record(&self, span: OpSpan) {
-        let mut st = self.lock();
-        if let Some(cap) = self.capacity {
-            while st.spans.len() >= cap {
-                st.spans.pop_front();
-                st.dropped += 1;
-            }
-        }
-        st.spans.push_back(span);
+        self.lock().push(span);
     }
 
-    /// Spans held right now (at most the capacity for a bounded
-    /// buffer).
+    /// Spans held right now.
     pub fn len(&self) -> usize {
-        self.lock().spans.len()
+        self.lock().len()
     }
 
     /// Whether nothing is held.
@@ -275,50 +228,41 @@ impl TraceBuffer {
         self.len() == 0
     }
 
-    /// Spans evicted by the ring bound since construction (or the
-    /// last [`clear`](TraceBuffer::clear); always 0 for an unbounded
-    /// buffer).
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-
-    /// Drops every recorded span and resets the dropped-span counter.
+    /// Drops every recorded span.
     pub fn clear(&self) {
-        let mut st = self.lock();
-        st.spans.clear();
-        st.dropped = 0;
+        self.lock().clear();
     }
 
     /// A copy of the held spans, in recording order. For the
     /// open-loop and closed-loop drives under FIFO recording order
     /// equals dispatch order, which is what [`replay`] requires.
     pub fn spans(&self) -> Vec<OpSpan> {
-        self.lock().spans.iter().cloned().collect()
+        self.lock().clone()
     }
 
     /// Renders the buffer as Chrome trace-event JSON — load the
     /// string (written to a `.json` file) in Perfetto
     /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
     ///
-    /// See [`chrome_trace`] for the track layout.
+    /// Track layout: each tenant gets its own process of op lanes —
+    /// the default tenant 0 is pid 1 ("ops"), tenant `t ≥ 1` is pid
+    /// `10 + t` ("tenant{t}") — holding one `"X"` complete event per
+    /// operation, packed onto overlap-free lanes (tids) greedily by
+    /// submit instant, with the engine's child events as `"i"`
+    /// instants on the op's lane; pid 2 ("devices") holds one `"X"`
+    /// event per [`ChargeInterval`] on the owning device's tid —
+    /// per-device service is non-overlapping by scheduler
+    /// construction, so every track is well-nested. A single-tenant
+    /// trace has pids 1 and 2 only. Timestamps are virtual
+    /// microseconds.
     pub fn to_chrome_trace(&self) -> String {
         chrome_trace(&self.spans())
     }
 }
 
-/// Renders a span slice as Chrome trace-event JSON.
-///
-/// Track layout: each tenant gets its own process of op lanes — the
-/// default tenant 0 is pid 1 ("ops"), tenant `t ≥ 1` is pid `10 + t`
-/// ("tenant{t}") — holding one `"X"` complete event per operation,
-/// packed onto overlap-free lanes (tids) greedily by submit instant,
-/// with the engine's child events as `"i"` instants on the op's lane;
-/// pid 2 ("devices") holds one `"X"` event per [`ChargeInterval`] on
-/// the owning device's tid — per-device service is non-overlapping by
-/// scheduler construction, so every track is well-nested. A
-/// single-tenant trace therefore renders exactly as before this field
-/// existed: pids 1 and 2 only. Timestamps are virtual microseconds.
-pub fn chrome_trace(spans: &[OpSpan]) -> String {
+/// Renders a span slice as Chrome trace-event JSON (the layout
+/// [`TraceBuffer::to_chrome_trace`] describes).
+fn chrome_trace(spans: &[OpSpan]) -> String {
     let us = |vt: f64| vt * 1e6;
     let tenant_pid = |t: usize| if t == 0 { 1 } else { 10 + t };
     let mut order: Vec<usize> = (0..spans.len()).collect();
@@ -578,40 +522,17 @@ mod tests {
     }
 
     #[test]
-    fn bounded_buffer_keeps_newest_and_counts_drops() {
-        let buf = TraceBuffer::with_capacity(8);
-        assert_eq!(buf.capacity(), Some(8));
-        for s in scheduled_spans(20, 2) {
-            buf.record(s);
-        }
-        assert_eq!(buf.len(), 8);
-        assert_eq!(buf.dropped(), 12);
-        // The ring holds the most recent spans, still in order.
-        let kept = buf.spans();
-        let tokens: Vec<u64> = kept.iter().map(|s| s.token).collect();
-        assert_eq!(tokens, (12..20).collect::<Vec<u64>>());
-        // Suffix-of-a-timeline traces replay with zero *busy* drift:
-        // replaying a suffix can only disagree on queue-delayed start
-        // instants, never on charges.
-        let r = replay(&kept, 2);
-        assert_eq!(r.ops, 8);
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.dropped(), 0);
-    }
-
-    #[test]
     fn unbounded_buffer_never_drops() {
         let buf = TraceBuffer::new();
-        assert_eq!(buf.capacity(), None);
         for s in scheduled_spans(100, 2) {
             buf.record(s);
         }
         assert_eq!(buf.len(), 100);
-        assert_eq!(buf.dropped(), 0);
         // Recording order is preserved exactly.
         let spans = buf.spans();
         assert!(spans.windows(2).all(|w| w[0].token < w[1].token));
+        buf.clear();
+        assert!(buf.is_empty());
     }
 
     #[test]

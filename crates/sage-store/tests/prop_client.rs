@@ -2,7 +2,7 @@
 //! never a data-path difference — a [`Session`]'s `get`/`scan`/
 //! `append` must return bit-identical results to direct
 //! [`StoreEngine`] calls across chunk sizes, cache sizes, cache
-//! shard counts, extent coalescing, and fleet shapes; the zero-copy
+//! shard counts, and fleet shapes; the zero-copy
 //! [`ReadView`] path must equal the owned path record for record; and
 //! the ticket lifecycle (drop, queue-full, cancel) must never corrupt
 //! subsequent answers.
@@ -14,24 +14,21 @@ use sage_io::VirtualScheduler;
 use sage_ssd::SsdConfig;
 use sage_store::client::{DatasetBuilder, OpReport, SubmitMode};
 use sage_store::{
-    encode_sharded, EngineConfig, OpValue, Placement, ReadView, StoreEngine, StoreError, StoreOp,
-    StoreOptions,
+    encode_sharded, EngineConfig, OpValue, ReadView, StoreEngine, StoreError, StoreOp, StoreOptions,
 };
 
 /// The device shapes under test: untimed, one SSD, a homogeneous
-/// round-robin fleet, and a mixed capacity-weighted fleet.
+/// fleet, and a mixed fleet.
 fn apply_devices(shape: u8, cfg: EngineConfig) -> EngineConfig {
     match shape {
         0 => cfg,
         1 => cfg.with_ssd(SsdConfig::pcie()),
         2 => cfg.with_ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()]),
-        _ => cfg
-            .with_ssd_fleet(vec![
-                SsdConfig::pcie(),
-                SsdConfig::sata(),
-                SsdConfig::pcie(),
-            ])
-            .with_placement(Placement::CapacityWeighted),
+        _ => cfg.with_ssd_fleet(vec![
+            SsdConfig::pcie(),
+            SsdConfig::sata(),
+            SsdConfig::pcie(),
+        ]),
     }
 }
 
@@ -40,13 +37,11 @@ fn apply_devices_builder(shape: u8, b: DatasetBuilder) -> DatasetBuilder {
         0 => b,
         1 => b.ssd(SsdConfig::pcie()),
         2 => b.ssd_fleet(vec![SsdConfig::pcie(), SsdConfig::pcie()]),
-        _ => b
-            .ssd_fleet(vec![
-                SsdConfig::pcie(),
-                SsdConfig::sata(),
-                SsdConfig::pcie(),
-            ])
-            .placement(Placement::CapacityWeighted),
+        _ => b.ssd_fleet(vec![
+            SsdConfig::pcie(),
+            SsdConfig::sata(),
+            SsdConfig::pcie(),
+        ]),
     }
 }
 
@@ -146,20 +141,17 @@ proptest! {
     }
 
     /// The zero-copy hot path is a representation change, never a
-    /// semantics change: for any shard count × coalescing setting ×
-    /// fleet shape, `run_op`'s [`ReadView`]s are bit-identical to the
-    /// reference owned path (shards = 1, coalescing off), the per-op
-    /// cache outcome is preserved at equal capacity, and coalescing
-    /// only merges device commands — it never changes which chunks an
-    /// operation touches.
+    /// semantics change: for any shard count × fleet shape, `run_op`'s
+    /// [`ReadView`]s are bit-identical to the reference owned path
+    /// (shards = 1), the per-op cache outcome is preserved at equal
+    /// capacity, and a timed engine issues one device command per
+    /// missed chunk.
     #[test]
     fn view_path_equals_owned_path(
         seed in 0u64..1000,
         shape in 0u8..4,
         cache_shards in 1usize..9,
-        coalesce_ix in 0u8..2,
     ) {
-        let coalesce = coalesce_ix == 1;
         let reads = simulate_dataset(&DatasetProfile::tiny_short(), seed).reads;
         let n = reads.len() as u64;
         let sharded = encode_sharded(&reads, &StoreOptions::new(8)).unwrap();
@@ -177,8 +169,7 @@ proptest! {
                 shape,
                 EngineConfig::default()
                     .with_cache_chunks(4)
-                    .with_cache_shards(cache_shards)
-                    .with_extent_coalescing(coalesce),
+                    .with_cache_shards(cache_shards),
             ),
         );
         // Shard count clamps to capacity (4) so no shard is ever
@@ -194,12 +185,13 @@ proptest! {
                 panic!("get must answer reads");
             };
             view_equals_owned(&view, &owned, "hot get");
-            prop_assert_eq!(trace.device_ops, trace.charges.len() as u64);
-            // Coalescing can only merge commands, never add them.
-            prop_assert!(trace.device_ops <= trace.cache_misses);
+            // One command per missed chunk on a timed engine, none
+            // on an untimed one.
+            let commands = if shape == 0 { 0 } else { trace.cache_misses };
+            prop_assert_eq!(trace.charges.len() as u64, commands);
         }
 
-        // A full sequential scan: the coalescing showcase.
+        // A full sequential scan.
         let owned = reference.scan(|r| !r.len().is_multiple_of(3)).unwrap();
         let (value, trace) = hot
             .run_op(StoreOp::Scan(Box::new(|r: ReadRef<'_>| !r.len().is_multiple_of(3))))
@@ -209,21 +201,8 @@ proptest! {
         };
         view_equals_owned(&view, &owned, "hot scan");
         prop_assert_eq!(trace.chunks_touched, n_chunks);
-        if shape != 0 && coalesce {
-            // Scan misses on a timed engine: runs break only at
-            // cached chunks (≤ 4 of them) and device seams, so once
-            // misses exceed devices + capacity, at least one run of
-            // adjacent extents must have merged.
-            let run_ceiling = hot.n_devices() as u64 + 4;
-            if trace.cache_misses > run_ceiling {
-                prop_assert!(
-                    trace.device_ops < trace.cache_misses,
-                    "no merge happened: {} ops for {} misses",
-                    trace.device_ops,
-                    trace.cache_misses
-                );
-            }
-        }
+        let commands = if shape == 0 { 0 } else { trace.cache_misses };
+        prop_assert_eq!(trace.charges.len() as u64, commands);
         // Same capacity ⇒ at shard count 1 the cache outcome sequence
         // is exactly the reference's.
         if cache_shards == 1 {

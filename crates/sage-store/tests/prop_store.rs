@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sage_core::{OutputFormat, SageCompressor, SageDecompressor};
 use sage_genomics::{Base, DnaSeq, Read, ReadSet};
 use sage_ssd::SsdConfig;
-use sage_store::{encode_sharded, EngineConfig, Placement, StoreEngine, StoreOptions};
+use sage_store::{encode_sharded, EngineConfig, StoreEngine, StoreOptions};
 use std::sync::Arc;
 
 fn base_strategy() -> impl Strategy<Value = Base> {
@@ -120,9 +120,8 @@ proptest! {
     #[test]
     fn multi_ssd_get_equals_single_ssd(rs in read_set_strategy(18)) {
         // Striping chunk extents across a fleet is a *timing* detail:
-        // for any read set, chunking, fleet size, and placement
-        // policy, `Get` must return bit-identical ReadSets to the
-        // single-SSD engine.
+        // for any read set, chunking and fleet size, `Get` must return
+        // bit-identical ReadSets to the single-SSD engine.
         let n = rs.len() as u64;
         for chunk in [1usize, 5, rs.len().max(1)] {
             let store = encode_sharded(&rs, &StoreOptions::new(chunk)).expect("encode");
@@ -131,27 +130,23 @@ proptest! {
                 EngineConfig::default().with_ssd(SsdConfig::pcie()),
             );
             for n_devices in [1usize, 3, 4] {
-                for placement in [Placement::RoundRobin, Placement::CapacityWeighted] {
-                    let fleet = StoreEngine::open(
-                        store.clone(),
-                        EngineConfig::default()
-                            .with_ssd_fleet(vec![SsdConfig::pcie(); n_devices])
-                            .with_placement(placement),
-                    );
-                    let a = single.get(0..n).expect("single get");
-                    let b = fleet.get(0..n).expect("fleet get");
+                let fleet = StoreEngine::open(
+                    store.clone(),
+                    EngineConfig::default().with_ssd_fleet(vec![SsdConfig::pcie(); n_devices]),
+                );
+                let a = single.get(0..n).expect("single get");
+                let b = fleet.get(0..n).expect("fleet get");
+                prop_assert_eq!(content(&a), content(&b));
+                // A handful of sub-ranges, including chunk-interior
+                // starts.
+                for start in [0, n / 3, n.saturating_sub(2)] {
+                    let end = (start + 4).min(n);
+                    let a = single.get(start..end).expect("single sub");
+                    let b = fleet.get(start..end).expect("fleet sub");
                     prop_assert_eq!(content(&a), content(&b));
-                    // A handful of sub-ranges, including chunk-interior
-                    // starts.
-                    for start in [0, n / 3, n.saturating_sub(2)] {
-                        let end = (start + 4).min(n);
-                        let a = single.get(start..end).expect("single sub");
-                        let b = fleet.get(start..end).expect("fleet sub");
-                        prop_assert_eq!(content(&a), content(&b));
-                    }
-                    // And the fleet actually charged its devices.
-                    prop_assert!(fleet.timing_snapshot().read_seconds > 0.0);
                 }
+                // And the fleet actually charged its devices.
+                prop_assert!(fleet.timing_snapshot().read_seconds > 0.0);
             }
         }
     }

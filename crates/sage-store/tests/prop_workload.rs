@@ -16,24 +16,22 @@ use sage_store::client::{Dataset, DatasetBuilder};
 /// cold cache, fresh reactor. Two of these are indistinguishable to
 /// the driver, which is what makes replays bit-exact.
 fn fresh_dataset(seed: u64, devices: usize, cache_chunks: usize) -> Dataset {
-    fresh_hotpath_dataset(seed, devices, cache_chunks, 1, false)
+    fresh_hotpath_dataset(seed, devices, cache_chunks, 1)
 }
 
-/// Like [`fresh_dataset`] with the hot-path knobs exposed: cache
-/// shard count and extent coalescing.
+/// Like [`fresh_dataset`] with the hot-path knob exposed: the cache
+/// shard count.
 fn fresh_hotpath_dataset(
     seed: u64,
     devices: usize,
     cache_chunks: usize,
     cache_shards: usize,
-    coalesce: bool,
 ) -> Dataset {
     let reads = simulate_dataset(&DatasetProfile::tiny_short(), seed).reads;
     let builder = DatasetBuilder::new()
         .chunk_reads(16)
         .cache_chunks(cache_chunks)
-        .cache_shards(cache_shards)
-        .extent_coalescing(coalesce);
+        .cache_shards(cache_shards);
     if devices == 1 {
         builder.ssd(SsdConfig::pcie())
     } else {
@@ -122,35 +120,32 @@ proptest! {
         );
     }
 
-    /// The hot-path knobs keep the QoS machinery deterministic and
-    /// payload-invariant: for any cache shard count × coalescing
-    /// setting, a fixed `(seed, load)` still replays its `QosReport`
-    /// bit-for-bit, and the *payload* served (reads, bases) is
-    /// identical to the reference configuration — sharding only moves
-    /// lock boundaries and coalescing only merges device commands.
+    /// The hot-path knob keeps the QoS machinery deterministic and
+    /// payload-invariant: for any cache shard count, a fixed
+    /// `(seed, load)` still replays its `QosReport` bit-for-bit, and
+    /// the *payload* served (reads, bases) is identical to the
+    /// reference configuration — sharding only moves lock boundaries.
     #[test]
     fn hot_path_knobs_replay_and_preserve_payload(
         seed in 0u64..500,
         pattern_ix in 0u8..4,
         devices in 1usize..3,
         cache_shards in 1usize..9,
-        coalesce_ix in 0u8..2,
     ) {
-        let coalesce = coalesce_ix == 1;
         // Far below capacity: nothing sheds, so every configuration
         // executes the *same* 64-op stream and payload comparisons
         // are meaningful. (Shed decisions depend on completion
-        // timing, which sharding/coalescing legitimately change.)
+        // timing, which sharding legitimately changes.)
         let mut load = TenantLoad::new(Arrivals::Poisson { rate: 50.0 });
         load.pattern = pattern_for(pattern_ix);
         load.mix = OpMix { get: 0.95, scan: 0.05, append: 0.0 };
         load.requests = 64;
         load.seed = seed ^ 0x33aa;
 
-        let a = fresh_hotpath_dataset(seed, devices, 4, cache_shards, coalesce)
+        let a = fresh_hotpath_dataset(seed, devices, 4, cache_shards)
             .drive_open_loop(&load, 12)
             .expect("first drive");
-        let b = fresh_hotpath_dataset(seed, devices, 4, cache_shards, coalesce)
+        let b = fresh_hotpath_dataset(seed, devices, 4, cache_shards)
             .drive_open_loop(&load, 12)
             .expect("second drive");
         prop_assert_eq!(&a, &b);
@@ -162,10 +157,10 @@ proptest! {
         prop_assert_eq!(a.completed, reference.completed);
         prop_assert_eq!(a.reads_served, reference.reads_served);
         prop_assert_eq!(a.bases_served, reference.bases_served);
-        // At shard count 1 with coalescing off the whole report —
-        // cache outcomes, latencies, device accounting — is the
-        // reference, bit for bit.
-        if cache_shards == 1 && !coalesce {
+        // At shard count 1 the whole report — cache outcomes,
+        // latencies, device accounting — is the reference, bit for
+        // bit.
+        if cache_shards == 1 {
             prop_assert_eq!(&a, &reference);
         }
     }
