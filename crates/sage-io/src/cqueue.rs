@@ -35,11 +35,9 @@ pub struct Cqe<T> {
     /// Total device seconds the operation charged.
     pub device_seconds: f64,
     /// Per-charge service windows, in charge order. Empty unless the
-    /// reactor was started with [`IoConfig::record_intervals`]
-    /// (tracing) — recording them is observation-only and never moves
-    /// the instants above.
-    ///
-    /// [`IoConfig::record_intervals`]: crate::reactor::IoConfig::record_intervals
+    /// dispatch recorded them (a traced drive does; the reactor never
+    /// does) — recording them is observation-only and never moves the
+    /// instants above.
     pub intervals: Vec<ChargeInterval>,
     /// The operation's result.
     pub output: T,

@@ -15,18 +15,19 @@
 //!   Arbitrarily many operations are in flight at once; workers bound
 //!   only CPU parallelism. A backend may answer an op that cannot
 //!   block on the submitting thread, and deliver completions itself.
-//!   The reactor places charges in FIFO order; a caller that wants a
-//!   queued [`qos`] policy drives a [`VirtualScheduler`] itself.
+//!   The reactor stamps each completion on one FIFO clock; a caller
+//!   that wants per-device queueing, tenants or a queued [`qos`]
+//!   policy drives a [`VirtualScheduler`] itself.
 //! - [`sched`] — **virtual-time device scheduling**: per-device clocks
 //!   turn the device models' service seconds into queued start/finish
-//!   instants, so completions carry realistic latencies (queueing
-//!   included) while staying deterministic for CI.
+//!   instants, so a drive's completions carry realistic latencies
+//!   (queueing included) while staying deterministic for CI.
 //! - [`qos`] — **multi-tenant scheduling policies**: FIFO, strict
 //!   priority, weighted fair (SCFQ), and earliest-deadline-first picks
 //!   over the scheduler's per-device pending queues, with per-tenant
 //!   busy/queue-delay attribution.
 //! - [`cqueue`] — the **completion queue**: one FIFO in post order
-//!   with poll/wait harvesting.
+//!   that consumers block on.
 //! - [`mod@file`] — the **real-bytes backend**: per-device container
 //!   files served with positioned reads (`pread`) behind the same
 //!   submit/complete shape, charging *zero* virtual seconds so the
@@ -44,10 +45,10 @@
 //!               worker     worker    worker      (fixed set)
 //!                  │ execute(op) → output + device charges
 //!                  ▼
-//!         [ virtual scheduler: per-device clocks ]
+//!         [ virtual scheduler: one FIFO clock ]
 //!                  │ dispatch → start/completion instants
 //!                  ▼
-//!         [ completion queue (post order) ]  ◀─poll/wait── clients
+//!         [ completion queue (post order) ]  ◀──wait─── clients
 //! ```
 
 pub mod cqueue;

@@ -14,9 +14,10 @@
 //! itself ([`IoBackend::complete`]); both hooks default to the queue.
 //!
 //! Every execution reports the device charges it incurred; the
-//! reactor's [`VirtualScheduler`] turns those service times into
-//! queued start/completion instants, so completions carry realistic
-//! per-request latency even though the device models are analytical.
+//! reactor places them on one [`VirtualScheduler`] clock, billed to
+//! tenant 0, so a [`Cqe`] carries start/completion instants. Serving
+//! front ends that want per-device queueing, tenants or service
+//! windows drive a scheduler of their own.
 
 use crate::cqueue::{CompletionQueues, Cqe};
 use crate::ring::{RingCounters, SubmissionRing, SubmitError};
@@ -67,8 +68,6 @@ pub struct Sqe<Op> {
     /// Virtual submit instant; simple callers pass 0.0 and read only
     /// relative device accounting.
     pub submit_vt: f64,
-    /// The tenant the operation's device time is billed to.
-    pub tenant: usize,
 }
 
 /// Reactor sizing.
@@ -78,14 +77,6 @@ pub struct IoConfig {
     pub workers: usize,
     /// Submission-ring capacity (queue depth).
     pub queue_depth: usize,
-    /// Device count: one virtual clock each.
-    pub devices: usize,
-    /// Record per-charge service windows into [`Cqe::intervals`]
-    /// (span tracing). Off by default: the untraced hot path neither
-    /// allocates nor computes anything extra, and turning it on never
-    /// moves a single virtual instant — both paths run the same
-    /// scheduler arithmetic.
-    pub record_intervals: bool,
 }
 
 impl Default for IoConfig {
@@ -93,8 +84,6 @@ impl Default for IoConfig {
         IoConfig {
             workers: 4,
             queue_depth: 32,
-            devices: 1,
-            record_intervals: false,
         }
     }
 }
@@ -104,31 +93,16 @@ impl Default for IoConfig {
 pub struct ReactorSnapshot {
     /// Operations accepted: queued into the ring or completed inline.
     pub submitted: u64,
-    /// [`Reactor::try_submit_for`] attempts shed because the ring was full.
+    /// [`Reactor::try_submit`] attempts shed because the ring was full.
     pub rejected: u64,
     /// Operations completed (stamped and handed to
     /// [`IoBackend::complete`]).
     pub completed: u64,
     /// Operations queued in the ring right now.
     pub queued: usize,
-    /// Busy (service) seconds accumulated per device.
-    pub device_busy: Vec<f64>,
-    /// Virtual makespan: the latest instant any device is booked to.
-    pub horizon: f64,
-    /// Per-device utilization over the makespan.
-    pub utilization: Vec<f64>,
 }
 
-impl ReactorSnapshot {
-    /// Busy seconds summed across every device — the run's total
-    /// service demand. The observability layer's windowed busy
-    /// integrals and blame timelines are checked against this total.
-    pub fn total_busy_seconds(&self) -> f64 {
-        self.device_busy.iter().sum()
-    }
-}
-
-/// Scheduler-side shared state: the virtual clocks and the
+/// Scheduler-side shared state: the virtual clock and the
 /// completion counts (`inline` ops never entered the ring).
 #[derive(Debug)]
 struct SchedState {
@@ -143,7 +117,6 @@ struct Core<B: IoBackend> {
     ring: SubmissionRing<Sqe<B::Op>>,
     cq: Arc<CompletionQueues<B::Output>>,
     state: Mutex<SchedState>,
-    record_intervals: bool,
 }
 
 impl<B: IoBackend> Core<B> {
@@ -167,13 +140,12 @@ impl<B: IoBackend> Core<B> {
         let _guard = PosterGuard(&self.cq);
         while let Some(sqe) = self.ring.pop() {
             let done = self.backend.execute(sqe.op);
-            self.finish(sqe.user_data, sqe.submit_vt, sqe.tenant, done, false);
+            self.finish(sqe.user_data, sqe.submit_vt, done, false);
         }
     }
 
     /// The post step of a worker's op and an inline one alike: stamp
-    /// it ([`VirtualScheduler::dispatch`], billed to its tenant) and
-    /// count it completed — and submitted, if `inline` — under the
+    /// it ([`VirtualScheduler::dispatch`]) and count it completed — and submitted, if `inline` — under the
     /// scheduler lock; then hand it to [`IoBackend::complete`] and
     /// queue what that returns. Completed moves first, so whoever
     /// `complete` answers already sees it.
@@ -181,7 +153,6 @@ impl<B: IoBackend> Core<B> {
         &self,
         user_data: u64,
         submit_vt: f64,
-        tenant: usize,
         (output, charges): (B::Output, Vec<DeviceCharge>),
         inline: bool,
     ) {
@@ -189,9 +160,7 @@ impl<B: IoBackend> Core<B> {
             let mut state = self.lock();
             state.inline += u64::from(inline);
             state.completed += 1;
-            state
-                .sched
-                .dispatch(submit_vt, &charges, tenant, self.record_intervals)
+            state.sched.dispatch(submit_vt, &charges, 0, false)
         };
         let cqe = Cqe::from_dispatch(user_data, submit_vt, dispatch, intervals, output);
         if let Some(cqe) = self.backend.complete(cqe) {
@@ -228,11 +197,10 @@ impl<B: IoBackend> Reactor<B> {
             ring: SubmissionRing::new(cfg.queue_depth),
             cq: Arc::new(CompletionQueues::new(cfg.workers)),
             state: Mutex::new(SchedState {
-                sched: VirtualScheduler::new(cfg.devices),
+                sched: VirtualScheduler::new(1),
                 inline: 0,
                 completed: 0,
             }),
-            record_intervals: cfg.record_intervals,
         });
         let workers = (0..cfg.workers)
             .map(|_| {
@@ -256,39 +224,23 @@ impl<B: IoBackend> Reactor<B> {
         user_data: u64,
         submit_vt: f64,
     ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, 0, true)
+        self.enqueue(op, user_data, submit_vt, true)
     }
 
-    /// [`Reactor::submit`] billing `tenant`'s device time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Reactor::submit`].
-    pub fn submit_for(
-        &self,
-        op: B::Op,
-        user_data: u64,
-        submit_vt: f64,
-        tenant: usize,
-    ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, tenant, true)
-    }
-
-    /// Submits without blocking, billing `tenant`'s device time.
+    /// Submits without blocking.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] when the ring is at capacity (the
     /// rejection is counted), [`SubmitError::Closed`] after shutdown;
     /// the refused op comes back either way.
-    pub fn try_submit_for(
+    pub fn try_submit(
         &self,
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
-        tenant: usize,
     ) -> Result<(), (SubmitError, B::Op)> {
-        self.enqueue(op, user_data, submit_vt, tenant, false)
+        self.enqueue(op, user_data, submit_vt, false)
     }
 
     /// The submit path. An op the backend answers inline
@@ -299,14 +251,13 @@ impl<B: IoBackend> Reactor<B> {
         op: B::Op,
         user_data: u64,
         submit_vt: f64,
-        tenant: usize,
         block: bool,
     ) -> Result<(), (SubmitError, B::Op)> {
         let (core, mut op) = (&*self.core, op);
         if !core.ring.is_closed() {
             match core.backend.try_inline(op) {
                 Ok(done) => {
-                    core.finish(user_data, submit_vt, tenant, done, true);
+                    core.finish(user_data, submit_vt, done, true);
                     return Ok(());
                 }
                 Err(back) => op = back,
@@ -321,7 +272,6 @@ impl<B: IoBackend> Reactor<B> {
             op,
             user_data,
             submit_vt,
-            tenant,
         };
         push(&core.ring, sqe).map_err(|(e, sqe)| (e, sqe.op))
     }
@@ -352,9 +302,6 @@ impl<B: IoBackend> Reactor<B> {
             rejected,
             completed: state.completed,
             queued,
-            device_busy: state.sched.busy_seconds(),
-            horizon: state.sched.horizon(),
-            utilization: state.sched.utilization(),
         }
     }
 
@@ -412,10 +359,8 @@ impl<B: IoBackend> Drop for Reactor<B> {
 mod tests {
     use super::*;
 
-    /// Doubles the input and charges `input % devices` for 1 ms.
-    struct Doubler {
-        devices: usize,
-    }
+    /// Doubles the input and charges device 0 for 1 ms.
+    struct Doubler;
 
     impl IoBackend for Doubler {
         type Op = u64;
@@ -424,7 +369,7 @@ mod tests {
             (
                 op * 2,
                 vec![DeviceCharge {
-                    device: (op % self.devices as u64) as usize,
+                    device: 0,
                     seconds: 1e-3,
                 }],
             )
@@ -434,12 +379,10 @@ mod tests {
     #[test]
     fn completions_carry_outputs_and_tokens() {
         let r = Reactor::start(
-            Arc::new(Doubler { devices: 2 }),
+            Arc::new(Doubler),
             IoConfig {
                 workers: 2,
                 queue_depth: 8,
-                devices: 2,
-                ..IoConfig::default()
             },
         );
         for i in 0..6u64 {
@@ -450,7 +393,8 @@ mod tests {
         for _ in 0..6 {
             let cqe = cq.wait_any().expect("live reactor");
             assert_eq!(cqe.output, (cqe.user_data - 100) * 2);
-            assert_eq!(cqe.device, ((cqe.user_data - 100) % 2) as usize);
+            assert_eq!(cqe.device_seconds, 1e-3);
+            assert!(cqe.intervals.is_empty());
             seen.push(cqe.user_data);
         }
         seen.sort_unstable();
@@ -458,56 +402,16 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.submitted, 6);
         assert_eq!(snap.completed, 6);
-        // 3 ops per device × 1 ms.
-        assert!((snap.device_busy[0] - 3e-3).abs() < 1e-12);
-        assert!((snap.device_busy[1] - 3e-3).abs() < 1e-12);
-        // Total service demand across the fleet: 6 ops × 1 ms.
-        assert!((snap.total_busy_seconds() - 6e-3).abs() < 1e-12);
-        assert_eq!(
-            snap.total_busy_seconds(),
-            snap.device_busy.iter().sum::<f64>()
-        );
-        r.shutdown();
-    }
-
-    #[test]
-    fn record_intervals_decomposes_completions() {
-        let r = Reactor::start(
-            Arc::new(Doubler { devices: 2 }),
-            IoConfig {
-                workers: 1,
-                queue_depth: 8,
-                devices: 2,
-                record_intervals: true,
-            },
-        );
-        for i in 0..4u64 {
-            r.submit(i, i, 0.0).unwrap();
-        }
-        let cq = r.completions();
-        for _ in 0..4 {
-            let cqe = cq.wait_any().expect("live reactor");
-            // Doubler charges exactly one device per op; the interval
-            // reconstructs the completion's instants and demand.
-            assert_eq!(cqe.intervals.len(), 1);
-            let iv = cqe.intervals[0];
-            assert_eq!(iv.device, cqe.device);
-            assert_eq!(iv.start_vt, cqe.started_vt);
-            assert_eq!(iv.end_vt, cqe.completed_vt);
-            assert_eq!(iv.seconds, cqe.device_seconds);
-        }
         r.shutdown();
     }
 
     #[test]
     fn graceful_shutdown_serves_queued_work() {
         let r = Reactor::start(
-            Arc::new(Doubler { devices: 1 }),
+            Arc::new(Doubler),
             IoConfig {
                 workers: 1,
                 queue_depth: 16,
-                devices: 1,
-                ..IoConfig::default()
             },
         );
         for i in 0..10u64 {
@@ -526,12 +430,10 @@ mod tests {
     fn abort_returns_unserved_submissions() {
         // One worker blocked by a slow queue ensures entries pile up.
         let r = Reactor::start(
-            Arc::new(Doubler { devices: 1 }),
+            Arc::new(Doubler),
             IoConfig {
                 workers: 1,
                 queue_depth: 64,
-                devices: 1,
-                ..IoConfig::default()
             },
         );
         for i in 0..50u64 {
@@ -564,8 +466,6 @@ mod tests {
             IoConfig {
                 workers: 1,
                 queue_depth: 2,
-                devices: 1,
-                ..IoConfig::default()
             },
         );
         // First submit may begin executing immediately; fill the ring
@@ -573,7 +473,7 @@ mod tests {
         r.submit((), 0, 0.0).unwrap();
         let mut rejected = 0;
         for i in 1..=8u64 {
-            if r.try_submit_for((), i, 0.0, 0) == Err((SubmitError::Full, ())) {
+            if r.try_submit((), i, 0.0) == Err((SubmitError::Full, ())) {
                 rejected += 1;
             }
         }
@@ -600,8 +500,6 @@ mod tests {
             IoConfig {
                 workers: 2,
                 queue_depth: 8,
-                devices: 1,
-                ..IoConfig::default()
             },
         );
         let cq = r.completions();
@@ -625,12 +523,10 @@ mod tests {
         // count, deeper closed loop ⇒ higher mean virtual latency.
         let run = |depth: u64| {
             let r = Reactor::start(
-                Arc::new(Doubler { devices: 1 }),
+                Arc::new(Doubler),
                 IoConfig {
                     workers: 2,
                     queue_depth: depth as usize,
-                    devices: 1,
-                    ..IoConfig::default()
                 },
             );
             let cq = r.completions();

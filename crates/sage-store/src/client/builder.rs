@@ -1,7 +1,6 @@
 //! [`DatasetBuilder`]: one validated entry point folding the codec
 //! ([`StoreOptions`]), engine ([`EngineConfig`]), and serving knobs.
 
-use super::tenant::TenantSpec;
 use super::Dataset;
 use crate::codec::{encode_sharded, ShardedStore, StoreOptions};
 use crate::engine::{EngineConfig, StoreBackend, StoreEngine};
@@ -66,7 +65,6 @@ pub struct DatasetBuilder {
     server_workers: usize,
     queue_depth: usize,
     tracing: bool,
-    tenants: Vec<TenantSpec>,
     backend: StoreBackend,
     decode_workers: usize,
 }
@@ -82,7 +80,6 @@ impl Default for DatasetBuilder {
             server_workers: 4,
             queue_depth: 32,
             tracing: false,
-            tenants: Vec::new(),
             backend: StoreBackend::default(),
             decode_workers: 0,
         }
@@ -168,45 +165,22 @@ impl DatasetBuilder {
         self
     }
 
-    /// Enables span tracing: every completed operation is recorded as
-    /// an [`OpSpan`](crate::obs::OpSpan) — its virtual-time instants,
-    /// per-device service intervals, and engine events — into the
+    /// Enables tracing, off by default. The engine then records its
+    /// [`EngineEvent`](crate::obs::EngineEvent)s (cache probes,
+    /// decodes, device commands) into every operation's
+    /// [`OpTrace`](crate::OpTrace), which each served op returns in
+    /// its [`Completion`](super::Completion). And every operation a
+    /// drive completes is recorded as an
+    /// [`OpSpan`](crate::obs::OpSpan) — its virtual-time instants,
+    /// per-device service intervals, and those events — into the
     /// dataset's [`TraceBuffer`](crate::obs::TraceBuffer), readable
     /// via [`Dataset::trace`](super::Dataset::trace) and exportable
-    /// as a Perfetto-loadable Chrome trace. Off by default. Tracing
-    /// is observation-only: a traced run's virtual timeline is
-    /// **bit-identical** to an untraced one (property-tested).
+    /// as a Perfetto-loadable Chrome trace. Served ops record no
+    /// span. Tracing is observation-only: a traced drive's virtual
+    /// timeline is **bit-identical** to an untraced one
+    /// (property-tested).
     pub fn tracing(mut self, on: bool) -> DatasetBuilder {
         self.tracing = on;
-        self
-    }
-
-    /// Registers one tenant; its [`TenantId`](super::TenantId) is its
-    /// registration order. With no tenants registered the dataset
-    /// serves the single default tenant. Open tenant-bound sessions
-    /// with [`Dataset::session_for`](super::Dataset::session_for);
-    /// [`Dataset::drive_tenants`](super::MultiTenantSpec) measures
-    /// tenants against each other under a chosen scheduling policy.
-    ///
-    /// ```
-    /// use sage_store::client::{DatasetBuilder, TenantId, TenantSpec};
-    /// use sage_genomics::sim::{simulate_dataset, DatasetProfile};
-    ///
-    /// # fn main() -> Result<(), sage_store::StoreError> {
-    /// let ds = simulate_dataset(&DatasetProfile::tiny_short(), 7);
-    /// let dataset = DatasetBuilder::new()
-    ///     .chunk_reads(32)
-    ///     .tenant(TenantSpec::named("frontend").with_priority(200).with_weight(4.0))
-    ///     .tenant(TenantSpec::named("batch").with_admission(8))
-    ///     .encode(&ds.reads)?;
-    /// assert_eq!(dataset.tenants().len(), 2);
-    /// let fg = dataset.session_for(TenantId(0))?;
-    /// assert_eq!(fg.tenant_spec().name, "frontend");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn tenant(mut self, spec: TenantSpec) -> DatasetBuilder {
-        self.tenants.push(spec);
         self
     }
 
@@ -237,9 +211,6 @@ impl DatasetBuilder {
             if dir.as_os_str().is_empty() {
                 return Err(ConfigError::EmptyBackendPath);
             }
-        }
-        for tenant in &self.tenants {
-            tenant.validate()?;
         }
         let mut engine_cfg = EngineConfig::default()
             .with_cache_chunks(self.cache_chunks)
@@ -287,7 +258,6 @@ impl DatasetBuilder {
             self.server_workers,
             self.queue_depth,
             self.tracing,
-            self.tenants.clone(),
         ))
     }
 }
@@ -379,7 +349,8 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_a_span_per_op_with_events() {
+    fn tracing_reaches_served_reports_and_drive_spans() {
+        use crate::client::workload::{Arrivals, TenantLoad};
         let rs = reads();
         let dataset = DatasetBuilder::new()
             .chunk_reads(16)
@@ -387,21 +358,29 @@ mod tests {
             .tracing(true)
             .encode(&rs)
             .expect("traced build");
-        assert!(dataset.trace().is_some());
-        let c = dataset.session().get(0..8).unwrap().wait().unwrap();
-        // The span is recorded before the ticket resolves.
-        let spans = dataset.trace().unwrap().spans();
-        assert_eq!(spans.len(), 1);
-        let s = &spans[0];
-        assert_eq!(s.kind, "get");
-        assert_eq!(s.submitted_vt, c.report.submitted_vt);
-        assert_eq!(s.completed_vt, c.report.completed_vt);
-        assert_eq!(s.intervals.len(), c.report.charges().len());
-        assert!(
-            !s.events.is_empty(),
-            "engine tracing must emit cache/device events"
-        );
-        assert_eq!(dataset.metrics().trace_spans, 1);
+        let buf = dataset.trace().expect("a tracing dataset has a buffer");
+        let session = dataset.session();
+        // A miss, an inline hit, and a two-chunk worker op.
+        for range in [0..8, 0..8, 8..40] {
+            let c = session.get(range).unwrap().wait().unwrap();
+            assert!(
+                !c.report.events.is_empty(),
+                "engine tracing must emit cache/device events"
+            );
+        }
+        // Served ops record no span.
+        assert!(buf.is_empty());
+        assert_eq!(dataset.metrics().trace_spans, 0);
+        // A drive on the same dataset records one span per completion.
+        let mut load = TenantLoad::new(Arrivals::Poisson { rate: 100.0 });
+        load.requests = 16;
+        let report = dataset.drive_open_loop(&load, 16).expect("drive");
+        let spans = buf.spans();
+        assert_eq!(spans.len() as u64, report.completed);
+        assert!(spans
+            .iter()
+            .all(|s| s.kind == "get" && !s.events.is_empty()));
+        assert_eq!(dataset.metrics().trace_spans, spans.len());
     }
 
     #[test]
@@ -414,8 +393,8 @@ mod tests {
             .unwrap();
         assert!(dataset.trace().is_none());
         let c = dataset.session().get(0..4).unwrap().wait().unwrap();
-        assert!(c.report.intervals().is_empty());
-        assert!(c.report.trace.events.is_empty());
+        assert!(!c.report.charges.is_empty());
+        assert!(c.report.events.is_empty());
     }
 
     #[test]
@@ -459,8 +438,8 @@ mod tests {
             .expect("open");
         let c = dataset.session().get(0..4).unwrap().wait().unwrap();
         assert_eq!(c.value.len(), 4);
-        assert_eq!(c.report.charges().len(), 1);
-        assert!(c.report.device_seconds > 0.0);
+        assert_eq!(c.report.charges.len(), 1);
+        assert!(c.report.device_seconds() > 0.0);
         assert!(n_chunks > 1);
     }
 }

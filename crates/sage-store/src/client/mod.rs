@@ -14,13 +14,12 @@
 //! Views read records in place; [`ReadView::to_owned`] is the
 //! explicit opt-in to a per-record copy.
 //!
-//! Every ticket resolves to a [`Completion`] carrying an
-//! [`OpReport`]: the device charges the operation incurred, its cache
-//! outcome (chunks touched, hits, misses), and its virtual-time
-//! instants (submit, service start, completion) on the reactor's
-//! deterministic device timeline. The old `get`/`get_traced` split is
-//! gone — every operation is traced, and the report arrives with the
-//! result.
+//! Every ticket resolves to a [`Completion`] carrying the engine's
+//! [`OpTrace`]: the device charges the operation incurred and its
+//! cache outcome (chunks touched, hits, misses). A served op reports
+//! what the store measured and nothing else — it carries no virtual
+//! instant. Queueing on the virtual timeline is what the drives below
+//! measure.
 //!
 //! Whether a full queue blocks the submitter (backpressure) or fails
 //! the submission (load shedding) is a per-session knob,
@@ -37,7 +36,7 @@
 //! let ticket = session.get(10..20)?;          // Ticket<ReadView>
 //! let completion = ticket.wait()?;            // typed: no enum match
 //! assert_eq!(completion.value.len(), 10);
-//! assert_eq!(completion.report.chunks_touched(), 1);
+//! assert_eq!(completion.report.chunks_touched, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -79,7 +78,7 @@ pub use workload::TenantLoad;
 use crate::engine::{OpTrace, OpValue};
 use crate::view::ReadView;
 use crate::{Result, StoreError};
-use sage_io::{ChargeInterval, Cqe, DeviceCharge};
+use sage_io::Cqe;
 use std::sync::mpsc::Receiver;
 
 /// What a session does when the submission ring is full.
@@ -94,135 +93,20 @@ pub enum SubmitMode {
     Fail,
 }
 
-/// Everything one served operation reports back: the engine-side
-/// [`OpTrace`] (charges, cache outcome) merged with the virtual-time
-/// instants its scheduler assigned. Trace fields live in the embedded
-/// trace — one definition, surfaced here through accessors — so
-/// anything the engine learns to trace automatically reaches every
-/// report.
-#[derive(Debug, Clone, Default)]
-pub struct OpReport {
-    /// What the engine recorded serving the operation (device
-    /// charges, chunks touched, cache outcome).
-    pub trace: OpTrace,
-    /// Virtual instant the operation was submitted.
-    pub submitted_vt: f64,
-    /// Virtual instant device service began.
-    pub started_vt: f64,
-    /// Virtual instant the operation completed.
-    pub completed_vt: f64,
-    /// Total device seconds the operation charged.
-    pub device_seconds: f64,
-    /// The device that finished the operation (the last charged
-    /// device to complete; 0 when nothing was charged).
-    pub device: usize,
-    /// Per-charge service windows on the virtual timeline, in charge
-    /// order. Empty unless the dataset was built with
-    /// [`DatasetBuilder::tracing`] — recording them is
-    /// observation-only and never moves the instants above.
-    pub intervals: Vec<ChargeInterval>,
-}
-
-impl OpReport {
-    /// Resolves a completion: the operation's value with the
-    /// engine-side trace and the scheduler's instants merged into its
-    /// report, or the operation's error.
-    pub(crate) fn resolve(cqe: EngineCqe) -> Payload {
-        let (value, trace) = cqe.output?;
-        let report = OpReport {
-            trace,
-            submitted_vt: cqe.submitted_vt,
-            started_vt: cqe.started_vt,
-            completed_vt: cqe.completed_vt,
-            device_seconds: cqe.device_seconds,
-            device: cqe.device,
-            intervals: cqe.intervals,
-        };
-        Ok((value, report))
-    }
-
-    /// Submit-to-completion virtual latency.
-    pub fn latency(&self) -> f64 {
-        self.completed_vt - self.submitted_vt
-    }
-
-    /// Virtual seconds the operation waited before service began.
-    pub fn queue_wait(&self) -> f64 {
-        self.started_vt - self.submitted_vt
-    }
-
-    /// Per-device charges the operation incurred (empty when every
-    /// touched chunk was cached or timing is off).
-    pub fn charges(&self) -> &[DeviceCharge] {
-        &self.trace.charges
-    }
-
-    /// Chunks the operation touched (for appends: chunks written).
-    pub fn chunks_touched(&self) -> u64 {
-        self.trace.chunks_touched
-    }
-
-    /// Touched chunks served from the decoded-chunk cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.trace.cache_hits
-    }
-
-    /// Touched chunks that had to be fetched and decoded.
-    pub fn cache_misses(&self) -> u64 {
-        self.trace.cache_misses
-    }
-
-    /// Device commands the operation issued. On a **timed** engine
-    /// (single SSD or fleet) a get or scan issues one per cache miss
-    /// and an append one per chunk written. On an untimed engine no
-    /// device is modeled and this is always 0, misses included.
-    pub fn device_ops(&self) -> u64 {
-        self.trace.charges.len() as u64
-    }
-
-    /// Per-charge service windows (empty unless the dataset traces —
-    /// see [`DatasetBuilder::tracing`]).
-    pub fn intervals(&self) -> &[ChargeInterval] {
-        &self.intervals
-    }
-
-    /// The operation as an [`OpSpan`](crate::obs::OpSpan) for trace
-    /// recording, tagged with its submission `token`, kind label and
-    /// `tenant` (0 is the default tenant).
-    pub fn to_span_for(&self, token: u64, kind: &'static str, tenant: usize) -> crate::obs::OpSpan {
-        crate::obs::OpSpan {
-            token,
-            tenant,
-            kind,
-            submitted_vt: self.submitted_vt,
-            started_vt: self.started_vt,
-            completed_vt: self.completed_vt,
-            device: self.device,
-            device_seconds: self.device_seconds,
-            intervals: self.intervals.clone(),
-            chunks_touched: self.trace.chunks_touched,
-            cache_hits: self.trace.cache_hits,
-            cache_misses: self.trace.cache_misses,
-            device_ops: self.device_ops(),
-            events: self.trace.events.clone(),
-        }
-    }
-}
-
-/// A resolved operation: its typed value plus the [`OpReport`].
+/// A resolved operation: its typed value plus what the engine
+/// measured serving it.
 #[derive(Debug)]
 pub struct Completion<T> {
     /// The operation's result (reads for get/scan, first read id for
     /// append).
     pub value: T,
-    /// What serving it cost.
-    pub report: OpReport,
+    /// What serving it cost: device charges, chunks touched, cache
+    /// outcome and, on a tracing dataset, the engine's events.
+    pub report: OpTrace,
 }
 
-/// What a ticket receives for one operation.
-pub(crate) type Payload = Result<(OpValue, OpReport)>;
-
-/// What [`StoreEngine::run_op`](crate::StoreEngine::run_op) returns.
+/// What [`StoreEngine::run_op`](crate::StoreEngine::run_op) returns,
+/// and what a ticket receives.
 pub(crate) type OpOutput = Result<(OpValue, OpTrace)>;
 
 /// One engine operation placed on the virtual timeline.
@@ -235,7 +119,7 @@ pub(crate) type EngineCqe = Cqe<OpOutput>;
 /// operation — the server still executes it and discards the result.
 #[derive(Debug)]
 pub struct Ticket<T> {
-    rx: Receiver<Payload>,
+    rx: Receiver<OpOutput>,
     /// Static op→value pairing chosen at the submit site; `None` is
     /// unreachable because each `Session` method submits exactly the
     /// op variant its extractor matches.
@@ -243,7 +127,7 @@ pub struct Ticket<T> {
 }
 
 impl<T> Ticket<T> {
-    pub(crate) fn new(rx: Receiver<Payload>, extract: fn(OpValue) -> Option<T>) -> Ticket<T> {
+    pub(crate) fn new(rx: Receiver<OpOutput>, extract: fn(OpValue) -> Option<T>) -> Ticket<T> {
         Ticket { rx, extract }
     }
 

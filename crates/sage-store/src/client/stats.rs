@@ -13,16 +13,15 @@
 //! completions to.
 
 use super::workload::{OpKind, OpKindStats};
-use super::{EngineCqe, OpReport};
+use super::EngineCqe;
 use crate::engine::OpValue;
-use crate::obs::{LogHistogram, TraceBuffer};
+use crate::obs::{LogHistogram, OpSpan, TraceBuffer};
 use crate::Result;
 
 /// Aggregated latency distribution of one drive (all milliseconds).
 ///
-/// Built once from a drive's latency [`LogHistogram`] by
-/// [`LatencyStats::from_histogram`]; every percentile any bench prints
-/// comes out of this one extraction.
+/// Built once from a drive's latency [`LogHistogram`]; every
+/// percentile any bench prints comes out of this one extraction.
 /// `count`, `mean_ms`, and `max_ms` are exact; the percentile fields
 /// carry the histogram's ≈0.78% bucket quantization.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,7 +45,7 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// The millisecond view over a latency histogram in seconds —
     /// the shared implementation every drive report resolves through.
-    pub fn from_histogram(hist: &LogHistogram) -> LatencyStats {
+    fn from_histogram(hist: &LogHistogram) -> LatencyStats {
         if hist.count() == 0 {
             return LatencyStats::default();
         }
@@ -168,19 +167,19 @@ impl DriveAccounting {
         token: u64,
         trace_buf: Option<&TraceBuffer>,
     ) -> Result<()> {
-        let (value, report) = OpReport::resolve(cqe)?;
-        if let Some(buf) = trace_buf {
-            buf.record(report.to_span_for(token, kind.label(), tenant));
+        if let (Some(buf), Ok((_, trace))) = (trace_buf, &cqe.output) {
+            buf.record(OpSpan::of_drive(&cqe, trace, token, kind.label(), tenant));
         }
-        let (k, latency) = (kind as usize, report.latency());
-        self.kinds[k].record(&report.trace);
+        let (k, latency, completed_vt) = (kind as usize, cqe.latency(), cqe.completed_vt);
+        let (value, trace) = cqe.output?;
+        self.kinds[k].record(&trace);
         self.hists[k].record(latency);
         if let OpValue::Reads(rs) = &value {
             self.reads_served += rs.len() as u64;
             self.bases_served += rs.total_bases() as u64;
         }
         self.latencies.push(latency);
-        self.makespan = self.makespan.max(report.completed_vt);
+        self.makespan = self.makespan.max(completed_vt);
         Ok(())
     }
 

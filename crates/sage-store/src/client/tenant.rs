@@ -6,10 +6,10 @@
 //! policy), fair-share `weight` (weighted-fair policy), per-op
 //! deadline derived from its `slo` (deadline policy), and an
 //! `admission` occupancy cap that sheds the tenant's arrivals *before*
-//! they queue. Tenants are registered on the
-//! [`DatasetBuilder`](super::DatasetBuilder) in order; their index is
-//! their [`TenantId`], and tenant 0 is the default every untagged
-//! submission is attributed to.
+//! they queue. Tenants are listed in a [`MultiTenantSpec`] in order;
+//! their index is their [`TenantId`]. Sessions have no tenant: a
+//! served op reports what the engine measured, and only a drive
+//! attributes device time to tenants.
 //!
 //! [`Dataset::drive_tenants`] is the one open-loop driver: each tenant
 //! offers an independent seeded open-loop stream ([`TenantLoad`]), the
@@ -33,21 +33,13 @@ use sage_genomics::ReadSet;
 use sage_io::{SchedPolicyKind, SchedTag};
 use std::sync::Arc;
 
-/// A tenant's identity on a dataset: its registration index.
-///
-/// Tenants are registered on the builder
-/// ([`DatasetBuilder::tenant`](super::DatasetBuilder::tenant)) or
-/// listed in a [`MultiTenantSpec`]; the first registered tenant is
-/// `TenantId(0)`, which is also the default tenant every untagged
-/// submission belongs to.
+/// A tenant's identity in a drive: its position in the
+/// [`MultiTenantSpec`]. The first listed tenant is `TenantId(0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub usize);
 
 impl TenantId {
-    /// The default tenant (index 0).
-    pub const DEFAULT: TenantId = TenantId(0);
-
-    /// The tenant's registration index.
+    /// The tenant's position in its drive's spec.
     pub fn index(self) -> usize {
         self.0
     }
@@ -183,8 +175,7 @@ impl TenantSpec {
 
 /// Sizing of one multi-tenant open-loop drive: the scheduling policy
 /// under test, the shared serving knobs, and one `(TenantSpec,
-/// TenantLoad)` pair per tenant (registration order is
-/// [`TenantId`] order).
+/// TenantLoad)` pair per tenant (list order is [`TenantId`] order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiTenantSpec {
     /// Device scheduling policy ordering the pending work.
@@ -569,7 +560,7 @@ mod tests {
         assert_eq!(tag.tenant, 3);
         assert_eq!(tag.priority, 9);
         assert_eq!(tag.deadline_vt, 1.25);
-        let open = TenantSpec::default().tag(TenantId::DEFAULT, 1.0);
+        let open = TenantSpec::default().tag(TenantId(0), 1.0);
         assert_eq!(open.deadline_vt, f64::INFINITY);
     }
 

@@ -32,8 +32,8 @@
 //!   overload drops load instead of slowing the arrival process — the
 //!   deterministic analogue of
 //!   [`SubmitMode::Fail`](super::SubmitMode::Fail) load shedding), and
-//!   aggregates per-operation [`OpReport`](super::OpReport)s into a
-//!   [`QosReport`]: achieved vs offered throughput, shed counts, a
+//!   aggregates each operation's engine trace and virtual instants
+//!   into a [`QosReport`]: achieved vs offered throughput, shed counts, a
 //!   shared [`LatencyStats`] percentile block, per-device utilization,
 //!   and per-op-kind cache outcomes. The closed loop reports through
 //!   the same struct.
@@ -46,7 +46,7 @@
 //! assert on.
 
 use super::stats::{LatencyByKind, LatencyStats};
-use super::tenant::{MultiTenantSpec, TenantId, TenantSpec};
+use super::tenant::{MultiTenantSpec, TenantSpec};
 use super::Dataset;
 use crate::engine::{OpTrace, StoreOp};
 use crate::{ConfigError, Result};
@@ -91,7 +91,7 @@ impl WorkloadRng {
     }
 
     /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -818,7 +818,7 @@ impl Dataset {
             MultiTenantSpec::new(SchedPolicyKind::Fifo).tenant(TenantSpec::default(), *load);
         multi.queue_depth = queue_depth;
         let mut report = self.drive_tenants(&multi)?;
-        Ok(report.tenants.swap_remove(TenantId::DEFAULT.index()))
+        Ok(report.tenants.swap_remove(0))
     }
 }
 

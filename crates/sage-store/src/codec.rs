@@ -17,36 +17,18 @@ use sage_genomics::{ChunkColumns, Read, ReadSet};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Options for building a sharded store.
+/// Options for building a sharded store. The encode pool is as wide
+/// as the host's available parallelism.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Reads per chunk (the final chunk may hold fewer).
     pub reads_per_chunk: usize,
-    /// Worker threads for encode/decode (0 ⇒ available parallelism).
-    pub workers: usize,
 }
 
 impl StoreOptions {
-    /// Options with `reads_per_chunk` and defaults everywhere else.
+    /// Options with `reads_per_chunk` reads per chunk.
     pub fn new(reads_per_chunk: usize) -> StoreOptions {
-        StoreOptions {
-            reads_per_chunk,
-            workers: 0,
-        }
-    }
-
-    /// Sets the worker-pool width.
-    pub fn with_workers(mut self, workers: usize) -> StoreOptions {
-        self.workers = workers;
-        self
-    }
-
-    /// Effective worker count.
-    pub(crate) fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        default_workers()
+        StoreOptions { reads_per_chunk }
     }
 }
 
@@ -95,7 +77,8 @@ impl ShardedStore {
     }
 }
 
-/// Default pool width when the caller does not pin one.
+/// The encode pool's width, and the decode pool's when the engine
+/// does not pin one.
 pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
@@ -146,7 +129,7 @@ pub(crate) fn encode_chunks(
 
 /// Encodes a read set into a sharded container.
 ///
-/// Chunks are compressed in parallel (see [`StoreOptions::workers`])
+/// Chunks are compressed in parallel, one worker per available core,
 /// and concatenated in read order; the manifest records each chunk's
 /// read span and byte extent.
 ///
@@ -163,11 +146,7 @@ pub fn encode_sharded(reads: &ReadSet, opts: &StoreOptions) -> Result<ShardedSto
         "chunks must hold at least one read"
     );
     let chunks: Vec<&[Read]> = reads.reads().chunks(opts.reads_per_chunk).collect();
-    let encoded = encode_chunks(
-        &chunks,
-        &order_preserving_compressor(),
-        opts.effective_workers(),
-    )?;
+    let encoded = encode_chunks(&chunks, &order_preserving_compressor(), default_workers())?;
 
     let mut store = ShardedStore {
         manifest: StoreManifest {
@@ -320,11 +299,21 @@ mod tests {
 
     #[test]
     fn single_worker_pool_matches_parallel_pool() {
+        // Both encode paths (`encode_sharded` and the engine's append)
+        // go through `encode_chunks`. The codec is deterministic, so
+        // the worker count cannot change the bytes.
         let reads = tiny();
-        let a = encode_sharded(&reads, &StoreOptions::new(7).with_workers(1)).unwrap();
-        let b = encode_sharded(&reads, &StoreOptions::new(7).with_workers(8)).unwrap();
-        // The codec is deterministic, so worker count cannot change
-        // the bytes.
+        let chunks: Vec<&[Read]> = reads.reads().chunks(7).collect();
+        let compressor = order_preserving_compressor();
+        let a = encode_chunks(&chunks, &compressor, 1).unwrap();
+        let b = encode_chunks(&chunks, &compressor, 8).unwrap();
         assert_eq!(a, b);
+        let store = encode_sharded(&reads, &StoreOptions::new(7)).unwrap();
+        for (meta, bytes) in store.manifest.chunks.iter().zip(&a) {
+            assert_eq!(
+                &store.blob[meta.extent.offset..meta.extent.end()],
+                &bytes[..]
+            );
+        }
     }
 }

@@ -14,8 +14,8 @@
 //! outcome the operation incurred. The convenience methods
 //! ([`StoreEngine::get`], [`scan`](StoreEngine::scan),
 //! [`append`](StoreEngine::append)) are thin wrappers that drop the
-//! trace; the serving layer ([`crate::client`]) keeps it and folds it
-//! into per-request [`OpReport`](crate::client::OpReport)s.
+//! trace; the serving layer ([`crate::client`]) hands it to the
+//! caller as each served op's report.
 //!
 //! Cache misses are filled through one path too
 //! (`StoreEngine::fetch_chunks`): probe the cache, read + decode the
@@ -28,10 +28,10 @@
 //! which decode finishes first.
 //!
 //! The engine is served to concurrent clients by the typed session
-//! API in [`crate::client`], whose reactor places each op's charges
-//! on the virtual device timeline; the virtual-time drives call
-//! [`StoreEngine::run_op`] on their own thread and place them
-//! themselves.
+//! API in [`crate::client`], which reports each op's charges as the
+//! engine measured them; the virtual-time drives call
+//! [`StoreEngine::run_op`] on their own thread and place the charges
+//! on their own device timeline.
 
 use crate::codec::{order_preserving_compressor, ShardedStore};
 use crate::lru::{CachePolicy, CacheSnapshot, CacheStats, StripeSnapshot, StripedCache};
@@ -277,9 +277,10 @@ pub enum OpValue {
     Appended(u64),
 }
 
-/// What serving one operation cost: the engine-side half of an
-/// [`OpReport`](crate::client::OpReport) (the client layer adds the
-/// virtual-time instants its device scheduler assigns).
+/// What serving one operation cost, as the engine measured it. A
+/// session's [`Completion`](crate::client::Completion) carries it as
+/// is; a drive adds the virtual-time instants its device scheduler
+/// assigns.
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     /// Per-device charges the operation incurred, one per device
@@ -302,9 +303,10 @@ pub struct OpTrace {
 }
 
 impl OpTrace {
-    /// Total device service seconds across all charges.
+    /// Total device service seconds across all charges, summed in
+    /// charge order from +0.0 as the scheduler sums them.
     pub fn device_seconds(&self) -> f64 {
-        self.charges.iter().map(|c| c.seconds).sum()
+        self.charges.iter().fold(0.0, |sum, c| sum + c.seconds)
     }
 }
 
@@ -735,9 +737,9 @@ impl StoreEngine {
     /// Charging happens at the operation level, one command per
     /// missed chunk in manifest order, and only for fetches that
     /// *succeed*: a chunk that fails validation charges
-    /// nothing, so device counters, the traced charges, and the
-    /// reactor's virtual timeline all agree on exactly the successful
-    /// fetch set. A chunk a racing fetch decoded is still the miss its
+    /// nothing, so device counters, the traced charges, and a drive's
+    /// virtual timeline all agree on exactly the successful fetch
+    /// set. A chunk a racing fetch decoded is still the miss its
     /// probe was, and is charged like one: single-flight saves host
     /// work, and whether two operations happened to overlap in wall
     /// time must not move a virtual charge.

@@ -34,9 +34,9 @@
 //! - [`client`] — **the serving front end**: a [`DatasetBuilder`]
 //!   folds codec, engine, and server knobs into one validated
 //!   configuration and produces a [`Dataset`]; [`Session`]s on it
-//!   return *typed tickets* resolving to [`OpReport`]-carrying
-//!   completions, with blocking vs. load-shedding submission a
-//!   per-session [`SubmitMode`] and a shared closed-loop driver for
+//!   return *typed tickets* resolving to completions that carry the
+//!   engine's [`OpTrace`], with blocking vs. load-shedding submission
+//!   a per-session [`SubmitMode`] and a shared closed-loop driver for
 //!   load studies;
 //! - [`client::workload`] — open-loop workload generation and QoS
 //!   measurement: seedable arrival processes (fixed/Poisson/bursty)
@@ -84,8 +84,7 @@ pub mod view;
 pub use client::workload::{QosReport, ShedEvent};
 pub use client::{
     ClosedLoopSpec, Completion, Dataset, DatasetBuilder, LatencyStats, MultiQosReport,
-    MultiTenantSpec, OpReport, ServerStats, Session, SubmitMode, TenantId, TenantLoad, TenantSpec,
-    Ticket,
+    MultiTenantSpec, ServerStats, Session, SubmitMode, TenantId, TenantLoad, TenantSpec, Ticket,
 };
 pub use codec::{decode_all, encode_sharded, ShardedStore, StoreOptions};
 pub use engine::{
@@ -134,8 +133,6 @@ pub enum ConfigError {
     /// A tenant spec with a non-positive or non-finite weight or SLO,
     /// a zero admission cap, or a multi-tenant drive with no tenants.
     BadTenant,
-    /// A tenant id that no registered tenant has.
-    UnknownTenant,
     /// A file backend was selected with an empty directory path.
     EmptyBackendPath,
 }
@@ -168,9 +165,6 @@ impl std::fmt::Display for ConfigError {
                 "tenant specs need a positive finite weight, a positive finite SLO \
                  if any, an admission cap ≥ 1 if any, and at least one tenant"
             ),
-            ConfigError::UnknownTenant => {
-                write!(f, "no tenant is registered under that id")
-            }
             ConfigError::EmptyBackendPath => {
                 write!(f, "the file backend needs a non-empty directory path")
             }

@@ -52,12 +52,10 @@ pub struct MetricsSnapshot {
     pub lock_acquisitions: u64,
     /// Seconds spent holding cache shard locks (summed over shards).
     pub lock_busy_seconds: f64,
-    /// Virtual busy (service) seconds per reactor device.
+    /// Device seconds charged per device: its read plus write
+    /// seconds, session and drive traffic alike (empty on an untimed
+    /// engine).
     pub device_busy: Vec<f64>,
-    /// Per-device utilization over the reactor horizon.
-    pub utilization: Vec<f64>,
-    /// The reactor's virtual horizon (latest booked instant).
-    pub horizon: f64,
     /// Device-model read commands issued.
     pub device_reads: u64,
     /// Device-model write commands issued.
@@ -147,7 +145,6 @@ impl MetricsSnapshot {
                 "cache.lock_busy_seconds".into(),
                 MetricValue::Gauge(self.lock_busy_seconds),
             ),
-            ("reactor.horizon".into(), MetricValue::Gauge(self.horizon)),
             (
                 "device.reads".into(),
                 MetricValue::Counter(self.device_reads),
@@ -185,17 +182,11 @@ impl MetricsSnapshot {
                 MetricValue::Counter(self.trace_spans as u64),
             ),
         ];
-        for (d, (busy, util)) in self
-            .device_busy
-            .iter()
-            .zip(self.utilization.iter().chain(std::iter::repeat(&0.0)))
-            .enumerate()
-        {
+        for (d, busy) in self.device_busy.iter().enumerate() {
             out.push((
                 format!("device.{d}.busy_seconds"),
                 MetricValue::Gauge(*busy),
             ));
-            out.push((format!("device.{d}.utilization"), MetricValue::Gauge(*util)));
         }
         out
     }
@@ -214,8 +205,7 @@ impl MetricsSnapshot {
              \"queued\":{}}},\"engine\":{{\"requests_served\":{},\"bytes_copied\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.6},\
              \"shards\":{},\"len\":{},\"capacity\":{},\"lock_acquisitions\":{},\
-             \"lock_busy_seconds\":{:.9}}},\"reactor\":{{\"horizon\":{:.9},\
-             \"device_busy\":[{}],\"utilization\":[{}]}},\"device\":{{\"reads\":{},\
+             \"lock_busy_seconds\":{:.9}}},\"device\":{{\"busy\":[{}],\"reads\":{},\
              \"writes\":{},\"read_seconds\":{:.9},\"write_seconds\":{:.9}}},\
              \"decode\":{{\"chunks\":{},\"bytes\":{},\"seconds\":{:.9},\"dedup\":{}}},\
              \"trace\":{{\"spans\":{}}}}}",
@@ -235,9 +225,7 @@ impl MetricsSnapshot {
             self.cache_capacity,
             self.lock_acquisitions,
             self.lock_busy_seconds,
-            self.horizon,
             vec_json(&self.device_busy),
-            vec_json(&self.utilization),
             self.device_reads,
             self.device_writes,
             self.device_read_seconds,
@@ -510,8 +498,6 @@ mod tests {
             lock_acquisitions: 9,
             lock_busy_seconds: 1e-6,
             device_busy: vec![0.5, 0.25],
-            utilization: vec![0.5, 0.25],
-            horizon: 1.0,
             device_reads: 3,
             device_writes: 0,
             device_read_seconds: 0.75,
@@ -529,7 +515,7 @@ mod tests {
             .any(|(n, v)| n == "cache.hits" && *v == MetricValue::Counter(6)));
         assert!(metrics
             .iter()
-            .any(|(n, v)| n == "device.1.utilization" && *v == MetricValue::Gauge(0.25)));
+            .any(|(n, v)| n == "device.1.busy_seconds" && *v == MetricValue::Gauge(0.25)));
         assert!(metrics
             .iter()
             .any(|(n, v)| n == "trace.spans" && *v == MetricValue::Counter(9)));
@@ -541,8 +527,7 @@ mod tests {
         for key in [
             "\"server\"",
             "\"cache\"",
-            "\"reactor\"",
-            "\"device_busy\"",
+            "\"busy\":[0.500000000,0.250000000]",
             "\"spans\":9",
             "\"decode\"",
             "\"dedup\":1",

@@ -42,7 +42,8 @@
 //!   stream through a fresh [`VirtualScheduler`] to prove the trace
 //!   reconstructs every operation's instants exactly.
 
-use sage_io::{ChargeInterval, DeviceCharge, VirtualScheduler};
+use crate::engine::OpTrace;
+use sage_io::{ChargeInterval, Cqe, DeviceCharge, VirtualScheduler};
 use std::sync::Mutex;
 
 pub mod analysis;
@@ -97,17 +98,18 @@ impl EngineEvent {
     }
 }
 
-/// One served operation on the virtual timeline: the structured span
-/// the tracing tentpole records per completed op.
+/// One driven operation on the virtual timeline: the structured span
+/// a tracing dataset's drives record per completed op.
 ///
 /// The span carries everything needed to reconstruct the operation's
-/// [`OpReport`](crate::client::OpReport) exactly — the three
-/// instants, the per-charge service windows as the scheduler booked
-/// them, and the engine's cache outcome — which is what [`replay`]
-/// and the `trace_explorer` bench assert.
+/// place on the drive's timeline exactly — the three instants, the
+/// per-charge service windows as the scheduler booked them, and the
+/// engine's cache outcome — which is what [`replay`] and the
+/// `trace_explorer` bench assert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpSpan {
-    /// Submission token (drive sequence number or session token).
+    /// Submission token: the op's completion ordinal in a closed
+    /// loop, its arrival ordinal in an open-loop drive.
     pub token: u64,
     /// Tenant the operation was submitted for (0 is the default
     /// tenant; see [`TenantSpec`](crate::client::TenantSpec)).
@@ -140,6 +142,34 @@ pub struct OpSpan {
 }
 
 impl OpSpan {
+    /// The span of one drive completion `cqe` whose engine trace is
+    /// `trace`, tagged with its submission `token`, kind label and
+    /// `tenant` (0 is the default tenant).
+    pub(crate) fn of_drive<T>(
+        cqe: &Cqe<T>,
+        trace: &OpTrace,
+        token: u64,
+        kind: &'static str,
+        tenant: usize,
+    ) -> OpSpan {
+        OpSpan {
+            token,
+            tenant,
+            kind,
+            submitted_vt: cqe.submitted_vt,
+            started_vt: cqe.started_vt,
+            completed_vt: cqe.completed_vt,
+            device: cqe.device,
+            device_seconds: cqe.device_seconds,
+            intervals: cqe.intervals.clone(),
+            chunks_touched: trace.chunks_touched,
+            cache_hits: trace.cache_hits,
+            cache_misses: trace.cache_misses,
+            device_ops: trace.charges.len() as u64,
+            events: trace.events.clone(),
+        }
+    }
+
     /// Submit-to-completion virtual latency.
     pub fn latency(&self) -> f64 {
         self.completed_vt - self.submitted_vt

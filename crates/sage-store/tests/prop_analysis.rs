@@ -4,8 +4,7 @@
 //! **bit-for-bit**, across arrival processes, access patterns, fleet
 //! shapes, cache sizes, and overload. (b) **Busy agreement** — the
 //! bottleneck timeline's windowed busy integrals sum to exactly the
-//! per-device busy seconds the drive (and the reactor snapshot)
-//! reported. (c) **Determinism** — SLO evaluation over two
+//! per-device busy seconds the drive reported. (c) **Determinism** — SLO evaluation over two
 //! identically-prepared runs produces bit-equal reports, alerts
 //! included. (d) **Read-only** — running the whole analysis suite
 //! (blame, tail forensics, SLO) perturbs neither the `QosReport` nor
@@ -242,29 +241,59 @@ proptest! {
     }
 }
 
-/// Session traffic is served by the dataset's own reactor, so here
-/// the reactor snapshot, its busy-seconds sum, and the analysis
-/// timeline must all agree.
+/// `metrics().device_busy` is what each device was charged, sessions
+/// and drives alike: bit for bit its read plus write seconds, and up
+/// to summation order the charges the served ops reported plus the
+/// drive's own busy seconds.
 #[test]
-fn session_traffic_busy_agrees_with_reactor_snapshot() {
-    let ds = fresh_dataset(7, 2, 0, true);
+fn metrics_device_busy_is_each_devices_charge_sum() {
+    let ds = fresh_dataset(7, 3, 0, false);
     let session = ds.session();
+    let mut served = [0.0f64; 3];
+    let mut charge = |report: &sage_store::OpTrace| {
+        for c in &report.charges {
+            served[c.device] += c.seconds;
+        }
+    };
     for i in 0..24 {
-        session.get(i * 3..i * 3 + 6).unwrap().join().unwrap();
+        charge(
+            &session
+                .get(i * 3..i * 3 + 6)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .report,
+        );
     }
-    let snap = ds.reactor_snapshot();
-    let by_sum: f64 = snap.device_busy.iter().sum();
-    assert!(by_sum > 0.0, "session gets must charge devices");
-    assert_eq!(snap.total_busy_seconds(), by_sum);
+    let batch = simulate_dataset(&DatasetProfile::tiny_short(), 8).reads;
+    charge(&session.append(&batch).unwrap().wait().unwrap().report);
+    let total = ds.total_reads();
+    let driven = ds
+        .drive_closed_loop(
+            &ClosedLoopSpec {
+                clients: 4,
+                requests: 32,
+            },
+            |c, i| StoreOp::Get(range_for(c, i, total, 8)),
+        )
+        .expect("drive");
 
-    let report = ds.analyze(&AnalysisSpec::default()).expect("analyze");
-    assert_eq!(report.ops, 24);
-    let report_busy: f64 = report.device_busy().iter().sum();
-    assert!(
-        (report_busy - by_sum).abs() <= 1e-9 * by_sum,
-        "timeline busy {report_busy} vs reactor busy {by_sum}"
-    );
-    for (b, s) in report.blames.iter().zip(ds.trace().unwrap().spans().iter()) {
-        assert_eq!(b.total().to_bits(), s.latency().to_bits());
+    let busy = ds.metrics().device_busy;
+    let devices = ds.device_snapshots();
+    assert_eq!(busy.len(), 3);
+    assert!(devices.iter().any(|d| d.writes > 0), "the append wrote");
+    for (d, dev) in devices.iter().enumerate() {
+        assert_eq!(
+            busy[d].to_bits(),
+            (dev.read_seconds + dev.write_seconds).to_bits(),
+            "device {d}"
+        );
+        let want = served[d] + driven.device_busy[d];
+        assert!(want > 0.0, "device {d} was never charged");
+        assert!(
+            (busy[d] - want).abs() <= 1e-9 * want,
+            "device {d}: charged {} vs served + driven {want}",
+            busy[d]
+        );
     }
 }

@@ -10,11 +10,11 @@
 use proptest::prelude::*;
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_genomics::{ReadRef, ReadSet};
-use sage_io::VirtualScheduler;
 use sage_ssd::SsdConfig;
-use sage_store::client::{DatasetBuilder, OpReport, SubmitMode};
+use sage_store::client::{DatasetBuilder, SubmitMode};
 use sage_store::{
-    encode_sharded, EngineConfig, OpValue, ReadView, StoreEngine, StoreError, StoreOp, StoreOptions,
+    encode_sharded, EngineConfig, OpTrace, OpValue, ReadView, StoreEngine, StoreError, StoreOp,
+    StoreOptions,
 };
 
 /// The device shapes under test: untimed, one SSD, a homogeneous
@@ -308,8 +308,7 @@ fn cancelled_tickets_resolve_typed() {
 /// An answer inline or from a worker is the answer the engine gives:
 /// one session, one op at a time, on a timed dataset whose cache is
 /// smaller than the store, against a fresh engine replayed through
-/// `run_op` plus one FIFO dispatch per op — values, charges, cache
-/// outcome and the bits of every virtual instant.
+/// `run_op` — values, charges and cache outcome.
 #[test]
 fn inline_and_worker_answers_equal_the_engine_replay() {
     let reads = simulate_dataset(&DatasetProfile::tiny_short(), 80).reads;
@@ -327,7 +326,6 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
     let session = served.session();
     let replay = build();
     let engine = replay.engine();
-    let mut sched = VirtualScheduler::new(engine.n_devices().max(1));
 
     enum Step {
         Get(std::ops::Range<u64>),
@@ -352,11 +350,10 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
     ];
     let mut inline_hits = 0;
     for (i, step) in steps.iter().enumerate() {
-        let vt = i as f64 * 7.5e-5;
-        let (got, op): (Result<(OpValue, OpReport), StoreError>, StoreOp) = match step {
+        let (got, op): (Result<(OpValue, OpTrace), StoreError>, StoreOp) = match step {
             Step::Get(r) => (
                 session
-                    .get_at(r.clone(), vt)
+                    .get(r.clone())
                     .unwrap()
                     .wait()
                     .map(|c| (OpValue::Reads(c.value), c.report)),
@@ -364,7 +361,7 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
             ),
             Step::Scan => (
                 session
-                    .scan_at(|r| r.len().is_multiple_of(2), vt)
+                    .scan(|r| r.len().is_multiple_of(2))
                     .unwrap()
                     .wait()
                     .map(|c| (OpValue::Reads(c.value), c.report)),
@@ -372,7 +369,7 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
             ),
             Step::Append(rs) => (
                 session
-                    .append_at(rs, vt)
+                    .append(rs)
                     .unwrap()
                     .wait()
                     .map(|c| (OpValue::Appended(c.value), c.report)),
@@ -380,8 +377,6 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
             ),
         };
         let want = engine.run_op(op);
-        let charges = want.as_ref().map_or(Vec::new(), |(_, t)| t.charges.clone());
-        let (d, _) = sched.dispatch(vt, &charges, 0, false);
         let (got, want) = match (got, want) {
             (Ok(got), Ok(want)) => (got, want),
             (Err(a), Err(b)) => {
@@ -398,25 +393,10 @@ fn inline_and_worker_answers_equal_the_engine_replay() {
             (OpValue::Appended(a), OpValue::Appended(b)) => assert_eq!(a, b, "step {i}"),
             _ => panic!("step {i}: value kinds differ"),
         }
-        assert_eq!(report.charges(), &trace.charges[..], "step {i}: charges");
-        assert_eq!(report.cache_hits(), trace.cache_hits, "step {i}: hits");
-        assert_eq!(
-            report.cache_misses(),
-            trace.cache_misses,
-            "step {i}: misses"
-        );
-        assert_eq!(report.submitted_vt.to_bits(), vt.to_bits(), "step {i}");
-        assert_eq!(
-            report.started_vt.to_bits(),
-            d.started_vt.to_bits(),
-            "step {i}"
-        );
-        assert_eq!(
-            report.completed_vt.to_bits(),
-            d.completed_vt.to_bits(),
-            "step {i}"
-        );
-        if report.cache_hits() == 1 && report.cache_misses() == 0 {
+        assert_eq!(report.charges, trace.charges, "step {i}: charges");
+        assert_eq!(report.cache_hits, trace.cache_hits, "step {i}: hits");
+        assert_eq!(report.cache_misses, trace.cache_misses, "step {i}: misses");
+        if report.cache_hits == 1 && report.cache_misses == 0 {
             inline_hits += 1;
         }
     }

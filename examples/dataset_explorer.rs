@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let window = dataset.session().get(mid..mid + span)?.wait()?;
     println!(
         "\nrandom access: a {span}-read window at id {mid} decoded {} of {} chunks",
-        window.report.chunks_touched(),
+        window.report.chunks_touched,
         ds.reads.len().div_ceil(chunk_reads),
     );
     Ok(())

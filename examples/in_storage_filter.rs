@@ -83,7 +83,7 @@ fn main() {
     // A predicate scan over the chunk store is the software analogue
     // of the ISF: the store walks every chunk (charging its devices)
     // and only the matching reads come back to the caller. The
-    // OpReport shows what crossing the whole dataset cost.
+    // completion's report shows what crossing the whole dataset cost.
     let ds = simulate_dataset(&DatasetProfile::tiny_short(), 23);
     let dataset = DatasetBuilder::new()
         .chunk_reads(32)
@@ -106,7 +106,7 @@ fn main() {
         scan.value.len(),
         ds.reads.len(),
         (1.0 - scan.value.len() as f64 / ds.reads.len() as f64) * 100.0,
-        scan.report.chunks_touched(),
-        scan.report.device_seconds * 1e3,
+        scan.report.chunks_touched,
+        scan.report.device_seconds() * 1e3,
     );
 }

@@ -60,8 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "served a 50-read random window: {} chunk decoded, {} cache hits",
-        window.report.cache_misses(),
-        window.report.cache_hits()
+        window.report.cache_misses, window.report.cache_hits
     );
     Ok(())
 }

@@ -7,8 +7,8 @@
 //! One builder folds every knob (codec, cache, fleet, serving);
 //! sessions return typed tickets (`get → Ticket<ReadView>` — a
 //! zero-copy view over the cached chunks — `append →
-//! Ticket<u64>`), and every completion carries an `OpReport` with the
-//! operation's device charges, cache outcome, and virtual latency.
+//! Ticket<u64>`), and every completion carries the engine's `OpTrace`:
+//! the operation's device charges and cache outcome.
 //!
 //! Run with: `cargo run --release --example store_server`
 
@@ -68,16 +68,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "scan matched {} reads: touched {} chunks ({} cached), charged {:.3} ms of device time",
         scan.value.len(),
-        scan.report.chunks_touched(),
-        scan.report.cache_hits(),
-        scan.report.charges().iter().map(|c| c.seconds).sum::<f64>() * 1e3,
+        scan.report.chunks_touched,
+        scan.report.cache_hits,
+        scan.report.device_seconds() * 1e3,
     );
     let extra = ReadSet::from_reads(ds.reads.reads()[..32].to_vec());
     let append = session.append(&extra)?.wait()?;
     println!(
         "append placed new reads at id {} ({} chunks written)",
-        append.value,
-        append.report.chunks_touched()
+        append.value, append.report.chunks_touched
     );
 
     // 4. Report what the store observed.

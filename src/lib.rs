@@ -22,17 +22,18 @@
 //!   GC, and the `SAGe_Read`/`SAGe_Write` interface commands.
 //! - [`io`] — the completion-queue async I/O substrate: a bounded
 //!   submission ring, a reactor multiplexing in-flight operations over a
-//!   fixed worker set, a completion queue with virtual-time latency
-//!   accounting, and multi-SSD extent sharding (`DeviceMap`).
+//!   fixed worker set, a completion queue, per-device virtual-time
+//!   scheduling for the drives, and multi-SSD extent sharding
+//!   (`DeviceMap`).
 //! - [`store`] — the sharded chunk-container store: parallel chunk codec,
 //!   manifest-indexed random access, a concurrent query engine with a
 //!   striped LRU cache of decoded chunks, and single- or multi-SSD
 //!   timing modes served through the reactor.
 //! - [`client`] — **the typed serving API** (re-export of
 //!   [`store::client`]): `DatasetBuilder` → `Dataset` → `Session`,
-//!   typed tickets with per-operation `OpReport`s, and the shared
-//!   closed-loop load driver. This is the one entry point onto the
-//!   serving path.
+//!   typed tickets whose completions carry the engine's per-operation
+//!   `OpTrace`, and the shared closed-loop load driver. This is the
+//!   one entry point onto the serving path.
 //! - [`workload`] — open-loop workload generation and QoS measurement
 //!   (re-export of [`store::client::workload`]): seedable arrival
 //!   processes (fixed/Poisson/bursty) and access patterns

@@ -1,10 +1,10 @@
 //! End-to-end: the completion-queue reactor serving the multi-SSD
 //! chunk store through the facade crate's typed client API.
 //!
-//! The bench harnesses (`io_sweep`, `fig15_multissd`) measure this
-//! path; these tests pin its semantics — data correctness under
-//! striping, virtual-time queueing behavior, and the serving layer's
-//! shed/cancel contract — all through `sage::client`.
+//! These tests pin its semantics — data correctness under striping,
+//! the device charges a served op reports, queueing on a drive's
+//! virtual timeline, and the serving layer's shed/cancel contract —
+//! all through `sage::client`.
 
 use sage::client::{ClosedLoopSpec, Dataset, DatasetBuilder, SubmitMode, Ticket};
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
@@ -49,18 +49,16 @@ fn sessions_serve_striped_gets_bit_identically() {
             assert_eq!(r.qual, reads.reads()[start as usize + k].qual);
         }
         // Cold cache: every request charged at least one device.
-        assert!(c.report.device_seconds > 0.0);
-        assert!(!c.report.charges().is_empty());
-        assert_eq!(c.report.cache_hits(), 0);
-        assert!(c.report.completed_vt >= c.report.started_vt);
+        assert!(c.report.device_seconds() > 0.0);
+        assert!(!c.report.charges.is_empty());
+        assert_eq!(c.report.cache_hits, 0);
     }
-    let snap = dataset.reactor_snapshot();
-    assert_eq!(snap.completed, 40);
-    assert_eq!(snap.device_busy.len(), 4);
+    assert_eq!(dataset.stats().completed, 40);
+    let devices = dataset.device_snapshots();
+    assert_eq!(devices.len(), 4);
     assert!(
-        snap.device_busy.iter().filter(|b| **b > 0.0).count() >= 2,
-        "striping engaged {:?}",
-        snap.device_busy
+        devices.iter().filter(|d| d.reads > 0).count() >= 2,
+        "striping engaged {devices:?}"
     );
     dataset.shutdown();
 }
@@ -70,13 +68,13 @@ fn warm_cache_requests_cost_no_device_time() {
     let (dataset, _) = striped_dataset(2, 64);
     let session = dataset.session();
     let cold = session.get(0..16).expect("submit").wait().expect("cold");
-    assert!(cold.report.device_seconds > 0.0);
-    assert_eq!(cold.report.cache_misses(), 1);
-    // Same chunk again: served from cache, zero virtual latency.
+    assert!(cold.report.device_seconds() > 0.0);
+    assert_eq!(cold.report.cache_misses, 1);
+    // Same chunk again: served from cache, no device charged.
     let warm = session.get(0..16).expect("submit").wait().expect("warm");
-    assert_eq!(warm.report.device_seconds, 0.0);
-    assert_eq!(warm.report.latency(), 0.0);
-    assert_eq!(warm.report.cache_hits(), 1);
+    assert_eq!(warm.report.device_seconds(), 0.0);
+    assert!(warm.report.charges.is_empty());
+    assert_eq!(warm.report.cache_hits, 1);
     dataset.shutdown();
 }
 
