@@ -35,6 +35,11 @@ pub const CONTROL_UNIT: LogicUnitCost = LogicUnitCost {
     power_mw: 0.025,
 };
 
+/// Approximate combined area in mm² of three Cortex-R4 cores scaled to
+/// 22 nm (back-computed from the paper's "0.7% of the three cores"
+/// claim for an 8-channel, in-SSD configuration).
+pub const THREE_CORTEX_R4_MM2: f64 = 0.333;
+
 /// How SAGe's hardware is integrated (Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntegrationMode {
@@ -106,10 +111,6 @@ impl HwCost {
     /// compares against the three Cortex-R4 cores of a SATA SSD
     /// controller: ~0.295 mm² at 22 nm scaling).
     pub fn fraction_of_ssd_controller_cores(&self) -> f64 {
-        /// Approximate combined area of three Cortex-R4 cores scaled to
-        /// 22 nm (back-computed from the paper's "0.7% of the three
-        /// cores" claim for an 8-channel, in-SSD configuration).
-        const THREE_CORTEX_R4_MM2: f64 = 0.333;
         self.total_area_mm2() / THREE_CORTEX_R4_MM2
     }
 }
