@@ -49,11 +49,6 @@ impl<T> Cqe<T> {
         self.completed_vt - self.submitted_vt
     }
 
-    /// Virtual seconds the operation waited before service began.
-    pub fn queue_wait(&self) -> f64 {
-        self.started_vt - self.submitted_vt
-    }
-
     /// The completion of `output`, submitted at `submitted_vt` and
     /// placed on the timeline by `d` (a [`VirtualScheduler`] dispatch
     /// or resolution).
@@ -181,7 +176,7 @@ mod tests {
     fn latency_and_wait_derive_from_dispatch() {
         let e = cqe(9, 0);
         assert!((e.latency() - 2.5).abs() < 1e-12);
-        assert!((e.queue_wait() - 1.0).abs() < 1e-12);
+        assert!((e.started_vt - e.submitted_vt - 1.0).abs() < 1e-12);
     }
 
     #[test]

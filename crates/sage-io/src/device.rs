@@ -12,8 +12,8 @@
 //! each device's chunks sit back to back in its local space.
 
 use crate::sched::DeviceCharge;
-use sage_core::Extent;
-use sage_ssd::{ReadFormat, SageLayout, SsdCommand, SsdConfig, SsdModel};
+use sage_core::{Extent, OutputFormat};
+use sage_ssd::{SageLayout, SsdCommand, SsdConfig, SsdModel};
 use std::sync::Mutex;
 
 /// One chunk's home: which device and where on it.
@@ -148,11 +148,6 @@ impl DeviceMap {
         self.devices.len()
     }
 
-    /// Chunks placed so far.
-    pub fn n_chunks(&self) -> usize {
-        self.table.lock().expect("table poisoned").slots.len()
-    }
-
     /// The slot a chunk was placed in, if the chunk exists.
     pub fn slot(&self, chunk_id: u32) -> Option<ChunkSlot> {
         self.table
@@ -178,7 +173,7 @@ impl DeviceMap {
         let r = dev.model.execute(SsdCommand::SageReadExtent {
             offset: local.offset,
             bytes: local.len,
-            format: ReadFormat::Ascii,
+            format: OutputFormat::Ascii,
         });
         dev.reads += 1;
         dev.read_seconds += r.seconds;
@@ -269,7 +264,7 @@ mod tests {
         let lens = vec![100, 200, 300, 400, 500];
         let map = DeviceMap::place(&fleet(2), &lens);
         assert_eq!(map.n_devices(), 2);
-        assert_eq!(map.n_chunks(), 5);
+        assert!(map.slot(5).is_none());
         for (i, &len) in lens.iter().enumerate() {
             let slot = map.slot(i as u32).unwrap();
             assert_eq!(slot.device, i % 2);

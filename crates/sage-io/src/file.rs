@@ -121,16 +121,6 @@ impl FileBackend {
         })
     }
 
-    /// The directory holding the container files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of device containers.
-    pub fn n_devices(&self) -> usize {
-        self.files.len()
-    }
-
     /// Positioned reads served so far (including through a reactor).
     pub fn reads(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
@@ -241,7 +231,6 @@ mod tests {
         let dir = tmpdir("reopen");
         let imgs = images();
         let be = FileBackend::open_or_create(&dir, &imgs).expect("create");
-        assert_eq!(be.n_devices(), 2);
         assert_eq!(be.read_extent(0, 5, 10).expect("read"), imgs[0][5..15]);
         assert_eq!(be.read_extent(1, 0, 37).expect("read"), imgs[1]);
         drop(be);

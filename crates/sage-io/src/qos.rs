@@ -10,8 +10,7 @@
 //! That pick is the [`SchedPolicyKind`] the scheduler was built with;
 //! the queues themselves live in the scheduler
 //! ([`VirtualScheduler::enqueue`](crate::sched::VirtualScheduler::enqueue)
-//! / [`advance_to`](crate::sched::VirtualScheduler::advance_to) /
-//! [`flush`](crate::sched::VirtualScheduler::flush)).
+//! / [`advance_to`](crate::sched::VirtualScheduler::advance_to)).
 //!
 //! Every policy is expressed the same way: at enqueue time the policy
 //! assigns each charge a scalar *key* (lower serves first, ties broken
@@ -62,16 +61,6 @@ impl Default for SchedTag {
     }
 }
 
-impl SchedTag {
-    /// The tag for `tenant` with the remaining attributes defaulted.
-    pub fn for_tenant(tenant: usize) -> SchedTag {
-        SchedTag {
-            tenant,
-            ..SchedTag::default()
-        }
-    }
-}
-
 /// How a device picks the next pending charge to serve on the queued
 /// dispatch path. Plain `Copy`/`Eq` config data; the scheduler keys
 /// and serves by `match` on it.
@@ -93,7 +82,7 @@ impl SchedTag {
 /// s.enqueue(0, 0.0, &blocker, lo); // in service at t=0
 /// s.enqueue(1, 0.1, &blocker, lo); // queued
 /// s.enqueue(2, 0.2, &blocker, hi); // queued, higher priority
-/// let done = s.flush();
+/// let done = s.advance_to(f64::INFINITY);
 /// // The blocker finishes at 1.0; the high-priority op jumps the
 /// // earlier-submitted low-priority one.
 /// assert_eq!(done.iter().map(|r| r.user_data).collect::<Vec<_>>(), [0, 2, 1]);
@@ -161,7 +150,6 @@ mod tests {
         assert_eq!(t.priority, 0);
         assert_eq!(t.weight, 1.0);
         assert!(t.deadline_vt.is_infinite());
-        assert_eq!(SchedTag::for_tenant(3).tenant, 3);
     }
 
     #[test]
@@ -222,7 +210,11 @@ mod tests {
         // A service advances the device clock: later enqueues start
         // from it, not from zero.
         p.on_service(0, 1.0);
-        assert_eq!(p.enqueue_key(0, &SchedTag::for_tenant(2), 1.0), 2.0);
+        let other = SchedTag {
+            tenant: 2,
+            ..SchedTag::default()
+        };
+        assert_eq!(p.enqueue_key(0, &other, 1.0), 2.0);
         assert_eq!(p.enqueue_key(0, &light, 1.0), 2.0);
     }
 

@@ -284,11 +284,6 @@ impl<B: IoBackend> Reactor<B> {
         Arc::clone(&self.core.cq)
     }
 
-    /// The queue-depth the reactor was started with.
-    pub fn queue_depth(&self) -> usize {
-        self.core.ring.capacity()
-    }
-
     /// Reads the accumulated accounting.
     pub fn snapshot(&self) -> ReactorSnapshot {
         let RingCounters {

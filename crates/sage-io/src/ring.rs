@@ -82,11 +82,6 @@ impl<T> SubmissionRing<T> {
         }
     }
 
-    /// The queue-depth the ring was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Enqueues without blocking.
     ///
     /// # Errors

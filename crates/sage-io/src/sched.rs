@@ -22,8 +22,8 @@
 //!   submissions arrive in virtual-time order. This is the original
 //!   path and stays bit-identical.
 //! - **Queued** ([`enqueue`](VirtualScheduler::enqueue) /
-//!   [`advance_to`](VirtualScheduler::advance_to) /
-//!   [`flush`](VirtualScheduler::flush)): charges wait in per-device
+//!   [`advance_to`](VirtualScheduler::advance_to); advancing to
+//!   `f64::INFINITY` resolves everything): charges wait in per-device
 //!   pending queues and the scheduler's [`SchedPolicyKind`] picks which
 //!   to serve each time a device frees up, so a queued high-priority
 //!   charge can start before an earlier-submitted low-priority one.
@@ -85,8 +85,8 @@ pub struct Dispatch {
 }
 
 /// One operation fully placed by the queued dispatch path — what
-/// [`VirtualScheduler::advance_to`] / [`VirtualScheduler::flush`]
-/// return once every charge of a pending operation has been served.
+/// [`VirtualScheduler::advance_to`] returns once every charge of a
+/// pending operation has been served.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedOp {
     /// The handle [`VirtualScheduler::enqueue`] returned.
@@ -147,7 +147,6 @@ pub struct VirtualScheduler {
     /// Seconds charges spent waiting between submit and service start,
     /// per tenant.
     queue_delay: Vec<f64>,
-    dispatched: u64,
     policy: SchedPolicyKind,
     /// Weighted fair only — per-device SCFQ virtual clock: the finish
     /// tag of the charge most recently started.
@@ -184,7 +183,6 @@ impl VirtualScheduler {
             free_at: vec![0.0; n],
             tenant_busy: Vec::new(),
             queue_delay: Vec::new(),
-            dispatched: 0,
             policy,
             v: vec![0.0; n],
             f_last: vec![Vec::new(); n],
@@ -194,11 +192,6 @@ impl VirtualScheduler {
             ops: HashMap::new(),
             ready: Vec::new(),
         }
-    }
-
-    /// Device count.
-    pub fn n_devices(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Grows the per-tenant rows to cover `tenant` and returns the
@@ -233,7 +226,6 @@ impl VirtualScheduler {
         tenant: usize,
         record_intervals: bool,
     ) -> (Dispatch, Vec<ChargeInterval>) {
-        self.dispatched += 1;
         let n = self.free_at.len();
         self.tenant_row(tenant);
         let mut intervals = if record_intervals {
@@ -287,13 +279,12 @@ impl VirtualScheduler {
     /// Queues one request's charges into the per-device pending queues
     /// instead of placing them immediately; returns a handle
     /// identifying the operation in the [`ResolvedOp`]s that
-    /// [`advance_to`](Self::advance_to) / [`flush`](Self::flush) hand
-    /// back.
+    /// [`advance_to`](Self::advance_to) hands back.
     ///
     /// Each charge gets its policy key now (so SCFQ tags see the state
     /// at arrival), but nothing is placed on the timeline yet. An
     /// uncharged request resolves instantly at `submit_vt` and is
-    /// returned by the next `advance_to`/`flush` call.
+    /// returned by the next `advance_to` call.
     pub fn enqueue(
         &mut self,
         user_data: u64,
@@ -301,7 +292,6 @@ impl VirtualScheduler {
         charges: &[DeviceCharge],
         tag: SchedTag,
     ) -> u64 {
-        self.dispatched += 1;
         self.tenant_row(tag.tenant);
         let handle = self.next_op;
         self.next_op += 1;
@@ -394,7 +384,8 @@ impl VirtualScheduler {
     ///
     /// Every operation whose completion instant is `< frontier` is
     /// guaranteed resolved on return (a charge completing by `t` must
-    /// have started before `t`).
+    /// have started before `t`). Advancing to `f64::INFINITY`
+    /// resolves everything still pending (end of arrivals).
     pub fn advance_to(&mut self, frontier: f64) -> Vec<ResolvedOp> {
         let mut out = std::mem::take(&mut self.ready);
         loop {
@@ -458,11 +449,6 @@ impl VirtualScheduler {
         out
     }
 
-    /// Resolves everything still pending (end of arrivals).
-    pub fn flush(&mut self) -> Vec<ResolvedOp> {
-        self.advance_to(f64::INFINITY)
-    }
-
     /// Charges still waiting in the pending queues.
     #[cfg(test)]
     fn pending_charges(&self) -> usize {
@@ -499,22 +485,6 @@ impl VirtualScheduler {
     /// makespan of everything dispatched so far.
     pub fn horizon(&self) -> f64 {
         self.free_at.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Requests dispatched so far (queued requests count at enqueue).
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Per-device utilization over the makespan: `busy[d] / horizon`
-    /// (all zeros before anything was charged).
-    pub fn utilization(&self) -> Vec<f64> {
-        let horizon = self.horizon();
-        let busy = self.busy_seconds();
-        if horizon <= 0.0 {
-            return vec![0.0; busy.len()];
-        }
-        busy.iter().map(|b| b / horizon).collect()
     }
 }
 
@@ -568,6 +538,14 @@ mod tests {
         DeviceCharge { device, seconds }
     }
 
+    /// The default tag billed to `tenant`.
+    fn tag_for(tenant: usize) -> SchedTag {
+        SchedTag {
+            tenant,
+            ..SchedTag::default()
+        }
+    }
+
     /// Eager dispatch billed to tenant 0, without intervals.
     fn place(s: &mut VirtualScheduler, submit_vt: f64, charges: &[DeviceCharge]) -> Dispatch {
         s.dispatch(submit_vt, charges, 0, false).0
@@ -615,9 +593,9 @@ mod tests {
         let d = place(&mut s, 10.0, &[charge(0, 1.0)]);
         assert_eq!(d.started_vt, 10.0);
         assert_eq!(d.completed_vt, 11.0);
-        // Utilization reflects the gap: 2 busy seconds over 11.
-        let u = s.utilization();
-        assert!((u[0] - 2.0 / 11.0).abs() < 1e-12);
+        // The gap stays idle: 2 busy seconds over an 11-second horizon.
+        assert_eq!(s.busy_seconds(), &[2.0]);
+        assert_eq!(s.horizon(), 11.0);
     }
 
     #[test]
@@ -667,7 +645,7 @@ mod tests {
         // fold back to each device's total bit for bit, and the later
         // charges on a contended device accrue queue delay.
         let ops: Vec<(SchedTag, [DeviceCharge; 1])> = (0..8)
-            .map(|i| (SchedTag::for_tenant(i % 3), [charge(i % 2, 1e-3)]))
+            .map(|i| (tag_for(i % 3), [charge(i % 2, 1e-3)]))
             .collect();
         let mut eager = VirtualScheduler::new(2);
         for (tag, charges) in &ops {
@@ -734,7 +712,7 @@ mod tests {
             queued.enqueue(i as u64, *vt, charges, SchedTag::default());
             resolved.extend(queued.advance_to(*vt));
         }
-        resolved.extend(queued.flush());
+        resolved.extend(queued.advance_to(f64::INFINITY));
         assert_eq!(resolved.len(), stream.len());
         resolved.sort_by_key(|r| r.user_data);
         for (r, (d, ivs)) in resolved.iter().zip(&eager_out) {
@@ -743,7 +721,6 @@ mod tests {
         }
         assert_eq!(eager.busy_seconds(), queued.busy_seconds());
         assert_eq!(eager.horizon(), queued.horizon());
-        assert_eq!(eager.dispatched(), queued.dispatched());
     }
 
     #[test]
@@ -758,7 +735,7 @@ mod tests {
         s.enqueue(0, 0.0, &[charge(0, 1.0)], lo); // in service
         s.enqueue(1, 0.1, &[charge(0, 1.0)], lo); // queued
         s.enqueue(2, 0.2, &[charge(0, 1.0)], hi); // queued, high prio
-        let done = s.flush();
+        let done = s.advance_to(f64::INFINITY);
         let order: Vec<u64> = done.iter().map(|r| r.user_data).collect();
         assert_eq!(order, [0, 2, 1]);
         // Non-preemptive: the high-priority op waits for the charge in
@@ -789,8 +766,8 @@ mod tests {
         let first = s.advance_to(2e-4);
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].user_data, 0);
-        // End of stream flushes the rest.
-        let done = s.flush();
+        // End of stream resolves the rest.
+        let done = s.advance_to(f64::INFINITY);
         let order: Vec<u64> = done.iter().map(|r| r.user_data).collect();
         assert_eq!(order, [2, 1]);
         assert_eq!(done[0].dispatch.started_vt, 1e-3);
@@ -821,7 +798,7 @@ mod tests {
         }
         // Resolve only the first 8 services (frontier bounds nothing
         // here — everything arrived at 0 — so cut by count instead).
-        let done = s.flush();
+        let done = s.advance_to(f64::INFINITY);
         let first8: Vec<usize> = done.iter().take(8).map(|r| r.tenant).collect();
         let heavy_served = first8.iter().filter(|t| **t == 0).count();
         assert_eq!(
@@ -849,7 +826,11 @@ mod tests {
         s.enqueue(0, 0.0, &[charge(0, 1.0)], relaxed);
         s.enqueue(1, 0.0, &[charge(0, 1.0)], relaxed);
         s.enqueue(2, 0.1, &[charge(0, 1.0)], urgent);
-        let order: Vec<u64> = s.flush().iter().map(|r| r.user_data).collect();
+        let order: Vec<u64> = s
+            .advance_to(f64::INFINITY)
+            .iter()
+            .map(|r| r.user_data)
+            .collect();
         assert_eq!(order, [0, 2, 1]);
     }
 
@@ -872,8 +853,8 @@ mod tests {
     #[test]
     fn uncharged_queued_ops_resolve_instantly() {
         let mut s = VirtualScheduler::with_policy(2, SchedPolicyKind::WeightedFair);
-        s.enqueue(7, 3.0, &[], SchedTag::for_tenant(1));
-        let done = s.flush();
+        s.enqueue(7, 3.0, &[], tag_for(1));
+        let done = s.advance_to(f64::INFINITY);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].user_data, 7);
         assert_eq!(done[0].tenant, 1);

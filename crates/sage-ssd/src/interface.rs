@@ -11,19 +11,7 @@ use crate::ftl::Ftl;
 use crate::nand::{
     extent_read_seconds, random_read_latency_seconds, striped_read_seconds, striped_write_seconds,
 };
-
-/// Requested output format of a `SAGe_Read` (§5.4). Mirrors
-/// `sage_core::OutputFormat` but lives here so the storage layer does
-/// not depend on decode internals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadFormat {
-    /// ASCII bases.
-    Ascii,
-    /// 2-bit packed.
-    Packed2,
-    /// 3-bit packed.
-    Packed3,
-}
+use sage_core::OutputFormat;
 
 /// Commands the host can issue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +22,7 @@ pub enum SsdCommand {
         /// Compressed bytes to stream.
         bytes: usize,
         /// Output format for the RCU's format encoder.
-        format: ReadFormat,
+        format: OutputFormat,
     },
     /// Random-access genomic read of one byte extent (a chunk of a
     /// sharded container) out of the aligned layout. Engages only the
@@ -47,7 +35,7 @@ pub enum SsdCommand {
         /// Extent length in bytes.
         bytes: usize,
         /// Output format for the RCU's format encoder.
-        format: ReadFormat,
+        format: OutputFormat,
     },
     /// Specialized genomic write with aligned layout.
     SageWrite {
@@ -180,7 +168,7 @@ mod tests {
         let n = 64 * 1024 * 1024;
         let sage = ssd.execute(SsdCommand::SageRead {
             bytes: n,
-            format: ReadFormat::Packed2,
+            format: OutputFormat::Packed2,
         });
         let rand = ssd.execute(SsdCommand::Read {
             bytes: n,
@@ -196,11 +184,11 @@ mod tests {
         let ext = ssd.execute(SsdCommand::SageReadExtent {
             offset: 3 * chunk + 100,
             bytes: chunk,
-            format: ReadFormat::Packed2,
+            format: OutputFormat::Packed2,
         });
         let stream = ssd.execute(SsdCommand::SageRead {
             bytes: chunk,
-            format: ReadFormat::Packed2,
+            format: OutputFormat::Packed2,
         });
         let rand = ssd.execute(SsdCommand::Read {
             bytes: chunk,
@@ -226,12 +214,12 @@ mod tests {
         let aligned = ssd.execute(SsdCommand::SageReadExtent {
             offset: 0,
             bytes: stripe,
-            format: ReadFormat::Ascii,
+            format: OutputFormat::Ascii,
         });
         let straddling = ssd.execute(SsdCommand::SageReadExtent {
             offset: page / 2,
             bytes: stripe,
-            format: ReadFormat::Ascii,
+            format: OutputFormat::Ascii,
         });
         assert!(straddling.seconds > aligned.seconds);
     }
@@ -259,7 +247,7 @@ mod tests {
         let mut ssd = SsdModel::new(SsdConfig::pcie());
         let bw = ssd.bandwidth(SsdCommand::SageRead {
             bytes: 1 << 30,
-            format: ReadFormat::Ascii,
+            format: OutputFormat::Ascii,
         });
         let expected = ssd.config().internal_read_bw(true);
         assert!((bw / expected - 1.0).abs() < 0.05, "bw {bw} vs {expected}");
@@ -270,7 +258,7 @@ mod tests {
         let mut ssd = SsdModel::new(SsdConfig::sata());
         let r = ssd.execute(SsdCommand::SageRead {
             bytes: 0,
-            format: ReadFormat::Ascii,
+            format: OutputFormat::Ascii,
         });
         assert_eq!(r.seconds, 0.0);
     }

@@ -21,5 +21,5 @@ pub mod nand;
 
 pub use config::SsdConfig;
 pub use ftl::{Ftl, GcReport};
-pub use interface::{ReadFormat, SsdCommand, SsdModel, SsdResponse};
+pub use interface::{SsdCommand, SsdModel, SsdResponse};
 pub use layout::{extent_page_span, SageLayout};

@@ -318,9 +318,8 @@ impl Dataset {
     /// One unified snapshot of everything the serving stack counts:
     /// server counters, engine totals, cache outcome and lock
     /// accounting, per-device charged seconds, and the trace buffer's
-    /// size. This subsumes the scattered per-layer snapshots — each
-    /// metric is also available as a typed counter/gauge via
-    /// [`MetricsSnapshot::metrics`](crate::obs::MetricsSnapshot::metrics).
+    /// size. This subsumes the scattered per-layer snapshots: each
+    /// metric is one typed field.
     ///
     /// ```
     /// use sage_store::client::DatasetBuilder;
@@ -333,7 +332,7 @@ impl Dataset {
     /// let m = dataset.metrics();
     /// assert_eq!(m.requests_served, 1);
     /// assert_eq!(m.cache_misses, 1);  // cold get decoded one chunk
-    /// assert!(m.metrics().iter().any(|(name, _)| name == "cache.hit_rate"));
+    /// assert_eq!(m.cache_hits, 0);
     /// # Ok(())
     /// # }
     /// ```

@@ -88,18 +88,6 @@ pub struct LatencyByKind {
     pub appends: LatencyStats,
 }
 
-impl LatencyByKind {
-    /// Renders the per-kind stats as a JSON object fragment.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"gets\":{},\"scans\":{},\"appends\":{}}}",
-            self.gets.json(),
-            self.scans.json(),
-            self.appends.json()
-        )
-    }
-}
-
 /// What one drive (or one tenant of it) completed, recorded one
 /// completion at a time and folded into report fields at the end —
 /// the single accounting block behind every
@@ -285,15 +273,6 @@ mod tests {
         assert_eq!(a.p50_ms, b.p50_ms);
         assert_eq!(a.p99_ms, b.p99_ms);
         assert_eq!(a.max_ms, b.max_ms);
-        let by_kind = LatencyByKind {
-            gets: LatencyStats::from_histogram(&h_get),
-            scans: LatencyStats::from_histogram(&h_scan),
-            appends: LatencyStats::default(),
-        };
-        let j = by_kind.json();
-        for key in ["\"gets\"", "\"scans\"", "\"appends\""] {
-            assert!(j.contains(key), "{j} missing {key}");
-        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! A [`TenantSpec`] declares how one tenant's operations are treated
 //! by the serving stack: its scheduling `priority` (strict-priority
-//! policy), fair-share `weight` (weighted-fair policy), per-op
-//! deadline derived from its `slo` (deadline policy), and an
-//! `admission` occupancy cap that sheds the tenant's arrivals *before*
-//! they queue. Tenants are listed in a [`MultiTenantSpec`] in order;
-//! their index is their [`TenantId`]. Sessions have no tenant: a
-//! served op reports what the engine measured, and only a drive
-//! attributes device time to tenants.
+//! policy), fair-share `weight` (weighted-fair policy), and per-op
+//! deadline derived from its `slo` (deadline policy). Every tenant
+//! sheds under the one global queue bound,
+//! [`MultiTenantSpec::queue_depth`]. Tenants are listed in a
+//! [`MultiTenantSpec`] in order; their index is their [`TenantId`].
+//! Sessions have no tenant: a served op reports what the engine
+//! measured, and only a drive attributes device time to tenants.
 //!
 //! [`Dataset::drive_tenants`] is the one open-loop driver: each tenant
 //! offers an independent seeded open-loop stream ([`TenantLoad`]), the
@@ -55,13 +55,12 @@ impl TenantId {
 /// | `priority`  | [`SchedPolicyKind::StrictPriority`] |
 /// | `weight`    | [`SchedPolicyKind::WeightedFair`]  |
 /// | `slo`       | [`SchedPolicyKind::Deadline`] (per-op deadline = submit + slo) |
-/// | `admission` | the open-loop drivers' admission control |
 ///
 /// ```
 /// use sage_store::client::TenantSpec;
 ///
 /// // A latency-sensitive foreground tenant: high priority, 4× the
-/// // fair share, a 50 ms SLO, and no extra admission cap.
+/// // fair share, and a 50 ms SLO.
 /// let fg = TenantSpec::named("frontend")
 ///     .with_priority(200)
 ///     .with_weight(4.0)
@@ -69,9 +68,8 @@ impl TenantId {
 /// assert_eq!(fg.priority, 200);
 /// assert_eq!(fg.slo, Some(0.050));
 ///
-/// // A best-effort scan tenant shed once 8 of its ops are in flight.
-/// let bg = TenantSpec::named("batch").with_admission(8);
-/// assert_eq!(bg.admission, Some(8));
+/// // A best-effort batch tenant with the default fair share.
+/// let bg = TenantSpec::named("batch");
 /// assert!(fg.validate().is_ok() && bg.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,11 +85,6 @@ pub struct TenantSpec {
     /// policy each op's deadline is its submit instant plus this.
     /// `None` means no deadline (served after every deadlined op).
     pub slo: Option<f64>,
-    /// Admission cap: an arrival of this tenant that finds at least
-    /// this many operations occupying the virtual queue is shed, even
-    /// when the global queue bound still has room. `None` applies
-    /// only the global bound.
-    pub admission: Option<usize>,
 }
 
 impl Default for TenantSpec {
@@ -101,14 +94,12 @@ impl Default for TenantSpec {
             priority: 0,
             weight: 1.0,
             slo: None,
-            admission: None,
         }
     }
 }
 
 impl TenantSpec {
-    /// The default spec (priority 0, weight 1, no SLO, no admission
-    /// cap) under `name`.
+    /// The default spec (priority 0, weight 1, no SLO) under `name`.
     pub fn named(name: &'static str) -> TenantSpec {
         TenantSpec {
             name,
@@ -134,12 +125,6 @@ impl TenantSpec {
         self
     }
 
-    /// Returns the spec with an admission occupancy cap.
-    pub fn with_admission(mut self, cap: usize) -> TenantSpec {
-        self.admission = Some(cap);
-        self
-    }
-
     /// The scheduling tag for one operation of this tenant, submitted
     /// at `submit_vt`.
     pub fn tag(&self, tenant: TenantId, submit_vt: f64) -> SchedTag {
@@ -156,7 +141,7 @@ impl TenantSpec {
     /// # Errors
     ///
     /// [`ConfigError::BadTenant`] when the weight or SLO is not a
-    /// positive finite number, or the admission cap is zero.
+    /// positive finite number.
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         if !(self.weight.is_finite() && self.weight > 0.0) {
             return Err(ConfigError::BadTenant);
@@ -165,9 +150,6 @@ impl TenantSpec {
             if !(slo.is_finite() && slo > 0.0) {
                 return Err(ConfigError::BadTenant);
             }
-        }
-        if self.admission == Some(0) {
-            return Err(ConfigError::BadTenant);
         }
         Ok(())
     }
@@ -180,8 +162,9 @@ impl TenantSpec {
 pub struct MultiTenantSpec {
     /// Device scheduling policy ordering the pending work.
     pub policy: SchedPolicyKind,
-    /// Global virtual queue bound (per-tenant `admission` caps
-    /// tighten it per tenant).
+    /// Global virtual queue bound: an arrival that finds this many
+    /// operations occupying the virtual queue is shed, whichever
+    /// tenant it belongs to.
     pub queue_depth: usize,
     /// The tenants, in [`TenantId`] order.
     pub tenants: Vec<(TenantSpec, TenantLoad)>,
@@ -251,11 +234,6 @@ pub struct MultiQosReport {
 }
 
 impl MultiQosReport {
-    /// One tenant's report.
-    pub fn tenant(&self, id: TenantId) -> &QosReport {
-        &self.tenants[id.index()]
-    }
-
     /// Shed arrivals per tenant, in [`TenantId`] order.
     pub fn shed_by_tenant(&self) -> Vec<u64> {
         self.tenants.iter().map(|t| t.shed).collect()
@@ -285,11 +263,9 @@ impl Dataset {
     ///
     /// Admitted operations *queue* at the device scheduler, and the
     /// policy decides service order: a high-priority arrival can
-    /// start before an earlier-submitted low-priority one. Admission
-    /// control runs per arrival: an arrival that finds the virtual
-    /// queue holding at least `min(queue_depth, its tenant's
-    /// admission cap)` incomplete operations is shed with tenant
-    /// attribution.
+    /// start before an earlier-submitted low-priority one. An arrival
+    /// that finds the virtual queue holding at least `queue_depth`
+    /// incomplete operations is shed with tenant attribution.
     ///
     /// Each admitted operation runs on the calling thread at its
     /// arrival, against the drive's own virtual clock starting at 0,
@@ -300,8 +276,9 @@ impl Dataset {
     ///
     /// On a tracing dataset each completed op also lands in the
     /// dataset's span buffer with its per-charge service windows, in
-    /// admission order once the drive has run (call
-    /// `TraceBuffer::clear` between drives to keep runs separable).
+    /// admission order once the drive has run (the buffer keeps every
+    /// span for the dataset's life, so drive a fresh dataset to keep
+    /// runs separable).
     /// A span's `token` is its **arrival ordinal** in the merged
     /// stream — shed arrivals leave gaps — and recording is
     /// observation-only: the timeline and report are bit-identical
@@ -402,11 +379,7 @@ impl Dataset {
             }
             inflight.retain(|done_at| *done_at > at);
             let unresolved = token_meta.len() - done.len();
-            let tenant_spec = &spec.tenants[t].0;
-            let cap = spec
-                .queue_depth
-                .min(tenant_spec.admission.unwrap_or(usize::MAX));
-            if unresolved + inflight.len() >= cap {
+            if unresolved + inflight.len() >= spec.queue_depth {
                 let s = &mut streams[t];
                 let kind = spec.tenants[t].1.mix.pick(&mut s.shed_rng);
                 s.shed_events.push(ShedEvent {
@@ -416,7 +389,7 @@ impl Dataset {
                 });
                 continue;
             }
-            let tag = tenant_spec.tag(TenantId(t), at);
+            let tag = spec.tenants[t].0.tag(TenantId(t), at);
             let (op, kind) = streams[t].ops.next_op();
             let token = token_meta.len() as u64;
             token_meta.push((t, kind, ordinal));
@@ -545,10 +518,6 @@ mod tests {
             TenantSpec::default().with_slo(-1.0).validate(),
             Err(ConfigError::BadTenant)
         );
-        assert_eq!(
-            TenantSpec::default().with_admission(0).validate(),
-            Err(ConfigError::BadTenant)
-        );
         let empty = MultiTenantSpec::new(SchedPolicyKind::Fifo);
         assert_eq!(empty.validate(), Err(ConfigError::BadTenant));
     }
@@ -580,8 +549,8 @@ mod tests {
         assert_eq!(report.tenants.len(), 2);
         assert_eq!(report.tenant_busy.len(), 2);
         assert_eq!(report.tenant_queue_delay.len(), 2);
-        let fg_r = report.tenant(TenantId(0));
-        let bg_r = report.tenant(TenantId(1));
+        let fg_r = &report.tenants[0];
+        let bg_r = &report.tenants[1];
         assert_eq!(fg_r.completed + fg_r.shed, 48);
         assert_eq!(bg_r.completed + bg_r.shed, 24);
         assert!(fg_r.latency.p99_ms >= fg_r.latency.p50_ms);
@@ -613,7 +582,7 @@ mod tests {
             bg.seed = 0xbeef;
             let spec = MultiTenantSpec::new(policy)
                 .tenant(TenantSpec::named("fg").with_priority(200), fg)
-                .tenant(TenantSpec::named("bg").with_admission(8), bg);
+                .tenant(TenantSpec::named("bg"), bg);
             dataset.drive_tenants(&spec).expect("drive")
         };
         for policy in SchedPolicyKind::ALL {
@@ -625,12 +594,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_cap_sheds_the_capped_tenant_first() {
-        // Saturate one device; the capped background tenant must shed
-        // while the uncapped foreground tenant sheds only at the
-        // global bound.
+    fn global_bound_sheds_every_tenant_with_attribution() {
+        // Two tenants overload one device behind a 4-deep queue: the
+        // one global bound sheds both, and every shed is billed to the
+        // tenant whose arrival it turned away.
         let dataset = fleet_dataset(1);
-        let mut fg = TenantLoad::new(Arrivals::Fixed { rate: 500.0 });
+        let mut fg = TenantLoad::new(Arrivals::Fixed { rate: 20_000.0 });
         fg.requests = 64;
         fg.seed = 0x1;
         let mut bg = TenantLoad::new(Arrivals::Fixed { rate: 50_000.0 });
@@ -638,17 +607,15 @@ mod tests {
         bg.seed = 0x2;
         let mut spec = MultiTenantSpec::new(SchedPolicyKind::Fifo)
             .tenant(TenantSpec::named("fg"), fg)
-            .tenant(TenantSpec::named("bg").with_admission(4), bg);
-        spec.queue_depth = 64;
+            .tenant(TenantSpec::named("bg"), bg);
+        spec.queue_depth = 4;
         let report = dataset.drive_tenants(&spec).expect("drive");
         let sheds = report.shed_by_tenant();
-        assert!(sheds[1] > 0, "capped tenant must shed under overload");
-        assert!(
-            sheds[1] > sheds[0],
-            "admission cap sheds bg before fg: {sheds:?}"
-        );
-        // Every shed event carries its tenant.
-        assert!(report.tenants[1].shed_events.iter().all(|e| e.tenant == 1));
-        assert_eq!(report.tenants[1].shed_events.len() as u64, sheds[1]);
+        assert!(sheds.iter().all(|&s| s > 0), "both tenants shed: {sheds:?}");
+        for (t, (r, load)) in report.tenants.iter().zip([fg, bg]).enumerate() {
+            assert!(r.shed_events.iter().all(|e| e.tenant == t));
+            assert_eq!(r.shed_events.len() as u64, r.shed);
+            assert_eq!(r.completed + r.shed, load.requests);
+        }
     }
 }

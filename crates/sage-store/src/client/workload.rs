@@ -17,10 +17,9 @@
 //!   virtual seconds: `Fixed` (constant rate), `Poisson` (exponential
 //!   gaps), and `Bursty` (MMPP-style on/off: Poisson bursts separated
 //!   by silences).
-//! - **Access patterns** — [`Pattern`] yields read ranges: `Uniform`,
-//!   `Zipf` (Zipf(θ) over span-sized slots), `Sequential` (wrapping
-//!   scan cursor), and `Hotspot` (hot/cold two-tier mix). An [`OpMix`]
-//!   turns ranges into a typed [`StoreOp`] stream (get/scan/append
+//! - **Access patterns** — [`Pattern`] yields read ranges: `Uniform`
+//!   and `Zipf` (Zipf(θ) over span-sized slots). An [`OpMix`] turns
+//!   ranges into a typed [`StoreOp`] stream (get/scan/append
 //!   fractions) via [`OpStream`].
 //! - **The load spec** — a [`TenantLoad`] names one stream's arrival
 //!   process, pattern, mix, request count and seed; every open-loop
@@ -158,15 +157,6 @@ impl Arrivals {
         }
     }
 
-    /// Display label for sweep tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Arrivals::Fixed { .. } => "fixed",
-            Arrivals::Poisson { .. } => "poisson",
-            Arrivals::Bursty { .. } => "bursty",
-        }
-    }
-
     /// Checks the configured rates and durations.
     ///
     /// # Errors
@@ -267,61 +257,21 @@ pub enum Pattern {
         /// Reads per range.
         span: u64,
     },
-    /// A wrapping sequential scan in `span`-read windows: each range
-    /// starts where the previous one ended.
-    Sequential {
-        /// Reads per range.
-        span: u64,
-    },
-    /// `hot_weight` of traffic on the first `hot_fraction` of reads,
-    /// the rest uniform over the cold remainder.
-    Hotspot {
-        /// Fraction of the keyspace that is hot, in `(0, 1]`.
-        hot_fraction: f64,
-        /// Fraction of traffic landing on the hot set, in `[0, 1]`.
-        hot_weight: f64,
-        /// Reads per range.
-        span: u64,
-    },
 }
 
 impl Pattern {
-    /// Display label for sweep tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Pattern::Uniform { .. } => "uniform",
-            Pattern::Zipf { .. } => "zipf",
-            Pattern::Sequential { .. } => "sequential",
-            Pattern::Hotspot { .. } => "hotspot",
-        }
-    }
-
-    /// Checks the configured span and shape parameters.
+    /// Checks the configured span and skew.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ZeroSpan`] when ranges are sized to zero reads;
-    /// [`ConfigError::NonPositiveRate`] when a shape parameter is out
-    /// of range: θ not positive finite, `hot_fraction` outside
-    /// `(0, 1]`, or `hot_weight` outside `[0, 1]`.
+    /// [`ConfigError::NonPositiveRate`] when Zipf's θ is not a
+    /// positive finite number.
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         let span = match *self {
-            Pattern::Uniform { span } | Pattern::Sequential { span } => span,
+            Pattern::Uniform { span } => span,
             Pattern::Zipf { theta, span } => {
                 if !(theta.is_finite() && theta > 0.0) {
-                    return Err(ConfigError::NonPositiveRate);
-                }
-                span
-            }
-            Pattern::Hotspot {
-                hot_fraction,
-                hot_weight,
-                span,
-            } => {
-                if !(hot_fraction.is_finite() && hot_fraction > 0.0 && hot_fraction <= 1.0) {
-                    return Err(ConfigError::NonPositiveRate);
-                }
-                if !(hot_weight.is_finite() && (0.0..=1.0).contains(&hot_weight)) {
                     return Err(ConfigError::NonPositiveRate);
                 }
                 span
@@ -344,16 +294,13 @@ fn clamp_range(start: u64, span: u64, total: u64) -> Range<u64> {
 }
 
 /// One stream's live access pattern over a `total`-read dataset: the
-/// configuration plus the Zipf slot CDF and the sequential cursor
-/// (each unused by the other variants).
+/// configuration plus the Zipf slot CDF (empty under `Uniform`).
 #[derive(Debug, Clone)]
 pub(crate) struct RangeGen {
     pattern: Pattern,
     total: u64,
     /// Cumulative normalized Zipf slot weights, ascending to 1.0.
     cdf: Vec<f64>,
-    /// Start of the next sequential window.
-    cursor: u64,
 }
 
 impl RangeGen {
@@ -375,12 +322,11 @@ impl RangeGen {
             pattern: *pattern,
             total,
             cdf,
-            cursor: 0,
         }
     }
 
     /// The next read range (within `0..total`).
-    pub(crate) fn next_range(&mut self, rng: &mut WorkloadRng) -> Range<u64> {
+    pub(crate) fn next_range(&self, rng: &mut WorkloadRng) -> Range<u64> {
         let total = self.total;
         match self.pattern {
             Pattern::Uniform { span } => clamp_range(rng.below(total.max(1)), span, total),
@@ -388,28 +334,6 @@ impl RangeGen {
                 let u = rng.next_f64();
                 let slot = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
                 clamp_range(slot as u64 * span, span, total)
-            }
-            Pattern::Sequential { span } => {
-                let r = clamp_range(self.cursor, span, total);
-                self.cursor = if r.end >= total { 0 } else { r.end };
-                r
-            }
-            Pattern::Hotspot {
-                hot_fraction,
-                hot_weight,
-                span,
-            } => {
-                let hot_fraction = hot_fraction.clamp(0.0, 1.0);
-                let hot_weight = hot_weight.clamp(0.0, 1.0);
-                let hot_len = ((total as f64 * hot_fraction) as u64).clamp(1, total.max(1));
-                let start = if rng.next_f64() < hot_weight {
-                    rng.below(hot_len)
-                } else if hot_len >= total {
-                    rng.below(total.max(1))
-                } else {
-                    hot_len + rng.below(total - hot_len)
-                };
-                clamp_range(start, span, total)
             }
         }
     }
@@ -623,15 +547,6 @@ pub struct OpKindStats {
 }
 
 impl OpKindStats {
-    /// Chunk-touch hit fraction in `[0, 1]` (0 when untouched).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.chunk_hits + self.chunk_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.chunk_hits as f64 / total as f64
-    }
-
     pub(crate) fn record(&mut self, trace: &OpTrace) {
         self.ops += 1;
         self.chunk_hits += trace.cache_hits;
@@ -894,7 +809,7 @@ mod tests {
     fn zipf_concentrates_on_hot_slots() {
         let total = 10_000u64;
         let span = 100u64;
-        let mut z = RangeGen::new(&Pattern::Zipf { theta: 1.1, span }, total);
+        let z = RangeGen::new(&Pattern::Zipf { theta: 1.1, span }, total);
         assert_eq!(z.cdf.len(), 100);
         let mut rng = WorkloadRng::new(5);
         let mut hot = 0usize;
@@ -912,34 +827,6 @@ mod tests {
             "zipf hot share {}",
             hot as f64 / n as f64
         );
-    }
-
-    #[test]
-    fn sequential_wraps_and_hotspot_concentrates() {
-        let mut s = RangeGen::new(&Pattern::Sequential { span: 20 }, 50);
-        let mut rng = WorkloadRng::new(1);
-        assert_eq!(s.next_range(&mut rng), 0..20);
-        assert_eq!(s.next_range(&mut rng), 20..40);
-        assert_eq!(s.next_range(&mut rng), 40..50);
-        assert_eq!(s.next_range(&mut rng), 0..20);
-
-        let mut h = RangeGen::new(
-            &Pattern::Hotspot {
-                hot_fraction: 0.1,
-                hot_weight: 0.9,
-                span: 8,
-            },
-            10_000,
-        );
-        let mut hot = 0usize;
-        let n = 4096;
-        for _ in 0..n {
-            if h.next_range(&mut rng).start < 1000 {
-                hot += 1;
-            }
-        }
-        let share = hot as f64 / n as f64;
-        assert!((share - 0.9).abs() < 0.05, "hotspot share {share}");
     }
 
     #[test]
@@ -974,20 +861,6 @@ mod tests {
         let mut bad = good;
         bad.pattern = Pattern::Uniform { span: 0 };
         assert_eq!(bad.validate(), Err(ConfigError::ZeroSpan));
-        let mut bad = good;
-        bad.pattern = Pattern::Hotspot {
-            hot_fraction: 0.1,
-            hot_weight: f64::NAN,
-            span: 8,
-        };
-        assert_eq!(bad.validate(), Err(ConfigError::NonPositiveRate));
-        let mut bad = good;
-        bad.pattern = Pattern::Hotspot {
-            hot_fraction: 1.5,
-            hot_weight: 0.9,
-            span: 8,
-        };
-        assert_eq!(bad.validate(), Err(ConfigError::NonPositiveRate));
         let mut bad = good;
         bad.mix = OpMix {
             get: 0.0,

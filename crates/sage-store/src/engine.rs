@@ -544,12 +544,6 @@ impl StoreEngine {
         self.cache.n_shards()
     }
 
-    /// Whether engine-side event tracing is on (see
-    /// [`EngineConfig::with_tracing`]).
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     /// Payload bytes memcpy'd on the serving read path so far. A
     /// cache miss copies its chunk's extent out of the blob (under a
     /// short read guard, before decoding); cache-hit gets and scans

@@ -40,14 +40,14 @@
 //!   load studies;
 //! - [`client::workload`] — open-loop workload generation and QoS
 //!   measurement: seedable arrival processes (fixed/Poisson/bursty)
-//!   and access patterns (uniform/Zipf/sequential/hotspot) make up a
+//!   and access patterns (uniform/Zipf) make up a
 //!   [`TenantLoad`] fed to [`Dataset::drive_open_loop`], whose
 //!   [`QosReport`] carries latency–throughput curves to saturation
 //!   (the closed loop reports through the same struct);
 //! - [`obs`] — virtual-time observability: per-operation span tracing
 //!   into a [`TraceBuffer`] (Chrome/Perfetto-exportable, with the
 //!   hard invariant that tracing never perturbs the timeline), the
-//!   unified [`MetricsSnapshot`] registry behind
+//!   unified [`MetricsSnapshot`] of typed fields behind
 //!   [`Dataset::metrics`], windowed [`MetricsRecorder`] sampling for
 //!   utilization / queue-depth / hit-rate curves, and the
 //!   [`obs::analysis`] tier — bitwise-conserving per-op latency blame
@@ -93,8 +93,8 @@ pub use engine::{
 pub use lru::{CachePolicy, CacheSnapshot, CacheStats, LruCache, StripeSnapshot, StripedCache};
 pub use manifest::{ChunkMeta, StoreManifest};
 pub use obs::{
-    EngineEvent, LogHistogram, MetricValue, MetricsRecorder, MetricsSnapshot, OpSpan, Replay,
-    TraceBuffer, WindowSeries,
+    EngineEvent, LogHistogram, MetricsRecorder, MetricsSnapshot, OpSpan, Replay, TraceBuffer,
+    WindowSeries,
 };
 pub use view::{ReadView, RecordSlice};
 
@@ -123,15 +123,15 @@ pub enum ConfigError {
     ZeroChunkReads,
     /// The decoded-chunk cache was striped over zero shards.
     ZeroCacheShards,
-    /// A workload rate, duration, or shape parameter is not a
-    /// positive finite number.
+    /// A workload rate, duration, or Zipf skew is not a positive
+    /// finite number.
     NonPositiveRate,
     /// An access pattern was configured with zero-read ranges.
     ZeroSpan,
     /// An op mix with negative, non-finite, or all-zero weights.
     DegenerateOpMix,
     /// A tenant spec with a non-positive or non-finite weight or SLO,
-    /// a zero admission cap, or a multi-tenant drive with no tenants.
+    /// or a multi-tenant drive with no tenants.
     BadTenant,
     /// A file backend was selected with an empty directory path.
     EmptyBackendPath,
@@ -163,7 +163,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadTenant => write!(
                 f,
                 "tenant specs need a positive finite weight, a positive finite SLO \
-                 if any, an admission cap ≥ 1 if any, and at least one tenant"
+                 if any, and at least one tenant"
             ),
             ConfigError::EmptyBackendPath => {
                 write!(f, "the file backend needs a non-empty directory path")

@@ -164,17 +164,17 @@ pub struct AnalysisSpec {
     /// device-only virtual cost model and makes decode-bound
     /// unreachable).
     pub decode_secs_per_chunk: f64,
-    /// A window with no completions whose peak device utilization is
-    /// at or below this fraction is labeled idle.
-    pub idle_utilization: f64,
 }
+
+/// A window with no completions whose peak device utilization is at
+/// or below this fraction is labeled idle.
+const IDLE_UTILIZATION: f64 = 0.01;
 
 impl Default for AnalysisSpec {
     fn default() -> AnalysisSpec {
         AnalysisSpec {
             window_secs: 0.05,
             decode_secs_per_chunk: 0.0,
-            idle_utilization: 0.01,
         }
     }
 }
@@ -355,31 +355,6 @@ impl BlameReport {
         }
         shares
     }
-
-    /// Renders the report's run-level view as one JSON object.
-    pub fn to_json(&self) -> String {
-        let c = self.label_counts();
-        format!(
-            "{{\"ops\":{},\"devices\":{},\"windows\":{},\
-             \"totals\":{{\"latency\":{:.9},\"queue\":{:.9},\"service\":{:.9},\
-             \"stall\":{:.9},\"decode_est\":{:.9}}},\
-             \"labels\":{{\"idle\":{},\"device_bound\":{},\"queue_bound\":{},\
-             \"decode_bound\":{}}},\"dominant\":\"{}\"}}",
-            self.ops,
-            self.devices,
-            self.windows.len(),
-            self.totals.latency,
-            self.totals.queue,
-            self.totals.service,
-            self.totals.stall,
-            self.totals.decode_est,
-            c[0],
-            c[1],
-            c[2],
-            c[3],
-            self.dominant().label(),
-        )
-    }
 }
 
 /// Analyzes a span stream: per-op blame, the windowed bottleneck
@@ -417,7 +392,7 @@ pub fn analyze(spans: &[OpSpan], devices: usize, spec: &AnalysisSpec) -> BlameRe
         let decode_est = decodes[w] as f64 * spec.decode_secs_per_chunk;
         totals.decode_est += decode_est;
         let peak_busy = series.busy[w].iter().copied().fold(0.0f64, f64::max);
-        let label = if series.completions[w] == 0 && peak_busy / dt <= spec.idle_utilization {
+        let label = if series.completions[w] == 0 && peak_busy / dt <= IDLE_UTILIZATION {
             Bottleneck::Idle
         } else if decode_est > queue[w].max(service[w]) {
             Bottleneck::DecodeBound
@@ -892,14 +867,6 @@ impl SloReport {
         self.compliance >= self.spec.objective
     }
 
-    /// Pages in the alert sequence.
-    pub fn pages(&self) -> usize {
-        self.alerts
-            .iter()
-            .filter(|a| a.severity == SloSeverity::Page)
-            .count()
-    }
-
     /// Renders the report as one JSON object.
     pub fn to_json(&self) -> String {
         let alerts = self
@@ -1087,8 +1054,6 @@ mod tests {
         // Totals are the fold of per-op blame.
         let q: f64 = report.blames.iter().map(|b| b.queue).sum();
         assert_eq!(report.totals.queue, q);
-        let json = report.to_json();
-        assert!(json.contains("\"dominant\"") && json.contains("\"labels\""));
     }
 
     #[test]
@@ -1127,7 +1092,6 @@ mod tests {
         let spec = AnalysisSpec {
             window_secs: 0.02,
             decode_secs_per_chunk: 10.0,
-            idle_utilization: 0.01,
         };
         let heavy = analyze(&spans, 2, &spec);
         assert!(heavy.label_counts()[3] > 0);

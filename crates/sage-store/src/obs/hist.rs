@@ -122,11 +122,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// Exact sum of all samples (recording order).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Exact mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -136,7 +131,7 @@ impl LogHistogram {
     }
 
     /// Exact smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
+    fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -192,7 +187,7 @@ mod tests {
         }
         assert_eq!(h.count(), 5000);
         let exact_sum: f64 = vals.iter().sum();
-        assert_eq!(h.sum(), exact_sum); // same addition order: bitwise
+        assert_eq!(h.sum, exact_sum); // same addition order: bitwise
         assert_eq!(h.max(), 0.5);
         assert_eq!(h.min(), 1e-4);
         for p in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
@@ -258,7 +253,7 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged, both); // bucketwise + exact moments, bitwise
         assert_eq!(merged.count(), 700);
-        assert_eq!(merged.sum(), a.sum() + b.sum());
+        assert_eq!(merged.sum, a.sum + b.sum);
         assert_eq!(merged.min(), lo[0]);
         assert_eq!(merged.max(), hi[hi.len() - 1]);
         for p in [0.1, 0.5, 0.9, 0.99] {
@@ -284,7 +279,7 @@ mod tests {
         assert_eq!(merged.max(), 1e12);
         assert_eq!(merged.quantile(0.0), 0.0);
         assert_eq!(merged.quantile(1.0), 1e12);
-        assert_eq!(merged.sum(), mid.sum() + extremes.sum());
+        assert_eq!(merged.sum, mid.sum + extremes.sum);
         // Merge direction changes only the sum's addition order.
         let mut other_way = extremes.clone();
         other_way.merge(&mid);

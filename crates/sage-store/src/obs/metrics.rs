@@ -1,5 +1,5 @@
-//! Unified metrics snapshot/registry and windowed time-series
-//! sampling over span streams.
+//! The unified metrics snapshot and windowed time-series sampling
+//! over span streams.
 
 use super::OpSpan;
 
@@ -7,18 +7,9 @@ use super::OpSpan;
 // Unified metrics
 // ---------------------------------------------------------------------
 
-/// A typed metric value in the unified registry view.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetricValue {
-    /// A monotone count.
-    Counter(u64),
-    /// A point-in-time measurement.
-    Gauge(f64),
-}
-
-/// One unified snapshot of everything the serving stack counts —
-/// the registry subsuming the scattered per-layer stats structs.
-/// Produced by [`Dataset::metrics()`](crate::client::Dataset::metrics).
+/// One unified snapshot of everything the serving stack counts, one
+/// typed field per figure. Produced by
+/// [`Dataset::metrics()`](crate::client::Dataset::metrics).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Operations accepted into the submission ring.
@@ -78,167 +69,6 @@ pub struct MetricsSnapshot {
     pub trace_spans: usize,
 }
 
-impl MetricsSnapshot {
-    /// Cache hit fraction in `[0, 1]` (0 when untouched).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
-    /// The registry view: every metric as a `(name, typed value)`
-    /// pair, per-device entries included.
-    pub fn metrics(&self) -> Vec<(String, MetricValue)> {
-        let mut out: Vec<(String, MetricValue)> = vec![
-            (
-                "server.submitted".into(),
-                MetricValue::Counter(self.submitted),
-            ),
-            (
-                "server.completed".into(),
-                MetricValue::Counter(self.completed),
-            ),
-            (
-                "server.rejected".into(),
-                MetricValue::Counter(self.rejected),
-            ),
-            (
-                "server.cancelled".into(),
-                MetricValue::Counter(self.cancelled),
-            ),
-            (
-                "server.queued".into(),
-                MetricValue::Gauge(self.queued as f64),
-            ),
-            (
-                "engine.requests_served".into(),
-                MetricValue::Counter(self.requests_served),
-            ),
-            (
-                "engine.bytes_copied".into(),
-                MetricValue::Counter(self.bytes_copied),
-            ),
-            ("cache.hits".into(), MetricValue::Counter(self.cache_hits)),
-            (
-                "cache.misses".into(),
-                MetricValue::Counter(self.cache_misses),
-            ),
-            (
-                "cache.evictions".into(),
-                MetricValue::Counter(self.cache_evictions),
-            ),
-            (
-                "cache.hit_rate".into(),
-                MetricValue::Gauge(self.cache_hit_rate()),
-            ),
-            (
-                "cache.len".into(),
-                MetricValue::Gauge(self.cache_len as f64),
-            ),
-            (
-                "cache.lock_acquisitions".into(),
-                MetricValue::Counter(self.lock_acquisitions),
-            ),
-            (
-                "cache.lock_busy_seconds".into(),
-                MetricValue::Gauge(self.lock_busy_seconds),
-            ),
-            (
-                "device.reads".into(),
-                MetricValue::Counter(self.device_reads),
-            ),
-            (
-                "device.writes".into(),
-                MetricValue::Counter(self.device_writes),
-            ),
-            (
-                "device.read_seconds".into(),
-                MetricValue::Gauge(self.device_read_seconds),
-            ),
-            (
-                "device.write_seconds".into(),
-                MetricValue::Gauge(self.device_write_seconds),
-            ),
-            (
-                "decode.chunks".into(),
-                MetricValue::Counter(self.chunks_decoded),
-            ),
-            (
-                "decode.bytes".into(),
-                MetricValue::Counter(self.bytes_decoded),
-            ),
-            (
-                "decode.seconds".into(),
-                MetricValue::Gauge(self.decode_seconds),
-            ),
-            (
-                "decode.dedup".into(),
-                MetricValue::Counter(self.dedup_decodes),
-            ),
-            (
-                "trace.spans".into(),
-                MetricValue::Counter(self.trace_spans as u64),
-            ),
-        ];
-        for (d, busy) in self.device_busy.iter().enumerate() {
-            out.push((
-                format!("device.{d}.busy_seconds"),
-                MetricValue::Gauge(*busy),
-            ));
-        }
-        out
-    }
-
-    /// Renders the snapshot as one JSON object (the metrics dump the
-    /// bench bins write next to their trace exports).
-    pub fn to_json(&self) -> String {
-        let vec_json = |xs: &[f64]| {
-            xs.iter()
-                .map(|x| format!("{x:.9}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"server\":{{\"submitted\":{},\"completed\":{},\"rejected\":{},\"cancelled\":{},\
-             \"queued\":{}}},\"engine\":{{\"requests_served\":{},\"bytes_copied\":{}}},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.6},\
-             \"shards\":{},\"len\":{},\"capacity\":{},\"lock_acquisitions\":{},\
-             \"lock_busy_seconds\":{:.9}}},\"device\":{{\"busy\":[{}],\"reads\":{},\
-             \"writes\":{},\"read_seconds\":{:.9},\"write_seconds\":{:.9}}},\
-             \"decode\":{{\"chunks\":{},\"bytes\":{},\"seconds\":{:.9},\"dedup\":{}}},\
-             \"trace\":{{\"spans\":{}}}}}",
-            self.submitted,
-            self.completed,
-            self.rejected,
-            self.cancelled,
-            self.queued,
-            self.requests_served,
-            self.bytes_copied,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_hit_rate(),
-            self.cache_shards,
-            self.cache_len,
-            self.cache_capacity,
-            self.lock_acquisitions,
-            self.lock_busy_seconds,
-            vec_json(&self.device_busy),
-            self.device_reads,
-            self.device_writes,
-            self.device_read_seconds,
-            self.device_write_seconds,
-            self.chunks_decoded,
-            self.bytes_decoded,
-            self.decode_seconds,
-            self.dedup_decodes,
-            self.trace_spans,
-        )
-    }
-}
-
 // ---------------------------------------------------------------------
 // Windowed time-series sampling
 // ---------------------------------------------------------------------
@@ -262,11 +92,6 @@ impl MetricsRecorder {
             "window width must be positive and finite"
         );
         MetricsRecorder { dt: virtual_dt }
-    }
-
-    /// The configured window width (virtual seconds).
-    pub fn dt(&self) -> f64 {
-        self.dt
     }
 
     /// Slices `spans` into windows, producing queue-depth,
@@ -477,62 +302,5 @@ mod tests {
         );
         let json = series.to_json();
         assert!(json.contains("\"queue_depth\"") && json.contains("\"utilization\""));
-    }
-
-    #[test]
-    fn metric_registry_lists_typed_values() {
-        let snap = MetricsSnapshot {
-            submitted: 10,
-            completed: 9,
-            rejected: 1,
-            cancelled: 0,
-            queued: 0,
-            requests_served: 9,
-            bytes_copied: 4096,
-            cache_hits: 6,
-            cache_misses: 3,
-            cache_evictions: 1,
-            cache_shards: 2,
-            cache_len: 2,
-            cache_capacity: 4,
-            lock_acquisitions: 9,
-            lock_busy_seconds: 1e-6,
-            device_busy: vec![0.5, 0.25],
-            device_reads: 3,
-            device_writes: 0,
-            device_read_seconds: 0.75,
-            device_write_seconds: 0.0,
-            chunks_decoded: 3,
-            bytes_decoded: 2048,
-            decode_seconds: 0.001,
-            dedup_decodes: 1,
-            trace_spans: 9,
-        };
-        assert!((snap.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        let metrics = snap.metrics();
-        assert!(metrics
-            .iter()
-            .any(|(n, v)| n == "cache.hits" && *v == MetricValue::Counter(6)));
-        assert!(metrics
-            .iter()
-            .any(|(n, v)| n == "device.1.busy_seconds" && *v == MetricValue::Gauge(0.25)));
-        assert!(metrics
-            .iter()
-            .any(|(n, v)| n == "trace.spans" && *v == MetricValue::Counter(9)));
-        assert!(metrics
-            .iter()
-            .any(|(n, v)| n == "decode.chunks" && *v == MetricValue::Counter(3)));
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"server\"",
-            "\"cache\"",
-            "\"busy\":[0.500000000,0.250000000]",
-            "\"spans\":9",
-            "\"decode\"",
-            "\"dedup\":1",
-        ] {
-            assert!(json.contains(key), "{json} missing {key}");
-        }
     }
 }

@@ -20,8 +20,7 @@
 //!   counters, cache outcomes, lock accounting, and device busy
 //!   seconds behind one
 //!   [`Dataset::metrics()`](crate::client::Dataset::metrics) call,
-//!   each exposed as a typed [`MetricValue`] (counter or gauge);
-//!   [`LogHistogram`] is the shared log-bucketed latency
+//!   one typed field per figure; [`LogHistogram`] is the shared log-bucketed latency
 //!   distribution every drive report aggregates through.
 //! - **Windowed sampling** — [`MetricsRecorder::sample_every`] slices
 //!   a span stream into fixed virtual-time windows and produces the
@@ -51,7 +50,7 @@ mod hist;
 mod metrics;
 
 pub use hist::LogHistogram;
-pub use metrics::{MetricValue, MetricsRecorder, MetricsSnapshot, WindowSeries};
+pub use metrics::{MetricsRecorder, MetricsSnapshot, WindowSeries};
 
 // ---------------------------------------------------------------------
 // Spans
@@ -256,11 +255,6 @@ impl TraceBuffer {
     /// Whether nothing is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every recorded span.
-    pub fn clear(&self) {
-        self.lock().clear();
     }
 
     /// A copy of the held spans, in recording order. For the
@@ -561,8 +555,6 @@ mod tests {
         // Recording order is preserved exactly.
         let spans = buf.spans();
         assert!(spans.windows(2).all(|w| w[0].token < w[1].token));
-        buf.clear();
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -46,17 +46,11 @@ fn arrivals_for(ix: u8, rate: f64) -> Arrivals {
 }
 
 fn pattern_for(ix: u8) -> Pattern {
-    match ix % 4 {
+    match ix % 2 {
         0 => Pattern::Uniform { span: 8 },
-        1 => Pattern::Zipf {
+        _ => Pattern::Zipf {
             theta: 1.05,
             span: 16,
-        },
-        2 => Pattern::Sequential { span: 16 },
-        _ => Pattern::Hotspot {
-            hot_fraction: 0.1,
-            hot_weight: 0.9,
-            span: 8,
         },
     }
 }
@@ -70,7 +64,7 @@ proptest! {
     fn tracing_is_zero_perturbation(
         seed in 0u64..500,
         arrivals_ix in 0u8..3,
-        pattern_ix in 0u8..4,
+        pattern_ix in 0u8..2,
         devices in 1usize..3,
         cache_chunks in 0usize..5,
         overload_ix in 0u8..2,

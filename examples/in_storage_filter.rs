@@ -10,10 +10,10 @@
 //! Run with: `cargo run --release --example in_storage_filter`
 
 use sage::client::DatasetBuilder;
+use sage::core::OutputFormat;
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
 use sage::hw::{HwCost, IntegrationMode};
 use sage::pipeline::{run_experiment, AnalysisKind, DatasetModel, PrepKind, SystemConfig};
-use sage::ssd::interface::ReadFormat;
 use sage::ssd::{SsdCommand, SsdConfig, SsdModel};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     );
     let r = ssd.execute(SsdCommand::SageRead {
         bytes: compressed_bytes,
-        format: ReadFormat::Packed2,
+        format: OutputFormat::Packed2,
     });
     println!(
         "SAGe_Read : streamed at {:.2} GB/s internal bandwidth",

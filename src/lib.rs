@@ -37,7 +37,7 @@
 //! - [`workload`] — open-loop workload generation and QoS measurement
 //!   (re-export of [`store::client::workload`]): seedable arrival
 //!   processes (fixed/Poisson/bursty) and access patterns
-//!   (uniform/Zipf/sequential/hotspot) make up a `TenantLoad` fed to
+//!   (uniform/Zipf) make up a `TenantLoad` fed to
 //!   `Dataset::drive_open_loop`, whose `QosReport` — the one report
 //!   of every virtual-time drive, closed loop included — measures
 //!   latency–throughput curves to saturation.

@@ -8,9 +8,9 @@
 //!    of arrival processes × access patterns × fleet sizes is held to
 //!    the values the separate lockstep open-loop driver produced
 //!    before it was folded in, and span tokens stay arrival ordinals.
-//!    The sequential pattern, every scheduling policy's queued
-//!    timeline, the reads the grid serves and the closed loop's
-//!    timeline are pinned the same way, to recorded values.
+//!    Every scheduling policy's queued timeline, the reads the grid
+//!    serves and the closed loop's timeline are pinned the same way,
+//!    to recorded values.
 //! 2. **Conservation** — per-tenant busy seconds sum to the
 //!    scheduler's per-device busy seconds *bitwise*: tenant
 //!    attribution never invents or loses device time.
@@ -24,7 +24,7 @@ use sage::genomics::Base;
 use sage::io::SchedPolicyKind;
 use sage::ssd::SsdConfig;
 use sage::store::{
-    Dataset, DatasetBuilder, MultiTenantSpec, QosReport, StoreOp, TenantId, TenantLoad, TenantSpec,
+    Dataset, DatasetBuilder, MultiTenantSpec, QosReport, StoreOp, TenantLoad, TenantSpec,
 };
 use sage::workload::{Arrivals, OpMix, Pattern};
 
@@ -58,25 +58,19 @@ fn fnv_of_bits(latencies: &[f64]) -> u64 {
 /// the grid below, in loop order — recorded from the lockstep
 /// open-loop driver at the commit before it was replaced by the
 /// one-tenant FIFO wrapper.
-const RECORDED: [(u64, u64, u64, u64); 18] = [
+const RECORDED: [(u64, u64, u64, u64); 12] = [
     (96, 0, 0x3fcebd259e2d8b68, 0x8162be8db7a3a71d), // 1x fixed uniform
     (96, 0, 0x3fcebabbc4d95513, 0x0b615484992f7421), // 1x fixed zipf
-    (96, 0, 0x3fcec486823aad5f, 0x5f8014fe29e82d93), // 1x fixed hotspot
     (96, 0, 0x3fd3fc5bc577b3da, 0x4eeadae0df429b2c), // 1x poisson uniform
     (96, 0, 0x3fd3fb26d8cd98b0, 0xe1c6b580e6cfc8b4), // 1x poisson zipf
-    (96, 0, 0x3fd3fc5bc577b3da, 0x4e6592f726ead834), // 1x poisson hotspot
     (94, 2, 0x3fa6345405f0d502, 0x257f3b097e26f3c9), // 1x bursty uniform
     (95, 1, 0x3fa6345405f0d502, 0x3908725e15d04ae5), // 1x bursty zipf
-    (91, 5, 0x3fa63dfb6b41ae55, 0x5e0160490181f703), // 1x bursty hotspot
     (96, 0, 0x3fcebabbc4d95513, 0xf30e7587a32631c3), // 2x fixed uniform
     (96, 0, 0x3fcebabbc4d95513, 0xf30e7587a32631c3), // 2x fixed zipf
-    (96, 0, 0x3fcebabbc4d95513, 0x9ec465fbbf0278be), // 2x fixed hotspot
     (96, 0, 0x3fd3fb26d8cd98b0, 0x1b14e06c5e3fcc77), // 2x poisson uniform
     (96, 0, 0x3fd3fb26d8cd98b0, 0xb7586754871c2336), // 2x poisson zipf
-    (96, 0, 0x3fd3fb26d8cd98b0, 0xf6218d3ba5171082), // 2x poisson hotspot
     (96, 0, 0x3fa6345405f0d502, 0xade24acf3b928c57), // 2x bursty uniform
     (96, 0, 0x3fa6345405f0d502, 0x72ec55a937b58f24), // 2x bursty zipf
-    (96, 0, 0x3fa64c0ae8e66de7, 0xdbd1f6a1c0e48947), // 2x bursty hotspot
 ];
 
 /// The grid's arrival processes, in loop order.
@@ -122,15 +116,10 @@ fn open_loop_cell(devices: usize, arrivals: Arrivals, pattern: Pattern) -> (u64,
 }
 
 /// The grid's access patterns, in loop order.
-const PATTERNS: [Pattern; 3] = [
+const PATTERNS: [Pattern; 2] = [
     Pattern::Uniform { span: 16 },
     Pattern::Zipf {
         theta: 0.9,
-        span: 16,
-    },
-    Pattern::Hotspot {
-        hot_fraction: 0.1,
-        hot_weight: 0.9,
         span: 16,
     },
 ];
@@ -141,9 +130,9 @@ fn fifo_single_default_tenant_reproduces_open_loop_reports() {
     for devices in [1usize, 2] {
         for arr in ARRIVALS {
             for pat in PATTERNS {
-                let cell = format!("{}x {} {}", devices, arr.label(), pat.label());
+                let cell = format!("{devices}x {arr:?} {pat:?}");
                 let got = open_loop_cell(devices, arr, pat);
-                assert_eq!(&got, recorded.next().expect("18 cells"), "cell {cell}");
+                assert_eq!(&got, recorded.next().expect("12 cells"), "cell {cell}");
             }
         }
     }
@@ -153,25 +142,19 @@ fn fifo_single_default_tenant_reproduces_open_loop_reports() {
 /// order. The grid's scans reject every read and its appends return
 /// no reads, so these count get results only, whichever kinds a
 /// report sums.
-const RECORDED_SERVED: [(u64, u64); 18] = [
+const RECORDED_SERVED: [(u64, u64); 12] = [
     (1304, 130400), // 1x fixed uniform
     (1344, 134400), // 1x fixed zipf
-    (1296, 129600), // 1x fixed hotspot
     (1304, 130400), // 1x poisson uniform
     (1344, 134400), // 1x poisson zipf
-    (1296, 129600), // 1x poisson hotspot
     (1272, 127200), // 1x bursty uniform
     (1328, 132800), // 1x bursty zipf
-    (1232, 123200), // 1x bursty hotspot
     (1304, 130400), // 2x fixed uniform
     (1344, 134400), // 2x fixed zipf
-    (1296, 129600), // 2x fixed hotspot
     (1304, 130400), // 2x poisson uniform
     (1344, 134400), // 2x poisson zipf
-    (1296, 129600), // 2x poisson hotspot
     (1304, 130400), // 2x bursty uniform
     (1344, 134400), // 2x bursty zipf
-    (1296, 129600), // 2x bursty hotspot
 ];
 
 #[test]
@@ -180,12 +163,12 @@ fn open_loop_grid_serves_the_recorded_reads() {
     for devices in [1usize, 2] {
         for arr in ARRIVALS {
             for pat in PATTERNS {
-                let cell = format!("{}x {} {}", devices, arr.label(), pat.label());
+                let cell = format!("{devices}x {arr:?} {pat:?}");
                 let r = open_loop_report(devices, arr, pat);
                 let got = (r.reads_served, r.bases_served);
                 assert_eq!(
                     &got,
-                    recorded.next().expect("18 cells"),
+                    recorded.next().expect("12 cells"),
                     "cell {cell}: {got:?}"
                 );
             }
@@ -282,35 +265,6 @@ fn span_tokens_are_arrival_ordinals_with_gaps_at_the_sheds() {
     for (ordinal, (_, token)) in arrivals.iter().enumerate() {
         if let Some(token) = token {
             assert_eq!(*token, ordinal as u64);
-        }
-    }
-}
-
-/// `(completed, shed, makespan bits, FNV of latency bits)` per cell of
-/// the sequential-pattern grid (arrival processes × 1 and 2 devices),
-/// in loop order — recorded before the generators were folded into
-/// their config enums.
-const RECORDED_SEQUENTIAL: [(u64, u64, u64, u64); 6] = [
-    (96, 0, 0x3fcebabbc4d95513, 0xb01186b934766381), // 1x fixed sequential
-    (96, 0, 0x3fd3fb26d8cd98b0, 0xef1dde979adafc4d), // 1x poisson sequential
-    (89, 7, 0x3fa6345405f0d502, 0x8a980e98e4adf905), // 1x bursty sequential
-    (96, 0, 0x3fcebabbc4d95513, 0xfc63e2c2e83c3eb8), // 2x fixed sequential
-    (96, 0, 0x3fd3fb26d8cd98b0, 0x5b081cf62dcbdf15), // 2x poisson sequential
-    (96, 0, 0x3fa6345405f0d502, 0x4c214d47ace782da), // 2x bursty sequential
-];
-
-#[test]
-fn sequential_pattern_reproduces_recorded_reports() {
-    let mut recorded = RECORDED_SEQUENTIAL.iter();
-    for devices in [1usize, 2] {
-        for arr in ARRIVALS {
-            let cell = format!("{}x {} sequential", devices, arr.label());
-            let got = open_loop_cell(devices, arr, Pattern::Sequential { span: 16 });
-            assert_eq!(
-                &got,
-                recorded.next().expect("6 cells"),
-                "cell {cell}: {got:#x?}"
-            );
         }
     }
 }
@@ -474,30 +428,29 @@ fn strict_priority_dominates_fifo_for_the_foreground_tenant() {
     };
     let fifo = drive(SchedPolicyKind::Fifo);
     let sp = drive(SchedPolicyKind::StrictPriority);
-    let fg = TenantId(0);
-    let bg = TenantId(1);
+    let (fg, bg) = (0, 1);
     // Same offered streams either way.
-    assert_eq!(sp.tenant(fg).offered, fifo.tenant(fg).offered);
-    assert_eq!(sp.tenant(bg).offered, fifo.tenant(bg).offered);
+    assert_eq!(sp.tenants[fg].offered, fifo.tenants[fg].offered);
+    assert_eq!(sp.tenants[bg].offered, fifo.tenants[bg].offered);
     // Dominance on the contended device: the high-priority tenant's
     // latency under strict priority never regresses against FIFO...
     assert!(
-        sp.tenant(fg).latency.mean_ms <= fifo.tenant(fg).latency.mean_ms,
+        sp.tenants[fg].latency.mean_ms <= fifo.tenants[fg].latency.mean_ms,
         "fg mean {} > fifo {}",
-        sp.tenant(fg).latency.mean_ms,
-        fifo.tenant(fg).latency.mean_ms
+        sp.tenants[fg].latency.mean_ms,
+        fifo.tenants[fg].latency.mean_ms
     );
     assert!(
-        sp.tenant(fg).latency.p99_ms <= fifo.tenant(fg).latency.p99_ms,
+        sp.tenants[fg].latency.p99_ms <= fifo.tenants[fg].latency.p99_ms,
         "fg p99 {} > fifo {}",
-        sp.tenant(fg).latency.p99_ms,
-        fifo.tenant(fg).latency.p99_ms
+        sp.tenants[fg].latency.p99_ms,
+        fifo.tenants[fg].latency.p99_ms
     );
     // ...and undercuts the background tenant sharing the device.
     assert!(
-        sp.tenant(fg).latency.mean_ms <= sp.tenant(bg).latency.mean_ms,
+        sp.tenants[fg].latency.mean_ms <= sp.tenants[bg].latency.mean_ms,
         "fg mean {} > bg mean {}",
-        sp.tenant(fg).latency.mean_ms,
-        sp.tenant(bg).latency.mean_ms
+        sp.tenants[fg].latency.mean_ms,
+        sp.tenants[bg].latency.mean_ms
     );
 }

@@ -2,11 +2,11 @@
 //! paper's qualitative results when fed *measured* compression ratios
 //! from the real codecs.
 
+use sage::core::OutputFormat;
 use sage::core::SageCompressor;
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
 use sage::hw::{HwCost, IntegrationMode, ThroughputModel};
 use sage::pipeline::{run_experiment, AnalysisKind, DatasetModel, PrepKind, SystemConfig};
-use sage::ssd::interface::ReadFormat;
 use sage::ssd::{SsdCommand, SsdConfig, SsdModel};
 use sage_baselines::SpringLike;
 
@@ -79,7 +79,7 @@ fn storage_path_sustains_model_bandwidth() {
     let bytes = 1 << 28;
     let r = ssd.execute(SsdCommand::SageRead {
         bytes,
-        format: ReadFormat::Packed2,
+        format: OutputFormat::Packed2,
     });
     let measured_bw = bytes as f64 / r.seconds;
     let assumed = ssd.config().internal_read_bw(true);
