@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sage_core::bitio::{BitReader, BitWriter};
 use sage_core::prefix::WidthTable;
 use sage_core::quality::{compress_qualities, decompress_qualities};
+use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 
 fn bench_bitio(c: &mut Criterion) {
     const N: usize = 100_000;
@@ -59,24 +60,32 @@ fn bench_guide_array_scan(c: &mut Criterion) {
     g.finish();
 }
 
+/// The quality codec on the two kinds of stream the store serves: one
+/// short-read chunk (`rs2`, 256 reads, 4–5 symbols, ≈ 0.5 bits each)
+/// and one long-read chunk (`rs4`, 8 reads, 11 symbols, ≈ 2.6 bits
+/// each), as the benchmark simulates them (seed 2026). Throughput is in
+/// quality symbols.
 fn bench_quality(c: &mut Criterion) {
-    let quals: Vec<Vec<u8>> = (0..200)
-        .map(|i| (0..150).map(|j| b'I' - ((i * j) % 5) as u8).collect())
-        .collect();
-    let refs: Vec<&[u8]> = quals.iter().map(|q| q.as_slice()).collect();
-    let total: u64 = quals.iter().map(|q| q.len() as u64).sum();
-    let lens: Vec<usize> = quals.iter().map(|q| q.len()).collect();
-    let packed = compress_qualities(refs.iter().copied());
-
     let mut g = c.benchmark_group("quality");
     g.sample_size(20);
-    g.throughput(Throughput::Bytes(total));
-    g.bench_function("compress", |b| {
-        b.iter(|| compress_qualities(refs.iter().copied()))
-    });
-    g.bench_function("decompress", |b| {
-        b.iter(|| decompress_qualities(&packed, &lens).unwrap())
-    });
+    for (name, profile, per_chunk) in [
+        ("rs2", DatasetProfile::rs2().scaled(0.25), 256),
+        ("rs4", DatasetProfile::rs4(), 8),
+    ] {
+        let reads = simulate_dataset(&profile, 2026).reads;
+        let quals: Vec<&[u8]> = (reads.reads().iter().take(per_chunk))
+            .map(|r| r.qual.as_deref().expect("simulated reads carry qualities"))
+            .collect();
+        let lens: Vec<usize> = quals.iter().map(|q| q.len()).collect();
+        let packed = compress_qualities(quals.iter().copied());
+        g.throughput(Throughput::Elements(lens.iter().sum::<usize>() as u64));
+        g.bench_function(format!("compress_{name}"), |b| {
+            b.iter(|| compress_qualities(quals.iter().copied()))
+        });
+        g.bench_function(format!("decompress_{name}"), |b| {
+            b.iter(|| decompress_qualities(&packed, &lens).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -9,10 +9,10 @@
 //! by look-up. Each symbol is coded under one of 128 contexts — 16
 //! buckets of the preceding quality value × which eighth of its read
 //! the symbol is in — with that context's *static* frequency table,
-//! over four interleaved rANS lanes (Duda, arXiv:1311.2540). Nothing
-//! adapts, so decoding a symbol is two table look-ups and a multiply,
-//! and the four lanes are independent instruction streams the CPU
-//! overlaps. What is coded is the symbol's *rank in the chunk's own
+//! over four interleaved rANS lanes (Duda, arXiv:1311.2540; Giesen,
+//! arXiv:1402.3392). Nothing adapts, so decoding a symbol is two table
+//! look-ups and a multiply, and the four lanes are independent
+//! instruction streams the CPU overlaps. What is coded is the symbol's *rank in the chunk's own
 //! alphabet*, not its byte value: a quality stream holds a handful of
 //! distinct values (4–8 for binned Illumina, a few dozen for long
 //! reads).
@@ -45,15 +45,44 @@
 //! Lane states carry over from read to read. The decoder steps the four
 //! lanes in lock-step — symbol `t` of every quarter, lane 0 first, then
 //! the one symbol more that some quarters hold — and one step of one
-//! lane with state `x` under the context's table is
+//! lane with state `x` under table `table` is
 //!
 //! ```text
-//! slot = x & 1023
-//! rank = lut[table][slot]             // whose span of [0, 1024) holds slot
-//! (start, freq) = spans[table][rank]
-//! x    = freq * (x >> 10) + slot - start
-//! if x < 2^16 { x = x << 16 | next word }
+//! slot  = x & 1023
+//! entry = table.entries[table.lut[slot]]  // the rank whose span holds slot
+//! x     = entry.freq * (x >> 10) + slot - entry.start
+//! out   = entry.sym
+//! table = tables[entry.next]              // the context of what follows
+//! x     = if x < 2^16 { x << 16 | words[pos] } else { x }   // a select
+//! pos  += (x was < 2^16)
 //! ```
+//!
+//! Each used context has one table: a `lut` of 1 024 ranks (1 byte per
+//! slot, so that the tables of a chunk stay near L1's size) and one
+//! 8-byte entry per rank holding its span, its byte and the table of the
+//! context that follows that byte — in the same eighth of the read, and
+//! (`cross`) in the second half's, for the step before a quarter's
+//! half-way point. A table is 1 152 bytes at up to 16 symbols and 3 072
+//! above; chunks of the simulated sets use 20–27 contexts (short reads)
+//! and 54–56 (long), 25–66 KiB of tables with the two fixed ones. A step
+//! is therefore two dependent loads, a multiply and a select, with one
+//! bounds check (the table id) and no separate look-up of the byte or of
+//! the next table. Renormalising selects instead of branching: on long
+//! reads (≈ 2.4 bits per symbol) a lane takes a word on one step in six,
+//! at random, where a branch is mispredicted; on short reads (≈ 0.4
+//! bits, one step in 40) the select costs no more than the branch it
+//! replaces. Symbols under a context the tables leave unused go to a
+//! table of empty spans whose successor is a poison table; a read that
+//! ends with a lane there failed.
+//!
+//! `cargo run --release -p sage-core --example decode_stages -- rs4`
+//! times each stage of a chunk decode on the benchmark's sets. On a
+//! 2-core Xeon host (medians of five alternating runs, one core), the
+//! quality stream of a long-read chunk (8 reads, ≈ 42 k symbols) went
+//! from 300 µs under the previous loop (a renormalisation branch, and
+//! the span, the byte and the next table each looked up on its own) to
+//! 225 µs, and of a short-read chunk (`rs2`, 256 reads, ≈ 38 k symbols)
+//! from 256 to 220 µs.
 //!
 //! The encoder counts in one pass over the strings and codes in a
 //! second, backwards, so the words come out in the order above.
@@ -288,29 +317,160 @@ impl std::fmt::Display for QualityDecodeError {
 
 impl std::error::Error for QualityDecodeError {}
 
+/// The table that stands for every context the tables leave unused.
+const UNUSED: u8 = 0;
+/// The table a lane moves to once it has decoded a symbol under
+/// [`UNUSED`], and stays in: a read that ends with a lane here failed.
+const POISON: u8 = 1;
+/// Entries per table when the alphabet has at most this many symbols,
+/// and 256 otherwise.
+const NARROW: usize = 16;
+
+/// One rank of one table: all a lane step needs once the table's `lut`
+/// has named the rank. Aligned to its 8 bytes, so that no entry straddles
+/// a cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(8))]
+struct Entry {
+    /// The rank's span `start..start + freq` of `[0, SCALE)`.
+    start: u16,
+    freq: u16,
+    /// The byte the rank stands for.
+    sym: u8,
+    /// The table of the context that follows `sym` in the same eighth
+    /// of a read.
+    next: u8,
+    /// The same in the second half's eighth: where the step before a
+    /// quarter's half-way point goes.
+    cross: u8,
+}
+
+/// One context's table: the rank whose span holds each slot, and an
+/// entry for each of the `S` ranks an index can name (`k` of them
+/// filled). A lane step reads one `lut` byte and one entry of one
+/// table, and checks the table id against the table count alone.
+#[derive(Debug, Clone, Copy)]
+struct Table<const S: usize> {
+    lut: [u8; SCALE],
+    entries: [Entry; S],
+}
+
+/// Every table of a stream: [`UNUSED`], [`POISON`] (every slot rank 0,
+/// whose span is empty), then the used contexts in order.
+#[derive(Debug, Clone)]
+enum Tables {
+    /// At most [`NARROW`] symbols.
+    Narrow(Vec<Table<NARROW>>),
+    /// More than [`NARROW`]: 3 072 bytes a table instead of 1 152.
+    Wide(Vec<Table<256>>),
+}
+
+/// Where the four lanes stand between reads.
+#[derive(Debug, Clone)]
+struct Lanes<'a> {
+    x: [u32; LANES],
+    /// The renormalisation words, and how many have been consumed
+    /// (past `words.len()` once they ran out).
+    words: &'a [[u8; 2]],
+    pos: usize,
+}
+
 /// Incremental quality decoder: decodes one read's quality string at a
 /// time, in storage order, straight into the caller's buffer — quality
 /// strings are consumed as reads are reconstructed.
 #[derive(Debug, Clone)]
 pub struct QualityDecoder<'a> {
-    /// The lane states, between reads.
-    x: [u32; LANES],
-    /// The renormalisation words not yet consumed.
-    words: std::slice::ChunksExact<'a, u8>,
-    /// `SCALE` ranks per table: the rank whose span holds each slot.
-    /// Table 0 stands for every unused context (its one span is empty);
-    /// tables `1..` are the used contexts in order.
-    lut: Vec<u8>,
-    /// `k` spans per table, by rank.
-    spans: Vec<Span>,
-    /// The byte each rank stands for.
-    syms: [u8; 256],
-    /// `next_table[eighth][rank]`: the table of the context that follows
-    /// the rank's byte in that eighth of a read.
-    next_table: [[u8; 256]; 2 * LANES],
+    lanes: Lanes<'a>,
+    tables: Tables,
     /// The table of each eighth's context after [`START`].
     start_table: [u8; 2 * LANES],
+    /// The alphabet's size, and its first symbol.
     k: usize,
+    first: u8,
+}
+
+/// The tables parsed from `bits`, each rank's entry linked to the
+/// tables that follow its symbol, and the table of each eighth's context
+/// after [`START`].
+fn parse_tables<const S: usize>(
+    bits: &mut BitReader<'_>,
+    alphabet: &[u8],
+) -> Result<(Vec<Table<S>>, [u8; 2 * LANES]), QualityDecodeError> {
+    let k = alphabet.len();
+    // Entries of the used tables, `k` per table, until their count is
+    // known: the length the stream claims buys no memory.
+    let mut spans: Vec<Entry> = Vec::with_capacity(CONTEXTS * k);
+    let mut table_of = [UNUSED; CONTEXTS];
+    let mut present = [false; 256];
+    for table in &mut table_of {
+        if !bits.read_bit()? {
+            continue;
+        }
+        *table = (spans.len() / k + 2) as u8;
+        for p in &mut present[..k] {
+            *p = bits.read_bit()?;
+        }
+        let last = (present[..k].iter())
+            .rposition(|&p| p)
+            .ok_or(QualityDecodeError)?;
+        let mut start = 0;
+        for (rank, &sym) in alphabet.iter().enumerate() {
+            let freq = match (present[rank], rank == last) {
+                (false, _) => 0,
+                (true, true) => SCALE - start,
+                (true, false) => bits.read_bits(SCALE_BITS)? as usize + 1,
+            };
+            // Something must be left for the last present rank.
+            if rank < last && start + freq >= SCALE {
+                return Err(QualityDecodeError);
+            }
+            spans.push(Entry {
+                start: start as u16,
+                freq: freq as u16,
+                sym,
+                ..Entry::default()
+            });
+            start += freq;
+        }
+    }
+    let used = spans.len() / k;
+    let poisoned = Table {
+        lut: [0; SCALE],
+        entries: [Entry {
+            next: POISON,
+            cross: POISON,
+            ..Entry::default()
+        }; S],
+    };
+    let blank = Table {
+        lut: [0; SCALE],
+        entries: [Entry::default(); S],
+    };
+    let mut tables = Vec::with_capacity(2 + used);
+    tables.extend([poisoned; 2]);
+    tables.resize(2 + used, blank);
+    // Fill each used table span by span, linking every rank to the
+    // tables that follow its symbol.
+    for (context, &id) in table_of.iter().enumerate() {
+        if id == UNUSED {
+            continue;
+        }
+        let row = |eighth: usize| &table_of[eighth * BUCKETS..][..BUCKETS];
+        let eighth = context / BUCKETS;
+        let (same, half_way) = (row(eighth), row(eighth | 1));
+        let table = &mut tables[usize::from(id)];
+        let spans = &spans[(usize::from(id) - 2) * k..][..k];
+        for (rank, (entry, span)) in table.entries.iter_mut().zip(spans).enumerate() {
+            table.lut[usize::from(span.start)..][..usize::from(span.freq)].fill(rank as u8);
+            *entry = Entry {
+                next: same[bucket(span.sym)],
+                cross: half_way[bucket(span.sym)],
+                ..*span
+            };
+        }
+    }
+    let start_table = std::array::from_fn(|eighth| table_of[eighth * BUCKETS + bucket(START)]);
+    Ok((tables, start_table))
 }
 
 impl<'a> QualityDecoder<'a> {
@@ -336,23 +496,22 @@ impl<'a> QualityDecoder<'a> {
             return Err(QualityDecodeError);
         }
         let (alphabet, body) = rest.split_at(k);
-        let mut syms = [0u8; 256];
         let mut seen = [false; 256];
-        for (slot, &sym) in syms.iter_mut().zip(alphabet) {
+        for &sym in alphabet {
             if std::mem::replace(&mut seen[usize::from(sym)], true) {
                 return Err(QualityDecodeError);
             }
-            *slot = sym;
         }
         let mut dec = QualityDecoder {
-            x: [LOW; LANES],
-            words: body.chunks_exact(2),
-            lut: Vec::new(),
-            spans: Vec::new(),
-            syms,
-            next_table: [[0; 256]; 2 * LANES],
-            start_table: [0; 2 * LANES],
+            lanes: Lanes {
+                x: [LOW; LANES],
+                words: &[],
+                pos: 0,
+            },
+            tables: Tables::Narrow(Vec::new()),
+            start_table: [UNUSED; 2 * LANES],
             k,
+            first: alphabet.first().copied().unwrap_or(0),
         };
         if k < 2 {
             // No body: every symbol is the alphabet's only one.
@@ -363,44 +522,13 @@ impl<'a> QualityDecoder<'a> {
         let len = usize::try_from(u32::from_le_bytes(*len)).map_err(|_| QualityDecodeError)?;
         let (tables, body) = body.split_at_checked(len).ok_or(QualityDecodeError)?;
         let mut bits = BitReader::new(tables, 8 * len as u64);
-        // Table 0 stands for every unused context: `k` empty spans.
-        // A table is added when its context turns out used, so the
-        // length the stream claims buys no memory: 129 tables at most.
-        let mut table_of = [0u8; CONTEXTS];
-        dec.spans = Vec::with_capacity((CONTEXTS + 1) * k);
-        dec.spans.resize(k, Span::default());
-        let mut present = [false; 256];
-        for table in &mut table_of {
-            if !bits.read_bit()? {
-                continue;
-            }
-            let base = dec.spans.len();
-            *table = (base / k) as u8;
-            dec.spans.resize(base + k, Span::default());
-            for p in &mut present[..k] {
-                *p = bits.read_bit()?;
-            }
-            let last = (present[..k].iter())
-                .rposition(|&p| p)
-                .ok_or(QualityDecodeError)?;
-            let mut start = 0;
-            for rank in (0..k).filter(|&rank| present[rank]) {
-                let freq = if rank == last {
-                    SCALE - start
-                } else {
-                    bits.read_bits(SCALE_BITS)? as usize + 1
-                };
-                // Something must be left for the last present rank.
-                if rank != last && start + freq >= SCALE {
-                    return Err(QualityDecodeError);
-                }
-                dec.spans[base + rank] = Span {
-                    start: start as u16,
-                    freq: freq as u16,
-                };
-                start += freq;
-            }
-        }
+        (dec.tables, dec.start_table) = if k <= NARROW {
+            let (tables, start_table) = parse_tables(&mut bits, alphabet)?;
+            (Tables::Narrow(tables), start_table)
+        } else {
+            let (tables, start_table) = parse_tables(&mut bits, alphabet)?;
+            (Tables::Wide(tables), start_table)
+        };
         // Whole bytes, and nothing in them the tables do not use.
         let spare = bits.remaining();
         if spare >= 8 || bits.read_bits(spare as u32)? != 0 {
@@ -410,28 +538,17 @@ impl<'a> QualityDecoder<'a> {
         let (states, words) = body
             .split_first_chunk::<{ 4 * LANES }>()
             .ok_or(QualityDecodeError)?;
-        for (x, bytes) in dec.x.iter_mut().zip(states.chunks_exact(4)) {
+        for (x, bytes) in dec.lanes.x.iter_mut().zip(states.chunks_exact(4)) {
             *x = u32::from_le_bytes(bytes.try_into().expect("chunks of four"));
             if *x < LOW {
                 return Err(QualityDecodeError);
             }
         }
-        dec.words = words.chunks_exact(2);
-        if !dec.words.remainder().is_empty() {
+        let (words, half) = words.as_chunks::<2>();
+        if !half.is_empty() {
             return Err(QualityDecodeError);
         }
-        dec.lut = vec![0; dec.spans.len() / k * SCALE];
-        for (lut, spans) in (dec.lut.chunks_exact_mut(SCALE)).zip(dec.spans.chunks_exact(k)) {
-            for (rank, span) in spans.iter().enumerate() {
-                lut[usize::from(span.start)..][..usize::from(span.freq)].fill(rank as u8);
-            }
-        }
-        for (eighth, tables) in table_of.chunks_exact(BUCKETS).enumerate() {
-            dec.start_table[eighth] = tables[bucket(START)];
-            for (next, &sym) in dec.next_table[eighth].iter_mut().zip(alphabet) {
-                *next = tables[bucket(sym)];
-            }
-        }
+        dec.lanes.words = words;
         Ok(dec)
     }
 
@@ -442,7 +559,8 @@ impl<'a> QualityDecoder<'a> {
     /// 32-bit states would have to land on `2^16` by accident). Always
     /// `true` for a stream without a body (fewer than two symbols).
     pub fn is_spent(&self) -> bool {
-        self.words.len() == 0 && self.x == [LOW; LANES]
+        let Lanes { x, words, pos } = &self.lanes;
+        *pos == words.len() && *x == [LOW; LANES]
     }
 
     /// Decodes the next read's quality string into `out`, whose length
@@ -458,87 +576,111 @@ impl<'a> QualityDecoder<'a> {
             if self.k == 0 && !out.is_empty() {
                 return Err(QualityDecodeError);
             }
-            out.fill(self.syms[0]);
+            out.fill(self.first);
             return Ok(());
         }
-        let (bounds, mid) = split(out.len());
-        // Every quarter holds this many symbols or one more.
-        let common = out.len() / 4;
-        let (q0, rest) = out.split_at_mut(bounds[1]);
-        let (q1, rest) = rest.split_at_mut(bounds[2] - bounds[1]);
-        let (q2, q3) = rest.split_at_mut(bounds[3] - bounds[2]);
-
-        let (lut, spans, syms, k) = (&self.lut[..], &self.spans[..], &self.syms, self.k);
-        let mut words = self.words.clone();
-        let mut ran_out = false;
-        // The smallest table any symbol was decoded under: 0 is the
-        // one that stands for the unused contexts.
-        let mut lowest = u8::MAX;
-        // Four named states and tables, not arrays: they stay in
-        // registers across the loop.
-        let [mut x0, mut x1, mut x2, mut x3] = self.x;
-        let first = |lane| self.start_table[eighth(lane, mid == 0)];
-        let (mut t0, mut t1, mut t2, mut t3) = (first(0), first(1), first(2), first(3));
-        // One symbol of one lane, decoded under `$table`: its rank.
-        macro_rules! step {
-            ($x:ident, $table:ident, $out:expr) => {{
-                let slot = ($x as usize) & (SCALE - 1);
-                let table = usize::from($table);
-                lowest = lowest.min($table);
-                let rank = usize::from(lut[table << SCALE_BITS | slot]);
-                let Span { start, freq } = spans[table * k + rank];
-                // No overflow: `freq <= 2^10`, and `slot` lies in the
-                // span (table 0: the span is empty, `x` collapses).
-                $x = u32::from(freq) * ($x >> SCALE_BITS) + slot as u32 - u32::from(start);
-                if $x < LOW {
-                    let word = words.next().unwrap_or_else(|| {
-                        ran_out = true;
-                        &[0, 0]
-                    });
-                    $x = $x << 16 | u32::from(u16::from_le_bytes([word[0], word[1]]));
-                }
-                *$out = syms[rank];
-                rank
-            }};
+        let (lanes, starts) = (&mut self.lanes, &self.start_table);
+        match &self.tables {
+            Tables::Narrow(tables) => decode(lanes, tables, starts, out),
+            Tables::Wide(tables) => decode(lanes, tables, starts, out),
         }
-        // A quarter's symbol `t` is in its second half from `t == mid`
-        // on, so the symbol after it — whose table a step leaves behind
-        // — is from `t + 1 == mid` on.
-        let switch = mid.saturating_sub(1);
-        for (second_half, steps) in [(false, 0..switch), (true, switch..common)] {
-            let next = |lane| &self.next_table[eighth(lane, second_half)];
-            let (n0, n1, n2, n3) = (next(0), next(1), next(2), next(3));
-            let quarters = (q0[steps.clone()].iter_mut())
-                .zip(&mut q1[steps.clone()])
-                .zip(&mut q2[steps.clone()])
-                .zip(&mut q3[steps]);
-            for (((o0, o1), o2), o3) in quarters {
-                t0 = n0[step!(x0, t0, o0)];
-                t1 = n1[step!(x1, t1, o1)];
-                t2 = n2[step!(x2, t2, o2)];
-                t3 = n3[step!(x3, t3, o3)];
-            }
-        }
-        // The quarters one symbol longer.
-        if let Some(o) = q0.get_mut(common) {
-            step!(x0, t0, o);
-        }
-        if let Some(o) = q1.get_mut(common) {
-            step!(x1, t1, o);
-        }
-        if let Some(o) = q2.get_mut(common) {
-            step!(x2, t2, o);
-        }
-        if let Some(o) = q3.get_mut(common) {
-            step!(x3, t3, o);
-        }
-        self.x = [x0, x1, x2, x3];
-        self.words = words;
-        if ran_out || lowest == 0 {
-            return Err(QualityDecodeError);
-        }
-        Ok(())
     }
+}
+
+/// [`QualityDecoder::next_into`] for a stream of two symbols or more,
+/// over tables of `S` entries.
+fn decode<const S: usize>(
+    lanes: &mut Lanes<'_>,
+    tables: &[Table<S>],
+    start_table: &[u8; 2 * LANES],
+    out: &mut [u8],
+) -> Result<(), QualityDecodeError> {
+    let (bounds, mid) = split(out.len());
+    // Every quarter holds this many symbols or one more.
+    let common = out.len() / 4;
+    let (q0, rest) = out.split_at_mut(bounds[1]);
+    let (q1, rest) = rest.split_at_mut(bounds[2] - bounds[1]);
+    let (q2, q3) = rest.split_at_mut(bounds[3] - bounds[2]);
+    // The symbols all four quarters hold, in four slices of one length.
+    let (c0, c1, c2, c3) = (
+        &mut q0[..common],
+        &mut q1[..common],
+        &mut q2[..common],
+        &mut q3[..common],
+    );
+
+    let words = lanes.words;
+    let mut pos = lanes.pos;
+    // Four named states and tables, not arrays, so that they can stay
+    // in registers across the loop.
+    let [mut x0, mut x1, mut x2, mut x3] = lanes.x;
+    let first = |lane| start_table[eighth(lane, mid == 0)];
+    let (mut t0, mut t1, mut t2, mut t3) = (first(0), first(1), first(2), first(3));
+    // One symbol of one lane, decoded under table `$t` into `$o`; the
+    // lane moves to the table its entry's `$link` names. The state takes
+    // the next word (zero once they ran out) when it falls below 2^16 by
+    // a select, not a branch: on long reads that is one step in six, at
+    // random, and on short reads the select costs no more than a branch.
+    macro_rules! step {
+        ($x:ident, $t:ident, $o:expr, $link:ident) => {{
+            let slot = ($x as usize) & (SCALE - 1);
+            let table = &tables[usize::from($t)];
+            let e = table.entries[usize::from(table.lut[slot]) % S];
+            // No overflow: `freq <= 2^10`, and `slot` lies in the span
+            // (tables UNUSED and POISON: the span is empty and `x`
+            // collapses to `slot`).
+            $x = u32::from(e.freq) * ($x >> SCALE_BITS) + slot as u32 - u32::from(e.start);
+            let take = $x < LOW;
+            let word = u16::from_le_bytes(words.get(pos).copied().unwrap_or_default());
+            $x = std::hint::select_unpredictable(take, $x << 16 | u32::from(word), $x);
+            pos += usize::from(take);
+            ($o, $t) = (e.sym, e.$link);
+        }};
+    }
+    // Symbol `t` of all four quarters, lane by lane: each lane is stepped
+    // to its end before the next starts, so that little stays live
+    // between them; the core overlaps the four all the same.
+    macro_rules! round {
+        ($t:expr, $link:ident) => {{
+            let t = $t;
+            step!(x0, t0, c0[t], $link);
+            step!(x1, t1, c1[t], $link);
+            step!(x2, t2, c2[t], $link);
+            step!(x3, t3, c3[t], $link);
+        }};
+    }
+    // A quarter's symbol `t` is in its second half from `t == mid` on,
+    // so the symbol after it — whose table a step leaves behind — is
+    // from `t + 1 == mid` on: that step crosses over.
+    let half_way = mid.checked_sub(1);
+    for t in 0..half_way.unwrap_or(0) {
+        round!(t, next);
+    }
+    if let Some(t) = half_way {
+        round!(t, cross);
+    }
+    for t in mid..common {
+        round!(t, next);
+    }
+    // The quarters one symbol longer.
+    if let Some(o) = q0.get_mut(common) {
+        step!(x0, t0, *o, next);
+    }
+    if let Some(o) = q1.get_mut(common) {
+        step!(x1, t1, *o, next);
+    }
+    if let Some(o) = q2.get_mut(common) {
+        step!(x2, t2, *o, next);
+    }
+    if let Some(o) = q3.get_mut(common) {
+        step!(x3, t3, *o, next);
+    }
+    lanes.x = [x0, x1, x2, x3];
+    lanes.pos = pos;
+    if pos > words.len() || [t0, t1, t2, t3].contains(&POISON) {
+        return Err(QualityDecodeError);
+    }
+    Ok(())
 }
 
 impl From<crate::bitio::BitStreamExhausted> for QualityDecodeError {
@@ -756,6 +898,76 @@ mod tests {
                     "prefix of {cut}/{} bytes decoded",
                     packed.len()
                 );
+            }
+        }
+    }
+
+    /// Where a stream's words start: past the alphabet, the tables and
+    /// the four lane states.
+    fn words_at(packed: &[u8]) -> usize {
+        let k = usize::from(u16::from_le_bytes([packed[0], packed[1]]));
+        let at = COUNT_BYTES + k;
+        let tables = u32::from_le_bytes(packed[at..at + 4].try_into().unwrap()) as usize;
+        at + 4 + tables + 4 * LANES
+    }
+
+    #[test]
+    fn a_cut_at_every_word_fails_on_the_read_that_needed_the_word() {
+        // Reads of every length that cuts differently (0–9: empty
+        // quarters, quarters of 0–2 symbols, `mid == 0`) and long ones,
+        // over i.i.d. symbols: 40 (wide tables, a word every third step
+        // or so), 11 (narrow tables, no branch on renormalising) and 4
+        // skewed ones (narrow, the branch).
+        let mut lens: Vec<usize> = (0..=9).collect();
+        lens.extend([2_000, 17, 0, 613, 5, 1_024]);
+        let mut x = 99u64;
+        let mut draw = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        for alphabet in [
+            &(b'#'..b'#' + 40).collect::<Vec<u8>>()[..],
+            b"0123456789:",
+            b"IIIIIIIF:#",
+        ] {
+            let quals: Vec<Vec<u8>> = (lens.iter())
+                .map(|&n| (0..n).map(|_| alphabet[draw() % alphabet.len()]).collect())
+                .collect();
+            let packed = compress_qualities(quals.iter().map(|q| q.as_slice()));
+            // Words consumed once each read is decoded, from the whole
+            // stream.
+            let mut dec = QualityDecoder::new(&packed).unwrap();
+            let used: Vec<usize> = (quals.iter())
+                .map(|q| {
+                    let mut out = vec![0; q.len()];
+                    dec.next_into(&mut out).unwrap();
+                    assert_eq!(&out, q);
+                    dec.lanes.pos
+                })
+                .collect();
+            assert!(dec.is_spent());
+            let start = words_at(&packed);
+            let words = (packed.len() - start) / 2;
+            assert_eq!(used.last(), Some(&words));
+            for kept in 0..words {
+                let cut = &packed[..start + 2 * kept];
+                assert!(
+                    decompress_qualities(cut, &lens).is_err(),
+                    "{kept} words kept"
+                );
+                let fails = used.iter().position(|&u| u > kept).unwrap();
+                let mut dec = QualityDecoder::new(cut).unwrap();
+                for (i, q) in quals.iter().enumerate().take(fails + 1) {
+                    let mut out = vec![0; q.len()];
+                    let decoded = dec.next_into(&mut out);
+                    if i < fails {
+                        assert_eq!((decoded, &out), (Ok(()), q), "{kept} words kept, read {i}");
+                    } else {
+                        assert!(decoded.is_err(), "{kept} words kept: read {i} decoded");
+                    }
+                }
             }
         }
     }
