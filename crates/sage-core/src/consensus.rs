@@ -161,7 +161,7 @@ fn is_contained(read: SampledRead<'_>, index: &MinimizerIndex, cfg: &ConsensusCo
 
 /// One entry of the read-overlap index: which read, which orientation,
 /// and the minimizer's position in the oriented read.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ReadHit {
     read: u32,
     rev: bool,
@@ -401,6 +401,57 @@ mod tests {
     use super::*;
     use sage_genomics::sim::{simulate_dataset, DatasetProfile};
     use sage_genomics::Read;
+    use std::collections::BTreeMap;
+
+    #[test]
+    fn overlap_index_serves_first_hits_in_generation_order() {
+        // Extension candidates tie often, and the first one that
+        // verifies wins: which hits a probe serves, and in what order,
+        // reaches the consensus. The reference lists every hash's hits
+        // read by read, forward list before reverse, by position.
+        let chunk = |profile: &DatasetProfile| {
+            simulate_dataset(profile, 2026).reads.reads()[..256].to_vec()
+        };
+        let mut tiny = chunk(&DatasetProfile::tiny_short());
+        // 70 copies of one read: each of its hashes has over 64 hits.
+        tiny.extend(std::iter::repeat_n(tiny[3].clone(), 70));
+        let mut past_max_occ = 0;
+        for reads in [tiny, chunk(&DatasetProfile::rs1().scaled(2.0))] {
+            let sampled = SampledReads::from_reads(&reads, 15, 8);
+            let index = OverlapIndex::build(&sampled);
+            let mut want: BTreeMap<u64, Vec<ReadHit>> = BTreeMap::new();
+            for i in 0..sampled.len() {
+                let read = sampled.get(i);
+                for (mins, rev) in [(read.fwd_mins, false), (read.rc_mins, true)] {
+                    for mz in mins {
+                        want.entry(mz.hash).or_default().push(ReadHit {
+                            read: i as u32,
+                            rev,
+                            pos: mz.pos,
+                        });
+                    }
+                }
+            }
+            for (&hash, hits) in &want {
+                past_max_occ += usize::from(hits.len() > OverlapIndex::MAX_OCC);
+                let got: Vec<ReadHit> = index.lookup(hash).iter().map(|&(_, h)| h).collect();
+                assert_eq!(
+                    got,
+                    hits[..hits.len().min(OverlapIndex::MAX_OCC)],
+                    "hash {hash:x}"
+                );
+            }
+            // Hashes no read carries, in buckets that hold others.
+            for &hash in want.keys().take(100) {
+                for probe in [hash ^ 1, hash.wrapping_add(1), hash.wrapping_sub(1)] {
+                    if !want.contains_key(&probe) {
+                        assert!(index.lookup(probe).is_empty());
+                    }
+                }
+            }
+        }
+        assert!(past_max_occ > 0);
+    }
 
     #[test]
     fn reference_mode_masks_and_indexes() {
