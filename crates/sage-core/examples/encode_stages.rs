@@ -8,6 +8,10 @@
 //! (`with_store_order(true)`, the benchmark's chunk sizes and seed) and
 //! prints, per chunk, the median and quartiles of
 //!
+//! - `sample`: masking, reverse-complementing and sampling the
+//!   minimizers of every read in both orientations (`mask_n`,
+//!   `revcomp`, `minimizers_into`), which the compressor does once per
+//!   read before either half below;
 //! - `consensus` and `map`: the two halves of finding mismatches, each
 //!   run on its own through the public API (`build_consensus`, then
 //!   `Mapper::map` on every masked read);
@@ -15,6 +19,8 @@
 //!   itself reports it (`CompressionStats::find_mismatch_secs` /
 //!   `encode_secs`) — `find` is below `consensus + map` by what the
 //!   compressor saves sharing each read's minimizers between the two;
+//! - `quality`: `compress_qualities` over the chunk's quality strings,
+//!   the part of `streams+quality` that codes them;
 //! - `total`: one `compress_detailed` call;
 //!
 //! then the FNV-1a fold of every chunk's `to_bytes()`, in order. Run it
@@ -22,7 +28,9 @@
 //! says where the time went.
 
 use sage_core::consensus::{build_consensus, ConsensusConfig, ConsensusMode};
-use sage_core::mapper::mask_n;
+use sage_core::mapper::minimizer::minimizers_into;
+use sage_core::mapper::{mask_n, revcomp};
+use sage_core::quality::compress_qualities;
 use sage_core::{Mapper, MapperConfig, SageCompressor};
 use sage_genomics::sim::{simulate_dataset, DatasetProfile};
 use sage_genomics::ReadSet;
@@ -65,11 +73,21 @@ fn main() {
         ..ConsensusConfig::default()
     };
 
-    let mut stages: [Vec<f64>; 5] = Default::default();
+    let mut stages: [Vec<f64>; 7] = Default::default();
     let mut fold = 0xcbf2_9ce4_8422_2325u64;
     let mut stored = 0usize;
     for chunk in reads.reads().chunks(per_chunk) {
         let chunk = ReadSet::from_reads(chunk.to_vec());
+
+        let t = Instant::now();
+        let mut mins = Vec::new();
+        for read in chunk.iter() {
+            let fwd = mask_n(read.seq.as_slice());
+            minimizers_into(&fwd, mapper_cfg.k, mapper_cfg.w, &mut mins);
+            minimizers_into(&revcomp(&fwd), mapper_cfg.k, mapper_cfg.w, &mut mins);
+        }
+        let sample_s = t.elapsed().as_secs_f64();
+        std::hint::black_box(mins);
 
         let t = Instant::now();
         let consensus = build_consensus(&chunk, &ConsensusMode::DeNovo, &ccfg);
@@ -89,6 +107,11 @@ fn main() {
         std::hint::black_box(mapped);
 
         let t = Instant::now();
+        let quality = compress_qualities(chunk.iter().map(|r| r.qual.as_deref().unwrap_or(&[])));
+        let quality_s = t.elapsed().as_secs_f64();
+        std::hint::black_box(quality);
+
+        let t = Instant::now();
         let (archive, stats) = compressor.compress_detailed(&chunk).expect("compress");
         let total_s = t.elapsed().as_secs_f64();
 
@@ -96,9 +119,11 @@ fn main() {
         stored += bytes.len();
         fold = fnv1a(fold, &bytes);
         for (stage, secs) in stages.iter_mut().zip([
+            sample_s,
             consensus_s,
             map_s,
             stats.find_mismatch_secs,
+            quality_s,
             stats.encode_secs,
             total_s,
         ]) {
@@ -112,7 +137,15 @@ fn main() {
         stages[0].len()
     );
     println!("per chunk, us          median   [   q1 ..    q3]");
-    let names = ["consensus", "map", "find", "streams+quality", "total"];
+    let names = [
+        "sample",
+        "consensus",
+        "map",
+        "find",
+        "quality",
+        "streams+quality",
+        "total",
+    ];
     for (name, stage) in names.iter().zip(stages.iter_mut()) {
         let [q1, med, q3] = quartiles(stage);
         println!("  {name:<18} {med:>8.0}   [{q1:>5.0} .. {q3:>5.0}]");
