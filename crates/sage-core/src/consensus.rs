@@ -169,11 +169,14 @@ struct ReadHit {
 }
 
 /// Minimizer hash → the reads (either orientation) that carry it, flat:
-/// one vector of `(hash, hit)` sorted by hash, and a directory from a
-/// hash's top bits to where its bucket starts. Hashes are uniform, so a
-/// bucket holds about one entry and a probe is one directory read plus
-/// a scan of a few entries; building is a counting sort, linear in the
-/// number of minimizers.
+/// one vector of `(hash, hit)` grouped by the hash's top bits, and a
+/// directory from those bits to where their bucket starts. Inside a
+/// bucket the entries keep generation order — read by read, forward
+/// list then reverse list, each by position — so a hash's hits come
+/// oldest first without a sort. Hashes are uniform, so a bucket holds
+/// about one entry and a probe is one directory read plus a scan of a
+/// few entries; building is a counting sort, linear in the number of
+/// minimizers.
 struct OverlapIndex {
     hits: Vec<(u64, ReadHit)>,
     /// `hits[bucket_starts[b]..bucket_starts[b + 1]]` are the entries
@@ -191,29 +194,30 @@ impl OverlapIndex {
     fn build(reads: &SampledReads) -> OverlapIndex {
         let n = reads.n_minimizers();
         assert!(u32::try_from(n).is_ok(), "more than 2^32 minimizers");
-        // In generation order: read by read, forward list then reverse
-        // list, each by position.
-        let mut generated: Vec<(u64, ReadHit)> = Vec::with_capacity(n);
-        for i in 0..reads.len() {
-            let read = reads.get(i);
-            for (mins, rev) in [(read.fwd_mins, false), (read.rc_mins, true)] {
-                generated.extend(mins.iter().map(|mz| {
-                    let hit = ReadHit {
-                        read: i as u32,
-                        rev,
-                        pos: mz.pos,
-                    };
-                    (mz.hash, hit)
-                }));
-            }
-        }
+        let generated = || {
+            (0..reads.len()).flat_map(|i| {
+                let read = reads.get(i);
+                [(read.fwd_mins, false), (read.rc_mins, true)]
+                    .into_iter()
+                    .flat_map(move |(mins, rev)| {
+                        mins.iter().map(move |mz| {
+                            let hit = ReadHit {
+                                read: i as u32,
+                                rev,
+                                pos: mz.pos,
+                            };
+                            (mz.hash, hit)
+                        })
+                    })
+            })
+        };
         let bits = n.next_power_of_two().trailing_zeros().max(1);
         let shift = 64 - bits;
         // Count per bucket, turn counts into starts, then place every
         // entry at its bucket's next free slot — which keeps generation
         // order inside a bucket.
         let mut bucket_starts = vec![0u32; (1usize << bits) + 1];
-        for &(hash, _) in &generated {
+        for (hash, _) in generated() {
             bucket_starts[(hash >> shift) as usize + 1] += 1;
         }
         for b in 1..bucket_starts.len() {
@@ -221,15 +225,10 @@ impl OverlapIndex {
         }
         let mut next = bucket_starts.clone();
         let mut hits = vec![(0u64, ReadHit::default()); n];
-        for entry in generated {
+        for entry in generated() {
             let slot = &mut next[(entry.0 >> shift) as usize];
             hits[*slot as usize] = entry;
             *slot += 1;
-        }
-        // A bucket's few entries, by hash; the sort is stable, so each
-        // hash's run still lists its hits oldest first.
-        for b in bucket_starts.windows(2) {
-            hits[b[0] as usize..b[1] as usize].sort_by_key(|&(hash, _)| hash);
         }
         OverlapIndex {
             hits,
@@ -239,16 +238,13 @@ impl OverlapIndex {
     }
 
     /// The first [`Self::MAX_OCC`] hits of `hash`, in generation order.
-    fn lookup(&self, hash: u64) -> &[(u64, ReadHit)] {
+    fn lookup(&self, hash: u64) -> impl Iterator<Item = ReadHit> + '_ {
         let b = (hash >> self.shift) as usize;
-        let bucket = &self.hits[self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize];
-        let start = bucket.partition_point(|&(h, _)| h < hash);
-        let len = bucket[start..]
+        self.hits[self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize]
             .iter()
+            .filter(move |&&(h, _)| h == hash)
             .take(Self::MAX_OCC)
-            .take_while(|&&(h, _)| h == hash)
-            .count();
-        &bucket[start..start + len]
+            .map(|&(_, hit)| hit)
     }
 }
 
@@ -338,7 +334,7 @@ impl<'a> Assembler<'a> {
         self.votes.clear();
         for mz in &self.tail_mins {
             let abs_pos = tail_start as i64 + i64::from(mz.pos);
-            for (_, h) in self.overlaps.lookup(mz.hash) {
+            for h in self.overlaps.lookup(mz.hash) {
                 if self.used[h.read as usize] {
                     continue;
                 }
@@ -434,7 +430,7 @@ mod tests {
             }
             for (&hash, hits) in &want {
                 past_max_occ += usize::from(hits.len() > OverlapIndex::MAX_OCC);
-                let got: Vec<ReadHit> = index.lookup(hash).iter().map(|&(_, h)| h).collect();
+                let got: Vec<ReadHit> = index.lookup(hash).collect();
                 assert_eq!(
                     got,
                     hits[..hits.len().min(OverlapIndex::MAX_OCC)],
@@ -445,7 +441,7 @@ mod tests {
             for &hash in want.keys().take(100) {
                 for probe in [hash ^ 1, hash.wrapping_add(1), hash.wrapping_sub(1)] {
                     if !want.contains_key(&probe) {
-                        assert!(index.lookup(probe).is_empty());
+                        assert_eq!(index.lookup(probe).next(), None);
                     }
                 }
             }
