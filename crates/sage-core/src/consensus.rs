@@ -36,7 +36,7 @@
 //! key; the first candidate that verifies wins.
 
 use crate::mapper::minimizer::{minimizers_into, Minimizer, MinimizerIndex};
-use crate::mapper::{mask_n, revcomp, SampledRead, SampledReads};
+use crate::mapper::{mask_n, SampledRead, SampledReads};
 use sage_genomics::{Base, DnaSeq, ReadSet};
 use std::cmp::Reverse;
 
@@ -115,6 +115,8 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
     let mut asm = Assembler::new(reads, cfg);
     let mut consensus: Vec<Base> = Vec::new();
     let mut index = MinimizerIndex::new(cfg.k, cfg.w);
+    // A contig in its two orientations, kept from seed to seed.
+    let (mut contig, mut flipped) = (Vec::new(), Vec::new());
     for seed in 0..reads.len() {
         let read = reads.get(seed);
         if asm.used[seed] || read.fwd.len() < cfg.k {
@@ -126,16 +128,25 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
             continue;
         }
         // Seed a contig and extend it greedily in both directions.
-        let mut contig: Vec<Base> = read.fwd.to_vec();
-        let grew = asm.extend_right(&mut contig, Some(read.fwd_mins));
+        contig.clear();
+        contig.extend_from_slice(read.fwd);
+        let grew_right = asm.extend_right(&mut contig, Some(read.fwd_mins));
         // Leftward: extend the reverse complement rightwards, then flip
         // back (reuses the same tail machinery). A contig that is still
         // the seed read flips into the read's other orientation, whose
         // minimizers are at hand too.
-        let mut flipped = revcomp(&contig);
-        asm.extend_right(&mut flipped, (!grew).then_some(read.rc_mins));
-        consensus.extend(revcomp(&flipped));
-        index.extend(&consensus);
+        flipped.clear();
+        flipped.extend(contig.iter().rev().map(|b| b.complement()));
+        let grew_left = asm.extend_right(&mut flipped, (!grew_right).then_some(read.rc_mins));
+        let from = consensus.len();
+        if grew_right || grew_left {
+            consensus.extend(flipped.iter().rev().map(|b| b.complement()));
+            index.extend(&consensus);
+        } else {
+            // Still the seed read: the index takes the read's own list.
+            consensus.extend_from_slice(read.fwd);
+            index.extend_appended(&consensus, from, read.fwd_mins);
+        }
     }
     Consensus {
         seq: DnaSeq::from_bases(consensus),

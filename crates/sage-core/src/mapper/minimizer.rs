@@ -253,6 +253,17 @@ impl MinimizerIndex {
 
     /// Indexes the yet-unindexed suffix of `seq` (which must extend the
     /// previously indexed sequence).
+    ///
+    /// The rule: `seq` is sampled again from `k + w` bases before the
+    /// old end (`indexed_len`), so that the windows spanning the junction
+    /// are decided on the whole sequence, and of what that sampling
+    /// selects only positions `>= indexed_len - k + 1` are recorded —
+    /// k-mers that span the junction or lie past it. An old k-mer that
+    /// only a window across the junction selects is *not* recorded, so
+    /// an index grown piece by piece can lack hashes (and positions)
+    /// that [`build`](Self::build) over the finished sequence holds. A
+    /// `seq` shorter than `k` is not indexed, and leaves `indexed_len`
+    /// where it was.
     pub fn extend(&mut self, seq: &[Base]) {
         assert!(
             seq.len() >= self.indexed_len,
@@ -261,34 +272,77 @@ impl MinimizerIndex {
         if seq.len() < self.k {
             return;
         }
-        // Re-scan a little before the boundary so window decisions near
-        // the old end are recomputed; only record new positions.
         let scan_from = self.indexed_len.saturating_sub(self.k + self.w);
         let new_from = self.indexed_len.saturating_sub(self.k - 1);
         for m in minimizers(&seq[scan_from..], self.k, self.w) {
             let pos = m.pos as usize + scan_from;
-            if pos < new_from {
-                continue;
-            }
-            let pos = pos as u32;
-            match self.map.entry(m.hash) {
-                Entry::Vacant(slot) => {
-                    slot.insert(Positions::One(pos));
-                }
-                Entry::Occupied(mut slot) => match slot.get_mut() {
-                    Positions::One(first) if *first < pos => {
-                        *slot.get_mut() = Positions::Many(vec![*first, pos]);
-                    }
-                    Positions::Many(list)
-                        if list.len() < self.max_occ && list.last().is_some_and(|&p| p < pos) =>
-                    {
-                        list.push(pos);
-                    }
-                    _ => {}
-                },
+            if pos >= new_from {
+                self.record(m.hash, pos as u32);
             }
         }
         self.indexed_len = seq.len();
+    }
+
+    /// [`extend`](Self::extend) for a `seq` whose appended part
+    /// `seq[from..]` the caller has sampled already: `appended_mins` are
+    /// its minimizers, positions relative to `from`. Records exactly
+    /// what `extend` records; only the windows that hold a k-mer
+    /// starting before `from` are sampled again. Falls back to `extend`
+    /// unless `from` is the indexed length and the appended part has at
+    /// least `w` k-mers (its windows are then windows of `seq`).
+    pub(crate) fn extend_appended(
+        &mut self,
+        seq: &[Base],
+        from: usize,
+        appended_mins: &[Minimizer],
+    ) {
+        let (k, w) = (self.k, self.w);
+        if from != self.indexed_len || seq.len() < from + k + w - 1 {
+            return self.extend(seq);
+        }
+        // A window of `seq` either ends at a k-mer before `from + w - 1`
+        // and holds a k-mer starting before `from`, or lies wholly in
+        // the appended part, where `appended_mins` has its minimizer.
+        // The first kind is sampled from where `extend` starts. A
+        // minimizer of both kinds of window is recorded once:
+        // `record` keeps a list's positions ascending.
+        if from > 0 {
+            let scan_from = from.saturating_sub(k + w);
+            let new_from = from.saturating_sub(k - 1);
+            let mut junction = Vec::new();
+            minimizers_into(&seq[scan_from..from + w + k - 2], k, w, &mut junction);
+            for m in junction {
+                let pos = m.pos as usize + scan_from;
+                if pos >= new_from {
+                    self.record(m.hash, pos as u32);
+                }
+            }
+        }
+        for m in appended_mins {
+            self.record(m.hash, (m.pos as usize + from) as u32);
+        }
+        self.indexed_len = seq.len();
+    }
+
+    /// Adds `pos` to `hash`'s list, unless the list is full or already
+    /// holds `pos` or a later position.
+    fn record(&mut self, hash: u64, pos: u32) {
+        match self.map.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Positions::One(pos));
+            }
+            Entry::Occupied(mut slot) => match slot.get_mut() {
+                Positions::One(first) if *first < pos => {
+                    *slot.get_mut() = Positions::Many(vec![*first, pos]);
+                }
+                Positions::Many(list)
+                    if list.len() < self.max_occ && list.last().is_some_and(|&p| p < pos) =>
+                {
+                    list.push(pos);
+                }
+                _ => {}
+            },
+        }
     }
 
     /// Looks up the consensus positions of a minimizer hash.
@@ -480,6 +534,77 @@ mod tests {
             );
         }
         assert_eq!(full.indexed_len(), inc.indexed_len());
+    }
+
+    #[test]
+    fn extending_with_the_appended_list_equals_extend() {
+        // A prefix P, then reads appended one by one, each with its own
+        // list: every k-mer hash of the grown sequence must look up the
+        // same positions as in an index grown by `extend` alone.
+        let (k, w) = (15, 8);
+        let mut x = 0x0e11_u64;
+        let mut next = |bound: usize| {
+            x = splitmix64(x);
+            (x % bound as u64) as usize
+        };
+        let unit: Vec<Base> = (0..23).map(|i| Base::ACGT[(i * 7 + i / 3) % 4]).collect();
+        let mut past_max_occ = false;
+        for trial in 0..300 {
+            let p_len = [0, 5, k - 1, k, k + w - 1, k + w, k + w + 1, 40, 300][trial % 9];
+            let mut seq: Vec<Base> = match trial % 4 {
+                // A tandem repeat: its hashes fill their lists to
+                // `max_occ` and stop there.
+                3 => unit.iter().copied().cycle().take(p_len * 12).collect(),
+                _ => (0..p_len).map(|_| Base::ACGT[next(4)]).collect(),
+            };
+            let mut by_extend = MinimizerIndex::new(k, w);
+            let mut by_list = MinimizerIndex::new(k, w);
+            by_extend.extend(&seq);
+            by_list.extend(&seq);
+            for _ in 0..6 {
+                let r_len = [1, k - 1, k, k + w - 2, k + w - 1, k + w, 100, 150][next(8)];
+                let mut read: Vec<Base> = (0..r_len)
+                    .map(|_| match next(10) {
+                        // A masked `N` is an `A`; runs of them too.
+                        0 => Base::N,
+                        _ => Base::ACGT[next(4)],
+                    })
+                    .collect();
+                if next(3) == 0 {
+                    let at = next(r_len);
+                    read[at..].fill(Base::N);
+                }
+                if trial % 4 == 3 {
+                    let at = next(r_len);
+                    for (b, &u) in read[at..].iter_mut().zip(unit.iter().cycle()) {
+                        *b = u;
+                    }
+                }
+                let read = crate::mapper::mask_n(&read);
+                let mut read_mins = Vec::new();
+                minimizers_into(&read, k, w, &mut read_mins);
+                let from = seq.len();
+                seq.extend_from_slice(&read);
+                by_extend.extend(&seq);
+                by_list.extend_appended(&seq, from, &read_mins);
+                assert_eq!(by_list.len(), by_extend.len(), "trial {trial}");
+                assert_eq!(by_list.indexed_len(), by_extend.indexed_len());
+                let mut kmer = 0u64;
+                for (i, &b) in seq.iter().enumerate() {
+                    kmer = ((kmer << 2) | u64::from(b.code2())) & ((1 << (2 * k)) - 1);
+                    if i + 1 >= k {
+                        let hash = splitmix64(kmer);
+                        assert_eq!(
+                            by_list.lookup(hash),
+                            by_extend.lookup(hash),
+                            "trial {trial}"
+                        );
+                        past_max_occ |= by_extend.lookup(hash).len() == by_extend.max_occ;
+                    }
+                }
+            }
+        }
+        assert!(past_max_occ);
     }
 
     #[test]
