@@ -115,6 +115,8 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
     let mut asm = Assembler::new(reads, cfg);
     let mut consensus: Vec<Base> = Vec::new();
     let mut index = MinimizerIndex::new(cfg.k, cfg.w);
+    // At most every forward list goes in, most hashes once.
+    index.reserve(reads.n_minimizers() / 2);
     // A contig in its two orientations, kept from seed to seed.
     let (mut contig, mut flipped) = (Vec::new(), Vec::new());
     for seed in 0..reads.len() {
@@ -130,14 +132,14 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
         // Seed a contig and extend it greedily in both directions.
         contig.clear();
         contig.extend_from_slice(read.fwd);
-        let grew_right = asm.extend_right(&mut contig, Some(read.fwd_mins));
+        let grew_right = asm.extend_right(&mut contig, Some((seed, false)));
         // Leftward: extend the reverse complement rightwards, then flip
         // back (reuses the same tail machinery). A contig that is still
         // the seed read flips into the read's other orientation, whose
         // minimizers are at hand too.
         flipped.clear();
         flipped.extend(contig.iter().rev().map(|b| b.complement()));
-        let grew_left = asm.extend_right(&mut flipped, (!grew_right).then_some(read.rc_mins));
+        let grew_left = asm.extend_right(&mut flipped, (!grew_right).then_some((seed, true)));
         let from = consensus.len();
         if grew_right || grew_left {
             consensus.extend(flipped.iter().rev().map(|b| b.complement()));
@@ -156,18 +158,24 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
 
 /// Checks whether enough of a read's minimizers — in the better of its
 /// two orientations — hit the consensus index (containment/duplication
-/// test).
+/// test). A list is probed only until its count is decided either way.
 fn is_contained(read: SampledRead<'_>, index: &MinimizerIndex, cfg: &ConsensusConfig) -> bool {
     if index.is_empty() || read.fwd_mins.is_empty() {
         return false;
     }
-    let hits = |mins: &[Minimizer]| {
-        mins.iter()
-            .filter(|m| !index.lookup(m.hash).is_empty())
-            .count()
+    let need = cfg.min_hit_fraction * read.fwd_mins.len() as f64;
+    let reaches = |mins: &[Minimizer]| {
+        let (mut hits, mut left) = (0usize, mins.len());
+        for m in mins {
+            if hits as f64 >= need || ((hits + left) as f64) < need {
+                break;
+            }
+            left -= 1;
+            hits += usize::from(!index.lookup(m.hash).is_empty());
+        }
+        hits as f64 >= need
     };
-    let best = hits(read.fwd_mins).max(hits(read.rc_mins)) as f64;
-    best >= cfg.min_hit_fraction * read.fwd_mins.len() as f64
+    reaches(read.fwd_mins) || reaches(read.rc_mins)
 }
 
 /// One entry of the read-overlap index: which read, which orientation,
@@ -188,6 +196,10 @@ struct ReadHit {
 /// about one entry and a probe is one directory read plus a scan of a
 /// few entries; building is a counting sort, linear in the number of
 /// minimizers.
+///
+/// Most hashes of a chunk belong to one minimizer alone, and probing one
+/// of those from its own read finds nothing but that read. `shared`
+/// tells them apart without a probe.
 struct OverlapIndex {
     hits: Vec<(u64, ReadHit)>,
     /// `hits[bucket_starts[b]..bucket_starts[b + 1]]` are the entries
@@ -195,56 +207,75 @@ struct OverlapIndex {
     bucket_starts: Vec<u32>,
     /// `hash >> shift` is the hash's bucket.
     shift: u32,
+    /// Per minimizer, in generation order (`SampledReads::list_start`):
+    /// whether another minimizer may carry its hash. `false` is certain;
+    /// `true` is, but for the entries of a crowded bucket, which are
+    /// not compared and count as shared.
+    shared: Vec<bool>,
 }
 
 impl OverlapIndex {
     /// Hits served per hash (overly repetitive seeds say nothing about
     /// overlap).
     const MAX_OCC: usize = 64;
+    /// Buckets past this many entries are not searched for equal hashes.
+    const CROWDED: usize = 16;
 
     fn build(reads: &SampledReads) -> OverlapIndex {
         let n = reads.n_minimizers();
         assert!(u32::try_from(n).is_ok(), "more than 2^32 minimizers");
-        let generated = || {
-            (0..reads.len()).flat_map(|i| {
-                let read = reads.get(i);
-                [(read.fwd_mins, false), (read.rc_mins, true)]
-                    .into_iter()
-                    .flat_map(move |(mins, rev)| {
-                        mins.iter().map(move |mz| {
-                            let hit = ReadHit {
-                                read: i as u32,
-                                rev,
-                                pos: mz.pos,
-                            };
-                            (mz.hash, hit)
-                        })
-                    })
-            })
-        };
         let bits = n.next_power_of_two().trailing_zeros().max(1);
         let shift = 64 - bits;
         // Count per bucket, turn counts into starts, then place every
-        // entry at its bucket's next free slot — which keeps generation
-        // order inside a bucket.
+        // entry, in generation order, at its bucket's next free slot —
+        // which keeps that order inside a bucket.
         let mut bucket_starts = vec![0u32; (1usize << bits) + 1];
-        for (hash, _) in generated() {
-            bucket_starts[(hash >> shift) as usize + 1] += 1;
+        for mz in reads.minimizers() {
+            bucket_starts[(mz.hash >> shift) as usize + 1] += 1;
         }
         for b in 1..bucket_starts.len() {
             bucket_starts[b] += bucket_starts[b - 1];
         }
         let mut next = bucket_starts.clone();
         let mut hits = vec![(0u64, ReadHit::default()); n];
-        for entry in generated() {
-            let slot = &mut next[(entry.0 >> shift) as usize];
-            hits[*slot as usize] = entry;
-            *slot += 1;
+        // Where each minimizer, in generation order, was placed.
+        let mut slot_of = Vec::with_capacity(n);
+        for i in 0..reads.len() {
+            let read = reads.get(i);
+            for rev in [false, true] {
+                for mz in read.oriented_mins(rev) {
+                    let slot = &mut next[(mz.hash >> shift) as usize];
+                    let hit = ReadHit {
+                        read: i as u32,
+                        rev,
+                        pos: mz.pos,
+                    };
+                    hits[*slot as usize] = (mz.hash, hit);
+                    slot_of.push(*slot);
+                    *slot += 1;
+                }
+            }
+        }
+        let mut dup = vec![false; n];
+        for b in bucket_starts.windows(2) {
+            let (lo, hi) = (b[0] as usize, b[1] as usize);
+            if hi - lo > Self::CROWDED {
+                dup[lo..hi].fill(true);
+                continue;
+            }
+            for i in lo + 1..hi {
+                for j in lo..i {
+                    if hits[i].0 == hits[j].0 {
+                        (dup[i], dup[j]) = (true, true);
+                    }
+                }
+            }
         }
         OverlapIndex {
             hits,
             bucket_starts,
             shift,
+            shared: slot_of.iter().map(|&slot| dup[slot as usize]).collect(),
         }
     }
 
@@ -298,15 +329,25 @@ impl<'a> Assembler<'a> {
 
     /// Extends `contig` to the right with unused reads whose (oriented)
     /// prefixes overlap its tail, until none does; returns whether it
-    /// grew. `contig_mins` are the minimizers of the whole `contig` as
-    /// passed in, when the caller has them: a tail that is the whole
-    /// contig is not sampled again.
-    fn extend_right(&mut self, contig: &mut Vec<Base>, contig_mins: Option<&[Minimizer]>) -> bool {
+    /// grew. `seed` is `(read, rev)` when `contig` is still that used
+    /// read in that orientation: a tail that is the whole contig is then
+    /// not sampled again, and of the read's own minimizers only those
+    /// some other minimizer may share are probed — a hash of its own
+    /// finds only the read itself.
+    fn extend_right(&mut self, contig: &mut Vec<Base>, seed: Option<(usize, bool)>) -> bool {
         let mut tail_start = contig.len().saturating_sub(self.tail_len);
-        match contig_mins {
-            Some(mins) if tail_start == 0 => {
+        match seed {
+            Some((read, rev)) if tail_start == 0 => {
+                let mins = self.reads.get(read).oriented_mins(rev);
+                let at = self.reads.list_start(read, rev);
+                let shared = &self.overlaps.shared[at..at + mins.len()];
                 self.tail_mins.clear();
-                self.tail_mins.extend_from_slice(mins);
+                self.tail_mins.extend(
+                    mins.iter()
+                        .zip(shared)
+                        .filter(|&(_, &shared)| shared)
+                        .map(|(mz, _)| *mz),
+                );
             }
             _ => self.sample_tail(contig, tail_start),
         }

@@ -12,7 +12,7 @@ use crate::consensus::{
 };
 use crate::container::{ArchiveHeader, SageArchive, Stream, Streams};
 use crate::error::{Result, SageError};
-use crate::mapper::{Mapper, MapperConfig, SampledReads};
+use crate::mapper::{MapBuffers, Mapper, MapperConfig, SampledReads};
 use crate::quality::compress_qualities;
 use crate::tuning::{tune_bit_widths, tune_value_classes, DEFAULT_EPSILON};
 use sage_genomics::packed::Packed2;
@@ -290,8 +290,9 @@ impl SageCompressor {
             &consensus.index,
             self.opts.mapper.clone(),
         );
+        let mut buffers = MapBuffers::default();
         let alignments = (0..sampled.len())
-            .map(|i| mapper.map_sampled(sampled.get(i)))
+            .map(|i| mapper.map_sampled(sampled.get(i), &mut buffers))
             .collect();
         (sampled, consensus, alignments)
     }

@@ -143,6 +143,15 @@ impl<'a> SampledRead<'a> {
             self.fwd
         }
     }
+
+    /// The minimizers of [`oriented(rev)`](Self::oriented).
+    pub fn oriented_mins(self, rev: bool) -> &'a [Minimizer] {
+        if rev {
+            self.rc_mins
+        } else {
+            self.fwd_mins
+        }
+    }
 }
 
 impl SampledReads {
@@ -217,6 +226,36 @@ impl SampledReads {
     pub fn n_minimizers(&self) -> usize {
         self.mins.len()
     }
+
+    /// Every read's lists, read by read, forward list first.
+    pub fn minimizers(&self) -> &[Minimizer] {
+        &self.mins
+    }
+
+    /// Where read `i`'s list in orientation `rev` starts in
+    /// [`minimizers`](Self::minimizers).
+    pub fn list_start(&self, i: usize, rev: bool) -> usize {
+        let at = self.starts[i];
+        if rev {
+            at.rc_mins
+        } else {
+            at.fwd_mins
+        }
+    }
+}
+
+/// What mapping one read builds and throws away — the pieces still to
+/// map, minimizers of a piece, anchors, the two orientations' chains and
+/// the alignment ops — kept by a caller that maps many reads, so that a
+/// read allocates only what its alignment keeps.
+#[derive(Debug, Default)]
+pub(crate) struct MapBuffers {
+    jobs: Vec<(usize, usize)>,
+    mins: Vec<Minimizer>,
+    anchors: Vec<(i64, u32, u32)>,
+    by_q: Vec<(u32, u32)>,
+    chains: [Vec<(u32, u32)>; 2],
+    ops: Vec<Op>,
 }
 
 /// A read mapper over a fixed consensus + index.
@@ -249,35 +288,36 @@ impl<'a> Mapper<'a> {
     pub fn map(&self, read: &[Base]) -> Alignment {
         let mut one = SampledReads::new(self.cfg.k, self.cfg.w);
         one.push(read);
-        self.map_sampled(one.get(0))
+        self.map_sampled(one.get(0), &mut MapBuffers::default())
     }
 
     /// [`map`](Self::map) for a read whose reverse complement and
     /// minimizers (sampled with this mapper's `k` / `w`) the caller
-    /// already holds.
-    pub(crate) fn map_sampled(&self, sampled: SampledRead<'_>) -> Alignment {
+    /// already holds, with buffers the caller keeps from read to read.
+    pub(crate) fn map_sampled(&self, sampled: SampledRead<'_>, buf: &mut MapBuffers) -> Alignment {
         let read = sampled.fwd;
         if read.len() < self.cfg.k + 1 {
             return Alignment::unmapped();
         }
         let mut segs: Vec<Segment> = Vec::new();
-        let mut jobs: Vec<(usize, usize)> = vec![(0, read.len())];
-        while let Some((s, e)) = jobs.pop() {
+        buf.jobs.clear();
+        buf.jobs.push((0, read.len()));
+        while let Some((s, e)) = buf.jobs.pop() {
             if segs.len() >= self.cfg.max_segments {
                 break;
             }
             if e - s < self.cfg.min_split_len.max(self.cfg.k + 1) {
                 continue;
             }
-            if let Some((qa, qb, mut seg)) = self.map_portion(sampled, s, e) {
+            if let Some((qa, qb, mut seg)) = self.map_portion(sampled, s, e, buf) {
                 seg.read_start = (s + qa) as u32;
                 seg.read_end = (s + qb) as u32;
                 segs.push(seg);
                 if qa >= self.cfg.min_split_len {
-                    jobs.push((s, s + qa));
+                    buf.jobs.push((s, s + qa));
                 }
                 if (e - s) - qb >= self.cfg.min_split_len {
-                    jobs.push((s + qb, e));
+                    buf.jobs.push((s + qb, e));
                 }
             }
         }
@@ -355,25 +395,32 @@ impl<'a> Mapper<'a> {
         read: SampledRead<'_>,
         s: usize,
         e: usize,
+        buf: &mut MapBuffers,
     ) -> Option<(usize, usize, Segment)> {
         let len = read.fwd.len();
         let portion = &read.fwd[s..e];
         let rc = &read.rc[len - e..len - s];
-        let (fwd_chain, rev_chain) = if (s, e) == (0, len) {
-            (
-                self.chain(portion, read.fwd_mins),
-                self.chain(rc, read.rc_mins),
-            )
+        let MapBuffers {
+            mins,
+            anchors,
+            by_q,
+            chains: [fwd_chain, rev_chain],
+            ops,
+            ..
+        } = buf;
+        if (s, e) == (0, len) {
+            self.chain(portion, read.fwd_mins, anchors, by_q, fwd_chain);
+            self.chain(rc, read.rc_mins, anchors, by_q, rev_chain);
         } else {
             // A piece of a split read: its first and last windows are
             // not windows of the whole read, so it is sampled afresh.
-            let mut mins = Vec::new();
-            minimizers_into(portion, self.cfg.k, self.cfg.w, &mut mins);
-            let fwd_chain = self.chain(portion, &mins);
             mins.clear();
-            minimizers_into(rc, self.cfg.k, self.cfg.w, &mut mins);
-            (fwd_chain, self.chain(rc, &mins))
-        };
+            minimizers_into(portion, self.cfg.k, self.cfg.w, mins);
+            self.chain(portion, mins, anchors, by_q, fwd_chain);
+            mins.clear();
+            minimizers_into(rc, self.cfg.k, self.cfg.w, mins);
+            self.chain(rc, mins, anchors, by_q, rev_chain);
+        }
         let (oriented, rev, chain) = if fwd_chain.len() >= rev_chain.len() {
             (portion, false, fwd_chain)
         } else {
@@ -382,7 +429,7 @@ impl<'a> Mapper<'a> {
         if chain.len() < self.cfg.min_chain_anchors {
             return None;
         }
-        let (oqa, oqb, cons_pos, edits) = self.chain_to_alignment(oriented, &chain)?;
+        let (oqa, oqb, cons_pos, edits) = self.chain_to_alignment(oriented, chain, ops)?;
         let (qa, qb) = if rev {
             (portion.len() - oqb, portion.len() - oqa)
         } else {
@@ -402,16 +449,25 @@ impl<'a> Mapper<'a> {
     }
 
     /// Finds the best co-diagonal monotone anchor chain for `oriented`,
-    /// whose minimizers are `mins`.
-    fn chain(&self, oriented: &[Base], mins: &[Minimizer]) -> Vec<(u32, u32)> {
-        let mut anchors: Vec<(i64, u32, u32)> = Vec::new();
+    /// whose minimizers are `mins`, into `chain`; `anchors` and `by_q`
+    /// are scratch.
+    fn chain(
+        &self,
+        oriented: &[Base],
+        mins: &[Minimizer],
+        anchors: &mut Vec<(i64, u32, u32)>,
+        by_q: &mut Vec<(u32, u32)>,
+        chain: &mut Vec<(u32, u32)>,
+    ) {
+        chain.clear();
+        anchors.clear();
         for m in mins {
             for &c in self.index.lookup(m.hash) {
                 anchors.push((i64::from(c) - i64::from(m.pos), m.pos, c));
             }
         }
         if anchors.is_empty() {
-            return Vec::new();
+            return;
         }
         anchors.sort_unstable();
         // Densest diagonal window (two pointers).
@@ -428,11 +484,11 @@ impl<'a> Mapper<'a> {
         }
         let window = &anchors[best.1..best.1 + best.0];
         // Monotone greedy chain with non-overlapping anchors.
-        let mut by_q: Vec<(u32, u32)> = window.iter().map(|&(_, q, c)| (q, c)).collect();
+        by_q.clear();
+        by_q.extend(window.iter().map(|&(_, q, c)| (q, c)));
         by_q.sort_unstable();
         let k = self.cfg.k as u32;
-        let mut chain: Vec<(u32, u32)> = Vec::with_capacity(by_q.len());
-        for &(q, c) in &by_q {
+        for &(q, c) in by_q.iter() {
             match chain.last() {
                 None => chain.push((q, c)),
                 Some(&(lq, lc)) => {
@@ -442,19 +498,19 @@ impl<'a> Mapper<'a> {
                 }
             }
         }
-        chain
     }
 
     /// Turns an anchor chain into (covered range, consensus position,
-    /// edit list relative to the covered start).
+    /// edit list relative to the covered start); `ops` is scratch.
     fn chain_to_alignment(
         &self,
         oriented: &[Base],
         chain: &[(u32, u32)],
+        ops: &mut Vec<Op>,
     ) -> Option<(usize, usize, usize, Vec<Edit>)> {
         let k = self.cfg.k;
         let (q0, c0) = (chain[0].0 as usize, chain[0].1 as usize);
-        let mut ops: Vec<Op> = Vec::new();
+        ops.clear();
         let (oqa, cons_start) = if q0 == 0 {
             (0, c0)
         } else if q0 < self.cfg.min_split_len {
@@ -521,7 +577,7 @@ impl<'a> Mapper<'a> {
             suffix_start
         };
 
-        let edits = ops_to_edits(&ops, &oriented[oqa..oqb], self.cfg.max_block)?;
+        let edits = ops_to_edits(ops, &oriented[oqa..oqb], self.cfg.max_block)?;
         Some((oqa, oqb, cons_start, edits))
     }
 }
