@@ -84,8 +84,10 @@
 //! 225 µs, and of a short-read chunk (`rs2`, 256 reads, ≈ 38 k symbols)
 //! from 256 to 220 µs.
 //!
-//! The encoder counts in one pass over the strings and codes in a
-//! second, backwards, so the words come out in the order above.
+//! The encoder counts the byte values in one pass over the strings,
+//! notes every symbol's context and rank (and counts those) in a second,
+//! and codes the notes backwards, so the words come out in the order
+//! above.
 //! Lengths are not stored — the decoder learns each read's length from
 //! the DNA decompression path.
 //!
@@ -190,8 +192,10 @@ fn normalise(counts: &[u64]) -> Vec<u16> {
 ///
 /// Returns the compressed bytes. Lengths are not stored — the decoder
 /// learns each read's length from the DNA decompression path, exactly
-/// as SAGe's pipeline does. The strings are walked twice: once to
-/// count every context's symbols, once — backwards — to code them.
+/// as SAGe's pipeline does. The strings are walked twice: once to count
+/// the byte values (which fixes the alphabet), once to note every
+/// symbol's context and rank and count those; the notes are then coded
+/// backwards.
 ///
 /// # Example
 ///
@@ -209,19 +213,12 @@ where
     I: IntoIterator<Item = &'a [u8]>,
 {
     let quals: Vec<&[u8]> = quals.into_iter().collect();
-    // counts[context][byte value]
-    let mut counts = vec![[0u64; 256]; CONTEXTS];
+    let mut totals = [0u64; 256];
     for q in &quals {
-        let (bounds, mid) = split(q.len());
-        for lane in 0..LANES {
-            let mut prev = START;
-            for (t, &byte) in q[bounds[lane]..bounds[lane + 1]].iter().enumerate() {
-                counts[eighth(lane, t >= mid) * BUCKETS + bucket(prev)][usize::from(byte)] += 1;
-                prev = byte;
-            }
+        for &byte in *q {
+            totals[usize::from(byte)] += 1;
         }
     }
-    let totals: [u64; 256] = std::array::from_fn(|b| counts.iter().map(|row| row[b]).sum());
     let mut alphabet: Vec<u8> = (0..=u8::MAX)
         .filter(|&b| totals[usize::from(b)] > 0)
         .collect();
@@ -238,15 +235,28 @@ where
     for (rank, &b) in alphabet.iter().enumerate() {
         rank_of[usize::from(b)] = rank;
     }
+    // Every symbol as `context * k + rank` (below 2^15), in string
+    // order, and how often each occurs: `counts[context * k + rank]`.
+    let mut notes: Vec<u16> = Vec::with_capacity(quals.iter().map(|q| q.len()).sum());
+    let mut counts = vec![0u64; CONTEXTS * k];
+    for q in &quals {
+        let (bounds, mid) = split(q.len());
+        for lane in 0..LANES {
+            let mut prev = START;
+            for (t, &byte) in q[bounds[lane]..bounds[lane + 1]].iter().enumerate() {
+                let context = eighth(lane, t >= mid) * BUCKETS + bucket(prev);
+                let note = context * k + rank_of[usize::from(byte)];
+                counts[note] += 1;
+                notes.push(note as u16);
+                prev = byte;
+            }
+        }
+    }
     let mut tables = BitWriter::new();
     // spans[context * k + rank]
     let mut spans = vec![Span::default(); CONTEXTS * k];
-    let mut by_rank = vec![0u64; k];
-    for (row, spans) in counts.iter().zip(spans.chunks_exact_mut(k)) {
-        for (n, &b) in by_rank.iter_mut().zip(&alphabet) {
-            *n = row[usize::from(b)];
-        }
-        let freqs = normalise(&by_rank);
+    for (row, spans) in counts.chunks_exact(k).zip(spans.chunks_exact_mut(k)) {
+        let freqs = normalise(row);
         let Some(last) = freqs.iter().rposition(|&f| f > 0) else {
             tables.write_bit(false);
             continue;
@@ -268,37 +278,41 @@ where
     out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
     out.extend_from_slice(&tables);
 
-    // The decoder's order, backwards: it pops what is pushed here.
+    // The decoder's order, backwards: it pops what is pushed here. A
+    // step pushes at most one word.
     let mut x = [LOW; LANES];
-    let mut words: Vec<u16> = Vec::new();
+    let mut words = vec![0u16; notes.len()];
+    let mut n_words = 0;
+    let mut code = |x: &mut u32, note: u16| {
+        let Span { start, freq } = spans[usize::from(note)];
+        // Past this the step below would leave the 32 bits.
+        if u64::from(*x) >= u64::from(freq) << (32 - SCALE_BITS) {
+            words[n_words] = *x as u16;
+            n_words += 1;
+            *x >>= 16;
+        }
+        let freq = u32::from(freq);
+        *x = ((*x / freq) << SCALE_BITS) + *x % freq + u32::from(start);
+    };
+    let mut end = notes.len();
     for q in quals.iter().rev() {
-        let (bounds, mid) = split(q.len());
+        let read = &notes[end - q.len()..end];
+        end -= q.len();
+        let (bounds, _) = split(q.len());
+        let quarters: [&[u16]; LANES] = std::array::from_fn(|l| &read[bounds[l]..bounds[l + 1]]);
         let common = q.len() / 4;
-        let mut code = |lane: usize, t: usize| {
-            let at = bounds[lane] + t;
-            let prev = if t == 0 { START } else { q[at - 1] };
-            let context = eighth(lane, t >= mid) * BUCKETS + bucket(prev);
-            let Span { start, freq } = spans[context * k + rank_of[usize::from(q[at])]];
-            let x = &mut x[lane];
-            // Past this the step below would leave the 32 bits.
-            if u64::from(*x) >= u64::from(freq) << (32 - SCALE_BITS) {
-                words.push(*x as u16);
-                *x >>= 16;
-            }
-            let freq = u32::from(freq);
-            *x = ((*x / freq) << SCALE_BITS) + *x % freq + u32::from(start);
-        };
         for lane in (0..LANES).rev() {
-            if bounds[lane + 1] - bounds[lane] > common {
-                code(lane, common);
+            if let Some(&note) = quarters[lane].get(common) {
+                code(&mut x[lane], note);
             }
         }
         for t in (0..common).rev() {
             for lane in (0..LANES).rev() {
-                code(lane, t);
+                code(&mut x[lane], quarters[lane][t]);
             }
         }
     }
+    words.truncate(n_words);
     out.reserve(4 * LANES + 2 * words.len());
     out.extend(x.iter().flat_map(|x| x.to_le_bytes()));
     out.extend(words.iter().rev().flat_map(|w| w.to_le_bytes()));
