@@ -256,17 +256,25 @@ impl OverlapIndex {
                 }
             }
         }
+        // Equal hashes share a bucket. Neighbours are compared first —
+        // in a bucket of two that settles it — and a bucket of three or
+        // more has its other pairs compared, unless it is crowded.
         let mut dup = vec![false; n];
+        for (slot, pair) in hits.windows(2).enumerate() {
+            let equal = pair[0].0 == pair[1].0;
+            dup[slot] |= equal;
+            dup[slot + 1] = equal;
+        }
         for b in bucket_starts.windows(2) {
             let (lo, hi) = (b[0] as usize, b[1] as usize);
             if hi - lo > Self::CROWDED {
                 dup[lo..hi].fill(true);
-                continue;
-            }
-            for i in lo + 1..hi {
-                for j in lo..i {
-                    if hits[i].0 == hits[j].0 {
-                        (dup[i], dup[j]) = (true, true);
+            } else if hi - lo > 2 {
+                for i in lo + 2..hi {
+                    for j in lo..i - 1 {
+                        if hits[i].0 == hits[j].0 {
+                            (dup[i], dup[j]) = (true, true);
+                        }
                     }
                 }
             }
@@ -499,6 +507,43 @@ mod tests {
             }
         }
         assert!(past_max_occ > 0);
+    }
+
+    #[test]
+    fn shared_marks_exactly_the_hashes_of_several_minimizers() {
+        // A minimizer not marked shared is skipped as a probe from its own
+        // read, so `false` must be certain; outside crowded buckets the
+        // mark is exact. The copies make hashes shared and buckets
+        // crowded.
+        let mut reads = simulate_dataset(&DatasetProfile::tiny_short(), 2026)
+            .reads
+            .reads()[..256]
+            .to_vec();
+        reads.extend(std::iter::repeat_n(reads[5].clone(), 3));
+        reads.extend(std::iter::repeat_n(reads[9].clone(), 40));
+        let sampled = SampledReads::from_reads(&reads, 15, 8);
+        let index = OverlapIndex::build(&sampled);
+        let mut count: BTreeMap<u64, usize> = BTreeMap::new();
+        for mz in sampled.minimizers() {
+            *count.entry(mz.hash).or_default() += 1;
+        }
+        let (mut shared, mut crowded) = (0, 0);
+        for (g, mz) in sampled.minimizers().iter().enumerate() {
+            let b = (mz.hash >> index.shift) as usize;
+            let bucket = index.bucket_starts[b + 1] - index.bucket_starts[b];
+            if bucket as usize > OverlapIndex::CROWDED {
+                crowded += 1;
+                assert!(index.shared[g]);
+            } else {
+                assert_eq!(index.shared[g], count[&mz.hash] > 1, "minimizer {g}");
+                shared += usize::from(index.shared[g]);
+            }
+        }
+        assert!(shared > 0 && crowded > 0);
+        assert_eq!(
+            sampled.list_start(9, true),
+            sampled.list_start(9, false) + sampled.get(9).fwd_mins.len()
+        );
     }
 
     #[test]
