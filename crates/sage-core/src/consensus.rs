@@ -19,21 +19,29 @@
 //! What is kept, and for how long. The builder works from the
 //! mapper's `SampledReads`: every read masked, in both orientations,
 //! each orientation's minimizers sampled once. From those lists it builds
-//! the read-overlap index (flat: one sorted vector plus a bucket
+//! the read-overlap index (flat: one vector grouped by a bucket
 //! directory, see `OverlapIndex`), tests containment against the
 //! consensus index with both of a read's lists, and starts each contig's
 //! tail from its seed read's own list — the tail of a one-read contig
-//! *is* that read. Only a contig that grew is sampled again. The
-//! compressor passes the same `SampledReads` on to the mapper, so no
-//! read is sampled twice in one orientation during one encode.
+//! *is* that read, and of its minimizers only those another minimizer
+//! may share are probed. Only a contig that grew is sampled again, for
+//! its tail and for the consensus index alike: a contig that is still
+//! its seed read enters the index from the read's forward list
+//! (`MinimizerIndex::extend_appended`), and only the windows across the
+//! junction with the consensus before it are sampled. In a chunk of
+//! low coverage, such as the 256 `rs1` reads an ingest appends, nearly
+//! every contig is one read. The compressor passes the same
+//! `SampledReads` on to the mapper, so no read is sampled twice in one
+//! orientation during one encode.
 //!
 //! Ties. Every choice the builder makes is a function of the reads and
 //! their order, never of a hash map's layout or a sort's stability by
-//! luck: an index run lists a hash's hits in the order the reads
-//! produced them (read by read, forward before reverse, by position)
-//! and serves the first `MAX_OCC`; extension candidates are tried by
-//! descending vote count and then by the full `(read, rev, offset / 8)`
-//! key; the first candidate that verifies wins.
+//! luck: a probe of the overlap index lists a hash's hits in the order
+//! the reads produced them (read by read, forward before reverse, by
+//! position) and serves the first `MAX_OCC`; extension candidates are
+//! tried by descending vote count and then by the full
+//! `(read, rev, offset / 8)` key; the first candidate that verifies
+//! wins.
 
 use crate::mapper::minimizer::{minimizers_into, Minimizer, MinimizerIndex};
 use crate::mapper::{mask_n, SampledRead, SampledReads};
@@ -115,8 +123,6 @@ pub(crate) fn denovo_consensus(reads: &SampledReads, cfg: &ConsensusConfig) -> C
     let mut asm = Assembler::new(reads, cfg);
     let mut consensus: Vec<Base> = Vec::new();
     let mut index = MinimizerIndex::new(cfg.k, cfg.w);
-    // At most every forward list goes in, most hashes once.
-    index.reserve(reads.n_minimizers() / 2);
     // A contig in its two orientations, kept from seed to seed.
     let (mut contig, mut flipped) = (Vec::new(), Vec::new());
     for seed in 0..reads.len() {
@@ -188,8 +194,9 @@ struct ReadHit {
 }
 
 /// Minimizer hash → the reads (either orientation) that carry it, flat:
-/// one vector of `(hash, hit)` grouped by the hash's top bits, and a
-/// directory from those bits to where their bucket starts. Inside a
+/// a vector of hashes and one of hits beside it, grouped by the hash's
+/// top bits, and a directory from those bits to where their bucket
+/// starts. Inside a
 /// bucket the entries keep generation order — read by read, forward
 /// list then reverse list, each by position — so a hash's hits come
 /// oldest first without a sort. Hashes are uniform, so a bucket holds
@@ -201,9 +208,11 @@ struct ReadHit {
 /// of those from its own read finds nothing but that read. `shared`
 /// tells them apart without a probe.
 struct OverlapIndex {
-    hits: Vec<(u64, ReadHit)>,
-    /// `hits[bucket_starts[b]..bucket_starts[b + 1]]` are the entries
-    /// whose hash starts with the bits `b`.
+    /// `hits[i]` carries `hashes[i]`.
+    hashes: Vec<u64>,
+    hits: Vec<ReadHit>,
+    /// `bucket_starts[b]..bucket_starts[b + 1]` are the entries whose
+    /// hash starts with the bits `b`.
     bucket_starts: Vec<u32>,
     /// `hash >> shift` is the hash's bucket.
     shift: u32,
@@ -237,7 +246,8 @@ impl OverlapIndex {
             bucket_starts[b] += bucket_starts[b - 1];
         }
         let mut next = bucket_starts.clone();
-        let mut hits = vec![(0u64, ReadHit::default()); n];
+        let mut hashes = vec![0u64; n];
+        let mut hits = vec![ReadHit::default(); n];
         // Where each minimizer, in generation order, was placed.
         let mut slot_of = Vec::with_capacity(n);
         for i in 0..reads.len() {
@@ -245,12 +255,12 @@ impl OverlapIndex {
             for rev in [false, true] {
                 for mz in read.oriented_mins(rev) {
                     let slot = &mut next[(mz.hash >> shift) as usize];
-                    let hit = ReadHit {
+                    hashes[*slot as usize] = mz.hash;
+                    hits[*slot as usize] = ReadHit {
                         read: i as u32,
                         rev,
                         pos: mz.pos,
                     };
-                    hits[*slot as usize] = (mz.hash, hit);
                     slot_of.push(*slot);
                     *slot += 1;
                 }
@@ -260,8 +270,8 @@ impl OverlapIndex {
         // in a bucket of two that settles it — and a bucket of three or
         // more has its other pairs compared, unless it is crowded.
         let mut dup = vec![false; n];
-        for (slot, pair) in hits.windows(2).enumerate() {
-            let equal = pair[0].0 == pair[1].0;
+        for (slot, pair) in hashes.windows(2).enumerate() {
+            let equal = pair[0] == pair[1];
             dup[slot] |= equal;
             dup[slot + 1] = equal;
         }
@@ -272,7 +282,7 @@ impl OverlapIndex {
             } else if hi - lo > 2 {
                 for i in lo + 2..hi {
                     for j in lo..i - 1 {
-                        if hits[i].0 == hits[j].0 {
+                        if hashes[i] == hashes[j] {
                             (dup[i], dup[j]) = (true, true);
                         }
                     }
@@ -280,6 +290,7 @@ impl OverlapIndex {
             }
         }
         OverlapIndex {
+            hashes,
             hits,
             bucket_starts,
             shift,
@@ -290,11 +301,13 @@ impl OverlapIndex {
     /// The first [`Self::MAX_OCC`] hits of `hash`, in generation order.
     fn lookup(&self, hash: u64) -> impl Iterator<Item = ReadHit> + '_ {
         let b = (hash >> self.shift) as usize;
-        self.hits[self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize]
+        let bucket = self.bucket_starts[b] as usize..self.bucket_starts[b + 1] as usize;
+        self.hashes[bucket.clone()]
             .iter()
-            .filter(move |&&(h, _)| h == hash)
+            .zip(&self.hits[bucket])
+            .filter(move |&(&h, _)| h == hash)
             .take(Self::MAX_OCC)
-            .map(|&(_, hit)| hit)
+            .map(|(_, &hit)| hit)
     }
 }
 

@@ -229,11 +229,6 @@ impl MinimizerIndex {
         }
     }
 
-    /// Makes room for `n` more distinct hashes.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.map.reserve(n);
-    }
-
     /// Builds an index over a full sequence.
     pub fn build(seq: &[Base], k: usize, w: usize) -> MinimizerIndex {
         let mut idx = MinimizerIndex::new(k, w);

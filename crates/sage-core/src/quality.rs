@@ -278,17 +278,14 @@ where
     out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
     out.extend_from_slice(&tables);
 
-    // The decoder's order, backwards: it pops what is pushed here. A
-    // step pushes at most one word.
+    // The decoder's order, backwards: it pops what is pushed here.
     let mut x = [LOW; LANES];
-    let mut words = vec![0u16; notes.len()];
-    let mut n_words = 0;
+    let mut words: Vec<u16> = Vec::new();
     let mut code = |x: &mut u32, note: u16| {
         let Span { start, freq } = spans[usize::from(note)];
         // Past this the step below would leave the 32 bits.
         if u64::from(*x) >= u64::from(freq) << (32 - SCALE_BITS) {
-            words[n_words] = *x as u16;
-            n_words += 1;
+            words.push(*x as u16);
             *x >>= 16;
         }
         let freq = u32::from(freq);
@@ -312,7 +309,6 @@ where
             }
         }
     }
-    words.truncate(n_words);
     out.reserve(4 * LANES + 2 * words.len());
     out.extend(x.iter().flat_map(|x| x.to_le_bytes()));
     out.extend(words.iter().rev().flat_map(|w| w.to_le_bytes()));
