@@ -196,10 +196,9 @@ struct ReadHit {
 /// Minimizer hash → the reads (either orientation) that carry it, flat:
 /// a vector of hashes and one of hits beside it, grouped by the hash's
 /// top bits, and a directory from those bits to where their bucket
-/// starts. Inside a
-/// bucket the entries keep generation order — read by read, forward
-/// list then reverse list, each by position — so a hash's hits come
-/// oldest first without a sort. Hashes are uniform, so a bucket holds
+/// starts. Inside a bucket the entries keep generation order — read by
+/// read, forward list then reverse list, each by position — so a hash's
+/// hits come oldest first without a sort. Hashes are uniform, so a bucket holds
 /// about one entry and a probe is one directory read plus a scan of a
 /// few entries; building is a counting sort, linear in the number of
 /// minimizers.

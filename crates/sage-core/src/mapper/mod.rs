@@ -246,8 +246,8 @@ impl SampledReads {
 
 /// What mapping one read builds and throws away — the pieces still to
 /// map, minimizers of a piece, anchors, the two orientations' chains and
-/// the alignment ops — kept by a caller that maps many reads, so that a
-/// read allocates only what its alignment keeps.
+/// the alignment ops — kept by a caller that maps many reads, so that
+/// these grow once per chunk rather than once per read.
 #[derive(Debug, Default)]
 pub(crate) struct MapBuffers {
     jobs: Vec<(usize, usize)>,
@@ -487,6 +487,7 @@ impl<'a> Mapper<'a> {
         by_q.clear();
         by_q.extend(window.iter().map(|&(_, q, c)| (q, c)));
         by_q.sort_unstable();
+        chain.reserve(by_q.len());
         let k = self.cfg.k as u32;
         for &(q, c) in by_q.iter() {
             match chain.last() {
