@@ -66,11 +66,6 @@ impl CodeBook {
         &self.lengths
     }
 
-    /// Number of symbols in the alphabet.
-    pub fn alphabet_len(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// Writes symbol `sym` to the bit stream (MSB of the code first).
     ///
     /// # Panics
@@ -83,11 +78,6 @@ impl CodeBook {
         for i in (0..len).rev() {
             w.write_bit((code >> i) & 1 == 1);
         }
-    }
-
-    /// Cost in bits of symbol `sym` (0 when absent).
-    pub fn cost(&self, sym: usize) -> u64 {
-        u64::from(self.lengths[sym])
     }
 
     /// Builds a decoder for this book.

@@ -122,22 +122,12 @@ impl SpringArchive {
         self.qual.len()
     }
 
-    /// Total size.
-    pub fn total_bytes(&self) -> usize {
-        self.dna_bytes() + self.quality_bytes()
-    }
-
     /// The decompression working set: every stream must be inflated
     /// into memory (plus the consensus) before reads can be
     /// reconstructed — the resource profile that makes this class of
     /// tool unsuitable for in-storage processing (§3.2).
     pub fn decompression_workset_bytes(&self) -> usize {
         self.raw_sizes.iter().sum::<u64>() as usize
-    }
-
-    /// Number of reads stored.
-    pub fn n_reads(&self) -> u64 {
-        self.n_reads
     }
 }
 

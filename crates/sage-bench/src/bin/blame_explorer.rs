@@ -124,7 +124,8 @@ fn run_cell(sharded: &ShardedStore, devices: usize, fraction: f64, capacity: f64
 
     // SLO: target pinned to this cell's own mean service time, so the
     // monitor measures *queueing*, not absolute device speed.
-    let mean_service = blame.totals.service / blame.ops.max(1) as f64;
+    let shares = blame.shares();
+    let mean_service = shares.service / blame.ops.max(1) as f64;
     let slo = SloSpec::new(SLO_TARGET_X_SERVICE * mean_service, 0.95)
         .with_window(spec.window_secs)
         .with_burns(10.0, 2.0);
@@ -137,8 +138,7 @@ fn run_cell(sharded: &ShardedStore, devices: usize, fraction: f64, capacity: f64
         "{devices} SSDs @ {fraction}x: SLO evaluation must be bit-reproducible"
     );
 
-    let shares = blame.shares();
-    let tails = tail_forensics(&spans, devices, TAIL_K);
+    let tails = tail_forensics(&spans, TAIL_K);
     let tails_json = format!(
         "[{}]",
         tails

@@ -93,11 +93,6 @@ impl SageDecompressor {
         SageDecompressor { format }
     }
 
-    /// The configured output format.
-    pub fn format(&self) -> OutputFormat {
-        self.format
-    }
-
     /// Decompresses an archive into a read set.
     ///
     /// # Errors
@@ -295,11 +290,6 @@ impl std::fmt::Debug for ReadStream<'_> {
 }
 
 impl ReadStream<'_> {
-    /// Reads not yet yielded.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
     /// The bases of the next `n` reads, from a clone of the scan state.
     /// Each length passes [`read_len`]'s checks, so the sum is at most
     /// `n × max_read_len`.

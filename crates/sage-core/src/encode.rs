@@ -213,17 +213,6 @@ impl SageCompressor {
         self
     }
 
-    /// Sets Algorithm 1's convergence threshold ε.
-    pub fn with_epsilon(mut self, epsilon: f64) -> SageCompressor {
-        self.opts.epsilon = epsilon;
-        self
-    }
-
-    /// Borrow the options.
-    pub fn options(&self) -> &CompressOptions {
-        &self.opts
-    }
-
     /// Compresses a read set.
     ///
     /// # Errors

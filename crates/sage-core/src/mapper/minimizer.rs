@@ -236,16 +236,6 @@ impl MinimizerIndex {
         idx
     }
 
-    /// k-mer length.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Minimizer window.
-    pub fn w(&self) -> usize {
-        self.w
-    }
-
     /// Length of the sequence prefix already indexed.
     pub fn indexed_len(&self) -> usize {
         self.indexed_len
@@ -522,8 +512,12 @@ mod tests {
         inc.extend(&s.as_slice()[..2_000]);
         inc.extend(&s.as_slice()[..3_500]);
         inc.extend(&s);
-        // Every hash found by the full build must be in the incremental
-        // index with the same positions.
+        // On this sequence and these two junctions every hash of the
+        // full build is in the incremental index with the same
+        // positions. That does not hold in general: `extend`'s doc
+        // states which k-mers near a junction a grown index can lack,
+        // and `extension_lacks_only_junction_kmers_of_the_full_build`
+        // checks that rule on many sequences.
         for m in minimizers(&s, 15, 8) {
             let positions = inc.lookup(m.hash);
             assert!(
@@ -534,6 +528,56 @@ mod tests {
             );
         }
         assert_eq!(full.indexed_len(), inc.indexed_len());
+    }
+
+    /// Every `(hash, position)` pair an index holds.
+    fn pairs(idx: &MinimizerIndex) -> std::collections::BTreeSet<(u64, u32)> {
+        idx.map
+            .iter()
+            .flat_map(|(&h, ps)| ps.as_slice().iter().map(move |&p| (h, p)))
+            .collect()
+    }
+
+    #[test]
+    fn extension_lacks_only_junction_kmers_of_the_full_build() {
+        // A sequence grown by `extend` at 1–4 cuts holds a subset of
+        // what `build` over the whole sequence holds, and every pair it
+        // lacks is an old k-mer that only a window across a junction
+        // `J` selects: it starts in `[J - k - w + 2, J - k]`.
+        let (k, w) = (15, 8);
+        let mut x = 0x6a11_u64;
+        let mut next = |bound: usize| {
+            x = splitmix64(x);
+            (x % bound as u64) as usize
+        };
+        for trial in 0..400 {
+            let s = random_seq(200 + next(4_001), splitmix64(trial));
+            // Cuts at least `k + w - 1` apart, and from either end.
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            for _ in 0..1 + next(4) {
+                let room = s.len().saturating_sub(at + 2 * (k + w - 1));
+                if room == 0 {
+                    break;
+                }
+                at += k + w - 1 + next(room.min(2_000));
+                cuts.push(at);
+            }
+            let mut grown = MinimizerIndex::new(k, w);
+            for &cut in &cuts {
+                grown.extend(&s.as_slice()[..cut]);
+            }
+            grown.extend(&s);
+            let (grown, full) = (pairs(&grown), pairs(&MinimizerIndex::build(&s, k, w)));
+            assert!(grown.is_subset(&full), "trial {trial}, cuts {cuts:?}");
+            for &(hash, pos) in full.difference(&grown) {
+                let pos = pos as usize;
+                assert!(
+                    cuts.iter().any(|&j| pos + k + w >= j + 2 && pos + k <= j),
+                    "trial {trial}, cuts {cuts:?}: hash {hash:x} at {pos} lies near no junction"
+                );
+            }
+        }
     }
 
     #[test]

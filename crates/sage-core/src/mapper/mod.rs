@@ -277,11 +277,6 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Borrow the configuration.
-    pub fn config(&self) -> &MapperConfig {
-        &self.cfg
-    }
-
     /// Maps one (N-masked) read, returning a verified lossless
     /// alignment, or [`Alignment::unmapped`] when no trustworthy
     /// mapping exists.

@@ -109,14 +109,6 @@ impl<T> AssociationTable<T> {
     }
 }
 
-impl<T: Copy + Into<u64>> AssociationTable<T> {
-    /// Serialized size of the table itself in bits (for the header
-    /// accounting): one 4-bit count plus 8 bits per entry.
-    pub fn header_bits(&self) -> u64 {
-        4 + 8 * self.entries.len() as u64
-    }
-}
-
 /// A width table: association table whose payloads are bit widths, used
 /// by MPA/MMPA-style tuned value arrays.
 pub type WidthTable = AssociationTable<u32>;

@@ -221,11 +221,6 @@ impl DatasetProfile {
             ..LongReadConfig::default()
         }
     }
-
-    /// `true` for long-read profiles.
-    pub fn is_long(&self) -> bool {
-        self.tech == ReadTech::Long
-    }
 }
 
 #[cfg(test)]

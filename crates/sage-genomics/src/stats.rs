@@ -34,11 +34,6 @@ impl Histogram {
         self.counts.get(value).copied().unwrap_or(0)
     }
 
-    /// Borrow the raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total number of samples.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()

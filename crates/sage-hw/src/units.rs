@@ -24,17 +24,6 @@ pub struct DecodeWorkload {
 }
 
 impl DecodeWorkload {
-    /// Estimates the workload from an archive plus the decompressed
-    /// base count (known to the pipeline from dataset metadata).
-    pub fn from_archive(archive: &SageArchive, total_bases: u64, total_records: u64) -> Self {
-        DecodeWorkload {
-            total_bases,
-            total_records,
-            n_reads: archive.header.n_reads,
-            compressed_bytes: archive.dna_bytes() as u64,
-        }
-    }
-
     /// Builds the workload from the *exact* counters a software decode
     /// gathered ([`sage_core::DecodeStats`]) — the precise input for
     /// cycle estimation on a real archive.

@@ -480,12 +480,6 @@ impl VirtualScheduler {
     pub fn tenant_queue_delay(&self) -> &[f64] {
         &self.queue_delay
     }
-
-    /// The latest instant any device is booked to — the virtual
-    /// makespan of everything dispatched so far.
-    pub fn horizon(&self) -> f64 {
-        self.free_at.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Folds a fully-served pending op into its [`ResolvedOp`] with the
@@ -560,7 +554,6 @@ mod tests {
         // b arrived at 0 but waits behind a on device 0.
         assert_eq!(b.started_vt, 1.0);
         assert_eq!(b.completed_vt, 2.0);
-        assert_eq!(s.horizon(), 2.0);
     }
 
     #[test]
@@ -581,7 +574,7 @@ mod tests {
         assert_eq!(d.started_vt, 5.0);
         assert_eq!(d.completed_vt, 5.0);
         assert_eq!(d.device_seconds, 0.0);
-        assert_eq!(s.horizon(), 0.0);
+        assert_eq!(s.busy_seconds(), &[0.0; 3]);
     }
 
     #[test]
@@ -593,9 +586,8 @@ mod tests {
         let d = place(&mut s, 10.0, &[charge(0, 1.0)]);
         assert_eq!(d.started_vt, 10.0);
         assert_eq!(d.completed_vt, 11.0);
-        // The gap stays idle: 2 busy seconds over an 11-second horizon.
+        // The gap stays idle: 2 busy seconds by the 11-second mark.
         assert_eq!(s.busy_seconds(), &[2.0]);
-        assert_eq!(s.horizon(), 11.0);
     }
 
     #[test]
@@ -607,7 +599,6 @@ mod tests {
         let (b, intervals) = traced.dispatch(1.0, &charges, 0, true);
         assert_eq!(a, b);
         assert_eq!(plain.busy_seconds(), traced.busy_seconds());
-        assert_eq!(plain.horizon(), traced.horizon());
         // One interval per charge, carrying the exact demand, with
         // end = start + seconds as the scheduler computed it.
         assert_eq!(intervals.len(), charges.len());
@@ -720,7 +711,6 @@ mod tests {
             assert_eq!(&r.intervals, ivs);
         }
         assert_eq!(eager.busy_seconds(), queued.busy_seconds());
-        assert_eq!(eager.horizon(), queued.horizon());
     }
 
     #[test]

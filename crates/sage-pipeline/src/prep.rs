@@ -139,12 +139,6 @@ impl PrepKind {
     pub fn in_ssd(&self) -> bool {
         matches!(self, PrepKind::SageSsd)
     }
-
-    /// `true` when the data crossing the host interface is compressed
-    /// (decompression happens at or after the host boundary).
-    pub fn transfers_compressed(&self) -> bool {
-        !self.in_ssd()
-    }
 }
 
 #[cfg(test)]

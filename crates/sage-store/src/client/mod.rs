@@ -71,7 +71,7 @@ pub mod workload;
 pub use builder::DatasetBuilder;
 pub use driver::{range_for, ClosedLoopSpec};
 pub use session::{Dataset, ServerStats, Session};
-pub use stats::{LatencyByKind, LatencyStats};
+pub use stats::LatencyStats;
 pub use tenant::{MultiQosReport, MultiTenantSpec, TenantId, TenantSpec};
 pub use workload::TenantLoad;
 

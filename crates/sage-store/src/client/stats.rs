@@ -5,14 +5,14 @@
 //! drive — reports through one [`QosReport`](super::workload::QosReport),
 //! whose per-operation virtual latencies aggregate into a
 //! [`LatencyStats`], a thin view over the observability layer's
-//! log-bucketed [`LogHistogram`](crate::obs::LogHistogram): count,
-//! mean, and max are exact, percentiles are answered from the
+//! log-bucketed [`LogHistogram`](crate::obs::LogHistogram): mean and
+//! max are exact, percentiles are answered from the
 //! histogram's buckets (≈0.78% relative quantization, monotone), and
 //! every bench bin prints and asserts on this one implementation.
 //! `DriveAccounting` is the recorder both drivers feed their
 //! completions to.
 
-use super::workload::{OpKind, OpKindStats};
+use super::workload::OpKind;
 use super::EngineCqe;
 use crate::engine::OpValue;
 use crate::obs::{LogHistogram, OpSpan, TraceBuffer};
@@ -22,12 +22,10 @@ use crate::Result;
 ///
 /// Built once from a drive's latency [`LogHistogram`]; every
 /// percentile any bench prints comes out of this one extraction.
-/// `count`, `mean_ms`, and `max_ms` are exact; the percentile fields
-/// carry the histogram's ≈0.78% bucket quantization.
+/// `mean_ms` and `max_ms` are exact; the percentile fields carry the
+/// histogram's ≈0.78% bucket quantization.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
-    /// Operations aggregated.
-    pub count: u64,
     /// Mean virtual latency, milliseconds.
     pub mean_ms: f64,
     /// Median virtual latency, milliseconds.
@@ -50,7 +48,6 @@ impl LatencyStats {
             return LatencyStats::default();
         }
         LatencyStats {
-            count: hist.count(),
             mean_ms: hist.mean() * 1e3,
             p50_ms: hist.quantile(0.50) * 1e3,
             p95_ms: hist.quantile(0.95) * 1e3,
@@ -72,33 +69,15 @@ impl LatencyStats {
     }
 }
 
-/// Per-op-kind latency distributions of one drive.
-///
-/// Each kind aggregates through its own [`LogHistogram`] inside the
-/// driver; the run-level [`LatencyStats`] a report carries is the
-/// [`LogHistogram::merge`] fold of these three, so per-kind and total
-/// views come from one recording pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencyByKind {
-    /// Latency distribution of point gets.
-    pub gets: LatencyStats,
-    /// Latency distribution of range scans.
-    pub scans: LatencyStats,
-    /// Latency distribution of appends.
-    pub appends: LatencyStats,
-}
-
 /// What one drive (or one tenant of it) completed, recorded one
 /// completion at a time and folded into report fields at the end —
 /// the single accounting block behind every
-/// [`QosReport`](super::workload::QosReport). Per-kind arrays are
-/// indexed by `OpKind as usize`.
+/// [`QosReport`](super::workload::QosReport).
 pub(super) struct DriveAccounting {
     latencies: Vec<f64>,
-    /// One latency histogram per kind, recorded in the order the
-    /// driver hands completions over; the run total is their merge.
-    hists: [LogHistogram; 3],
-    kinds: [OpKindStats; 3],
+    /// Every latency, recorded in the order the driver hands
+    /// completions over.
+    hist: LogHistogram,
     reads_served: u64,
     bases_served: u64,
     makespan: f64,
@@ -113,10 +92,8 @@ pub(super) struct DriveFold {
     /// Completions per virtual second of makespan.
     pub rate: f64,
     pub latency: LatencyStats,
-    pub latency_by_kind: LatencyByKind,
     /// Every latency, seconds, ascending.
     pub latencies: Vec<f64>,
-    pub kinds: [OpKindStats; 3],
     /// Reads and bases returned by every op kind.
     pub reads_served: u64,
     pub bases_served: u64,
@@ -126,8 +103,7 @@ impl DriveAccounting {
     pub fn new() -> DriveAccounting {
         DriveAccounting {
             latencies: Vec::new(),
-            hists: std::array::from_fn(|_| LogHistogram::new()),
-            kinds: [OpKindStats::default(); 3],
+            hist: LogHistogram::new(),
             reads_served: 0,
             bases_served: 0,
             makespan: 0.0,
@@ -158,10 +134,9 @@ impl DriveAccounting {
         if let (Some(buf), Ok((_, trace))) = (trace_buf, &cqe.output) {
             buf.record(OpSpan::of_drive(&cqe, trace, token, kind.label(), tenant));
         }
-        let (k, latency, completed_vt) = (kind as usize, cqe.latency(), cqe.completed_vt);
-        let (value, trace) = cqe.output?;
-        self.kinds[k].record(&trace);
-        self.hists[k].record(latency);
+        let (latency, completed_vt) = (cqe.latency(), cqe.completed_vt);
+        let (value, _) = cqe.output?;
+        self.hist.record(latency);
         if let OpValue::Reads(rs) = &value {
             self.reads_served += rs.len() as u64;
             self.bases_served += rs.total_bases() as u64;
@@ -176,12 +151,6 @@ impl DriveAccounting {
         self.latencies
             .sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
         let completed = self.completed();
-        let [gets, scans, appends] = &self.hists;
-        // Run total = merge fold of the per-kind histograms: bucket
-        // counts and extrema equal one histogram fed every latency.
-        let mut total = gets.clone();
-        total.merge(scans);
-        total.merge(appends);
         DriveFold {
             completed,
             makespan: self.makespan,
@@ -190,14 +159,8 @@ impl DriveAccounting {
             } else {
                 0.0
             },
-            latency: LatencyStats::from_histogram(&total),
-            latency_by_kind: LatencyByKind {
-                gets: LatencyStats::from_histogram(gets),
-                scans: LatencyStats::from_histogram(scans),
-                appends: LatencyStats::from_histogram(appends),
-            },
+            latency: LatencyStats::from_histogram(&self.hist),
             latencies: self.latencies,
-            kinds: self.kinds,
             reads_served: self.reads_served,
             bases_served: self.bases_served,
         }
@@ -229,7 +192,6 @@ mod tests {
     #[test]
     fn stats_aggregate_in_milliseconds() {
         let s = LatencyStats::from_histogram(&hist_of((1..=1000).map(|i| i as f64 * 1e-3)));
-        assert_eq!(s.count, 1000);
         // Mean and max are exact; percentiles carry the histogram's
         // ≈0.78% bucket quantization.
         assert!((s.mean_ms - 500.5).abs() < 1e-9);
@@ -246,33 +208,6 @@ mod tests {
             LatencyStats::from_histogram(&LogHistogram::new()),
             LatencyStats::default()
         );
-    }
-
-    #[test]
-    fn per_kind_fold_matches_single_histogram() {
-        // Recording per kind then merging equals recording everything
-        // into one histogram: quantiles, count, min, max all agree.
-        let gets: Vec<f64> = (1..=100).map(|i| i as f64 * 1e-3).collect();
-        let scans: Vec<f64> = (1..=50).map(|i| i as f64 * 5e-3).collect();
-        let mut h_get = LogHistogram::new();
-        let mut h_scan = LogHistogram::new();
-        let mut all = LogHistogram::new();
-        for &v in &gets {
-            h_get.record(v);
-            all.record(v);
-        }
-        for &v in &scans {
-            h_scan.record(v);
-            all.record(v);
-        }
-        let mut folded = h_get.clone();
-        folded.merge(&h_scan);
-        let a = LatencyStats::from_histogram(&folded);
-        let b = LatencyStats::from_histogram(&all);
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.p50_ms, b.p50_ms);
-        assert_eq!(a.p99_ms, b.p99_ms);
-        assert_eq!(a.max_ms, b.max_ms);
     }
 
     #[test]

@@ -31,11 +31,10 @@
 //!   overload drops load instead of slowing the arrival process — the
 //!   deterministic analogue of
 //!   [`SubmitMode::Fail`](super::SubmitMode::Fail) load shedding), and
-//!   aggregates each operation's engine trace and virtual instants
+//!   aggregates each operation's virtual instants and served reads
 //!   into a [`QosReport`]: achieved vs offered throughput, shed counts, a
-//!   shared [`LatencyStats`] percentile block, per-device utilization,
-//!   and per-op-kind cache outcomes. The closed loop reports through
-//!   the same struct.
+//!   shared [`LatencyStats`] percentile block and per-device
+//!   utilization. The closed loop reports through the same struct.
 //!
 //! Everything is driven by one [`WorkloadRng`] (SplitMix64) seeded
 //! from the load's seed, so a fixed `(load, queue depth)` replays
@@ -44,10 +43,10 @@
 //! [`QosReport`] is reproduced exactly — the property the QoS benches
 //! assert on.
 
-use super::stats::{LatencyByKind, LatencyStats};
+use super::stats::LatencyStats;
 use super::tenant::{MultiTenantSpec, TenantSpec};
 use super::Dataset;
-use crate::engine::{OpTrace, StoreOp};
+use crate::engine::StoreOp;
 use crate::{ConfigError, Result};
 use sage_genomics::ReadSet;
 use sage_io::SchedPolicyKind;
@@ -535,25 +534,6 @@ impl TenantLoad {
     }
 }
 
-/// Per-op-kind serving outcome aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpKindStats {
-    /// Operations of this kind completed.
-    pub ops: u64,
-    /// Chunk touches served from the decoded-chunk cache.
-    pub chunk_hits: u64,
-    /// Chunk touches that had to fetch and decode.
-    pub chunk_misses: u64,
-}
-
-impl OpKindStats {
-    pub(crate) fn record(&mut self, trace: &OpTrace) {
-        self.ops += 1;
-        self.chunk_hits += trace.cache_hits;
-        self.chunk_misses += trace.cache_misses;
-    }
-}
-
 /// One shed arrival, attributable per op mix: the kind the arrival
 /// would have submitted and the virtual instant it arrived.
 ///
@@ -598,25 +578,14 @@ pub struct QosReport {
     pub achieved_rate: f64,
     /// Virtual makespan: the latest completion instant.
     pub makespan: f64,
-    /// Aggregated latency distribution (shared percentile machinery),
-    /// produced by folding the per-kind histograms with
-    /// [`LogHistogram::merge`](crate::obs::LogHistogram::merge).
+    /// Aggregated latency distribution (shared percentile machinery).
     pub latency: LatencyStats,
-    /// Latency distribution per op kind, from the same recording
-    /// pass.
-    pub latency_by_kind: LatencyByKind,
     /// Every per-operation virtual latency, seconds, ascending.
     pub latencies: Vec<f64>,
     /// Busy (service) seconds accumulated per device.
     pub device_busy: Vec<f64>,
     /// Per-device utilization over the makespan.
     pub utilization: Vec<f64>,
-    /// Ranged-read outcomes.
-    pub gets: OpKindStats,
-    /// Full-walk scan outcomes.
-    pub scans: OpKindStats,
-    /// Append outcomes.
-    pub appends: OpKindStats,
     /// Reads returned by every completed op (get and scan results).
     pub reads_served: u64,
     /// Bases returned by every completed op.
@@ -900,9 +869,6 @@ mod tests {
         assert!(report.achieved_rate > 0.0);
         assert!(report.offered_rate > 0.0);
         assert!(report.latency.p99_ms >= report.latency.p50_ms);
-        assert!(report.gets.ops == report.completed);
-        assert_eq!(report.gets.chunk_hits, 0); // cache disabled
-        assert!(report.gets.chunk_misses > 0);
         assert!(report.reads_served > 0 && report.bases_served > 0);
         assert_eq!(report.utilization.len(), 2);
         assert!(report.device_busy.iter().any(|b| *b > 0.0));
@@ -973,6 +939,7 @@ mod tests {
         let dataset = DatasetBuilder::new()
             .chunk_reads(16)
             .cache_chunks(4)
+            .tracing(true)
             .encode(&reads)
             .expect("build");
         let before = dataset.total_reads();
@@ -984,17 +951,18 @@ mod tests {
         };
         load.requests = 80;
         let report = dataset.drive_open_loop(&load, 64).expect("drive");
-        assert!(report.gets.ops > 0 && report.scans.ops > 0 && report.appends.ops > 0);
-        assert_eq!(
-            report.gets.ops + report.scans.ops + report.appends.ops,
-            report.completed
-        );
+        // Each completed op's span carries its kind and cache outcome.
+        let spans = dataset.trace().expect("tracing dataset").spans();
+        assert_eq!(spans.len() as u64, report.completed);
+        let of_kind = |kind: &'static str| spans.iter().filter(move |s| s.kind == kind);
+        for kind in ["get", "scan", "append"] {
+            assert!(of_kind(kind).count() > 0, "no {kind} completed");
+        }
         // Appends really landed.
         assert!(dataset.total_reads() > before);
         // Scans walk chunks; with a warm cache some touches hit.
-        assert!(report.scans.chunk_hits + report.scans.chunk_misses > 0);
-        let kinds = [report.gets, report.scans, report.appends];
-        assert!(kinds.iter().map(|k| k.chunk_hits).sum::<u64>() > 0);
+        assert!(of_kind("scan").all(|s| s.chunks_touched > 0));
+        assert!(spans.iter().map(|s| s.cache_hits).sum::<u64>() > 0);
     }
 
     #[test]
@@ -1049,6 +1017,10 @@ mod tests {
         assert!(spans.iter().all(|s| !s.intervals.is_empty()));
         let replay = crate::obs::replay(&spans, 2);
         assert!(replay.exact(), "{} mismatches", replay.mismatches);
-        assert_eq!(replay.device_busy, traced.device_busy);
+        let mut busy = vec![0.0f64; 2];
+        for iv in spans.iter().flat_map(|s| &s.intervals) {
+            busy[iv.device] += iv.seconds;
+        }
+        assert_eq!(busy, traced.device_busy);
     }
 }

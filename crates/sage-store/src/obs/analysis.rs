@@ -19,8 +19,11 @@
 //! | `queue`   | submit → first device service start (scheduler queueing) |
 //! | `service` | union measure of the op's device service windows |
 //! | `stall`   | residual inside the service envelope: same-device serialization gaps between the op's own charges, plus f64 rounding of the fold |
-//! | `decode`  | host decode time — exactly `0.0` under the device-only virtual cost model (the *count* of decodes is still carried and drives the decode-bound classifier via [`AnalysisSpec::decode_secs_per_chunk`]) |
-//! | `probe`   | cache-probe time — exactly `0.0` under the device-only model (probe count carried) |
+//!
+//! Host decode and cache-probe time are not components: the virtual
+//! cost model charges devices only, so both would be `0.0` by
+//! construction. The *count* of decodes is carried and drives the
+//! decode-bound classifier via [`AnalysisSpec::decode_secs_per_chunk`].
 
 use super::{MetricsRecorder, OpSpan, WindowSeries};
 
@@ -78,7 +81,7 @@ fn service_union(span: &OpSpan) -> f64 {
 /// One operation's latency split into blame components.
 ///
 /// Conservation invariant: [`total()`](LatencyBlame::total) — the
-/// left fold `queue + service + stall + decode + probe` — equals
+/// left fold `queue + service + stall` — equals
 /// [`OpSpan::latency`] **bitwise**. `stall` is constructed as the
 /// exact residual making that hold (it is physically the
 /// same-device serialization gap between the op's own charges, and
@@ -89,8 +92,6 @@ fn service_union(span: &OpSpan) -> f64 {
 pub struct LatencyBlame {
     /// Submission token of the blamed op.
     pub token: u64,
-    /// Operation kind label.
-    pub kind: &'static str,
     /// The span's submit-to-completion latency.
     pub latency: f64,
     /// Seconds queued before any device began service.
@@ -99,53 +100,32 @@ pub struct LatencyBlame {
     pub service: f64,
     /// Residual inside the service envelope (see type docs).
     pub stall: f64,
-    /// Host decode seconds — exactly `0.0` under the device-only
-    /// virtual cost model.
-    pub decode: f64,
-    /// Cache-probe seconds — exactly `0.0` under the device-only
-    /// virtual cost model.
-    pub probe: f64,
-    /// Exact device seconds charged per device (can sum past
-    /// `service` when charges to distinct devices overlapped).
-    pub per_device: Vec<f64>,
     /// Chunks decoded (cache misses) — drives the decode-bound
     /// classifier.
     pub decodes: u64,
-    /// Cache probes issued (chunks touched).
-    pub probes: u64,
 }
 
 impl LatencyBlame {
-    /// Decomposes one span over `devices` devices.
-    pub fn of(span: &OpSpan, devices: usize) -> LatencyBlame {
+    /// Decomposes one span.
+    pub fn of(span: &OpSpan) -> LatencyBlame {
         let latency = span.latency();
         let queue = span.queue_wait();
         let service = service_union(span);
         let stall = exact_residual(latency, queue + service);
-        let mut per_device = vec![0.0f64; devices.max(1)];
-        for iv in &span.intervals {
-            let d = iv.device.min(per_device.len() - 1);
-            per_device[d] += iv.seconds;
-        }
         LatencyBlame {
             token: span.token,
-            kind: span.kind,
             latency,
             queue,
             service,
             stall,
-            decode: 0.0,
-            probe: 0.0,
-            per_device,
             decodes: span.cache_misses,
-            probes: span.chunks_touched,
         }
     }
 
-    /// The conservation fold: `queue + service + stall + decode +
-    /// probe`, left to right — reproduces the span's latency bitwise.
+    /// The conservation fold: `queue + service + stall`, left to
+    /// right — reproduces the span's latency bitwise.
     pub fn total(&self) -> f64 {
-        (((self.queue + self.service) + self.stall) + self.decode) + self.probe
+        (self.queue + self.service) + self.stall
     }
 }
 
@@ -214,43 +194,10 @@ impl Bottleneck {
     }
 }
 
-/// One window of the bottleneck timeline: the blame of the ops
-/// completing in it, plus the label the classifier assigned.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowBlame {
-    /// Window start instant, virtual seconds.
-    pub start_vt: f64,
-    /// Queue + stall blame of the ops completing in the window.
-    pub queue_secs: f64,
-    /// Service blame of the ops completing in the window.
-    pub service_secs: f64,
-    /// Estimated decode seconds (`decodes ×
-    /// [`AnalysisSpec::decode_secs_per_chunk`]`).
-    pub decode_est_secs: f64,
-    /// Chunks decoded by the ops completing in the window.
-    pub decodes: u64,
-    /// The classifier's label.
-    pub label: Bottleneck,
-}
-
-/// Run-level blame sums, folded in span order.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BlameTotals {
-    /// Sum of per-op latencies.
-    pub latency: f64,
-    /// Sum of queue blame.
-    pub queue: f64,
-    /// Sum of service blame.
-    pub service: f64,
-    /// Sum of stall blame.
-    pub stall: f64,
-    /// Sum of estimated decode seconds.
-    pub decode_est: f64,
-}
-
-/// The run-level answer [`analyze`] produces: per-op blame, the
-/// windowed bottleneck timeline, and run totals — everything needed
-/// to say *why* a run's latency is what it is.
+/// The run-level answer [`analyze`] produces: per-op blame and the
+/// windowed bottleneck timeline — everything needed to say *why* a
+/// run's latency is what it is (run-level sums are
+/// [`BlameReport::shares`]).
 ///
 /// The timeline's busy integrals come from the same
 /// [`MetricsRecorder`] sampling the rest of the stack uses, so
@@ -287,8 +234,6 @@ pub struct BlameTotals {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlameReport {
-    /// Devices the run was analyzed over.
-    pub devices: usize,
     /// Operations analyzed.
     pub ops: usize,
     /// Per-op blame, in span order.
@@ -296,10 +241,9 @@ pub struct BlameReport {
     /// The windowed curves backing the timeline (busy, queue depth,
     /// completions, hit rate).
     pub series: WindowSeries,
-    /// The bottleneck timeline, one entry per window.
-    pub windows: Vec<WindowBlame>,
-    /// Run-level blame sums.
-    pub totals: BlameTotals,
+    /// The bottleneck timeline, one label per window: the blame of
+    /// the ops completing in it, classified.
+    pub windows: Vec<Bottleneck>,
 }
 
 impl BlameReport {
@@ -308,7 +252,7 @@ impl BlameReport {
     pub fn label_counts(&self) -> [usize; 4] {
         let mut out = [0usize; 4];
         for w in &self.windows {
-            let i = match w.label {
+            let i = match w {
                 Bottleneck::Idle => 0,
                 Bottleneck::DeviceBound => 1,
                 Bottleneck::QueueBound => 2,
@@ -357,8 +301,8 @@ impl BlameReport {
     }
 }
 
-/// Analyzes a span stream: per-op blame, the windowed bottleneck
-/// timeline, and run totals.
+/// Analyzes a span stream: per-op blame and the windowed bottleneck
+/// timeline.
 ///
 /// The windowed busy/completions curves are produced by the same
 /// [`MetricsRecorder::sample`] the rest of the stack uses, so the
@@ -367,7 +311,7 @@ impl BlameReport {
 /// falls in.
 pub fn analyze(spans: &[OpSpan], devices: usize, spec: &AnalysisSpec) -> BlameReport {
     let devices = devices.max(1);
-    let blames: Vec<LatencyBlame> = spans.iter().map(|s| LatencyBlame::of(s, devices)).collect();
+    let blames: Vec<LatencyBlame> = spans.iter().map(LatencyBlame::of).collect();
     let recorder = MetricsRecorder::sample_every(spec.window_secs);
     let series = recorder.sample(spans, devices);
     let nw = series.windows();
@@ -376,47 +320,32 @@ pub fn analyze(spans: &[OpSpan], devices: usize, spec: &AnalysisSpec) -> BlameRe
     let mut queue = vec![0.0f64; nw];
     let mut service = vec![0.0f64; nw];
     let mut decodes = vec![0u64; nw];
-    let mut totals = BlameTotals::default();
     for (s, b) in spans.iter().zip(&blames) {
         let w = w_of(s.completed_vt);
         queue[w] += b.queue + b.stall;
         service[w] += b.service;
         decodes[w] += b.decodes;
-        totals.latency += b.latency;
-        totals.queue += b.queue;
-        totals.service += b.service;
-        totals.stall += b.stall;
     }
-    let mut windows = Vec::with_capacity(nw);
-    for w in 0..nw {
-        let decode_est = decodes[w] as f64 * spec.decode_secs_per_chunk;
-        totals.decode_est += decode_est;
-        let peak_busy = series.busy[w].iter().copied().fold(0.0f64, f64::max);
-        let label = if series.completions[w] == 0 && peak_busy / dt <= IDLE_UTILIZATION {
-            Bottleneck::Idle
-        } else if decode_est > queue[w].max(service[w]) {
-            Bottleneck::DecodeBound
-        } else if queue[w] > service[w] {
-            Bottleneck::QueueBound
-        } else {
-            Bottleneck::DeviceBound
-        };
-        windows.push(WindowBlame {
-            start_vt: w as f64 * dt,
-            queue_secs: queue[w],
-            service_secs: service[w],
-            decode_est_secs: decode_est,
-            decodes: decodes[w],
-            label,
-        });
-    }
+    let windows = (0..nw)
+        .map(|w| {
+            let decode_est = decodes[w] as f64 * spec.decode_secs_per_chunk;
+            let peak_busy = series.busy[w].iter().copied().fold(0.0f64, f64::max);
+            if series.completions[w] == 0 && peak_busy / dt <= IDLE_UTILIZATION {
+                Bottleneck::Idle
+            } else if decode_est > queue[w].max(service[w]) {
+                Bottleneck::DecodeBound
+            } else if queue[w] > service[w] {
+                Bottleneck::QueueBound
+            } else {
+                Bottleneck::DeviceBound
+            }
+        })
+        .collect();
     BlameReport {
-        devices,
         ops: spans.len(),
         blames,
         series,
         windows,
-        totals,
     }
 }
 
@@ -512,7 +441,7 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// any other labels in first-appearance order), each with its top-`k`
 /// worst exemplars and the body-vs-tail blame diff. Fully
 /// deterministic: same spans, same report.
-pub fn tail_forensics(spans: &[OpSpan], devices: usize, k: usize) -> Vec<TailReport> {
+pub fn tail_forensics(spans: &[OpSpan], k: usize) -> Vec<TailReport> {
     let mut kinds: Vec<&'static str> = Vec::new();
     for known in ["get", "scan", "append"] {
         if spans.iter().any(|s| s.kind == known) {
@@ -530,7 +459,7 @@ pub fn tail_forensics(spans: &[OpSpan], devices: usize, k: usize) -> Vec<TailRep
             let blames: Vec<LatencyBlame> = spans
                 .iter()
                 .filter(|s| s.kind == kind)
-                .map(|s| LatencyBlame::of(s, devices))
+                .map(LatencyBlame::of)
                 .collect();
             let mut lat: Vec<f64> = blames.iter().map(|b| b.latency).collect();
             lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -722,8 +651,9 @@ impl SloSpec {
         }
     }
 
-    /// Evaluates the SLO over a span stream, producing the windowed
-    /// burn-rate curve and the deterministic alert sequence.
+    /// Evaluates the SLO over a span stream, producing the
+    /// deterministic alert sequence of the windows whose burn rate
+    /// crossed a threshold.
     ///
     /// # Panics
     ///
@@ -763,7 +693,6 @@ impl SloSpec {
             }
         }
         let allowed = 1.0 - self.objective;
-        let mut burn = Vec::with_capacity(nw);
         let mut alerts = Vec::new();
         for w in 0..nw {
             let rate = if completions[w] == 0 {
@@ -784,7 +713,6 @@ impl SloSpec {
                     },
                 });
             }
-            burn.push(b);
         }
         let evaluated = spans.len();
         let compliance = if evaluated == 0 {
@@ -803,7 +731,6 @@ impl SloSpec {
             violations,
             compliance,
             budget_consumed,
-            burn,
             alerts,
         }
     }
@@ -855,8 +782,6 @@ pub struct SloReport {
     /// Fraction of the run's error budget consumed (1.0 = exactly at
     /// the objective).
     pub budget_consumed: f64,
-    /// Per-window burn rate.
-    pub burn: Vec<f64>,
     /// Windows that crossed an alert threshold, in timeline order.
     pub alerts: Vec<SloAlert>,
 }
@@ -911,7 +836,7 @@ mod tests {
     fn blame_conserves_latency_bitwise_on_scheduled_spans() {
         let spans = scheduled_spans(64, 3);
         for s in &spans {
-            let b = LatencyBlame::of(s, 3);
+            let b = LatencyBlame::of(s);
             assert_eq!(
                 b.total().to_bits(),
                 s.latency().to_bits(),
@@ -921,11 +846,6 @@ mod tests {
                 s.latency()
             );
             assert!(b.queue >= 0.0 && b.service >= 0.0);
-            assert_eq!(b.decode, 0.0);
-            assert_eq!(b.probe, 0.0);
-            // Per-device seconds sum to the span's charged seconds.
-            let per_dev: f64 = b.per_device.iter().sum();
-            assert!((per_dev - s.device_seconds).abs() <= s.device_seconds * 1e-12);
         }
     }
 
@@ -974,8 +894,7 @@ mod tests {
         let s = super::super::test_support::span(0, 0.0, intervals);
         assert_eq!(d.device_seconds, 0.7);
         assert_eq!(service_union(&s), 0.4); // parallel: union = max
-        let b = LatencyBlame::of(&s, 2);
-        assert_eq!(b.per_device, vec![0.4, 0.3]);
+        let b = LatencyBlame::of(&s);
         assert_eq!(b.total().to_bits(), s.latency().to_bits());
     }
 
@@ -1024,7 +943,7 @@ mod tests {
         let mut s = super::super::test_support::span(0, 0.0, intervals);
         s.started_vt = 0.0;
         s.completed_vt = 0.4;
-        let b = LatencyBlame::of(&s, 1);
+        let b = LatencyBlame::of(&s);
         assert_eq!(b.queue, 0.0);
         assert!((b.service - 0.2).abs() < 1e-12);
         assert!((b.stall - 0.2).abs() < 1e-12);
@@ -1051,9 +970,9 @@ mod tests {
             let got = report.device_busy()[d];
             assert!((got - b).abs() <= b.abs() * 1e-12 + 1e-15);
         }
-        // Totals are the fold of per-op blame.
+        // Shares are the fold of per-op blame.
         let q: f64 = report.blames.iter().map(|b| b.queue).sum();
-        assert_eq!(report.totals.queue, q);
+        assert_eq!(report.shares().queue, q);
     }
 
     #[test]
@@ -1079,7 +998,7 @@ mod tests {
         let report = analyze(&spans, 1, &AnalysisSpec::with_window(0.5));
         let c = report.label_counts();
         assert!(c[0] >= 15, "expected a long idle stretch, got {c:?}");
-        assert_ne!(report.windows[0].label, Bottleneck::Idle);
+        assert_ne!(report.windows[0], Bottleneck::Idle);
     }
 
     #[test]
@@ -1101,7 +1020,7 @@ mod tests {
     #[test]
     fn tail_forensics_ranks_exemplars_and_issues_verdict() {
         let spans = scheduled_spans(64, 2);
-        let reports = tail_forensics(&spans, 2, 5);
+        let reports = tail_forensics(&spans, 5);
         assert_eq!(reports.len(), 1); // helper spans are all "get"
         let r = &reports[0];
         assert_eq!(r.kind, "get");
@@ -1110,7 +1029,7 @@ mod tests {
         assert!(r.body.ops > 0 && r.tail.ops > 0);
         assert!(!r.verdict.is_empty());
         // Determinism: same spans, same report.
-        assert_eq!(tail_forensics(&spans, 2, 5), reports);
+        assert_eq!(tail_forensics(&spans, 5), reports);
     }
 
     #[test]

@@ -23,9 +23,8 @@ const OCTAVES: usize = (MAX_EXP - MIN_EXP + 1) as usize;
 /// sorts no higher than one recording `b`.
 ///
 /// This is the one latency distribution behind
-/// [`LatencyStats`](crate::client::LatencyStats) — both drive
-/// reports aggregate through it, folding one histogram per op kind
-/// into the run total with [`LogHistogram::merge`].
+/// [`LatencyStats`](crate::client::LatencyStats): every drive
+/// records its latencies into one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     counts: Box<[u64]>,
@@ -92,28 +91,6 @@ impl LogHistogram {
             Some(i) if v > 0.0 => self.counts[i] += 1,
             _ if v > 0.0 && v >= 2f64.powi(MAX_EXP + 1) => self.overflow += 1,
             _ => self.underflow += 1,
-        }
-    }
-
-    /// Folds `other` into `self`: bucket counts (underflow and
-    /// overflow included) add exactly, `count` and `sum` add exactly
-    /// (`sum` becomes `self.sum + other.sum` in that order), and
-    /// `min`/`max` take the exact envelope of both streams. After the
-    /// merge every quantile answers over the combined sample as if
-    /// both streams had been recorded into one histogram — this is
-    /// how the drive reports fold their per-kind histograms into the
-    /// run total.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
         }
     }
 
@@ -230,78 +207,5 @@ mod tests {
         for p in [0.5, 0.9, 0.99, 1.0] {
             assert!(a.quantile(p) <= b.quantile(p));
         }
-    }
-
-    #[test]
-    fn merge_equals_recording_both_streams() {
-        // Two disjoint streams merged = one histogram fed both, in
-        // the same order: every bucket, moment, and quantile agrees.
-        let lo: Vec<f64> = (1..=400).map(|i| i as f64 * 3e-5).collect();
-        let hi: Vec<f64> = (1..=300).map(|i| i as f64 * 2e-2).collect();
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for &v in &lo {
-            a.record(v);
-            both.record(v);
-        }
-        for &v in &hi {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged, both); // bucketwise + exact moments, bitwise
-        assert_eq!(merged.count(), 700);
-        assert_eq!(merged.sum, a.sum + b.sum);
-        assert_eq!(merged.min(), lo[0]);
-        assert_eq!(merged.max(), hi[hi.len() - 1]);
-        for p in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(merged.quantile(p), both.quantile(p));
-        }
-    }
-
-    #[test]
-    fn merge_mixed_ranges_spanning_under_and_overflow() {
-        // Mixed-range merge: one stream in the underflow/overflow
-        // extremes, the other in the tracked octaves.
-        let mut extremes = LogHistogram::new();
-        extremes.record(0.0); // underflow
-        extremes.record(1e-300); // underflow octave
-        extremes.record(1e12); // overflow octave
-        let mut mid = LogHistogram::new();
-        mid.record(1e-3);
-        mid.record(2e-3);
-        let mut merged = mid.clone();
-        merged.merge(&extremes);
-        assert_eq!(merged.count(), 5);
-        assert_eq!(merged.min(), 0.0);
-        assert_eq!(merged.max(), 1e12);
-        assert_eq!(merged.quantile(0.0), 0.0);
-        assert_eq!(merged.quantile(1.0), 1e12);
-        assert_eq!(merged.sum, mid.sum + extremes.sum);
-        // Merge direction changes only the sum's addition order.
-        let mut other_way = extremes.clone();
-        other_way.merge(&mid);
-        assert_eq!(other_way.count(), merged.count());
-        assert_eq!(other_way.min(), merged.min());
-        assert_eq!(other_way.max(), merged.max());
-        assert_eq!(other_way.quantile(0.5), merged.quantile(0.5));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = LogHistogram::new();
-        h.record(5e-4);
-        h.record(7e-4);
-        let before = h.clone();
-        h.merge(&LogHistogram::new()); // empty rhs: nothing changes
-        assert_eq!(h, before);
-        let mut empty = LogHistogram::new();
-        empty.merge(&before); // empty lhs adopts rhs exactly
-        assert_eq!(empty.count(), before.count());
-        assert_eq!(empty.min(), before.min());
-        assert_eq!(empty.max(), before.max());
-        assert_eq!(empty.quantile(0.5), before.quantile(0.5));
     }
 }

@@ -30,7 +30,7 @@
 //!   totals by construction.
 //! - **Analysis** — [`analysis`] turns span streams into answers:
 //!   per-op latency blame that sums bitwise to the op's latency
-//!   ([`analysis::LatencyBlame`]), windowed bottleneck labels and a
+//!   ([`analysis::LatencyBlame`]), windowed bottleneck labels in a
 //!   run-level [`analysis::BlameReport`], top-k tail forensics per op
 //!   kind, and deterministic SLO burn-rate monitors
 //!   ([`analysis::SloSpec`]). Analysis is strictly read-only: it
@@ -382,10 +382,6 @@ pub struct Replay {
     /// Spans whose replayed instants differed (0 for a faithful
     /// dispatch-order trace).
     pub mismatches: usize,
-    /// Busy seconds per device accumulated by the replay scheduler.
-    pub device_busy: Vec<f64>,
-    /// The replay scheduler's final horizon.
-    pub horizon: f64,
 }
 
 impl Replay {
@@ -419,8 +415,6 @@ pub fn replay(spans: &[OpSpan], devices: usize) -> Replay {
     Replay {
         ops: spans.len(),
         mismatches,
-        device_busy: sched.busy_seconds(),
-        horizon: sched.horizon(),
     }
 }
 
@@ -498,7 +492,6 @@ mod tests {
         let r = replay(&spans, 3);
         assert!(r.exact(), "{} of {} spans mismatched", r.mismatches, r.ops);
         assert_eq!(r.ops, 32);
-        assert!(r.device_busy.iter().all(|b| *b > 0.0));
         // Perturbing one instant is detected.
         let mut bad = spans;
         bad[7].completed_vt += 1e-9;

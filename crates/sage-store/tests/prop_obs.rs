@@ -101,11 +101,16 @@ proptest! {
         prop_assert_eq!(&span_latencies, &traced.latencies);
 
         // Replaying the spans in record order through a fresh
-        // scheduler reproduces every instant bitwise, and accumulates
-        // the very same per-device busy seconds the drive reported.
+        // scheduler reproduces every instant bitwise, and the spans'
+        // per-device service seconds are the very busy seconds the
+        // drive reported.
         let r = obs::replay(&spans, devices);
         prop_assert!(r.exact(), "{} of {} spans replayed differently", r.mismatches, r.ops);
-        prop_assert_eq!(&r.device_busy, &traced.device_busy);
+        let mut busy = vec![0.0f64; devices];
+        for iv in spans.iter().flat_map(|s| &s.intervals) {
+            busy[iv.device] += iv.seconds;
+        }
+        prop_assert_eq!(&busy, &traced.device_busy);
     }
 
     /// The closed-loop driver has the same property: tracing changes

@@ -11,9 +11,9 @@
 //!    Every scheduling policy's queued timeline, the reads the grid
 //!    serves and the closed loop's timeline are pinned the same way,
 //!    to recorded values.
-//! 2. **Conservation** — per-tenant busy seconds sum to the
-//!    scheduler's per-device busy seconds *bitwise*: tenant
-//!    attribution never invents or loses device time.
+//! 2. **Conservation** — each tenant's busy seconds are the fold of
+//!    its own spans' service intervals *bitwise*: tenant attribution
+//!    never invents or loses device time.
 //! 3. **Strict-priority dominance** — on a contended device the
 //!    high-priority tenant's latency under `StrictPriority` never
 //!    regresses against FIFO, and undercuts the low-priority tenant.
@@ -303,23 +303,25 @@ fn weighted_fair_tenant_busy_seconds_conserve_exactly() {
         let dataset = fleet_dataset(3);
         let spec = three_tenant_spec(SchedPolicyKind::WeightedFair, seed);
         let report = dataset.drive_tenants(&spec).expect("drive");
-        assert_eq!(report.tenant_busy.len(), 3);
-        for (d, total) in report.device_busy.iter().enumerate() {
-            let fold = report
-                .tenant_busy
-                .iter()
-                .fold(0.0f64, |acc, row| acc + row[d]);
-            assert_eq!(
-                fold.to_bits(),
-                total.to_bits(),
-                "device {d} busy not conserved (seed {seed:#x})"
-            );
-        }
-        // Each tenant's own device_busy view is its attribution row.
+        // Each tenant's own device_busy view is the fold of its spans'
+        // service intervals per device: attribution never invents or
+        // loses device time. (That the rows fold to the scheduler's
+        // device totals is `sched::tests::tenant_busy_rows_fold_exactly`.)
+        let spans = dataset.trace().expect("tracing dataset").spans();
+        assert_eq!(report.tenants.len(), 3);
         for (t, qos) in report.tenants.iter().enumerate() {
-            for (a, b) in qos.device_busy.iter().zip(&report.tenant_busy[t]) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            let mut busy = vec![0.0f64; 3];
+            for iv in spans
+                .iter()
+                .filter(|s| s.tenant == t)
+                .flat_map(|s| &s.intervals)
+            {
+                busy[iv.device] += iv.seconds;
             }
+            assert_eq!(
+                busy, qos.device_busy,
+                "tenant {t} busy not conserved (seed {seed:#x})"
+            );
         }
         // Queue-delay accounting exists for every tenant and is finite.
         assert_eq!(report.tenant_queue_delay.len(), 3);
@@ -329,7 +331,8 @@ fn weighted_fair_tenant_busy_seconds_conserve_exactly() {
 
 /// Per policy, in [`SchedPolicyKind::ALL`] order: each tenant's
 /// `(completed, shed, makespan bits, FNV of latency bits)`, then the
-/// FNV of the `tenant_busy` bits (row-major) and of the
+/// FNV of the tenants' `device_busy` bits, concatenated in tenant
+/// order (the scheduler's `tenant_busy` rows), and of the
 /// `tenant_queue_delay` bits — recorded on the three-tenant drive
 /// (seed `0xabcd`) before the policies were folded into their enum.
 type PolicyCell = ([(u64, u64, u64, u64); 3], u64, u64);
@@ -391,7 +394,11 @@ fn every_policy_reproduces_recorded_tenant_reports() {
                 fnv_of_bits(&qos.latencies),
             );
         }
-        let busy: Vec<f64> = report.tenant_busy.concat();
+        let busy: Vec<f64> = report
+            .tenants
+            .iter()
+            .flat_map(|qos| qos.device_busy.iter().copied())
+            .collect();
         let got = (
             tenants,
             fnv_of_bits(&busy),
