@@ -60,17 +60,6 @@ impl GzipLike {
         self
     }
 
-    /// Sets the number of compression threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    pub fn with_threads(mut self, threads: usize) -> GzipLike {
-        assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-        self
-    }
-
     /// Compresses `data`.
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
         let chunks: Vec<&[u8]> = data.chunks(self.chunk_size).collect();
@@ -147,7 +136,10 @@ mod tests {
 
     #[test]
     fn multi_chunk_round_trip() {
-        let gz = GzipLike::new().with_chunk_size(1024).with_threads(3);
+        let gz = GzipLike {
+            threads: 3,
+            ..GzipLike::new().with_chunk_size(1024)
+        };
         let data = pseudo_random(10_000, 5);
         assert_eq!(gz.decompress(&gz.compress(&data)).unwrap(), data);
     }
@@ -155,8 +147,11 @@ mod tests {
     #[test]
     fn parallel_and_serial_agree() {
         let data = b"spam and eggs ".repeat(2_000);
-        let serial = GzipLike::new().with_chunk_size(4096).with_threads(1);
-        let parallel = GzipLike::new().with_chunk_size(4096).with_threads(4);
+        let parallel = GzipLike::new().with_chunk_size(4096);
+        let serial = GzipLike {
+            threads: 1,
+            ..parallel.clone()
+        };
         assert_eq!(serial.compress(&data), parallel.compress(&data));
     }
 

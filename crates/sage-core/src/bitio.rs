@@ -20,7 +20,7 @@ use std::fmt;
 /// let mut r = BitReader::new(&bytes, len);
 /// assert_eq!(r.read_bits(3).unwrap(), 0b101);
 /// assert_eq!(r.read_bit().unwrap(), true);
-/// assert!(r.is_at_end());
+/// assert_eq!(r.remaining(), 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
@@ -128,16 +128,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Current read position in bits.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// `true` once every valid bit has been consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.pos >= self.bit_len
-    }
-
     /// Number of bits remaining.
     pub fn remaining(&self) -> u64 {
         self.bit_len - self.pos
@@ -240,7 +230,7 @@ mod tests {
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
         assert_eq!(r.read_bits(0).unwrap(), 0);
         assert_eq!(r.read_bits(5).unwrap(), 7);
-        assert!(r.is_at_end());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -270,7 +260,7 @@ mod tests {
         let mut r = BitReader::new(&[0xff], 3);
         assert_eq!(r.read_bits(3).unwrap(), 0b111);
         assert!(r.read_bits(1).is_err());
-        assert!(r.is_at_end());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -279,6 +269,5 @@ mod tests {
         assert_eq!(r.remaining(), 16);
         r.read_bits(5).unwrap();
         assert_eq!(r.remaining(), 11);
-        assert_eq!(r.bit_pos(), 5);
     }
 }

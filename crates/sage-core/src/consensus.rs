@@ -566,7 +566,7 @@ mod tests {
             &ConsensusMode::Reference(reference),
             &ConsensusConfig::default(),
         );
-        assert!(!cons.seq.contains_n());
+        assert!(cons.seq.n_positions().is_empty());
         assert_eq!(cons.seq.len(), 29);
         assert!(!cons.index.is_empty());
     }

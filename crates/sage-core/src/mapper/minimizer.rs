@@ -236,11 +236,6 @@ impl MinimizerIndex {
         idx
     }
 
-    /// Length of the sequence prefix already indexed.
-    pub fn indexed_len(&self) -> usize {
-        self.indexed_len
-    }
-
     /// Indexes the yet-unindexed suffix of `seq` (which must extend the
     /// previously indexed sequence).
     ///
@@ -338,11 +333,6 @@ impl MinimizerIndex {
     /// Looks up the consensus positions of a minimizer hash.
     pub fn lookup(&self, hash: u64) -> &[u32] {
         self.map.get(&hash).map_or(&[], Positions::as_slice)
-    }
-
-    /// Number of distinct minimizer hashes.
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// `true` when nothing has been indexed.
@@ -527,7 +517,7 @@ mod tests {
                 m.hash
             );
         }
-        assert_eq!(full.indexed_len(), inc.indexed_len());
+        assert_eq!(full.indexed_len, inc.indexed_len);
     }
 
     /// Every `(hash, position)` pair an index holds.
@@ -631,8 +621,8 @@ mod tests {
                 seq.extend_from_slice(&read);
                 by_extend.extend(&seq);
                 by_list.extend_appended(&seq, from, &read_mins);
-                assert_eq!(by_list.len(), by_extend.len(), "trial {trial}");
-                assert_eq!(by_list.indexed_len(), by_extend.indexed_len());
+                assert_eq!(by_list.map.len(), by_extend.map.len(), "trial {trial}");
+                assert_eq!(by_list.indexed_len, by_extend.indexed_len);
                 let mut kmer = 0u64;
                 for (i, &b) in seq.iter().enumerate() {
                     kmer = ((kmer << 2) | u64::from(b.code2())) & ((1 << (2 * k)) - 1);

@@ -958,8 +958,13 @@ mod tests {
         };
         attach_gap(&mut seg, &gap, true, 255);
         assert_eq!(seg.read_start, 0);
-        let rebuilt = seg.reconstruct(&cons);
-        assert_eq!(rebuilt, full_read);
+        let rebuilt = Alignment {
+            clip_start: vec![],
+            clip_end: vec![],
+            segments: vec![seg],
+        }
+        .reconstruct(&cons);
+        assert_eq!(rebuilt.as_slice(), &full_read[..]);
     }
 
     #[test]

@@ -63,22 +63,6 @@ impl<T> AssociationTable<T> {
         &self.entries
     }
 
-    /// The payload selected by code `index`.
-    pub fn get(&self, index: usize) -> Option<&T> {
-        self.entries.get(index)
-    }
-
-    /// Bit length of the code for class `index` (unary: `index + 1`).
-    pub fn code_len(&self, index: usize) -> u64 {
-        index as u64 + 1
-    }
-
-    /// Bit length of the escape code (all ones, one longer than the
-    /// last class code's one-run, plus terminator).
-    pub fn escape_len(&self) -> u64 {
-        self.entries.len() as u64 + 1
-    }
-
     /// Writes the prefix code for class `index`.
     ///
     /// # Panics
@@ -169,16 +153,6 @@ impl WidthTable {
             None => array.read_bits(32),
         }
     }
-
-    /// Cost in bits of encoding a value that needs `bits` bits
-    /// (guide code + payload), assuming class order is already by
-    /// frequency.
-    pub fn cost_bits(&self, bits: u32) -> u64 {
-        match self.class_for_bits(bits) {
-            Some(class) => self.code_len(class) + u64::from(self.entries()[class]),
-            None => self.escape_len() + 32,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,9 +162,13 @@ mod tests {
     #[test]
     fn unary_codes_have_expected_lengths() {
         let t = AssociationTable::new(vec![1u32, 2, 3, 4]).unwrap();
-        assert_eq!(t.code_len(0), 1); // "0"
-        assert_eq!(t.code_len(3), 4); // "1110"
-        assert_eq!(t.escape_len(), 5); // "11110"
+        let mut w = BitWriter::new();
+        t.encode_index(&mut w, 0);
+        assert_eq!(w.bit_len(), 1); // "0"
+        t.encode_index(&mut w, 3);
+        assert_eq!(w.bit_len(), 1 + 4); // "1110"
+        t.encode_escape(&mut w);
+        assert_eq!(w.bit_len(), 1 + 4 + 5); // "11110"
     }
 
     #[test]
@@ -245,17 +223,19 @@ mod tests {
 
     #[test]
     fn cost_matches_actual_encoding() {
+        // The tuner's cost model: a unary guide code plus the class
+        // width, or the escape code plus 32 raw bits.
         let t = WidthTable::from_widths(vec![(3, 10), (6, 5)]).unwrap();
         for &v in &[0u64, 7, 40, 100_000] {
             let bits = 64 - v.leading_zeros();
+            let cost = match t.class_for_bits(bits) {
+                Some(class) => class as u64 + 1 + u64::from(t.entries()[class]),
+                None => t.len() as u64 + 1 + 32,
+            };
             let mut guide = BitWriter::new();
             let mut array = BitWriter::new();
             t.encode_value(&mut guide, &mut array, v);
-            assert_eq!(
-                t.cost_bits(bits),
-                guide.bit_len() + array.bit_len(),
-                "value {v}"
-            );
+            assert_eq!(cost, guide.bit_len() + array.bit_len(), "value {v}");
         }
     }
 

@@ -343,7 +343,7 @@ mod tests {
         assert_eq!(t.values[0], 0);
         assert!(t.values.contains(&1));
         let table = t.to_table().unwrap();
-        assert_eq!(*table.get(0).unwrap(), 0);
+        assert_eq!(table.entries()[0], 0);
     }
 
     #[test]

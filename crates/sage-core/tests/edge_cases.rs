@@ -63,7 +63,7 @@ fn zero_length_read() {
     let rs = ReadSet::from_reads(vec![
         Read {
             id: None,
-            seq: DnaSeq::new(),
+            seq: DnaSeq::default(),
             qual: Some(vec![]),
         },
         read("ACGTACGTACGTACGT"),
@@ -650,12 +650,12 @@ fn empty_quality_strings() {
     let rs = ReadSet::from_reads(vec![
         Read {
             id: None,
-            seq: DnaSeq::new(),
+            seq: DnaSeq::default(),
             qual: Some(vec![]),
         },
         Read {
             id: None,
-            seq: DnaSeq::new(),
+            seq: DnaSeq::default(),
             qual: Some(vec![]),
         },
     ]);

@@ -218,7 +218,7 @@ proptest! {
         for &(v, n) in &masked {
             prop_assert_eq!(r.read_bits(n).unwrap(), v);
         }
-        prop_assert!(r.is_at_end());
+        prop_assert_eq!(r.remaining(), 0);
     }
 
     #[test]

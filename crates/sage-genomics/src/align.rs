@@ -60,24 +60,6 @@ impl Edit {
         }
     }
 
-    /// Number of read bases this edit produces (0 for deletions).
-    pub fn read_span(&self) -> u32 {
-        match self {
-            Edit::Sub { .. } => 1,
-            Edit::Ins { bases, .. } => bases.len() as u32,
-            Edit::Del { .. } => 0,
-        }
-    }
-
-    /// Number of consensus bases this edit consumes.
-    pub fn cons_span(&self) -> u32 {
-        match self {
-            Edit::Sub { .. } => 1,
-            Edit::Ins { .. } => 0,
-            Edit::Del { len, .. } => *len,
-        }
-    }
-
     /// `true` for insertions and deletions.
     pub fn is_indel(&self) -> bool {
         !matches!(self, Edit::Sub { .. })
@@ -122,28 +104,14 @@ impl Segment {
         self.read_end == self.read_start
     }
 
-    /// Number of consensus bases this segment consumes.
-    pub fn cons_span(&self) -> u64 {
-        let read_spans: u64 = self.edits.iter().map(|e| u64::from(e.read_span())).sum();
-        let cons_spans: u64 = self.edits.iter().map(|e| u64::from(e.cons_span())).sum();
-        u64::from(self.len()) - read_spans + cons_spans
-    }
-
     /// Reconstructs the oriented bases of this segment from the
-    /// consensus and then applies orientation, yielding exactly the
-    /// read's bases for `[read_start, read_end)`.
+    /// consensus and then applies orientation, appending exactly the
+    /// read's bases for `[read_start, read_end)` to `out`.
     ///
     /// # Panics
     ///
     /// Panics if the alignment walks out of the consensus or the edits
     /// are inconsistent with the segment length.
-    pub fn reconstruct(&self, consensus: &[Base]) -> Vec<Base> {
-        let mut out = Vec::with_capacity(self.len() as usize);
-        self.reconstruct_into(consensus, &mut out);
-        out
-    }
-
-    /// [`reconstruct`](Self::reconstruct), appending to `out`.
     fn reconstruct_into(&self, consensus: &[Base], out: &mut Vec<Base>) {
         let start = out.len();
         let end = start + self.len() as usize;
@@ -275,6 +243,16 @@ mod tests {
         "ACGTACGTACGTACGTACGT".parse().unwrap()
     }
 
+    /// One segment's bases, through the whole-read reconstruction.
+    fn rebuild(seg: &Segment, consensus: &[Base]) -> DnaSeq {
+        Alignment {
+            clip_start: vec![],
+            clip_end: vec![],
+            segments: vec![seg.clone()],
+        }
+        .reconstruct(consensus)
+    }
+
     #[test]
     fn perfect_segment_reconstructs_consensus_window() {
         let seg = Segment {
@@ -284,8 +262,7 @@ mod tests {
             rev: false,
             edits: vec![],
         };
-        let got = seg.reconstruct(&consensus());
-        assert_eq!(DnaSeq::from_bases(got).to_string(), "ACGTACGT");
+        assert_eq!(rebuild(&seg, &consensus()).to_string(), "ACGTACGT");
     }
 
     #[test]
@@ -300,10 +277,7 @@ mod tests {
                 base: Base::T,
             }],
         };
-        assert_eq!(
-            DnaSeq::from_bases(seg.reconstruct(&consensus())).to_string(),
-            "ATGT"
-        );
+        assert_eq!(rebuild(&seg, &consensus()).to_string(), "ATGT");
     }
 
     #[test]
@@ -326,10 +300,7 @@ mod tests {
             ],
         };
         // read = AC GG GT [skip A] CG
-        assert_eq!(
-            DnaSeq::from_bases(seg.reconstruct(&consensus())).to_string(),
-            "ACGGGTCG"
-        );
+        assert_eq!(rebuild(&seg, &consensus()).to_string(), "ACGGGTCG");
     }
 
     #[test]
@@ -345,8 +316,8 @@ mod tests {
             rev: true,
             ..fwd.clone()
         };
-        let f = DnaSeq::from_bases(fwd.reconstruct(&consensus()));
-        let r = DnaSeq::from_bases(rev.reconstruct(&consensus()));
+        let f = rebuild(&fwd, &consensus());
+        let r = rebuild(&rev, &consensus());
         assert_eq!(f.reverse_complement(), r);
     }
 
@@ -411,8 +382,14 @@ mod tests {
                 },
             ],
         };
-        // 10 read bases, 2 from insertion -> 8 from consensus, +3 deleted.
-        assert_eq!(seg.cons_span(), 11);
+        // 10 read bases, 2 from insertion -> 8 from consensus, +3 deleted:
+        // the segment reads exactly the first 11 consensus bases.
+        let cons = consensus();
+        assert_eq!(
+            rebuild(&seg, &cons.as_slice()[..11]).to_string(),
+            "ACGAATAACG"
+        );
+        assert!(std::panic::catch_unwind(|| rebuild(&seg, &cons.as_slice()[..10])).is_err());
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl Packed2 {
         Some(Packed2 { data, len })
     }
 
-    /// Number of bases.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no bases are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of bytes of packed storage.
     pub fn byte_len(&self) -> usize {
         self.data.len()
@@ -100,7 +90,7 @@ impl Packed2 {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
+    /// Panics if `i` is past the last base.
     pub fn get(&self, i: usize) -> Base {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         Base::from_code2((self.data[i / 4] >> ((i % 4) * 2)) & 0b11)
@@ -155,26 +145,11 @@ impl Packed3 {
         }
     }
 
-    /// Number of bases.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no bases are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of bytes of packed storage.
-    pub fn byte_len(&self) -> usize {
-        self.bits.len()
-    }
-
     /// Returns base `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()` or the stored code is invalid.
+    /// Panics if `i` is past the last base or the stored code is invalid.
     pub fn get(&self, i: usize) -> Base {
         assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         let mut code = 0u8;
@@ -248,13 +223,13 @@ mod tests {
     fn packed_sizes() {
         let s: DnaSeq = "ACGTACGT".parse().unwrap();
         assert_eq!(Packed2::pack(&s).byte_len(), 2);
-        assert_eq!(Packed3::pack(&s).byte_len(), 3);
+        assert_eq!(Packed3::pack(&s).bits.len(), 3);
     }
 
     #[test]
     fn empty_sequences() {
-        let s = DnaSeq::new();
-        assert!(Packed2::pack(&s).is_empty());
-        assert!(Packed3::pack(&s).is_empty());
+        let s = DnaSeq::default();
+        assert!(Packed2::pack(&s).unpack().is_empty());
+        assert!(Packed3::pack(&s).unpack().is_empty());
     }
 }

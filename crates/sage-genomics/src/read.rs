@@ -236,23 +236,9 @@ impl ReadSet {
         self.reads.iter().map(|r| r.len()).max().unwrap_or(0)
     }
 
-    /// `true` if any read carries quality scores.
-    pub fn has_quality(&self) -> bool {
-        self.reads.iter().any(|r| r.qual.is_some())
-    }
-
     /// Iterator over the reads.
     pub fn iter(&self) -> std::slice::Iter<'_, Read> {
         self.reads.iter()
-    }
-
-    /// Returns the multiset of sequences (sorted), used to compare read
-    /// sets when reordering is allowed (SAGe reorders reads by matching
-    /// position, §5.1.3).
-    pub fn sorted_sequences(&self) -> Vec<&DnaSeq> {
-        let mut v: Vec<&DnaSeq> = self.reads.iter().map(|r| &r.seq).collect();
-        v.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        v
     }
 }
 
@@ -314,13 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_sequences_is_order_independent() {
-        let a = mk(&["ACGT", "TTTT", "CCCC"]);
-        let b = mk(&["TTTT", "CCCC", "ACGT"]);
-        assert_eq!(a.sorted_sequences(), b.sorted_sequences());
-    }
-
-    #[test]
     fn columns_borrow_what_the_reads_own() {
         let mut rs = mk(&["ACGT", "", "GGA"]);
         for r in rs.reads_mut() {
@@ -350,9 +329,8 @@ mod tests {
     #[test]
     fn quality_accounting() {
         let mut rs = mk(&["ACGT"]);
-        assert!(!rs.has_quality());
+        assert_eq!(rs.total_quality_bytes(), 0);
         rs.reads_mut()[0].qual = Some(vec![b'I'; 4]);
-        assert!(rs.has_quality());
         assert_eq!(rs.total_quality_bytes(), 4);
     }
 }

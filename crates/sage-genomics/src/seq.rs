@@ -19,11 +19,6 @@ use std::ops::{Deref, Index};
 pub struct DnaSeq(Vec<Base>);
 
 impl DnaSeq {
-    /// Creates an empty sequence.
-    pub fn new() -> DnaSeq {
-        DnaSeq(Vec::new())
-    }
-
     /// Creates an empty sequence with reserved capacity.
     pub fn with_capacity(cap: usize) -> DnaSeq {
         DnaSeq(Vec::with_capacity(cap))
@@ -90,11 +85,6 @@ impl DnaSeq {
     /// Panics if the range is out of bounds.
     pub fn subseq(&self, start: usize, len: usize) -> DnaSeq {
         DnaSeq(self.0[start..start + len].to_vec())
-    }
-
-    /// `true` if any base is `N`.
-    pub fn contains_n(&self) -> bool {
-        self.0.iter().any(|b| b.is_n())
     }
 
     /// Positions (0-based) of all `N` bases.
@@ -222,7 +212,6 @@ mod tests {
     #[test]
     fn n_positions_found() {
         let s: DnaSeq = "ANGNT".parse().unwrap();
-        assert!(s.contains_n());
         assert_eq!(s.n_positions(), vec![1, 3]);
     }
 

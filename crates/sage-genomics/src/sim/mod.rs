@@ -48,15 +48,6 @@ pub struct Dataset {
     pub reads: ReadSet,
 }
 
-impl Dataset {
-    /// Uncompressed FASTQ-equivalent size in bytes: one byte per base
-    /// plus one per quality value plus a small per-read header overhead.
-    pub fn uncompressed_bytes(&self) -> usize {
-        let header = 16 * self.reads.len();
-        self.reads.total_bases() + self.reads.total_quality_bytes() + header
-    }
-}
-
 /// Synthesizes a dataset from a profile, deterministically in `seed`.
 ///
 /// # Example
@@ -100,7 +91,7 @@ mod tests {
         let ds = simulate_dataset(&DatasetProfile::tiny_short(), 3);
         assert!(ds.reads.len() > 10);
         assert!(ds.reads.is_fixed_length());
-        assert!(ds.reads.has_quality());
+        assert!(ds.reads.iter().all(|r| r.qual.is_some()));
     }
 
     #[test]
@@ -115,13 +106,5 @@ mod tests {
         let a = simulate_dataset(&DatasetProfile::tiny_short(), 1);
         let b = simulate_dataset(&DatasetProfile::tiny_short(), 2);
         assert_ne!(a.reads, b.reads);
-    }
-
-    #[test]
-    fn uncompressed_bytes_counts_bases_and_quality() {
-        let ds = simulate_dataset(&DatasetProfile::tiny_short(), 5);
-        let expected =
-            ds.reads.total_bases() + ds.reads.total_quality_bytes() + 16 * ds.reads.len();
-        assert_eq!(ds.uncompressed_bytes(), expected);
     }
 }

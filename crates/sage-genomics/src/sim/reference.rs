@@ -134,7 +134,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let r = generate_reference(10_000, 0.1, &mut rng);
         assert_eq!(r.seq.len(), 10_000);
-        assert!(!r.seq.contains_n());
+        assert!(!r.seq.contains(&Base::N));
     }
 
     #[test]

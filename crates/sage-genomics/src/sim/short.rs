@@ -223,6 +223,6 @@ mod tests {
             ..ShortReadConfig::default()
         };
         let rs = simulate_short_reads(&donor(), 10, &cfg, &mut rng);
-        assert!(rs.iter().all(|r| r.seq.contains_n()));
+        assert!(rs.iter().all(|r| r.seq.contains(&Base::N)));
     }
 }

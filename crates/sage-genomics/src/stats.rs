@@ -29,11 +29,6 @@ impl Histogram {
         self.counts[value] += 1;
     }
 
-    /// Count in bucket `value` (0 when out of range).
-    pub fn count(&self, value: usize) -> u64 {
-        self.counts.get(value).copied().unwrap_or(0)
-    }
-
     /// Total number of samples.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -65,11 +60,6 @@ impl Histogram {
                 acc as f64 / total as f64
             })
             .collect()
-    }
-
-    /// Largest non-empty bucket index, or `None` when empty.
-    pub fn max_value(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
     }
 }
 
@@ -212,8 +202,7 @@ mod tests {
     fn histogram_basics() {
         let h: Histogram = [0usize, 1, 1, 3].into_iter().collect();
         assert_eq!(h.total(), 4);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.max_value(), Some(3));
+        assert_eq!(h.counts[1], 2);
         let f = h.fractions();
         assert!((f[1] - 0.5).abs() < 1e-12);
         let c = h.cumulative_fractions();
@@ -224,15 +213,14 @@ mod tests {
     fn empty_histogram_fractions() {
         let h = Histogram::new();
         assert!(h.fractions().is_empty());
-        assert_eq!(h.max_value(), None);
     }
 
     #[test]
     fn mismatch_position_bits_uses_deltas() {
         // Edits at 5, 6, 10 -> deltas 5, 1, 4 -> bits 3, 1, 3.
         let h = mismatch_position_bits_histogram(&[aln_with_edits(&[5, 6, 10])]);
-        assert_eq!(h.count(3), 2);
-        assert_eq!(h.count(1), 1);
+        assert_eq!(h.counts[3], 2);
+        assert_eq!(h.counts[1], 1);
         assert_eq!(h.total(), 3);
     }
 
@@ -243,9 +231,9 @@ mod tests {
             aln_with_edits(&[1]),
             aln_with_edits(&[1, 2]),
         ]);
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(2), 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[2], 1);
     }
 
     #[test]
@@ -262,11 +250,11 @@ mod tests {
             },
         ];
         let blocks = indel_block_length_histogram(&[aln.clone()]);
-        assert_eq!(blocks.count(1), 1);
-        assert_eq!(blocks.count(4), 1);
+        assert_eq!(blocks.counts[1], 1);
+        assert_eq!(blocks.counts[4], 1);
         let bases = indel_bases_by_length_histogram(&[aln]);
-        assert_eq!(bases.count(1), 1);
-        assert_eq!(bases.count(4), 4);
+        assert_eq!(bases.counts[1], 1);
+        assert_eq!(bases.counts[4], 4);
     }
 
     #[test]
@@ -284,9 +272,9 @@ mod tests {
         };
         // Positions 8, 2, 2 -> sorted 2,2,8 -> deltas 2,0,6 -> bits 2,0,3.
         let h = matching_position_bits_histogram(&[mk(8), mk(2), mk(2)]);
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(2), 1);
-        assert_eq!(h.count(3), 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[2], 1);
+        assert_eq!(h.counts[3], 1);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl HwCost {
         self.base_power_mw() + self.double_register_power_mw()
     }
 
-    /// Energy in joules for `secs` of operation at full activity.
-    pub fn energy_joules(&self, secs: f64) -> f64 {
-        self.total_power_mw() * 1e-3 * secs
-    }
-
     /// Area as a fraction of a reference controller area (the paper
     /// compares against the three Cortex-R4 cores of a SATA SSD
     /// controller: ~0.295 mm² at 22 nm scaling).
@@ -140,14 +135,6 @@ mod tests {
         let hw = HwCost::new(8, IntegrationMode::InSsd);
         let frac = hw.fraction_of_ssd_controller_cores();
         assert!(frac > 0.004 && frac < 0.01, "fraction {frac}");
-    }
-
-    #[test]
-    fn energy_scales_linearly() {
-        let hw = HwCost::new(8, IntegrationMode::InSsd);
-        let e1 = hw.energy_joules(1.0);
-        let e2 = hw.energy_joules(2.0);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
     }
 
     #[test]

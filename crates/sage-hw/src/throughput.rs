@@ -44,12 +44,6 @@ impl ThroughputModel {
         let logic_limited = self.cycles.logic_bandwidth_bases_per_sec(self.channels);
         nand_limited.min(logic_limited)
     }
-
-    /// Time to decompress `compressed_bytes` of DNA data at the given
-    /// ratio.
-    pub fn decompress_seconds(&self, compressed_bytes: f64, compression_ratio: f64) -> f64 {
-        compressed_bytes * compression_ratio / self.output_bandwidth(compression_ratio)
-    }
 }
 
 #[cfg(test)]
@@ -76,13 +70,5 @@ mod tests {
         let m = ThroughputModel::default_8ch();
         let out = m.output_bandwidth(1e6);
         assert_eq!(out, m.cycles.logic_bandwidth_bases_per_sec(8));
-    }
-
-    #[test]
-    fn decompress_time_is_consistent() {
-        let m = ThroughputModel::default_8ch();
-        let secs = m.decompress_seconds(1e9, 10.0);
-        // 10 GB of output at 48 GB/s.
-        assert!((secs - 10e9 / m.output_bandwidth(10.0)).abs() < 1e-12);
     }
 }

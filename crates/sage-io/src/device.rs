@@ -13,7 +13,7 @@
 
 use crate::sched::DeviceCharge;
 use sage_core::{Extent, OutputFormat};
-use sage_ssd::{SageLayout, SsdCommand, SsdConfig, SsdModel};
+use sage_ssd::{SsdCommand, SsdConfig, SsdModel};
 use std::sync::Mutex;
 
 /// One chunk's home: which device and where on it.
@@ -49,7 +49,8 @@ pub struct DeviceSnapshot {
 #[derive(Debug)]
 struct DeviceState {
     model: SsdModel,
-    layout: SageLayout,
+    /// Compressed bytes placed; the layout's pages are
+    /// `placed_bytes.div_ceil(page_bytes)`.
     placed_bytes: usize,
     chunks: usize,
     reads: u64,
@@ -77,8 +78,8 @@ pub struct DeviceMap {
 impl DeviceMap {
     /// Builds a fleet and places `chunk_lens` (the byte length of each
     /// chunk, in chunk-id order) round-robin across it. The initial
-    /// dataset write seeds each device's layout and FTL but is *not*
-    /// counted in the serving snapshot.
+    /// dataset write is neither charged nor counted in the serving
+    /// snapshot: each device starts with its placed bytes.
     ///
     /// # Panics
     ///
@@ -96,7 +97,7 @@ impl DeviceMap {
             devices: Vec::new(),
         };
         // Place every chunk first, then open each device over its
-        // final byte count so the whole dataset is written once.
+        // final byte count.
         let mut chunks_per_device = vec![0usize; configs.len()];
         for &len in chunk_lens {
             chunks_per_device[map.assign(len).device] += 1;
@@ -107,13 +108,8 @@ impl DeviceMap {
             .zip(&cursors)
             .zip(&chunks_per_device)
             .map(|((cfg, &bytes), &chunks)| {
-                let mut model = SsdModel::new(cfg.clone());
-                if bytes > 0 {
-                    model.execute(SsdCommand::SageWrite { bytes });
-                }
                 Mutex::new(DeviceState {
-                    layout: SageLayout::place(cfg, bytes, 0),
-                    model,
+                    model: SsdModel::new(cfg.clone()),
                     placed_bytes: bytes,
                     chunks,
                     reads: 0,
@@ -190,21 +186,17 @@ impl DeviceMap {
     /// written).
     pub fn append_chunk(&self, len: usize) -> DeviceCharge {
         let slot = self.assign(len);
-        let mut guard = self.devices[slot.device].lock().expect("device poisoned");
-        // Split the borrow so the layout can grow against the model's
-        // config without cloning the whole SsdConfig per append (the
-        // old code paid a name + geometry allocation on every chunk).
-        let DeviceState { model, layout, .. } = &mut *guard;
-        let old_pages = layout.n_pages();
-        let new_bytes = slot.local.end();
-        layout.extend_to(model.config(), new_bytes, 0);
-        let grown = layout.n_pages() - old_pages;
-        let page_bytes = model.config().page_bytes;
-        let r = model.execute(SsdCommand::SageWrite {
+        let mut dev = self.devices[slot.device].lock().expect("device poisoned");
+        let page_bytes = dev.model.config().page_bytes;
+        let old = dev.placed_bytes;
+        // Placed bytes only grow, whatever order racing appends take
+        // the device lock in.
+        let new = old.max(slot.local.end());
+        let grown = new.div_ceil(page_bytes) - old.div_ceil(page_bytes);
+        let r = dev.model.execute(SsdCommand::SageWrite {
             bytes: grown * page_bytes,
         });
-        let dev = &mut *guard;
-        dev.placed_bytes = new_bytes;
+        dev.placed_bytes = new;
         dev.chunks += 1;
         dev.writes += 1;
         dev.write_seconds += r.seconds;
@@ -244,9 +236,7 @@ mod tests {
     fn pages_for_chunk(map: &DeviceMap, chunk_id: u32) -> usize {
         let slot = map.slot(chunk_id).expect("placed chunk");
         let dev = map.devices[slot.device].lock().expect("device poisoned");
-        dev.layout
-            .pages_for_extent(slot.local.offset, slot.local.len)
-            .len()
+        sage_ssd::extent_page_span(dev.model.config(), slot.local.offset, slot.local.len)
     }
 
     fn fleet(n: usize) -> Vec<SsdConfig> {
@@ -325,6 +315,44 @@ mod tests {
         assert_eq!((snap.writes, snap.chunks), (2, 3));
         assert_eq!(snap.placed_bytes, page + 10);
         assert_eq!(snap.write_seconds, crossing.seconds);
+    }
+
+    #[test]
+    fn appends_charge_the_pages_they_grow() {
+        // Seeded xorshift: chunks of 0–3 pages with odd byte lengths.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [1usize, 3] {
+            let cfg = fleet(n);
+            let page = cfg[0].page_bytes;
+            let seed_lens = [page + 7, 5, 2 * page - 1];
+            let map = DeviceMap::place(&cfg, &seed_lens);
+            let mut placed = vec![0usize; n];
+            for (i, &len) in seed_lens.iter().enumerate() {
+                placed[i % n] += len;
+            }
+            for i in seed_lens.len()..seed_lens.len() + 200 {
+                let len = (next() % (3 * page as u64)) as usize | 1;
+                let device = i % n;
+                let before = placed[device];
+                placed[device] += len;
+                let grown = placed[device].div_ceil(page) - before.div_ceil(page);
+                let c = map.append_chunk(len);
+                assert_eq!(c.device, device);
+                assert_eq!(
+                    c.seconds,
+                    sage_ssd::nand::striped_write_seconds(&cfg[device], grown),
+                    "chunk {i}: {len} bytes after {before}"
+                );
+            }
+            let snaps: Vec<usize> = map.snapshots().iter().map(|s| s.placed_bytes).collect();
+            assert_eq!(snaps, placed);
+        }
     }
 
     #[test]

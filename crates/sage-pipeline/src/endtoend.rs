@@ -253,11 +253,6 @@ pub fn run_experiment(
     }
 }
 
-/// Convenience: speedup of `a` over `b` (times of b over a).
-pub fn speedup(a: &Outcome, b: &Outcome) -> f64 {
-    b.seconds / a.seconds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,9 +296,10 @@ mod tests {
         // (N)SprAC. Accept the same order of magnitude.
         let sys = SystemConfig::pcie();
         let sage = run(PrepKind::SageHw, &sys);
-        let s_pigz = speedup(&sage, &run(PrepKind::Pigz, &sys));
-        let s_spr = speedup(&sage, &run(PrepKind::NSpr, &sys));
-        let s_ac = speedup(&sage, &run(PrepKind::NSprAc, &sys));
+        let speedup = |k: PrepKind| run(k, &sys).seconds / sage.seconds;
+        let s_pigz = speedup(PrepKind::Pigz);
+        let s_spr = speedup(PrepKind::NSpr);
+        let s_ac = speedup(PrepKind::NSprAc);
         assert!(s_pigz > 4.0 && s_pigz < 30.0, "pigz speedup {s_pigz}");
         assert!(s_spr > 2.0 && s_spr < 25.0, "spr speedup {s_spr}");
         assert!(s_ac > 1.5 && s_ac < 15.0, "sprac speedup {s_ac}");

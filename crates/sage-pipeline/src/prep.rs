@@ -134,11 +134,6 @@ impl PrepKind {
     pub fn uses_host_cpu(&self) -> bool {
         self.host_model().is_some()
     }
-
-    /// `true` for the in-SSD integration (mode 3).
-    pub fn in_ssd(&self) -> bool {
-        matches!(self, PrepKind::SageSsd)
-    }
 }
 
 #[cfg(test)]
@@ -171,13 +166,6 @@ mod tests {
         assert!(PrepKind::SageHw.host_model().is_none());
         assert!(PrepKind::SageSsd.host_model().is_none());
         assert!(PrepKind::ZeroTimeDec.host_model().is_none());
-    }
-
-    #[test]
-    fn only_mode3_is_in_ssd() {
-        for k in PrepKind::all() {
-            assert_eq!(k.in_ssd(), k == PrepKind::SageSsd);
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::energy::{energy_joules, EnergyInputs};
 use crate::prep::PrepKind;
 use crate::stage::{bottleneck, pipeline_seconds, Stage};
 use sage_genomics::ReadSet;
-use sage_store::client::{range_for, ClosedLoopSpec, Dataset, DatasetBuilder, Session};
+use sage_store::client::{range_for, ClosedLoopSpec, Dataset, DatasetBuilder};
 use sage_store::{Result as StoreResult, StoreOp};
 
 /// A dataset served through the chunk store for pipeline experiments:
@@ -56,17 +56,6 @@ impl StoreServing {
             dataset,
             reads_per_chunk,
         })
-    }
-
-    /// The served dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    /// Opens a session — the same typed front end every store client
-    /// uses.
-    pub fn session(&self) -> Session {
-        self.dataset.session()
     }
 
     /// Measures the preparation rate (original bases per second) the
@@ -147,10 +136,10 @@ mod tests {
         let ds = simulate_dataset(&DatasetProfile::tiny_short(), 17);
         let sys = SystemConfig::pcie().with_ssds(2);
         let serving = StoreServing::build(&ds.reads, &sys, 16).expect("build serving");
-        assert_eq!(serving.dataset().engine().n_devices(), 2);
+        assert_eq!(serving.dataset.engine().n_devices(), 2);
 
         // The session is the ordinary typed front end.
-        let got = serving.session().get(0..8).unwrap().join().unwrap();
+        let got = serving.dataset.session().get(0..8).unwrap().join().unwrap();
         for (a, b) in got.iter().zip(ds.reads.iter()) {
             assert_eq!(a.seq, b.seq);
         }

@@ -58,16 +58,6 @@ pub fn pipeline_seconds(total_units: f64, stages: &[Stage], n_batches: usize) ->
     steady + fill
 }
 
-/// Throughput in units/second implied by a pipeline run.
-pub fn pipeline_throughput(total_units: f64, stages: &[Stage], n_batches: usize) -> f64 {
-    let t = pipeline_seconds(total_units, stages, n_batches);
-    if t == 0.0 {
-        f64::INFINITY
-    } else {
-        total_units / t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,13 +106,5 @@ mod tests {
         let slow = [Stage::new("prep", 5.0), Stage::new("map", 20.0)];
         let fast = [Stage::new("prep", 15.0), Stage::new("map", 20.0)];
         assert!(pipeline_seconds(1000.0, &fast, 50) < pipeline_seconds(1000.0, &slow, 50));
-    }
-
-    #[test]
-    fn throughput_inverse_of_time() {
-        let stages = [Stage::new("a", 40.0), Stage::new("b", 60.0)];
-        let t = pipeline_seconds(4000.0, &stages, 100);
-        let thr = pipeline_throughput(4000.0, &stages, 100);
-        assert!((thr - 4000.0 / t).abs() < 1e-9);
     }
 }

@@ -113,22 +113,6 @@ impl SsdConfig {
     pub fn internal_read_bw(&self, aligned_layout: bool) -> f64 {
         self.channel_read_bw(aligned_layout) * self.channels as f64
     }
-
-    /// Usable internal DRAM in bytes (what an in-SSD decompressor
-    /// would have to fit into — SAGe needs none of it).
-    pub fn usable_dram_bytes(&self) -> u64 {
-        (self.dram_capacity_bytes as f64 * self.dram_free_fraction) as u64
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.channels
-            * self.dies_per_channel
-            * self.planes_per_die
-            * self.blocks_per_plane
-            * self.pages_per_block
-            * self.page_bytes) as u64
-    }
 }
 
 #[cfg(test)]
@@ -161,12 +145,9 @@ mod tests {
 
     #[test]
     fn usable_dram_is_small() {
-        let cfg = SsdConfig::pcie();
-        assert!(cfg.usable_dram_bytes() < cfg.dram_capacity_bytes / 10);
-    }
-
-    #[test]
-    fn capacity_is_positive_and_large() {
-        assert!(SsdConfig::pcie().capacity_bytes() > 1 << 36);
+        // §3.2: mapping metadata leaves at most 5 % of the DRAM free.
+        for cfg in [SsdConfig::pcie(), SsdConfig::sata()] {
+            assert!(cfg.dram_free_fraction <= 0.05, "{}", cfg.name);
+        }
     }
 }

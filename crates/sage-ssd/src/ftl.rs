@@ -447,4 +447,35 @@ mod tests {
         }
         assert_eq!(written, 16);
     }
+
+    #[test]
+    fn sage_write_maintains_alignment() {
+        // 8 MiB of genomic pages on the PCIe geometry.
+        let cfg = SsdConfig::pcie();
+        let pages = (8 << 20) / cfg.page_bytes as u64;
+        let mut ftl = Ftl::new(cfg);
+        for lpn in 0..pages {
+            assert!(ftl.write_genomic(lpn).is_some());
+        }
+        assert!(ftl.genomic_alignment_holds());
+    }
+
+    #[test]
+    fn mixed_traffic_keeps_genomic_alignment() {
+        // 1 MiB genomic, 1 MiB conventional (unit `lpn % 7`), 1 MiB
+        // genomic, on the PCIe geometry.
+        let cfg = SsdConfig::pcie();
+        let pages = (1 << 20) / cfg.page_bytes as u64;
+        let mut ftl = Ftl::new(cfg);
+        for lpn in 0..pages {
+            assert!(ftl.write_genomic(lpn).is_some());
+        }
+        for lpn in pages..2 * pages {
+            assert!(ftl.write_normal(lpn, (lpn % 7) as usize).is_some());
+        }
+        for lpn in 2 * pages..3 * pages {
+            assert!(ftl.write_genomic(lpn).is_some());
+        }
+        assert!(ftl.genomic_alignment_holds());
+    }
 }

@@ -2,12 +2,14 @@
 //!
 //! `SAGe_Read` requests genomic data *in the format the analysis
 //! system wants* (2-bit, 3-bit, ASCII); `SAGe_Write` writes compressed
-//! genomic data through the aligned layout and updates the FTL.
-//! Conventional reads/writes pass through untouched, so the device
-//! behaves like a normal SSD for everything else.
+//! genomic data striped over every parallel unit. A command's charge
+//! is a function of the device configuration and the pages it moves,
+//! so [`SsdModel`] holds its [`SsdConfig`] alone: where the pages land
+//! is modelled apart, by [`SageLayout`](crate::layout::SageLayout) and
+//! the [`Ftl`](crate::ftl::Ftl). A conventional read passes through
+//! untouched, so the device behaves like a normal SSD for it.
 
 use crate::config::SsdConfig;
-use crate::ftl::Ftl;
 use crate::nand::{
     extent_read_seconds, random_read_latency_seconds, striped_read_seconds, striped_write_seconds,
 };
@@ -49,11 +51,6 @@ pub enum SsdCommand {
         /// Whether the access pattern is sequential.
         sequential: bool,
     },
-    /// Conventional write.
-    Write {
-        /// Bytes to write.
-        bytes: usize,
-    },
 }
 
 /// Outcome of a command.
@@ -65,22 +62,16 @@ pub struct SsdResponse {
     pub bytes: usize,
 }
 
-/// A device: configuration + FTL + timing.
+/// A device: its configuration, which is all a command's charge reads.
 #[derive(Debug, Clone)]
 pub struct SsdModel {
     cfg: SsdConfig,
-    ftl: Ftl,
-    next_lpn: u64,
 }
 
 impl SsdModel {
     /// Creates a device.
     pub fn new(cfg: SsdConfig) -> SsdModel {
-        SsdModel {
-            ftl: Ftl::new(cfg.clone()),
-            cfg,
-            next_lpn: 0,
-        }
+        SsdModel { cfg }
     }
 
     /// Borrow the configuration.
@@ -88,13 +79,8 @@ impl SsdModel {
         &self.cfg
     }
 
-    /// Borrow the FTL (e.g. to inspect alignment in tests).
-    pub fn ftl(&self) -> &Ftl {
-        &self.ftl
-    }
-
     /// Executes a command, returning its service time.
-    pub fn execute(&mut self, cmd: SsdCommand) -> SsdResponse {
+    pub fn execute(&self, cmd: SsdCommand) -> SsdResponse {
         match cmd {
             SsdCommand::SageRead { bytes, .. } => {
                 let pages = bytes.div_ceil(self.cfg.page_bytes);
@@ -112,11 +98,6 @@ impl SsdModel {
             }
             SsdCommand::SageWrite { bytes } => {
                 let pages = bytes.div_ceil(self.cfg.page_bytes);
-                for _ in 0..pages {
-                    let lpn = self.next_lpn;
-                    self.next_lpn += 1;
-                    self.ftl.write_genomic(lpn);
-                }
                 SsdResponse {
                     seconds: striped_write_seconds(&self.cfg, pages),
                     bytes,
@@ -131,29 +112,6 @@ impl SsdModel {
                 };
                 SsdResponse { seconds, bytes }
             }
-            SsdCommand::Write { bytes } => {
-                let pages = bytes.div_ceil(self.cfg.page_bytes);
-                for _ in 0..pages {
-                    let lpn = self.next_lpn;
-                    self.next_lpn += 1;
-                    let unit = (lpn % 7) as usize;
-                    self.ftl.write_normal(lpn, unit);
-                }
-                SsdResponse {
-                    seconds: striped_write_seconds(&self.cfg, pages),
-                    bytes,
-                }
-            }
-        }
-    }
-
-    /// Effective bandwidth of a command type in bytes/second.
-    pub fn bandwidth(&mut self, cmd: SsdCommand) -> f64 {
-        let r = self.execute(cmd);
-        if r.seconds == 0.0 {
-            f64::INFINITY
-        } else {
-            r.bytes as f64 / r.seconds
         }
     }
 }
@@ -164,7 +122,7 @@ mod tests {
 
     #[test]
     fn sage_read_is_faster_than_random_read() {
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
+        let ssd = SsdModel::new(SsdConfig::pcie());
         let n = 64 * 1024 * 1024;
         let sage = ssd.execute(SsdCommand::SageRead {
             bytes: n,
@@ -179,7 +137,7 @@ mod tests {
 
     #[test]
     fn extent_reads_sit_between_streaming_and_random() {
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
+        let ssd = SsdModel::new(SsdConfig::pcie());
         let chunk = 4 * ssd.config().page_bytes; // a few-page chunk
         let ext = ssd.execute(SsdCommand::SageReadExtent {
             offset: 3 * chunk + 100,
@@ -208,7 +166,7 @@ mod tests {
         // Below the channel count extra pages ride free (each lands on
         // an idle channel); past a full stripe the straddled page costs
         // real transfer time.
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
+        let ssd = SsdModel::new(SsdConfig::pcie());
         let page = ssd.config().page_bytes;
         let stripe = ssd.config().channels * page;
         let aligned = ssd.execute(SsdCommand::SageReadExtent {
@@ -225,37 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn sage_write_maintains_alignment() {
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
-        ssd.execute(SsdCommand::SageWrite {
-            bytes: 8 * 1024 * 1024,
-        });
-        assert!(ssd.ftl().genomic_alignment_holds());
-    }
-
-    #[test]
-    fn mixed_traffic_keeps_genomic_alignment() {
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
-        ssd.execute(SsdCommand::SageWrite { bytes: 1 << 20 });
-        ssd.execute(SsdCommand::Write { bytes: 1 << 20 });
-        ssd.execute(SsdCommand::SageWrite { bytes: 1 << 20 });
-        assert!(ssd.ftl().genomic_alignment_holds());
-    }
-
-    #[test]
     fn sage_read_bandwidth_matches_internal_bw() {
-        let mut ssd = SsdModel::new(SsdConfig::pcie());
-        let bw = ssd.bandwidth(SsdCommand::SageRead {
-            bytes: 1 << 30,
+        let ssd = SsdModel::new(SsdConfig::pcie());
+        let bytes = 1 << 30;
+        let r = ssd.execute(SsdCommand::SageRead {
+            bytes,
             format: OutputFormat::Ascii,
         });
+        let bw = bytes as f64 / r.seconds;
         let expected = ssd.config().internal_read_bw(true);
         assert!((bw / expected - 1.0).abs() < 0.05, "bw {bw} vs {expected}");
     }
 
     #[test]
     fn zero_byte_commands_are_free() {
-        let mut ssd = SsdModel::new(SsdConfig::sata());
+        let ssd = SsdModel::new(SsdConfig::sata());
         let r = ssd.execute(SsdCommand::SageRead {
             bytes: 0,
             format: OutputFormat::Ascii,

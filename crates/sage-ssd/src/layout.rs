@@ -46,8 +46,7 @@ impl SageLayout {
     }
 
     /// Grows the placement to cover `bytes` total, appending only the
-    /// new pages (an O(new pages) append, not a rebuild — the store's
-    /// append path calls this once per appended chunk).
+    /// new pages (an O(new pages) append, not a rebuild).
     ///
     /// `start_block` must match the value the layout was placed with.
     /// Shrinking is not supported; a smaller `bytes` is a no-op.
@@ -88,26 +87,6 @@ impl SageLayout {
                 .iter()
                 .all(|p| (p.block, p.page) == (chunk[0].block, chunk[0].page))
         })
-    }
-
-    /// The placements covering byte extent `offset..offset + len` of
-    /// the dataset, in logical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the extent reaches past the placed dataset.
-    pub fn pages_for_extent(&self, offset: usize, len: usize) -> &[PageAddr] {
-        assert!(
-            offset + len <= self.bytes,
-            "extent {offset}+{len} outside placed dataset ({} bytes)",
-            self.bytes
-        );
-        if len == 0 {
-            return &[];
-        }
-        let first = offset / self.page_bytes;
-        let last = (offset + len - 1) / self.page_bytes;
-        &self.pages[first..=last]
     }
 
     /// Per-channel page counts (uniform partitioning check).
@@ -177,32 +156,14 @@ mod tests {
     #[test]
     fn extent_pages_cover_partial_boundaries() {
         let cfg = SsdConfig::pcie();
-        let layout = SageLayout::place(&cfg, cfg.page_bytes * 8, 0);
         // An extent straddling a page boundary needs both pages.
-        let pages = layout.pages_for_extent(cfg.page_bytes - 1, 2);
-        assert_eq!(pages.len(), 2);
-        assert_eq!(pages[0], layout.pages[0]);
-        assert_eq!(pages[1], layout.pages[1]);
+        assert_eq!(extent_page_span(&cfg, cfg.page_bytes - 1, 2), 2);
         // Zero-length extents touch nothing.
-        assert!(layout.pages_for_extent(17, 0).is_empty());
+        assert_eq!(extent_page_span(&cfg, 17, 0), 0);
         // A one-page extent exactly aligned touches one page.
         assert_eq!(
-            layout
-                .pages_for_extent(cfg.page_bytes * 3, cfg.page_bytes)
-                .len(),
+            extent_page_span(&cfg, cfg.page_bytes * 3, cfg.page_bytes),
             1
-        );
-        // Extents past the placed byte count (even inside the last
-        // partially-filled page's rounding slack) are rejected.
-        let ragged = SageLayout::place(&cfg, cfg.page_bytes + 1, 0);
-        assert!(std::panic::catch_unwind(|| {
-            ragged.pages_for_extent(cfg.page_bytes + 1, cfg.page_bytes - 1)
-        })
-        .is_err());
-        // Consistency with the span helper used by the device model.
-        assert_eq!(
-            extent_page_span(&cfg, cfg.page_bytes - 1, 2),
-            layout.pages_for_extent(cfg.page_bytes - 1, 2).len()
         );
     }
 

@@ -7,11 +7,14 @@
 //! layout through garbage collection, and two interface commands
 //! (`SAGe_Read`, `SAGe_Write`).
 //!
-//! This crate is an MQSim-style analytical model plus a functional FTL:
-//! [`config`] holds device presets (a PCIe PM1735-like and a SATA
-//! 870 EVO-like drive), [`nand`] models die/plane/bus timing,
-//! [`layout`] implements the round-robin genomic placement, [`ftl`] the
-//! mapping + grouped GC, and [`interface`] the command set.
+//! This crate is an MQSim-style analytical model: [`config`] holds
+//! device presets (a PCIe PM1735-like and a SATA 870 EVO-like drive),
+//! [`nand`] models die/plane/bus timing, and [`interface`] the command
+//! set, whose charges depend on the configuration and the page count
+//! alone — an [`SsdModel`] is its [`SsdConfig`]. Where the pages land
+//! is modelled on its own: [`layout`] implements the round-robin
+//! genomic placement and [`ftl`] the mapping + grouped GC, each with
+//! §5.3's alignment invariant as a check. No command walks them.
 
 pub mod config;
 pub mod ftl;

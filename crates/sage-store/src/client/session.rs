@@ -315,11 +315,9 @@ impl Dataset {
         self.core.trace().cloned()
     }
 
-    /// One unified snapshot of everything the serving stack counts:
-    /// server counters, engine totals, cache outcome and lock
-    /// accounting, per-device charged seconds, and the trace buffer's
-    /// size. This subsumes the scattered per-layer snapshots: each
-    /// metric is one typed field.
+    /// One unified snapshot of the serving stack's counters: server
+    /// submissions, cache outcome and lock time, device-model commands
+    /// and seconds, and chunk decodes. Each metric is one typed field.
     ///
     /// ```
     /// use sage_store::client::DatasetBuilder;
@@ -330,7 +328,7 @@ impl Dataset {
     /// let dataset = DatasetBuilder::new().chunk_reads(32).encode(&ds.reads)?;
     /// dataset.session().get(0..8)?.join()?;
     /// let m = dataset.metrics();
-    /// assert_eq!(m.requests_served, 1);
+    /// assert_eq!(m.completed, 1);
     /// assert_eq!(m.cache_misses, 1);  // cold get decoded one chunk
     /// assert_eq!(m.cache_hits, 0);
     /// # Ok(())
@@ -341,39 +339,21 @@ impl Dataset {
         let cache = self.cache_stats();
         let stripes = self.stripe_snapshot();
         let timing = self.timing_snapshot();
-        let engine = self.engine();
-        let decode = engine.decode_stats();
-        let trace_spans = self.trace().map_or(0, |t| t.len());
+        let decode = self.engine().decode_stats();
         MetricsSnapshot {
             submitted: server.submitted,
             completed: server.completed,
             rejected: server.rejected,
-            cancelled: server.cancelled,
-            queued: server.queued,
-            requests_served: engine.requests_served(),
-            bytes_copied: engine.payload_bytes_copied(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
-            cache_shards: stripes.shards,
-            cache_len: stripes.len,
-            cache_capacity: stripes.capacity,
-            lock_acquisitions: stripes.lock_acquisitions,
             lock_busy_seconds: stripes.lock_busy_seconds,
-            device_busy: self
-                .device_snapshots()
-                .iter()
-                .map(|d| d.read_seconds + d.write_seconds)
-                .collect(),
             device_reads: timing.reads,
             device_writes: timing.writes,
             device_read_seconds: timing.read_seconds,
             device_write_seconds: timing.write_seconds,
             chunks_decoded: decode.chunks_decoded,
-            bytes_decoded: decode.bytes_decoded,
-            decode_seconds: decode.decode_seconds,
             dedup_decodes: decode.dedup_decodes,
-            trace_spans,
         }
     }
 

@@ -18,35 +18,14 @@ pub struct MetricsSnapshot {
     pub completed: u64,
     /// Fail-mode submissions shed because the ring was full.
     pub rejected: u64,
-    /// Operations cancelled by a shutdown while still queued.
-    pub cancelled: u64,
-    /// Operations queued in the ring right now.
-    pub queued: usize,
-    /// Requests the engine served (gets + scans + appends), all
-    /// entry points included.
-    pub requests_served: u64,
-    /// Payload bytes memcpy'd on the serving read path.
-    pub bytes_copied: u64,
     /// Decoded-chunk cache hits (across shards).
     pub cache_hits: u64,
     /// Decoded-chunk cache misses.
     pub cache_misses: u64,
     /// Cache evictions.
     pub cache_evictions: u64,
-    /// Cache shard count.
-    pub cache_shards: usize,
-    /// Decoded chunks currently pinned.
-    pub cache_len: usize,
-    /// Cache capacity in chunks.
-    pub cache_capacity: usize,
-    /// Cache shard-lock acquisitions.
-    pub lock_acquisitions: u64,
     /// Seconds spent holding cache shard locks (summed over shards).
     pub lock_busy_seconds: f64,
-    /// Device seconds charged per device: its read plus write
-    /// seconds, session and drive traffic alike (empty on an untimed
-    /// engine).
-    pub device_busy: Vec<f64>,
     /// Device-model read commands issued.
     pub device_reads: u64,
     /// Device-model write commands issued.
@@ -57,16 +36,9 @@ pub struct MetricsSnapshot {
     pub device_write_seconds: f64,
     /// Chunks decompressed on the miss path (dedup'd fills excluded).
     pub chunks_decoded: u64,
-    /// Payload bytes (bases + quality) produced by those decodes.
-    pub bytes_decoded: u64,
-    /// Wall-clock seconds spent inside chunk decode.
-    pub decode_seconds: f64,
     /// Racing misses resolved by another session's in-flight decode
     /// (the single-flight dedup counter).
     pub dedup_decodes: u64,
-    /// Spans held in the dataset's trace buffer (0 when tracing is
-    /// off).
-    pub trace_spans: usize,
 }
 
 // ---------------------------------------------------------------------

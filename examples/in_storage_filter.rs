@@ -3,9 +3,12 @@
 //! an in-storage filter, and only unfiltered reads cross the host
 //! interface — in 2-bit packed `SAGe_Read` format.
 //!
-//! Also demonstrates the storage-side machinery: the aligned data
-//! layout, the genomic FTL, and grouped garbage collection that
-//! preserves multi-plane alignment.
+//! It first walks the storage side: it places a 256 MiB archive on the
+//! aligned data layout, writes the same pages through the genomic FTL,
+//! checks that both keep multi-plane alignment, and times `SAGe_Write`
+//! and `SAGe_Read` on the device model. It then prices the SAGe logic,
+//! compares SAGeSSD + ISF against the alternatives on the pipeline
+//! model, and serves a predicate scan through a session.
 //!
 //! Run with: `cargo run --release --example in_storage_filter`
 
@@ -14,12 +17,21 @@ use sage::core::OutputFormat;
 use sage::genomics::sim::{simulate_dataset, DatasetProfile};
 use sage::hw::{HwCost, IntegrationMode};
 use sage::pipeline::{run_experiment, AnalysisKind, DatasetModel, PrepKind, SystemConfig};
-use sage::ssd::{SsdCommand, SsdConfig, SsdModel};
+use sage::ssd::{Ftl, SageLayout, SsdCommand, SsdConfig, SsdModel};
 
 fn main() {
     // --- Storage side: write a compressed read set with SAGe_Write ---
-    let mut ssd = SsdModel::new(SsdConfig::pcie());
+    let cfg = SsdConfig::pcie();
+    let ssd = SsdModel::new(cfg.clone());
     let compressed_bytes = 256 << 20; // a 256 MiB SAGe archive
+
+    // Where the pages land (§5.3): the round-robin layout, and the FTL
+    // that maps the same genomic pages with an aligned write pointer.
+    let layout = SageLayout::place(&cfg, compressed_bytes, 0);
+    let mut ftl = Ftl::new(cfg.clone());
+    for lpn in 0..layout.n_pages() as u64 {
+        ftl.write_genomic(lpn);
+    }
     let w = ssd.execute(SsdCommand::SageWrite {
         bytes: compressed_bytes,
     });
@@ -27,7 +39,7 @@ fn main() {
         "SAGe_Write: {} MiB placed in {:.2} ms, aligned layout: {}",
         compressed_bytes >> 20,
         w.seconds * 1e3,
-        ssd.ftl().genomic_alignment_holds()
+        layout.is_aligned(&cfg) && ftl.genomic_alignment_holds()
     );
     let r = ssd.execute(SsdCommand::SageRead {
         bytes: compressed_bytes,

@@ -18,8 +18,9 @@
 //!   general-purpose codec and a Spring/NanoSpring-like genomic codec).
 //! - [`hw`] — the cycle-level model of SAGe's decompression hardware with
 //!   the paper's Table 1 area/power constants.
-//! - [`ssd`] — the SSD substrate: NAND timing, SAGe's data layout, FTL and
-//!   GC, and the `SAGe_Read`/`SAGe_Write` interface commands.
+//! - [`ssd`] — the SSD substrate: NAND timing and the
+//!   `SAGe_Read`/`SAGe_Write` interface commands, with SAGe's data layout
+//!   and its FTL + GC as stand-alone models of where pages land.
 //! - [`io`] — the completion-queue async I/O substrate: a bounded
 //!   submission ring, a reactor multiplexing in-flight operations over a
 //!   fixed worker set, a completion queue, per-device virtual-time

@@ -75,7 +75,7 @@ fn in_ssd_integration_budget_is_tiny() {
 fn storage_path_sustains_model_bandwidth() {
     // The SSD model's SAGe_Read bandwidth must match what the pipeline
     // model assumes for in-SSD preparation.
-    let mut ssd = SsdModel::new(SsdConfig::pcie());
+    let ssd = SsdModel::new(SsdConfig::pcie());
     let bytes = 1 << 28;
     let r = ssd.execute(SsdCommand::SageRead {
         bytes,
@@ -84,7 +84,6 @@ fn storage_path_sustains_model_bandwidth() {
     let measured_bw = bytes as f64 / r.seconds;
     let assumed = ssd.config().internal_read_bw(true);
     assert!((measured_bw / assumed - 1.0).abs() < 0.05);
-    assert!(ssd.ftl().genomic_alignment_holds());
 }
 
 #[test]
